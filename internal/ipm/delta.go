@@ -2,6 +2,7 @@ package ipm
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -49,12 +50,30 @@ func (d *Delta) WriteJSON(w io.Writer) error {
 	return enc.Encode(d)
 }
 
+// ErrDeltaDecode marks bytes that do not decode as a Delta, as opposed
+// to a decoded delta that fails Validate.
+var ErrDeltaDecode = errors.New("ipm: decoding delta")
+
 // ReadDeltaJSON deserializes a delta written by WriteJSON. Deltas written
 // by a newer schema than this package understands are rejected.
 func ReadDeltaJSON(r io.Reader) (*Delta, error) {
 	var d Delta
 	if err := json.NewDecoder(r).Decode(&d); err != nil {
-		return nil, fmt.Errorf("ipm: decoding delta: %w", err)
+		return nil, fmt.Errorf("%w: %w", ErrDeltaDecode, err)
+	}
+	if err := d.Validate(); err != nil {
+		return nil, err
+	}
+	return &d, nil
+}
+
+// DecodeDelta is ReadDeltaJSON for an encoded delta already in memory:
+// raw holds one JSON object and nothing after it, and is not copied to
+// be decoded.
+func DecodeDelta(raw []byte) (*Delta, error) {
+	var d Delta
+	if err := json.Unmarshal(raw, &d); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrDeltaDecode, err)
 	}
 	if err := d.Validate(); err != nil {
 		return nil, err

@@ -1,0 +1,156 @@
+package ipm
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"strings"
+)
+
+// DeltaSplitter cuts a stream of concatenated JSON deltas into its
+// top-level objects without decoding them, so a consumer that addresses
+// deltas by content can hash the received bytes and decode only the ones
+// it has not seen. It matches braces outside string literals and checks
+// nothing else: the bytes it yields are exactly what json.Decoder would
+// consume for the same value when that value is valid JSON, and whatever
+// else it lets through fails at decode.
+type DeltaSplitter struct {
+	r          io.Reader
+	buf        []byte
+	start, end int // buf[start:end] is read but not yet yielded
+}
+
+// NewDeltaSplitter returns a splitter reading from r. A positive
+// sizeHint, such as a request's Content-Length, sizes the buffer so a
+// stream of that many bytes is read without growing it.
+func NewDeltaSplitter(r io.Reader, sizeHint int) *DeltaSplitter {
+	s := &DeltaSplitter{r: r}
+	if sizeHint > 0 {
+		s.buf = make([]byte, sizeHint+1) // +1: room to read the EOF without growing
+	}
+	return s
+}
+
+// Next returns the bytes of the next object, from its '{' to the
+// matching '}'. The slice aliases the splitter's one buffer and is
+// overwritten by the following call. A stream that ends between objects
+// ends with io.EOF, one that ends inside an object with
+// io.ErrUnexpectedEOF.
+func (s *DeltaSplitter) Next() ([]byte, error) {
+	for ; ; s.start++ {
+		if s.start == s.end {
+			if err := s.fill(); err != nil {
+				return nil, err
+			}
+		}
+		if c := s.buf[s.start]; c != ' ' && c != '\t' && c != '\r' && c != '\n' {
+			break
+		}
+	}
+	if c := s.buf[s.start]; c != '{' {
+		return nil, fmt.Errorf("ipm: delta stream: want '{' opening a delta, found %q", c)
+	}
+	// Nine bytes in ten are none of the four that matter, so the loop
+	// spends its one well-predicted branch on dismissing them: this scan
+	// is most of what a warm replay pays per delta. A backslash skips the
+	// byte it escapes, which may carry i one past the end, so one fill
+	// (at least a byte each) may not be enough to reach it.
+	depth, inString := 0, false
+	b := s.buf[:s.end]
+	for i := s.start; ; i++ {
+		for i >= len(b) {
+			off := i - s.start
+			if err := s.fill(); err != nil {
+				if err == io.EOF {
+					err = io.ErrUnexpectedEOF
+				}
+				return nil, err
+			}
+			i, b = s.start+off, s.buf[:s.end]
+		}
+		c := b[i]
+		if !structural[c] {
+			continue
+		}
+		switch {
+		case c == '"':
+			inString = !inString
+		case inString:
+			if c == '\\' {
+				i++
+			}
+		case c == '{':
+			depth++
+		case c == '}':
+			if depth--; depth == 0 {
+				raw := b[s.start : i+1 : i+1]
+				s.start = i + 1
+				return raw, nil
+			}
+		}
+	}
+}
+
+// structural marks the bytes that change the splitter's state.
+var structural = [256]bool{'"': true, '\\': true, '{': true, '}': true}
+
+// fill reads more of the stream behind buf[start:end], first moving the
+// unread bytes to the front of the buffer, or to a larger one when they
+// fill it.
+func (s *DeltaSplitter) fill() error {
+	if s.start > 0 {
+		s.end = copy(s.buf, s.buf[s.start:s.end])
+		s.start = 0
+	}
+	if s.end == len(s.buf) {
+		grown := make([]byte, 2*len(s.buf)+4096)
+		copy(grown, s.buf[:s.end])
+		s.buf = grown
+	}
+	for empty := 0; empty < 100; empty++ { // as bufio: a Reader may return 0, nil, but not forever
+		n, err := s.r.Read(s.buf[s.end:])
+		s.end += n
+		if n > 0 {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return io.ErrNoProgress
+}
+
+// PeekDeltaProcs reads the Procs field of an encoded delta token by
+// token and stops there (canonical encodings put it third), so a
+// consumer can size a stream's initial state before deciding whether the
+// delta needs decoding at all. Field names match as encoding/json
+// matches them, case-insensitively; a delta without the field reads 0.
+// The value is a hint, not a verdict: only a full decode sees a repeated
+// field or what follows it.
+func PeekDeltaProcs(raw []byte) (int, error) {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	tok, err := dec.Token()
+	if err == nil && tok != json.Delim('{') {
+		err = fmt.Errorf("want a JSON object, found %v", tok)
+	}
+	for err == nil && dec.More() {
+		var name json.Token
+		if name, err = dec.Token(); err != nil {
+			break
+		}
+		if key, _ := name.(string); strings.EqualFold(key, "Procs") {
+			var procs int
+			if err = dec.Decode(&procs); err != nil {
+				break
+			}
+			return procs, nil
+		}
+		var skip json.RawMessage
+		err = dec.Decode(&skip)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("%w: %w", ErrDeltaDecode, err)
+	}
+	return 0, nil
+}

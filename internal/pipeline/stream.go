@@ -61,23 +61,51 @@ func (pl *Pipeline) FoldInit(ctx context.Context, seed FoldSeed) (*trace.StreamS
 	return v.(*trace.StreamState), key, how, nil
 }
 
-// FoldDelta folds one delta into a stream state, returning the successor
-// state and its chain key. The key derives from (previous state key,
-// canonical delta hash), so replaying a stream whose warm prefix is
-// cached re-folds nothing: every prefix artifact is shared by content,
-// and a fold error is never cached (the cache's usual discipline).
+// FoldWire folds one encoded delta — the bytes of its JSON object as
+// received — into a stream state, returning the successor state and its
+// chain key. The key derives from (previous state key, SHA-256 of raw),
+// so replaying a stream whose warm prefix is cached is a chain of key
+// lookups: the bytes are decoded, validated and folded only on a miss.
+// A hit is sound because identical bytes already passed all of that
+// against the identical predecessor, and a failure is never cached (the
+// cache's usual discipline). Encodings of one delta that differ in a
+// byte chain under their own keys.
 //
 // States are immutable snapshots; prev stays valid whatever the outcome.
+// The fold runs detached from ctx and may still be reading raw when
+// FoldWire returns an error, so the caller must not reuse raw's storage
+// after one.
+func (pl *Pipeline) FoldWire(ctx context.Context, prevKey Key, prev *trace.StreamState, raw []byte) (*trace.StreamState, Key, Outcome, error) {
+	return pl.fold(ctx, prevKey, prev, raw, nil)
+}
+
+// FoldDelta is FoldWire for a caller holding the decoded delta: it names
+// d by its canonical encoding, so struct callers and wire callers of
+// canonical bytes share one chain, and folds d itself on a miss.
 func (pl *Pipeline) FoldDelta(ctx context.Context, prevKey Key, prev *trace.StreamState, d *ipm.Delta) (*trace.StreamState, Key, Outcome, error) {
+	var canon bytes.Buffer
+	if err := d.WriteJSON(&canon); err != nil {
+		return nil, "", Miss, fmt.Errorf("pipeline: encoding delta: %w", err)
+	}
+	// The encoder ends the value with a newline that is not part of it.
+	return pl.fold(ctx, prevKey, prev, bytes.TrimSuffix(canon.Bytes(), []byte("\n")), d)
+}
+
+// fold resolves one link of a fold chain; d is nil until raw is decoded.
+func (pl *Pipeline) fold(ctx context.Context, prevKey Key, prev *trace.StreamState, raw []byte, d *ipm.Delta) (*trace.StreamState, Key, Outcome, error) {
 	if prev == nil {
 		return nil, "", Miss, fmt.Errorf("pipeline: fold needs a previous state")
 	}
-	dh, err := deltaHash(d)
-	if err != nil {
-		return nil, "", Miss, err
-	}
-	key := keyOf(StageFold, foldInputs{Prev: prevKey, Delta: dh})
+	sum := sha256.Sum256(raw)
+	key := keyOf(StageFold, foldInputs{Prev: prevKey, Delta: hex.EncodeToString(sum[:12])})
 	v, how, err := pl.cache.do(ctx, StageFold, key, func(context.Context) (any, error) {
+		d := d
+		if d == nil {
+			var err error
+			if d, err = ipm.DecodeDelta(raw); err != nil {
+				return nil, err
+			}
+		}
 		ns, err := prev.Fold(d)
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: fold delta %d (%q): %w", d.Seq, d.Window, err)
@@ -88,15 +116,4 @@ func (pl *Pipeline) FoldDelta(ctx context.Context, prevKey Key, prev *trace.Stre
 		return nil, "", how, err
 	}
 	return v.(*trace.StreamState), key, how, nil
-}
-
-// deltaHash is the content address of one delta: SHA-256 of its
-// canonical wire encoding.
-func deltaHash(d *ipm.Delta) (string, error) {
-	var canon bytes.Buffer
-	if err := d.WriteJSON(&canon); err != nil {
-		return "", fmt.Errorf("pipeline: encoding delta: %w", err)
-	}
-	sum := sha256.Sum256(canon.Bytes())
-	return hex.EncodeToString(sum[:12]), nil
 }

@@ -3,9 +3,11 @@ package pipeline
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"testing"
 
 	"github.com/hfast-sim/hfast/internal/apps"
+	"github.com/hfast-sim/hfast/internal/hfast"
 	"github.com/hfast-sim/hfast/internal/ipm"
 	"github.com/hfast-sim/hfast/internal/trace"
 )
@@ -123,6 +125,151 @@ func TestFoldErrorNotCached(t *testing.T) {
 		t.Fatalf("corrected delta failed: %v", err)
 	} else if how != Miss {
 		t.Fatalf("corrected delta outcome %v, want miss", how)
+	}
+}
+
+// wireOf is a delta's canonical wire object: what WriteJSON emits, less
+// the encoder's trailing newline.
+func wireOf(t testing.TB, d *ipm.Delta) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := d.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return bytes.TrimSpace(buf.Bytes())
+}
+
+// streamArtifacts serializes what a client can fetch of a folded stream.
+func streamArtifacts(t *testing.T, st *trace.StreamState) (windows, assignment []byte) {
+	t.Helper()
+	windows, err := EncodeArtifact(StageWindows, st.Windows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := hfast.Assign(st.Steady, st.Cutoff, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if assignment, err = EncodeArtifact(StageAssign, a); err != nil {
+		t.Fatal(err)
+	}
+	return windows, assignment
+}
+
+// TestFoldOneChain pins that the struct and wire entry points are one
+// path: FoldDelta names a delta by its canonical bytes, so FoldWire on
+// those bytes is a hit on the same key and state, while another encoding
+// of the same delta chains under its own key to an equal state.
+func TestFoldOneChain(t *testing.T) {
+	p, err := apps.ProfileRun("cactus", apps.Config{Procs: 16, Steps: 3})
+	if err != nil {
+		t.Fatalf("profile: %v", err)
+	}
+	ds, err := ipm.SplitDeltas(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := New(Options{})
+	ctx := context.Background()
+	seed := FoldSeed{Procs: p.Procs}
+	structSt, structKey, _ := foldChain(t, pl, seed, ds)
+
+	st, key, _, err := pl.FoldInit(ctx, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cst, ckey := st, key
+	for _, d := range ds {
+		var how Outcome
+		if st, key, how, err = pl.FoldWire(ctx, key, st, wireOf(t, d)); err != nil {
+			t.Fatalf("wire delta %d: %v", d.Seq, err)
+		} else if how != Hit {
+			t.Fatalf("canonical wire delta %d outcome %v after FoldDelta, want hit", d.Seq, how)
+		}
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, wireOf(t, d)); err != nil {
+			t.Fatal(err)
+		}
+		if cst, ckey, how, err = pl.FoldWire(ctx, ckey, cst, compact.Bytes()); err != nil {
+			t.Fatalf("compact delta %d: %v", d.Seq, err)
+		} else if how != Miss {
+			t.Fatalf("compact delta %d outcome %v, want miss", d.Seq, how)
+		}
+		if ckey == key {
+			t.Fatalf("delta %d: two encodings share key %s", d.Seq, key)
+		}
+	}
+	if key != structKey || st != structSt {
+		t.Fatalf("wire chain ended at %s (%p), struct chain at %s (%p)", key, st, structKey, structSt)
+	}
+	wantW, wantA := streamArtifacts(t, structSt)
+	gotW, gotA := streamArtifacts(t, cst)
+	if !bytes.Equal(gotW, wantW) || !bytes.Equal(gotA, wantA) {
+		t.Fatal("compact encoding folded to different windows/assignment artifacts")
+	}
+}
+
+// TestFoldWireErrorNotCached is TestFoldErrorNotCached for bytes: what
+// fails to decode, to validate or to fold is returned and never stored.
+func TestFoldWireErrorNotCached(t *testing.T) {
+	pl := New(Options{})
+	ctx := context.Background()
+	st, key, _, err := pl.FoldInit(ctx, FoldSeed{Procs: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := pl.CachedArtifacts()
+	for name, raw := range map[string]string{
+		"syntax":        `{"Version":2,"Procs":8,]}`,
+		"validate":      `{"Version":2,"App":"x","Procs":8,"Seq":0,"Window":"step000","Ranks":[{"Rank":8}]}`,
+		"fold mismatch": `{"Version":2,"App":"x","Procs":4,"Seq":0,"Window":"step000"}`,
+	} {
+		for try := 0; try < 2; try++ {
+			if _, _, how, err := pl.FoldWire(ctx, key, st, []byte(raw)); err == nil {
+				t.Fatalf("%s: expected an error", name)
+			} else if how == Hit {
+				t.Fatalf("%s: error served from cache", name)
+			}
+		}
+	}
+	if pl.CachedArtifacts() != before {
+		t.Fatalf("failed folds grew the cache from %d to %d entries", before, pl.CachedArtifacts())
+	}
+	good := `{"Version":2,"App":"x","Procs":8,"Seq":0,"Window":"step000"}`
+	if _, _, how, err := pl.FoldWire(ctx, key, st, []byte(good)); err != nil || how != Miss {
+		t.Fatalf("valid delta after the failures: outcome %v, err %v; want a miss", how, err)
+	}
+}
+
+// TestFoldWireWarmAllocs pins that a hit never decodes: looking up a
+// P=256 delta allocates a small constant (the key and its inputs), where
+// decoding it allocates tens of thousands of times.
+func TestFoldWireWarmAllocs(t *testing.T) {
+	p, err := apps.ProfileRun("cactus", apps.Config{Procs: 256, Steps: 1})
+	if err != nil {
+		t.Fatalf("profile: %v", err)
+	}
+	ds, err := ipm.SplitDeltas(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := New(Options{})
+	ctx := context.Background()
+	st, key, _, err := pl.FoldInit(ctx, FoldSeed{Procs: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := wireOf(t, ds[0])
+	if _, _, _, err := pl.FoldWire(ctx, key, st, raw); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, _, how, err := pl.FoldWire(ctx, key, st, raw); err != nil || how != Hit {
+			t.Fatalf("warm fold: outcome %v, err %v", how, err)
+		}
+	})
+	if allocs > 16 {
+		t.Fatalf("warm FoldWire of a %d KB delta allocates %.0f times, want <= 16", len(raw)>>10, allocs)
 	}
 }
 

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -50,8 +49,8 @@ type streams struct {
 }
 
 // get returns the named session, creating it with the given seed when
-// absent. A nil return means the table is full.
-func (t *streams) get(id string, create func() *streamSession, max int, ttl time.Duration, now time.Time) *streamSession {
+// absent, and whether it did. A nil return means the table is full.
+func (t *streams) get(id string, create func() *streamSession, max int, ttl time.Duration, now time.Time) (sess *streamSession, created bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.m == nil {
@@ -61,10 +60,7 @@ func (t *streams) get(id string, create func() *streamSession, max int, ttl time
 		sess.mu.Lock()
 		sess.last = now
 		sess.mu.Unlock()
-		return sess
-	}
-	if create == nil {
-		return nil
+		return sess, false
 	}
 	// Evict idle sessions before refusing a new one.
 	for sid, sess := range t.m {
@@ -76,11 +72,11 @@ func (t *streams) get(id string, create func() *streamSession, max int, ttl time
 		}
 	}
 	if len(t.m) >= max {
-		return nil
+		return nil, false
 	}
-	sess := create()
+	sess = create()
 	t.m[id] = sess
-	return sess
+	return sess, true
 }
 
 func (t *streams) lookup(id string) *streamSession {
@@ -95,6 +91,15 @@ func (t *streams) remove(id string) *streamSession {
 	sess := t.m[id]
 	delete(t.m, id)
 	return sess
+}
+
+// discard removes sess unless its id has since been deleted or reused.
+func (t *streams) discard(sess *streamSession) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.m[sess.id] == sess {
+		delete(t.m, sess.id)
+	}
 }
 
 func (t *streams) len() int {
@@ -180,7 +185,7 @@ func (s *Server) handleStreamPost(w http.ResponseWriter, r *http.Request, id str
 		return
 	}
 	now := time.Now()
-	sess := s.streams.get(id, func() *streamSession {
+	sess, created := s.streams.get(id, func() *streamSession {
 		return &streamSession{id: id, seed: seed, block: block, created: now, last: now}
 	}, s.cfg.MaxStreamSessions, s.cfg.StreamSessionTTL, now)
 	if sess == nil {
@@ -196,65 +201,99 @@ func (s *Server) handleStreamPost(w http.ResponseWriter, r *http.Request, id str
 	defer cancel()
 
 	sess.mu.Lock()
-	defer sess.mu.Unlock()
 	if sess.closed {
+		sess.mu.Unlock()
 		s.writeError(w, http.StatusConflict, fmt.Sprintf("stream session %q is closed", id), 0)
 		return
 	}
-
-	r.Body = http.MaxBytesReader(w, r.Body, 64<<20)
-	dec := json.NewDecoder(r.Body)
-	folded := 0
-	var newPlans []StreamPlan
-	for {
-		var d ipm.Delta
-		if err := dec.Decode(&d); err == io.EOF {
-			break
-		} else if err != nil {
-			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding delta %d: %v", folded, err), 0)
-			return
+	// A declared length sizes the splitter's buffer up front, within a
+	// bound a client cannot inflate; chunked bodies (-1) grow on demand.
+	split := ipm.NewDeltaSplitter(http.MaxBytesReader(w, r.Body, 64<<20), int(min(r.ContentLength, 4<<20)))
+	folded, newPlans, err := s.foldBody(ctx, sess, split)
+	if err != nil {
+		// A request that opened the session and folded nothing into it
+		// leaves nothing worth a table slot. The session (open, or this
+		// request had not got here) is closed first: a POST already
+		// waiting on its lock must not fold into it.
+		orphan := created && folded == 0
+		sess.closed = orphan
+		sess.mu.Unlock()
+		if orphan {
+			s.streams.discard(sess)
+			s.metrics.setStreamSessions(int64(s.streams.len()))
 		}
-		if err := ctx.Err(); err != nil {
-			s.writePipelineError(w, err)
-			return
-		}
-		plan, err := s.foldOne(ctx, sess, &d)
-		if err != nil {
-			s.writePipelineError(w, err)
-			return
-		}
-		folded++
-		s.metrics.addStreamDelta()
-		if plan != nil {
-			newPlans = append(newPlans, *plan)
-			if plan.Phase > 0 {
-				s.metrics.addStreamPhase()
-			}
-			s.metrics.addStreamCircuitMoves(int64(plan.Setup + plan.Teardown))
-		}
+		s.writePipelineError(w, err)
+		return
 	}
+	defer sess.mu.Unlock()
 	if q.Get("close") == "1" {
 		sess.closed = true
 	}
 	s.writeJSON(w, http.StatusOK, s.streamResponseLocked(sess, folded, newPlans))
 }
 
-// foldOne folds one delta into the session (whose lock is held) and
-// returns the re-provisioning plan if the fold opened a new phase.
-func (s *Server) foldOne(ctx context.Context, sess *streamSession, d *ipm.Delta) (*StreamPlan, error) {
-	if sess.state == nil {
-		if d.Procs <= 0 || d.Procs > s.cfg.MaxProcs {
-			return nil, fmt.Errorf("delta procs %d outside (0,%d]", d.Procs, s.cfg.MaxProcs)
+// foldBody folds a body of concatenated deltas into the session (whose
+// lock is held) one value at a time as its bytes arrive, holding no more
+// than one delta in memory. It reports how many it folded and the plans
+// they produced; on an error, the deltas folded before it stay folded.
+// Bytes that are not a delta, whether the splitter or the decode on a
+// fold miss finds that out, are reported by their index in the body.
+func (s *Server) foldBody(ctx context.Context, sess *streamSession, split *ipm.DeltaSplitter) (int, []StreamPlan, error) {
+	folded := 0
+	var plans []StreamPlan
+	for {
+		raw, err := split.Next()
+		if err == io.EOF {
+			return folded, plans, nil
+		} else if err != nil {
+			return folded, plans, fmt.Errorf("decoding delta %d: %w", folded, err)
 		}
-		seed := sess.seed
-		seed.Procs = d.Procs
-		st, key, _, err := s.pipe.FoldInit(ctx, seed)
+		if err := ctx.Err(); err != nil {
+			return folded, plans, err
+		}
+		// The fold stage may read raw, which is the splitter's buffer,
+		// after an error return: nothing below calls Next again then.
+		plan, err := s.foldOne(ctx, sess, raw)
+		if errors.Is(err, ipm.ErrDeltaDecode) {
+			return folded, plans, fmt.Errorf("decoding delta %d: %w", folded, err)
+		} else if err != nil {
+			return folded, plans, err
+		}
+		folded++
+		s.metrics.addStreamDelta()
+		if plan != nil {
+			plans = append(plans, *plan)
+			if plan.Phase > 0 {
+				s.metrics.addStreamPhase()
+			}
+			s.metrics.addStreamCircuitMoves(int64(plan.Setup + plan.Teardown))
+		}
+	}
+}
+
+// foldOne folds one encoded delta into the session (whose lock is held)
+// and returns the re-provisioning plan if the fold opened a new phase.
+func (s *Server) foldOne(ctx context.Context, sess *streamSession, raw []byte) (*StreamPlan, error) {
+	state, key := sess.state, sess.key
+	if state == nil {
+		// A new stream is sized by its first delta's Procs, peeked so
+		// that a replayed first delta is not decoded either. A peek that
+		// disagrees with the decoded delta is caught on the miss path by
+		// Fold's procs check, and the session stays unseeded.
+		procs, err := ipm.PeekDeltaProcs(raw)
 		if err != nil {
 			return nil, err
 		}
-		sess.state, sess.key = st, key
+		if procs <= 0 || procs > s.cfg.MaxProcs {
+			return nil, fmt.Errorf("delta procs %d outside (0,%d]", procs, s.cfg.MaxProcs)
+		}
+		seed := sess.seed
+		seed.Procs = procs
+		if state, key, _, err = s.pipe.FoldInit(ctx, seed); err != nil {
+			return nil, err
+		}
 	}
-	ns, key, _, err := s.pipe.FoldDelta(ctx, sess.key, sess.state, d)
+	ns, key, _, err := s.pipe.FoldWire(ctx, key, state, raw)
 	if err != nil {
 		return nil, err
 	}

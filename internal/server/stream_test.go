@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"strings"
+	"sync"
 	"testing"
 
 	"github.com/hfast-sim/hfast/internal/apps"
@@ -60,6 +62,33 @@ func getBody(t *testing.T, url string) (*http.Response, []byte) {
 		t.Fatal(err)
 	}
 	return resp, data
+}
+
+// sendRaw sends a body as is and returns the status and, for an error
+// response, its message.
+func sendRaw(t *testing.T, method, url, body string) (int, string) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e ErrorResponse
+	if resp.StatusCode != http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+			t.Fatalf("decoding error response: %v", err)
+		}
+	}
+	return resp.StatusCode, e.Error
+}
+
+func postRaw(t *testing.T, url, body string) (int, string) {
+	t.Helper()
+	return sendRaw(t, http.MethodPost, url, body)
 }
 
 // splitRun profiles an app and splits it into its delta stream.
@@ -176,36 +205,213 @@ func TestStreamEndpointLifecycle(t *testing.T) {
 }
 
 // TestStreamEndpointValidation covers the request-discipline paths: bad
-// session ids, bad bodies, bad parameters, and unknown sessions.
+// session ids, bad bodies, bad parameters, and unknown sessions. Bytes
+// that are not a delta are reported by their index in the body wherever
+// they are caught — by the splitter or by the decode on a fold miss.
 func TestStreamEndpointValidation(t *testing.T) {
-	_, ts := testServer(t, Config{Workers: 1})
+	s, ts := testServer(t, Config{Workers: 1})
+	const good = `{"Version":2,"App":"a","Procs":4,"Seq":0,"Window":"step000"}`
 
 	for _, tc := range []struct {
 		name, method, path, body string
 		want                     int
+		msg                      string // the error starts with this
 	}{
-		{"missing id", "POST", "/v1/stream/", "", http.StatusBadRequest},
-		{"bad id chars", "POST", "/v1/stream/no%20spaces", "", http.StatusBadRequest},
-		{"bad method", "PUT", "/v1/stream/x", "", http.StatusMethodNotAllowed},
-		{"bad body", "POST", "/v1/stream/x1", "{not json", http.StatusBadRequest},
-		{"bad param", "POST", "/v1/stream/x2?enter=nope", "", http.StatusBadRequest},
-		{"get unknown", "GET", "/v1/stream/ghost", "", http.StatusNotFound},
-		{"delete unknown", "DELETE", "/v1/stream/ghost", "", http.StatusNotFound},
+		{"missing id", "POST", "/v1/stream/", "", http.StatusBadRequest, ""},
+		{"bad id chars", "POST", "/v1/stream/no%20spaces", "", http.StatusBadRequest, ""},
+		{"bad method", "PUT", "/v1/stream/x", "", http.StatusMethodNotAllowed, ""},
+		{"bad body", "POST", "/v1/stream/x1", "{not json", http.StatusBadRequest, "decoding delta 0:"},
+		{"bad param", "POST", "/v1/stream/x2?enter=nope", "", http.StatusBadRequest, ""},
+		{"get unknown", "GET", "/v1/stream/ghost", "", http.StatusNotFound, ""},
+		{"delete unknown", "DELETE", "/v1/stream/ghost", "", http.StatusNotFound, ""},
 		{"procs over cap", "POST", "/v1/stream/x3",
-			`{"Version":2,"App":"a","Procs":1048576,"Seq":0,"Window":"step000"}`, http.StatusBadRequest},
+			`{"Version":2,"App":"a","Procs":1048576,"Seq":0,"Window":"step000"}`, http.StatusBadRequest, "delta procs 1048576 outside"},
+		{"truncated object", "POST", "/v1/stream/x4", `{"Version":2,"App":"a","Procs":4`, http.StatusBadRequest, "decoding delta 0:"},
+		{"array", "POST", "/v1/stream/x5", `[1]`, http.StatusBadRequest, "decoding delta 0:"},
+		{"number", "POST", "/v1/stream/x6", `42`, http.StatusBadRequest, "decoding delta 0:"},
+		{"balanced but not JSON", "POST", "/v1/stream/x7", `{"Procs":4,"App":nope}`, http.StatusBadRequest, "decoding delta 0:"},
+		{"garbage after a delta", "POST", "/v1/stream/x8", good + "{not json", http.StatusBadRequest, "decoding delta 1:"},
+		{"bad second delta", "POST", "/v1/stream/x9", good + `{"Procs":4,]}`, http.StatusBadRequest, "decoding delta 1:"},
 	} {
-		req, err := http.NewRequest(tc.method, ts.URL+tc.path, bytes.NewReader([]byte(tc.body)))
-		if err != nil {
-			t.Fatal(err)
+		code, msg := sendRaw(t, tc.method, ts.URL+tc.path, tc.body)
+		if code != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, code, tc.want)
 		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
+		if !strings.HasPrefix(msg, tc.msg) {
+			t.Errorf("%s: error %q, want prefix %q", tc.name, msg, tc.msg)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != tc.want {
-			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
+	}
+
+	// The delta ahead of the garbage stays folded, as it always has.
+	for _, id := range []string{"x8", "x9"} {
+		resp, data := getBody(t, ts.URL+"/v1/stream/"+id)
+		var got StreamResponse
+		if err := json.Unmarshal(data, &got); err != nil || resp.StatusCode != http.StatusOK || got.TotalDeltas != 1 {
+			t.Errorf("%s after a 400 on its second delta: status %d, %d deltas folded, want 200 and 1", id, resp.StatusCode, got.TotalDeltas)
 		}
+	}
+
+	// A delta that carries Procs twice is sized by the first (the peek)
+	// and decoded with the last: the fold's own procs check refuses it,
+	// every time, and no state of it is built or kept.
+	const lying = `{"Version":2,"App":"a","Procs":4,"Procs":8,"Seq":0,"Window":"step000"}`
+	foldErrors := func() uint64 { return s.Pipeline().Metrics().Snapshot()[pipeline.StageFold].Errors }
+	cached, failed := s.Pipeline().CachedArtifacts(), foldErrors()
+	for try := 0; try < 2; try++ {
+		if code, msg := postRaw(t, ts.URL+"/v1/stream/liar", lying); code != http.StatusBadRequest || !strings.Contains(msg, "spans 8 ranks but stream folds 4") {
+			t.Errorf("lying header, try %d: status %d, error %q", try, code, msg)
+		}
+	}
+	if got := foldErrors() - failed; got != 2 {
+		t.Errorf("lying header: %d failed folds, want 2 (one per try, none served from cache)", got)
+	}
+	if got := s.Pipeline().CachedArtifacts(); got != cached {
+		t.Errorf("lying header grew the cache from %d to %d artifacts", cached, got)
+	}
+	if resp, _ := getBody(t, ts.URL+"/v1/stream/liar"); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("session of the refused delta: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestStreamRejectedPostLeavesNoSession pins that a POST which opens a
+// session and folds nothing into it does not hold a table slot: with one
+// slot, a bad request to one id must not lock out the next id. A POST
+// with an empty body is not an error and keeps its session.
+func TestStreamRejectedPostLeavesNoSession(t *testing.T) {
+	s, ts := testServer(t, Config{Workers: 1, MaxStreamSessions: 1})
+	const good = `{"Version":2,"App":"a","Procs":4,"Seq":0,"Window":"step000"}`
+
+	for _, bad := range []string{
+		"{not json",
+		`{"Version":2,"App":"a","Procs":1048576,"Seq":0,"Window":"step000"}`,
+		`{"Version":2,"App":"a","Procs":4,"Seq":3,"Window":"step000"}`,
+	} {
+		if code, _ := postRaw(t, ts.URL+"/v1/stream/a", bad); code != http.StatusBadRequest {
+			t.Fatalf("POST %.20q: status %d, want 400", bad, code)
+		}
+		if resp, _ := getBody(t, ts.URL+"/v1/stream/a"); resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET after rejected POST %.20q: status %d, want 404", bad, resp.StatusCode)
+		}
+		if n := s.metrics.Snapshot().StreamSessions; n != 0 {
+			t.Fatalf("sessions gauge %d after rejected POST %.20q, want 0", n, bad)
+		}
+	}
+	if code, msg := postRaw(t, ts.URL+"/v1/stream/b", good); code != http.StatusOK {
+		t.Fatalf("good POST after the rejected ones: status %d (%s), want 200", code, msg)
+	}
+	// A session with deltas in it outlives a bad request.
+	if code, _ := postRaw(t, ts.URL+"/v1/stream/b", "{not json"); code != http.StatusBadRequest {
+		t.Fatalf("bad POST to a live session: status %d, want 400", code)
+	}
+	if resp, _ := getBody(t, ts.URL+"/v1/stream/b"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("live session after a bad POST: status %d, want 200", resp.StatusCode)
+	}
+	if code, _ := sendRaw(t, http.MethodDelete, ts.URL+"/v1/stream/b", ""); code != http.StatusOK {
+		t.Fatalf("DELETE: status %d, want 200", code)
+	}
+
+	// An empty body opens the session and is no error: it stays, even
+	// through a bad request that did not create it.
+	if code, _ := postRaw(t, ts.URL+"/v1/stream/c", ""); code != http.StatusOK {
+		t.Fatalf("empty POST: status %d, want 200", code)
+	}
+	if code, _ := postRaw(t, ts.URL+"/v1/stream/c", "{not json"); code != http.StatusBadRequest {
+		t.Fatalf("bad POST to the empty session: status %d, want 400", code)
+	}
+	if resp, _ := getBody(t, ts.URL+"/v1/stream/c"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("empty session: status %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestStreamRejectedPostRace drives the discard path from several
+// clients at once — rejected, accepted and deleting requests racing on
+// two ids — for the race detector and for the lock order between the
+// table and a session: every request ends, with a status the API names.
+func TestStreamRejectedPostRace(t *testing.T) {
+	_, ts := testServer(t, Config{Workers: 2})
+	const good = `{"Version":2,"App":"a","Procs":4,"Seq":0,"Window":"step000"}`
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 20; k++ {
+				url := fmt.Sprintf("%s/v1/stream/r%d", ts.URL, (g+k)%2)
+				method, body := http.MethodPost, "{not json"
+				switch (g + k/2) % 3 {
+				case 1:
+					body = good
+				case 2:
+					method, body = http.MethodDelete, ""
+				}
+				req, err := http.NewRequest(method, url, strings.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp.Body.Close()
+				switch resp.StatusCode {
+				case http.StatusOK, http.StatusBadRequest, http.StatusNotFound, http.StatusConflict:
+				default:
+					t.Errorf("%s %s: status %d", method, url, resp.StatusCode)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestStreamReplayFoldsNothing pins the warm path end to end: a session
+// replayed under a new id on a server that already folded it is served
+// by key lookups alone — the fold stage runs nothing — and ends at the
+// same assignment.
+func TestStreamReplayFoldsNothing(t *testing.T) {
+	s, ts := testServer(t, Config{Workers: 2})
+	_, ds := splitRun(t, "amr", 32, 8)
+	// One delta per POST, then the rest in one body: both shapes of
+	// request chain under the same keys.
+	bodies := [][]byte{encodeDeltas(t, ds[:1]), encodeDeltas(t, ds[1:2]), encodeDeltas(t, ds[2:])}
+
+	stream := func(id string) []byte {
+		t.Helper()
+		for k, body := range bodies {
+			resp, err := http.Post(ts.URL+"/v1/stream/"+id, "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s body %d: status %d", id, k, resp.StatusCode)
+			}
+		}
+		resp, data := getBody(t, ts.URL+"/v1/stream/"+id+"?artifact=assignment")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s assignment: status %d", id, resp.StatusCode)
+		}
+		return data
+	}
+	fold := func() pipeline.StageStats { return s.Pipeline().Metrics().Snapshot()[pipeline.StageFold] }
+
+	want := stream("first")
+	cold := fold()
+	if cold.Misses != uint64(len(ds))+1 { // every delta and the empty state
+		t.Fatalf("first pass: %d fold misses, want %d", cold.Misses, len(ds)+1)
+	}
+	got := stream("again")
+	warm := fold()
+	if warm.Misses != cold.Misses || warm.Builds != cold.Builds {
+		t.Fatalf("replay ran the fold stage: misses %d -> %d, builds %d -> %d", cold.Misses, warm.Misses, cold.Builds, warm.Builds)
+	}
+	if hits := warm.Hits - cold.Hits; hits != uint64(len(ds))+1 {
+		t.Fatalf("replay: %d fold hits, want %d", hits, len(ds)+1)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("replayed session serves a different assignment artifact")
 	}
 }
 

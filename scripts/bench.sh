@@ -41,13 +41,18 @@
 #               comparable between runs with the same fabric grouping —
 #               the first fabric pays the arena growth the rest inherit
 #   --stream    run only the streaming-ingestion benchmarks: the P=256
-#               delta-stream fold, cold (empty pipeline; the deltas/s
-#               custom metric is the live-ingestion throughput headline)
-#               and warm (every link a content-addressed cache hit — a
-#               reconnecting client's replay), plus the P=1024 circuit
-#               planner at a phase boundary: incremental PlanDiff against
-#               the previous assignment vs wiring the phase from a dark
-#               fabric
+#               delta-stream fold over encoded deltas, as hfastd folds
+#               them (pipeline.FoldWire), cold (empty pipeline; the
+#               deltas/s custom metric is the live-ingestion throughput
+#               headline) and warm (every link a content-addressed cache
+#               hit — a reconnecting client's replay, which hashes the
+#               bytes and decodes nothing; the FoldDelta row is the
+#               struct entry point, which must encode a delta to name
+#               it), plus the P=1024 circuit planner at a phase boundary:
+#               incremental PlanDiff against the previous assignment vs
+#               wiring the phase from a dark fabric. The end-to-end
+#               figures are `go run ./bench` (stream_ingest,
+#               stream_replay), not a BENCH_PR*.json snapshot
 #
 # Every run also regenerates BENCH.json: the consolidated trajectory of
 # all BENCH_PR*.json snapshots ({"trajectory": [{"tag": "PR2", ...}, ...]},
