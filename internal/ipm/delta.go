@@ -211,7 +211,7 @@ func MergeDeltas(ds []*Delta) (*Profile, error) {
 	sort.Ints(ranks)
 	for _, r := range ranks {
 		rp := byRank[r]
-		sort.Slice(rp.Entries, func(i, j int) bool { return rp.Entries[i].Key.less(rp.Entries[j].Key) })
+		sortEntries(rp.Entries)
 		p.Ranks = append(p.Ranks, *rp)
 	}
 	return p, nil

@@ -17,10 +17,10 @@
 package ipm
 
 import (
+	"cmp"
 	"fmt"
-	"math"
-	"math/bits"
 	"sort"
+	"strings"
 	"sync"
 
 	"github.com/hfast-sim/hfast/internal/mpi"
@@ -59,46 +59,26 @@ type Stat struct {
 
 // Collector gathers events for a single rank. It implements mpi.Tracer.
 type Collector struct {
-	rank    int
-	cap     int
-	entries map[Key]*Stat
-	spilled int64   // events that required catch-all folding
-	lastT   float64 // previous event's virtual clock, for time attribution
-
-	// lastKey/lastStat memoize the entry the previous event folded into
-	// (exact-signature hits only): a tight stencil loop re-hits the same
-	// (call, bytes, peer, region) signature, so repeats skip the map.
-	lastKey  Key
-	lastStat *Stat
-	regions  map[string]string // interned region names
+	rank  int
+	tab   sigTable
+	lastT float64 // previous event's virtual clock, for time attribution
 }
 
 // NewCollector creates a collector for one rank with the given hash
 // capacity (DefaultHashCap if cap <= 0).
 func NewCollector(rank, capacity int) *Collector {
-	if capacity <= 0 {
-		capacity = DefaultHashCap
-	}
-	return &Collector{
-		rank:    rank,
-		cap:     capacity,
-		entries: make(map[Key]*Stat),
-		regions: make(map[string]string),
-	}
+	return &Collector{rank: rank, tab: newSigTable(capacity)}
 }
 
-// intern maps a region name to one canonical string per collector, so
-// every Key holds the same string header and key comparisons hit the
-// pointer-equality fast path.
-func (c *Collector) intern(region string) string {
-	if region == "" {
-		return ""
+// elapsed returns the modeled time since the previous event and moves
+// *last up to t; as in IPM, it is charged to the call that observed it.
+func elapsed(last *float64, t float64) float64 {
+	if t <= *last {
+		return 0
 	}
-	if s, ok := c.regions[region]; ok {
-		return s
-	}
-	c.regions[region] = region
-	return region
+	dt := t - *last
+	*last = t
+	return dt
 }
 
 // Event records one communication event; it is called by the mpi runtime
@@ -108,76 +88,7 @@ func (c *Collector) Event(e mpi.Event) {
 		c.lastT = e.T
 		return
 	}
-	var dt float64
-	if e.T > c.lastT {
-		dt = e.T - c.lastT
-		c.lastT = e.T
-	}
-	key := Key{Call: e.Call, Bytes: e.Bytes, Peer: e.Peer, Region: e.Region}
-	if c.lastStat != nil && key == c.lastKey {
-		c.lastStat.Count++
-		c.lastStat.TotalBytes += int64(e.Bytes)
-		c.lastStat.Time += dt
-		return
-	}
-	key.Region = c.intern(e.Region)
-	if st, ok := c.entries[key]; ok {
-		c.lastKey, c.lastStat = key, st
-		st.Count++
-		st.TotalBytes += int64(e.Bytes)
-		st.Time += dt
-		return
-	}
-	exact := true
-	if len(c.entries) >= c.cap {
-		// Coarsen: round the size to its power-of-two bucket. Folded
-		// entries never enter the memo — their stat updates differ
-		// (MaxBytes tracking) from the exact-signature fast path.
-		exact = false
-		key.Bytes = pow2Bucket(e.Bytes)
-		if st, ok := c.entries[key]; ok {
-			st.Count++
-			st.TotalBytes += int64(e.Bytes)
-			st.Time += dt
-			if e.Bytes > st.MaxBytes {
-				st.MaxBytes = e.Bytes
-			}
-			return
-		}
-		// Catch-all: per-call bucket with no peer.
-		key = Key{Call: e.Call, Bytes: -1, Peer: mpi.NoPeer, Region: key.Region}
-		c.spilled++
-		if st, ok := c.entries[key]; ok {
-			st.Count++
-			st.TotalBytes += int64(e.Bytes)
-			st.Time += dt
-			if e.Bytes > st.MaxBytes {
-				st.MaxBytes = e.Bytes
-			}
-			return
-		}
-		// The catch-all itself still fits: it adds at most one entry per
-		// (call, region) pair.
-	}
-	st := &Stat{Count: 1, TotalBytes: int64(e.Bytes), MaxBytes: e.Bytes, Time: dt}
-	c.entries[key] = st
-	if exact {
-		c.lastKey, c.lastStat = key, st
-	}
-}
-
-// pow2Bucket rounds n up to the nearest power of two (0 stays 0). Values
-// whose next power of two does not fit in an int saturate to MaxInt, so
-// pathological sizes cannot wedge the coarsening path.
-func pow2Bucket(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	s := bits.Len(uint(n - 1))
-	if s >= bits.UintSize-1 {
-		return math.MaxInt
-	}
-	return 1 << s
+	c.tab.add(e, elapsed(&c.lastT, e.T))
 }
 
 // CollectorSet builds one Collector per rank and assembles their output.
@@ -223,27 +134,28 @@ func (s *CollectorSet) Profile(app string, procs int, params map[string]int) *Pr
 	sort.Ints(ranks)
 	for _, r := range ranks {
 		c := s.collectors[r]
-		rp := RankProfile{Rank: r, Spilled: c.spilled}
-		for k, st := range c.entries {
-			rp.Entries = append(rp.Entries, Entry{Key: k, Stat: *st})
+		rp := RankProfile{Rank: r, Spilled: c.tab.spilled}
+		if c.tab.n > 0 { // a silent rank keeps encoding as "Entries": null
+			rp.Entries = c.tab.entries()
 		}
-		sort.Slice(rp.Entries, func(i, j int) bool { return rp.Entries[i].Key.less(rp.Entries[j].Key) })
 		p.Ranks = append(p.Ranks, rp)
 	}
 	return p
 }
 
-func (k Key) less(o Key) bool {
-	if k.Call != o.Call {
-		return k.Call < o.Call
+// cmp orders keys by (call, region, peer, bytes), the wire order of a
+// rank's entries.
+func (k Key) cmp(o Key) int {
+	if c := cmp.Compare(k.Call, o.Call); c != 0 {
+		return c
 	}
-	if k.Region != o.Region {
-		return k.Region < o.Region
+	if c := strings.Compare(k.Region, o.Region); c != 0 {
+		return c
 	}
-	if k.Peer != o.Peer {
-		return k.Peer < o.Peer
+	if c := cmp.Compare(k.Peer, o.Peer); c != 0 {
+		return c
 	}
-	return k.Bytes < o.Bytes
+	return cmp.Compare(k.Bytes, o.Bytes)
 }
 
 // String renders the key in an IPM-report style.

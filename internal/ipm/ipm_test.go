@@ -313,18 +313,27 @@ func TestHashPressureCoarsenMergesBuckets(t *testing.T) {
 	for _, b := range []int{100, 90, 65} { // all bucket to 128
 		c.Event(mpi.Event{Call: mpi.CallSend, Bytes: b, Peer: 1})
 	}
-	if c.spilled != 0 {
-		t.Errorf("coarsening alone spilled %d events", c.spilled)
+	if c.tab.spilled != 0 {
+		t.Errorf("coarsening alone spilled %d events", c.tab.spilled)
 	}
-	st, ok := c.entries[Key{Call: mpi.CallSend, Bytes: 128, Peer: 1}]
-	if !ok {
-		t.Fatalf("no coarsened 128-byte bucket: %v", c.entries)
+	// White-box: the bucket is one slot, reachable through the index.
+	st := c.tab.find(sigKey{call: mpi.CallSend, bytes: 128, peer: 1})
+	if st == nil {
+		t.Fatalf("no coarsened 128-byte bucket: %+v", c.tab.entries())
 	}
 	if st.Count != 4 || st.TotalBytes != 128+100+90+65 || st.MaxBytes != 128 {
 		t.Errorf("bad coarsened stat %+v", st)
 	}
-	if len(c.entries) != 1 {
-		t.Errorf("table grew past capacity: %v", c.entries)
+	if c.tab.n != 1 {
+		t.Errorf("table grew past capacity: %+v", c.tab.entries())
+	}
+	// The memo still points at the exact 128-byte signature: an exact hit
+	// after coarse folds must land in the same slot without touching
+	// MaxBytes, and a larger size in the same bucket must raise it.
+	c.Event(mpi.Event{Call: mpi.CallSend, Bytes: 128, Peer: 1})
+	c.Event(mpi.Event{Call: mpi.CallSend, Bytes: 127, Peer: 1})
+	if st.Count != 6 || st.MaxBytes != 128 || c.tab.n != 1 {
+		t.Errorf("after exact+coarse hits: %+v, %d slots", st, c.tab.n)
 	}
 }
 

@@ -29,7 +29,7 @@ type DeltaSink func(*Delta)
 // profile (modulo spill attribution, which a live stream reports in the
 // window where it happened).
 //
-// The hash capacity bounds each *window's* map: a region that overflows
+// The hash capacity bounds each *window's* table: a region that overflows
 // coarsens and spills exactly like the batch Collector, and the spill
 // count rides the window's delta.
 type StreamSet struct {
@@ -57,9 +57,6 @@ type windowAcc struct {
 // procs ranks (capacity <= 0 means DefaultHashCap per window). Completed
 // window deltas are handed to sink.
 func NewStreamSet(app string, procs int, params map[string]int, capacity int, sink DeltaSink) *StreamSet {
-	if capacity <= 0 {
-		capacity = DefaultHashCap
-	}
 	return &StreamSet{
 		app:      app,
 		procs:    procs,
@@ -72,7 +69,7 @@ func NewStreamSet(app string, procs int, params map[string]int, capacity int, si
 
 // Factory is the mpi.TracerFactory to install on the world.
 func (s *StreamSet) Factory(rank int) mpi.Tracer {
-	c := &streamCollector{set: s, rank: rank, cap: s.capacity}
+	c := &streamCollector{set: s, rank: rank, cur: newSigTable(s.capacity), outside: newSigTable(s.capacity)}
 	s.mu.Lock()
 	s.collectors = append(s.collectors, c)
 	s.mu.Unlock()
@@ -88,9 +85,9 @@ func (s *StreamSet) Finish() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, c := range s.collectors {
-		if len(c.outside) > 0 || c.outsideSpilled > 0 {
-			s.sealLocked(c.rank, "", c.outside, c.outsideSpilled)
-			c.outside, c.outsideSpilled = nil, 0
+		if c.outside.n > 0 {
+			s.sealLocked(c.rank, "", c.outside.entries(), c.outside.spilled)
+			c.outside.reset()
 		}
 	}
 	for _, w := range s.order {
@@ -101,15 +98,15 @@ func (s *StreamSet) Finish() int {
 	return s.seq
 }
 
-// seal records one rank's finished window hash and emits the window when
-// it is the last rank to report.
-func (s *StreamSet) seal(rank int, window string, entries map[Key]*Stat, spilled int64) {
+// seal records one rank's finished window hash (sorted entries) and emits
+// the window when it is the last rank to report.
+func (s *StreamSet) seal(rank int, window string, es []Entry, spilled int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.sealLocked(rank, window, entries, spilled)
+	s.sealLocked(rank, window, es, spilled)
 }
 
-func (s *StreamSet) sealLocked(rank int, window string, entries map[Key]*Stat, spilled int64) {
+func (s *StreamSet) sealLocked(rank int, window string, es []Entry, spilled int64) {
 	wa, ok := s.windows[window]
 	if !ok {
 		wa = &windowAcc{ranks: make(map[int][]Entry), spilled: make(map[int]int64)}
@@ -119,15 +116,10 @@ func (s *StreamSet) sealLocked(rank int, window string, entries map[Key]*Stat, s
 	if wa.emitted {
 		return // late seal of an already-shipped window: nothing to attach it to
 	}
-	es := make([]Entry, 0, len(entries))
-	for k, st := range entries {
-		es = append(es, Entry{Key: k, Stat: *st})
-	}
 	if prev, dup := wa.ranks[rank]; dup {
-		es = append(es, prev...) // re-entered region: fold both visits
-		es = mergeEntries(es)
+		es = mergeEntries(append(es, prev...)) // re-entered region: fold both visits
+		sortEntries(es)
 	}
-	sort.Slice(es, func(i, j int) bool { return es[i].Key.less(es[j].Key) })
 	wa.ranks[rank] = es
 	wa.spilled[rank] += spilled
 	if len(wa.ranks) == s.procs {
@@ -180,21 +172,16 @@ func mergeEntries(es []Entry) []Entry {
 	return out
 }
 
-// streamCollector is the per-rank tracer: the batch Collector's
-// accumulation arithmetic applied to a per-region map that is sealed to
-// the StreamSet at every region end.
+// streamCollector is the per-rank tracer: the batch Collector's signature
+// table applied per region and sealed to the StreamSet at every region end.
 type streamCollector struct {
 	set   *StreamSet
 	rank  int
-	cap   int
 	lastT float64
 
-	region     string
-	cur        map[Key]*Stat
-	curSpilled int64
-
-	outside        map[Key]*Stat
-	outsideSpilled int64
+	region  string
+	cur     sigTable // the open region's window
+	outside sigTable // traffic outside any region, sealed by Finish
 }
 
 // Event implements mpi.Tracer.
@@ -203,65 +190,21 @@ func (c *streamCollector) Event(e mpi.Event) {
 	case mpi.CallRegionBegin:
 		c.lastT = e.T
 		c.region = e.Region
-		c.cur = make(map[Key]*Stat)
-		c.curSpilled = 0
+		c.cur.reset()
 		return
 	case mpi.CallRegionEnd:
 		c.lastT = e.T
 		if c.region != "" {
-			c.set.seal(c.rank, c.region, c.cur, c.curSpilled)
+			c.set.seal(c.rank, c.region, c.cur.entries(), c.cur.spilled)
 		}
-		c.region, c.cur, c.curSpilled = "", nil, 0
+		c.region = ""
+		c.cur.reset()
 		return
 	}
-	var dt float64
-	if e.T > c.lastT {
-		dt = e.T - c.lastT
-		c.lastT = e.T
-	}
+	dt := elapsed(&c.lastT, e.T)
 	if c.region != "" {
-		accumulate(c.cur, c.cap, e, dt, &c.curSpilled)
-		return
+		c.cur.add(e, dt)
+	} else {
+		c.outside.add(e, dt)
 	}
-	if c.outside == nil {
-		c.outside = make(map[Key]*Stat)
-	}
-	accumulate(c.outside, c.cap, e, dt, &c.outsideSpilled)
-}
-
-// accumulate folds one event into a bounded hash with the batch
-// Collector's exact semantics: exact signature first, power-of-two
-// coarsening at capacity, per-call catch-all as the last resort.
-func accumulate(m map[Key]*Stat, capacity int, e mpi.Event, dt float64, spilled *int64) {
-	key := Key{Call: e.Call, Bytes: e.Bytes, Peer: e.Peer, Region: e.Region}
-	if st, ok := m[key]; ok {
-		st.Count++
-		st.TotalBytes += int64(e.Bytes)
-		st.Time += dt
-		return
-	}
-	if len(m) >= capacity {
-		key.Bytes = pow2Bucket(e.Bytes)
-		if st, ok := m[key]; ok {
-			st.Count++
-			st.TotalBytes += int64(e.Bytes)
-			st.Time += dt
-			if e.Bytes > st.MaxBytes {
-				st.MaxBytes = e.Bytes
-			}
-			return
-		}
-		key = Key{Call: e.Call, Bytes: -1, Peer: mpi.NoPeer, Region: key.Region}
-		*spilled++
-		if st, ok := m[key]; ok {
-			st.Count++
-			st.TotalBytes += int64(e.Bytes)
-			st.Time += dt
-			if e.Bytes > st.MaxBytes {
-				st.MaxBytes = e.Bytes
-			}
-			return
-		}
-	}
-	m[key] = &Stat{Count: 1, TotalBytes: int64(e.Bytes), MaxBytes: e.Bytes, Time: dt}
 }

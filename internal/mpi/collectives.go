@@ -67,9 +67,9 @@ func (c *Comm) Barrier() {
 	for k := 1; k < n; k <<= 1 {
 		dst := (r + k) % n
 		src := (r - k%n + n) % n
-		req := c.recvScratch(src, tagBarrier+Tag(k), ctx)
+		req := c.recvRaw(src, tagBarrier+Tag(k), ctx)
 		c.sendRaw(dst, tagBarrier+Tag(k), ctx, Buf{})
-		waitFree(req)
+		c.waitFree(req)
 	}
 	c.collAdvance(CallBarrier, 0)
 	c.trace(CallBarrier, NoPeer, 0)
@@ -194,9 +194,9 @@ func (c *Comm) allgatherBufs(ctx int64, b Buf) []Buf {
 		dst := (r + 1) % n
 		src := (r - 1 + n) % n
 		fwd := (r - i + 1 + n) % n
-		req := c.recvScratch(src, tagRing+Tag(i), ctx)
+		req := c.recvRaw(src, tagRing+Tag(i), ctx)
 		c.sendRaw(dst, tagRing+Tag(i), ctx, res[fwd])
-		st := waitFree(req)
+		st := c.waitFree(req)
 		res[(r-i+n)%n] = Buf{N: st.N, Data: st.Data}
 	}
 	return res
@@ -265,9 +265,9 @@ func (c *Comm) alltoall(ctx int64, bufs []Buf) []Buf {
 	for i := 1; i < n; i++ {
 		dst := (r + i) % n
 		src := (r - i + n) % n
-		req := c.recvScratch(src, tagPair+Tag(i), ctx)
+		req := c.recvRaw(src, tagPair+Tag(i), ctx)
 		c.sendRaw(dst, tagPair+Tag(i), ctx, bufs[dst])
-		st := waitFree(req)
+		st := c.waitFree(req)
 		res[src] = Buf{N: st.N, Data: st.Data}
 	}
 	return res

@@ -23,7 +23,8 @@ type Comm struct {
 	splitSeq int // per-rank split sequence number
 	eventSeq int // per-rank event counter for tracing
 	region   string
-	clockp   *float64 // per-rank virtual clock, shared by all of the rank's comms
+	clockp   *float64   // per-rank virtual clock, shared by all of the rank's comms
+	rs       *rankState // per-rank request free list and wake channel, shared likewise
 }
 
 // Rank returns the caller's rank within the communicator.
@@ -143,27 +144,17 @@ func (c *Comm) worldSrcOf(src int) int {
 	return c.group[src]
 }
 
-// recvRaw posts a receive without tracing and returns its request, used
-// for requests that escape to the caller (Irecv).
+// recvRaw posts a receive without tracing and returns its request.
 func (c *Comm) recvRaw(src int, tag Tag, ctx int64) *Request {
 	worldSrc := c.worldSrcOf(src)
-	req := newRequest(c, true, worldSrc, 0)
-	c.world.post(c.group[c.rank], worldSrc, tag, ctx, req)
-	return req
-}
-
-// recvScratch posts a receive on a pooled request. The caller must
-// finish it with waitFree (or recvWait) and must not retain it.
-func (c *Comm) recvScratch(src int, tag Tag, ctx int64) *Request {
-	worldSrc := c.worldSrcOf(src)
-	req := getRequest(c, true, worldSrc, 0)
+	req := c.newRequest(true)
 	c.world.post(c.group[c.rank], worldSrc, tag, ctx, req)
 	return req
 }
 
 // recvWait posts an internal receive and blocks for its status.
 func (c *Comm) recvWait(src int, tag Tag, ctx int64) Status {
-	return waitFree(c.recvScratch(src, tag, ctx))
+	return c.waitFree(c.recvRaw(src, tag, ctx))
 }
 
 // statusToComm rewrites a status' world source rank into comm rank space.
@@ -213,11 +204,11 @@ func (c *Comm) Recv(src int, tag Tag) Status {
 func (c *Comm) Isend(dst int, tag Tag, b Buf) *Request {
 	if isNull(dst) {
 		c.trace(CallIsend, NoPeer, b.N)
-		req := newRequest(c, false, ProcNull, b.N)
+		req := c.newRequest(false)
 		req.complete(nullStatus())
 		return req
 	}
-	req := newRequest(c, false, c.group[dst], b.N)
+	req := c.newRequest(false)
 	st := Status{Source: c.group[c.rank], Tag: tag, N: b.N}
 	if ack := c.sendRawProto(dst, tag, ptpCtx(c.id), b, true); ack != nil {
 		go func() {
@@ -241,7 +232,7 @@ func (c *Comm) Isend(dst int, tag Tag, b Buf) *Request {
 func (c *Comm) Irecv(src int, tag Tag) *Request {
 	if isNull(src) {
 		c.trace(CallIrecv, NoPeer, 0)
-		req := newRequest(c, false, ProcNull, 0) // null status passes through Wait unchanged
+		req := c.newRequest(false) // not a receive: the null status passes through Wait unchanged
 		req.complete(nullStatus())
 		return req
 	}
@@ -269,41 +260,47 @@ func (c *Comm) Sendrecv(dst int, stag Tag, sb Buf, src int, rtag Tag) Status {
 		c.trace(CallSendrecv, c.peerWorld(dst), sb.N)
 		return nullStatus()
 	}
-	req := c.recvScratch(src, rtag, ptpCtx(c.id))
+	req := c.recvRaw(src, rtag, ptpCtx(c.id))
 	if ack := c.sendRawProto(dst, stag, ptpCtx(c.id), sb, true); ack != nil {
 		c.waitAck(ack) // safe: our receive is already posted
 	}
-	st := waitFree(req)
+	st := c.waitFree(req)
 	c.observeArrival(st.VTime)
 	c.advance(c.transferOf(sb.N))
 	c.trace(CallSendrecv, c.peerWorld(dst), sb.N)
 	return c.statusToComm(st)
 }
 
-// Wait blocks until req completes and returns its status (receive statuses
-// carry the source in comm rank space).
-func (c *Comm) Wait(req *Request) Status {
-	st := req.wait()
-	if req.isRecv {
+// finish consumes a completed request: a receive merges the message's
+// arrival time into the rank's virtual clock and reports its source in
+// comm rank space, and the handle returns to the rank's free list.
+func (c *Comm) finish(r *Request, st Status) Status {
+	if r.isRecv {
 		c.observeArrival(st.VTime)
 		st = c.statusToComm(st)
 	}
+	c.release(r)
+	return st
+}
+
+// Wait blocks until req completes and returns its status (receive statuses
+// carry the source in comm rank space). It consumes req.
+func (c *Comm) Wait(req *Request) Status {
+	_, st := c.waitAny(req)
+	st = c.finish(req, st)
 	c.advance(0)
 	c.trace(CallWait, NoPeer, 0)
 	return st
 }
 
 // Waitall blocks until every request completes, returning their statuses
-// in order.
+// in order. It consumes every request; the slice itself stays the
+// caller's and may be refilled.
 func (c *Comm) Waitall(reqs []*Request) []Status {
 	sts := make([]Status, len(reqs))
 	for i, r := range reqs {
-		st := r.wait()
-		if r.isRecv {
-			c.observeArrival(st.VTime)
-			st = c.statusToComm(st)
-		}
-		sts[i] = st
+		_, st := c.waitAny(r)
+		sts[i] = c.finish(r, st)
 	}
 	c.advance(0)
 	c.trace(CallWaitall, NoPeer, 0)
@@ -311,65 +308,31 @@ func (c *Comm) Waitall(reqs []*Request) []Status {
 }
 
 // Waitany blocks until at least one request in reqs completes and returns
-// its index and status. Completed requests must be removed by the caller
-// before the next Waitany, as in MPI (this implementation has no
+// its index and status. It consumes that request only: the caller must
+// remove it before the next Waitany, as in MPI (this implementation has no
 // "inactive request" marker).
 func (c *Comm) Waitany(reqs []*Request) (int, Status) {
 	c.trace(CallWaitany, NoPeer, 0)
 	if len(reqs) == 0 {
 		panic("mpi: Waitany on empty request list")
 	}
-	ch := make(chan *Request, len(reqs))
-	subscribed := make([]*Request, 0, len(reqs))
-	var ready *Request
-	for _, r := range reqs {
-		if r.subscribe(ch) {
-			ready = r
-			break
-		}
-		subscribed = append(subscribed, r)
-	}
-	if ready == nil {
-		select {
-		case ready = <-ch:
-		case <-c.world.abort:
-			panic(abortSignal{})
-		}
-	}
-	for _, r := range subscribed {
-		if r != ready {
-			r.unsubscribe(ch)
-		}
-	}
-	for i, r := range reqs {
-		if r == ready {
-			st := r.wait()
-			if r.isRecv {
-				c.observeArrival(st.VTime)
-				st = c.statusToComm(st)
-			}
-			c.advance(0)
-			return i, st
-		}
-	}
-	panic("mpi: Waitany completion for unknown request")
+	i, st := c.waitAny(reqs...)
+	st = c.finish(reqs[i], st)
+	c.advance(0)
+	return i, st
 }
 
 // Test reports whether req has completed; if it has, the returned status is
-// valid. A completed receive merges the message's arrival time into the
-// rank's virtual clock, exactly as the Wait family does — a rank that
-// polls with Test must not observe a stale clock.
+// valid and req is consumed. A completed receive merges the message's
+// arrival time into the rank's virtual clock, exactly as the Wait family
+// does — a rank that polls with Test must not observe a stale clock.
 func (c *Comm) Test(req *Request) (bool, Status) {
 	c.trace(CallTest, NoPeer, 0)
-	if !req.Done() {
+	st, done := req.poll()
+	if !done {
 		return false, Status{}
 	}
-	st := req.wait()
-	if req.isRecv {
-		c.observeArrival(st.VTime)
-		st = c.statusToComm(st)
-	}
-	return true, st
+	return true, c.finish(req, st)
 }
 
 func (c *Comm) peerWorld(dst int) int {
@@ -445,6 +408,7 @@ func (c *Comm) Split(color, key int) *Comm {
 		tracer: c.tracer,
 		region: c.region,
 		clockp: c.clockp,
+		rs:     c.rs,
 	}
 }
 

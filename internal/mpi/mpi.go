@@ -17,6 +17,11 @@
 //     wildcards and non-overtaking order per (source, tag) pair.
 //   - Sends use eager delivery: a send completes locally as soon as the
 //     envelope is enqueued at the destination, like a buffered MPI send.
+//   - Completion consumes a request, as MPI_Wait frees one: Wait, Waitall,
+//     the request Waitany returns and a successful Test hand the handle
+//     back to the rank, and a later Isend/Irecv reissues it. Touching a
+//     handle after that panics ("mpi: request used after Wait") until it
+//     is reissued; a steady-state exchange loop allocates no requests.
 //   - Collectives must be called by every rank of a communicator in the
 //     same order; they are internally implemented over a reserved context
 //     namespace so they can never match user point-to-point traffic.

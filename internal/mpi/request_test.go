@@ -1,0 +1,225 @@
+package mpi
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+)
+
+// TestRequestUseAfterWaitPanics pins the consumed-by-Wait contract: once
+// the Wait family has returned a request, every entry point refuses the
+// handle with one message until the runtime reissues it.
+func TestRequestUseAfterWaitPanics(t *testing.T) {
+	consume := map[string]func(c *Comm, r *Request){
+		"Wait":    func(c *Comm, r *Request) { c.Wait(r) },
+		"Waitall": func(c *Comm, r *Request) { c.Waitall([]*Request{r}) },
+		"Waitany": func(c *Comm, r *Request) { c.Waitany([]*Request{r}) },
+		"Test": func(c *Comm, r *Request) {
+			if ok, _ := c.Test(r); !ok {
+				panic("eager self-send not complete")
+			}
+		},
+	}
+	reuse := map[string]func(c *Comm, r *Request){
+		"Wait":    consume["Wait"], // double Wait
+		"Waitall": consume["Waitall"],
+		"Waitany": consume["Waitany"],
+		"Test":    func(c *Comm, r *Request) { c.Test(r) },
+		"Done":    func(c *Comm, r *Request) { r.Done() },
+	}
+	for first, use := range consume {
+		for second, again := range reuse {
+			t.Run(first+"_then_"+second, func(t *testing.T) {
+				err := NewWorld(1, WithTimeout(testTimeout)).Run(func(c *Comm) {
+					r := c.Isend(0, 1, Size(8))
+					use(c, r)
+					again(c, r)
+				})
+				if err == nil || !strings.Contains(err.Error(), "mpi: request used after Wait") {
+					t.Fatalf("want the use-after-Wait panic, got %v", err)
+				}
+			})
+		}
+	}
+	// A failed Test consumes nothing: the handle stays good for Wait.
+	run(t, 2, func(c *Comm) {
+		if c.Rank() == 1 {
+			c.Recv(0, 2)
+			c.Send(0, 1, Size(4))
+			return
+		}
+		r := c.Irecv(1, 1)
+		if ok, _ := c.Test(r); ok {
+			panic("Test succeeded before the message was sent")
+		}
+		c.Send(1, 2, Size(0))
+		if st := c.Wait(r); st.N != 4 {
+			panic("Wait after a failed Test lost the message")
+		}
+	})
+}
+
+// raceEnabled is set by race_test.go. Under the race detector sync.Pool
+// drops a quarter of its Puts on purpose, so envelopes are re-allocated
+// and exact allocation counts hold only without it; the loops still run
+// there, for the detector's benefit.
+var raceEnabled bool
+
+// haloStep is one ring exchange through a reused request slice.
+func haloStep(c *Comm, reqs []*Request, retire func(*Comm, []*Request)) {
+	n, me := c.Size(), c.Rank()
+	left, right := (me+n-1)%n, (me+1)%n
+	reqs[0] = c.Irecv(left, 1)
+	reqs[1] = c.Irecv(right, 2)
+	reqs[2] = c.Isend(right, 1, Size(8192))
+	reqs[3] = c.Isend(left, 2, Size(8192))
+	retire(c, reqs)
+}
+
+// TestHaloLoopAllocatesNoRequests runs 1 000 halo steps on every rank of
+// a ring while rank 0 counts the process's mallocs per step: after the
+// first step every Isend/Irecv is served from the rank's free list.
+// Retiring through Wait allocates nothing at all; Waitall allocates its
+// returned []Status, once per rank, and nothing else (the ranks drift by
+// a step against rank 0's counting window, so that one is a ceiling).
+func TestHaloLoopAllocatesNoRequests(t *testing.T) {
+	const ranks, steps = 4, 1000
+	for _, tc := range []struct {
+		name   string
+		retire func(*Comm, []*Request)
+		max    float64
+	}{
+		{"Wait", func(c *Comm, reqs []*Request) {
+			for _, r := range reqs {
+				c.Wait(r)
+			}
+		}, 0},
+		{"Waitall", func(c *Comm, reqs []*Request) { c.Waitall(reqs) }, ranks},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var got float64
+			run(t, ranks, func(c *Comm) {
+				reqs := make([]*Request, 4)
+				haloStep(c, reqs, tc.retire)
+				c.Barrier()
+				if c.Rank() != 0 {
+					for i := 0; i < steps+1; i++ { // AllocsPerRun warms up with one extra call
+						haloStep(c, reqs, tc.retire)
+					}
+					return
+				}
+				got = testing.AllocsPerRun(steps, func() { haloStep(c, reqs, tc.retire) })
+			})
+			if got > tc.max && !raceEnabled {
+				t.Errorf("%v allocations per halo step across %d ranks, want at most %v", got, ranks, tc.max)
+			}
+		})
+	}
+}
+
+// TestWaitanyAllCompleteAllocatesNothing drains a list of already-complete
+// requests with Waitany, PMEMD's retire loop: no channel, no subscriber
+// slice, no request.
+func TestWaitanyAllCompleteAllocatesNothing(t *testing.T) {
+	var got float64
+	run(t, 1, func(c *Comm) {
+		reqs := make([]*Request, 0, 16)
+		got = testing.AllocsPerRun(200, func() {
+			for i := 0; i < 8; i++ {
+				reqs = append(reqs, c.Isend(0, Tag(i), Size(64)))
+			}
+			for i := 0; i < 8; i++ {
+				reqs = append(reqs, c.Irecv(0, Tag(i)))
+			}
+			for len(reqs) > 0 {
+				i, _ := c.Waitany(reqs)
+				reqs[i] = reqs[len(reqs)-1]
+				reqs = reqs[:len(reqs)-1]
+			}
+		})
+	})
+	if got != 0 && !raceEnabled {
+		t.Errorf("%v allocations per 16-request Waitany drain, want 0", got)
+	}
+}
+
+// freeListLen counts the rank's released handles.
+func freeListLen(c *Comm) int {
+	n := 0
+	for r := c.rs.free; r != nil; r = r.next {
+		n++
+	}
+	return n
+}
+
+// TestRendezvousRequestsRecycle sends every message above the eager limit,
+// so each Isend completes on its ack goroutine — not on the owner — and
+// the handle is reissued right after. Payloads carry the step, so a
+// completion or a status landing on the wrong incarnation of a handle
+// shows up as a wrong byte.
+func TestRendezvousRequestsRecycle(t *testing.T) {
+	const steps = 300
+	w := NewWorld(2, WithTimeout(testTimeout), WithEagerLimit(4))
+	err := w.Run(func(c *Comm) {
+		peer := 1 - c.Rank()
+		sub := c.Dup() // the free list belongs to the rank, not the comm
+		for s := 0; s < steps; s++ {
+			payload := []byte{byte(s), byte(s >> 8), byte(c.Rank()), 3, 4, 5, 6, 7}
+			rr := c.Irecv(peer, 1)
+			sr := sub.Isend(peer, 2, Data(payload))
+			sr2 := c.Isend(peer, 1, Data(payload))
+			rr2 := sub.Irecv(peer, 2)
+			for _, st := range []Status{c.Wait(rr), sub.Wait(rr2)} {
+				if st.N != 8 || st.Data[0] != byte(s) || st.Data[1] != byte(s>>8) || st.Data[2] != byte(peer) {
+					panic("rendezvous payload from the wrong step")
+				}
+			}
+			c.Waitall([]*Request{sr, sr2})
+		}
+		if n := freeListLen(c); n != 4 {
+			panic(fmt.Sprintf("free list holds %d handles after %d steps of four requests, want 4", n, steps))
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCancelMidWaitanyUnwindsEveryRank blocks every rank in Waitany over a
+// receive nobody sends and a rendezvous send nobody matches, cancels the
+// context, and requires RunContext to return with every rank and every
+// ack goroutine gone.
+func TestCancelMidWaitanyUnwindsEveryRank(t *testing.T) {
+	before := runtime.NumGoroutine()
+	const ranks = 8
+	ctx, cancel := context.WithCancel(context.Background())
+	var blocking sync.WaitGroup
+	blocking.Add(ranks)
+	go func() {
+		blocking.Wait() // every rank is at (or a few instructions from) its Waitany
+		cancel()
+	}()
+	w := NewWorld(ranks, WithEagerLimit(4))
+	err := w.RunContext(ctx, func(c *Comm) {
+		peer := (c.Rank() + 1) % ranks
+		reqs := []*Request{c.Irecv(peer, 7), c.Isend(peer, 9, Size(1024))}
+		blocking.Done()
+		c.Waitany(reqs)
+		panic("Waitany returned with nothing complete")
+	})
+	if err != context.Canceled {
+		t.Fatalf("RunContext = %v, want context.Canceled", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines before, %d after cancel:\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		runtime.Gosched()
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"time"
 )
@@ -71,7 +72,10 @@ func matchSrcTag(src int, tag Tag, e *envelope) bool {
 // matching context. Splitting the mailbox by context turns the old
 // O(posted x unexpected) scan over all traffic into a scan over only the
 // messages that could legally match — for collective-heavy workloads the
-// queues are a handful of entries deep.
+// queues are a handful of entries deep. A matched element leaves through
+// slices.Delete, which zeroes the vacated tail slot: the element goes
+// straight back to its pool, and a stale pointer left in the backing array
+// would alias whatever the pool hands it to next.
 type ctxQueue struct {
 	unexpected []*envelope
 	posted     []*postedRecv
@@ -130,7 +134,7 @@ type World struct {
 	abortOnce sync.Once
 
 	commMu   sync.Mutex
-	commIDs  map[string]int
+	commIDs  map[[3]int]int // (parent id, split sequence, color) -> id
 	nextComm int
 }
 
@@ -157,7 +161,7 @@ func NewWorld(size int, opts ...Option) *World {
 		size:     size,
 		boxes:    make([]*mailbox, size),
 		abort:    make(chan struct{}),
-		commIDs:  make(map[string]int),
+		commIDs:  make(map[[3]int]int),
 		nextComm: 1, // id 0 is the world communicator
 	}
 	for i := range w.boxes {
@@ -247,6 +251,7 @@ func (w *World) RunContext(ctx context.Context, fn func(*Comm)) error {
 				group:  group,
 				rank:   rank,
 				clockp: new(float64),
+				rs:     &rankState{wake: make(chan struct{}, 1)},
 			}
 			if w.factory != nil {
 				c.tracer = w.factory(rank)
@@ -288,7 +293,7 @@ func (w *World) deliver(dst int, env *envelope) {
 	q := mb.queue(env.ctx)
 	for i, p := range q.posted {
 		if matchSrcTag(p.src, p.tag, env) {
-			q.posted = append(q.posted[:i], q.posted[i+1:]...)
+			q.posted = slices.Delete(q.posted, i, i+1)
 			mb.retire(env.ctx, q)
 			mb.mu.Unlock()
 			if env.ack != nil {
@@ -316,7 +321,7 @@ func (w *World) post(dst, src int, tag Tag, ctx int64, req *Request) {
 	q := mb.queue(ctx)
 	for i, env := range q.unexpected {
 		if matchSrcTag(src, tag, env) {
-			q.unexpected = append(q.unexpected[:i], q.unexpected[i+1:]...)
+			q.unexpected = slices.Delete(q.unexpected, i, i+1)
 			mb.retire(ctx, q)
 			mb.mu.Unlock()
 			if env.ack != nil {
@@ -348,7 +353,7 @@ func (w *World) statusOf(env *envelope) Status {
 // derived from (parent id, per-rank split sequence, color). Every member
 // rank that performs the same split observes the same id.
 func (w *World) commID(parent, seq, color int) int {
-	key := fmt.Sprintf("%d/%d/%d", parent, seq, color)
+	key := [3]int{parent, seq, color}
 	w.commMu.Lock()
 	defer w.commMu.Unlock()
 	if id, ok := w.commIDs[key]; ok {
@@ -360,57 +365,61 @@ func (w *World) commID(parent, seq, color int) int {
 	return id
 }
 
+// rankState is what every Comm of one rank shares besides the clock: the
+// rank's free requests and the channel it sleeps on.
+type rankState struct {
+	free *Request // released handles, linked through Request.next
+	// wake carries at most one token: "some request this rank armed has
+	// completed since you last looked". Only the rank itself receives.
+	wake chan struct{}
+}
+
 // Request represents an outstanding nonblocking operation. Its zero value
 // is not useful; requests are created by Isend and Irecv.
+//
+// As in MPI, completion consumes the request: Wait, Waitall, the one
+// request Waitany returns and a successful Test hand the handle back to
+// the runtime, which reissues it from a later Isend/Irecv of the same
+// rank. Using a handle after that — a second Wait, Done, keeping it in a
+// Waitany list — panics with "mpi: request used after Wait" until the
+// handle is reissued, and aliases an unrelated operation afterwards; drop
+// it (or remove it from the list) as soon as it completes.
 type Request struct {
-	mu     sync.Mutex
-	done   bool
-	doneCh chan struct{} // created lazily by the first waiter that blocks
-	notify []chan *Request
-	status Status
-	isRecv bool
-	comm   *Comm
-	peer   int // world rank for sends, posted source for recvs
-	nbytes int
+	mu       sync.Mutex
+	done     bool
+	armed    bool // the owner may be asleep: complete must post a wake token
+	released bool // consumed by the Wait family and not yet reissued
+	isRecv   bool
+	status   Status
+	rs       *rankState
+	next     *Request
 }
 
-func newRequest(c *Comm, isRecv bool, peer, nbytes int) *Request {
-	return &Request{
-		isRecv: isRecv,
-		comm:   c,
-		peer:   peer,
-		nbytes: nbytes,
+// newRequest issues a request owned by c's rank, reusing a released
+// handle when there is one. Every request — user-facing or backing a
+// blocking receive or a collective — comes from here.
+func (c *Comm) newRequest(isRecv bool) *Request {
+	r := c.rs.free
+	if r == nil {
+		return &Request{isRecv: isRecv, rs: c.rs}
 	}
-}
-
-// reqPool recycles runtime-internal requests — the ones backing Recv,
-// Sendrecv, and collective traffic, which never escape to the caller.
-// User-facing requests from Isend/Irecv stay heap-allocated because the
-// caller may hold the handle arbitrarily long after completion.
-var reqPool = sync.Pool{New: func() any { return new(Request) }}
-
-func getRequest(c *Comm, isRecv bool, peer, nbytes int) *Request {
-	r := reqPool.Get().(*Request)
-	r.done = false
-	r.doneCh = nil
-	r.notify = nil
-	r.status = Status{}
-	r.isRecv = isRecv
-	r.comm = c
-	r.peer = peer
-	r.nbytes = nbytes
+	c.rs.free = r.next
+	r.next, r.done, r.armed, r.released, r.isRecv = nil, false, false, false, isRecv
 	return r
 }
 
-func putRequest(r *Request) {
-	r.comm = nil
-	r.status = Status{}
-	reqPool.Put(r)
+// release returns a completed request to its rank's free list. A request
+// abandoned by an abort is never released, so nothing still in flight can
+// complete a reissued handle.
+func (c *Comm) release(r *Request) {
+	r.status = Status{} // drop the payload reference
+	r.released = true
+	r.next, c.rs.free = c.rs.free, r
 }
 
-// complete marks the request finished and wakes every waiter. Requests
-// completed before anyone blocks never allocate a channel — the eager
-// fast path for Isend and already-arrived receives.
+// complete marks the request finished and, if its owner armed it, posts
+// the rank's wake token. It runs on whichever goroutine matched the
+// message: the owner itself, the sending rank, or a rendezvous ack waiter.
 func (r *Request) complete(st Status) {
 	r.mu.Lock()
 	if r.done {
@@ -419,83 +428,66 @@ func (r *Request) complete(st Status) {
 	}
 	r.done = true
 	r.status = st
-	if r.doneCh != nil {
-		close(r.doneCh)
-	}
-	ns := r.notify
-	r.notify = nil
-	r.mu.Unlock()
-	for _, ch := range ns {
-		ch <- r // channels are buffered by the registrar
-	}
-}
-
-// subscribe registers ch for completion notification, or reports true if
-// the request already completed.
-func (r *Request) subscribe(ch chan *Request) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.done {
-		return true
-	}
-	r.notify = append(r.notify, ch)
-	return false
-}
-
-// unsubscribe removes ch from the notification list.
-func (r *Request) unsubscribe(ch chan *Request) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i, c := range r.notify {
-		if c == ch {
-			r.notify = append(r.notify[:i], r.notify[i+1:]...)
-			return
+	if r.armed {
+		select {
+		case r.rs.wake <- struct{}{}:
+		default: // a token is already pending; the owner re-polls everything
 		}
 	}
+	r.mu.Unlock()
+}
+
+// poll reports the status if the request has completed; otherwise it arms
+// the request so that its completion wakes the owner.
+func (r *Request) poll() (Status, bool) {
+	r.mu.Lock()
+	released, done, st := r.released, r.done, r.status
+	r.armed = !done
+	r.mu.Unlock()
+	if released {
+		panic("mpi: request used after Wait")
+	}
+	return st, done
 }
 
 // Done reports whether the request has completed without blocking.
 func (r *Request) Done() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.done
+	_, done := r.poll()
+	return done
 }
 
-// wait blocks until completion and returns the status. If the world is
-// aborted while blocked, the calling rank unwinds via abortSignal.
-// Already-completed requests return without touching a channel.
-func (r *Request) wait() Status {
-	r.mu.Lock()
-	if r.done {
-		st := r.status
-		r.mu.Unlock()
-		return st
-	}
-	if r.doneCh == nil {
-		r.doneCh = make(chan struct{})
-	}
-	ch := r.doneCh
-	abort := r.comm.world.abort
-	r.mu.Unlock()
+// sleep parks the rank until one of its armed requests completes or the
+// world aborts, and reports which. Tokens can be stale (left by a request
+// an earlier Waitany armed), so callers re-poll in a loop.
+func (c *Comm) sleep() (aborted bool) {
 	select {
-	case <-ch:
-	case <-abort:
-		// Prefer a completion that raced with the abort.
-		select {
-		case <-ch:
-		default:
+	case <-c.rs.wake:
+		return false
+	case <-c.world.abort:
+		return true
+	}
+}
+
+// waitAny blocks until one of reqs completes and returns its index and
+// status: poll each under its lock, else sleep on the rank's channel. If
+// the world is aborted while blocked, the rank unwinds via abortSignal —
+// after one last poll, so a completion that raced with the abort wins.
+func (c *Comm) waitAny(reqs ...*Request) (int, Status) {
+	for aborted := false; ; aborted = c.sleep() {
+		for i, r := range reqs {
+			if st, ok := r.poll(); ok {
+				return i, st
+			}
+		}
+		if aborted {
 			panic(abortSignal{})
 		}
 	}
-	r.mu.Lock()
-	st := r.status
-	r.mu.Unlock()
-	return st
 }
 
-// waitFree waits on a pooled internal request and recycles it.
-func waitFree(r *Request) Status {
-	st := r.wait()
-	putRequest(r)
+// waitFree waits on a request and releases it.
+func (c *Comm) waitFree(r *Request) Status {
+	_, st := c.waitAny(r)
+	c.release(r)
 	return st
 }
