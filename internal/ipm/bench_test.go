@@ -1,8 +1,10 @@
-package ipm
+package ipm_test
 
 import (
+	"fmt"
 	"testing"
 
+	"github.com/hfast-sim/hfast/internal/ipm"
 	"github.com/hfast-sim/hfast/internal/mpi"
 )
 
@@ -10,7 +12,7 @@ import (
 // common case of a tight stencil loop re-hitting one signature: the
 // last-key memo should make repeats cheaper than a map lookup.
 func BenchmarkCollectorEvent(b *testing.B) {
-	c := NewCollector(0, 0)
+	c := ipm.NewCollector(0, 0)
 	e := mpi.Event{Call: mpi.CallSend, Peer: 3, Bytes: 8192, Region: "step001", T: 0}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -23,7 +25,7 @@ func BenchmarkCollectorEvent(b *testing.B) {
 // BenchmarkCollectorEventMixed rotates through a small working set of
 // signatures, the shape of a halo exchange with a few partners.
 func BenchmarkCollectorEventMixed(b *testing.B) {
-	c := NewCollector(0, 0)
+	c := ipm.NewCollector(0, 0)
 	events := []mpi.Event{
 		{Call: mpi.CallIrecv, Peer: 1, Bytes: 0, Region: "step001"},
 		{Call: mpi.CallIrecv, Peer: 2, Bytes: 0, Region: "step001"},
@@ -43,10 +45,59 @@ func BenchmarkCollectorEventMixed(b *testing.B) {
 // BenchmarkCollectorEventOverflow drives the hash past capacity so every
 // event takes the coarsening (or catch-all) slow path.
 func BenchmarkCollectorEventOverflow(b *testing.B) {
-	c := NewCollector(0, 64)
+	c := ipm.NewCollector(0, 64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Event(mpi.Event{Call: mpi.CallSend, Peer: i % 512, Bytes: 1000 + i%4096, T: float64(i) * 1e-6})
+	}
+}
+
+// wireShapes are the runs the ledger's stream workloads replay (bench/):
+// the decoders' real inputs.
+var wireShapes = []struct {
+	app   string
+	procs int
+}{{"cactus", 64}, {"gtc", 64}, {"amr", 64}, {"cactus", 256}, {"amr", 256}}
+
+// BenchmarkDecodeDelta decodes every delta of a run's stream, once per
+// iteration; MB/s is over the encoded bytes.
+func BenchmarkDecodeDelta(b *testing.B) {
+	for _, sh := range wireShapes {
+		b.Run(fmt.Sprintf("%s/P%d", sh.app, sh.procs), func(b *testing.B) {
+			_, deltas := encodedRun(b, sh.app, sh.procs)
+			size := 0
+			for _, raw := range deltas {
+				size += len(raw)
+			}
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, raw := range deltas {
+					if _, err := ipm.DecodeDelta(raw); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkDecodeProfile decodes the same runs' batch profiles, the
+// artifact a peer fill moves.
+func BenchmarkDecodeProfile(b *testing.B) {
+	for _, sh := range wireShapes {
+		b.Run(fmt.Sprintf("%s/P%d", sh.app, sh.procs), func(b *testing.B) {
+			profile, _ := encodedRun(b, sh.app, sh.procs)
+			b.SetBytes(int64(len(profile)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ipm.DecodeProfile(profile); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

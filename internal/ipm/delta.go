@@ -54,31 +54,35 @@ func (d *Delta) WriteJSON(w io.Writer) error {
 // to a decoded delta that fails Validate.
 var ErrDeltaDecode = errors.New("ipm: decoding delta")
 
-// ReadDeltaJSON deserializes a delta written by WriteJSON. Deltas written
-// by a newer schema than this package understands are rejected.
+// ReadDeltaJSON reads r to its end and decodes it as the one delta
+// WriteJSON wrote there (see DecodeDelta). A stream of concatenated
+// deltas is DeltaSplitter's to cut.
 func ReadDeltaJSON(r io.Reader) (*Delta, error) {
-	var d Delta
-	if err := json.NewDecoder(r).Decode(&d); err != nil {
+	raw, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrDeltaDecode, err)
 	}
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	return &d, nil
+	return DecodeDelta(raw)
 }
 
-// DecodeDelta is ReadDeltaJSON for an encoded delta already in memory:
-// raw holds one JSON object and nothing after it, and is not copied to
-// be decoded.
+// DecodeDelta decodes one encoded delta: raw holds a JSON object and
+// nothing after it but whitespace. Canonical bytes — WriteJSON's own, in
+// any whitespace — go through the scanner of wirescan.go; anything else
+// is decoded, or refused, by encoding/json. Deltas that fail Validate,
+// which includes those written by a newer schema than this package
+// understands, are rejected. The delta does not alias raw.
 func DecodeDelta(raw []byte) (*Delta, error) {
-	var d Delta
-	if err := json.Unmarshal(raw, &d); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrDeltaDecode, err)
+	d, ok := scanDelta(raw)
+	if !ok {
+		d = new(Delta)
+		if err := json.Unmarshal(raw, d); err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrDeltaDecode, err)
+		}
 	}
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	return &d, nil
+	return d, nil
 }
 
 // Validate checks the structural invariants a folder relies on.

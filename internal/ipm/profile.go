@@ -228,15 +228,32 @@ func (p *Profile) WriteJSON(w io.Writer) error {
 	return enc.Encode(p)
 }
 
-// ReadJSON deserializes a profile written by WriteJSON. Profiles written
-// by a newer schema than this package understands are rejected.
+// ReadJSON reads r to its end and decodes it as the one profile WriteJSON
+// wrote there (see DecodeProfile). Concatenated values are not a profile;
+// streams are made of deltas, and DeltaSplitter cuts those.
 func ReadJSON(r io.Reader) (*Profile, error) {
-	var p Profile
-	if err := json.NewDecoder(r).Decode(&p); err != nil {
+	raw, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("ipm: decoding profile: %w", err)
+	}
+	return DecodeProfile(raw)
+}
+
+// DecodeProfile decodes one encoded profile, by the scanner of
+// wirescan.go when raw is canonical and by encoding/json otherwise, as
+// DecodeDelta does for deltas: nothing but whitespace may follow the
+// object, and the profile does not alias raw. Profiles written by a newer
+// schema than this package understands are rejected.
+func DecodeProfile(raw []byte) (*Profile, error) {
+	p, ok := scanProfile(raw)
+	if !ok {
+		p = new(Profile)
+		if err := json.Unmarshal(raw, p); err != nil {
+			return nil, fmt.Errorf("ipm: decoding profile: %w", err)
+		}
 	}
 	if p.Version > SchemaVersion {
 		return nil, fmt.Errorf("ipm: profile wire format v%d is newer than supported v%d", p.Version, SchemaVersion)
 	}
-	return &p, nil
+	return p, nil
 }

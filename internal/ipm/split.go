@@ -25,11 +25,20 @@ type DeltaSplitter struct {
 // sizeHint, such as a request's Content-Length, sizes the buffer so a
 // stream of that many bytes is read without growing it.
 func NewDeltaSplitter(r io.Reader, sizeHint int) *DeltaSplitter {
-	s := &DeltaSplitter{r: r}
-	if sizeHint > 0 {
+	s := new(DeltaSplitter)
+	s.Reset(r, sizeHint)
+	return s
+}
+
+// Reset points the splitter, which may be a zero DeltaSplitter, at a new
+// stream as NewDeltaSplitter would, keeping the buffer it has unless
+// sizeHint asks for a larger one. The bytes earlier calls to Next
+// returned are overwritten from here on.
+func (s *DeltaSplitter) Reset(r io.Reader, sizeHint int) {
+	s.r, s.start, s.end = r, 0, 0
+	if sizeHint > 0 && sizeHint >= len(s.buf) {
 		s.buf = make([]byte, sizeHint+1) // +1: room to read the EOF without growing
 	}
-	return s
 }
 
 // Next returns the bytes of the next object, from its '{' to the

@@ -67,6 +67,46 @@ func TestDeltaSplitterYieldsEncodedDeltas(t *testing.T) {
 	}
 }
 
+// TestDeltaSplitterReset reuses one splitter, zero value first, the way
+// the stream endpoint's pool does: each stream splits as on a fresh
+// splitter — also after a stream abandoned mid-object — and the buffer
+// is replaced only when a hint outgrows it.
+func TestDeltaSplitterReset(t *testing.T) {
+	var s DeltaSplitter
+	split := func(body string, hint int, want ...string) {
+		t.Helper()
+		s.Reset(strings.NewReader(body), hint)
+		got, err := splitAll(&s)
+		if err != nil {
+			t.Fatalf("%q: %v", body, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%q: %d objects, want %d", body, len(got), len(want))
+		}
+		for i := range want {
+			if string(got[i]) != want[i] {
+				t.Fatalf("%q: object %d = %q, want %q", body, i, got[i], want[i])
+			}
+		}
+	}
+	split(`{"a":1} {"b":2}`, 64, `{"a":1}`, `{"b":2}`)
+	buf := &s.buf[0]
+	s.Reset(strings.NewReader(`{"cut":`), 0)
+	if _, err := s.Next(); err != io.ErrUnexpectedEOF {
+		t.Fatalf("cut object: %v, want io.ErrUnexpectedEOF", err)
+	}
+	split(`{"c":3}`, -1, `{"c":3}`)
+	split(``, 64)
+	if &s.buf[0] != buf {
+		t.Fatal("a hint the buffer already holds replaced the buffer")
+	}
+	big := `{"d":"` + strings.Repeat("x", 200) + `"}`
+	split(big+big, 2*len(big), big, big)
+	if len(s.buf) != 2*len(big)+1 {
+		t.Fatalf("buffer is %d bytes after a hint of %d", len(s.buf), 2*len(big))
+	}
+}
+
 // TestDeltaSplitterLexing pins the brace matching: braces and quotes
 // inside strings, escaped quotes and backslashes do not move the depth.
 func TestDeltaSplitterLexing(t *testing.T) {

@@ -1,0 +1,336 @@
+package ipm
+
+import (
+	"strconv"
+
+	"github.com/hfast-sim/hfast/internal/mpi"
+)
+
+// wireScanner decodes the canonical encoding of a Delta or Profile — the
+// bytes WriteJSON emits, give or take JSON whitespace — without
+// reflection. The grammar is fixed: every field present, spelled and
+// ordered as the struct declares it; integers of at most 18 digits with
+// no fraction or exponent; floats in JSON's number grammar, converted by
+// the strconv.ParseFloat call encoding/json makes; strings of printable
+// ASCII without escapes; null only where WriteJSON writes one (Params,
+// Ranks, Entries). That is a strict subset of what encoding/json accepts
+// for these types, and on it the scanner builds the value encoding/json
+// builds. At the first byte outside the grammar it gives up — it never
+// reports an error of its own — and the caller decodes the same bytes
+// with encoding/json, so what is accepted, what is rejected and with
+// which error do not depend on the scanner.
+//
+// Every string in the result is a copy: the value does not alias b.
+type wireScanner struct {
+	b   []byte
+	i   int
+	bad bool // gave up; i is parked at len(b), so every later read fails too
+
+	region  string  // the last Region built, reused while entries repeat it
+	scratch []Entry // the rank being read, copied out at its exact size
+}
+
+// scanDelta decodes raw if it is a canonical delta; ok is false when the
+// scanner gave up and d is to be discarded.
+func scanDelta(raw []byte) (d *Delta, ok bool) {
+	s := wireScanner{b: raw}
+	d = new(Delta)
+	s.header(&d.Version, &d.App, &d.Procs, &d.Params)
+	s.key(`"Seq"`)
+	d.Seq = s.int()
+	s.tok(',')
+	s.key(`"Window"`)
+	d.Window = s.str("")
+	s.tok(',')
+	s.region = d.Window // every entry of a window carries its name
+	d.Ranks = s.ranks(d.Procs)
+	return d, s.end()
+}
+
+// scanProfile is scanDelta for a profile.
+func scanProfile(raw []byte) (p *Profile, ok bool) {
+	s := wireScanner{b: raw}
+	p = new(Profile)
+	s.header(&p.Version, &p.App, &p.Procs, &p.Params)
+	p.Ranks = s.ranks(p.Procs)
+	return p, s.end()
+}
+
+// header reads the fields Delta and Profile open with, from '{' to the
+// comma after Params.
+func (s *wireScanner) header(version *int, app *string, procs *int, params *map[string]int) {
+	s.tok('{')
+	s.key(`"Version"`)
+	*version = s.int()
+	s.tok(',')
+	s.key(`"App"`)
+	*app = s.str("")
+	s.tok(',')
+	s.key(`"Procs"`)
+	*procs = s.int()
+	s.tok(',')
+	s.key(`"Params"`)
+	if !s.null() {
+		*params = make(map[string]int)
+		for more := s.open('{', '}'); more; more = s.sep('}') {
+			name := s.str("")
+			s.tok(':')
+			(*params)[name] = s.int() // a repeated name: the last wins, as in encoding/json
+		}
+	}
+	s.tok(',')
+}
+
+// ranks reads the Ranks field, the last of both types. procs, which the
+// input also chose, is only a hint for the slice's capacity and is held
+// to the number of ranks the remaining bytes could spell.
+func (s *wireScanner) ranks(procs int) []RankProfile {
+	s.key(`"Ranks"`)
+	if s.null() {
+		return nil
+	}
+	const minRank = len(`{"Rank":0,"Entries":[],"Spilled":0},`)
+	out := make([]RankProfile, 0, max(0, min(procs, (len(s.b)-s.i)/minRank+1)))
+	for more := s.open('[', ']'); more; more = s.sep(']') {
+		var rp RankProfile
+		s.tok('{')
+		s.key(`"Rank"`)
+		rp.Rank = s.int()
+		s.tok(',')
+		s.key(`"Entries"`)
+		rp.Entries = s.entries()
+		s.tok(',')
+		s.key(`"Spilled"`)
+		rp.Spilled = s.int64()
+		s.tok('}')
+		out = append(out, rp)
+	}
+	return out
+}
+
+// entries reads one rank's Entries value.
+func (s *wireScanner) entries() []Entry {
+	if s.null() {
+		return nil
+	}
+	s.scratch = s.scratch[:0]
+	for more := s.open('[', ']'); more; more = s.sep(']') {
+		s.scratch = append(s.scratch, Entry{})
+		e := &s.scratch[len(s.scratch)-1]
+		s.tok('{')
+		s.key(`"Key"`)
+		s.tok('{')
+		s.key(`"Call"`)
+		e.Key.Call = mpi.Call(s.int())
+		s.tok(',')
+		s.key(`"Bytes"`)
+		e.Key.Bytes = s.int()
+		s.tok(',')
+		s.key(`"Peer"`)
+		e.Key.Peer = s.int()
+		s.tok(',')
+		s.key(`"Region"`)
+		s.region = s.str(s.region)
+		e.Key.Region = s.region
+		s.tok('}')
+		s.tok(',')
+		s.key(`"Stat"`)
+		s.tok('{')
+		s.key(`"Count"`)
+		e.Stat.Count = s.int64()
+		s.tok(',')
+		s.key(`"TotalBytes"`)
+		e.Stat.TotalBytes = s.int64()
+		s.tok(',')
+		s.key(`"MaxBytes"`)
+		e.Stat.MaxBytes = s.int()
+		s.tok(',')
+		s.key(`"Time"`)
+		e.Stat.Time = s.float()
+		s.tok('}')
+		s.tok('}')
+	}
+	return append(make([]Entry, 0, len(s.scratch)), s.scratch...)
+}
+
+// end reads the closing brace of the top-level object and reports
+// whether the whole of b was canonical: nothing but whitespace may follow.
+func (s *wireScanner) end() bool {
+	s.tok('}')
+	s.peek()
+	return !s.bad && s.i == len(s.b)
+}
+
+func (s *wireScanner) fail() {
+	s.bad, s.i = true, len(s.b)
+}
+
+// peek skips whitespace and returns the byte under the cursor, 0 at the
+// end of input.
+func (s *wireScanner) peek() byte {
+	for ; s.i < len(s.b); s.i++ {
+		if c := s.b[s.i]; c > ' ' || (c != ' ' && c != '\n' && c != '\r' && c != '\t') {
+			return c
+		}
+	}
+	return 0
+}
+
+// tok consumes the structural byte c.
+func (s *wireScanner) tok(c byte) {
+	if s.peek() != c {
+		s.fail()
+		return
+	}
+	s.i++
+}
+
+// key consumes a field name, given with its quotes, and the colon.
+func (s *wireScanner) key(quoted string) {
+	s.peek()
+	if n := len(quoted); len(s.b)-s.i < n || string(s.b[s.i:s.i+n]) != quoted {
+		s.fail()
+		return
+	}
+	s.i += len(quoted)
+	s.tok(':')
+}
+
+// null consumes a null if one is next.
+func (s *wireScanner) null() bool {
+	if s.peek() != 'n' || len(s.b)-s.i < 4 || string(s.b[s.i:s.i+4]) != "null" {
+		return false
+	}
+	s.i += 4
+	return true
+}
+
+// open consumes the opening byte of an object or array and reports
+// whether it has members; an empty one is consumed whole.
+func (s *wireScanner) open(opening, closing byte) bool {
+	s.tok(opening)
+	if s.peek() != closing {
+		return !s.bad
+	}
+	s.i++
+	return false
+}
+
+// sep consumes what follows a member: a comma, reporting that another
+// member follows, or the closing byte.
+func (s *wireScanner) sep(closing byte) bool {
+	if s.peek() == ',' {
+		s.i++
+		return true
+	}
+	s.tok(closing)
+	return false
+}
+
+// int64 reads an integer: an optional minus, then 0 or a run of at most
+// 18 digits not led by 0, which fits without an overflow check.
+func (s *wireScanner) int64() int64 {
+	s.peek()
+	i, b := s.i, s.b
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	first := i
+	var v int64
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		v = v*10 + int64(b[i]-'0')
+	}
+	if n := i - first; n == 0 || n > 18 || (n > 1 && b[first] == '0') {
+		s.fail()
+		return 0
+	}
+	// A '.', 'e' or 'E' here makes this a float where an integer belongs,
+	// which encoding/json rejects; every caller expects a ',' or '}' next.
+	s.i = i
+	if neg {
+		v = -v
+	}
+	return v
+}
+
+func (s *wireScanner) int() int {
+	v := s.int64()
+	if int64(int(v)) != v { // a 32-bit int: the range error is encoding/json's to word
+		s.fail()
+		return 0
+	}
+	return int(v)
+}
+
+// float reads a number in JSON's grammar — which strconv.ParseFloat alone
+// would not hold the token to — and converts it as encoding/json does.
+func (s *wireScanner) float() float64 {
+	s.peek()
+	b, first := s.b, s.i
+	digits := func(i int) int { // the end of the digit run at i
+		for i < len(b) && b[i]-'0' <= 9 {
+			i++
+		}
+		return i
+	}
+	i := first
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	intEnd := digits(i)
+	if intEnd == i || (intEnd > i+1 && b[i] == '0') {
+		s.fail()
+		return 0
+	}
+	i = intEnd
+	if i < len(b) && b[i] == '.' {
+		if i = digits(i + 1); b[i-1] == '.' {
+			s.fail()
+			return 0
+		}
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		if i = digits(i); b[i-1]-'0' > 9 {
+			s.fail()
+			return 0
+		}
+	}
+	f, err := strconv.ParseFloat(string(b[first:i]), 64)
+	if err != nil { // out of range: encoding/json's error
+		s.fail()
+		return 0
+	}
+	s.i = i
+	return f
+}
+
+// str reads a string of printable ASCII with no escapes and returns prev
+// when it spells prev, a copy otherwise.
+func (s *wireScanner) str(prev string) string {
+	if s.peek() != '"' {
+		s.fail()
+		return ""
+	}
+	i, b := s.i+1, s.b
+	for ; i < len(b) && b[i] != '"'; i++ {
+		if c := b[i]; c < ' ' || c > '~' || c == '\\' {
+			s.fail()
+			return ""
+		}
+	}
+	if i == len(b) {
+		s.fail()
+		return ""
+	}
+	tok := b[s.i+1 : i]
+	s.i = i + 1
+	if string(tok) == prev {
+		return prev
+	}
+	return string(tok)
+}

@@ -75,7 +75,7 @@ func DecodeArtifact(stage string, data []byte) (any, error) {
 	}
 	switch stage {
 	case StageProfile:
-		p, err := ipm.ReadJSON(bytes.NewReader(data))
+		p, err := ipm.DecodeProfile(data)
 		if err != nil {
 			return fail(err)
 		}

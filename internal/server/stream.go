@@ -177,6 +177,10 @@ func streamSeed(q map[string][]string) (pipeline.FoldSeed, int, error) {
 	return seed, block, nil
 }
 
+// splitters recycles DeltaSplitters, and with them a body-sized buffer
+// each, across stream POSTs.
+var splitters = sync.Pool{New: func() any { return new(ipm.DeltaSplitter) }}
+
 func (s *Server) handleStreamPost(w http.ResponseWriter, r *http.Request, id string) {
 	q := r.URL.Query()
 	seed, block, err := streamSeed(q)
@@ -208,7 +212,8 @@ func (s *Server) handleStreamPost(w http.ResponseWriter, r *http.Request, id str
 	}
 	// A declared length sizes the splitter's buffer up front, within a
 	// bound a client cannot inflate; chunked bodies (-1) grow on demand.
-	split := ipm.NewDeltaSplitter(http.MaxBytesReader(w, r.Body, 64<<20), int(min(r.ContentLength, 4<<20)))
+	split := splitters.Get().(*ipm.DeltaSplitter)
+	split.Reset(http.MaxBytesReader(w, r.Body, 64<<20), int(min(r.ContentLength, 4<<20)))
 	folded, newPlans, err := s.foldBody(ctx, sess, split)
 	if err != nil {
 		// A request that opened the session and folded nothing into it
@@ -226,6 +231,12 @@ func (s *Server) handleStreamPost(w http.ResponseWriter, r *http.Request, id str
 		return
 	}
 	defer sess.mu.Unlock()
+	// Only a body that folded without an error gives its buffer back: after
+	// an error a detached fold may still be reading it (FoldWire's
+	// contract), so that splitter is left to the collector, never reused.
+	// The pooled splitter keeps its buffer, not this request's body.
+	split.Reset(nil, 0)
+	splitters.Put(split)
 	if q.Get("close") == "1" {
 		sess.closed = true
 	}

@@ -366,6 +366,82 @@ func TestStreamRejectedPostRace(t *testing.T) {
 	wg.Wait()
 }
 
+// TestStreamConcurrentSessionsPooledBuffers streams several runs at once,
+// one delta a POST, with rejected bodies in between, so splitters — and
+// the buffers deltas are decoded out of — go round the pool while other
+// requests are mid-fold: every session must still end at the batch
+// pipeline's assignment, and the race detector must see no buffer in two
+// requests' hands.
+func TestStreamConcurrentSessionsPooledBuffers(t *testing.T) {
+	_, ts := testServer(t, Config{Workers: 4})
+	pl := pipeline.New(pipeline.Options{})
+	type run struct {
+		app    string
+		bodies [][]byte
+		want   []byte
+	}
+	var runs []run
+	for _, app := range []string{"cactus", "gtc", "amr", "superlu"} {
+		prof, ds := splitRun(t, app, 16, 3)
+		r := run{app: app}
+		for _, d := range ds {
+			r.bodies = append(r.bodies, encodeDeltas(t, []*ipm.Delta{d}))
+		}
+		ref, err := pipeline.Supplied(prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, _, err := pl.Assignment(t.Context(), ref, pipeline.Steady(), 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.want, err = pipeline.EncodeArtifact(pipeline.StageAssign, a); err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, r)
+	}
+	post := func(url string, body []byte) int {
+		resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return 0
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	var wg sync.WaitGroup
+	for round := 0; round < 2; round++ {
+		for _, r := range runs {
+			wg.Add(1)
+			go func(r run, id string) {
+				defer wg.Done()
+				url := ts.URL + "/v1/stream/" + id
+				for i, body := range r.bodies {
+					if code := post(url+"-bad", body[:len(body)/2]); code != http.StatusBadRequest {
+						t.Errorf("%s: half a delta: status %d", id, code)
+					}
+					if code := post(url, body); code != http.StatusOK {
+						t.Errorf("%s: delta %d: status %d", id, i, code)
+						return
+					}
+				}
+				resp, err := http.Get(url + "?artifact=assignment")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || !bytes.Equal(got, r.want) {
+					t.Errorf("%s: assignment differs from batch (%d vs %d bytes, read error %v)", id, len(got), len(r.want), err)
+				}
+			}(r, fmt.Sprintf("pool-%s-%d", r.app, round))
+		}
+	}
+	wg.Wait()
+}
+
 // TestStreamReplayFoldsNothing pins the warm path end to end: a session
 // replayed under a new id on a server that already folded it is served
 // by key lookups alone — the fold stage runs nothing — and ends at the
