@@ -1,6 +1,7 @@
 package ipm_test
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -99,5 +100,35 @@ func BenchmarkDecodeProfile(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkFrameDelta cuts every delta of a run's stream out of one
+// body, by the brace matcher and by the canonical-layout candidate; MB/s
+// is over the encoded bytes.
+func BenchmarkFrameDelta(b *testing.B) {
+	for _, sh := range wireShapes[:2] {
+		_, deltas := encodedRun(b, sh.app, sh.procs)
+		body := bytes.Join(deltas, nil)
+		var s ipm.DeltaSplitter
+		for _, mode := range []struct {
+			name string
+			next func() bool
+		}{
+			{"next", func() bool { _, err := s.Next(); return err == nil }},
+			{"candidate", func() bool { ok := s.Candidate() != nil; s.Accept(); return ok }},
+		} {
+			b.Run(fmt.Sprintf("%s/P%d/%s", sh.app, sh.procs, mode.name), func(b *testing.B) {
+				b.SetBytes(int64(len(body)))
+				for i := 0; i < b.N; i++ {
+					s.Reset(bytes.NewReader(body), len(body))
+					for n := 0; mode.next(); n++ {
+						if n == len(deltas) {
+							b.Fatal("more cuts than deltas")
+						}
+					}
+				}
+			})
+		}
 	}
 }

@@ -11,14 +11,18 @@ import (
 // DeltaSplitter cuts a stream of concatenated JSON deltas into its
 // top-level objects without decoding them, so a consumer that addresses
 // deltas by content can hash the received bytes and decode only the ones
-// it has not seen. It matches braces outside string literals and checks
+// it has not seen. Next matches braces outside string literals and checks
 // nothing else: the bytes it yields are exactly what json.Decoder would
 // consume for the same value when that value is valid JSON, and whatever
-// else it lets through fails at decode.
+// else it lets through fails at decode. Candidate guesses the same cut
+// from the canonical layout alone, for a consumer that can tell a delta
+// from a wrong guess.
 type DeltaSplitter struct {
 	r          io.Reader
 	buf        []byte
-	start, end int // buf[start:end] is read but not yet yielded
+	start, end int   // buf[start:end] is read but not yet yielded
+	cand       int   // length of the candidate Accept consumes
+	err        error // what the reader ended with; fill repeats it
 }
 
 // NewDeltaSplitter returns a splitter reading from r. A positive
@@ -35,7 +39,7 @@ func NewDeltaSplitter(r io.Reader, sizeHint int) *DeltaSplitter {
 // sizeHint asks for a larger one. The bytes earlier calls to Next
 // returned are overwritten from here on.
 func (s *DeltaSplitter) Reset(r io.Reader, sizeHint int) {
-	s.r, s.start, s.end = r, 0, 0
+	s.r, s.start, s.end, s.cand, s.err = r, 0, 0, 0, nil
 	if sizeHint > 0 && sizeHint >= len(s.buf) {
 		s.buf = make([]byte, sizeHint+1) // +1: room to read the EOF without growing
 	}
@@ -101,13 +105,71 @@ func (s *DeltaSplitter) Next() ([]byte, error) {
 	}
 }
 
+// Candidate proposes the next object without matching its braces: the
+// unread bytes from their first '{' to the first '}' that opens a line.
+// In WriteJSON's encoding every nested closer is indented, so for
+// canonical bytes that is the object, found at the speed of a byte
+// search; for any other bytes it is a wrong guess. The caller decides:
+// bytes that decode as one JSON value are the cut Next would make (a
+// valid object is its own shortest brace-balanced prefix) and Accept
+// consumes them; after anything else the caller calls Next, which cuts
+// from the same '{' as if Candidate had not been called, so a cut of the
+// candidate's length is the candidate. Only an object that breaks the
+// line after its '{' is searched, as those layouts do: looking through a
+// compact one for a closer that is not coming would read past its end,
+// which Next never does, and stall a live stream. A stream with nothing
+// to propose — it ended, failed, or opens with other bytes — yields nil
+// and Next says why. The slice aliases the buffer like Next's.
+func (s *DeltaSplitter) Candidate() []byte {
+	s.cand = 0
+	for ; ; s.start++ {
+		if s.start == s.end && s.fill() != nil {
+			return nil
+		}
+		if c := s.buf[s.start]; c != ' ' && c != '\t' && c != '\r' && c != '\n' {
+			break
+		}
+	}
+	if s.buf[s.start] != '{' {
+		return nil
+	}
+	for off := 1; ; {
+		b := s.buf[s.start:s.end]
+		if len(b) > 1 && b[1] != '\n' && b[1] != '\r' {
+			return nil
+		}
+		i := bytes.IndexByte(b[off:], '}')
+		if i < 0 {
+			off = len(b)
+			if s.fill() != nil {
+				return nil
+			}
+			continue
+		}
+		if off += i + 1; b[off-2] == '\n' {
+			s.cand = off
+			return b[:off:off]
+		}
+	}
+}
+
+// Accept consumes the bytes the last call to Candidate returned.
+func (s *DeltaSplitter) Accept() {
+	s.start += s.cand
+	s.cand = 0
+}
+
 // structural marks the bytes that change the splitter's state.
 var structural = [256]bool{'"': true, '\\': true, '{': true, '}': true}
 
 // fill reads more of the stream behind buf[start:end], first moving the
 // unread bytes to the front of the buffer, or to a larger one when they
-// fill it.
+// fill it. A failed read ends the stream: the reader is not asked again,
+// so Next reports what a Candidate before it ran into.
 func (s *DeltaSplitter) fill() error {
+	if s.err != nil {
+		return s.err
+	}
 	if s.start > 0 {
 		s.end = copy(s.buf, s.buf[s.start:s.end])
 		s.start = 0
@@ -124,10 +186,12 @@ func (s *DeltaSplitter) fill() error {
 			return nil
 		}
 		if err != nil {
+			s.err = err
 			return err
 		}
 	}
-	return io.ErrNoProgress
+	s.err = io.ErrNoProgress
+	return s.err
 }
 
 // PeekDeltaProcs reads the Procs field of an encoded delta token by

@@ -259,3 +259,189 @@ func FuzzDeltaSplit(f *testing.F) {
 		}
 	})
 }
+
+// frameAll drains a splitter the way the stream endpoint does: the
+// candidate first, kept only if verify takes it, the exact cut otherwise.
+// It reports the cuts, how many of them were candidates, and the
+// stream's final error.
+func frameAll(s *DeltaSplitter, verify func([]byte) bool) (cuts [][]byte, guessed int, err error) {
+	for {
+		if cand := s.Candidate(); cand != nil && verify(cand) {
+			cuts = append(cuts, append([]byte(nil), cand...))
+			s.Accept()
+			guessed++
+			continue
+		}
+		raw, err := s.Next()
+		if err == io.EOF {
+			return cuts, guessed, nil
+		} else if err != nil {
+			return cuts, guessed, err
+		}
+		cuts = append(cuts, append([]byte(nil), raw...))
+	}
+}
+
+// TestDeltaSplitterCandidate pins the guess: the bytes up to the first
+// '}' that opens a line, right for every layout that indents nested
+// closers and wrong, never harmful, for the rest — whatever the candidate
+// was, Next cuts what it always cut.
+func TestDeltaSplitterCandidate(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		cand string // what Candidate proposes first; "" for nothing
+		want []string
+		hits int // cuts that were verified candidates
+		err  string
+	}{
+		{in: "", want: nil},
+		{in: " \n ", want: nil},
+		{in: `{"a":1}`, want: []string{`{"a":1}`}},
+		{in: "{\n}", cand: "{\n}", want: []string{"{\n}"}, hits: 1},
+		{in: " \r\n{\n \"a\": {\n  \"b\": 1\n }\n}\n", cand: "{\n \"a\": {\n  \"b\": 1\n }\n}", want: []string{"{\n \"a\": {\n  \"b\": 1\n }\n}"}, hits: 1},
+		{in: "{\r\n\t\"a\": {\r\n\t}\r\n}", cand: "{\r\n\t\"a\": {\r\n\t}\r\n}", want: []string{"{\r\n\t\"a\": {\r\n\t}\r\n}"}, hits: 1},
+		{in: "{\n\"a\":{\n}\n}", cand: "{\n\"a\":{\n}", want: []string{"{\n\"a\":{\n}\n}"}},
+		{in: "{\n\"a\":1\n}{\n\"b\":2\n} {\"c\":3}", cand: "{\n\"a\":1\n}", want: []string{"{\n\"a\":1\n}", "{\n\"b\":2\n}", `{"c":3}`}, hits: 2},
+		{in: "{\n\"a\":\"\n}\"}", cand: "{\n\"a\":\"\n}", want: []string{"{\n\"a\":\"\n}\"}"}},
+		{in: "{\n\"a\":1}\n}", cand: "{\n\"a\":1}\n}", want: []string{"{\n\"a\":1}"}, err: "want '{'"},
+		{in: "{\n\"a\":\"\n}", cand: "{\n\"a\":\"\n}", err: "unexpected EOF"},
+		{in: "{\n\"a\":{\n", err: "unexpected EOF"},
+		// No line break after the brace: not a layout worth searching.
+		{in: "{\"a\":{\n}\n}", want: []string{"{\"a\":{\n}\n}"}},
+		{in: "{\"a\":\"\n}\"}", want: []string{"{\"a\":\"\n}\"}"}},
+		{in: "{}\n}", want: []string{"{}"}, err: "want '{'"},
+		{in: "\n}", err: "want '{'"},
+		{in: "[\n}", err: "want '{'"},
+	} {
+		for _, oneByte := range []bool{false, true} {
+			var r io.Reader = strings.NewReader(tc.in)
+			if oneByte {
+				r = iotest.OneByteReader(r)
+			}
+			s := NewDeltaSplitter(r, 0)
+			if got := string(s.Candidate()); got != tc.cand {
+				t.Fatalf("%q: candidate %q, want %q", tc.in, got, tc.cand)
+			}
+			if again := string(s.Candidate()); again != tc.cand {
+				t.Fatalf("%q: second candidate %q, want %q", tc.in, again, tc.cand)
+			}
+			got, hits, err := frameAll(s, json.Valid)
+			if len(got) != len(tc.want) || hits != tc.hits {
+				t.Fatalf("%q: %d objects, %d of them candidates; want %d and %d", tc.in, len(got), hits, len(tc.want), tc.hits)
+			}
+			for i := range got {
+				if string(got[i]) != tc.want[i] {
+					t.Fatalf("%q: object %d = %q, want %q", tc.in, i, got[i], tc.want[i])
+				}
+			}
+			if (err == nil) != (tc.err == "") || err != nil && !strings.Contains(err.Error(), tc.err) {
+				t.Fatalf("%q: ended with %v, want %q", tc.in, err, tc.err)
+			}
+		}
+	}
+}
+
+// flakyReader fails once between its two halves.
+type flakyReader struct {
+	halves [2]string
+	err    error
+	calls  int
+}
+
+func (r *flakyReader) Read(p []byte) (int, error) {
+	r.calls++
+	switch r.calls {
+	case 1:
+		return copy(p, r.halves[0]), nil
+	case 2:
+		return 0, r.err
+	case 3:
+		return copy(p, r.halves[1]), nil
+	}
+	return 0, io.EOF
+}
+
+// TestDeltaSplitterCandidateKeepsReadError pins that looking for a
+// candidate does not eat the error Next would have reported: a reader
+// that fails is not asked again.
+func TestDeltaSplitterCandidateKeepsReadError(t *testing.T) {
+	boom := errors.New("boom")
+	s := NewDeltaSplitter(&flakyReader{halves: [2]string{"{\n\"a\":1", "\n}"}, err: boom}, 0)
+	if cand := s.Candidate(); cand != nil {
+		t.Fatalf("candidate %q from a stream that failed before its closer", cand)
+	}
+	if raw, err := s.Next(); !errors.Is(err, boom) {
+		t.Fatalf("Next after the candidate gave %q, %v; want the reader's error", raw, err)
+	}
+}
+
+// FuzzDeltaFraming holds guess-and-verify framing to the brace matcher
+// on arbitrary bodies: a candidate kept only when it is one JSON value
+// yields the cuts and the final error of Next alone, through a bulk
+// reader and one byte at a time (every fill relocating the buffer under
+// the scan). The verifier is the weakest the argument allows — any valid
+// JSON — and what DecodeDelta takes must be inside it, since the server
+// trusts a candidate on DecodeDelta's word.
+func FuzzDeltaFraming(f *testing.F) {
+	delta, err := os.ReadFile(filepath.Join("testdata", "delta_v2.golden.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	delta = bytes.TrimSpace(delta)
+	var compact, flush, tabbed bytes.Buffer
+	if err := json.Compact(&compact, delta); err != nil {
+		f.Fatal(err)
+	}
+	// No indent: every closer opens a line, so every candidate is wrong.
+	if err := json.Indent(&flush, delta, "", ""); err != nil {
+		f.Fatal(err)
+	}
+	if err := json.Indent(&tabbed, delta, "", "\t"); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(delta)
+	f.Add(compact.Bytes())
+	f.Add(flush.Bytes())
+	f.Add(tabbed.Bytes())
+	f.Add(bytes.ReplaceAll(delta, []byte("\n"), []byte("\r\n")))
+	for _, sep := range []string{"", " ", "\n"} {
+		f.Add(bytes.Join([][]byte{delta, delta}, []byte(sep)))
+		f.Add(bytes.Join([][]byte{delta, compact.Bytes(), delta}, []byte(sep)))
+		f.Add(bytes.Join([][]byte{flush.Bytes(), delta, tabbed.Bytes()}, []byte(sep)))
+	}
+	for at := 0; ; {
+		i := bytes.Index(flush.Bytes()[at:], []byte("\n}"))
+		if i < 0 {
+			break
+		}
+		at += i + 2
+		f.Add(flush.Bytes()[:at:at])
+	}
+	for _, s := range []string{``, "{\n}", "{\n}\n}", "{\n\"a\":\"\n}\"}", "{\r\"a\":\"\\\n}", "{\n\"Params\":{\"a\":1\n},\"Procs\":4}", "{\"a\":{\n}\n}", "{\n}x", "[\n}"} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		want, werr := splitAll(NewDeltaSplitter(bytes.NewReader(body), 0))
+		verify := func(cand []byte) bool {
+			ok := json.Valid(cand)
+			if _, err := DecodeDelta(cand); err == nil && !ok {
+				t.Fatalf("DecodeDelta takes %q, which is not JSON", cand)
+			}
+			return ok
+		}
+		for _, r := range []io.Reader{bytes.NewReader(body), iotest.OneByteReader(bytes.NewReader(body))} {
+			got, _, gerr := frameAll(NewDeltaSplitter(r, len(body)%5), verify)
+			if len(got) != len(want) {
+				t.Fatalf("%d cuts, Next alone makes %d", len(got), len(want))
+			}
+			for i := range want {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Fatalf("cut %d is %q, Next alone cuts %q", i, got[i], want[i])
+				}
+			}
+			if (gerr == nil) != (werr == nil) || gerr != nil && gerr.Error() != werr.Error() {
+				t.Fatalf("ended with %v, Next alone with %v", gerr, werr)
+			}
+		}
+	})
+}

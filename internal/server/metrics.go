@@ -34,6 +34,8 @@ type Metrics struct {
 	streamDeltas       uint64 // profile deltas folded across all streams
 	streamPhases       uint64 // phase boundaries detected (beyond phase 0)
 	streamCircuitMoves uint64 // circuits set up + torn down by stream plans
+	framesCandidate    uint64 // deltas cut by the canonical-layout guess, proved by the fold
+	framesExact        uint64 // deltas the brace matcher had to cut
 
 	inflight       atomic.Int64 // requests currently inside a handler
 	queueDepth     atomic.Int64 // requests waiting for a worker slot
@@ -78,6 +80,8 @@ func (m *Metrics) addStreamCircuitMoves(n int64) {
 	m.mu.Unlock()
 }
 func (m *Metrics) setStreamSessions(n int64) { m.streamSessions.Store(n) }
+func (m *Metrics) addFrameCandidate()        { m.mu.Lock(); m.framesCandidate++; m.mu.Unlock() }
+func (m *Metrics) addFrameExact()            { m.mu.Lock(); m.framesExact++; m.mu.Unlock() }
 
 // Snapshot is a copy of the counters for tests and introspection.
 type Snapshot struct {
@@ -93,6 +97,10 @@ type Snapshot struct {
 	StreamDeltas       uint64
 	StreamPhases       uint64
 	StreamCircuitMoves uint64
+	// StreamFramesCandidate counts deltas framed by the canonical-layout
+	// guess, StreamFramesExact those the brace matcher had to cut.
+	StreamFramesCandidate uint64
+	StreamFramesExact     uint64
 
 	Inflight       int64
 	QueueDepth     int64
@@ -116,6 +124,9 @@ func (m *Metrics) Snapshot() Snapshot {
 		StreamDeltas:       m.streamDeltas,
 		StreamPhases:       m.streamPhases,
 		StreamCircuitMoves: m.streamCircuitMoves,
+
+		StreamFramesCandidate: m.framesCandidate,
+		StreamFramesExact:     m.framesExact,
 
 		Inflight:       m.inflight.Load(),
 		QueueDepth:     m.queueDepth.Load(),
@@ -170,6 +181,11 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	counter("hfastd_stream_deltas_total", "Profile deltas folded across all stream sessions.", m.streamDeltas)
 	counter("hfastd_stream_phases_total", "Phase boundaries detected by streaming folds (beyond phase 0).", m.streamPhases)
 	counter("hfastd_stream_circuit_moves_total", "Circuits set up plus torn down by stream re-provisioning plans.", m.streamCircuitMoves)
+
+	fmt.Fprintln(w, "# HELP hfastd_stream_frames_total Deltas cut from stream bodies: by the canonical-layout guess, or by the exact brace matcher.")
+	fmt.Fprintln(w, "# TYPE hfastd_stream_frames_total counter")
+	fmt.Fprintf(w, "hfastd_stream_frames_total{path=\"candidate\"} %d\n", m.framesCandidate)
+	fmt.Fprintf(w, "hfastd_stream_frames_total{path=\"exact\"} %d\n", m.framesExact)
 
 	gauge := func(name, help string, v int64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"strconv"
 	"strings"
@@ -249,22 +250,52 @@ func (s *Server) handleStreamPost(w http.ResponseWriter, r *http.Request, id str
 // they produced; on an error, the deltas folded before it stay folded.
 // Bytes that are not a delta, whether the splitter or the decode on a
 // fold miss finds that out, are reported by their index in the body.
+//
+// Each delta is framed by guess and verify. The splitter's candidate —
+// the bytes up to the first '}' that opens a line, all of a canonical
+// delta — is folded as it stands, and a fold that succeeds proves the
+// guess: a chain hit says these bytes were cut and decoded before, a
+// miss decoded them as one JSON value, and a valid object is exactly the
+// cut the brace matcher makes. A candidate that fails proves nothing, so
+// its error is kept only if the exact cut turns out to be the same
+// bytes; any other cut is folded in its place. Every body thus ends as
+// if each delta had been cut exactly; only canonical ones skip the scan.
 func (s *Server) foldBody(ctx context.Context, sess *streamSession, split *ipm.DeltaSplitter) (int, []StreamPlan, error) {
 	folded := 0
 	var plans []StreamPlan
-	for {
-		raw, err := split.Next()
-		if err == io.EOF {
-			return folded, plans, nil
-		} else if err != nil {
-			return folded, plans, fmt.Errorf("decoding delta %d: %w", folded, err)
-		}
+	fold := func(raw []byte) (*StreamPlan, error) {
 		if err := ctx.Err(); err != nil {
-			return folded, plans, err
+			return nil, err
 		}
-		// The fold stage may read raw, which is the splitter's buffer,
-		// after an error return: nothing below calls Next again then.
-		plan, err := s.foldOne(ctx, sess, raw)
+		return s.foldOne(ctx, sess, raw)
+	}
+	for {
+		var plan *StreamPlan
+		var err error
+		cand := split.Candidate()
+		if cand != nil {
+			// The fold stage may still be reading cand, which is the
+			// splitter's buffer, once the context has ended: nothing
+			// touches the splitter again then.
+			if plan, err = fold(cand); err != nil && ctx.Err() != nil {
+				return folded, plans, ctx.Err()
+			}
+		}
+		if cand != nil && err == nil {
+			split.Accept()
+			s.metrics.addFrameCandidate()
+		} else {
+			raw, serr := split.Next()
+			if serr == io.EOF {
+				return folded, plans, nil
+			} else if serr != nil {
+				return folded, plans, fmt.Errorf("decoding delta %d: %w", folded, serr)
+			}
+			s.metrics.addFrameExact()
+			if len(raw) != len(cand) {
+				plan, err = fold(raw)
+			}
+		}
 		if errors.Is(err, ipm.ErrDeltaDecode) {
 			return folded, plans, fmt.Errorf("decoding delta %d: %w", folded, err)
 		} else if err != nil {
@@ -351,9 +382,11 @@ func (s *Server) streamResponseLocked(sess *streamSession, folded int, plans []S
 		resp.Procs = st.Procs
 		resp.TotalDeltas = st.Deltas
 		resp.Windows = len(st.Windows)
-		resp.Phases = len(st.Phases())
+		resp.Phases = st.NumPhases()
 		if sess.closed {
-			if op, err := st.Opportunity(); err == nil {
+			if op, err := st.Opportunity(); err != nil {
+				log.Printf("hfastd: stream %q: opportunity analysis: %v", sess.id, err)
+			} else {
 				resp.Opportunity = &OpportunityResponse{
 					Windows:            op.Windows,
 					MaxWindowTDC:       op.MaxWindowTDC,

@@ -1,0 +1,355 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+
+	"github.com/hfast-sim/hfast/internal/ipm"
+)
+
+// The stream endpoint frames each delta by guess and verify (foldBody):
+// these tests hold it to "every body ends as if each delta had been cut
+// by the brace matcher", and read which way a delta was framed from the
+// hfastd_stream_frames_total counters.
+
+// frames reads the server's frame counters.
+func frames(s *Server) (candidate, exact uint64) {
+	snap := s.Metrics().Snapshot()
+	return snap.StreamFramesCandidate, snap.StreamFramesExact
+}
+
+// reindent re-encodes canonical delta bytes with json.Indent.
+func reindent(t *testing.T, canon []byte, indent string) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.Indent(&buf, bytes.TrimSpace(canon), "", indent); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func compact(t *testing.T, canon []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.Compact(&buf, canon); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestStreamFramingEncodings streams one run in every layout a client
+// might send: each session must answer and serve exactly what the
+// canonical one does. Layouts that indent nested closers are framed by
+// the candidate — proved by a decode, since re-encoded bytes miss the
+// chain — and the rest by the brace matcher, their wrong candidates
+// costing nothing but the try.
+func TestStreamFramingEncodings(t *testing.T) {
+	s, ts := testServer(t, Config{Workers: 2})
+	_, ds := splitRun(t, "amr", 32, 8)
+	n := uint64(len(ds))
+	canon := make([][]byte, len(ds))
+	for i, d := range ds {
+		canon[i] = encodeDeltas(t, []*ipm.Delta{d})
+	}
+	each := func(f func(i int, b []byte) []byte) [][]byte {
+		out := make([][]byte, len(canon))
+		for i, b := range canon {
+			out[i] = f(i, b)
+		}
+		return out
+	}
+
+	type result struct {
+		resp            StreamResponse
+		windows, assign []byte
+	}
+	stream := func(id string, body []byte) result {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/stream/"+id+"?close=1", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var r result
+		if err := json.NewDecoder(resp.Body).Decode(&r.resp); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, decoding the response: %v", id, resp.StatusCode, err)
+		}
+		r.resp.Session = ""
+		_, r.windows = getBody(t, ts.URL+"/v1/stream/"+id+"?artifact=windows")
+		_, r.assign = getBody(t, ts.URL+"/v1/stream/"+id+"?artifact=assignment")
+		return r
+	}
+
+	want := stream("canonical", bytes.Join(canon, nil))
+	if want.resp.DeltasFolded != len(ds) || want.resp.Phases < 2 || want.resp.Opportunity == nil {
+		t.Fatalf("canonical session: %+v", want.resp)
+	}
+	if c, e := frames(s); c != n || e != 0 {
+		t.Fatalf("canonical body: %d candidate and %d exact frames, want %d and 0", c, e, n)
+	}
+
+	for _, tc := range []struct {
+		name       string
+		bodies     [][]byte
+		sep        string
+		candidates uint64 // the rest are exact
+	}{
+		{"replayed", canon, "", n},
+		{"trimmed", each(func(_ int, b []byte) []byte { return bytes.TrimSpace(b) }), "", n},
+		{"spaced", each(func(_ int, b []byte) []byte { return bytes.TrimSpace(b) }), " \t ", n},
+		{"crlf", each(func(_ int, b []byte) []byte { return bytes.ReplaceAll(b, []byte("\n"), []byte("\r\n")) }), "", n},
+		{"tabbed", each(func(_ int, b []byte) []byte { return reindent(t, b, "\t") }), "\n", n},
+		{"compact", each(func(_ int, b []byte) []byte { return compact(t, b) }), "", 0},
+		{"compact-lines", each(func(_ int, b []byte) []byte { return compact(t, b) }), "\n", 0},
+		// No indent: every closer opens a line, every candidate is wrong.
+		{"flush", each(func(_ int, b []byte) []byte { return reindent(t, b, "") }), "", 0},
+		{"mixed", each(func(i int, b []byte) []byte {
+			switch i % 3 {
+			case 1:
+				return compact(t, b)
+			case 2:
+				return reindent(t, b, "")
+			}
+			return b
+		}), "", (n + 2) / 3},
+	} {
+		c0, e0 := frames(s)
+		got := stream(tc.name, bytes.Join(tc.bodies, []byte(tc.sep)))
+		if !bytes.Equal(mustJSON(t, got.resp), mustJSON(t, want.resp)) {
+			t.Errorf("%s: response\n%s\nwant\n%s", tc.name, mustJSON(t, got.resp), mustJSON(t, want.resp))
+		}
+		if !bytes.Equal(got.windows, want.windows) || !bytes.Equal(got.assign, want.assign) {
+			t.Errorf("%s: artifacts differ from the canonical session's", tc.name)
+		}
+		c1, e1 := frames(s)
+		if c1-c0 != tc.candidates || e1-e0 != n-tc.candidates {
+			t.Errorf("%s: %d candidate and %d exact frames, want %d and %d", tc.name, c1-c0, e1-e0, tc.candidates, n-tc.candidates)
+		}
+	}
+}
+
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestStreamFramingErrors pins what a body that goes wrong answers — the
+// status, the whole message, and how many deltas stay folded — for
+// bodies whose candidate is the exact cut (its error stands), is a wrong
+// cut (its error is dropped for the exact cut's), or does not exist. The
+// expectations were recorded from the commit before candidates existed.
+func TestStreamFramingErrors(t *testing.T) {
+	s, ts := testServer(t, Config{Workers: 1})
+	delta := func(seq int) *ipm.Delta {
+		return &ipm.Delta{Version: 2, App: "a", Procs: 4, Params: map[string]int{"steps": 2}, Seq: seq, Window: fmt.Sprintf("step%03d", seq)}
+	}
+	good0 := string(encodeDeltas(t, []*ipm.Delta{delta(0)}))
+	good1 := string(encodeDeltas(t, []*ipm.Delta{delta(1)}))
+	flush0 := string(reindent(t, []byte(good0), ""))
+	flush1 := string(reindent(t, []byte(good1), ""))
+	const seqErr = `pipeline: fold delta 0 ("step000"): trace: delta seq 0 out of order, stream expects 1`
+
+	type tcase struct {
+		name, body string
+		status     int
+		msg        string
+		folded     int // deltas in the session afterwards; -1: no session
+		candidates uint64
+		exact      uint64
+	}
+	cases := []tcase{
+		{"empty", "", 200, "", 0, 0, 0},
+		{"canonical pair", good0 + good1, 200, "", 2, 2, 0},
+		{"flush pair", flush0 + flush1, 200, "", 2, 0, 2},
+		// The peek trap: the candidate ends at Params' closer, where a
+		// peek reads no Procs at all; only the exact cut may be judged.
+		{"procs after a closer that opens a line",
+			"{\n\"Params\":{\"a\":1\n},\"Version\":2,\"App\":\"a\",\"Procs\":4,\"Seq\":0,\"Window\":\"step000\"}", 200, "", 1, 0, 1},
+		{"cut inside nested object", "{\n\"Params\":{\"a\":1\n}", 400, "decoding delta 0: unexpected EOF", -1, 0, 0},
+		{"canonical repeated", good0 + good0, 400, seqErr, 1, 1, 1},
+		{"flush repeated", flush0 + flush0, 400, seqErr, 1, 0, 2},
+		{"garbage after canonical", good0 + "{not json", 400, "decoding delta 1: unexpected EOF", 1, 1, 0},
+		{"closer after canonical", good0 + "}", 400, `decoding delta 1: ipm: delta stream: want '{' opening a delta, found '}'`, 1, 1, 0},
+		{"canonical with a bad value", strings.Replace(good0, `"Procs": 4`, `"Procs": nope`, 1), 400,
+			"decoding delta 0: ipm: decoding delta: invalid character 'o' in literal null (expecting 'u')", -1, 0, 1},
+		{"canonical over the procs cap", strings.Replace(good0, `"Procs": 4`, `"Procs": 1048576`, 1), 400,
+			"delta procs 1048576 outside (0,1024]", -1, 0, 1},
+		{"empty object, then a closer", "{\n}\n}", 400, "delta procs 0 outside (0,1024]", -1, 0, 1},
+		{"newline and closer inside a string", "{\n\"a\":\"\n}\"}", 400,
+			"decoding delta 0: ipm: decoding delta: invalid character '\\n' in string literal", -1, 0, 1},
+		{"string never closed", "{\n\"a\":\"\n}", 400, "decoding delta 0: unexpected EOF", -1, 0, 0},
+	}
+	for at := 0; ; {
+		i := strings.Index(flush0[at:], "\n}")
+		if i < 0 || at+i+2 >= len(strings.TrimSpace(flush0)) {
+			break
+		}
+		at += i + 2
+		cases = append(cases, tcase{fmt.Sprintf("flush delta cut at %d", at), flush0[:at], 400, "decoding delta 0: unexpected EOF", -1, 0, 0})
+	}
+	for k, tc := range cases {
+		url := fmt.Sprintf("%s/v1/stream/e%d", ts.URL, k)
+		c0, e0 := frames(s)
+		code, msg := postRaw(t, url, tc.body)
+		if code != tc.status || msg != tc.msg {
+			t.Errorf("%s: status %d, error %q; want %d, %q", tc.name, code, msg, tc.status, tc.msg)
+		}
+		resp, data := getBody(t, url)
+		var got StreamResponse
+		switch {
+		case tc.folded < 0:
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("%s: GET afterwards: status %d, want 404", tc.name, resp.StatusCode)
+			}
+		case resp.StatusCode != http.StatusOK:
+			t.Errorf("%s: GET afterwards: status %d", tc.name, resp.StatusCode)
+		default:
+			if err := json.Unmarshal(data, &got); err != nil || got.TotalDeltas != tc.folded {
+				t.Errorf("%s: %d deltas stay folded (%v), want %d", tc.name, got.TotalDeltas, err, tc.folded)
+			}
+		}
+		if c1, e1 := frames(s); c1-c0 != tc.candidates || e1-e0 != tc.exact {
+			t.Errorf("%s: %d candidate and %d exact frames, want %d and %d", tc.name, c1-c0, e1-e0, tc.candidates, tc.exact)
+		}
+	}
+}
+
+// TestStreamCloseSharesSnapshot closes sessions that replayed one stream
+// at the same moment, by close=1 and by DELETE: they end on one shared
+// snapshot, whose opportunity analysis runs once and must read the same
+// from every one of them. Meant for the race detector.
+func TestStreamCloseSharesSnapshot(t *testing.T) {
+	_, ts := testServer(t, Config{Workers: 4})
+	_, ds := splitRun(t, "amr", 16, 6)
+	head, tail := encodeDeltas(t, ds[:len(ds)-1]), encodeDeltas(t, ds[len(ds)-1:])
+
+	const sessions = 6
+	for k := 0; k < sessions; k++ {
+		if code, msg := postRaw(t, fmt.Sprintf("%s/v1/stream/share%d", ts.URL, k), string(head)); code != http.StatusOK {
+			t.Fatalf("session %d: status %d (%s)", k, code, msg)
+		}
+	}
+	got := make([]*OpportunityResponse, sessions)
+	var wg sync.WaitGroup
+	for k := 0; k < sessions; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			url := fmt.Sprintf("%s/v1/stream/share%d", ts.URL, k)
+			method, body := http.MethodPost, tail
+			if k%2 == 1 { // odd sessions take the last delta first and close by DELETE
+				resp, err := http.Post(url, "application/json", bytes.NewReader(tail))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp.Body.Close()
+				method, body = http.MethodDelete, nil
+			} else {
+				url += "?close=1"
+			}
+			req, err := http.NewRequest(method, url, bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			var out StreamResponse
+			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK || !out.Closed {
+				t.Errorf("session %d: status %d, closed %v, %v", k, resp.StatusCode, out.Closed, err)
+				return
+			}
+			got[k] = out.Opportunity
+		}(k)
+	}
+	wg.Wait()
+	for k := range got {
+		if got[k] == nil || got[0] == nil || *got[k] != *got[0] || got[k].Windows == 0 {
+			t.Fatalf("session %d reports opportunity %+v, session 0 %+v", k, got[k], got[0])
+		}
+	}
+}
+
+// warmReplayBudgetKB is the ceiling on what replaying one folded cactus
+// P=64 session allocates: a third of the 750–820 KB the same replay cost
+// while both closing requests re-ran the opportunity analysis. It reads
+// 106 KB, per-request HTTP and JSON plumbing; the bodies land in pooled
+// buffers.
+const warmReplayBudgetKB = 250
+
+// raceEnabled is set by race_test.go.
+var raceEnabled bool
+
+// TestWarmReplayAllocBudget gates the warm path without a clock: a
+// session the server has folded before — one POST a delta, close=1 on the
+// last, then DELETE — replays as candidate frames and chain hits, and
+// allocates next to nothing per delta.
+func TestWarmReplayAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector; body buffers are reallocated")
+	}
+	s, _ := testServer(t, Config{Workers: 2})
+	h := s.Handler() // called directly: no client or connection in the count
+	_, ds := splitRun(t, "cactus", 64, 0)
+	bodies := make([][]byte, len(ds))
+	for i, d := range ds {
+		bodies[i] = encodeDeltas(t, []*ipm.Delta{d})
+	}
+	do := func(method, url string, body []byte) {
+		t.Helper()
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(method, url, bytes.NewReader(body)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", method, url, w.Code, w.Body)
+		}
+	}
+	replay := func(id string) {
+		t.Helper()
+		for i, body := range bodies {
+			url := "/v1/stream/" + id
+			if i == len(bodies)-1 {
+				url += "?close=1"
+			}
+			do(http.MethodPost, url, body)
+		}
+		do(http.MethodDelete, "/v1/stream/"+id, nil)
+	}
+	replay("fold") // folds the chain
+	// A collection empties sync.Pools; one now, with the heap small, keeps
+	// the next from falling inside the measurement.
+	runtime.GC()
+	replay("warm") // fills the pools
+	c0, e0 := frames(s)
+
+	const runs = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		replay(fmt.Sprintf("replay%d", i))
+	}
+	runtime.ReadMemStats(&after)
+	kb := (after.TotalAlloc - before.TotalAlloc) / runs / 1024
+	t.Logf("%d KB per replayed session of %d deltas", kb, len(ds))
+	if kb > warmReplayBudgetKB {
+		t.Errorf("replaying a folded session allocates %d KB, over the budget of %d KB", kb, warmReplayBudgetKB)
+	}
+	if c1, e1 := frames(s); c1-c0 != uint64(runs*len(ds)) || e1 != e0 {
+		t.Errorf("replay framed %d deltas by candidate and %d exactly, want %d and 0", c1-c0, e1-e0, runs*len(ds))
+	}
+}

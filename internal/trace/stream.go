@@ -11,6 +11,7 @@ package trace
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"github.com/hfast-sim/hfast/internal/ipm"
 	"github.com/hfast-sim/hfast/internal/topology"
@@ -107,6 +108,17 @@ type StreamState struct {
 	curGraph *topology.Graph
 	armed    bool
 	lastStep string
+
+	// opp holds this snapshot's Opportunity once somebody has asked for
+	// it. It sits behind a pointer because Fold copies the struct; every
+	// snapshot gets its own.
+	opp *opportunityMemo
+}
+
+type opportunityMemo struct {
+	once sync.Once
+	op   Opportunity
+	err  error
 }
 
 // NewStreamState opens a stream for a run over procs ranks. Step windows
@@ -137,6 +149,7 @@ func NewStreamState(procs, cutoff int, prefix string, det DetectorConfig) (*Stre
 		Det:    det,
 		Steady: steady,
 		Last:   FoldEvent{Phase: -1},
+		opp:    new(opportunityMemo),
 	}, nil
 }
 
@@ -169,6 +182,7 @@ func (s *StreamState) Fold(d *ipm.Delta) (*StreamState, error) {
 	ns.App = d.App
 	ns.Deltas = s.Deltas + 1
 	ns.Last = FoldEvent{Phase: s.Last.Phase}
+	ns.opp = new(opportunityMemo)
 
 	g, err := topology.FromProfile(d.AsProfile(), ipm.Region(d.Window))
 	if err != nil {
@@ -220,14 +234,29 @@ func (s *StreamState) Phases() []Phase {
 	return append(out, Phase{Start: s.curStart, End: len(s.Windows), Graph: s.curGraph})
 }
 
+// NumPhases is len(Phases()) without building the slice.
+func (s *StreamState) NumPhases() int {
+	if s.curGraph == nil {
+		return 0
+	}
+	return len(s.closed) + 1
+}
+
 // CurrentPhaseGraph returns the open phase's union traffic (nil before
 // the first step window). The graph is shared: callers must not mutate.
 func (s *StreamState) CurrentPhaseGraph() *topology.Graph { return s.curGraph }
 
 // Opportunity runs the batch reconfiguration analysis over the folded
-// windows.
+// windows, once per snapshot: the state is immutable and shared, so every
+// session that reaches it reads the same answer.
 func (s *StreamState) Opportunity() (Opportunity, error) {
-	return AnalyzeWindows(s.Procs, s.Windows, s.Cutoff)
+	if s.opp == nil { // a literal, not NewStreamState's: nothing to share
+		return AnalyzeWindows(s.Procs, s.Windows, s.Cutoff)
+	}
+	s.opp.once.Do(func() {
+		s.opp.op, s.opp.err = AnalyzeWindows(s.Procs, s.Windows, s.Cutoff)
+	})
+	return s.opp.op, s.opp.err
 }
 
 // DetectPhases runs the online detector over an already-extracted window

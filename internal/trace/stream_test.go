@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"runtime"
+	"sync"
 	"testing"
 
 	"github.com/hfast-sim/hfast/internal/apps"
@@ -69,6 +70,58 @@ func TestFoldMatchesBatch(t *testing.T) {
 				t.Fatalf("folded steady graph differs from FromProfile")
 			}
 		})
+	}
+}
+
+// TestOpportunityPerSnapshot pins the memo to its snapshot: every prefix
+// state of a stream answers with the analysis of its own windows — asked
+// before and after its successor exists, from several goroutines at once
+// for the race detector — and counts its phases as Phases() lists them.
+func TestOpportunityPerSnapshot(t *testing.T) {
+	p, err := apps.ProfileRun("amr", apps.Config{Procs: 16, Steps: 6})
+	if err != nil {
+		t.Fatalf("profile: %v", err)
+	}
+	ds, err := ipm.SplitDeltas(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewStreamState(p.Procs, 0, "step", DetectorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := []*StreamState{s}
+	for _, d := range ds {
+		if _, err := s.Opportunity(); err != nil { // the predecessor's memo is filled before Fold copies it
+			t.Fatal(err)
+		}
+		if s, err = s.Fold(d); err != nil {
+			t.Fatalf("fold %q: %v", d.Window, err)
+		}
+		states = append(states, s)
+	}
+	var wg sync.WaitGroup
+	for k, s := range states {
+		want, err := AnalyzeWindows(s.Procs, s.Windows, s.Cutoff)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Windows != len(s.Windows) || s.NumPhases() != len(s.Phases()) {
+			t.Fatalf("state %d: %d windows analyzed of %d, NumPhases %d of %d", k, want.Windows, len(s.Windows), s.NumPhases(), len(s.Phases()))
+		}
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(k int, s *StreamState) {
+				defer wg.Done()
+				if got, err := s.Opportunity(); err != nil || got != want {
+					t.Errorf("state %d: Opportunity() = %+v, %v; want %+v", k, got, err, want)
+				}
+			}(k, s)
+		}
+	}
+	wg.Wait()
+	if last := states[len(states)-1]; last.NumPhases() < 2 {
+		t.Fatalf("amr stream closed %d phases; the test needs a boundary", last.NumPhases())
 	}
 }
 
