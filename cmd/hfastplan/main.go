@@ -63,12 +63,11 @@ func main() {
 
 	fmt.Printf("# HFAST wiring plan: %s, P=%d, cutoff %d B, block size %d\n\n",
 		prof.App, prof.Procs, a.Cutoff, a.BlockSize)
-	u := a.Ports()
+	u, max := plan.Summary.Ports, plan.Summary.MaxRoute
 	fmt.Printf("active switch blocks: %d (%0.2f per node)\n", a.TotalBlocks, float64(a.TotalBlocks)/float64(a.P))
 	fmt.Printf("active ports:         %d provisioned, %d lit (%.0f%% utilization)\n",
 		u.ActivePorts, u.UsedActivePorts, 100*u.Utilization())
-	fmt.Printf("circuit switch:       %d ports, %d lit\n", w.Switch.Ports(), w.Switch.LitPorts())
-	max := a.MaxRoute()
+	fmt.Printf("circuit switch:       %d ports, %d lit\n", plan.Summary.SwitchPorts, plan.Summary.LitPorts)
 	fmt.Printf("worst route:          %d switch-block hops, %d crossbar crossings\n\n", max.SBHops, max.Crossings)
 
 	tbl := report.NewTable("circuit", "port A", "port B", "carries")

@@ -1,6 +1,7 @@
 package hfast
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -137,6 +138,8 @@ func (a *Assignment) partnerIndex(src, dst int) int {
 // collective network and get no Route here.
 func (a *Assignment) Route(src, dst int) (Route, bool) {
 	if src < 0 || src >= a.P || dst < 0 || dst >= a.P {
+		// Programmer-error assertion: callers route between ranks of the
+		// graph the assignment was provisioned from.
 		panic(fmt.Sprintf("hfast: route (%d,%d) out of range [0,%d)", src, dst, a.P))
 	}
 	if src == dst {
@@ -164,33 +167,97 @@ func (a *Assignment) Ports() PortUsage {
 }
 
 // MaxRoute returns the worst-case route among all provisioned pairs
-// (zero value when nothing is provisioned). Per-rank maxima are computed
-// on the worker pool and reduced serially.
+// (zero value when nothing is provisioned). Each node's tree shape is
+// derived once, then every edge is walked once from its lower endpoint:
+// per-rank maxima are computed on the worker pool and reduced serially.
 func (a *Assignment) MaxRoute() Route {
+	maxDeg := 0
+	for _, ps := range a.Partners {
+		maxDeg = max(maxDeg, len(ps))
+	}
+	if maxDeg == 0 {
+		return Route{}
+	}
+	// A tree never gets shallower as its node's degree grows, so the
+	// highest degree's level count is a row length that fits every node;
+	// shorter shapes leave their tail zero, which no index is below.
+	var deepest [maxTreeLevels]int
+	levels := partnerSlots(deepest[:], maxDeg, a.BlockSize)
+	cum := make([]int, a.P*levels)
+	shape := func(i int) []int { return cum[i*levels : (i+1)*levels] }
+	for i := 0; i < a.P; i++ {
+		partnerSlots(shape(i), len(a.Partners[i]), a.BlockSize)
+	}
 	best := make([]int, a.P)
 	par.Ranges(a.P, 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			m := 0
+			mine, depth, m := shape(i), 1, 0
 			for idx, j := range a.Partners[i] {
+				for idx >= mine[depth-1] {
+					depth++
+				}
 				if j < i {
 					continue
 				}
 				di := a.partnerIndex(j, i)
-				hops := PartnerDepth(idx, len(a.Partners[i]), a.BlockSize) + PartnerDepth(di, len(a.Partners[j]), a.BlockSize)
-				if hops > m {
-					m = hops
-				}
+				checkPartnerIndex(di, len(a.Partners[j]))
+				m = max(m, depth+slotDepth(shape(j), di))
 			}
 			best[i] = m
 		}
 	})
-	var max Route
+	var worst Route
 	for _, m := range best {
-		if m > max.SBHops {
-			max = Route{SBHops: m, Crossings: m + 1}
+		if m > worst.SBHops {
+			worst = Route{SBHops: m, Crossings: m + 1}
 		}
 	}
-	return max
+	return worst
+}
+
+// ErrInvalidAssignment is wrapped by every Validate failure.
+var ErrInvalidAssignment = errors.New("hfast: invalid assignment")
+
+// Validate checks that a is something Assign could have produced — the
+// form every encoded assignment has — so that bytes from another process
+// are refused with an error before Wire, Route or MaxRoute index into
+// them: P nodes with a partner list and a block count each, a usable
+// block size, partner lists that are in range, strictly ascending, free
+// of self edges and symmetric, and block counts that follow from the
+// degrees and add up to TotalBlocks.
+func (a *Assignment) Validate() error {
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("%w: %s", ErrInvalidAssignment, fmt.Sprintf(format, args...))
+	}
+	if a.P <= 0 || len(a.Partners) != a.P || len(a.Blocks) != a.P {
+		return bad("P=%d with %d partner lists and %d block counts", a.P, len(a.Partners), len(a.Blocks))
+	}
+	if a.BlockSize < 4 {
+		return bad("block size %d, want ≥ 4", a.BlockSize)
+	}
+	total := 0
+	for i, ps := range a.Partners {
+		for k, j := range ps {
+			switch {
+			case j < 0 || j >= a.P:
+				return bad("partner %d of node %d out of range [0,%d)", j, i, a.P)
+			case j == i:
+				return bad("node %d lists itself as a partner", i)
+			case k > 0 && ps[k-1] >= j:
+				return bad("partners of node %d are not strictly ascending at index %d", i, k)
+			case a.partnerIndex(j, i) < 0:
+				return bad("edge (%d,%d) is not listed by node %d", i, j, j)
+			}
+		}
+		if want := BlocksForDegree(len(ps), a.BlockSize); a.Blocks[i] != want {
+			return bad("node %d has %d blocks, its %d partners need %d", i, a.Blocks[i], len(ps), want)
+		}
+		total += a.Blocks[i]
+	}
+	if a.TotalBlocks != total {
+		return bad("TotalBlocks %d, per-node counts sum to %d", a.TotalBlocks, total)
+	}
+	return nil
 }
 
 // AssignFromHints provisions a fabric directly from declared partner

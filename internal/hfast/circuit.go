@@ -21,6 +21,8 @@ type CircuitSwitch struct {
 // NewCircuitSwitch creates a crossbar with the given port count, all dark.
 func NewCircuitSwitch(ports int) *CircuitSwitch {
 	if ports <= 0 {
+		// Programmer-error assertion: Wire, the one caller fed from outside
+		// the process, sizes the crossbar with crossbarPorts first.
 		panic(fmt.Sprintf("hfast: circuit switch needs positive ports, got %d", ports))
 	}
 	cs := &CircuitSwitch{ports: ports, peer: make([]int, ports)}
@@ -41,6 +43,8 @@ func (cs *CircuitSwitch) Peer(p int) int {
 
 func (cs *CircuitSwitch) check(p int) {
 	if p < 0 || p >= cs.ports {
+		// Programmer-error assertion: ports are numbered by the Wiring that
+		// owns the switch, from an assignment Assign built or Validate took.
 		panic(fmt.Sprintf("hfast: port %d out of range [0,%d)", p, cs.ports))
 	}
 }
@@ -113,11 +117,33 @@ func (w *Wiring) blockPort(b, k int) int {
 	return w.Assignment.P + b*w.Assignment.BlockSize + k
 }
 
+// maxCrossbarPorts is the largest circuit switch Wire lays out: eight
+// times what the largest plan a default hfastd accepts needs (1024 nodes,
+// all-to-all, 4-port blocks). The block size is a request parameter and
+// every block is racked whole, so without a bound one number in a request
+// or in a peer's artifact sizes the port table.
+const maxCrossbarPorts = 1 << 24
+
+// crossbarPorts is the port count of a's circuit switch: one port per node
+// and one per active port.
+func crossbarPorts(a *Assignment) (int, error) {
+	if a.P <= 0 || a.TotalBlocks < 0 || a.BlockSize <= 0 ||
+		a.P > maxCrossbarPorts || a.TotalBlocks > (maxCrossbarPorts-a.P)/a.BlockSize {
+		return 0, fmt.Errorf("hfast: %d nodes and %d blocks of %d ports need a crossbar outside (0,%d] ports",
+			a.P, a.TotalBlocks, a.BlockSize, maxCrossbarPorts)
+	}
+	return a.P + a.TotalBlocks*a.BlockSize, nil
+}
+
 // Wire lays out an assignment on a fresh crossbar: node uplinks, the
 // internal links of each node's block tree, and one circuit per
 // provisioned partner edge between the two endpoint trees.
 func Wire(a *Assignment) (*Wiring, error) {
-	cs := NewCircuitSwitch(a.P + a.TotalBlocks*a.BlockSize)
+	ports, err := crossbarPorts(a)
+	if err != nil {
+		return nil, err
+	}
+	cs := NewCircuitSwitch(ports)
 	w := &Wiring{
 		Assignment:     a,
 		Switch:         cs,

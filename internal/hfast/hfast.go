@@ -68,6 +68,8 @@ func (p Params) validate() error {
 // its parent, so it nets blockSize−2 new leaf ports.
 func BlocksForDegree(deg, blockSize int) int {
 	if deg < 0 {
+		// Programmer-error assertion: callers pass a list length or an
+		// analytic degree model's output, never a decoded number.
 		panic(fmt.Sprintf("hfast: negative degree %d", deg))
 	}
 	if deg == 0 {
@@ -92,39 +94,63 @@ func maxTwoLevel(blockSize int) int {
 	return (blockSize - 1) + (blockSize-1)*(blockSize-2)
 }
 
-// PartnerDepth is the number of switch blocks a connection to the k-th of
-// a node's deg partners traverses inside the node's own tree (1 when it
-// lands on the root block, 2 on a child block, ...).
-func PartnerDepth(k, deg, blockSize int) int {
-	if k < 0 || k >= deg {
-		panic(fmt.Sprintf("hfast: partner index %d out of range [0,%d)", k, deg))
-	}
-	// Rebuild the tree the way Wire lays it out: blocks attach to the
-	// earliest free slot, then partners fill the remaining slots in depth
-	// order. depths[d] counts free slots at block depth d+1.
-	nblocks := BlocksForDegree(deg, blockSize)
-	depths := []int{blockSize - 1}
-	for b := 1; b < nblocks; b++ {
-		for d := 0; ; d++ {
-			if d == len(depths) {
-				panic("hfast: block tree ran out of slots")
-			}
-			if depths[d] > 0 {
-				depths[d]--
-				if d+1 == len(depths) {
-					depths = append(depths, 0)
-				}
-				depths[d+1] += blockSize - 1
-				break
-			}
+// maxTreeLevels bounds the depth of any block tree: every level holds at
+// least twice the slots of the one above it (blockSize ≥ 3), so no degree
+// an int can express needs more.
+const maxTreeLevels = 64
+
+// partnerSlots is the one derivation of a node's tree shape, the way Wire
+// lays it out: blocks attach to the earliest free slot, so the tree fills
+// level by level, and partners take the slots left over in depth order.
+// It writes into cum the number of partner slots at block depth ≤ d+1 for
+// every depth the tree of a deg-partner node has, and returns how many
+// depths that is; cum needs room for them (maxTreeLevels always is).
+func partnerSlots(cum []int, deg, blockSize int) int {
+	children := BlocksForDegree(deg, blockSize) - 1 // blocks still to hang below this depth
+	free := blockSize - 1                           // slots the blocks of this depth expose
+	slots, levels := 0, 0
+	for {
+		c := min(children, free)
+		children -= c
+		slots += free - c
+		cum[levels] = slots
+		levels++
+		if c == 0 {
+			return levels
 		}
+		free = c * (blockSize - 1)
 	}
-	cum := 0
-	for d, c := range depths {
-		cum += c
-		if k < cum {
+}
+
+// slotDepth reads a shape partnerSlots wrote: the block depth of the
+// node's k-th partner connection.
+func slotDepth(cum []int, k int) int {
+	for d, c := range cum {
+		if k < c {
 			return d + 1
 		}
 	}
-	panic(fmt.Sprintf("hfast: partner %d does not fit %d blocks of size %d", k, nblocks, blockSize))
+	// Programmer-error assertion: BlocksForDegree sizes every tree to hold
+	// its node's partners (TestBlocksForDegreePortAccounting).
+	panic(fmt.Sprintf("hfast: partner %d does not fit its node's block tree", k))
+}
+
+// checkPartnerIndex is PartnerDepth's documented panic, shared with
+// MaxRoute, which meets it on an edge only one endpoint lists.
+func checkPartnerIndex(k, deg int) {
+	if k < 0 || k >= deg {
+		// Programmer-error assertion: decoded assignments pass Validate
+		// (symmetric lists) before anything looks a partner up.
+		panic(fmt.Sprintf("hfast: partner index %d out of range [0,%d)", k, deg))
+	}
+}
+
+// PartnerDepth is the number of switch blocks a connection to the k-th of
+// a node's deg partners traverses inside the node's own tree (1 when it
+// lands on the root block, 2 on a child block, ...). It panics when k is
+// outside [0,deg).
+func PartnerDepth(k, deg, blockSize int) int {
+	checkPartnerIndex(k, deg)
+	var cum [maxTreeLevels]int
+	return slotDepth(cum[:partnerSlots(cum[:], deg, blockSize)], k)
 }

@@ -402,6 +402,35 @@ type Plan struct {
 	Procs      int
 	Assignment *hfast.Assignment
 	Wiring     *hfast.Wiring
+	// Summary holds the figures every rendering of the plan reports. A
+	// plan is immutable once built, so they are worked out with it and a
+	// cached plan is served without analysing it again.
+	Summary PlanSummary
+}
+
+// PlanSummary is what Assignment.Ports, Assignment.MaxRoute,
+// CircuitSwitch.Ports and CircuitSwitch.LitPorts return for a plan.
+type PlanSummary struct {
+	Ports       hfast.PortUsage
+	MaxRoute    hfast.Route
+	SwitchPorts int
+	LitPorts    int
+}
+
+// newPlan wires the assignment and summarises the result. Both ways a
+// plan comes into being — the plan stage's build and DecodeArtifact — go
+// through it, so a peer-filled plan carries what a local one does.
+func newPlan(app string, procs int, a *hfast.Assignment) (*Plan, error) {
+	w, err := hfast.Wire(a)
+	if err != nil {
+		return nil, err
+	}
+	return &Plan{App: app, Procs: procs, Assignment: a, Wiring: w, Summary: PlanSummary{
+		Ports:       a.Ports(),
+		MaxRoute:    a.MaxRoute(),
+		SwitchPorts: w.Switch.Ports(),
+		LitPorts:    w.Switch.LitPorts(),
+	}}, nil
 }
 
 // Plan resolves the full wiring plan for the referenced profile.
@@ -418,11 +447,11 @@ func (pl *Pipeline) Plan(ctx context.Context, ref ProfileRef, f Filter, cutoff, 
 		if err != nil {
 			return nil, err
 		}
-		w, err := hfast.Wire(a)
+		p, err := newPlan(prof.App, prof.Procs, a)
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: wire %s: %w", ref.describe(), err)
 		}
-		return &Plan{App: prof.App, Procs: prof.Procs, Assignment: a, Wiring: w}, nil
+		return p, nil
 	})
 	if err != nil {
 		return nil, how, err

@@ -17,9 +17,10 @@ import (
 // peer-transferred artifact is provably equivalent to a locally built
 // one; internal/pipeline's round-trip property tests pin this per stage.
 
-// planWire is Plan's wire form. The wiring is omitted and re-derived on
-// decode: hfast.Wire is deterministic in its assignment, so the rebuilt
-// plan is identical to the owner's, at a fraction of the transfer size.
+// planWire is Plan's wire form. The wiring and the summary are omitted and
+// re-derived on decode (newPlan): hfast.Wire is deterministic in its
+// assignment, so the rebuilt plan is identical to the owner's, at a
+// fraction of the transfer size.
 type planWire struct {
 	App        string            `json:"app"`
 	Procs      int               `json:"procs"`
@@ -97,6 +98,9 @@ func DecodeArtifact(stage string, data []byte) (any, error) {
 		if err := json.Unmarshal(data, a); err != nil {
 			return fail(err)
 		}
+		if err := a.Validate(); err != nil {
+			return fail(err)
+		}
 		return a, nil
 	case StagePlan:
 		var w planWire
@@ -106,11 +110,14 @@ func DecodeArtifact(stage string, data []byte) (any, error) {
 		if w.Assignment == nil {
 			return fail(fmt.Errorf("plan wire form has no assignment"))
 		}
-		wiring, err := hfast.Wire(w.Assignment)
+		if err := w.Assignment.Validate(); err != nil {
+			return fail(err)
+		}
+		p, err := newPlan(w.App, w.Procs, w.Assignment)
 		if err != nil {
 			return fail(err)
 		}
-		return &Plan{App: w.App, Procs: w.Procs, Assignment: w.Assignment, Wiring: wiring}, nil
+		return p, nil
 	case StageCompare:
 		var c hfast.Comparison
 		if err := json.Unmarshal(data, &c); err != nil {

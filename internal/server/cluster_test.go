@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -389,5 +390,60 @@ func TestArtifactEndpointDeadline(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Errorf("stalled build answered %d, want 504", resp.StatusCode)
+	}
+}
+
+// TestCorruptPeerPlanFallsBack: a peer that answers the artifact endpoint
+// with plan bytes Wire cannot survive costs the asking replica one local
+// build and nothing else — the same answer a lone server gives, where
+// each of these bodies used to kill the process from the flight goroutine.
+func TestCorruptPeerPlanFallsBack(t *testing.T) {
+	bodies := []string{
+		`{"assignment":{"P":4,"BlockSize":16,"Partners":[[1]],"Blocks":[1]}}`,
+		`{"assignment":{"P":2,"BlockSize":16,"Partners":[[1],[0]],"Blocks":[1,1],"TotalBlocks":0}}`,
+		`{"assignment":{"P":2,"BlockSize":16,"Partners":[[5],[0]],"Blocks":[1,1],"TotalBlocks":2}}`,
+		`{"assignment":{"P":-1,"BlockSize":16,"Partners":[],"Blocks":[],"TotalBlocks":0}}`,
+	}
+	var served atomic.Int64
+	var answer atomic.Value // the body the peer serves for plan keys
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		key := strings.TrimPrefix(r.URL.Path, cluster.ArtifactPathPrefix)
+		if !strings.HasPrefix(key, pipeline.StagePlan+":") {
+			http.NotFound(w, r) // upstream stages: build them yourself
+			return
+		}
+		served.Add(1)
+		w.Write([]byte(answer.Load().(string)))
+	}))
+	defer peer.Close()
+
+	self := "http://127.0.0.1:1" // never dialled: a replica does not fetch from itself
+	s, _ := testServer(t, Config{Workers: 2, Peers: []string{peer.URL, self}, SelfURL: self})
+	alone, _ := testServer(t, Config{Workers: 2})
+	provision := func(srv *Server, spec pipeline.ProfileSpec) string {
+		t.Helper()
+		body := fmt.Sprintf(`{"app":%q,"procs":%d,"steps":%d,"seed":%d}`, spec.App, spec.Procs, spec.Steps, spec.Seed)
+		w := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/provision", strings.NewReader(body)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("provision %+v: status %d: %s", spec, w.Code, w.Body)
+		}
+		return w.Body.String()
+	}
+	for i, body := range bodies {
+		answer.Store(body)
+		// A fresh plan key per body, owned by the corrupt peer.
+		spec := specOwnedBy(t, s.Cluster(), int64(1000*(i+1)), peer.URL)
+		before := served.Load()
+		got := provision(s, spec)
+		if served.Load() == before {
+			t.Fatalf("body %d: the peer was never asked for the plan", i)
+		}
+		if want := provision(alone, spec); got != want {
+			t.Errorf("body %d: answer after a corrupt fill differs from a lone server's:\n got %s\nwant %s", i, got, want)
+		}
+	}
+	if snap := s.Cluster().Metrics().Snapshot(); snap.PeerHits < uint64(len(bodies)) {
+		t.Errorf("peer hits = %d, want the %d corrupt plan bodies counted as fetched", snap.PeerHits, len(bodies))
 	}
 }

@@ -549,8 +549,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 
 func planResponse(p *pipeline.Plan) *ProvisionResponse {
 	a := p.Assignment
-	u := a.Ports()
-	max := a.MaxRoute()
+	u, max := p.Summary.Ports, p.Summary.MaxRoute
 	return &ProvisionResponse{
 		App:           p.App,
 		Procs:         p.Procs,
@@ -565,9 +564,9 @@ func planResponse(p *pipeline.Plan) *ProvisionResponse {
 			Utilization: u.Utilization(),
 		},
 		MaxRoute:    RouteResponse{SBHops: max.SBHops, Crossings: max.Crossings},
-		SwitchPorts: p.Wiring.Switch.Ports(),
-		LitPorts:    p.Wiring.Switch.LitPorts(),
-		Circuits:    p.Wiring.Switch.LitPorts() / 2,
+		SwitchPorts: p.Summary.SwitchPorts,
+		LitPorts:    p.Summary.LitPorts,
+		Circuits:    p.Summary.LitPorts / 2,
 	}
 }
 

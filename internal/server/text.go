@@ -11,13 +11,12 @@ import (
 // a deterministic plain-text summary for terminals and curl.
 func writePlanText(w io.Writer, p *pipeline.Plan) {
 	a := p.Assignment
-	u := a.Ports()
-	max := a.MaxRoute()
+	u, max := p.Summary.Ports, p.Summary.MaxRoute
 	fmt.Fprintf(w, "HFAST wiring plan: %s P=%d cutoff=%dB block=%d\n", p.App, p.Procs, a.Cutoff, a.BlockSize)
 	fmt.Fprintf(w, "  active blocks:   %d total (%.2f per node)\n", a.TotalBlocks, float64(a.TotalBlocks)/float64(a.P))
 	fmt.Fprintf(w, "  active ports:    %d used of %d (%.1f%% utilization)\n", u.UsedActivePorts, u.ActivePorts, 100*u.Utilization())
 	fmt.Fprintf(w, "  passive ports:   %d\n", u.PassivePorts)
-	fmt.Fprintf(w, "  circuit switch:  %d ports, %d lit (%d circuits)\n", p.Wiring.Switch.Ports(), p.Wiring.Switch.LitPorts(), p.Wiring.Switch.LitPorts()/2)
+	fmt.Fprintf(w, "  circuit switch:  %d ports, %d lit (%d circuits)\n", p.Summary.SwitchPorts, p.Summary.LitPorts, p.Summary.LitPorts/2)
 	fmt.Fprintf(w, "  worst route:     %d SB hops, %d crossings\n", max.SBHops, max.Crossings)
 }
 
