@@ -41,10 +41,10 @@ func TestSimulateBatchedAdmissionParity(t *testing.T) {
 	}
 }
 
-// TestBatchedAdmissionAdmitsOncePerGroup white-boxes the fast path's
-// trigger: a same-timestamp arrival group landing on an idle component
-// runs exactly one batched solve, so the storm counter equals the
-// number of such groups — one for a synchronized replay, one per group
+// TestBatchedAdmissionAdmitsOncePerGroup pins the fast path's trigger: a
+// same-timestamp arrival group landing on an idle component runs exactly
+// one batched solve, so Stats.StormBatches equals the number of such
+// groups — one for a synchronized replay, one per group
 // when the component drains between groups, and never for a group that
 // arrives while earlier flows are still active.
 func TestBatchedAdmissionAdmitsOncePerGroup(t *testing.T) {
@@ -60,19 +60,11 @@ func TestBatchedAdmissionAdmitsOncePerGroup(t *testing.T) {
 		return dst
 	}
 	storms := func(flows []Flow) int {
-		e := enginePool.Get().(*engine)
-		defer e.release()
-		if _, _, err := e.build(net, router, flows, nil); err != nil {
+		res, err := Simulate(net, router, flows)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.runScheduled(); err != nil {
-			t.Fatal(err)
-		}
-		total := 0
-		for i := range e.comps {
-			total += e.comps[i].stormAdmits
-		}
-		return total
+		return res.Stats.StormBatches
 	}
 
 	// Synchronized: the whole replay is one t=0 group → one batched solve.

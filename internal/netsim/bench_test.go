@@ -61,21 +61,40 @@ func benchFabrics(tb testing.TB, g *topology.Graph, procs int) map[string]Router
 	}
 }
 
+// staggered is the ledger's `stag` start pattern (bench/netsim.go): each
+// source rank's flows start (Src%16)·100 µs late, so thousands of
+// components are born and merge mid-run where the synchronous replay
+// percolates into one at t=0.
+func staggered(flows []Flow) []Flow {
+	out := append([]Flow(nil), flows...)
+	for i := range out {
+		out[i].Start += float64(out[i].Src%16) * 1e-4
+	}
+	return out
+}
+
+// benchSimulate runs sim over the halo pattern on every fabric at every
+// size, in the ledger's two start modes, so the sub-benchmark names are
+// the netsim_replay rows: <fabric>/P<procs>/<sync|stag>.
 func benchSimulate(b *testing.B, procs []int, sim func(*Network, Router, []Flow) (Result, error)) {
 	for _, procs := range procs {
 		g, flows := haloTraffic(b, procs)
 		routers := benchFabrics(b, g, procs)
+		modes := map[string][]Flow{"sync": flows, "stag": staggered(flows)}
 		for _, name := range []string{"hfast", "fattree", "mesh"} {
 			router := routers[name]
 			net := fabricNetwork(router)
-			b.Run(fmt.Sprintf("%s/P%d", name, procs), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := sim(net, router, flows); err != nil {
-						b.Fatal(err)
+			for _, mode := range []string{"sync", "stag"} {
+				flows := modes[mode]
+				b.Run(fmt.Sprintf("%s/P%d/%s", name, procs, mode), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if _, err := sim(net, router, flows); err != nil {
+							b.Fatal(err)
+						}
 					}
-				}
-			})
+				})
+			}
 		}
 	}
 }
@@ -104,9 +123,7 @@ func TestSimulateUltraDeterminismAtP65536(t *testing.T) {
 		t.Skip("set HFAST_TEST_ULTRA=1 for the P=65536 determinism grid")
 	}
 	g, flows := haloTraffic(t, 65536)
-	for i := range flows {
-		flows[i].Start += float64(flows[i].Src%16) * 1e-4
-	}
+	flows = staggered(flows)
 	routers := benchFabrics(t, g, 65536)
 	for _, name := range []string{"hfast", "fattree", "mesh"} {
 		router := routers[name]

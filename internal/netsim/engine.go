@@ -21,27 +21,80 @@ const completionEpsilon = 1e-3
 // input had many. Every constituent receives the same max-min share, so
 // they finish together and the super-flow's result fans back out through
 // the engine's raw-flow index map. Only cold, per-run-constant data
-// lives here; everything the hot loops touch (rate, remaining, weight,
-// seq, done) is structure-of-arrays state on the engine, so the inner
-// scans walk dense float/int arrays instead of striding through structs.
+// lives here; everything the hot loops touch is the flow's flowRec.
 type superFlow struct {
 	start   float64
 	bytes   float64 // per-constituent size
-	path    []int
-	linkPos []int32 // position of this flow's entry in link's active segment
 	latency float64
 	finish  float64
 }
 
-// heapEntry is a projected completion. Entries are invalidated lazily:
-// when a flow's rate changes, its seq advances and a fresh entry is
-// pushed; stale entries are discarded when popped. Ordering is
-// (time, flow index), so simultaneous completions resolve in flow order
-// and repeated runs are byte-identical.
+// flowRec is a super-flow's hot state, one cache line. No loop scans the
+// flows densely — each reaches a flow by a random index out of a link's
+// ref segment or an affected-set list and then wants most of these
+// fields — so they sit together: a visit costs one line, and flows of
+// link-disjoint components never share one.
+type flowRec struct {
+	remaining float64 // per-constituent bytes left, valid at lastT
+	rate      float64 // current per-constituent max-min share
+	lastT     float64 // time remaining was last settled
+	newRate   float64 // candidate rate of the solve in progress
+	pathOff   int32   // the path is pathLinks[pathOff:][:pathLen]
+	pathLen   int32
+	weight    int32 // coalesced input flows
+	heapPos   int32 // index of the flow's entry in its component's heap, or -1
+	flowMark  int32 // in the affected set A this epoch
+	fixedMark int32 // fixed during this epoch's solve
+	chkMark   int32 // witness-checked this pass
+	done      bool
+}
+
+// linkRec is a link's committed state, within one cache line for the
+// same reason. Active flows live in refs[off:][:n], a CSR-style segment
+// sized at build time to the link's static membership count, so
+// admit/retire never reallocate. s, resid, maxRate and sat describe the
+// committed allocation as of the link's last refresh; stale is set by
+// whatever could make a new refresh read differently (a flow joining or
+// leaving the segment, a member's rate moving), so a clean link's walk
+// would recompute exactly what is stored and is skipped.
+type linkRec struct {
+	bw      float64
+	s       float64 // consumed bandwidth: Σ weight·rate over active flows
+	resid   float64 // unconsumed bandwidth
+	maxRate float64 // largest per-share rate among active flows
+	off, n  int32
+	mark    int32 // in the solve set T this epoch
+	pull    int32 // flows pulled into A this epoch
+	sat     bool  // resid ≤ satSlack·bw, maintained with resid
+	stale   bool
+}
+
+// solveRec is a link's water-filling scratch: the capacity and unfixed
+// weight left for the solve in progress, and their quotient. share is
+// recomputed wherever cap or w is written, so the fill's scans compare
+// a cached cap/w — of the very operands a division at that visit would
+// read — instead of dividing twice per link per round.
+type solveRec struct {
+	cap, share float64
+	w          int32
+}
+
+func shareOf(cap float64, w int32) float64 {
+	if w <= 0 {
+		return math.Inf(1)
+	}
+	return cap / float64(w)
+}
+
+// heapEntry is a flow's projected completion. A component heap holds
+// exactly one entry per flow with a positive rate (flowRec.heapPos
+// indexes it, so a rate change moves the entry in place and retirement
+// removes it). Ordering is (time, flow index), a total order, so
+// simultaneous completions resolve in flow order and repeated runs are
+// byte-identical.
 type heapEntry struct {
 	t    float64
 	flow int32
-	seq  int32
 }
 
 func heapLess(a, b heapEntry) bool {
@@ -51,21 +104,21 @@ func heapLess(a, b heapEntry) bool {
 	return a.flow < b.flow
 }
 
-// linkRef is one active flow's membership in a link's index segment;
-// slot is the index of the link within the flow's path, so removals can
-// fix up the moved entry's back-pointer in O(1).
-type linkRef struct{ flow, slot int32 }
+// linkRef is one active flow's membership in a link's ref segment; pos
+// is the index of the flow's back-pointer in pathPos, so a swap-remove
+// fixes up the moved entry in O(1) without loading its flow.
+type linkRef struct{ flow, pos int32 }
 
 // compState is one component timeline: the event heap, clock, arrival
 // cursor, epoch counters, and recompute scratch of a single connected
 // component of flows. Components partition both the flows and the links
 // they touch (scheduler.go), so every compState reads and writes a
-// disjoint index set of the engine's shared structure-of-arrays slabs —
-// which is what lets the scheduler advance component timelines
-// concurrently with no copying and no locks, and what makes a runtime
-// merge of two components a cheap bookkeeping splice (heaps concatenate,
-// arrival tails interleave, counters add; every per-flow and per-link
-// slab entry is already where the merged timeline needs it).
+// disjoint set of the engine's shared flow and link records — which is
+// what lets the scheduler advance component timelines concurrently with
+// no copying and no locks, and what makes a runtime merge of two
+// components a cheap bookkeeping splice (heaps concatenate, arrival
+// tails interleave, counters add; every flow and link record is already
+// where the merged timeline needs it).
 type compState struct {
 	id     int32
 	nFlows int // super-flows assigned to this component, processed or not
@@ -78,12 +131,18 @@ type compState struct {
 
 	now         float64
 	activeCount int
-	events      int
 	maxEvents   int
 
-	// Epoch counters stamp the engine's shared mark slabs; component
-	// disjointness keeps concurrent stamps from colliding, and a merged
-	// component resumes from the max of its parents' counters.
+	// stats counts what this timeline did (stats.Events is also the
+	// event-cap counter); a merged component starts from its children's
+	// sums. Bumped once per event, pass or solve, on the component's own
+	// goroutine, so every figure is a pure function of the problem.
+	stats Stats
+
+	// Epoch counters stamp the marks in the shared flow and link records.
+	// build zeroes every mark and real epochs are strictly positive;
+	// component disjointness keeps concurrent stamps from colliding, and
+	// a merged component resumes from the max of its parents' counters.
 	epoch    int32
 	chkEpoch int32
 
@@ -126,11 +185,6 @@ type compState struct {
 	shardSkip    int
 	shardBackoff int
 
-	// stormAdmits counts batched-admission fast-path solves (one per
-	// same-timestamp arrival group landing on an idle component) for the
-	// white-box admission tests.
-	stormAdmits int
-
 	merged bool // absorbed into a merge; no longer runnable
 }
 
@@ -141,60 +195,30 @@ type compState struct {
 // size the pool has seen before allocates only what the routers return.
 //
 // Between events the engine maintains, per link, the consumed bandwidth
-// (linkS), the residual slack (linkResid) and the largest per-share flow
-// rate (linkMaxRate) of the committed allocation. These are what make
-// recompute local: an event re-solves only the flows on the links it
-// touched, and the stored slack/max-rate of every other link certifies —
-// via the max-min bottleneck property — that untouched flows keep their
-// rates.
+// (s), the residual slack (resid) and the largest per-share flow rate
+// (maxRate) of the committed allocation. These are what make recompute
+// local: an event re-solves only the flows on the links it touched, and
+// the stored slack/max-rate of every other link certifies — via the
+// max-min bottleneck property — that untouched flows keep their rates.
 //
 // Per-timeline state lives in compState: the scheduler (scheduler.go)
 // partitions the flows into link-disjoint connected components, each
-// advanced by its own compState over these shared slabs.
+// advanced by its own compState over these shared records.
 type engine struct {
-	sims []superFlow
+	sims  []superFlow
+	flows []flowRec // hot per-flow state, indexed by super-flow
+	links []linkRec
+	sol   []solveRec // per-link water-filling scratch
 
-	// Hot per-flow state, indexed by super-flow.
-	remaining []float64 // per-constituent bytes left, valid at lastT
-	rate      []float64 // current per-constituent max-min share
-	lastT     []float64 // time remaining was last settled
-	weight    []int32   // coalesced input flows
-	seq       []int32   // generation of the flow's live heap entry
-	done      []bool
-	flowShard []int32 // region whose links cover the whole path, or -1
+	// Paths, CSR over super-flows: flow f crosses pathLinks[f.pathOff:]
+	// [:f.pathLen], and pathPos holds, at the same index, the position of
+	// f's entry in that link's ref segment.
+	pathLinks []int32
+	pathPos   []int32
+	refs      []linkRef
 
-	// Per-link state. Active flows live in refs[linkOff[l]:][:linkLen[l]],
-	// a CSR-style segment sized at build time to the link's static
-	// membership count, so admit/retire never reallocate.
-	linkBW     []float64
-	refs       []linkRef
-	linkOff    []int32
-	linkLen    []int32
-	linkWeight []int32
-	posSlab    []int32
-
-	// Committed-allocation state per link.
-	linkS       []float64 // consumed bandwidth: Σ weight·rate over active flows
-	linkResid   []float64 // unconsumed bandwidth
-	linkMaxRate []float64 // largest per-share rate among active flows
-	linkSat     []uint8   // 1 iff resid ≤ satSlack·bw, maintained with linkResid
-
-	// Epoch-stamped recompute scratch. Component timelines stamp these
-	// with their own counters; disjointness keeps the stamps from
-	// colliding, and epochHW is the engine-wide high-water mark new
-	// components start above.
-	epochHW  int32
-	linkMark []int32 // link is in the solve set T this epoch
-	linkPull []int32 // link's flows have been pulled into A this epoch
-	flowMark []int32 // flow is in the affected set A this epoch
-
-	// Water-filling scratch.
-	linkCap   []float64
-	linkW     []int32
-	fixedMark []int32 // flow fixed during this epoch's solve
-	newRate   []float64
 	oldRate   []float64 // rate at the moment the flow joined A
-	chkMark   []int32   // flow witness-checked this pass
+	flowShard []int32   // region whose links cover the whole path, or -1
 
 	// Region sharding (shard.go). nShards > 1 turns on the sharded
 	// water-fill for large affected sets: the affected set is split into
@@ -202,10 +226,10 @@ type engine struct {
 	// component timeline may shard its solves — the union-find and
 	// bucket scratch live on the compState, and the per-link owner slabs
 	// below are safe to share because components touch disjoint links
-	// (each solve clears its own queue's owner marks during capacity
+	// (each solve clears its own queue's owner marks after capacity
 	// prep, so the slabs carry no state between solves).
 	nShards       int
-	linkRegion    []int32 // region id per link, or -1 (hinter-owned)
+	linkRegion    []int32 // region id per link, or -1 (hinter-owned, read-only)
 	linkOwner     []int32 // first boundary flow seen on a regionless link
 	linkOwnerMark []int32 // owner stamped during the current solve
 
@@ -246,32 +270,18 @@ type groupKey struct {
 // heap backing array, and the coalescing map — across Simulate calls.
 var enginePool = sync.Pool{New: func() any { return new(engine) }}
 
-func growF64(s []float64, n int) []float64 {
+// grow reslices s to n elements, reallocating only past its high-water
+// capacity. Reused elements keep whatever an earlier run left in them.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
 
-func growI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func growBool(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
-}
-
-func growU8(s []uint8, n int) []uint8 {
-	if cap(s) < n {
-		return make([]uint8, n)
-	}
-	return s[:n]
+// path is flow f's link list.
+func (e *engine) path(f *flowRec) []int32 {
+	return e.pathLinks[f.pathOff : f.pathOff+f.pathLen]
 }
 
 // Simulate runs the progressive-filling model: at every arrival or
@@ -321,12 +331,8 @@ func simulateRegions(res *Result, net *Network, router Router, flows []Flow, reg
 		return err
 	}
 
-	if cap(res.Flows) >= len(flows) {
-		res.Flows = res.Flows[:len(flows)]
-	} else {
-		res.Flows = make([]FlowResult, len(flows))
-	}
-	res.Makespan, res.Unroutable, res.MaxLinkBytes = 0, unroutable, maxLinkBytes
+	res.Flows = grow(res.Flows, len(flows))
+	res.Makespan, res.Unroutable, res.MaxLinkBytes, res.Stats = 0, unroutable, maxLinkBytes, e.stats()
 	for i := range flows {
 		si := e.simIdx[i]
 		if si < 0 {
@@ -340,6 +346,19 @@ func simulateRegions(res *Result, net *Network, router Router, flows []Flow, reg
 		}
 	}
 	return nil
+}
+
+// stats folds the surviving timelines' counters (a merged component
+// already carries its children's) into a finished replay's Stats. Every
+// spliced merge added one component to the ones partition built.
+func (e *engine) stats() Stats {
+	st := Stats{SuperFlows: len(e.sims), Components: len(e.comps) - len(e.mergeNodes), Merges: len(e.mergeNodes)}
+	for i := range e.comps {
+		if c := &e.comps[i]; !c.merged {
+			st.add(&c.stats)
+		}
+	}
+	return st
 }
 
 // routeChunk is the fixed flow-count grid the routing fan-out splits
@@ -356,10 +375,10 @@ const routeChunk = 4096
 func (e *engine) build(net *Network, router Router, flows []Flow, regions []int32) (unroutable int, maxLinkBytes float64, err error) {
 	nLinks := net.Links()
 	nf := len(flows)
-	e.paths = growPaths(e.paths, nf)
-	e.lats = growF64(e.lats, nf)
-	e.routedOK = growBool(e.routedOK, nf)
-	e.simIdx = growI32(e.simIdx, nf)
+	e.paths = grow(e.paths, nf)
+	e.lats = grow(e.lats, nf)
+	e.routedOK = grow(e.routedOK, nf)
+	e.simIdx = grow(e.simIdx, nf)
 	if ar, ok := router.(AppendRouter); ok {
 		// Route into per-chunk arenas: the fabric appends each path to the
 		// chunk's slab instead of allocating one slice per call. Slab
@@ -392,31 +411,29 @@ func (e *engine) build(net *Network, router Router, flows []Flow, regions []int3
 		})
 	}
 
-	e.linkBytes = growF64(e.linkBytes, nLinks)
+	e.linkBytes = grow(e.linkBytes, nLinks)
 	clear(e.linkBytes)
 	if e.groups == nil {
 		e.groups = make(map[groupKey]int32, nf)
 	} else {
 		clear(e.groups)
 	}
-	// Super-flows are bounded by the raw flow count: pre-size once so a
-	// cold storm-scale build pays one allocation instead of a doubling
-	// cascade (the P=65536 halo grew e.sims through ~160 MB of retired
-	// backing arrays before this).
-	if cap(e.sims) < nf {
-		e.sims = make([]superFlow, 0, nf)
-	} else {
-		e.sims = e.sims[:0]
+	// Super-flows are bounded by the raw flow count and their paths by the
+	// routed total: pre-size once so a cold storm-scale build pays one
+	// allocation each instead of a doubling cascade (the P=65536 halo
+	// grew e.sims through ~160 MB of retired backing arrays before this).
+	routed := 0
+	for i := range flows {
+		if e.routedOK[i] {
+			routed += len(e.paths[i])
+		}
 	}
-	if cap(e.weight) < nf {
-		e.weight = make([]int32, 0, nf)
-	} else {
-		e.weight = e.weight[:0]
-	}
-	pathTotal := 0
+	e.sims = grow(e.sims, nf)[:0]
+	e.flows = grow(e.flows, nf)[:0]
+	e.pathLinks = grow(e.pathLinks, routed)[:0]
 	for i, f := range flows {
-		if f.Bytes < 0 {
-			return 0, 0, fmt.Errorf("netsim: flow %d has negative size", i)
+		if err := validateFlow(i, f, e.lats[i], e.routedOK[i]); err != nil {
+			return 0, 0, err
 		}
 		if !e.routedOK[i] {
 			e.simIdx[i] = -1
@@ -432,19 +449,24 @@ func (e *engine) build(net *Network, router Router, flows []Flow, regions []int3
 		}
 		k := groupKey{f.Src, f.Dst, f.Start, f.Bytes}
 		if gi, ok := e.groups[k]; ok {
-			e.weight[gi]++
+			e.flows[gi].weight++
 			e.simIdx[i] = gi
 			continue
 		}
 		gi := int32(len(e.sims))
 		e.groups[k] = gi
 		e.simIdx[i] = gi
-		e.sims = append(e.sims, superFlow{
-			start: f.Start, bytes: float64(f.Bytes),
-			path: path, latency: e.lats[i], finish: -1,
+		e.sims = append(e.sims, superFlow{start: f.Start, bytes: float64(f.Bytes), latency: e.lats[i], finish: -1})
+		// The router's []int path is copied once into the int32 CSR. The
+		// whole record is written, so a pooled engine's marks, heap index
+		// and done flag never leak into this run.
+		e.flows = append(e.flows, flowRec{
+			remaining: float64(f.Bytes), weight: 1, heapPos: -1,
+			pathOff: int32(len(e.pathLinks)), pathLen: int32(len(path)),
 		})
-		e.weight = append(e.weight, 1)
-		pathTotal += len(path)
+		for _, l := range path {
+			e.pathLinks = append(e.pathLinks, int32(l))
+		}
 	}
 	for _, b := range e.linkBytes[:nLinks] {
 		if b > maxLinkBytes {
@@ -453,92 +475,32 @@ func (e *engine) build(net *Network, router Router, flows []Flow, regions []int3
 	}
 
 	ns := len(e.sims)
-	e.remaining = growF64(e.remaining, ns)
-	e.rate = growF64(e.rate, ns)
-	e.lastT = growF64(e.lastT, ns)
-	e.seq = growI32(e.seq, ns)
-	e.done = growBool(e.done, ns)
-	e.newRate = growF64(e.newRate, ns)
-	e.oldRate = growF64(e.oldRate, ns)
-	e.flowShard = growI32(e.flowShard, ns)
-	for i := range e.sims {
-		e.remaining[i] = e.sims[i].bytes
-		e.rate[i], e.lastT[i] = 0, 0
-		e.seq[i] = 0
-		e.done[i] = false
-	}
+	e.oldRate = grow(e.oldRate, ns)
+	e.flowShard = grow(e.flowShard, ns)
+	e.pathPos = grow(e.pathPos, len(e.pathLinks))
+	e.refs = grow(e.refs, len(e.pathLinks))
+	e.sol = grow(e.sol, nLinks)
+	e.linkOwner = grow(e.linkOwner, nLinks)
+	e.linkOwnerMark = grow(e.linkOwnerMark, nLinks)
 
-	// Epoch-stamped scratch: stamps from earlier runs are stale but can
-	// never collide while epochs only grow, so reused memory needs no
-	// clearing. Grown memory arrives zeroed, which reads as "epoch 0" —
-	// keep real epochs strictly positive.
-	if e.epochHW > 1<<30 {
-		e.epochHW = 0
-		clearI32 := func(s []int32) { clear(s[:cap(s)]) }
-		clearI32(e.linkMark[:0])
-		clearI32(e.linkPull[:0])
-		clearI32(e.flowMark[:0])
-		clearI32(e.fixedMark[:0])
-		clearI32(e.chkMark[:0])
-	}
-	e.flowMark = growI32(e.flowMark, ns)
-	e.fixedMark = growI32(e.fixedMark, ns)
-	e.chkMark = growI32(e.chkMark, ns)
-
-	e.linkBW = growF64(e.linkBW, nLinks)
-	e.linkS = growF64(e.linkS, nLinks)
-	e.linkResid = growF64(e.linkResid, nLinks)
-	e.linkMaxRate = growF64(e.linkMaxRate, nLinks)
-	e.linkSat = growU8(e.linkSat, nLinks)
-	e.linkOff = growI32(e.linkOff, nLinks)
-	e.linkLen = growI32(e.linkLen, nLinks)
-	e.linkWeight = growI32(e.linkWeight, nLinks)
-	e.linkCap = growF64(e.linkCap, nLinks)
-	e.linkW = growI32(e.linkW, nLinks)
-	e.linkMark = growI32(e.linkMark, nLinks)
-	e.linkPull = growI32(e.linkPull, nLinks)
-	e.linkOwner = growI32(e.linkOwner, nLinks)
-	e.linkOwnerMark = growI32(e.linkOwnerMark, nLinks)
-	for l := 0; l < nLinks; l++ {
+	// Link records start as refreshLink would leave an empty link — so
+	// "clean" is true of every link from t=0 — with marks zeroed. CSR link
+	// membership: each link's segment capacity is its static flow count,
+	// so the active sets never move after this.
+	e.links = grow(e.links, nLinks)
+	for l := range e.links {
 		bw := net.links[l].Bandwidth
-		e.linkBW[l] = bw
-		e.linkS[l] = 0
-		e.linkResid[l] = bw
-		e.linkMaxRate[l] = 0
-		if bw <= satSlack*bw {
-			e.linkSat[l] = 1
-		} else {
-			e.linkSat[l] = 0
-		}
-		e.linkLen[l] = 0
-		e.linkWeight[l] = 0
+		e.links[l] = linkRec{bw: bw, resid: bw, sat: bw <= satSlack*bw}
 	}
-
-	// CSR link membership: each link's segment capacity is its static
-	// flow count, so the active sets never move after this.
-	cnt := e.linkLen // reuse as a counter, reset below
-	for i := range e.sims {
-		for _, l := range e.sims[i].path {
-			cnt[l]++
-		}
+	for _, l := range e.pathLinks {
+		e.links[l].n++
 	}
 	off := int32(0)
-	for l := 0; l < nLinks; l++ {
-		e.linkOff[l] = off
-		off += cnt[l]
-		cnt[l] = 0
-	}
-	if cap(e.refs) < int(off) {
-		e.refs = make([]linkRef, off)
-	} else {
-		e.refs = e.refs[:off]
-	}
-	e.posSlab = growI32(e.posSlab, pathTotal)
-	po := 0
-	for i := range e.sims {
-		n := len(e.sims[i].path)
-		e.sims[i].linkPos = e.posSlab[po : po+n : po+n]
-		po += n
+	for l := range e.links {
+		lk := &e.links[l]
+		lk.off = off
+		off += lk.n
+		lk.n = 0
 	}
 
 	e.initShards(regions, nLinks)
@@ -546,21 +508,10 @@ func (e *engine) build(net *Network, router Router, flows []Flow, regions []int3
 	return unroutable, maxLinkBytes, nil
 }
 
-func growPaths(s [][]int, n int) [][]int {
-	if cap(s) < n {
-		return make([][]int, n)
-	}
-	return s[:n]
-}
-
-// release scrubs the references into router-owned path memory so the
-// pooled engine never pins a previous run's routes, then returns the
-// engine to the pool.
+// release drops the references into router-owned memory (paths, the
+// region table) so the pooled engine never pins a previous run's routes,
+// then returns the engine to the pool.
 func (e *engine) release() {
-	for i := range e.sims {
-		e.sims[i].path = nil
-		e.sims[i].linkPos = nil
-	}
 	clear(e.paths)
 	e.linkRegion = nil
 	enginePool.Put(e)
@@ -582,74 +533,53 @@ func maxEventCap(superFlows int) int { return 3*superFlows + 64 }
 // epoch runs with horizon = +Inf, which is where an event drought with
 // live flows becomes a stall error.
 func (e *engine) run(c *compState, horizon float64) error {
+	due := func() bool {
+		return c.next < len(c.order) && e.sims[c.order[c.next]].start <= c.now+1e-15
+	}
 	for {
-		// Discard stale heap entries, then pick the next event: the
-		// earliest pending arrival or projected completion.
-		for len(c.heap) > 0 {
-			top := c.heap[0]
-			if e.seq[top.flow] == top.seq && !e.done[top.flow] {
-				break
-			}
-			c.heapPop()
-		}
-		tNext := math.Inf(1)
-		if c.next < len(c.order) {
-			tNext = e.sims[c.order[c.next]].start
-		}
-		if len(c.heap) > 0 && c.heap[0].t < tNext {
-			tNext = c.heap[0].t
-		}
+		// The next event: the earliest pending arrival or projected
+		// completion.
+		tNext := e.peek(c)
 		if tNext >= horizon {
 			if math.IsInf(horizon, 1) && c.activeCount > 0 {
 				return fmt.Errorf("netsim: component %d: %d flows stalled with zero rate after %d events (cap %d, t=%.6g, horizon=%g)",
-					c.id, c.activeCount, c.events, c.maxEvents, c.now, horizon)
+					c.id, c.activeCount, c.stats.Events, c.maxEvents, c.now, horizon)
 			}
 			return nil
 		}
-		c.events++
-		if c.events > c.maxEvents {
+		c.stats.Events++
+		if c.stats.Events > c.maxEvents {
 			return fmt.Errorf("netsim: component %d: no progress after %d events (cap %d for %d coalesced flows, t=%.6g, horizon=%g, %d active)",
-				c.id, c.events, c.maxEvents, c.nFlows, c.now, horizon, c.activeCount)
+				c.id, c.stats.Events, c.maxEvents, c.nFlows, c.now, horizon, c.activeCount)
 		}
 		c.now = tNext
 
-		// Retire every flow whose live projection lands on this event
-		// time — the whole simultaneous batch, in flow-index order.
+		// Retire every flow whose projection lands on this event time —
+		// the whole simultaneous batch, in flow-index order (retire takes
+		// the flow's entry out of the heap).
 		c.seeds = c.seeds[:0]
-		for len(c.heap) > 0 {
-			top := c.heap[0]
-			if e.seq[top.flow] != top.seq || e.done[top.flow] {
-				c.heapPop()
-				continue
-			}
-			if top.t > c.now {
-				break
-			}
-			c.heapPop()
-			e.retire(c, top.flow, true)
+		for len(c.heap) > 0 && c.heap[0].t <= c.now {
+			e.retire(c, c.heap[0].flow, true)
 		}
 		// Admit arrivals due now. A same-timestamp group landing on an
 		// idle component — no surviving flows, nothing retired at this
 		// instant — is an admission storm (t=0 of a synchronized replay
 		// being the giant case): the whole group seeds one batched solve
 		// with no frozen background, so the per-event witness machinery
-		// is skipped entirely (recomputeStorm). Any other event admits
-		// through the general seed-driven recompute.
-		if c.activeCount == 0 && len(c.seeds) == 0 &&
-			c.next < len(c.order) && e.sims[c.order[c.next]].start <= c.now+1e-15 {
-			lo := c.next
-			for c.next < len(c.order) && e.sims[c.order[c.next]].start <= c.now+1e-15 {
-				e.admitQuiet(c, c.order[c.next])
-				c.next++
+		// is skipped entirely (recomputeStorm). Any other event seeds the
+		// general recompute with every path link of every arrival.
+		storm := c.activeCount == 0 && len(c.seeds) == 0 && due()
+		lo := c.next
+		for ; due(); c.next++ {
+			fi := c.order[c.next]
+			e.admit(c, fi)
+			if !storm {
+				c.seeds = append(c.seeds, e.path(&e.flows[fi])...)
 			}
+		}
+		if storm {
 			e.recomputeStorm(c, c.order[lo:c.next])
-			continue
-		}
-		for c.next < len(c.order) && e.sims[c.order[c.next]].start <= c.now+1e-15 {
-			e.admit(c, c.order[c.next])
-			c.next++
-		}
-		if len(c.seeds) > 0 {
+		} else if len(c.seeds) > 0 {
 			e.recompute(c)
 		}
 	}
@@ -657,95 +587,68 @@ func (e *engine) run(c *compState, horizon float64) error {
 
 // activeRefs is link l's active-flow segment.
 func (e *engine) activeRefs(l int32) []linkRef {
-	off := e.linkOff[l]
-	return e.refs[off : off+e.linkLen[l]]
+	lk := &e.links[l]
+	return e.refs[lk.off : lk.off+lk.n]
 }
 
 // retire finalizes a flow at the current time: any sub-epsilon residue
 // is rounding noise from the projection, so remaining is forced to zero.
-// The flow leaves every per-link segment immediately — it can never be
-// drained or counted again — and its links seed the next recompute.
+// The flow leaves the heap and every per-link segment immediately — it
+// can never be drained or counted again — and its links seed the next
+// recompute.
 func (e *engine) retire(c *compState, fi int32, seed bool) {
-	sf := &e.sims[fi]
-	e.remaining[fi] = 0
-	e.done[fi] = true
-	sf.finish = c.now + sf.latency
-	e.seq[fi]++
+	f := &e.flows[fi]
+	f.remaining = 0
+	f.done = true
+	e.sims[fi].finish = c.now + e.sims[fi].latency
+	e.heapRemove(c, fi)
 	c.activeCount--
-	w := e.weight[fi]
-	drop := float64(w) * e.rate[fi]
-	for k, l := range sf.path {
-		base := e.linkOff[l]
-		p := base + sf.linkPos[k]
-		last := base + e.linkLen[l] - 1
-		moved := e.refs[last]
-		e.refs[p] = moved
-		e.linkLen[l]--
-		if moved.flow != fi || moved.slot != int32(k) {
-			e.sims[moved.flow].linkPos[moved.slot] = p - base
-		}
-		e.linkWeight[l] -= w
-		e.linkS[l] -= drop
-		if seed {
-			c.seeds = append(c.seeds, int32(l))
-		}
+	drop := float64(f.weight) * f.rate
+	path := e.path(f)
+	for k, l := range path {
+		lk := &e.links[l]
+		lk.n--
+		p := e.pathPos[f.pathOff+int32(k)]
+		moved := e.refs[lk.off+lk.n]
+		e.refs[lk.off+p] = moved
+		e.pathPos[moved.pos] = p
+		lk.s -= drop
+		lk.stale = true
 	}
-	e.rate[fi] = 0
+	if seed {
+		c.seeds = append(c.seeds, path...)
+	}
+	f.rate = 0
 }
 
-// admit activates an arriving flow and seeds its links.
+// admit activates an arriving flow on every link of its path. Seeding is
+// the caller's: the batched-admission path (recomputeStorm) derives its
+// solve set from the whole batch at once.
 func (e *engine) admit(c *compState, fi int32) {
-	sf := &e.sims[fi]
-	e.rate[fi] = 0
-	e.lastT[fi] = c.now
+	f := &e.flows[fi]
+	f.rate = 0
+	f.lastT = c.now
 	c.activeCount++
-	w := e.weight[fi]
-	for k, l := range sf.path {
-		p := e.linkLen[l]
-		sf.linkPos[k] = p
-		e.refs[e.linkOff[l]+p] = linkRef{flow: fi, slot: int32(k)}
-		e.linkLen[l]++
-		e.linkWeight[l] += w
-		c.seeds = append(c.seeds, int32(l))
-	}
-}
-
-// admitQuiet is admit without seeding: the batched-admission path
-// (recomputeStorm) derives its solve set from the whole batch at once,
-// so per-flow seed appends — one per path link, the t=0 storm's single
-// largest allocation churn — are skipped.
-func (e *engine) admitQuiet(c *compState, fi int32) {
-	sf := &e.sims[fi]
-	e.rate[fi] = 0
-	e.lastT[fi] = c.now
-	c.activeCount++
-	w := e.weight[fi]
-	for k, l := range sf.path {
-		p := e.linkLen[l]
-		sf.linkPos[k] = p
-		e.refs[e.linkOff[l]+p] = linkRef{flow: fi, slot: int32(k)}
-		e.linkLen[l]++
-		e.linkWeight[l] += w
+	for k, l := range e.path(f) {
+		lk := &e.links[l]
+		pos := f.pathOff + int32(k)
+		e.pathPos[pos] = lk.n
+		e.refs[lk.off+lk.n] = linkRef{flow: fi, pos: pos}
+		lk.n++
+		lk.stale = true
 	}
 }
 
 // satSlack is the residual under which a link counts as saturated, and
 // rateBand the relative band within which two rates count equal, for the
 // bottleneck-witness check. Both are far above float noise and far below
-// any real rate difference the traffic models produce.
+// any real rate difference the traffic models produce. The verdict is
+// precomputed into linkRec.sat wherever resid is written (build,
+// refreshLink): the witness machinery asks it per flow × path link.
 const (
 	satSlack = 1e-9
 	rateBand = 1e-9
 )
-
-// saturated reports whether link l has no meaningful slack left. The
-// verdict is precomputed into a byte wherever linkResid is written
-// (build, refreshLink): the witness machinery asks this per flow × path
-// link, so a byte load here beats re-deriving the float comparison
-// millions of times per storm-scale recompute.
-func (e *engine) saturated(l int32) bool {
-	return e.linkSat[l] != 0
-}
 
 // pullLink adds l to the solve set and pulls every flow on it into the
 // affected set A. Flows are only marked here; settleNew drains them to
@@ -754,17 +657,18 @@ func (e *engine) saturated(l int32) bool {
 // separate).
 func (e *engine) pullLink(c *compState, l int32) {
 	ep := c.epoch
-	if e.linkPull[l] == ep {
+	lk := &e.links[l]
+	if lk.pull == ep {
 		return
 	}
-	e.linkPull[l] = ep
-	if e.linkMark[l] != ep {
-		e.linkMark[l] = ep
+	lk.pull = ep
+	if lk.mark != ep {
+		lk.mark = ep
 		c.queue = append(c.queue, l)
 	}
-	for _, ref := range e.activeRefs(l) {
-		if e.flowMark[ref.flow] != ep {
-			e.flowMark[ref.flow] = ep
+	for _, ref := range e.refs[lk.off : lk.off+lk.n] {
+		if f := &e.flows[ref.flow]; f.flowMark != ep {
+			f.flowMark = ep
 			c.compFlows = append(c.compFlows, ref.flow)
 		}
 	}
@@ -778,22 +682,23 @@ func (e *engine) settleNew(c *compState, settled int) int {
 	ep := c.epoch
 	for ; settled < len(c.compFlows); settled++ {
 		fi := c.compFlows[settled]
-		if e.done[fi] {
+		f := &e.flows[fi]
+		if f.done {
 			continue
 		}
-		if e.rate[fi] > 0 && c.now > e.lastT[fi] {
-			e.remaining[fi] -= e.rate[fi] * (c.now - e.lastT[fi])
+		if f.rate > 0 && c.now > f.lastT {
+			f.remaining -= f.rate * (c.now - f.lastT)
 		}
-		e.lastT[fi] = c.now
-		e.oldRate[fi] = e.rate[fi]
-		if e.remaining[fi] < completionEpsilon {
+		f.lastT = c.now
+		e.oldRate[fi] = f.rate
+		if f.remaining < completionEpsilon {
 			e.retire(c, fi, true)
 			continue
 		}
-		for _, l := range e.sims[fi].path {
-			if e.linkMark[l] != ep {
-				e.linkMark[l] = ep
-				c.queue = append(c.queue, int32(l))
+		for _, l := range e.path(f) {
+			if lk := &e.links[l]; lk.mark != ep {
+				lk.mark = ep
+				c.queue = append(c.queue, l)
 			}
 		}
 	}
@@ -827,36 +732,49 @@ func (e *engine) solve(c *compState) int {
 	return e.solveAffected(c)
 }
 
-// solveAffected is the flat water-fill: every frozen flow is fixed
-// background consumption, so a link's capacity for the solve is its
-// bandwidth minus the committed consumption of flows outside A. The fix
-// step is link-driven — every affected flow crossing a within-epsilon
-// bottleneck link is fixed at the bottleneck share by walking those
-// links' segments — so a solve costs O(|A|·pathlen + |T|·rounds),
-// independent of network size. Returns the live affected-flow count.
-func (e *engine) solveAffected(c *compState) int {
+// prepSolve sets up the solve scratch of every solve-set link: every
+// frozen flow is fixed background consumption, so a link's capacity for
+// the solve is its bandwidth minus the committed consumption of flows
+// outside A, and its weight the live affected flows crossing it. Returns
+// the live affected-flow count.
+func (e *engine) prepSolve(c *compState) int {
 	for _, l := range c.queue {
-		e.linkCap[l] = e.linkBW[l] - e.linkS[l]
-		e.linkW[l] = 0
+		e.sol[l] = solveRec{cap: e.links[l].bw - e.links[l].s}
 	}
 	live := 0
 	for _, fi := range c.compFlows {
-		if e.done[fi] {
+		f := &e.flows[fi]
+		if f.done {
 			continue
 		}
 		live++
-		e.fixedMark[fi] = 0
-		w := float64(e.weight[fi])
-		for _, l := range e.sims[fi].path {
-			e.linkCap[l] += w * e.rate[fi]
-			e.linkW[l] += e.weight[fi]
+		f.fixedMark = 0
+		own := float64(f.weight) * f.rate
+		for _, l := range e.path(f) {
+			e.sol[l].cap += own
+			e.sol[l].w += f.weight
 		}
 	}
 	for _, l := range c.queue {
-		if e.linkCap[l] < 0 {
-			e.linkCap[l] = 0
+		sr := &e.sol[l]
+		if sr.cap < 0 {
+			sr.cap = 0
 		}
+		sr.share = shareOf(sr.cap, sr.w)
 	}
+	c.stats.SolvePasses++
+	c.stats.AffectedFlows += live
+	c.stats.SolveLinks += len(c.queue)
+	return live
+}
+
+// solveAffected is the flat water-fill. The fix step is link-driven —
+// every affected flow crossing a within-epsilon bottleneck link is fixed
+// at the bottleneck share by walking those links' segments — so a solve
+// costs O(|A|·pathlen + |T|·rounds), independent of network size.
+// Returns the live affected-flow count.
+func (e *engine) solveAffected(c *compState) int {
+	live := e.prepSolve(c)
 	c.fillLinks = append(c.fillLinks[:0], c.queue...)
 	e.fill(c, c.fillLinks, c.compFlows, live)
 	return live
@@ -868,6 +786,18 @@ func (e *engine) solveAffected(c *compState) int {
 // can force small fills through the parallel reduction.
 var fillParMin = 8192
 
+// minShare is the smallest cached share over links; a link with no
+// unfixed weight holds +Inf.
+func (e *engine) minShare(links []int32) float64 {
+	m := math.Inf(1)
+	for _, l := range links {
+		if s := e.sol[l].share; s < m {
+			m = s
+		}
+	}
+	return m
+}
+
 // fill runs bottleneck water-fill rounds over the given link list,
 // fixing every affected, unfixed flow it reaches. flows is the candidate
 // list the numerical-corner fallbacks iterate; live is the number of
@@ -875,76 +805,69 @@ var fillParMin = 8192
 // fixable flow are compacted out between rounds (order-preserving, so
 // fix order — and with it every float — matches the uncompacted scan),
 // which turns the admission-storm fill from O(|T|·rounds) into a scan
-// over a shrinking frontier.
+// over a shrinking frontier. Neither scan divides: fixing a flow
+// refreshes the share of each link it crosses, the only place cap and w
+// change.
 func (e *engine) fill(c *compState, links, flows []int32, live int) {
 	ep := c.epoch
+	// stragglers settles the numerical corners: whatever is still unfixed
+	// takes rate r.
+	stragglers := func(r float64) {
+		for _, fi := range flows {
+			if f := &e.flows[fi]; !f.done && f.fixedMark != ep {
+				f.newRate = r
+			}
+		}
+	}
 	nl := len(links)
 	for live > 0 {
 		bottle := math.Inf(1)
 		if nl >= fillParMin {
-			mins := par.MapChunks(nl, par.Chunk, func(lo, hi int) float64 {
-				m := math.Inf(1)
-				for _, l := range links[lo:hi] {
-					if e.linkW[l] > 0 {
-						if s := e.linkCap[l] / float64(e.linkW[l]); s < m {
-							m = s
-						}
-					}
-				}
-				return m
-			})
-			for _, m := range mins {
+			for _, m := range par.MapChunks(nl, par.Chunk, func(lo, hi int) float64 { return e.minShare(links[lo:hi]) }) {
 				if m < bottle {
 					bottle = m
 				}
 			}
 		} else {
-			for _, l := range links[:nl] {
-				if e.linkW[l] > 0 {
-					if s := e.linkCap[l] / float64(e.linkW[l]); s < bottle {
-						bottle = s
-					}
-				}
-			}
+			bottle = e.minShare(links[:nl])
 		}
 		if math.IsInf(bottle, 1) {
-			// Numerical corner: no capacity left anywhere; flows not yet
-			// fixed stall at zero rate (matching the reference, whose
-			// unfixed flows get no rate entry).
-			for _, fi := range flows {
-				if !e.done[fi] && e.fixedMark[fi] != ep {
-					e.newRate[fi] = 0
-				}
-			}
+			// No capacity left anywhere; flows not yet fixed stall at zero
+			// rate (matching the reference, whose unfixed flows get no
+			// rate entry).
+			stragglers(0)
 			return
 		}
+		band := bottle * (1 + 1e-12)
 		progressed := false
 		w := 0
 		for _, l := range links[:nl] {
-			if e.linkW[l] <= 0 {
+			if e.sol[l].w <= 0 {
 				continue
 			}
 			links[w] = l
 			w++
-			if e.linkCap[l]/float64(e.linkW[l]) > bottle*(1+1e-12) {
+			if e.sol[l].share > band {
 				continue
 			}
 			for _, ref := range e.activeRefs(l) {
-				fi := ref.flow
-				if e.flowMark[fi] != ep || e.fixedMark[fi] == ep || e.done[fi] {
+				f := &e.flows[ref.flow]
+				if f.flowMark != ep || f.fixedMark == ep || f.done {
 					continue
 				}
-				e.fixedMark[fi] = ep
-				e.newRate[fi] = bottle
+				f.fixedMark = ep
+				f.newRate = bottle
 				live--
 				progressed = true
-				wf := float64(e.weight[fi])
-				for _, l2 := range e.sims[fi].path {
-					e.linkCap[l2] -= wf * bottle
-					if e.linkCap[l2] < 0 {
-						e.linkCap[l2] = 0
+				take := float64(f.weight) * bottle
+				for _, l2 := range e.path(f) {
+					sr := &e.sol[l2]
+					sr.cap -= take
+					if sr.cap < 0 {
+						sr.cap = 0
 					}
-					e.linkW[l2] -= e.weight[fi]
+					sr.w -= f.weight
+					sr.share = shareOf(sr.cap, sr.w)
 				}
 			}
 		}
@@ -953,12 +876,24 @@ func (e *engine) fill(c *compState, links, flows []int32, live int) {
 			// Unreachable in theory (the bottleneck link always has an
 			// unfixed flow); guard against float corners by fixing the
 			// stragglers at the bottleneck share, as the reference does.
-			for _, fi := range flows {
-				if !e.done[fi] && e.fixedMark[fi] != ep {
-					e.newRate[fi] = bottle
-				}
-			}
+			stragglers(bottle)
 			return
+		}
+	}
+}
+
+// commit adopts the solve's candidate rates. Only a rate that actually
+// moves is written, and it marks the flow's path links stale: every
+// other link the flow crosses would refresh to what it already holds.
+func (e *engine) commit(c *compState) {
+	for _, fi := range c.compFlows {
+		f := &e.flows[fi]
+		if f.done || f.newRate == f.rate {
+			continue
+		}
+		f.rate = f.newRate
+		for _, l := range e.path(f) {
+			e.links[l].stale = true
 		}
 	}
 }
@@ -1025,39 +960,43 @@ func (e *engine) refreshQuiet(c *compState) {
 }
 
 // refreshLink recommits link l's consumed/slack/max-rate state and
-// reports whether the slack or top rate changed.
+// reports whether the slack or top rate changed. A clean link is left
+// alone: its refs, their order, and their rates and weights are those of
+// its last refresh, so the walk would store the same values and report
+// no change. Only link l's own record is written, which is what lets the
+// chunked refreshes run without coordination.
 func (e *engine) refreshLink(l int32) bool {
+	lk := &e.links[l]
+	if !lk.stale {
+		return false
+	}
+	lk.stale = false
 	s, maxR := 0.0, 0.0
-	for _, ref := range e.activeRefs(l) {
-		r := e.rate[ref.flow]
-		s += float64(e.weight[ref.flow]) * r
-		if r > maxR {
-			maxR = r
+	for _, ref := range e.refs[lk.off : lk.off+lk.n] {
+		f := &e.flows[ref.flow]
+		s += float64(f.weight) * f.rate
+		if f.rate > maxR {
+			maxR = f.rate
 		}
 	}
-	resid := e.linkBW[l] - s
+	resid := lk.bw - s
 	if resid < 0 {
 		resid = 0
 	}
-	changed := resid != e.linkResid[l] || maxR != e.linkMaxRate[l]
-	e.linkS[l], e.linkResid[l], e.linkMaxRate[l] = s, resid, maxR
-	if resid <= satSlack*e.linkBW[l] {
-		e.linkSat[l] = 1
-	} else {
-		e.linkSat[l] = 0
-	}
+	changed := resid != lk.resid || maxR != lk.maxRate
+	lk.s, lk.resid, lk.maxRate, lk.sat = s, resid, maxR, resid <= satSlack*lk.bw
 	return changed
 }
 
-// flowHasWitness reports whether flow fi holds a max-min bottleneck
+// flowHasWitness reports whether flow f holds a max-min bottleneck
 // certificate: a saturated path link on which its rate is maximal. The
-// check reads only committed link state (resid, max-rate) and flow
-// rates, none of which the witness-scan apply phase mutates — which is
-// what makes the scan safe to evaluate in parallel.
-func (e *engine) flowHasWitness(fi int32) bool {
-	r := e.rate[fi] * (1 + rateBand)
-	for _, l2 := range e.sims[fi].path {
-		if e.saturated(int32(l2)) && e.linkMaxRate[l2] <= r {
+// check reads only committed link state (sat, max-rate) and flow rates,
+// none of which the witness-scan apply phase mutates — which is what
+// makes the scan safe to evaluate in parallel.
+func (e *engine) flowHasWitness(f *flowRec) bool {
+	r := f.rate * (1 + rateBand)
+	for _, l := range e.path(f) {
+		if lk := &e.links[l]; lk.sat && lk.maxRate <= r {
 			return true
 		}
 	}
@@ -1092,13 +1031,14 @@ func (e *engine) witnessExpand(c *compState) bool {
 		// No bottleneck witness: the flow deserves more, and the
 		// higher-rate flows on its saturated links are what block it —
 		// pull those links' flows into A and re-solve.
-		for _, l2 := range e.sims[fi].path {
-			if e.saturated(int32(l2)) {
-				e.pullLink(c, int32(l2))
+		f := &e.flows[fi]
+		for _, l := range e.path(f) {
+			if e.links[l].sat {
+				e.pullLink(c, l)
 			}
 		}
-		if e.flowMark[fi] != ep {
-			e.flowMark[fi] = ep
+		if f.flowMark != ep {
+			f.flowMark = ep
 			c.compFlows = append(c.compFlows, fi)
 		}
 		expanded = true
@@ -1107,16 +1047,13 @@ func (e *engine) witnessExpand(c *compState) bool {
 	if n < witnessParMin {
 		for _, l := range c.moved {
 			for _, ref := range e.activeRefs(l) {
-				fi := ref.flow
-				if e.chkMark[fi] == c.chkEpoch {
+				f := &e.flows[ref.flow]
+				if f.chkMark == c.chkEpoch {
 					continue
 				}
-				e.chkMark[fi] = c.chkEpoch
-				if e.done[fi] || e.rate[fi] <= 0 {
-					continue
-				}
-				if !e.flowHasWitness(fi) {
-					apply(fi)
+				f.chkMark = c.chkEpoch
+				if !f.done && f.rate > 0 && !e.flowHasWitness(f) {
+					apply(ref.flow)
 				}
 			}
 		}
@@ -1134,12 +1071,8 @@ func (e *engine) witnessExpand(c *compState) bool {
 		buf := c.witBufs[ci][:0]
 		for _, l := range moved[lo:hi] {
 			for _, ref := range e.activeRefs(l) {
-				fi := ref.flow
-				if e.done[fi] || e.rate[fi] <= 0 {
-					continue
-				}
-				if !e.flowHasWitness(fi) {
-					buf = append(buf, fi)
+				if f := &e.flows[ref.flow]; !f.done && f.rate > 0 && !e.flowHasWitness(f) {
+					buf = append(buf, ref.flow)
 				}
 			}
 		}
@@ -1147,11 +1080,10 @@ func (e *engine) witnessExpand(c *compState) bool {
 	})
 	for _, buf := range c.witBufs {
 		for _, fi := range buf {
-			if e.chkMark[fi] == c.chkEpoch {
-				continue
+			if f := &e.flows[fi]; f.chkMark != c.chkEpoch {
+				f.chkMark = c.chkEpoch
+				apply(fi)
 			}
-			e.chkMark[fi] = c.chkEpoch
-			apply(fi)
 		}
 	}
 	return expanded
@@ -1168,16 +1100,20 @@ func (e *engine) witnessExpand(c *compState) bool {
 // certify their flows' rates by their stored slack/max-rate, which is
 // what lets the engine skip them entirely.
 func (e *engine) recompute(c *compState) {
+	c.stats.Recomputes++
 	c.epoch++
 	c.queue = c.queue[:0]
 	c.compFlows = c.compFlows[:0]
 
 	settled := 0
-	for si := 0; si < len(c.seeds); si++ {
-		e.pullLink(c, c.seeds[si])
-		// Settling can retire flows, which appends to c.seeds.
-		settled = e.settleNew(c, settled)
+	pullSeeds := func() {
+		for si := 0; si < len(c.seeds); si++ {
+			e.pullLink(c, c.seeds[si])
+			// Settling can retire flows, which appends to c.seeds.
+			settled = e.settleNew(c, settled)
+		}
 	}
+	pullSeeds()
 
 	for pass := 0; ; pass++ {
 		live := e.solve(c)
@@ -1186,11 +1122,7 @@ func (e *engine) recompute(c *compState) {
 		// on every solve-set link — witness checks must never read a
 		// stale slack/max-rate for a link whose refresh is still pending
 		// in the same pass — remembering which links actually moved.
-		for _, fi := range c.compFlows {
-			if !e.done[fi] {
-				e.rate[fi] = e.newRate[fi]
-			}
-		}
+		e.commit(c)
 		if live == c.activeCount {
 			// The affected set engulfed every active flow in the
 			// component: the solve ran with no frozen background, so it
@@ -1202,14 +1134,13 @@ func (e *engine) recompute(c *compState) {
 			break
 		}
 		e.refreshQueue(c)
+		c.stats.MovedLinks += len(c.moved)
 		if !e.witnessExpand(c) {
 			break
 		}
+		c.stats.WitnessExpansions++
 		settled = e.settleNew(c, settled)
-		for si := 0; si < len(c.seeds); si++ {
-			e.pullLink(c, c.seeds[si])
-			settled = e.settleNew(c, settled)
-		}
+		pullSeeds()
 		if pass > 64 {
 			// Pathological float corner: fall back to re-solving every
 			// active flow in this component, which is always a valid
@@ -1217,168 +1148,161 @@ func (e *engine) recompute(c *compState) {
 			// flows, never the whole link table: other components'
 			// timelines may be advancing concurrently.)
 			for _, fi := range c.order[:c.next] {
-				if e.done[fi] {
-					continue
-				}
-				for _, l := range e.sims[fi].path {
-					e.pullLink(c, int32(l))
+				if f := &e.flows[fi]; !f.done {
+					for _, l := range e.path(f) {
+						e.pullLink(c, l)
+					}
 				}
 			}
 			settled = e.settleNew(c, settled)
 			e.solveAffected(c)
-			for _, fi := range c.compFlows {
-				if !e.done[fi] {
-					e.rate[fi] = e.newRate[fi]
-				}
-			}
+			e.commit(c)
 			e.refreshQueue(c)
 			break
 		}
 	}
-
-	// Re-project only the flows whose rate actually changed; everyone
-	// else's heap entry is still the correct completion time.
-	for _, fi := range c.compFlows {
-		if e.done[fi] || e.rate[fi] == e.oldRate[fi] {
-			continue
-		}
-		e.seq[fi]++
-		if e.rate[fi] > 0 {
-			c.heapPush(heapEntry{t: c.now + e.remaining[fi]/e.rate[fi], flow: fi, seq: e.seq[fi]})
-		}
-	}
-	e.maybeCompact(c)
+	e.project(c)
 }
 
 // recomputeStorm is the batched-admission solve: the whole
-// same-timestamp arrival group just admitted onto an idle component via
-// admitQuiet. With no surviving flows, the affected set is exactly the
-// batch and the frozen background is empty, so one water-fill computes
-// the component-global max-min allocation outright — no per-flow seed
-// lists, no settle loop, and no bottleneck-witness passes (the witness
+// same-timestamp arrival group just admitted onto an idle component.
+// With no surviving flows, the affected set is exactly the batch and the
+// frozen background is empty, so one water-fill computes the
+// component-global max-min allocation outright — no per-flow seed lists,
+// no settle loop, and no bottleneck-witness passes (the witness
 // machinery exists to revalidate flows *outside* the affected set, and
 // here there are none). This is what turns the t=0 storm of a
 // synchronized replay from tens of per-admission cascades into a single
 // solve.
 func (e *engine) recomputeStorm(c *compState, batch []int32) {
+	c.stats.StormBatches++
 	c.epoch++
 	ep := c.epoch
 	c.queue = c.queue[:0]
 	c.compFlows = c.compFlows[:0]
 
 	for _, fi := range batch {
-		e.lastT[fi] = c.now
+		f := &e.flows[fi]
+		f.lastT = c.now
 		e.oldRate[fi] = 0
-		if e.remaining[fi] < completionEpsilon {
+		if f.remaining < completionEpsilon {
 			// Zero-byte flow: finishes the instant it starts, exactly as
 			// settleNew would retire it on the general path. No seeding —
 			// every link it touched is already in the solve set below.
 			e.retire(c, fi, false)
 		}
-		e.flowMark[fi] = ep
+		f.flowMark = ep
 		c.compFlows = append(c.compFlows, fi)
-		for _, l := range e.sims[fi].path {
-			if e.linkMark[l] != ep {
-				e.linkMark[l] = ep
-				c.queue = append(c.queue, int32(l))
+		for _, l := range e.path(f) {
+			if lk := &e.links[l]; lk.mark != ep {
+				lk.mark = ep
+				c.queue = append(c.queue, l)
 			}
 		}
 	}
 
 	e.solve(c)
-	for _, fi := range c.compFlows {
-		if !e.done[fi] {
-			e.rate[fi] = e.newRate[fi]
-		}
-	}
+	e.commit(c)
 	e.refreshQuiet(c)
+	e.project(c)
+}
 
+// project re-files the completion of every affected flow whose rate
+// actually changed; everyone else's heap entry is still the correct
+// completion time. A flow whose rate fell to zero has no completion to
+// project and leaves the heap.
+func (e *engine) project(c *compState) {
 	for _, fi := range c.compFlows {
-		if e.done[fi] || e.rate[fi] == e.oldRate[fi] {
+		f := &e.flows[fi]
+		if f.done || f.rate == e.oldRate[fi] {
 			continue
 		}
-		e.seq[fi]++
-		if e.rate[fi] > 0 {
-			c.heapPush(heapEntry{t: c.now + e.remaining[fi]/e.rate[fi], flow: fi, seq: e.seq[fi]})
+		if f.rate > 0 {
+			e.heapSet(c, fi, c.now+f.remaining/f.rate)
+		} else {
+			e.heapRemove(c, fi)
 		}
 	}
-	c.stormAdmits++
-	e.maybeCompact(c)
+	c.stats.PeakHeap = max(c.stats.PeakHeap, len(c.heap))
 }
 
-// maybeCompact sweeps stale entries out of a component heap once they
-// outnumber the live ones 4:1 (and the heap is big enough to matter).
-// Every rate change pushes a fresh entry and strands the old one, so a
-// storm-scale component re-projecting tens of thousands of flows per
-// recompute grows its heap backing array far past the live set; the
-// sweep keeps only entries whose seq is current, then re-heapifies.
-// Pop order is unchanged — (t, flow) totally orders live entries and
-// stale ones are discarded on pop either way — and the trigger depends
-// only on heap length and active count, both pure functions of the
-// event history, so compaction never perturbs determinism.
-func (e *engine) maybeCompact(c *compState) {
-	if len(c.heap) < 1024 || len(c.heap) < 4*(c.activeCount+1) {
+// heapSet files flow fi's projected completion at t: its entry moves in
+// place if it has one, and is added otherwise.
+func (e *engine) heapSet(c *compState, fi int32, t float64) {
+	i := int(e.flows[fi].heapPos)
+	if i < 0 {
+		i = len(c.heap)
+		c.heap = append(c.heap, heapEntry{flow: fi})
+	}
+	c.heap[i].t = t
+	e.siftDown(c, e.siftUp(c, i))
+}
+
+// heapRemove takes flow fi's entry, if any, out of the heap.
+func (e *engine) heapRemove(c *compState, fi int32) {
+	i := int(e.flows[fi].heapPos)
+	if i < 0 {
 		return
 	}
-	w := 0
-	for _, h := range c.heap {
-		if e.seq[h.flow] == h.seq && !e.done[h.flow] {
-			c.heap[w] = h
-			w++
-		}
+	e.flows[fi].heapPos = -1
+	n := len(c.heap) - 1
+	last := c.heap[n]
+	c.heap = c.heap[:n]
+	if i < n {
+		c.heap[i] = last
+		e.siftDown(c, e.siftUp(c, i))
 	}
-	c.heap = c.heap[:w]
-	c.heapInit()
 }
 
-func (c *compState) heapPush(h heapEntry) {
-	c.heap = append(c.heap, h)
-	i := len(c.heap) - 1
+// siftUp and siftDown restore heap order around slot i, keeping every
+// entry they move — and the one they place — indexed by its flow's
+// heapPos. siftUp returns the slot the entry came to rest in.
+func (e *engine) siftUp(c *compState, i int) int {
+	h := c.heap
+	x := h[i]
 	for i > 0 {
 		p := (i - 1) / 2
-		if !heapLess(c.heap[i], c.heap[p]) {
+		if !heapLess(x, h[p]) {
 			break
 		}
-		c.heap[i], c.heap[p] = c.heap[p], c.heap[i]
+		h[i] = h[p]
+		e.flows[h[i].flow].heapPos = int32(i)
 		i = p
 	}
+	h[i] = x
+	e.flows[x.flow].heapPos = int32(i)
+	return i
 }
 
-func (c *compState) heapPop() heapEntry {
+func (e *engine) siftDown(c *compState, i int) {
 	h := c.heap
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	c.heap = h
-	c.siftDown(0)
-	return top
-}
-
-func (c *compState) siftDown(i int) {
-	h := c.heap
-	n := len(h)
+	x := h[i]
 	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < n && heapLess(h[l], h[s]) {
-			s = l
-		}
-		if r < n && heapLess(h[r], h[s]) {
-			s = r
-		}
-		if s == i {
+		s := 2*i + 1
+		if s >= len(h) {
 			break
 		}
-		h[i], h[s] = h[s], h[i]
+		if s+1 < len(h) && heapLess(h[s+1], h[s]) {
+			s++
+		}
+		if !heapLess(h[s], x) {
+			break
+		}
+		h[i] = h[s]
+		e.flows[h[i].flow].heapPos = int32(i)
 		i = s
 	}
+	h[i] = x
+	e.flows[x.flow].heapPos = int32(i)
 }
 
-// heapInit heapifies c.heap in place — used after a merge concatenates
-// two parents' heaps.
-func (c *compState) heapInit() {
+// heapInit heapifies c.heap in place and rewrites every heapPos — used
+// after a merge concatenates the parents' heaps.
+func (e *engine) heapInit(c *compState) {
+	for i, h := range c.heap {
+		e.flows[h.flow].heapPos = int32(i)
+	}
 	for i := len(c.heap)/2 - 1; i >= 0; i-- {
-		c.siftDown(i)
+		e.siftDown(c, i)
 	}
 }

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/hfast-sim/hfast/internal/fattree"
 	"github.com/hfast-sim/hfast/internal/hfast"
@@ -27,6 +28,37 @@ func DefaultLinkParams() LinkParams {
 	return LinkParams{Bandwidth: 1e9, SwitchLatency: 50e-9, WireLatency: 20e-9}
 }
 
+// regionMemo keeps a fabric's last LinkRegions answer. The table is a
+// pure function of the immutable fabric and the target, and the target
+// SimulateInto asks for is itself a function of the link count, so a
+// replay loop would otherwise rebuild the same slice — a fresh
+// allocation per link plus, for the map-backed fabrics, a walk over a Go
+// map — on every call. Callers share the memoised slice and must not
+// write it (RegionHinter's contract).
+type regionMemo struct {
+	mu     sync.Mutex
+	target int
+	ids    []int32
+}
+
+func (m *regionMemo) get(target int, compute func(target int) []int32) []int32 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.ids == nil || m.target != target {
+		m.ids, m.target = compute(target), target
+	}
+	return m.ids
+}
+
+// unregioned is a region table with every link on the boundary (-1).
+func unregioned(nLinks int) []int32 {
+	regions := make([]int32, nLinks)
+	for i := range regions {
+		regions[i] = -1
+	}
+	return regions
+}
+
 // HFASTNet wraps a provisioned assignment as a simulatable fabric: each
 // node's uplink and each provisioned partner edge is a dedicated link
 // (circuits do not contend); routes pay block-hop switch latency.
@@ -36,6 +68,7 @@ type HFASTNet struct {
 	p        LinkParams
 	up, down []int
 	edgeLink map[[2]int]int
+	regions  regionMemo
 }
 
 // NewHFASTNet builds the simulation model of an assignment. Node links
@@ -106,10 +139,11 @@ func nodeRegion(i, p, target int) int32 {
 // is interior when both endpoints share a block and a boundary link
 // otherwise.
 func (h *HFASTNet) LinkRegions(target int) []int32 {
-	regions := make([]int32, h.net.Links())
-	for i := range regions {
-		regions[i] = -1
-	}
+	return h.regions.get(target, h.linkRegions)
+}
+
+func (h *HFASTNet) linkRegions(target int) []int32 {
+	regions := unregioned(h.net.Links())
 	p := h.assign.P
 	for i := 0; i < p; i++ {
 		r := nodeRegion(i, p, target)
@@ -135,6 +169,8 @@ type FCNNet struct {
 	up    []int
 	down  []int
 	procs int
+
+	regions regionMemo
 }
 
 // NewFCNNet builds the FCN model for procs nodes.
@@ -170,10 +206,11 @@ func (f *FCNNet) RouteAppend(buf []int, src, dst int) ([]int, float64, bool) {
 // makes every intra-block flow interior and leaves only cross-block
 // traffic for the boundary pass.
 func (f *FCNNet) LinkRegions(target int) []int32 {
-	regions := make([]int32, f.net.Links())
-	for i := range regions {
-		regions[i] = -1
-	}
+	return f.regions.get(target, f.linkRegions)
+}
+
+func (f *FCNNet) linkRegions(target int) []int32 {
+	regions := unregioned(f.net.Links())
 	for i := 0; i < f.procs; i++ {
 		r := nodeRegion(i, f.procs, target)
 		regions[f.up[i]] = r
@@ -192,6 +229,7 @@ type MeshNet struct {
 	p        LinkParams
 	links    map[[2]int]int
 	up, down []int
+	regions  regionMemo
 }
 
 // NewMeshNet builds the mesh model.
@@ -299,6 +337,10 @@ func (m *MeshNet) RouteAppend(buf []int, src, dst int) ([]int, float64, bool) {
 // crossing a block face are boundary, and injection/ejection links
 // follow their node's block.
 func (m *MeshNet) LinkRegions(target int) []int32 {
+	return m.regions.get(target, m.linkRegions)
+}
+
+func (m *MeshNet) linkRegions(target int) []int32 {
 	dims := m.mesh.Dims
 	cuts := make([]int, len(dims))
 	for i := range cuts {
@@ -336,10 +378,7 @@ func (m *MeshNet) LinkRegions(target int) []int32 {
 		}
 		return int32(r)
 	}
-	regions := make([]int32, m.net.Links())
-	for i := range regions {
-		regions[i] = -1
-	}
+	regions := unregioned(m.net.Links())
 	for e, l := range m.links {
 		if ba, bb := block(e[0]), block(e[1]); ba == bb {
 			regions[l] = ba
@@ -360,6 +399,8 @@ type TreeNet struct {
 	net   *Network
 	tree  *treenet.Tree
 	links map[[2]int]int // (child, parent) → link id
+
+	regions regionMemo
 }
 
 // NewTreeNet builds the tree fabric for p leaves.
@@ -386,6 +427,10 @@ func (t *TreeNet) Network() *Network { return t.net }
 // above the cut are boundary, so traffic climbing through the upper
 // tree reconciles serially while subtree-local traffic shards.
 func (t *TreeNet) LinkRegions(target int) []int32 {
+	return t.regions.get(target, t.linkRegions)
+}
+
+func (t *TreeNet) linkRegions(target int) []int32 {
 	fanout := t.tree.Params.Fanout
 	// lo is the first node id at the cut depth; the heap layout keeps
 	// each depth contiguous, so depth-d roots are [lo, lo+width).
@@ -403,10 +448,7 @@ func (t *TreeNet) LinkRegions(target int) []int32 {
 		}
 		return n - lo
 	}
-	regions := make([]int32, t.net.Links())
-	for i := range regions {
-		regions[i] = -1
-	}
+	regions := unregioned(t.net.Links())
 	for e, l := range t.links {
 		// e is (child, parent): interior iff the child sits strictly
 		// below a cut root, i.e. both endpoints resolve to the same one.

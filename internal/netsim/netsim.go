@@ -9,10 +9,11 @@
 //
 // Simulate is an incremental event-driven engine (engine.go): identical
 // flows coalesce into weighted super-flows, projected completions sit in
-// a lazily-invalidated min-heap, and each event re-solves max-min rates
-// only over the connected component of links and flows it touched. All
-// engine state is arena-style (structure-of-arrays flow state, one CSR
-// slab of per-link active sets, a pooled engine recycled across calls —
+// an indexed min-heap holding exactly one entry per draining flow, and
+// each event re-solves max-min rates only over the connected component
+// of links and flows it touched. All engine state is arena-style (one
+// cache-line record per flow and per link, CSR slabs for paths and
+// per-link active sets, a pooled engine recycled across calls —
 // SimulateInto additionally reuses the caller's Result), and large
 // solves run region-sharded: fabrics hint a per-link partition
 // (RegionHinter, shard.go), the affected set splits into region-granular
@@ -25,7 +26,9 @@
 package netsim
 
 import (
+	"errors"
 	"fmt"
+	"math"
 )
 
 // Link is one shared resource in the network.
@@ -44,10 +47,13 @@ type Network struct {
 // NewNetwork creates an empty network.
 func NewNetwork() *Network { return &Network{} }
 
-// AddLink registers a link and returns its id.
+// AddLink registers a link and returns its id. The panic is a
+// construction-time assertion: bandwidths come from the fabric models'
+// own parameters, never from simulated input, and a zero, negative, NaN
+// or infinite one would only surface later as flows stalled at zero rate.
 func (n *Network) AddLink(name string, bandwidth float64) int {
-	if bandwidth <= 0 {
-		panic(fmt.Sprintf("netsim: link %q needs positive bandwidth", name))
+	if !(bandwidth > 0) || math.IsInf(bandwidth, 1) {
+		panic(fmt.Sprintf("netsim: link %q needs positive finite bandwidth, got %g", name, bandwidth))
 	}
 	n.links = append(n.links, Link{Name: name, Bandwidth: bandwidth})
 	return len(n.links) - 1
@@ -94,6 +100,29 @@ type Flow struct {
 	Start float64
 }
 
+// ErrInvalidFlow is wrapped by the error Simulate returns, before any
+// event runs, for a flow the engine cannot represent: a negative size, a
+// start time that is negative, NaN or infinite, or a routed path whose
+// latency is.
+var ErrInvalidFlow = errors.New("netsim: invalid flow")
+
+// validateFlow is the input check shared by the engine and the reference
+// solver. Latency is the router's answer for the flow and only counts
+// when it routed.
+func validateFlow(i int, f Flow, latency float64, routed bool) error {
+	// NaN fails the first comparison.
+	valid := func(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
+	switch {
+	case f.Bytes < 0:
+		return fmt.Errorf("%w %d: Bytes is negative (%d)", ErrInvalidFlow, i, f.Bytes)
+	case !valid(f.Start):
+		return fmt.Errorf("%w %d: Start must be finite and >= 0, got %g", ErrInvalidFlow, i, f.Start)
+	case routed && !valid(latency):
+		return fmt.Errorf("%w %d: route latency must be finite and >= 0, got %g", ErrInvalidFlow, i, latency)
+	}
+	return nil
+}
+
 // FlowResult reports one flow's outcome.
 type FlowResult struct {
 	// Finish is the completion time in seconds (Start + latency +
@@ -112,4 +141,48 @@ type Result struct {
 	Unroutable int
 	// MaxLinkBytes is the most traffic any single link carried.
 	MaxLinkBytes float64
+	// Stats reports what the engine did to get there; every SimulateInto
+	// overwrites it.
+	Stats Stats
+}
+
+// Stats counts the work of one replay. Every field is a pure function of
+// the problem (network, routes, flows, region hint) — never of
+// GOMAXPROCS or scheduling — so two runs of one input report the same
+// Stats, and a slow replay can be read off them: events × solve passes ×
+// affected-set sizes is the time.
+type Stats struct {
+	SuperFlows int // coalesced flows the engine simulated
+	Components int // link-disjoint component timelines at build time
+	Merges     int // runtime merge barriers spliced
+
+	Events       int // arrival/completion instants processed
+	Recomputes   int // events re-solved through the seeded cascade
+	StormBatches int // same-timestamp groups batch-admitted onto an idle component
+
+	SolvePasses    int // water-fills run (storms, cascade passes, fallbacks)
+	ShardedSolves  int // of which attempted region-sharded
+	ShardCollapses int // of which whose partition fell back to one component
+	AffectedFlows  int // live affected flows, summed over solve passes
+	SolveLinks     int // solve-set links, summed over solve passes
+
+	MovedLinks        int // links whose slack or top rate a cascade pass moved
+	WitnessExpansions int // cascade passes that grew the affected set
+	PeakHeap          int // most completions pending in any one component
+}
+
+// add folds a component's counters into s: sums, and the maximum for
+// PeakHeap. The build-time fields are not per-component and stay.
+func (s *Stats) add(o *Stats) {
+	s.Events += o.Events
+	s.Recomputes += o.Recomputes
+	s.StormBatches += o.StormBatches
+	s.SolvePasses += o.SolvePasses
+	s.ShardedSolves += o.ShardedSolves
+	s.ShardCollapses += o.ShardCollapses
+	s.AffectedFlows += o.AffectedFlows
+	s.SolveLinks += o.SolveLinks
+	s.MovedLinks += o.MovedLinks
+	s.WitnessExpansions += o.WitnessExpansions
+	s.PeakHeap = max(s.PeakHeap, o.PeakHeap)
 }

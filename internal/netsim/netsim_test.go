@@ -1,7 +1,9 @@
 package netsim
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/hfast-sim/hfast/internal/fattree"
@@ -225,14 +227,63 @@ func TestSimulateUnroutable(t *testing.T) {
 	}
 }
 
+// TestSimulateRejectsBadFlows pins the input contract of both engines:
+// a flow that cannot be represented — negative size, a start time or
+// route latency that is negative, NaN or infinite — is refused with
+// ErrInvalidFlow before any event runs. Each used to be answered
+// wrongly (a negative finish with Unroutable: 0, a flow never admitted)
+// or to spin the event loop to its cap.
 func TestSimulateRejectsBadFlows(t *testing.T) {
-	n, r := lineNet()
-	if _, err := Simulate(n, r, []Flow{{Bytes: -1}}); err == nil {
-		t.Error("negative size accepted")
+	n := NewNetwork()
+	a, b := n.AddLink("a", 100), n.AddLink("b", 100)
+	good := RouterFunc(func(src, dst int) ([]int, float64, bool) { return []int{a, b}, 0.5, true })
+	nanLatency := RouterFunc(func(src, dst int) ([]int, float64, bool) { return []int{a, b}, math.NaN(), true })
+	ok := Flow{Src: 0, Dst: 1, Bytes: 10}
+	for _, tc := range []struct {
+		name   string
+		router Router
+		bad    Flow
+		field  string
+	}{
+		{"negative size", good, Flow{Bytes: -1}, "Bytes"},
+		{"negative start", good, Flow{Bytes: 10, Start: -1}, "Start"},
+		{"infinite start", good, Flow{Bytes: 10, Start: math.Inf(1)}, "Start"},
+		{"NaN start", good, Flow{Bytes: 10, Start: math.NaN()}, "Start"},
+		{"NaN latency", nanLatency, ok, "latency"},
+	} {
+		flows := []Flow{ok, tc.bad}
+		for engine, run := range map[string]func() (Result, error){
+			"engine":    func() (Result, error) { return Simulate(n, tc.router, flows) },
+			"reference": func() (Result, error) { return simulateReference(n, tc.router, flows) },
+		} {
+			res, err := run()
+			if !errors.Is(err, ErrInvalidFlow) {
+				t.Errorf("%s/%s: error %v, want ErrInvalidFlow", tc.name, engine, err)
+				continue
+			}
+			if len(res.Flows) != 0 {
+				t.Errorf("%s/%s: a result came back with the error", tc.name, engine)
+			}
+			if !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("%s/%s: error %q does not name %s", tc.name, engine, err, tc.field)
+			}
+		}
 	}
-	bad := RouterFunc(func(src, dst int) ([]int, float64, bool) { return []int{99}, 0, true })
-	if _, err := Simulate(n, bad, []Flow{{Bytes: 1}}); err == nil {
+
+	unknown := RouterFunc(func(src, dst int) ([]int, float64, bool) { return []int{99}, 0, true })
+	if _, err := Simulate(n, unknown, []Flow{{Bytes: 1}}); err == nil {
 		t.Error("unknown link accepted")
+	}
+
+	for _, bw := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AddLink accepted bandwidth %g", bw)
+				}
+			}()
+			NewNetwork().AddLink("bad", bw)
+		}()
 	}
 }
 

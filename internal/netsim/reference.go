@@ -38,12 +38,12 @@ func simulateReference(net *Network, router Router, flows []Flow) (Result, error
 
 	var pending []*state
 	for i, f := range flows {
-		if f.Bytes < 0 {
-			return Result{}, fmt.Errorf("netsim: flow %d has negative size", i)
+		path, lat, ok := router.Route(f.Src, f.Dst)
+		if err := validateFlow(i, f, lat, ok); err != nil {
+			return Result{}, err
 		}
 		st := &state{idx: i, flow: f, remaining: float64(f.Bytes)}
 		states[i] = st
-		path, lat, ok := router.Route(f.Src, f.Dst)
 		if !ok {
 			st.done = true
 			st.finish = -1

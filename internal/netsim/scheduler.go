@@ -88,8 +88,7 @@ func (e *engine) lufFind(x int32) int32 {
 }
 
 // newComp appends a compState, recycling per-component slice backing
-// from prior runs, and seeds its epoch counters at the engine high-water
-// mark so its stamps can never collide with stale marks.
+// from prior runs.
 func (e *engine) newComp() *compState {
 	n := len(e.comps)
 	if n < cap(e.comps) {
@@ -103,11 +102,11 @@ func (e *engine) newComp() *compState {
 	c.heap = c.heap[:0]
 	c.order, c.next = nil, 0
 	c.now = 0
-	c.activeCount, c.events, c.maxEvents = 0, 0, 0
-	c.epoch, c.chkEpoch = e.epochHW, e.epochHW
+	c.activeCount, c.maxEvents, c.stats = 0, 0, Stats{}
+	c.epoch, c.chkEpoch = 0, 0
 	c.queue, c.compFlows = c.queue[:0], c.compFlows[:0]
 	c.seeds, c.moved, c.fillLinks = c.seeds[:0], c.moved[:0], c.fillLinks[:0]
-	c.shardSkip, c.shardBackoff, c.stormAdmits = 0, 0, 0
+	c.shardSkip, c.shardBackoff = 0, 0
 	c.merged = false
 	return c
 }
@@ -131,12 +130,12 @@ func (e *engine) newComp() *compState {
 // finalize here (start+latency) exactly as the serial loop did, without
 // joining any component.
 func (e *engine) partition() {
-	nLinks := len(e.linkBW)
+	nLinks := len(e.links)
 	e.arrival = e.arrival[:0]
 	for i := range e.sims {
 		sf := &e.sims[i]
 		if sf.bytes == 0 {
-			e.done[i] = true
+			e.flows[i].done = true
 			sf.finish = sf.start + sf.latency
 			continue
 		}
@@ -145,23 +144,22 @@ func (e *engine) partition() {
 	arr := e.arrival
 	sort.SliceStable(arr, func(a, b int) bool { return e.sims[arr[a]].start < e.sims[arr[b]].start })
 
-	e.linkUF = growI32(e.linkUF, nLinks)
+	e.linkUF = grow(e.linkUF, nLinks)
 	for i := range e.linkUF {
 		e.linkUF[i] = -1
 	}
-	e.nodeOfRoot = growI32(e.nodeOfRoot, nLinks)
-	e.nodeOfFlow = growI32(e.nodeOfFlow, len(e.sims))
+	e.nodeOfRoot = grow(e.nodeOfRoot, nLinks)
+	e.nodeOfFlow = grow(e.nodeOfFlow, len(e.sims))
 	e.nodes = e.nodes[:0]
 	e.mergeNodes = e.mergeNodes[:0]
 
 	for _, fi := range arr {
-		sf := &e.sims[fi]
-		start := sf.start
+		start := e.sims[fi].start
+		path := e.path(&e.flows[fi])
 
 		// Distinct nodes already owning links on this path, in path order.
 		invol := e.invol[:0]
-		for _, l := range sf.path {
-			li := int32(l)
+		for _, li := range path {
 			if e.linkUF[li] < 0 {
 				continue
 			}
@@ -238,8 +236,7 @@ func (e *engine) partition() {
 		// Union the path's links (and whatever trees they belonged to)
 		// under one root owned by target.
 		r0 := int32(-1)
-		for _, l := range sf.path {
-			li := int32(l)
+		for _, li := range path {
 			if e.linkUF[li] < 0 {
 				e.linkUF[li] = li
 			}
@@ -266,7 +263,7 @@ func (e *engine) partition() {
 		e.nodeOfFlow[fi] = n
 		e.nodes[n].flowLen++
 	}
-	e.flowSlab = growI32(e.flowSlab, len(arr))
+	e.flowSlab = grow(e.flowSlab, len(arr))
 	off := int32(0)
 	for i := range e.nodes {
 		e.nodes[i].flowOff = off
@@ -318,9 +315,9 @@ func appendUniqueI32(s []int32, v int32) []int32 {
 	return append(s, v)
 }
 
-// peek projects a component's next event time (arrival cursor vs heap
-// top, stale entries included — this is a scheduling hint, not a
-// semantic read). RunPriority starts the earliest-event components
+// peek is a component's next event time: its earliest pending arrival or
+// projected completion, +Inf when it has neither. run steps by it, and
+// RunPriority uses it as a hint to start the earliest-event components
 // first: they have the longest remaining timelines, so the epoch's
 // critical path starts before the stragglers queue behind it.
 func (e *engine) peek(c *compState) float64 {
@@ -341,23 +338,7 @@ func (e *engine) peek(c *compState) float64 {
 // deterministic (time, flow-index) order. Error selection is by
 // component id, so a failing replay reports the same diagnostic at any
 // worker count.
-func (e *engine) runScheduled() (err error) {
-	defer func() {
-		// Push the engine-wide epoch high-water mark past every counter
-		// any component used; the next run's stamps start above it.
-		hw := e.epochHW
-		for i := range e.comps {
-			c := &e.comps[i]
-			if c.epoch > hw {
-				hw = c.epoch
-			}
-			if c.chkEpoch > hw {
-				hw = c.chkEpoch
-			}
-		}
-		e.epochHW = hw
-	}()
-
+func (e *engine) runScheduled() error {
 	mi := 0
 	for {
 		horizon := math.Inf(1)
@@ -409,14 +390,14 @@ func (e *engine) runScheduled() (err error) {
 
 // mergeComps materializes merge node m at its barrier. Every child
 // component has run to exactly the merge time, so the splice is pure
-// bookkeeping over the shared slabs: per-flow and per-link state is
+// bookkeeping over the shared records: per-flow and per-link state is
 // already in place, and only the timelines themselves combine — heaps
-// concatenate and re-heapify, unprocessed arrival tails and the merge
-// node's own bucket interleave by (start, flow-index), counters add, and
-// the clock and epoch counters take the max so no stale stamp or
-// earlier time can ever be revisited. Heap entries carry global flow
-// indices and live seq values, so projections made before the merge stay
-// valid after it.
+// concatenate and re-heapify (rewriting every flow's heapPos),
+// unprocessed arrival tails and the merge node's own bucket interleave
+// by (start, flow-index), counters add, and the clock and epoch counters
+// take the max so no stale stamp or earlier time can ever be revisited.
+// Heap entries carry global flow indices, so projections made before the
+// merge stay valid after it.
 func (e *engine) mergeComps(m int32) {
 	c := e.newComp()
 	ci := c.id
@@ -457,7 +438,7 @@ func (e *engine) mergeComps(m int32) {
 		cc.merged = true
 		c.heap = append(c.heap, cc.heap...)
 		c.nFlows += cc.nFlows
-		c.events += cc.events
+		c.stats.add(&cc.stats)
 		c.activeCount += cc.activeCount
 		if cc.now > c.now {
 			c.now = cc.now
@@ -471,7 +452,8 @@ func (e *engine) mergeComps(m int32) {
 	}
 	c.nFlows += int(nd.flowLen)
 	c.maxEvents = maxEventCap(c.nFlows)
-	c.heapInit()
+	e.heapInit(c)
+	c.stats.PeakHeap = max(c.stats.PeakHeap, len(c.heap))
 }
 
 // flowBefore is the global event order for equal-time arrivals:

@@ -98,10 +98,17 @@ func TestSimulateMergeDeterminism(t *testing.T) {
 		return res
 	}
 	r1 := run(1)
+	// Four islands, three barriers, and one batched admission per island.
+	if st := r1.Stats; st.Components != 4 || st.Merges != 3 || st.StormBatches != 4 || st.SuperFlows != len(flows) {
+		t.Errorf("stats %+v, want 4 components, 3 merges, 4 storm batches, %d super-flows", st, len(flows))
+	}
 	for _, workers := range []int{2, 8} {
 		rw := run(workers)
 		if r1.Makespan != rw.Makespan {
 			t.Errorf("makespan differs at GOMAXPROCS=%d: %.17g vs %.17g", workers, r1.Makespan, rw.Makespan)
+		}
+		if r1.Stats != rw.Stats {
+			t.Errorf("stats differ at GOMAXPROCS=%d: %+v vs %+v", workers, r1.Stats, rw.Stats)
 		}
 		for i := range r1.Flows {
 			if r1.Flows[i] != rw.Flows[i] {

@@ -21,6 +21,11 @@ import (
 // never on the worker count, so results are bit-identical at any
 // GOMAXPROCS, and parity/fuzz tests drive the engine with randomized
 // cuts to pin that the cut never changes results beyond float rounding.
+//
+// The engine only reads the slice it is given and drops its reference
+// when the replay returns, so an implementation may hand every caller
+// the same memoised table (the fabric models do); callers must not
+// write it either.
 type RegionHinter interface {
 	LinkRegions(target int) []int32
 }
@@ -69,9 +74,9 @@ func (e *engine) initShards(regions []int32, nLinks int) {
 	if nr < 2 || nr > maxShardRegions {
 		return
 	}
-	for i := range e.sims {
+	for i := range e.flows {
 		shard := int32(-1)
-		for k, l := range e.sims[i].path {
+		for k, l := range e.path(&e.flows[i]) {
 			r := regions[l]
 			if r < 0 {
 				shard = -1
@@ -130,58 +135,40 @@ const shardBackoffMax = 256
 // Any component timeline may call this concurrently with the others: the
 // union-find and bucket scratch live on the compState, and the per-link
 // owner slabs are engine-shared only because components touch disjoint
-// links. Owner marks are 0/1 flags cleared during this solve's own
-// capacity prep — every link a live affected flow can touch is in
-// c.queue — so the slabs carry no state between solves.
+// links. Owner marks are 0/1 flags cleared at the start of this solve —
+// every link a live affected flow can touch is in c.queue — so the slabs
+// carry no state between solves.
 func (e *engine) solveSharded(c *compState) int {
+	c.stats.ShardedSolves++
+	live := e.prepSolve(c)
 	for _, l := range c.queue {
-		e.linkCap[l] = e.linkBW[l] - e.linkS[l]
-		e.linkW[l] = 0
 		e.linkOwnerMark[l] = 0
-	}
-	live := 0
-	for _, fi := range c.compFlows {
-		if e.done[fi] {
-			continue
-		}
-		live++
-		e.fixedMark[fi] = 0
-		w := float64(e.weight[fi])
-		for _, l := range e.sims[fi].path {
-			e.linkCap[l] += w * e.rate[fi]
-			e.linkW[l] += e.weight[fi]
-		}
-	}
-	for _, l := range c.queue {
-		if e.linkCap[l] < 0 {
-			e.linkCap[l] = 0
-		}
 	}
 
 	// Union regions into components. Boundary flows get one union-find
 	// element each, tacked after the region ids.
 	nb := 0
 	for _, fi := range c.compFlows {
-		if !e.done[fi] && e.flowShard[fi] < 0 {
+		if !e.flows[fi].done && e.flowShard[fi] < 0 {
 			nb++
 		}
 	}
 	nElems := e.nShards + nb
-	c.ufParent = growI32(c.ufParent, nElems)
-	c.rootComp = growI32(c.rootComp, nElems)
-	c.rootCompMark = growI32(c.rootCompMark, nElems)
+	c.ufParent = grow(c.ufParent, nElems)
+	c.rootComp = grow(c.rootComp, nElems)
+	c.rootCompMark = grow(c.rootCompMark, nElems)
 	for i := 0; i < nElems; i++ {
 		c.ufParent[i] = int32(i)
 		c.rootCompMark[i] = 0
 	}
 	be := int32(e.nShards)
 	for _, fi := range c.compFlows {
-		if e.done[fi] || e.flowShard[fi] >= 0 {
+		if e.flows[fi].done || e.flowShard[fi] >= 0 {
 			continue
 		}
 		elem := be
 		be++
-		for _, l := range e.sims[fi].path {
+		for _, l := range e.path(&e.flows[fi]) {
 			if r := e.linkRegion[l]; r >= 0 {
 				c.ufUnion(elem, r)
 			} else if e.linkOwnerMark[l] == 1 {
@@ -224,7 +211,7 @@ func (e *engine) solveSharded(c *compState) int {
 	}
 	be = int32(e.nShards)
 	for _, fi := range c.compFlows {
-		if e.done[fi] {
+		if e.flows[fi].done {
 			continue
 		}
 		elem := e.flowShard[fi]
@@ -239,6 +226,7 @@ func (e *engine) solveSharded(c *compState) int {
 		// nothing. Arm the backoff — doubling while collapses repeat —
 		// so the next shardSkip qualifying solves go straight to the
 		// flat fill.
+		c.stats.ShardCollapses++
 		c.shardBackoff *= 2
 		if c.shardBackoff < 2 {
 			c.shardBackoff = 2
@@ -253,7 +241,7 @@ func (e *engine) solveSharded(c *compState) int {
 	}
 	c.shardBackoff, c.shardSkip = 0, 0
 	for _, l := range c.queue {
-		if e.linkW[l] <= 0 {
+		if e.sol[l].w <= 0 {
 			// No fillable flows: the link cannot shape any rate this
 			// solve, so no component needs to scan it.
 			continue
@@ -262,12 +250,13 @@ func (e *engine) solveSharded(c *compState) int {
 		if elem < 0 {
 			elem = e.linkOwner[l] // stamped above: the link has live flows
 		}
-		c.compLinksB = bucket(c.compLinksB, comp(c.ufFind(elem)), int32(l))
+		c.compLinksB = bucket(c.compLinksB, comp(c.ufFind(elem)), l)
 	}
 
 	// Fill the shard components concurrently. Each component's slices
-	// are its own; linkCap/linkW/newRate/fixedMark entries are disjoint
-	// across components, so the workers never share mutable state.
+	// are its own; the solve scratch and flow records it writes are
+	// disjoint across components, so the workers never share mutable
+	// state.
 	flowsB, linksB := c.compFlowsB, c.compLinksB
 	for int32(len(linksB)) < nComp {
 		if len(linksB) < cap(linksB) {

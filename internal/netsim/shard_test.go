@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -113,6 +114,11 @@ func TestSimulateWorkerCountDeterminism(t *testing.T) {
 			if r1.Makespan != rw.Makespan || r1.Unroutable != rw.Unroutable || r1.MaxLinkBytes != rw.MaxLinkBytes {
 				t.Errorf("%s: header differs at GOMAXPROCS=%d: %+v vs %+v", name, workers, r1, rw)
 			}
+			// What the engine did is as much a function of the problem as
+			// what it answered.
+			if r1.Stats != rw.Stats {
+				t.Errorf("%s: stats differ at GOMAXPROCS=%d: %+v vs %+v", name, workers, r1.Stats, rw.Stats)
+			}
 			for i := range r1.Flows {
 				if r1.Flows[i] != rw.Flows[i] {
 					t.Fatalf("%s: flow %d differs at GOMAXPROCS=%d: %+v vs %+v",
@@ -152,6 +158,18 @@ func TestRegionHinterShapes(t *testing.T) {
 		}
 		if len(used) < 2 {
 			t.Errorf("%s: only %d regions used at target %d", name, len(used), target)
+		}
+		// The table is memoised per fabric: a second call answers with the
+		// same table, a different target recomputes, and coming back to the
+		// first target gives the first answer again.
+		if again := rh.LinkRegions(target); !slices.Equal(again, regions) {
+			t.Errorf("%s: second LinkRegions(%d) differs from the first", name, target)
+		}
+		if other := rh.LinkRegions(2); slices.Equal(other, regions) {
+			t.Errorf("%s: LinkRegions(2) returned the target-%d table", name, target)
+		}
+		if back := rh.LinkRegions(target); !slices.Equal(back, regions) {
+			t.Errorf("%s: LinkRegions(%d) after another target differs from the first", name, target)
 		}
 	}
 }
