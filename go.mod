@@ -1,3 +1,3 @@
 module github.com/hfast-sim/hfast
 
-go 1.22
+go 1.23

@@ -38,43 +38,35 @@ func BenchmarkProfileRun(b *testing.B) {
 	}
 }
 
-// raceEnabled is set by race_test.go.
-var raceEnabled bool
-
 // profileRunBudget is the ceiling on one ProfileRun at P=64, default
-// steps: about 20 % above what the run costs with requests recycled by
-// the Wait family and signatures held in the collector's inline table
-// (paratec: 28.9 MB and 65 k allocations, against 110.7 MB and 534 k
-// with a heap request per Isend/Irecv and a map[Key]*Stat per rank).
-// Bytes repeat within 2 % and allocations within 10 % from GOMAXPROCS 1
-// to 8 — what moves is how many envelopes the pools hold and how deep a
-// mailbox queue grew — so a regression in either layer trips this long
-// before a timing benchmark could see it.
+// steps: about 10 % above what the run costs with requests recycled by
+// the Wait family, envelopes on the world's free list and signatures held
+// in the collector's inline table (paratec: 28.1 MB and 61 k allocations,
+// against 110.7 MB and 534 k with a heap request per Isend/Irecv and a
+// map[Key]*Stat per rank). A world's schedule is a function of the
+// program, so both figures repeat to within a few allocations at any
+// GOMAXPROCS (the race detector adds ≈ 250 allocations and 40 KB), and a
+// regression in either layer trips this long before a timing benchmark
+// could see it.
 var profileRunBudget = []struct {
 	app        string
 	kb, allocs uint64
 }{
-	{"cactus", 1850, 7700},
-	{"lbmhd", 3900, 8600},
-	{"gtc", 1850, 25700},
-	{"superlu", 8850, 6000},
-	{"pmemd", 20400, 21500},
-	{"paratec", 34800, 78000},
+	{"cactus", 1710, 7400},
+	{"lbmhd", 3560, 8150},
+	{"gtc", 1700, 24100},
+	{"superlu", 8070, 5140},
+	{"pmemd", 18460, 19600},
+	{"paratec", 30900, 67500},
 }
 
 // TestProfileRunAllocBudget holds each skeleton's profile run under its
 // allocation ceiling (ROADMAP item 1: a CI gate that does not depend on
 // the runner's clock).
 func TestProfileRunAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts under the race detector; envelope counts are not comparable")
-	}
 	for _, budget := range profileRunBudget {
 		t.Run(budget.app, func(t *testing.T) {
 			cfg := Config{Procs: 64}
-			if _, err := ProfileRun(budget.app, cfg); err != nil { // warm the runtime's pools
-				t.Fatal(err)
-			}
 			const runs = 3
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)

@@ -67,6 +67,7 @@ func (ct *Cart) Coords(rank int) []int {
 // coordinates wrap on periodic dimensions and return ProcNull otherwise.
 func (ct *Cart) CartRank(coords []int) int {
 	if len(coords) != len(ct.dims) {
+		// Asserts a programmer error: coordinates of another grid's rank.
 		panic(fmt.Sprintf("mpi: CartRank got %d coords for %d dims", len(coords), len(ct.dims)))
 	}
 	rank := 0
@@ -90,6 +91,7 @@ func (ct *Cart) CartRank(coords []int) int {
 // disp steps down; either may be ProcNull at a non-periodic edge.
 func (ct *Cart) Shift(dim, disp int) (src, dst int) {
 	if dim < 0 || dim >= len(ct.dims) {
+		// Asserts a programmer error: a dimension the grid does not have.
 		panic(fmt.Sprintf("mpi: Shift dimension %d out of range", dim))
 	}
 	me := ct.Coords(ct.Rank())

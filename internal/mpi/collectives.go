@@ -219,6 +219,7 @@ func (c *Comm) allgatherInts(ctx int64, vals []int) []int {
 	for _, b := range bufs {
 		got := decodeInts(b.Data)
 		if len(got) != len(vals) {
+			// Asserts a programmer error: ranks entered different collectives.
 			panic(fmt.Sprintf("mpi: allgather length mismatch: %d != %d", len(got), len(vals)))
 		}
 		out = append(out, got...)
@@ -234,6 +235,7 @@ func (c *Comm) Scatter(root int, bufs []Buf) Buf {
 	var mine Buf
 	if c.rank == root {
 		if len(bufs) != len(c.group) {
+			// Asserts a programmer error: root needs one buffer per rank.
 			panic(fmt.Sprintf("mpi: Scatter needs %d buffers, got %d", len(c.group), len(bufs)))
 		}
 		mine = bufs[root]
@@ -252,16 +254,19 @@ func (c *Comm) Scatter(root int, bufs []Buf) Buf {
 	return mine
 }
 
-// alltoall exchanges bufs pairwise: rank r sends bufs[d] to d and returns
-// the pieces received, indexed by source rank.
-func (c *Comm) alltoall(ctx int64, bufs []Buf) []Buf {
+// alltoall exchanges bufs pairwise as the given call: rank r sends bufs[d]
+// to d and returns the pieces received, indexed by source rank.
+func (c *Comm) alltoall(call Call, bufs []Buf) []Buf {
+	ctx := c.collCtx()
 	n := len(c.group)
 	if len(bufs) != n {
+		// Asserts a programmer error: one buffer per rank, each way.
 		panic(fmt.Sprintf("mpi: Alltoall needs %d buffers, got %d", n, len(bufs)))
 	}
 	r := c.rank
 	res := make([]Buf, n)
 	res[r] = bufs[r]
+	total := bufs[r].N
 	for i := 1; i < n; i++ {
 		dst := (r + i) % n
 		src := (r - i + n) % n
@@ -269,37 +274,20 @@ func (c *Comm) alltoall(ctx int64, bufs []Buf) []Buf {
 		c.sendRaw(dst, tagPair+Tag(i), ctx, bufs[dst])
 		st := c.waitFree(req)
 		res[src] = Buf{N: st.N, Data: st.Data}
+		total += bufs[dst].N
 	}
+	c.collAdvance(call, total/n)
+	c.trace(call, NoPeer, total)
 	return res
 }
 
 // Alltoall performs an all-to-all personalized exchange of equal-size
 // pieces.
-func (c *Comm) Alltoall(bufs []Buf) []Buf {
-	ctx := c.collCtx()
-	res := c.alltoall(ctx, bufs)
-	total := 0
-	for _, b := range bufs {
-		total += b.N
-	}
-	c.collAdvance(CallAlltoall, total/len(c.group))
-	c.trace(CallAlltoall, NoPeer, total)
-	return res
-}
+func (c *Comm) Alltoall(bufs []Buf) []Buf { return c.alltoall(CallAlltoall, bufs) }
 
 // Alltoallv performs an all-to-all personalized exchange where each piece
 // may have a different size (including zero).
-func (c *Comm) Alltoallv(bufs []Buf) []Buf {
-	ctx := c.collCtx()
-	res := c.alltoall(ctx, bufs)
-	total := 0
-	for _, b := range bufs {
-		total += b.N
-	}
-	c.collAdvance(CallAlltoallv, total/len(c.group))
-	c.trace(CallAlltoallv, NoPeer, total)
-	return res
-}
+func (c *Comm) Alltoallv(bufs []Buf) []Buf { return c.alltoall(CallAlltoallv, bufs) }
 
 // Scan computes the inclusive prefix reduction: rank r receives
 // op(vals₀, …, valsᵣ). Implemented as a rank chain, which matches the
@@ -325,6 +313,8 @@ func (c *Comm) Scan(vals []float64, op Op) []float64 {
 // sum(counts[:r]). The counts must sum to len(vals) and be identical on
 // every rank.
 func (c *Comm) ReduceScatter(vals []float64, counts []int, op Op) []float64 {
+	// The three checks below assert programmer errors: counts must name
+	// every rank, none negative, and tile vals exactly.
 	if len(counts) != len(c.group) {
 		panic(fmt.Sprintf("mpi: ReduceScatter needs %d counts, got %d", len(c.group), len(counts)))
 	}

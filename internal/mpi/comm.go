@@ -10,7 +10,7 @@ import (
 // the world communicator; Split derives sub-communicators, as the GTC
 // skeleton does for its toroidal partitions.
 //
-// A Comm value belongs to a single rank goroutine and must not be shared.
+// A Comm value belongs to a single rank and must not be shared.
 type Comm struct {
 	world  *World
 	id     int
@@ -23,8 +23,7 @@ type Comm struct {
 	splitSeq int // per-rank split sequence number
 	eventSeq int // per-rank event counter for tracing
 	region   string
-	clockp   *float64   // per-rank virtual clock, shared by all of the rank's comms
-	rs       *rankState // per-rank request free list and wake channel, shared likewise
+	rs       *rankState // the rank's clock, free requests and coroutine, shared by all of its comms
 }
 
 // Rank returns the caller's rank within the communicator.
@@ -44,6 +43,7 @@ func (c *Comm) ID() int { return c.id }
 
 func (c *Comm) checkRank(r int) {
 	if r < 0 || r >= len(c.group) {
+		// Asserts a programmer error: a peer or root outside the communicator.
 		panic(fmt.Sprintf("mpi: rank %d out of range [0,%d) on comm %d", r, len(c.group), c.id))
 	}
 }
@@ -90,48 +90,45 @@ func (c *Comm) Region() string { return c.region }
 
 // --- point-to-point operations ---
 
-// sendRaw enqueues an envelope at dst (a comm rank) without tracing and
-// returns the rendezvous ack channel (nil for eager sends). Internal
-// collective traffic is always eager.
-func (c *Comm) sendRaw(dst int, tag Tag, ctx int64, b Buf) chan struct{} {
-	return c.sendRawProto(dst, tag, ctx, b, false)
-}
+// sendRaw enqueues b at dst (a comm rank) without tracing or a request:
+// internal collective traffic, always eager.
+func (c *Comm) sendRaw(dst int, tag Tag, ctx int64, b Buf) { c.send(dst, tag, ctx, b, nil) }
 
-func (c *Comm) sendRawProto(dst int, tag Tag, ctx int64, b Buf, allowRendezvous bool) chan struct{} {
+// send enqueues b at dst. ack, when not nil, is the send's own request:
+// above the eager limit it travels with the envelope and the matching
+// receive completes it (rendezvous), otherwise it is complete on return.
+func (c *Comm) send(dst int, tag Tag, ctx int64, b Buf, ack *Request) {
 	c.checkRank(dst)
 	if b.Data != nil && len(b.Data) != b.N {
+		// Asserts a programmer error: a hand-built Buf (Size and Data cannot disagree).
 		panic(fmt.Sprintf("mpi: buffer claims %d bytes but carries %d", b.N, len(b.Data)))
 	}
-	env := envPool.Get().(*envelope)
-	env.src = c.group[c.rank]
-	env.tag = tag
-	env.ctx = ctx
-	env.size = b.N
-	env.data = b.Data
-	env.sentAt = c.VirtualTime()
-	// Capture the ack before deliver: a matched envelope may be recycled
-	// by the receiving rank before deliver returns.
-	var ack chan struct{}
-	if allowRendezvous && c.world.eagerLimit > 0 && b.N > c.world.eagerLimit {
-		ack = make(chan struct{})
+	env := c.world.newEnvelope()
+	*env = envelope{src: c.group[c.rank], tag: tag, size: b.N, data: b.Data}
+	if cm := c.world.cost; cm != nil {
+		env.arrival = cm.ptpArrival(c.rs.clock, b.N)
 	}
-	env.ack = ack
-	c.world.deliver(c.group[dst], env)
-	return ack
+	if lim := c.world.eagerLimit; ack != nil && lim > 0 && b.N > lim {
+		env.ack = ack
+	} else if ack != nil {
+		ack.complete(Status{Source: env.src, Tag: tag, N: b.N})
+	}
+	c.world.deliver(c.group[dst], ctx, env)
 }
 
-// waitAck blocks on a rendezvous acknowledgement, unwinding the rank if
-// the world is aborted first.
-func (c *Comm) waitAck(ack chan struct{}) {
-	select {
-	case <-ack:
-	case <-c.world.abort:
-		select {
-		case <-ack:
-		default:
-			panic(abortSignal{})
-		}
-	}
+// startSend starts a user-level send to comm rank dst and returns its
+// request, already complete unless the message goes by rendezvous.
+func (c *Comm) startSend(dst int, tag Tag, b Buf) *Request {
+	req := c.newRequest(opSend, c.WorldRank(dst), tag, ptpCtx(c.id))
+	c.send(dst, tag, req.ctx, b, req)
+	return req
+}
+
+// completed returns an already complete request, for operations on ProcNull.
+func (c *Comm) completed() *Request {
+	req := c.newRequest(opSend, ProcNull, AnyTag, ptpCtx(c.id)) // not a receive: the null status passes through Wait unchanged
+	req.complete(nullStatus())
+	return req
 }
 
 // worldSrcOf translates a receive's comm source (possibly AnySource) to
@@ -140,15 +137,13 @@ func (c *Comm) worldSrcOf(src int) int {
 	if src == AnySource {
 		return AnySource
 	}
-	c.checkRank(src)
-	return c.group[src]
+	return c.WorldRank(src)
 }
 
 // recvRaw posts a receive without tracing and returns its request.
 func (c *Comm) recvRaw(src int, tag Tag, ctx int64) *Request {
-	worldSrc := c.worldSrcOf(src)
-	req := c.newRequest(true)
-	c.world.post(c.group[c.rank], worldSrc, tag, ctx, req)
+	req := c.newRequest(opRecv, c.worldSrcOf(src), tag, ctx)
+	c.world.post(c.group[c.rank], req)
 	return req
 }
 
@@ -167,21 +162,21 @@ func (c *Comm) statusToComm(st Status) Status {
 		st.Source = r
 		return st
 	}
+	// Asserts a runtime bug: contexts are per communicator, so only members can match.
 	panic(fmt.Sprintf("mpi: message from world rank %d which is not in comm %d", st.Source, c.id))
 }
 
-// Send performs a blocking send of b to comm rank dst. Delivery is eager,
-// so Send returns as soon as the message is enqueued.
+// Send performs a blocking send of b to comm rank dst. Delivery is eager
+// up to the world's eager limit, so Send returns as soon as the message is
+// enqueued; above it Send blocks until the matching receive is posted.
 func (c *Comm) Send(dst int, tag Tag, b Buf) {
 	if isNull(dst) {
 		c.trace(CallSend, NoPeer, b.N)
 		return
 	}
-	if ack := c.sendRawProto(dst, tag, ptpCtx(c.id), b, true); ack != nil {
-		c.waitAck(ack) // rendezvous: block until the receive is posted
-	}
+	c.waitFree(c.startSend(dst, tag, b))
 	c.advance(c.transferOf(b.N))
-	c.trace(CallSend, c.peerWorld(dst), b.N)
+	c.trace(CallSend, c.WorldRank(dst), b.N)
 }
 
 // Recv blocks until a message matching (src, tag) arrives and returns its
@@ -204,27 +199,11 @@ func (c *Comm) Recv(src int, tag Tag) Status {
 func (c *Comm) Isend(dst int, tag Tag, b Buf) *Request {
 	if isNull(dst) {
 		c.trace(CallIsend, NoPeer, b.N)
-		req := c.newRequest(false)
-		req.complete(nullStatus())
-		return req
+		return c.completed()
 	}
-	req := c.newRequest(false)
-	st := Status{Source: c.group[c.rank], Tag: tag, N: b.N}
-	if ack := c.sendRawProto(dst, tag, ptpCtx(c.id), b, true); ack != nil {
-		go func() {
-			// Not a rank goroutine: on abort, return without completing —
-			// the rank waiting on req unwinds through Request.wait.
-			select {
-			case <-ack:
-				req.complete(st)
-			case <-c.world.abort:
-			}
-		}()
-	} else {
-		req.complete(st)
-	}
+	req := c.startSend(dst, tag, b)
 	c.advance(0)
-	c.trace(CallIsend, c.peerWorld(dst), b.N)
+	c.trace(CallIsend, c.WorldRank(dst), b.N)
 	return req
 }
 
@@ -232,9 +211,7 @@ func (c *Comm) Isend(dst int, tag Tag, b Buf) *Request {
 func (c *Comm) Irecv(src int, tag Tag) *Request {
 	if isNull(src) {
 		c.trace(CallIrecv, NoPeer, 0)
-		req := c.newRequest(false) // not a receive: the null status passes through Wait unchanged
-		req.complete(nullStatus())
-		return req
+		return c.completed()
 	}
 	req := c.recvRaw(src, tag, ptpCtx(c.id))
 	c.advance(0)
@@ -243,39 +220,39 @@ func (c *Comm) Irecv(src int, tag Tag) *Request {
 }
 
 // Sendrecv sends sb to dst with stag while receiving a message matching
-// (src, rtag), returning the receive status.
+// (src, rtag), returning the receive status. Either peer may be ProcNull;
+// that half is skipped and the other behaves as Send or Recv would.
 func (c *Comm) Sendrecv(dst int, stag Tag, sb Buf, src int, rtag Tag) Status {
-	if isNull(dst) {
-		c.trace(CallSendrecv, NoPeer, sb.N)
-		if isNull(src) {
-			return nullStatus()
-		}
-		return c.statusToComm(c.recvWait(src, rtag, ptpCtx(c.id)))
+	st, peer, transfer := nullStatus(), NoPeer, 0.0
+	if isNull(dst) && isNull(src) {
+		c.trace(CallSendrecv, peer, sb.N)
+		return st
 	}
-	if isNull(src) {
-		if ack := c.sendRawProto(dst, stag, ptpCtx(c.id), sb, true); ack != nil {
-			c.waitAck(ack)
-		}
-		c.advance(c.transferOf(sb.N))
-		c.trace(CallSendrecv, c.peerWorld(dst), sb.N)
-		return nullStatus()
+	var recv *Request
+	if !isNull(src) {
+		// Posted before the send can block, so pairwise exchanges are
+		// safe under rendezvous.
+		recv = c.recvRaw(src, rtag, ptpCtx(c.id))
 	}
-	req := c.recvRaw(src, rtag, ptpCtx(c.id))
-	if ack := c.sendRawProto(dst, stag, ptpCtx(c.id), sb, true); ack != nil {
-		c.waitAck(ack) // safe: our receive is already posted
+	if !isNull(dst) {
+		c.waitFree(c.startSend(dst, stag, sb))
+		peer, transfer = c.WorldRank(dst), c.transferOf(sb.N)
 	}
-	st := c.waitFree(req)
-	c.observeArrival(st.VTime)
-	c.advance(c.transferOf(sb.N))
-	c.trace(CallSendrecv, c.peerWorld(dst), sb.N)
-	return c.statusToComm(st)
+	if recv != nil {
+		st = c.waitFree(recv)
+		c.observeArrival(st.VTime)
+		st = c.statusToComm(st)
+	}
+	c.advance(transfer)
+	c.trace(CallSendrecv, peer, sb.N)
+	return st
 }
 
 // finish consumes a completed request: a receive merges the message's
 // arrival time into the rank's virtual clock and reports its source in
 // comm rank space, and the handle returns to the rank's free list.
 func (c *Comm) finish(r *Request, st Status) Status {
-	if r.isRecv {
+	if r.op == opRecv {
 		c.observeArrival(st.VTime)
 		st = c.statusToComm(st)
 	}
@@ -314,7 +291,7 @@ func (c *Comm) Waitall(reqs []*Request) []Status {
 func (c *Comm) Waitany(reqs []*Request) (int, Status) {
 	c.trace(CallWaitany, NoPeer, 0)
 	if len(reqs) == 0 {
-		panic("mpi: Waitany on empty request list")
+		panic("mpi: Waitany on empty request list") // asserts a programmer error: it could never return
 	}
 	i, st := c.waitAny(reqs...)
 	st = c.finish(reqs[i], st)
@@ -325,33 +302,23 @@ func (c *Comm) Waitany(reqs []*Request) (int, Status) {
 // Test reports whether req has completed; if it has, the returned status is
 // valid and req is consumed. A completed receive merges the message's
 // arrival time into the rank's virtual clock, exactly as the Wait family
-// does — a rank that polls with Test must not observe a stale clock.
+// does — a rank that polls with Test must not observe a stale clock. A
+// failed Test lets every runnable rank run before it returns.
 func (c *Comm) Test(req *Request) (bool, Status) {
 	c.trace(CallTest, NoPeer, 0)
 	st, done := req.poll()
 	if !done {
+		c.rs.pollLater()
 		return false, Status{}
 	}
 	return true, c.finish(req, st)
-}
-
-func (c *Comm) peerWorld(dst int) int {
-	c.checkRank(dst)
-	return c.group[dst]
 }
 
 func (c *Comm) peerWorldOrAny(src int) int {
 	if src == AnySource {
 		return NoPeer
 	}
-	return c.peerWorld(src)
-}
-
-func (c *Comm) peerWorldOrAnyOrNull(src int) int {
-	if src == AnySource || isNull(src) {
-		return NoPeer
-	}
-	return c.peerWorld(src)
+	return c.WorldRank(src)
 }
 
 // --- communicator management ---
@@ -407,7 +374,6 @@ func (c *Comm) Split(color, key int) *Comm {
 		rank:   myRank,
 		tracer: c.tracer,
 		region: c.region,
-		clockp: c.clockp,
 		rs:     c.rs,
 	}
 }

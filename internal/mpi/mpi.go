@@ -1,5 +1,5 @@
 // Package mpi implements an in-process message-passing runtime modeled on
-// the MPI-1 communication interface. Ranks execute as goroutines inside a
+// the MPI-1 communication interface. Ranks execute as coroutines inside a
 // World and exchange messages through communicators with tag and source
 // matching, nonblocking requests, and the collective operations used by the
 // application skeletons in internal/apps.
@@ -11,12 +11,22 @@
 // optional: a Buf may carry only a logical byte count, so large transfer
 // patterns can be replayed without materializing gigabytes of data.
 //
+// One scheduler per World (RunContext) resumes one rank at a time, always
+// the runnable rank with the lowest (virtual clock, world rank), and a rank
+// runs until it blocks. So a world is single-threaded — no lock, pool or
+// channel guards its state — and everything a run produces, modeled times
+// included, is a function of the program alone: the same bytes on every run,
+// at any GOMAXPROCS. Parallelism lives between worlds, not inside one.
+//
 // Semantics follow MPI where it matters for profiling fidelity:
 //
 //   - Point-to-point matching is by (source, tag) with AnySource/AnyTag
-//     wildcards and non-overtaking order per (source, tag) pair.
+//     wildcards and non-overtaking order per (source, tag) pair. A wildcard
+//     receive that finds several sources waiting takes the earliest modeled
+//     arrival.
 //   - Sends use eager delivery: a send completes locally as soon as the
-//     envelope is enqueued at the destination, like a buffered MPI send.
+//     envelope is enqueued at the destination, like a buffered MPI send
+//     (above WithEagerLimit, when the matching receive is posted).
 //   - Completion consumes a request, as MPI_Wait frees one: Wait, Waitall,
 //     the request Waitany returns and a successful Test hand the handle
 //     back to the rank, and a later Isend/Irecv reissues it. Touching a
@@ -25,9 +35,14 @@
 //   - Collectives must be called by every rank of a communicator in the
 //     same order; they are internally implemented over a reserved context
 //     namespace so they can never match user point-to-point traffic.
+//   - A world in which no rank can run again returns ErrDeadlock at once,
+//     naming what each rank waits on.
 //
-// Usage errors (invalid rank, mismatched collective participation) panic,
-// mirroring an MPI abort; World.Run converts rank panics into an error.
+// Usage errors (invalid rank, mismatched collective participation, a request
+// used after Wait) panic, mirroring an MPI abort. Every panic in this package
+// asserts a programmer error, says which at its site, and — NewWorld's size
+// check apart — runs on a rank's coroutine, where Run recovers it into an
+// error naming the rank and unwinds the others: none is a process death.
 package mpi
 
 import "fmt"
@@ -55,6 +70,7 @@ type Buf struct {
 // Size returns a size-only buffer of n logical bytes.
 func Size(n int) Buf {
 	if n < 0 {
+		// Asserts a programmer error: a negative byte count.
 		panic(fmt.Sprintf("mpi: negative buffer size %d", n))
 	}
 	return Buf{N: n}
@@ -91,6 +107,7 @@ const (
 
 func (op Op) apply(dst, src []float64) {
 	if len(dst) != len(src) {
+		// Asserts a programmer error: ranks reduced vectors of different lengths.
 		panic(fmt.Sprintf("mpi: reduction length mismatch %d != %d", len(dst), len(src)))
 	}
 	switch op {
@@ -115,7 +132,7 @@ func (op Op) apply(dst, src []float64) {
 			}
 		}
 	default:
-		panic(fmt.Sprintf("mpi: unknown reduction op %d", op))
+		panic(fmt.Sprintf("mpi: unknown reduction op %d", op)) // asserts a programmer error: not one of the Op constants
 	}
 }
 

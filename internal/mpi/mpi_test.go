@@ -1,7 +1,10 @@
 package mpi
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -251,11 +254,68 @@ func TestRunPropagatesPanic(t *testing.T) {
 	}
 }
 
-func TestTimeoutOnDeadlock(t *testing.T) {
+// TestDeadlockIsDetected: a receive nobody sends leaves nothing runnable,
+// and the scheduler says so at once, naming the rank and what it waits on,
+// instead of sitting out the world's timeout.
+func TestDeadlockIsDetected(t *testing.T) {
+	const timeout = 50 * time.Millisecond
+	w := NewWorld(3, WithTimeout(timeout), WithEagerLimit(16))
+	start := time.Now()
+	err := w.Run(func(c *Comm) {
+		switch c.Rank() {
+		case 0:
+			c.Recv(1, 1) // never sent
+		case 2:
+			c.Waitany([]*Request{c.Isend(0, 5, Size(64)), c.Irecv(AnySource, AnyTag)}) // rendezvous nobody matches
+		}
+	})
+	if !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("expected ErrDeadlock, got %v", err)
+	}
+	if took := time.Since(start); took > timeout/2 {
+		t.Errorf("deadlock reported after %v, want well inside the %v timeout", took, timeout)
+	}
+	for _, want := range []string{
+		"rank 0 waits on recv(peer 1, tag 1, comm 0)",
+		"rank 2 waits on send(peer 0, tag 5, comm 0) (first of 2 requests)",
+	} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("deadlock error %q does not say %q", err, want)
+		}
+	}
+	if strings.Contains(err.Error(), "rank 1") {
+		t.Errorf("deadlock error %q names rank 1, which finished", err)
+	}
+
+	// A blocked Probe and a receive inside a collective are named too, and
+	// a context that can be cancelled but is not changes nothing.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	err = NewWorld(2, WithTimeout(testTimeout)).RunContext(ctx, func(c *Comm) {
+		if c.Rank() == 0 {
+			c.Probe(1, 3)
+		} else {
+			c.Dup().Barrier()
+		}
+	})
+	for _, want := range []string{"rank 0 waits on probe(peer 1, tag 3, comm 0)", "rank 1 waits on recv(peer 0, ", "inside collective 1)"} {
+		if !errors.Is(err, ErrDeadlock) || !strings.Contains(err.Error(), want) {
+			t.Errorf("deadlock error %q does not say %q", err, want)
+		}
+	}
+}
+
+// TestTimeoutWhileRunning keeps ErrTimeout covered: a rank that spins on
+// Test for a message nobody sends is still running when the timer fires.
+func TestTimeoutWhileRunning(t *testing.T) {
 	w := NewWorld(2, WithTimeout(50*time.Millisecond))
 	err := w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
-			c.Recv(1, 1) // never sent
+			for req := c.Irecv(1, 1); ; {
+				if ok, _ := c.Test(req); ok {
+					panic("Test completed a receive nobody sent")
+				}
+			}
 		}
 	})
 	if err != ErrTimeout {

@@ -1,62 +1,30 @@
 package mpi
 
-// probeWaiter is a blocked Probe waiting for a matching envelope to be
-// queued.
-type probeWaiter struct {
-	src int // world rank or AnySource
-	tag Tag
-	ctx int64
-	ch  chan Status
-}
-
-func (p *probeWaiter) matches(e *envelope) bool {
-	if p.ctx != e.ctx {
-		return false
-	}
-	return matchSrcTag(p.src, p.tag, e)
-}
-
-// notifyProbers wakes at most one prober per queued envelope; callers
-// hold the mailbox lock.
-func (mb *mailbox) notifyProbers(e *envelope) {
-	for i, p := range mb.probers {
-		if p.matches(e) {
-			mb.probers = append(mb.probers[:i], mb.probers[i+1:]...)
-			p.ch <- Status{Source: e.src, Tag: e.tag, N: e.size, Data: e.data}
-			return
+// peek returns the status of the queued message a receive of (src, tag) in
+// ctx would take, without consuming it.
+func (mb *mailbox) peek(ctx int64, src int, tag Tag) (Status, bool) {
+	if q, ok := mb.ctxs[ctx]; ok {
+		if i := q.find(src, tag); i >= 0 {
+			return q.unexpected[i].status(), true
 		}
 	}
-}
-
-// findQueued scans one context's unexpected queue for a (src, tag) match
-// without consuming it; callers hold the mailbox lock.
-func (mb *mailbox) findQueued(ctx int64, src int, tag Tag) (*envelope, bool) {
-	q, ok := mb.ctxs[ctx]
-	if !ok {
-		return nil, false
-	}
-	for _, e := range q.unexpected {
-		if matchSrcTag(src, tag, e) {
-			return e, true
-		}
-	}
-	return nil, false
+	return Status{}, false
 }
 
 // Iprobe reports whether a message matching (src, tag) is queued without
-// consuming it; when true, the returned status describes the message.
+// consuming it; when true, the returned status describes the message. A
+// failed Iprobe lets every runnable rank run before it returns.
 func (c *Comm) Iprobe(src int, tag Tag) (bool, Status) {
-	c.trace(CallIprobe, c.peerWorldOrAnyOrNull(src), 0)
 	if isNull(src) {
+		c.trace(CallIprobe, NoPeer, 0)
 		return true, nullStatus()
 	}
-	worldSrc := c.worldSrcOf(src)
-	mb := c.world.boxes[c.group[c.rank]]
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	if e, ok := mb.findQueued(ptpCtx(c.id), worldSrc, tag); ok {
-		return true, c.statusToComm(Status{Source: e.src, Tag: e.tag, N: e.size, Data: e.data})
+	c.trace(CallIprobe, c.peerWorldOrAny(src), 0)
+	mb := &c.world.boxes[c.group[c.rank]]
+	if st, ok := mb.peek(ptpCtx(c.id), c.worldSrcOf(src), tag); ok {
+		return true, c.statusToComm(st)
 	}
+	c.rs.pollLater()
 	return false, Status{}
 }
 
@@ -64,25 +32,20 @@ func (c *Comm) Iprobe(src int, tag Tag) (bool, Status) {
 // its status without consuming it; a following Recv with the same
 // arguments retrieves the message.
 func (c *Comm) Probe(src int, tag Tag) Status {
-	c.trace(CallProbe, c.peerWorldOrAnyOrNull(src), 0)
 	if isNull(src) {
+		c.trace(CallProbe, NoPeer, 0)
 		return nullStatus()
 	}
-	worldSrc := c.worldSrcOf(src)
-	mb := c.world.boxes[c.group[c.rank]]
-	mb.mu.Lock()
-	if e, ok := mb.findQueued(ptpCtx(c.id), worldSrc, tag); ok {
-		st := Status{Source: e.src, Tag: e.tag, N: e.size, Data: e.data}
-		mb.mu.Unlock()
-		return c.statusToComm(st)
-	}
-	waiter := &probeWaiter{src: worldSrc, tag: tag, ctx: ptpCtx(c.id), ch: make(chan Status, 1)}
-	mb.probers = append(mb.probers, waiter)
-	mb.mu.Unlock()
-	select {
-	case st := <-waiter.ch:
-		return c.statusToComm(st)
-	case <-c.world.abort:
-		panic(abortSignal{})
+	c.trace(CallProbe, c.peerWorldOrAny(src), 0)
+	mb, worldSrc, ctx := &c.world.boxes[c.group[c.rank]], c.worldSrcOf(src), ptpCtx(c.id)
+	for {
+		// Looked up again after every wake: by then an AnySource probe may
+		// have a message with an earlier arrival than the one that woke it.
+		if st, ok := mb.peek(ctx, worldSrc, tag); ok {
+			return c.statusToComm(st)
+		}
+		req := c.newRequest(opProbe, worldSrc, tag, ctx)
+		mb.prober = req // deliver completes it when a matching envelope is queued
+		c.waitFree(req)
 	}
 }

@@ -63,12 +63,6 @@ func TestRequestUseAfterWaitPanics(t *testing.T) {
 	})
 }
 
-// raceEnabled is set by race_test.go. Under the race detector sync.Pool
-// drops a quarter of its Puts on purpose, so envelopes are re-allocated
-// and exact allocation counts hold only without it; the loops still run
-// there, for the detector's benefit.
-var raceEnabled bool
-
 // haloStep is one ring exchange through a reused request slice.
 func haloStep(c *Comm, reqs []*Request, retire func(*Comm, []*Request)) {
 	n, me := c.Size(), c.Rank()
@@ -114,7 +108,7 @@ func TestHaloLoopAllocatesNoRequests(t *testing.T) {
 				}
 				got = testing.AllocsPerRun(steps, func() { haloStep(c, reqs, tc.retire) })
 			})
-			if got > tc.max && !raceEnabled {
+			if got > tc.max {
 				t.Errorf("%v allocations per halo step across %d ranks, want at most %v", got, ranks, tc.max)
 			}
 		})
@@ -142,7 +136,7 @@ func TestWaitanyAllCompleteAllocatesNothing(t *testing.T) {
 			}
 		})
 	})
-	if got != 0 && !raceEnabled {
+	if got != 0 {
 		t.Errorf("%v allocations per 16-request Waitany drain, want 0", got)
 	}
 }
@@ -157,10 +151,10 @@ func freeListLen(c *Comm) int {
 }
 
 // TestRendezvousRequestsRecycle sends every message above the eager limit,
-// so each Isend completes on its ack goroutine — not on the owner — and
-// the handle is reissued right after. Payloads carry the step, so a
-// completion or a status landing on the wrong incarnation of a handle
-// shows up as a wrong byte.
+// so each Isend's request is completed by the receiving rank's match — not
+// by the owner — and the handle is reissued right after. Payloads carry the
+// step, so a completion or a status landing on the wrong incarnation of a
+// handle shows up as a wrong byte.
 func TestRendezvousRequestsRecycle(t *testing.T) {
 	const steps = 300
 	w := NewWorld(2, WithTimeout(testTimeout), WithEagerLimit(4))
@@ -191,8 +185,8 @@ func TestRendezvousRequestsRecycle(t *testing.T) {
 
 // TestCancelMidWaitanyUnwindsEveryRank blocks every rank in Waitany over a
 // receive nobody sends and a rendezvous send nobody matches, cancels the
-// context, and requires RunContext to return with every rank and every
-// ack goroutine gone.
+// context, and requires RunContext to return with every rank's coroutine
+// gone.
 func TestCancelMidWaitanyUnwindsEveryRank(t *testing.T) {
 	before := runtime.NumGoroutine()
 	const ranks = 8

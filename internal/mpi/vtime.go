@@ -74,21 +74,13 @@ func WithEagerLimit(n int) Option {
 	return func(w *World) { w.eagerLimit = n }
 }
 
-// costModel returns the world's cost model, nil when disabled.
-func (c *Comm) costModel() *CostModel { return c.world.cost }
-
 // VirtualTime returns the rank's modeled clock in seconds (0 when no cost
 // model is installed).
-func (c *Comm) VirtualTime() float64 {
-	if c.clockp == nil {
-		return 0
-	}
-	return *c.clockp
-}
+func (c *Comm) VirtualTime() float64 { return c.rs.clock }
 
 // transferOf is the modeled wire time of n bytes (0 without a model).
 func (c *Comm) transferOf(n int) float64 {
-	if cm := c.costModel(); cm != nil {
+	if cm := c.world.cost; cm != nil {
 		return cm.transfer(n)
 	}
 	return 0
@@ -96,23 +88,21 @@ func (c *Comm) transferOf(n int) float64 {
 
 // advance moves the virtual clock by the per-call overhead plus extra.
 func (c *Comm) advance(extra float64) {
-	if c.costModel() == nil || c.clockp == nil {
-		return
+	if cm := c.world.cost; cm != nil {
+		c.rs.clock += cm.Overhead + extra
 	}
-	*c.clockp += c.costModel().Overhead + extra
 }
 
 // observeArrival merges a received message's arrival time into the clock.
 func (c *Comm) observeArrival(at float64) {
-	if c.costModel() == nil || c.clockp == nil || at <= *c.clockp {
-		return
+	if at > c.rs.clock { // at is 0 without a cost model
+		c.rs.clock = at
 	}
-	*c.clockp = at
 }
 
 // collAdvance charges one collective's modeled duration.
 func (c *Comm) collAdvance(call Call, bytes int) {
-	if cm := c.costModel(); cm != nil && c.clockp != nil {
-		*c.clockp += cm.collectiveCost(call, bytes, len(c.group))
+	if cm := c.world.cost; cm != nil {
+		c.rs.clock += cm.collectiveCost(call, bytes, len(c.group))
 	}
 }

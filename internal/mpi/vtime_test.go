@@ -188,6 +188,50 @@ func TestTestObservesArrivalTime(t *testing.T) {
 	})
 }
 
+// TestSendrecvFromProcNullObservesArrival is a regression test for the
+// boundary of a non-periodic shift: a Sendrecv whose destination is
+// ProcNull still receives, so it must merge the arrival into the clock and
+// stamp its event after the receive, as Recv does. Before the fix the
+// receiver's clock stayed behind the send it had just consumed.
+func TestSendrecvFromProcNullObservesArrival(t *testing.T) {
+	m := DefaultCostModel()
+	const pad, size = 4 << 20, 1 << 20
+	var eventT float64
+	w := NewWorld(2,
+		WithTimeout(30*time.Second),
+		WithCostModel(m),
+		WithTracerFactory(func(rank int) Tracer {
+			return tracerFunc(func(e Event) {
+				if rank == 0 && e.Call == CallSendrecv {
+					eventT = e.T
+				}
+			})
+		}))
+	err := w.Run(func(c *Comm) {
+		if c.Rank() == 1 {
+			c.Send(1, 2, Size(pad)) // to itself: pushes the clock to t ≈ 4 ms
+			c.Recv(1, 2)
+			t0 := c.VirtualTime()
+			c.Sendrecv(0, 1, Size(size), ProcNull, 1)
+			c.Send(0, 3, Data(encodeFloats([]float64{t0})))
+			return
+		}
+		before := c.VirtualTime()
+		st := c.Sendrecv(ProcNull, 1, Size(size), 1, 1)
+		after := c.VirtualTime()
+		sentAt := decodeFloats(c.Recv(1, 3).Data)[0]
+		if want := sentAt + m.Latency + m.transfer(size); st.N != size || st.VTime < want || after < want {
+			panic(fmt.Sprintf("Sendrecv(ProcNull, …, 1, …): status %+v, clock %g → %g, want both ≥ %g", st, before, after, want))
+		}
+		if eventT < after {
+			panic(fmt.Sprintf("Sendrecv event stamped %g, before the receive completed at %g", eventT, after))
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // tracerFunc adapts a function to the Tracer interface.
 type tracerFunc func(Event)
 

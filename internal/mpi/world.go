@@ -1,12 +1,15 @@
 package mpi
 
 import (
+	"container/heap"
 	"context"
 	"errors"
 	"fmt"
+	"iter"
 	"runtime/debug"
 	"slices"
-	"sync"
+	"strings"
+	"sync/atomic"
 	"time"
 )
 
@@ -21,119 +24,139 @@ func ptpCtx(commID int) int64 { return int64(commID) << 32 }
 // collective context.
 func isPtpCtx(ctx int64) bool { return ctx&0xffffffff == 0 }
 
-// envelope is one in-flight message. Envelopes are pooled: the runtime
-// owns them from send to match and recycles them once the receive status
-// has been built.
+// envelope is one in-flight message. The world owns envelopes from send to
+// match and recycles them on a free list.
 type envelope struct {
-	src    int // world rank of the sender
-	tag    Tag
-	ctx    int64
-	size   int
-	data   []byte
-	sentAt float64       // sender's virtual clock at the send
-	ack    chan struct{} // rendezvous: closed when the receive matches; nil for eager
+	src     int // world rank of the sender
+	tag     Tag
+	size    int
+	data    []byte
+	arrival float64   // modeled arrival time; 0 without a cost model
+	ack     *Request  // rendezvous: the send's request, completed by the match; nil for eager
+	next    *envelope // links the world's free envelopes
 }
 
-var envPool = sync.Pool{New: func() any { return new(envelope) }}
-
-func putEnvelope(e *envelope) {
-	*e = envelope{}
-	envPool.Put(e)
+// status is what a receive matching (or a probe seeing) the envelope reports.
+func (e *envelope) status() Status {
+	return Status{Source: e.src, Tag: e.tag, N: e.size, Data: e.data, VTime: e.arrival}
 }
 
-// postedRecv is a receive waiting for a matching envelope. Like
-// envelopes, postedRecvs never escape the runtime and are pooled.
-type postedRecv struct {
-	src int // world rank or AnySource
-	tag Tag // or AnyTag
-	req *Request
-}
-
-var postedPool = sync.Pool{New: func() any { return new(postedRecv) }}
-
-func putPostedRecv(p *postedRecv) {
-	p.req = nil
-	postedPool.Put(p)
-}
-
-// matchSrcTag applies the point-to-point matching rule within one
-// context: source and tag must agree, with AnySource/AnyTag wildcards.
-func matchSrcTag(src int, tag Tag, e *envelope) bool {
-	if src != AnySource && src != e.src {
-		return false
+// newEnvelope takes an envelope off the free list, or allocates one.
+func (w *World) newEnvelope() *envelope {
+	e := w.freeEnv
+	if e == nil {
+		return new(envelope)
 	}
-	if tag != AnyTag && tag != e.tag {
-		return false
-	}
-	return true
+	w.freeEnv = e.next
+	return e
 }
 
-// ctxQueue holds the unmatched envelopes and pending receives of one
-// matching context. Splitting the mailbox by context turns the old
-// O(posted x unexpected) scan over all traffic into a scan over only the
-// messages that could legally match — for collective-heavy workloads the
-// queues are a handful of entries deep. A matched element leaves through
-// slices.Delete, which zeroes the vacated tail slot: the element goes
-// straight back to its pool, and a stale pointer left in the backing array
-// would alias whatever the pool hands it to next.
+// match completes the receive an envelope met and, for a rendezvous
+// message, the send that has been waiting for it, and recycles the envelope.
+func (w *World) match(e *envelope, recv *Request) {
+	if e.ack != nil {
+		e.ack.complete(Status{Source: e.src, Tag: e.tag, N: e.size})
+	}
+	recv.complete(e.status())
+	*e = envelope{next: w.freeEnv} // drops the payload reference
+	w.freeEnv = e
+}
+
+// matches applies the point-to-point matching rule within one context:
+// source and tag must agree, with AnySource/AnyTag wildcards.
+func (e *envelope) matches(src int, tag Tag) bool {
+	return (src == AnySource || src == e.src) && (tag == AnyTag || tag == e.tag)
+}
+
+// ctxQueue holds the unmatched envelopes and pending receives (requests
+// carry their own source and tag) of one matching context, each in arrival
+// order. Splitting the mailbox by context keeps every scan to the messages
+// that could legally match — for collective-heavy workloads the queues are
+// a handful of entries deep.
 type ctxQueue struct {
 	unexpected []*envelope
-	posted     []*postedRecv
+	posted     []*Request
+	next       *ctxQueue // links the mailbox's retired queues
 }
 
-// mailbox holds a rank's matching state, indexed by context, plus any
-// blocked probes (probes are rare enough that a flat list suffices).
+// find returns the index of the unexpected envelope a receive of (src, tag)
+// takes, or -1. A named source takes its oldest match, whatever order the
+// ranks ran in. AnySource is the one place a schedule could leak into the
+// numbers, so it gets a rule instead: among each source's oldest match
+// (non-overtaking), the earliest modeled arrival, queue order breaking ties
+// — plain FIFO when there is no cost model.
+func (q *ctxQueue) find(src int, tag Tag) int {
+	best := -1
+	for i, e := range q.unexpected {
+		if !e.matches(src, tag) {
+			continue
+		}
+		if best < 0 {
+			best = i
+			if src != AnySource {
+				break
+			}
+		} else if e.arrival < q.unexpected[best].arrival &&
+			!slices.ContainsFunc(q.unexpected[:i], func(o *envelope) bool { return o.src == e.src && o.matches(src, tag) }) {
+			best = i
+		}
+	}
+	return best
+}
+
+// mailbox holds a rank's matching state, indexed by context, plus its
+// blocked Probe, if any (a rank blocks in one call at a time).
 type mailbox struct {
-	mu      sync.Mutex
-	ctxs    map[int64]*ctxQueue
-	probers []*probeWaiter
-	free    *ctxQueue // one retired queue kept warm for the next collective
+	ctxs   map[int64]*ctxQueue
+	prober *Request
+	free   *ctxQueue // retired queues, kept warm for later collectives
 }
 
-// queue returns the context's queue, creating it if needed. Callers hold
-// mb.mu.
+// queue returns the context's queue, creating it if needed.
 func (mb *mailbox) queue(ctx int64) *ctxQueue {
 	if q, ok := mb.ctxs[ctx]; ok {
 		return q
 	}
 	q := mb.free
-	if q != nil {
-		mb.free = nil
-	} else {
+	if q == nil {
 		q = new(ctxQueue)
 	}
+	mb.free = q.next // nil when q is new
 	mb.ctxs[ctx] = q
 	return q
 }
 
 // retire drops a drained collective context so the index does not grow
 // with every collective ever executed; the communicator's long-lived
-// point-to-point context stays resident. Callers hold mb.mu.
+// point-to-point context stays resident.
 func (mb *mailbox) retire(ctx int64, q *ctxQueue) {
 	if isPtpCtx(ctx) || len(q.unexpected) != 0 || len(q.posted) != 0 {
 		return
 	}
 	delete(mb.ctxs, ctx)
-	if mb.free == nil {
-		mb.free = q
-	}
+	q.next, mb.free = mb.free, q
 }
 
 // World is a fixed-size set of ranks that can communicate. Create one with
 // NewWorld, optionally attach tracers, then call Run.
+//
+// A world is single-threaded: its ranks are coroutines and its scheduler
+// (RunContext) resumes one at a time, so nothing below is locked. Only
+// aborted is touched from outside.
 type World struct {
 	size    int
-	boxes   []*mailbox
+	boxes   []mailbox
 	factory TracerFactory
 	timeout time.Duration
 
 	cost       *CostModel
 	eagerLimit int // messages above this rendezvous; 0 = everything eager
 
-	abort     chan struct{} // closed by Abort; unwinds every blocked rank
-	abortOnce sync.Once
+	aborted atomic.Bool  // set by Abort; the scheduler checks it between switches
+	ready   readyQueue   // runnable ranks, lowest (virtual clock, world rank) first
+	pollers []*rankState // ranks whose Test/Iprobe/Done failed; run when ready is empty
+	freeEnv *envelope
 
-	commMu   sync.Mutex
 	commIDs  map[[3]int]int // (parent id, split sequence, color) -> id
 	nextComm int
 }
@@ -146,8 +169,8 @@ func WithTracerFactory(f TracerFactory) Option {
 	return func(w *World) { w.factory = f }
 }
 
-// WithTimeout aborts Run with an error if the ranks have not all finished
-// after d. It guards tests against deadlocks; zero means no limit.
+// WithTimeout aborts Run with ErrTimeout if the ranks have not all finished
+// after d. Zero means no limit.
 func WithTimeout(d time.Duration) Option {
 	return func(w *World) { w.timeout = d }
 }
@@ -155,17 +178,19 @@ func WithTimeout(d time.Duration) Option {
 // NewWorld creates a world of size ranks.
 func NewWorld(size int, opts ...Option) *World {
 	if size <= 0 {
+		// Asserts a programmer error, on the caller's goroutine — the one
+		// panic of this package Run cannot recover. Callers with an
+		// untrusted size check it first, as apps.ProfileRunContext does.
 		panic(fmt.Sprintf("mpi: world size must be positive, got %d", size))
 	}
 	w := &World{
 		size:     size,
-		boxes:    make([]*mailbox, size),
-		abort:    make(chan struct{}),
+		boxes:    make([]mailbox, size),
 		commIDs:  make(map[[3]int]int),
 		nextComm: 1, // id 0 is the world communicator
 	}
 	for i := range w.boxes {
-		w.boxes[i] = &mailbox{ctxs: make(map[int64]*ctxQueue)}
+		w.boxes[i].ctxs = make(map[int64]*ctxQueue)
 	}
 	for _, opt := range opts {
 		opt(w)
@@ -176,21 +201,31 @@ func NewWorld(size int, opts ...Option) *World {
 // Size returns the number of ranks in the world.
 func (w *World) Size() int { return w.size }
 
-// ErrTimeout is returned by Run when WithTimeout expires, which almost
-// always means the rank program deadlocked.
-var ErrTimeout = errors.New("mpi: world timed out (deadlock?)")
+// ErrTimeout is returned by Run when WithTimeout expires while ranks are
+// still running (a world that can no longer run at all is ErrDeadlock).
+var ErrTimeout = errors.New("mpi: world timed out")
 
-// abortSignal is the panic value a blocked rank unwinds with after Abort;
-// the rank launcher recovers it silently (the world-level error carries
-// the cause).
+// ErrDeadlock is returned (wrapped, with what every unfinished rank waits
+// on) by Run as soon as no rank can run again: each is blocked on a
+// receive, a rendezvous send or a probe that only another blocked rank
+// could satisfy.
+var ErrDeadlock = errors.New("mpi: deadlock")
+
+// deadlockGrace is how long a deadlocked world whose context can still be
+// cancelled waits for that cancellation before it reports ErrDeadlock, so
+// that a caller who cancels because its ranks have (just) all blocked is
+// told context.Canceled, not that they had.
+const deadlockGrace = 10 * time.Millisecond
+
+// abortSignal is the panic value a suspended rank unwinds with when the
+// world stops it; the rank's coroutine recovers it silently (the
+// world-level error carries the cause).
 type abortSignal struct{}
 
-// Abort unblocks every rank waiting inside the runtime; each unwinds its
-// goroutine and Run returns once all ranks have exited. Safe to call
-// multiple times and from any goroutine.
-func (w *World) Abort() {
-	w.abortOnce.Do(func() { close(w.abort) })
-}
+// Abort makes the scheduler stop at its next switch and unwind every
+// unfinished rank; Run returns once they have exited. Safe to call multiple
+// times and from any goroutine.
+func (w *World) Abort() { w.aborted.Store(true) }
 
 // rankError carries a rank panic out of Run.
 type rankError struct {
@@ -203,159 +238,150 @@ func (e *rankError) Error() string {
 	return fmt.Sprintf("mpi: rank %d panicked: %v\n%s", e.rank, e.value, e.stack)
 }
 
-// Run executes fn once per rank, each on its own goroutine, passing the
-// world communicator handle for that rank. It returns after every rank
-// finishes. Panics inside ranks are recovered and joined into the returned
-// error; remaining ranks may then block forever, so Run should normally be
-// combined with WithTimeout in tests.
+// Run executes fn once per rank, passing the world communicator handle for
+// that rank, and returns after every rank has finished or been unwound. A
+// panic inside a rank is recovered into the returned error, naming the rank
+// and its stack, and the other ranks are unwound.
 func (w *World) Run(fn func(*Comm)) error {
 	return w.RunContext(context.Background(), fn)
 }
 
-// RunContext is Run with cancellation: when ctx is done before the ranks
-// finish, the world aborts — every rank blocked inside the runtime
-// unwinds, RunContext waits for all rank goroutines to exit, and returns
-// ctx.Err(). The same abort path serves WithTimeout, so a timed-out world
-// no longer leaks its rank goroutines.
+// RunContext is Run with cancellation, and the world's scheduler. Every
+// rank is a coroutine; a rank runs until it must block and hands control
+// back here, and the loop resumes the runnable rank with the lowest
+// (virtual clock, world rank) — a rank far ahead in virtual time does not
+// run before the laggards whose sends it may match — so one rank executes
+// at a time, in an order that is a pure function of the program. When ctx
+// is done or the timeout expires the loop stops at its next switch, every
+// unfinished coroutine is unwound, and ctx.Err() or ErrTimeout is returned.
 func (w *World) RunContext(ctx context.Context, fn func(*Comm)) error {
-	var (
-		wg    sync.WaitGroup
-		errMu sync.Mutex
-		errs  []error
-	)
-	group := make([]int, w.size)
-	for i := range group {
-		group[i] = i
+	defer context.AfterFunc(ctx, w.Abort)()
+	var timer *time.Timer
+	if w.timeout > 0 {
+		timer = time.AfterFunc(w.timeout, w.Abort)
 	}
-	for r := 0; r < w.size; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
+	group := make([]int, w.size)
+	ranks := make([]*rankState, w.size)
+	var errs []error
+	for r := range ranks {
+		rs := &rankState{world: w, rank: r}
+		group[r], ranks[r] = r, rs
+		rs.next, rs.stop = iter.Pull(func(yield func(struct{}) bool) {
 			defer func() {
-				if v := recover(); v != nil {
-					if _, ok := v.(abortSignal); ok {
-						return // deliberate unwind; the cause is reported by RunContext
-					}
-					errMu.Lock()
-					errs = append(errs, &rankError{rank: rank, value: v, stack: debug.Stack()})
-					errMu.Unlock()
+				if v := recover(); v != nil && v != (abortSignal{}) {
+					errs = append(errs, &rankError{rank: r, value: v, stack: debug.Stack()})
 					// Peers may be blocked on traffic this rank will never
-					// send; unwind them so Run reports the real failure
-					// instead of a timeout.
+					// send: report the real failure, not a deadlock.
 					w.Abort()
 				}
 			}()
-			c := &Comm{
-				world:  w,
-				id:     0,
-				group:  group,
-				rank:   rank,
-				clockp: new(float64),
-				rs:     &rankState{wake: make(chan struct{}, 1)},
-			}
+			rs.yield = yield
+			c := &Comm{world: w, group: group, rank: r, rs: rs}
 			if w.factory != nil {
-				c.tracer = w.factory(rank)
+				c.tracer = w.factory(r)
 			}
 			fn(c)
-		}(r)
+		})
 	}
-	done := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-	var timeoutC <-chan time.Time
-	if w.timeout > 0 {
-		t := time.NewTimer(w.timeout)
-		defer t.Stop()
-		timeoutC = t.C
+	w.ready, w.pollers = append(w.ready[:0], ranks...), nil // all at clock 0: rank order is heap order
+
+	live := w.size
+	for live > 0 && !w.aborted.Load() {
+		var rs *rankState
+		if len(w.ready) > 0 {
+			rs = heap.Pop(&w.ready).(*rankState)
+		} else if len(w.pollers) > 0 {
+			rs = w.pollers[0]
+			w.pollers = slices.Delete(w.pollers, 0, 1)
+		} else {
+			break // nothing can ever run again
+		}
+		if _, more := rs.next(); !more {
+			live--
+		}
 	}
-	select {
-	case <-done:
-	case <-ctx.Done():
-		w.Abort()
-		<-done
+	deadlocked := live > 0 && len(w.ready)+len(w.pollers) == 0
+	if done := ctx.Done(); deadlocked && done != nil {
+		grace := time.NewTimer(deadlockGrace)
+		select {
+		case <-done:
+		case <-grace.C:
+		}
+		grace.Stop()
+	}
+	for _, rs := range ranks {
+		rs.stop() // a suspended rank's yield returns false and it unwinds
+	}
+	timedOut := timer != nil && !timer.Stop()
+	switch {
+	case len(errs) > 0:
+		return errors.Join(errs...)
+	case live == 0:
+		return nil
+	case ctx.Err() != nil:
 		return ctx.Err()
-	case <-timeoutC:
-		w.Abort()
-		<-done
+	case deadlocked:
+		return fmt.Errorf("%w: %s", ErrDeadlock, describeBlocked(ranks))
+	case timedOut:
 		return ErrTimeout
 	}
-	return errors.Join(errs...)
+	return nil // Abort was called from outside
+}
+
+// describeBlocked lists what each parked rank of a deadlocked world waits on.
+func describeBlocked(ranks []*rankState) string {
+	var parts []string
+	for _, rs := range ranks {
+		if rs.waiting != nil && rs.nwaiting > 1 {
+			parts = append(parts, fmt.Sprintf("rank %d waits on %v (first of %d requests)", rs.rank, rs.waiting, rs.nwaiting))
+		} else if rs.waiting != nil {
+			parts = append(parts, fmt.Sprintf("rank %d waits on %v", rs.rank, rs.waiting))
+		}
+	}
+	return strings.Join(parts, "; ")
 }
 
 // deliver routes an envelope to the destination world rank, completing a
-// posted receive when one matches, otherwise queueing it. Matched
-// envelopes and receive slots return to their pools here.
-func (w *World) deliver(dst int, env *envelope) {
-	mb := w.boxes[dst]
-	mb.mu.Lock()
-	q := mb.queue(env.ctx)
+// posted receive when one matches (the oldest: receives match in the order
+// they were posted), otherwise queueing it.
+func (w *World) deliver(dst int, ctx int64, env *envelope) {
+	mb := &w.boxes[dst]
+	q := mb.queue(ctx)
 	for i, p := range q.posted {
-		if matchSrcTag(p.src, p.tag, env) {
+		if env.matches(p.peer, p.tag) {
 			q.posted = slices.Delete(q.posted, i, i+1)
-			mb.retire(env.ctx, q)
-			mb.mu.Unlock()
-			if env.ack != nil {
-				close(env.ack)
-			}
-			req := p.req
-			st := w.statusOf(env)
-			putPostedRecv(p)
-			putEnvelope(env)
-			req.complete(st)
+			mb.retire(ctx, q)
+			w.match(env, p)
 			return
 		}
 	}
 	q.unexpected = append(q.unexpected, env)
-	mb.notifyProbers(env)
-	mb.mu.Unlock()
-}
-
-// post registers a receive for world rank dst, first scanning the
-// context's unexpected queue in arrival order to preserve non-overtaking
-// matching. An immediate match completes req without queueing anything.
-func (w *World) post(dst, src int, tag Tag, ctx int64, req *Request) {
-	mb := w.boxes[dst]
-	mb.mu.Lock()
-	q := mb.queue(ctx)
-	for i, env := range q.unexpected {
-		if matchSrcTag(src, tag, env) {
-			q.unexpected = slices.Delete(q.unexpected, i, i+1)
-			mb.retire(ctx, q)
-			mb.mu.Unlock()
-			if env.ack != nil {
-				close(env.ack)
-			}
-			st := w.statusOf(env)
-			putEnvelope(env)
-			req.complete(st)
-			return
-		}
+	if p := mb.prober; p != nil && p.ctx == ctx && env.matches(p.peer, p.tag) {
+		mb.prober = nil
+		p.complete(env.status())
 	}
-	p := postedPool.Get().(*postedRecv)
-	p.src, p.tag, p.req = src, tag, req
-	q.posted = append(q.posted, p)
-	mb.mu.Unlock()
 }
 
-// statusOf builds the receive status of an envelope, stamping the
-// modeled arrival time when a cost model is installed.
-func (w *World) statusOf(env *envelope) Status {
-	st := Status{Source: env.src, Tag: env.tag, N: env.size, Data: env.data}
-	if w.cost != nil {
-		st.VTime = w.cost.ptpArrival(env.sentAt, env.size)
+// post registers a receive request for world rank dst: it completes at
+// once if an unexpected envelope matches, otherwise it queues.
+func (w *World) post(dst int, req *Request) {
+	mb := &w.boxes[dst]
+	q := mb.queue(req.ctx)
+	if i := q.find(req.peer, req.tag); i >= 0 {
+		env := q.unexpected[i]
+		q.unexpected = slices.Delete(q.unexpected, i, i+1)
+		mb.retire(req.ctx, q)
+		w.match(env, req)
+		return
 	}
-	return st
+	q.posted = append(q.posted, req)
 }
 
-// commID returns a process-wide consistent id for a child communicator
+// commID returns a world-wide consistent id for a child communicator
 // derived from (parent id, per-rank split sequence, color). Every member
 // rank that performs the same split observes the same id.
 func (w *World) commID(parent, seq, color int) int {
 	key := [3]int{parent, seq, color}
-	w.commMu.Lock()
-	defer w.commMu.Unlock()
 	if id, ok := w.commIDs[key]; ok {
 		return id
 	}
@@ -365,13 +391,56 @@ func (w *World) commID(parent, seq, color int) int {
 	return id
 }
 
-// rankState is what every Comm of one rank shares besides the clock: the
-// rank's free requests and the channel it sleeps on.
+// rankState is what every Comm of one rank shares: its virtual clock, its
+// free requests and its coroutine.
 type rankState struct {
-	free *Request // released handles, linked through Request.next
-	// wake carries at most one token: "some request this rank armed has
-	// completed since you last looked". Only the rank itself receives.
-	wake chan struct{}
+	world *World
+	rank  int      // world rank
+	clock float64  // virtual time in seconds; stays 0 without a cost model
+	free  *Request // released handles, linked through Request.next
+
+	next  func() (struct{}, bool) // scheduler side: resume the rank until it suspends or returns
+	stop  func()                  // scheduler side: unwind the rank if it has not returned
+	yield func(struct{}) bool     // rank side: suspend; false means unwind
+
+	// While parked the rank waits on nwaiting requests, waiting the first
+	// (nil when it is not parked); complete makes it runnable again.
+	waiting  *Request
+	nwaiting int
+}
+
+// suspend hands control to the scheduler until it resumes this rank, or
+// unwinds the rank if the world stopped it instead.
+func (rs *rankState) suspend() {
+	if !rs.yield(struct{}{}) {
+		panic(abortSignal{})
+	}
+}
+
+// pollLater suspends a rank whose Test, Iprobe or Done found nothing. It
+// queues behind every runnable rank — re-queued at its own clock a poller
+// would stay the minimum of the ready heap and spin there forever — and
+// behind the pollers before it.
+func (rs *rankState) pollLater() {
+	rs.world.pollers = append(rs.world.pollers, rs)
+	rs.suspend()
+}
+
+// readyQueue is a container/heap of runnable ranks ordered by (virtual
+// clock, world rank). A queued rank is not running, so its key is fixed.
+type readyQueue []*rankState
+
+func (q readyQueue) Len() int      { return len(q) }
+func (q readyQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q readyQueue) Less(i, j int) bool {
+	return q[i].clock < q[j].clock || q[i].clock == q[j].clock && q[i].rank < q[j].rank
+}
+func (q *readyQueue) Push(x any) { *q = append(*q, x.(*rankState)) }
+func (q *readyQueue) Pop() any {
+	old := *q
+	rs := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return rs
 }
 
 // Request represents an outstanding nonblocking operation. Its zero value
@@ -385,26 +454,48 @@ type rankState struct {
 // handle is reissued, and aliases an unrelated operation afterwards; drop
 // it (or remove it from the list) as soon as it completes.
 type Request struct {
-	mu       sync.Mutex
+	op       reqOp
 	done     bool
-	armed    bool // the owner may be asleep: complete must post a wake token
-	released bool // consumed by the Wait family and not yet reissued
-	isRecv   bool
-	status   Status
+	released bool   // consumed by the Wait family and not yet reissued
+	peer     int    // world rank of the partner, or AnySource
+	tag      Tag    // or AnyTag
+	ctx      int64  // matching context
+	status   Status // valid once done
 	rs       *rankState
 	next     *Request
 }
 
+// reqOp says what a request stands for: a send (complete at once when
+// eager, at the match when rendezvous), a receive, or a blocked Probe.
+type reqOp uint8
+
+const (
+	opSend reqOp = iota
+	opRecv
+	opProbe
+)
+
+// String describes the operation for ErrDeadlock.
+func (r *Request) String() string {
+	s := fmt.Sprintf("%s(peer %d, tag %d, comm %d", [...]string{"send", "recv", "probe"}[r.op], r.peer, r.tag, r.ctx>>32)
+	if !isPtpCtx(r.ctx) {
+		s += fmt.Sprintf(", inside collective %d", r.ctx&0xffffffff)
+	}
+	return s + ")"
+}
+
 // newRequest issues a request owned by c's rank, reusing a released
 // handle when there is one. Every request — user-facing or backing a
-// blocking receive or a collective — comes from here.
-func (c *Comm) newRequest(isRecv bool) *Request {
+// blocking call or a collective — comes from here.
+func (c *Comm) newRequest(op reqOp, peer int, tag Tag, ctx int64) *Request {
 	r := c.rs.free
 	if r == nil {
-		return &Request{isRecv: isRecv, rs: c.rs}
+		r = &Request{rs: c.rs}
+	} else {
+		c.rs.free = r.next
 	}
-	c.rs.free = r.next
-	r.next, r.done, r.armed, r.released, r.isRecv = nil, false, false, false, isRecv
+	r.op, r.peer, r.tag, r.ctx = op, peer, tag, ctx
+	r.next, r.done, r.released = nil, false, false
 	return r
 }
 
@@ -417,71 +508,49 @@ func (c *Comm) release(r *Request) {
 	r.next, c.rs.free = c.rs.free, r
 }
 
-// complete marks the request finished and, if its owner armed it, posts
-// the rank's wake token. It runs on whichever goroutine matched the
-// message: the owner itself, the sending rank, or a rendezvous ack waiter.
+// complete marks the request finished and, if its owner is parked on it
+// (or on several requests, this perhaps among them), makes the owner
+// runnable. It runs on whichever rank matched the message.
 func (r *Request) complete(st Status) {
-	r.mu.Lock()
 	if r.done {
-		r.mu.Unlock()
-		panic("mpi: request completed twice")
+		panic("mpi: request completed twice") // asserts a runtime bug: one message matched two requests
 	}
-	r.done = true
-	r.status = st
-	if r.armed {
-		select {
-		case r.rs.wake <- struct{}{}:
-		default: // a token is already pending; the owner re-polls everything
-		}
+	r.done, r.status = true, st
+	if rs := r.rs; rs.waiting == r || rs.waiting != nil && rs.nwaiting > 1 {
+		rs.waiting = nil
+		heap.Push(&rs.world.ready, rs)
 	}
-	r.mu.Unlock()
 }
 
-// poll reports the status if the request has completed; otherwise it arms
-// the request so that its completion wakes the owner.
+// poll reports the status if the request has completed.
 func (r *Request) poll() (Status, bool) {
-	r.mu.Lock()
-	released, done, st := r.released, r.done, r.status
-	r.armed = !done
-	r.mu.Unlock()
-	if released {
-		panic("mpi: request used after Wait")
+	if r.released {
+		panic("mpi: request used after Wait") // asserts a programmer error: completion consumed the handle
 	}
-	return st, done
+	return r.status, r.done
 }
 
-// Done reports whether the request has completed without blocking.
+// Done reports whether the request has completed without blocking. Like
+// a failed Test, a false answer lets every other rank run first.
 func (r *Request) Done() bool {
 	_, done := r.poll()
+	if !done {
+		r.rs.pollLater()
+	}
 	return done
 }
 
-// sleep parks the rank until one of its armed requests completes or the
-// world aborts, and reports which. Tokens can be stale (left by a request
-// an earlier Waitany armed), so callers re-poll in a loop.
-func (c *Comm) sleep() (aborted bool) {
-	select {
-	case <-c.rs.wake:
-		return false
-	case <-c.world.abort:
-		return true
-	}
-}
-
 // waitAny blocks until one of reqs completes and returns its index and
-// status: poll each under its lock, else sleep on the rank's channel. If
-// the world is aborted while blocked, the rank unwinds via abortSignal —
-// after one last poll, so a completion that raced with the abort wins.
+// status: poll each, else park until complete makes the rank runnable.
 func (c *Comm) waitAny(reqs ...*Request) (int, Status) {
-	for aborted := false; ; aborted = c.sleep() {
+	for {
 		for i, r := range reqs {
 			if st, ok := r.poll(); ok {
 				return i, st
 			}
 		}
-		if aborted {
-			panic(abortSignal{})
-		}
+		c.rs.waiting, c.rs.nwaiting = reqs[0], len(reqs)
+		c.rs.suspend()
 	}
 }
 

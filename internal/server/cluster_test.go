@@ -236,12 +236,18 @@ func TestClusterPeerFill(t *testing.T) {
 // plan artifact of spec, as a peer would.
 func fetchArtifact(t *testing.T, baseURL string, spec pipeline.ProfileSpec) []byte {
 	t.Helper()
-	rec := pipeline.Recipe{
+	return fetchRecipe(t, baseURL, pipeline.Recipe{
 		Stage:      pipeline.StagePlan,
 		ProfileKey: pipeline.Spec(spec).Key(),
 		Spec:       &spec,
 		Filter:     "steady",
-	}
+	})
+}
+
+// fetchRecipe asks a replica's peer-fill endpoint for the serialized
+// artifact rec names.
+func fetchRecipe(t *testing.T, baseURL string, rec pipeline.Recipe) []byte {
+	t.Helper()
 	key, err := rec.Key()
 	if err != nil {
 		t.Fatal(err)
@@ -265,6 +271,41 @@ func fetchArtifact(t *testing.T, baseURL string, spec pipeline.ProfileSpec) []by
 		t.Fatalf("artifact fetch from %s: %d: %s", baseURL, resp.StatusCode, data)
 	}
 	return data
+}
+
+// TestIndependentServersServeEqualBytes is the content-address property
+// without a shared cache to hold it up: two clusters that have never
+// spoken each build the wildcard skeletons — SuperLU receives with
+// AnySource, PMEMD retires with Waitany — from one recipe, and the
+// profile and plan artifacts they serve under that recipe's keys are the
+// same bytes, as are their provision answers. Until a world's schedule
+// became a function of the program, this held only because exactly one
+// replica ever built a key.
+func TestIndependentServersServeEqualBytes(t *testing.T) {
+	var runs atomic.Int64
+	one, two := startCluster(t, 2, &runs)[0], startCluster(t, 2, &runs)[0]
+	for _, app := range []string{"superlu", "pmemd"} {
+		spec := pipeline.ProfileSpec{App: app, Procs: 64, Seed: 7}
+		before := runs.Load()
+		var answers, profiles, plans [2][]byte
+		for i, r := range []*replica{one, two} {
+			resp, body := postJSON(t, r.url+"/v1/provision", provisionBody(spec))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: provision: %d: %s", app, resp.StatusCode, body)
+			}
+			answers[i] = body
+			profiles[i] = fetchRecipe(t, r.url, pipeline.Recipe{Stage: pipeline.StageProfile, ProfileKey: pipeline.Spec(spec).Key(), Spec: &spec})
+			plans[i] = fetchArtifact(t, r.url, spec)
+		}
+		if got := runs.Load() - before; got < 2 {
+			t.Errorf("%s: %d profile runs, want at least one per cluster", app, got)
+		}
+		for name, pair := range map[string][2][]byte{"provision answer": answers, "profile artifact": profiles, "plan artifact": plans} {
+			if len(pair[0]) == 0 || !bytes.Equal(pair[0], pair[1]) {
+				t.Errorf("%s: %s differs between two independent servers (%d vs %d bytes)", app, name, len(pair[0]), len(pair[1]))
+			}
+		}
+	}
 }
 
 func marshalRecipe(rec pipeline.Recipe) ([]byte, error) {
