@@ -121,17 +121,24 @@ func TestEngineBitsGolden(t *testing.T) {
 		}
 	})
 
-	if !quick {
-		g, flows := haloTraffic(t, 1024)
-		routers := benchFabrics(t, g, 1024)
+	// The P=4096 storm is the one in-package solve over more than 8 192
+	// links, the size the in-solve fan-outs took over at; its rows were
+	// generated while those fan-outs existed and held when they went.
+	halo := []int{1024, 4096}
+	if quick {
+		halo = nil
+	}
+	for _, procs := range halo {
+		g, flows := haloTraffic(t, procs)
+		routers := benchFabrics(t, g, procs)
 		for _, fabric := range sortedRouters(routers) {
 			router := routers[fabric]
 			for mode, fl := range map[string][]Flow{"sync": flows, "stag": staggered(flows)} {
 				res, err := Simulate(fabricNetwork(router), router, fl)
 				if err != nil {
-					t.Fatalf("halo/%s/%s: %v", fabric, mode, err)
+					t.Fatalf("halo/P%d/%s/%s: %v", procs, fabric, mode, err)
 				}
-				record(fmt.Sprintf("halo.p1024.%s.%s", fabric, mode), &res)
+				record(fmt.Sprintf("halo.p%d.%s.%s", procs, fabric, mode), &res)
 			}
 		}
 	}
