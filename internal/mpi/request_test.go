@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -184,24 +183,23 @@ func TestRendezvousRequestsRecycle(t *testing.T) {
 }
 
 // TestCancelMidWaitanyUnwindsEveryRank blocks every rank in Waitany over a
-// receive nobody sends and a rendezvous send nobody matches, cancels the
-// context, and requires RunContext to return with every rank's coroutine
-// gone.
+// receive nobody sends and a rendezvous send nobody matches — the last
+// rank to get there cancels the context on its way in, one rank running
+// at a time — and requires RunContext to return context.Canceled, not the
+// deadlock the world is also in, with every rank's coroutine gone.
 func TestCancelMidWaitanyUnwindsEveryRank(t *testing.T) {
 	before := runtime.NumGoroutine()
 	const ranks = 8
 	ctx, cancel := context.WithCancel(context.Background())
-	var blocking sync.WaitGroup
-	blocking.Add(ranks)
-	go func() {
-		blocking.Wait() // every rank is at (or a few instructions from) its Waitany
-		cancel()
-	}()
+	defer cancel()
+	arrived := 0
 	w := NewWorld(ranks, WithEagerLimit(4))
 	err := w.RunContext(ctx, func(c *Comm) {
 		peer := (c.Rank() + 1) % ranks
 		reqs := []*Request{c.Irecv(peer, 7), c.Isend(peer, 9, Size(1024))}
-		blocking.Done()
+		if arrived++; arrived == ranks {
+			cancel()
+		}
 		c.Waitany(reqs)
 		panic("Waitany returned with nothing complete")
 	})

@@ -211,12 +211,6 @@ var ErrTimeout = errors.New("mpi: world timed out")
 // could satisfy.
 var ErrDeadlock = errors.New("mpi: deadlock")
 
-// deadlockGrace is how long a deadlocked world whose context can still be
-// cancelled waits for that cancellation before it reports ErrDeadlock, so
-// that a caller who cancels because its ranks have (just) all blocked is
-// told context.Canceled, not that they had.
-const deadlockGrace = 10 * time.Millisecond
-
 // abortSignal is the panic value a suspended rank unwinds with when the
 // world stops it; the rank's coroutine recovers it silently (the
 // world-level error carries the cause).
@@ -301,14 +295,6 @@ func (w *World) RunContext(ctx context.Context, fn func(*Comm)) error {
 		}
 	}
 	deadlocked := live > 0 && len(w.ready)+len(w.pollers) == 0
-	if done := ctx.Done(); deadlocked && done != nil {
-		grace := time.NewTimer(deadlockGrace)
-		select {
-		case <-done:
-		case <-grace.C:
-		}
-		grace.Stop()
-	}
 	for _, rs := range ranks {
 		rs.stop() // a suspended rank's yield returns false and it unwinds
 	}

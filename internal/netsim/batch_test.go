@@ -89,13 +89,13 @@ func TestBatchedAdmissionAdmitsOncePerGroup(t *testing.T) {
 	}
 }
 
-// TestSimulateIntraComponentDeterminism pins the PR 9 intra-component
-// parallel paths — the batched-admission solve, the chunk-buffered
-// refresh, and the parallel bottleneck-witness scan (forced on by
-// witnessParMin=2) — bitwise identical at GOMAXPROCS={1,2,8} and
-// reference-exact. Two same-timestamp waves make both paths run: wave 0
-// is a per-component t=0 storm, wave 1 lands mid-flight and recomputes
-// through the witness machinery.
+// TestSimulateIntraComponentDeterminism pins what one component timeline
+// does — the batched-admission solve and the seeded cascade with its
+// bottleneck-witness scan, both over sharded fills — bitwise identical
+// (results and Stats) at GOMAXPROCS={1,2,8} and reference-exact. Two
+// same-timestamp waves make both run: wave 0 is a per-component t=0
+// storm, wave 1 lands mid-flight and recomputes through the witness
+// machinery.
 func TestSimulateIntraComponentDeterminism(t *testing.T) {
 	forceSharded(t)
 	base := steadyFlows(t, "cactus", 64)
@@ -129,7 +129,7 @@ func TestSimulateIntraComponentDeterminism(t *testing.T) {
 		assertParity(t, name, r1, want)
 		for _, workers := range []int{2, 8} {
 			rw := run(workers)
-			if r1.Makespan != rw.Makespan || r1.Unroutable != rw.Unroutable || r1.MaxLinkBytes != rw.MaxLinkBytes {
+			if r1.Makespan != rw.Makespan || r1.Unroutable != rw.Unroutable || r1.MaxLinkBytes != rw.MaxLinkBytes || r1.Stats != rw.Stats {
 				t.Errorf("%s: header differs at GOMAXPROCS=%d: %+v vs %+v", name, workers, r1, rw)
 			}
 			for i := range r1.Flows {

@@ -154,8 +154,7 @@ func TestSimulateUltraDeterminismAtP65536(t *testing.T) {
 }
 
 // BenchmarkSimulateReference measures the retired whole-network
-// water-filling solver on the same traffic, for old-vs-new deltas
-// (BENCH_PR4.json).
+// water-filling solver on the same traffic, for old-vs-new deltas.
 func BenchmarkSimulateReference(b *testing.B) {
 	benchSimulate(b, []int{256, 1024}, simulateReference)
 }

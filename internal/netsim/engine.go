@@ -154,14 +154,6 @@ type compState struct {
 	moved     []int32
 	fillLinks []int32
 
-	// Fixed-grid chunk buffers for the chunked refresh and the parallel
-	// witness scan: buffer ci holds chunk ci's output, concatenated in
-	// chunk order afterwards so the merged list is identical at any
-	// worker count. Component-owned (not engine-level) because
-	// concurrently advancing components chunk their own solve sets.
-	refBufs [][]int32
-	witBufs [][]int32
-
 	// Region-sharded solve scratch (shard.go). Per component so sharded
 	// water-fills can run from inside concurrently advancing components:
 	// the union-find over regions + boundary flows and the component
@@ -288,9 +280,11 @@ func (e *engine) path(f *flowRec) []int32 {
 // completion event, active flows get max-min fair shares of their path
 // bandwidth. The engine is incremental — see the package comment — and
 // its results match simulateReference's whole-network recomputation to
-// float-rounding noise. When the router implements RegionHinter and the
-// network is large enough, the heavy water-fills run region-sharded over
-// par workers; results are bit-identical at any GOMAXPROCS.
+// float-rounding noise. Link-disjoint components of the flow set advance
+// concurrently, and when the router implements RegionHinter and the
+// network is large enough the heavy water-fills run region-sharded over
+// par workers; nothing else forks, and results are bit-identical at any
+// GOMAXPROCS.
 func Simulate(net *Network, router Router, flows []Flow) (Result, error) {
 	var res Result
 	if err := SimulateInto(&res, net, router, flows); err != nil {
@@ -559,15 +553,15 @@ func (e *engine) run(c *compState, horizon float64) error {
 		// the flow's entry out of the heap).
 		c.seeds = c.seeds[:0]
 		for len(c.heap) > 0 && c.heap[0].t <= c.now {
-			e.retire(c, c.heap[0].flow, true)
+			e.retire(c, c.heap[0].flow)
 		}
 		// Admit arrivals due now. A same-timestamp group landing on an
 		// idle component — no surviving flows, nothing retired at this
 		// instant — is an admission storm (t=0 of a synchronized replay
 		// being the giant case): the whole group seeds one batched solve
 		// with no frozen background, so the per-event witness machinery
-		// is skipped entirely (recomputeStorm). Any other event seeds the
-		// general recompute with every path link of every arrival.
+		// is skipped entirely (recompute's batch prelude). Any other event
+		// seeds the general recompute with every path link of every arrival.
 		storm := c.activeCount == 0 && len(c.seeds) == 0 && due()
 		lo := c.next
 		for ; due(); c.next++ {
@@ -578,9 +572,9 @@ func (e *engine) run(c *compState, horizon float64) error {
 			}
 		}
 		if storm {
-			e.recomputeStorm(c, c.order[lo:c.next])
+			e.recompute(c, c.order[lo:c.next])
 		} else if len(c.seeds) > 0 {
-			e.recompute(c)
+			e.recompute(c, nil)
 		}
 	}
 }
@@ -596,7 +590,7 @@ func (e *engine) activeRefs(l int32) []linkRef {
 // The flow leaves the heap and every per-link segment immediately — it
 // can never be drained or counted again — and its links seed the next
 // recompute.
-func (e *engine) retire(c *compState, fi int32, seed bool) {
+func (e *engine) retire(c *compState, fi int32) {
 	f := &e.flows[fi]
 	f.remaining = 0
 	f.done = true
@@ -615,15 +609,13 @@ func (e *engine) retire(c *compState, fi int32, seed bool) {
 		lk.s -= drop
 		lk.stale = true
 	}
-	if seed {
-		c.seeds = append(c.seeds, path...)
-	}
+	c.seeds = append(c.seeds, path...)
 	f.rate = 0
 }
 
 // admit activates an arriving flow on every link of its path. Seeding is
-// the caller's: the batched-admission path (recomputeStorm) derives its
-// solve set from the whole batch at once.
+// the caller's: batched admission (seedBatch) derives its solve set from
+// the whole batch at once.
 func (e *engine) admit(c *compState, fi int32) {
 	f := &e.flows[fi]
 	f.rate = 0
@@ -692,7 +684,7 @@ func (e *engine) settleNew(c *compState, settled int) int {
 		f.lastT = c.now
 		e.oldRate[fi] = f.rate
 		if f.remaining < completionEpsilon {
-			e.retire(c, fi, true)
+			e.retire(c, fi)
 			continue
 		}
 		for _, l := range e.path(f) {
@@ -780,12 +772,6 @@ func (e *engine) solveAffected(c *compState) int {
 	return live
 }
 
-// fillParMin is the live link-list length above which fill's bottleneck
-// scan fans out over fixed par chunks (min is exact, so any chunking of
-// the reduction yields the identical bottleneck). A variable so tests
-// can force small fills through the parallel reduction.
-var fillParMin = 8192
-
 // minShare is the smallest cached share over links; a link with no
 // unfixed weight holds +Inf.
 func (e *engine) minShare(links []int32) float64 {
@@ -821,16 +807,7 @@ func (e *engine) fill(c *compState, links, flows []int32, live int) {
 	}
 	nl := len(links)
 	for live > 0 {
-		bottle := math.Inf(1)
-		if nl >= fillParMin {
-			for _, m := range par.MapChunks(nl, par.Chunk, func(lo, hi int) float64 { return e.minShare(links[lo:hi]) }) {
-				if m < bottle {
-					bottle = m
-				}
-			}
-		} else {
-			bottle = e.minShare(links[:nl])
-		}
+		bottle := e.minShare(links[:nl])
 		if math.IsInf(bottle, 1) {
 			// No capacity left anywhere; flows not yet fixed stall at zero
 			// rate (matching the reference, whose unfixed flows get no
@@ -898,73 +875,24 @@ func (e *engine) commit(c *compState) {
 	}
 }
 
-// refreshChunk is the solve-set size above which the per-link
-// slack/max-rate refresh fans out over fixed par chunks. Below it the
-// serial loop is cheaper than any coordination.
-const refreshChunk = 2048
-
 // refreshQueue recomputes consumed/slack/max-rate for every solve-set
-// link from its active segment and records the links that actually moved
-// (in queue order, so the witness scan is deterministic). Each link's
-// sum walks its own segment, so chunks write disjoint state and the
-// per-chunk moved lists concatenate in chunk order — bit-identical at
-// any worker count.
+// link from its active segment and records in c.moved the links that
+// actually moved, in queue order, for the witness scan. A caller whose
+// solve had no frozen background runs no scan and ignores the list.
 func (e *engine) refreshQueue(c *compState) {
 	c.moved = c.moved[:0]
-	n := len(c.queue)
-	if n <= refreshChunk {
-		for _, l := range c.queue {
-			if e.refreshLink(l) {
-				c.moved = append(c.moved, l)
-			}
+	for _, l := range c.queue {
+		if e.refreshLink(l) {
+			c.moved = append(c.moved, l)
 		}
-		return
 	}
-	// Per-chunk moved lists land in component-owned fixed-grid buffers
-	// (buffer ci ↔ chunk ci) and concatenate in chunk order: identical
-	// at any worker count, and — unlike a fresh slice per chunk — free
-	// of per-pass allocation once the buffers reach high water.
-	nc := par.NumChunks(n, refreshChunk)
-	if cap(c.refBufs) < nc {
-		bufs := make([][]int32, nc)
-		copy(bufs, c.refBufs)
-		c.refBufs = bufs
-	}
-	c.refBufs = c.refBufs[:nc]
-	queue := c.queue
-	par.ForChunks(n, refreshChunk, func(ci, lo, hi int) {
-		mv := c.refBufs[ci][:0]
-		for _, l := range queue[lo:hi] {
-			if e.refreshLink(l) {
-				mv = append(mv, l)
-			}
-		}
-		c.refBufs[ci] = mv
-	})
-	for _, mv := range c.refBufs {
-		c.moved = append(c.moved, mv...)
-	}
-}
-
-// refreshQuiet recommits consumed/slack/max-rate for every solve-set
-// link without tracking which ones moved — the batched-admission path
-// runs no witness scan, so the moved list would be dead weight. Links
-// write disjoint state, so the chunk fan-out needs no reduction at all.
-func (e *engine) refreshQuiet(c *compState) {
-	queue := c.queue
-	par.ForChunks(len(queue), refreshChunk, func(_, lo, hi int) {
-		for _, l := range queue[lo:hi] {
-			e.refreshLink(l)
-		}
-	})
 }
 
 // refreshLink recommits link l's consumed/slack/max-rate state and
 // reports whether the slack or top rate changed. A clean link is left
 // alone: its refs, their order, and their rates and weights are those of
 // its last refresh, so the walk would store the same values and report
-// no change. Only link l's own record is written, which is what lets the
-// chunked refreshes run without coordination.
+// no change.
 func (e *engine) refreshLink(l int32) bool {
 	lk := &e.links[l]
 	if !lk.stale {
@@ -990,9 +918,7 @@ func (e *engine) refreshLink(l int32) bool {
 
 // flowHasWitness reports whether flow f holds a max-min bottleneck
 // certificate: a saturated path link on which its rate is maximal. The
-// check reads only committed link state (sat, max-rate) and flow rates,
-// none of which the witness-scan apply phase mutates — which is what
-// makes the scan safe to evaluate in parallel.
+// check reads only committed link state (sat, max-rate) and flow rates.
 func (e *engine) flowHasWitness(f *flowRec) bool {
 	r := f.rate * (1 + rateBand)
 	for _, l := range e.path(f) {
@@ -1003,104 +929,86 @@ func (e *engine) flowHasWitness(f *flowRec) bool {
 	return false
 }
 
-// witnessParMin is the moved-link count above which the bottleneck-
-// witness scan fans out over fixed par chunks. A variable so tests can
-// force small scans through the parallel path.
-var witnessParMin = 8192
-
 // witnessExpand runs the bottleneck-witness scan over the moved links:
 // every flow on a moved link (frozen flows included — their certificate
 // may have lived here) is checked for a witness, and a flow without one
 // pulls its saturated path links' flows into the affected set. Returns
 // whether the affected set grew.
-//
-// Large scans split the moved list over fixed par chunks. The evaluate
-// phase is pure — flowHasWitness reads only state that is frozen for
-// the duration of the scan — so each chunk collects its witness-failing
-// flows into a component-owned buffer (no dedup: duplicates across
-// chunks evaluate to the same verdict), and the apply phase then walks
-// the buffers serially in chunk order with the same chkMark dedup the
-// serial loop uses. First-occurrence order of failing flows matches the
-// serial scan exactly, so the pulls — and every float after them — are
-// bitwise identical at any worker count.
 func (e *engine) witnessExpand(c *compState) bool {
 	c.chkEpoch++
 	ep := c.epoch
 	expanded := false
-	apply := func(fi int32) {
-		// No bottleneck witness: the flow deserves more, and the
-		// higher-rate flows on its saturated links are what block it —
-		// pull those links' flows into A and re-solve.
-		f := &e.flows[fi]
-		for _, l := range e.path(f) {
-			if e.links[l].sat {
-				e.pullLink(c, l)
+	for _, l := range c.moved {
+		for _, ref := range e.activeRefs(l) {
+			f := &e.flows[ref.flow]
+			if f.chkMark == c.chkEpoch {
+				continue
 			}
-		}
-		if f.flowMark != ep {
-			f.flowMark = ep
-			c.compFlows = append(c.compFlows, fi)
-		}
-		expanded = true
-	}
-	n := len(c.moved)
-	if n < witnessParMin {
-		for _, l := range c.moved {
-			for _, ref := range e.activeRefs(l) {
-				f := &e.flows[ref.flow]
-				if f.chkMark == c.chkEpoch {
-					continue
-				}
-				f.chkMark = c.chkEpoch
-				if !f.done && f.rate > 0 && !e.flowHasWitness(f) {
-					apply(ref.flow)
+			f.chkMark = c.chkEpoch
+			if f.done || f.rate <= 0 || e.flowHasWitness(f) {
+				continue
+			}
+			// No bottleneck witness: the flow deserves more, and the
+			// higher-rate flows on its saturated links are what block it —
+			// pull those links' flows into A and re-solve.
+			for _, pl := range e.path(f) {
+				if e.links[pl].sat {
+					e.pullLink(c, pl)
 				}
 			}
-		}
-		return expanded
-	}
-	nc := par.NumChunks(n, par.Chunk)
-	if cap(c.witBufs) < nc {
-		bufs := make([][]int32, nc)
-		copy(bufs, c.witBufs)
-		c.witBufs = bufs
-	}
-	c.witBufs = c.witBufs[:nc]
-	moved := c.moved
-	par.ForChunks(n, par.Chunk, func(ci, lo, hi int) {
-		buf := c.witBufs[ci][:0]
-		for _, l := range moved[lo:hi] {
-			for _, ref := range e.activeRefs(l) {
-				if f := &e.flows[ref.flow]; !f.done && f.rate > 0 && !e.flowHasWitness(f) {
-					buf = append(buf, ref.flow)
-				}
+			if f.flowMark != ep {
+				f.flowMark = ep
+				c.compFlows = append(c.compFlows, ref.flow)
 			}
-		}
-		c.witBufs[ci] = buf
-	})
-	for _, buf := range c.witBufs {
-		for _, fi := range buf {
-			if f := &e.flows[fi]; f.chkMark != c.chkEpoch {
-				f.chkMark = c.chkEpoch
-				apply(fi)
-			}
+			expanded = true
 		}
 	}
 	return expanded
 }
 
+// seedBatch is recompute's prelude for batched admission: the whole
+// same-timestamp arrival group just admitted onto an idle component.
+// With no surviving flows the affected set is exactly the batch and the
+// frozen background is empty, so it is built directly — no per-flow seed
+// lists, no settle loop — and recompute's first water-fill is the
+// component-global max-min allocation. This is what turns the t=0 storm
+// of a synchronized replay from tens of per-admission cascades into a
+// single solve.
+func (e *engine) seedBatch(c *compState, batch []int32) {
+	ep := c.epoch
+	for _, fi := range batch {
+		f := &e.flows[fi]
+		f.lastT = c.now
+		e.oldRate[fi] = 0
+		if f.remaining < completionEpsilon {
+			// Zero-byte flow: finishes the instant it starts, exactly as
+			// settleNew would retire it on the general path. The links it
+			// seeds are all in the solve set below already.
+			e.retire(c, fi)
+		}
+		f.flowMark = ep
+		c.compFlows = append(c.compFlows, fi)
+		for _, l := range e.path(f) {
+			if lk := &e.links[l]; lk.mark != ep {
+				lk.mark = ep
+				c.queue = append(c.queue, l)
+			}
+		}
+	}
+}
+
 // recompute re-solves max-min rates after an event, touching only the
 // flows the event can affect. The affected set A starts as the flows on
-// the seeded (freed or newly loaded) links; after water-filling A
-// against the frozen background, every flow on a link whose slack or
-// top rate moved is checked for the max-min bottleneck property — a
-// saturated path link on which the flow's rate is maximal. A flow
-// without such a witness is not max-min optimal, so the saturated links
-// blocking it are pulled into A and the solve repeats. Untouched links
-// certify their flows' rates by their stored slack/max-rate, which is
-// what lets the engine skip them entirely.
-func (e *engine) recompute(c *compState) {
-	c.stats.Recomputes++
+// the seeded (freed or newly loaded) links — or, for an admission storm,
+// as the batch itself (seedBatch); after water-filling A against the
+// frozen background, every flow on a link whose slack or top rate moved
+// is checked for the max-min bottleneck property — a saturated path link
+// on which the flow's rate is maximal. A flow without such a witness is
+// not max-min optimal, so the saturated links blocking it are pulled into
+// A and the solve repeats. Untouched links certify their flows' rates by
+// their stored slack/max-rate, which is what lets the engine skip them
+// entirely.
+func (e *engine) recompute(c *compState, batch []int32) {
 	c.epoch++
 	c.queue = c.queue[:0]
 	c.compFlows = c.compFlows[:0]
@@ -1113,7 +1021,13 @@ func (e *engine) recompute(c *compState) {
 			settled = e.settleNew(c, settled)
 		}
 	}
-	pullSeeds()
+	if len(batch) > 0 {
+		c.stats.StormBatches++
+		e.seedBatch(c, batch)
+	} else {
+		c.stats.Recomputes++
+		pullSeeds()
+	}
 
 	for pass := 0; ; pass++ {
 		live := e.solve(c)
@@ -1123,17 +1037,15 @@ func (e *engine) recompute(c *compState) {
 		// stale slack/max-rate for a link whose refresh is still pending
 		// in the same pass — remembering which links actually moved.
 		e.commit(c)
+		e.refreshQueue(c)
 		if live == c.activeCount {
 			// The affected set engulfed every active flow in the
-			// component: the solve ran with no frozen background, so it
-			// is the component-global max-min and the witness scan can
-			// prove nothing — any link it could pull is already in the
-			// solve set, any flow already in A. Same argument as the
-			// batched-admission path; recommit link state and stop.
-			e.refreshQuiet(c)
+			// component — always so for a batch: the solve ran with no
+			// frozen background, so it is the component-global max-min and
+			// the witness scan can prove nothing — any link it could pull
+			// is already in the solve set, any flow already in A.
 			break
 		}
-		e.refreshQueue(c)
 		c.stats.MovedLinks += len(c.moved)
 		if !e.witnessExpand(c) {
 			break
@@ -1161,49 +1073,6 @@ func (e *engine) recompute(c *compState) {
 			break
 		}
 	}
-	e.project(c)
-}
-
-// recomputeStorm is the batched-admission solve: the whole
-// same-timestamp arrival group just admitted onto an idle component.
-// With no surviving flows, the affected set is exactly the batch and the
-// frozen background is empty, so one water-fill computes the
-// component-global max-min allocation outright — no per-flow seed lists,
-// no settle loop, and no bottleneck-witness passes (the witness
-// machinery exists to revalidate flows *outside* the affected set, and
-// here there are none). This is what turns the t=0 storm of a
-// synchronized replay from tens of per-admission cascades into a single
-// solve.
-func (e *engine) recomputeStorm(c *compState, batch []int32) {
-	c.stats.StormBatches++
-	c.epoch++
-	ep := c.epoch
-	c.queue = c.queue[:0]
-	c.compFlows = c.compFlows[:0]
-
-	for _, fi := range batch {
-		f := &e.flows[fi]
-		f.lastT = c.now
-		e.oldRate[fi] = 0
-		if f.remaining < completionEpsilon {
-			// Zero-byte flow: finishes the instant it starts, exactly as
-			// settleNew would retire it on the general path. No seeding —
-			// every link it touched is already in the solve set below.
-			e.retire(c, fi, false)
-		}
-		f.flowMark = ep
-		c.compFlows = append(c.compFlows, fi)
-		for _, l := range e.path(f) {
-			if lk := &e.links[l]; lk.mark != ep {
-				lk.mark = ep
-				c.queue = append(c.queue, l)
-			}
-		}
-	}
-
-	e.solve(c)
-	e.commit(c)
-	e.refreshQuiet(c)
 	e.project(c)
 }
 

@@ -105,11 +105,9 @@ func FuzzSimulate(f *testing.F) {
 		}
 
 		// The region-sharded solve under a random cut — most flows crossing
-		// a boundary — must agree with the reference too. Thresholds drop
+		// a boundary — must agree with the reference too. The threshold drops
 		// so these tiny solves actually take the sharded path.
-		prevMin, prevPar, prevWit := shardedSolveMin, fillParMin, witnessParMin
-		shardedSolveMin, fillParMin, witnessParMin = 2, 4, 2
-		defer func() { shardedSolveMin, fillParMin, witnessParMin = prevMin, prevPar, prevWit }()
+		forceSharded(t)
 		regions := make([]int32, net.Links())
 		nr := 2 + rng.Intn(5)
 		for i := range regions {

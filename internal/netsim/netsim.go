@@ -10,19 +10,26 @@
 // Simulate is an incremental event-driven engine (engine.go): identical
 // flows coalesce into weighted super-flows, projected completions sit in
 // an indexed min-heap holding exactly one entry per draining flow, and
-// each event re-solves max-min rates only over the connected component
-// of links and flows it touched. All engine state is arena-style (one
-// cache-line record per flow and per link, CSR slabs for paths and
-// per-link active sets, a pooled engine recycled across calls —
-// SimulateInto additionally reuses the caller's Result), and large
-// solves run region-sharded: fabrics hint a per-link partition
-// (RegionHinter, shard.go), the affected set splits into region-granular
-// connected components, and the independent component fills run over par
-// workers. Every partition is a pure function of the problem, so results
-// are identical at any GOMAXPROCS. The original whole-network solver is
-// retained as simulateReference (reference.go) and pins the engine's
-// output in parity and fuzz tests, including under randomized region
-// cuts.
+// each event re-solves max-min rates only over the flows and links it
+// can affect. All engine state is arena-style (one cache-line record per
+// flow and per link, CSR slabs for paths and per-link active sets, a
+// pooled engine recycled across calls — SimulateInto additionally reuses
+// the caller's Result).
+//
+// The event loop forks in one place: the flows partition into
+// link-disjoint connected components, each with its own timeline, and
+// the scheduler (scheduler.go) advances live timelines concurrently
+// between merge barriers. Within a timeline every event is handled
+// serially — seed, water-fill, commit, refresh, witness scan — except
+// that a large water-fill may run region-sharded: fabrics hint a
+// per-link partition (RegionHinter, shard.go), the affected set splits
+// into region-granular connected components, and those independent
+// fills run over par workers. Routing, at build time, fans out over a
+// fixed chunk grid. Every partition is a pure function of the problem,
+// so results are identical at any GOMAXPROCS. The original whole-network
+// solver is retained as simulateReference (reference.go) and pins the
+// engine's output in parity and fuzz tests, including under randomized
+// region cuts.
 package netsim
 
 import (

@@ -8,14 +8,13 @@ import (
 	"testing"
 )
 
-// forceSharded drops the sharded-solve and parallel-reduction thresholds
-// so the small test grids exercise the region-sharded machinery, and
-// restores them on cleanup.
+// forceSharded drops the sharded-solve threshold so the small test grids
+// exercise the region-sharded machinery, and restores it on cleanup.
 func forceSharded(t *testing.T) {
 	t.Helper()
-	prevMin, prevPar, prevWit := shardedSolveMin, fillParMin, witnessParMin
-	shardedSolveMin, fillParMin, witnessParMin = 2, 4, 2
-	t.Cleanup(func() { shardedSolveMin, fillParMin, witnessParMin = prevMin, prevPar, prevWit })
+	prev := shardedSolveMin
+	shardedSolveMin = 2
+	t.Cleanup(func() { shardedSolveMin = prev })
 }
 
 // randomCut draws an adversarial region assignment: every link gets a
@@ -73,11 +72,10 @@ func TestSimulateShardedCutParity(t *testing.T) {
 }
 
 // TestSimulateWorkerCountDeterminism pins the engine's strongest claim:
-// the component scheduler, the sharded solve, the chunked refresh, and
-// the parallel bottleneck reduction are bit-identical across
+// the component scheduler and the sharded solve are bit-identical across
 // GOMAXPROCS={1,2,8}, because every partition — scheduler components,
-// merge barriers, shard components, chunk grids — is a pure function of
-// the problem, never of the worker count. Staggered starts split the
+// merge barriers, shard components — is a pure function of the problem,
+// never of the worker count. Staggered starts split the
 // replay into components that merge mid-run, so the concurrent
 // component path (not just the single-timeline fast path) is under
 // test.

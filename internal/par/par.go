@@ -1,9 +1,11 @@
-// Package par provides the bounded worker pool the analysis pipeline
-// shards over: graph builds, TDC sweeps, and fabric assignment all iterate
-// per-rank state that is independent across ranks, so they split the rank
-// range into contiguous shards and run one shard per worker. The pool is
-// bounded by GOMAXPROCS and collapses to a plain loop for small inputs,
-// keeping the P≤256 paper grid on the exact code path it always ran.
+// Package par is the bounded fan-out the analysis pipeline and the
+// netsim engine share, four functions over one pool bound: Workers caps
+// a fan-out at GOMAXPROCS; Ranges splits per-rank work (graph builds, TDC
+// sweeps, fabric assignment) into contiguous shards, one per worker,
+// collapsing to a plain loop for small inputs so the P≤256 paper grid
+// stays on the code path it always ran; ForChunks splits over a fixed,
+// worker-independent grid for callers that keep per-chunk outputs; and
+// RunPriority runs tasks most-urgent-first.
 package par
 
 import (
@@ -31,50 +33,23 @@ func Workers(n int) int {
 	return w
 }
 
-// Chunk is the fixed slice length ForChunks and MapChunks split over.
-// Chunk boundaries depend only on n — never on the worker count — so
-// per-chunk results can be reduced in chunk order, making float
-// arithmetic identical under GOMAXPROCS=1 and GOMAXPROCS=N.
-const Chunk = 2048
-
-// NumChunks reports how many chunks ForChunks and MapChunks split [0,n)
-// into for the given chunk size (Chunk when chunk ≤ 0): callers that
-// keep per-chunk arenas (routing buffers, moved-link lists, witness
-// candidate lists) size them with the same grid arithmetic the fan-out
-// uses, so buffer ci always receives exactly chunk ci's output.
-func NumChunks(n, chunk int) int {
-	if n <= 0 {
-		return 0
-	}
-	if chunk <= 0 {
-		chunk = Chunk
-	}
-	return (n + chunk - 1) / chunk
-}
-
-// ForChunks splits [0,n) into fixed-size chunks and calls fn(ci, lo, hi)
-// for chunk ci covering [lo,hi), chunks spread across pooled workers.
-// Unlike Ranges the chunk grid is a pure function of n and chunk, so a
-// caller that writes per-chunk outputs and merges them by chunk index
-// gets bit-identical results at any parallelism. chunk ≤ 0 uses Chunk;
-// n ≤ chunk or a single worker runs inline on the calling goroutine.
+// ForChunks splits [0,n) into chunks of the caller's fixed, positive size
+// and calls fn(ci, lo, hi) for chunk ci covering [lo,hi), chunks spread
+// across pooled workers. Unlike Ranges the chunk grid is a pure function
+// of n and chunk — never of the worker count — so a caller that writes
+// per-chunk outputs and merges them by chunk index gets bit-identical
+// results at any parallelism. n ≤ chunk or a single worker runs inline on
+// the calling goroutine.
 func ForChunks(n, chunk int, fn func(ci, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	if chunk <= 0 {
-		chunk = Chunk
-	}
 	nc := (n + chunk - 1) / chunk
+	run := func(ci int) { fn(ci, ci*chunk, min((ci+1)*chunk, n)) }
 	workers := Workers(nc)
-	if nc == 1 || workers == 1 {
+	if workers == 1 {
 		for ci := 0; ci < nc; ci++ {
-			lo := ci * chunk
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			fn(ci, lo, hi)
+			run(ci)
 		}
 		return
 	}
@@ -89,69 +64,12 @@ func ForChunks(n, chunk int, fn func(ci, lo, hi int)) {
 				if ci >= nc {
 					return
 				}
-				lo := ci * chunk
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				fn(ci, lo, hi)
+				run(ci)
 			}
 		}()
 	}
 	wg.Wait()
 }
-
-// MapChunks runs fn over the same fixed chunk grid as ForChunks and
-// returns the per-chunk results in chunk order, ready for an in-order
-// (and therefore parallelism-independent) reduction.
-func MapChunks[R any](n, chunk int, fn func(lo, hi int) R) []R {
-	if n <= 0 {
-		return nil
-	}
-	if chunk <= 0 {
-		chunk = Chunk
-	}
-	nc := (n + chunk - 1) / chunk
-	out := make([]R, nc)
-	ForChunks(n, chunk, func(ci, lo, hi int) { out[ci] = fn(lo, hi) })
-	return out
-}
-
-// Group is a reusable bounded worker group: Go schedules a task on at
-// most the configured number of concurrent goroutines, Wait blocks until
-// every scheduled task finished. After Wait the group can be reused for
-// the next phase, so a caller with several parallel stages pays for one
-// semaphore allocation total. The zero value is not usable; make one
-// with NewGroup.
-type Group struct {
-	sem chan struct{}
-	wg  sync.WaitGroup
-}
-
-// NewGroup returns a group running at most workers tasks concurrently
-// (minimum one).
-func NewGroup(workers int) *Group {
-	if workers < 1 {
-		workers = 1
-	}
-	return &Group{sem: make(chan struct{}, workers)}
-}
-
-// Go schedules fn, blocking while the group is at its concurrency bound.
-func (g *Group) Go(fn func()) {
-	g.wg.Add(1)
-	g.sem <- struct{}{}
-	go func() {
-		defer func() {
-			<-g.sem
-			g.wg.Done()
-		}()
-		fn()
-	}()
-}
-
-// Wait blocks until all tasks scheduled so far have completed.
-func (g *Group) Wait() { g.wg.Wait() }
 
 // RunPriority runs fn(i) for every i in [0,n) over pooled workers,
 // dispatching tasks in ascending (pri(i), i) order: workers pull the

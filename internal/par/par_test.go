@@ -99,19 +99,20 @@ func TestRangesBelowMinNRunsInline(t *testing.T) {
 }
 
 func TestForChunksGridIsWorkerIndependent(t *testing.T) {
-	for _, n := range []int{0, 1, Chunk - 1, Chunk, Chunk + 1, 5*Chunk + 13} {
+	const chunk = 2048
+	for _, n := range []int{0, 1, chunk - 1, chunk, chunk + 1, 5*chunk + 13} {
 		hits := make([]int32, n)
 		var chunks int32
-		ForChunks(n, 0, func(ci, lo, hi int) {
+		ForChunks(n, chunk, func(ci, lo, hi int) {
 			atomic.AddInt32(&chunks, 1)
-			if lo != ci*Chunk {
+			if lo != ci*chunk {
 				t.Errorf("n=%d: chunk %d starts at %d", n, ci, lo)
 			}
 			for i := lo; i < hi; i++ {
 				atomic.AddInt32(&hits[i], 1)
 			}
 		})
-		want := int32((n + Chunk - 1) / Chunk)
+		want := int32((n + chunk - 1) / chunk)
 		if chunks != want {
 			t.Errorf("n=%d: %d chunks, want %d", n, chunks, want)
 		}
@@ -120,30 +121,6 @@ func TestForChunksGridIsWorkerIndependent(t *testing.T) {
 				t.Fatalf("n=%d: index %d visited %d times", n, i, h)
 			}
 		}
-	}
-}
-
-func TestMapChunksOrderedResults(t *testing.T) {
-	n, chunk := 1000, 64
-	sums := MapChunks(n, chunk, func(lo, hi int) int {
-		s := 0
-		for i := lo; i < hi; i++ {
-			s += i
-		}
-		return s
-	})
-	if len(sums) != (n+chunk-1)/chunk {
-		t.Fatalf("got %d chunk results", len(sums))
-	}
-	total := 0
-	for _, s := range sums {
-		total += s
-	}
-	if total != n*(n-1)/2 {
-		t.Errorf("chunk sums total %d, want %d", total, n*(n-1)/2)
-	}
-	if MapChunks(0, chunk, func(lo, hi int) int { return 1 }) != nil {
-		t.Error("MapChunks(0) should be nil")
 	}
 }
 
@@ -176,22 +153,5 @@ func TestRunPriorityInlineOrder(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("inline order %v, want %v", got, want)
 		}
-	}
-}
-
-func TestGroupReuseAcrossPhases(t *testing.T) {
-	g := NewGroup(3)
-	var count int32
-	for phase := 0; phase < 3; phase++ {
-		for i := 0; i < 17; i++ {
-			g.Go(func() { atomic.AddInt32(&count, 1) })
-		}
-		g.Wait()
-		if got := atomic.LoadInt32(&count); got != int32((phase+1)*17) {
-			t.Fatalf("after phase %d: %d tasks ran", phase, got)
-		}
-	}
-	if g2 := NewGroup(0); cap(g2.sem) != 1 {
-		t.Errorf("NewGroup(0) concurrency %d, want 1", cap(g2.sem))
 	}
 }

@@ -10,8 +10,7 @@ import (
 // The cold/warm pair below is the PR's headline: a provisioning plan for
 // a P=256 skeleton resolved from an empty store (profile run + graph +
 // assignment + wiring) versus the same request against a warm store (one
-// key lookup). bench.sh records both in BENCH_PR5.json; warm must stay
-// ≥10x under cold.
+// key lookup). Warm must stay ≥10x under cold.
 
 const benchProcs = 256
 
