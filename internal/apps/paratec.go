@@ -47,14 +47,18 @@ func RunPARATEC(c *mpi.Comm, cfg Config) {
 	}
 	diagChunk := cfg.Scale * 16384 // second-transpose columns, well above 32 KB
 
+	// Request lists are refilled every step: Wait leaves the slice its caller's.
+	recvs := make([]*mpi.Request, 0, procs-1)
+	sends := make([]*mpi.Request, 0, procs-1)
+	reqs := make([]*mpi.Request, 0, 2*8*44)
+
 	for s := 0; s < cfg.Steps; s++ {
 		c.RegionBegin(stepRegion(s))
 
 		// Stage 1: global transpose. Post all receives, then all sends,
 		// then retire every request individually — the Isend/Irecv/Wait
 		// thirds of Figure 2.
-		recvs := make([]*mpi.Request, 0, procs-1)
-		sends := make([]*mpi.Request, 0, procs-1)
+		recvs, sends, reqs = recvs[:0], sends[:0], reqs[:0]
 		for peer := 0; peer < procs; peer++ {
 			if peer == me {
 				continue
@@ -80,7 +84,6 @@ func RunPARATEC(c *mpi.Comm, cfg Config) {
 		// small packing messages per neighbor. Everything is posted
 		// nonblocking before any wait, so the ring of neighbor exchanges
 		// cannot form a circular wait.
-		var reqs []*mpi.Request
 		for _, dn := range []int{1, 2, 3, 4} {
 			for _, dir := range []int{+1, -1} {
 				peer := (me + dir*dn + procs) % procs

@@ -3,8 +3,11 @@ package ipm_test
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
+	"github.com/hfast-sim/hfast/internal/apps"
 	"github.com/hfast-sim/hfast/internal/ipm"
 	"github.com/hfast-sim/hfast/internal/mpi"
 )
@@ -51,6 +54,74 @@ func BenchmarkCollectorEventOverflow(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Event(mpi.Event{Call: mpi.CallSend, Peer: i % 512, Bytes: 1000 + i%4096, T: float64(i) * 1e-6})
+	}
+}
+
+// rankEvent is one event of a recorded world, with the rank that emitted it.
+type rankEvent struct {
+	rank int
+	e    mpi.Event
+}
+
+// recorder is the tracer that captures a world's events in the order the
+// scheduler produced them, ranks interleaved.
+type recorder struct {
+	rank   int
+	stream *[]rankEvent
+}
+
+func (r recorder) Event(e mpi.Event) { *r.stream = append(*r.stream, rankEvent{r.rank, e}) }
+
+// BenchmarkCollectorSkeleton replays what the collector really sees: the
+// rank-interleaved event stream of a skeleton run, recorded once, through
+// a CollectorSet including Profile. Regions are per time step, so most
+// signatures are hit once or twice and every rank switch is a cache miss —
+// the case BenchmarkCollectorEvent's one repeated signature does not have.
+// ns/event is the whole collection cost per event, B/entry what a profile
+// entry costs to allocate.
+func BenchmarkCollectorSkeleton(b *testing.B) {
+	for _, sh := range []struct {
+		app   string
+		procs int
+	}{{"cactus", 64}, {"paratec", 64}} {
+		b.Run(fmt.Sprintf("%s/P%d", sh.app, sh.procs), func(b *testing.B) {
+			info, err := apps.Lookup(sh.app)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var stream []rankEvent
+			w := mpi.NewWorld(sh.procs, mpi.WithTimeout(time.Minute), mpi.WithCostModel(mpi.DefaultCostModel()),
+				mpi.WithTracerFactory(func(rank int) mpi.Tracer { return recorder{rank, &stream} }))
+			if err := w.Run(func(c *mpi.Comm) { info.Run(c, apps.Config{Procs: sh.procs}) }); err != nil {
+				b.Fatal(err)
+			}
+			replay := func() *ipm.Profile {
+				set := ipm.NewCollectorSet(0)
+				tracers := make([]mpi.Tracer, sh.procs)
+				for _, re := range stream {
+					if tracers[re.rank] == nil {
+						tracers[re.rank] = set.Factory(re.rank)
+					}
+					tracers[re.rank].Event(re.e)
+				}
+				return set.Profile(sh.app, sh.procs, nil)
+			}
+			entries := 0
+			for _, rp := range replay().Ranks { // also warms the set's scratch
+				entries += len(rp.Entries)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				replay()
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(stream)), "ns/event")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*entries), "B/entry")
+			b.ReportMetric(float64(len(stream))/float64(entries), "events/entry")
+		})
 	}
 }
 

@@ -19,7 +19,6 @@ package ipm
 import (
 	"cmp"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -62,6 +61,7 @@ type Collector struct {
 	rank  int
 	tab   sigTable
 	lastT float64 // previous event's virtual clock, for time attribution
+	live  bool    // in a CollectorSet: made or reused by the world that holds it
 }
 
 // NewCollector creates a collector for one rank with the given hash
@@ -81,8 +81,8 @@ func elapsed(last *float64, t float64) float64 {
 	return dt
 }
 
-// Event records one communication event; it is called by the mpi runtime
-// from the rank's goroutine.
+// Event records one communication event. The mpi runtime runs one rank's
+// coroutine at a time, so neither this nor the CollectorSet takes a lock.
 func (c *Collector) Event(e mpi.Event) {
 	if e.Call == mpi.CallRegionBegin || e.Call == mpi.CallRegionEnd {
 		c.lastT = e.T
@@ -92,54 +92,89 @@ func (c *Collector) Event(e mpi.Event) {
 }
 
 // CollectorSet builds one Collector per rank and assembles their output.
+// It serves one world, whose RunContext calls Factory and every Event from
+// one coroutine at a time.
 type CollectorSet struct {
-	mu         sync.Mutex
-	capacity   int
-	collectors map[int]*Collector
+	capacity int
+	scratch  *worldScratch // until Profile hands it on
+	profile  *Profile      // what Profile assembled
 }
+
+// worldScratch is what a finished world leaves for the next: collectors by
+// world rank (nil where none was made), whose emptied tables keep their
+// chunks and index storage, and the assembly's sort buffers.
+type worldScratch struct {
+	ranks []*Collector
+	sort  sortScratch
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(worldScratch) }}
 
 // NewCollectorSet creates a set with the given per-rank hash capacity
 // (DefaultHashCap if capacity <= 0).
 func NewCollectorSet(capacity int) *CollectorSet {
-	return &CollectorSet{
-		capacity:   capacity,
-		collectors: make(map[int]*Collector),
+	if capacity <= 0 {
+		capacity = DefaultHashCap
 	}
+	return &CollectorSet{capacity: capacity, scratch: scratchPool.Get().(*worldScratch)}
 }
 
 // Factory is the mpi.TracerFactory to install on the world.
 func (s *CollectorSet) Factory(rank int) mpi.Tracer {
-	c := NewCollector(rank, s.capacity)
-	s.mu.Lock()
-	s.collectors[rank] = c
-	s.mu.Unlock()
+	if s.scratch == nil { // a second world on this set
+		s.scratch, s.profile = scratchPool.Get().(*worldScratch), nil
+	}
+	sc := s.scratch
+	for len(sc.ranks) <= rank {
+		sc.ranks = append(sc.ranks, nil)
+	}
+	if sc.ranks[rank] == nil {
+		sc.ranks[rank] = NewCollector(rank, s.capacity)
+	}
+	c := sc.ranks[rank]
+	c.rank, c.lastT, c.live, c.tab.capacity = rank, 0, true, s.capacity
 	return c
 }
 
-// Profile assembles the collected per-rank hashes. Call it only after
-// World.Run has returned.
+// Profile assembles the collected per-rank hashes into one block of
+// entries, sub-sliced per rank, and hands the collectors on to the next
+// set: call it only after World.Run has returned, and feed the set's
+// tracers nothing afterwards. Calling it again returns the same profile.
 func (s *CollectorSet) Profile(app string, procs int, params map[string]int) *Profile {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p := &Profile{
-		App:    app,
-		Procs:  procs,
-		Params: params,
-		Ranks:  make([]RankProfile, 0, len(s.collectors)),
+	if s.profile != nil {
+		return s.profile
 	}
-	ranks := make([]int, 0, len(s.collectors))
-	for r := range s.collectors {
-		ranks = append(ranks, r)
+	sc := s.scratch
+	ranks, total := 0, 0
+	for _, c := range sc.ranks {
+		if c != nil && c.live {
+			ranks++
+			total += c.tab.n
+		}
 	}
-	sort.Ints(ranks)
-	for _, r := range ranks {
-		c := s.collectors[r]
-		rp := RankProfile{Rank: r, Spilled: c.tab.spilled}
+	p := &Profile{App: app, Procs: procs, Params: params, Ranks: make([]RankProfile, 0, ranks)}
+	block := make([]Entry, 0, total)
+	for r, c := range sc.ranks {
+		if c == nil || !c.live {
+			continue
+		}
+		rp := RankProfile{Rank: c.rank, Spilled: c.tab.spilled}
 		if c.tab.n > 0 { // a silent rank keeps encoding as "Entries": null
-			rp.Entries = c.tab.entries()
+			from := len(block)
+			block = c.tab.entries(block, &sc.sort)
+			rp.Entries = block[from:len(block):len(block)]
 		}
 		p.Ranks = append(p.Ranks, rp)
+		// Catch-alls past the capacity are the one unbounded thing a table
+		// holds: one that overflowed is dropped rather than recycled.
+		if c.tab.n > c.tab.capacity {
+			sc.ranks[r] = nil
+		}
+		c.live = false
+		c.tab.reset()
 	}
+	scratchPool.Put(sc)
+	s.scratch, s.profile = nil, p
 	return p
 }
 

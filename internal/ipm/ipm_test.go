@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"math/bits"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -319,13 +321,13 @@ func TestHashPressureCoarsenMergesBuckets(t *testing.T) {
 	// White-box: the bucket is one slot, reachable through the index.
 	st := c.tab.find(sigKey{call: mpi.CallSend, bytes: 128, peer: 1})
 	if st == nil {
-		t.Fatalf("no coarsened 128-byte bucket: %+v", c.tab.entries())
+		t.Fatalf("no coarsened 128-byte bucket: %+v", c.tab.sorted())
 	}
 	if st.Count != 4 || st.TotalBytes != 128+100+90+65 || st.MaxBytes != 128 {
 		t.Errorf("bad coarsened stat %+v", st)
 	}
 	if c.tab.n != 1 {
-		t.Errorf("table grew past capacity: %+v", c.tab.entries())
+		t.Errorf("table grew past capacity: %+v", c.tab.sorted())
 	}
 	// The memo still points at the exact 128-byte signature: an exact hit
 	// after coarse folds must land in the same slot without touching
@@ -428,5 +430,124 @@ func TestCommTimeAttribution(t *testing.T) {
 	}
 	if byCall[mpi.CallSend] < transfer {
 		t.Errorf("send time %g below transfer %g", byCall[mpi.CallSend], transfer)
+	}
+}
+
+// TestProfileRanksDoNotAlias: the profile's entries are one block, and a
+// rank's Entries must still be its own slice. Appending to rank r's must
+// not write into rank r+1's first entry.
+func TestProfileRanksDoNotAlias(t *testing.T) {
+	p := profileRun(t, 4, 0, func(c *mpi.Comm) {
+		next, prev := (c.Rank()+1)%c.Size(), (c.Rank()+c.Size()-1)%c.Size()
+		c.Sendrecv(next, 1, mpi.Size(64*(c.Rank()+1)), prev, 1)
+		c.Barrier()
+	})
+	for r := 0; r+1 < len(p.Ranks); r++ {
+		es := p.Ranks[r].Entries
+		if len(es) == 0 || cap(es) != len(es) {
+			t.Fatalf("rank %d: %d entries with capacity %d, want a full, non-empty slice", r, len(es), cap(es))
+		}
+		want := p.Ranks[r+1].Entries[0]
+		p.Ranks[r].Entries = append(es, Entry{Key: Key{Call: mpi.CallScan, Region: "intruder"}})
+		if got := p.Ranks[r+1].Entries[0]; got != want {
+			t.Fatalf("append to rank %d's entries overwrote rank %d's first: %+v, was %+v", r, r+1, got, want)
+		}
+	}
+}
+
+// TestProfileTwice: the first Profile call hands the collectors on, so a
+// second one must return what the first assembled, not an empty profile.
+func TestProfileTwice(t *testing.T) {
+	set := NewCollectorSet(0)
+	for r := 0; r < 2; r++ {
+		set.Factory(r).Event(mpi.Event{Call: mpi.CallSend, Peer: 1 - r, Bytes: 8, T: 5})
+	}
+	first := set.Profile("twice", 2, nil)
+	next := NewCollectorSet(0) // the next world, on the same tables
+	next.Factory(0).Event(mpi.Event{Call: mpi.CallRecv, Peer: 1, T: 1})
+	if got := next.Profile("next", 1, nil).Ranks[0].Entries[0].Stat.Time; got != 1 {
+		t.Errorf("the next world's first event is charged %g s, want 1: the finished world's clock leaked", got)
+	}
+	if second := set.Profile("twice", 2, nil); second != first {
+		t.Fatalf("second Profile call returned another profile: %+v", second)
+	}
+	if len(first.Ranks) != 2 || len(first.Ranks[0].Entries) != 1 || first.Ranks[0].Entries[0].Key.Call != mpi.CallSend {
+		t.Fatalf("profile changed under the next world: %+v", first.Ranks)
+	}
+	if empty := NewCollectorSet(0).Profile("none", 3, nil); empty.Ranks == nil || len(empty.Ranks) != 0 {
+		t.Errorf("a set no world ran on profiles as %+v, want an empty, non-nil rank list", empty.Ranks)
+	}
+}
+
+// TestEntriesOrderWithForeignCalls: a Call outside the runtime's range has
+// no bucket in the assembly's counting sort; such a table is ordered by
+// whole-key comparison and must come out in the same wire order.
+func TestEntriesOrderWithForeignCalls(t *testing.T) {
+	var evs []mpi.Event
+	for i, call := range []mpi.Call{mpi.CallSend, mpi.Call(mpi.NumCalls + 3), mpi.CallWaitall, mpi.Call(-2), mpi.Call(mpi.NumCalls)} {
+		for _, region := range []string{"step001", "", "step000"} {
+			evs = append(evs, mpi.Event{Call: call, Peer: 3 - i, Bytes: 8 * i, Region: region})
+		}
+	}
+	checkAgainstReference(t, 0, evs)
+	checkAgainstReference(t, 2, evs)
+}
+
+// refPairs is Pairs as it was, a map and a sort: the oracle for the dense
+// row version on profiles no collector would produce.
+func refPairs(p *Profile, filter RegionFilter) []PairTraffic {
+	type pk struct{ src, dst int }
+	acc := make(map[pk]*PairTraffic)
+	p.Visit(filter, func(rank int, e Entry) {
+		if !e.Key.Call.IsPointToPoint() || e.Key.Peer == mpi.NoPeer {
+			return
+		}
+		pt, ok := acc[pk{rank, e.Key.Peer}]
+		if !ok {
+			pt = &PairTraffic{Src: rank, Dst: e.Key.Peer}
+			acc[pk{rank, e.Key.Peer}] = pt
+		}
+		pt.Msgs += e.Stat.Count
+		pt.Bytes += e.Stat.TotalBytes
+		pt.MaxMsg = max(pt.MaxMsg, e.Key.Bytes, e.Stat.MaxBytes)
+	})
+	out := make([]PairTraffic, 0, len(acc))
+	for _, pt := range acc {
+		out = append(out, *pt)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		return out[i].Src < out[j].Src || out[i].Src == out[j].Src && out[i].Dst < out[j].Dst
+	})
+	return out
+}
+
+func TestPairsMatchesMapReference(t *testing.T) {
+	send := func(peer, bytes int, region string, count int64) Entry {
+		return Entry{Key{mpi.CallIsend, bytes, peer, region}, Stat{Count: count, TotalBytes: count * int64(bytes), MaxBytes: bytes}}
+	}
+	rows := []RankProfile{
+		{Rank: 0, Entries: []Entry{send(3, 64, "init", 2), send(1, 8, "step000", 1), send(3, 128, "step000", 5), send(mpi.NoPeer, -1, "step000", 9),
+			{Key{mpi.CallWaitall, 0, 2, "step000"}, Stat{Count: 4}}, send(0, 16, "step000", 1), send(2, 0, "step001", 0)}},
+		{Rank: 1, Entries: nil},
+		{Rank: 2, Entries: []Entry{send(1, 32, "step000", 3), send(0, -5, "step000", 1)}},
+		{Rank: 3, Entries: []Entry{send(0, 4096, "step001", 7), {Key{mpi.CallSendrecv, 512, 2, ""}, Stat{Count: 1, TotalBytes: 512, MaxBytes: 700}}}},
+	}
+	foreign := append([]RankProfile{}, rows...) // peers that are no world rank
+	foreign[2] = RankProfile{Rank: 2, Entries: []Entry{send(9, 8, "step000", 1), send(1, 32, "step000", 3), send(-7, 8, "step000", 2), send(9, 24, "step001", 1)}}
+	shuffled := []RankProfile{rows[3], rows[0], rows[2], rows[0], rows[1]} // out of order, rank 0 twice
+	for name, p := range map[string]*Profile{
+		"in order":      {Procs: 4, Ranks: rows},
+		"foreign peers": {Procs: 4, Ranks: foreign},
+		"no Procs":      {Ranks: rows},
+		"fewer Procs":   {Procs: 2, Ranks: rows},
+		"shuffled":      {Procs: 4, Ranks: shuffled},
+		"empty":         {Procs: 4},
+	} {
+		for fname, filter := range map[string]RegionFilter{"nil": nil, "steady": SteadyState, "step000": Region("step000")} {
+			got, want := p.Pairs(filter), refPairs(p, filter)
+			if got == nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, filter %s:\n got %+v\nwant %+v", name, fname, got, want)
+			}
+		}
 	}
 }

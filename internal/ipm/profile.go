@@ -1,9 +1,11 @@
 package ipm
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"github.com/hfast-sim/hfast/internal/mpi"
@@ -149,48 +151,67 @@ type PairTraffic struct {
 	MaxMsg int
 }
 
+// fold adds o's traffic to pt.
+func (pt *PairTraffic) fold(o PairTraffic) {
+	pt.Msgs += o.Msgs
+	pt.Bytes += o.Bytes
+	pt.MaxMsg = max(pt.MaxMsg, o.MaxMsg)
+}
+
 // Pairs extracts directed point-to-point traffic for entries passing the
-// filter. Catch-all entries (no peer) are skipped.
+// filter, sorted by (Src, Dst). Catch-all entries (no peer) are skipped.
+// Ranks ascend and peers are world ranks, so a rank's row is folded in a
+// dense array and emitted in order; anything else costs a sort at the end.
 func (p *Profile) Pairs(filter RegionFilter) []PairTraffic {
-	type pk struct{ src, dst int }
-	acc := make(map[pk]*PairTraffic)
-	p.Visit(filter, func(rank int, e Entry) {
-		if !e.Key.Call.IsPointToPoint() || e.Key.Peer == mpi.NoPeer {
-			return
-		}
-		k := pk{src: rank, dst: e.Key.Peer}
-		pt, ok := acc[k]
-		if !ok {
-			pt = &PairTraffic{Src: rank, Dst: e.Key.Peer}
-			acc[k] = pt
-		}
-		pt.Msgs += e.Stat.Count
-		pt.Bytes += e.Stat.TotalBytes
-		max := e.Key.Bytes
-		if e.Stat.MaxBytes > max {
-			max = e.Stat.MaxBytes
-		}
-		if max > pt.MaxMsg {
-			pt.MaxMsg = max
-		}
-	})
-	out := make([]PairTraffic, 0, len(acc))
-	for _, pt := range acc {
-		out = append(out, *pt)
+	if filter == nil {
+		filter = AllRegions
 	}
-	sortPairs(out)
-	return out
-}
-
-func sortPairs(ps []PairTraffic) {
-	sort.Slice(ps, func(i, j int) bool { return pairLess(ps[i], ps[j]) })
-}
-
-func pairLess(a, b PairTraffic) bool {
-	if a.Src != b.Src {
-		return a.Src < b.Src
+	procs := max(p.Procs, 0)
+	row := make([]PairTraffic, procs)
+	owner := make([]int, procs) // owner[d] == i+1: row[d] is p.Ranks[i]'s
+	out := []PairTraffic{}
+	inOrder := true
+	for i := range p.Ranks {
+		rp := &p.Ranks[i]
+		inOrder = inOrder && (i == 0 || p.Ranks[i-1].Rank < rp.Rank)
+		for j := range rp.Entries {
+			e := &rp.Entries[j]
+			dst := e.Key.Peer
+			if !e.Key.Call.IsPointToPoint() || dst == mpi.NoPeer || !filter(e.Key.Region) {
+				continue
+			}
+			one := PairTraffic{Src: rp.Rank, Dst: dst, Msgs: e.Stat.Count, Bytes: e.Stat.TotalBytes, MaxMsg: max(0, e.Key.Bytes, e.Stat.MaxBytes)}
+			if uint(dst) >= uint(procs) { // not a world rank: appended as is, folded below
+				out, inOrder = append(out, one), false
+			} else if owner[dst] != i+1 {
+				owner[dst], row[dst] = i+1, one
+			} else {
+				row[dst].fold(one)
+			}
+		}
+		for dst, o := range owner {
+			if o == i+1 {
+				out = append(out, row[dst])
+			}
+		}
+		if i == 0 { // the ranks of one program have about as many partners each
+			out = slices.Grow(out, len(out)*(len(p.Ranks)-1))
+		}
 	}
-	return a.Dst < b.Dst
+	if inOrder {
+		return out
+	}
+	slices.SortFunc(out, func(a, b PairTraffic) int { return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst)) })
+	n := 0
+	for _, pt := range out {
+		if n > 0 && out[n-1].Src == pt.Src && out[n-1].Dst == pt.Dst {
+			out[n-1].fold(pt)
+			continue
+		}
+		out[n] = pt
+		n++
+	}
+	return out[:n]
 }
 
 // TotalCalls returns the number of communication calls passing the filter.

@@ -43,6 +43,7 @@ type StreamSet struct {
 	order      []string
 	windows    map[string]*windowAcc
 	collectors []*streamCollector
+	sort       sortScratch
 }
 
 // windowAcc accumulates one window's sealed rank hashes until all ranks
@@ -86,7 +87,7 @@ func (s *StreamSet) Finish() int {
 	defer s.mu.Unlock()
 	for _, c := range s.collectors {
 		if c.outside.n > 0 {
-			s.sealLocked(c.rank, "", c.outside.entries(), c.outside.spilled)
+			s.sealLocked(c.rank, "", &c.outside)
 			c.outside.reset()
 		}
 	}
@@ -98,15 +99,16 @@ func (s *StreamSet) Finish() int {
 	return s.seq
 }
 
-// seal records one rank's finished window hash (sorted entries) and emits
-// the window when it is the last rank to report.
-func (s *StreamSet) seal(rank int, window string, es []Entry, spilled int64) {
+// seal records one rank's finished window hash and emits the window when
+// it is the last rank to report.
+func (s *StreamSet) seal(rank int, window string, tab *sigTable) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.sealLocked(rank, window, es, spilled)
+	s.sealLocked(rank, window, tab)
 }
 
-func (s *StreamSet) sealLocked(rank int, window string, es []Entry, spilled int64) {
+func (s *StreamSet) sealLocked(rank int, window string, tab *sigTable) {
+	es, spilled := tab.entries(make([]Entry, 0, tab.n), &s.sort), tab.spilled
 	wa, ok := s.windows[window]
 	if !ok {
 		wa = &windowAcc{ranks: make(map[int][]Entry), spilled: make(map[int]int64)}
@@ -195,7 +197,7 @@ func (c *streamCollector) Event(e mpi.Event) {
 	case mpi.CallRegionEnd:
 		c.lastT = e.T
 		if c.region != "" {
-			c.set.seal(c.rank, c.region, c.cur.entries(), c.cur.spilled)
+			c.set.seal(c.rank, c.region, &c.cur)
 		}
 		c.region = ""
 		c.cur.reset()

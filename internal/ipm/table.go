@@ -42,16 +42,19 @@ const (
 // signatures, then sizes coarsen to their power-of-two bucket, then
 // events fold into a per-call catch-all (which may exceed capacity by one
 // entry per (call, region) pair). Slots are stored inline in insertion
-// order and found through an open-addressed index of slot numbers.
+// order and found through an open-addressed index of slot numbers. A key
+// can only match a slot of its own region, so the index holds the current
+// region's slots only: a probe touches a step's cells, not the run's.
 type sigTable struct {
 	capacity int
 	n        int
 	chunks   [][]sigSlot
-	index    []int32 // slot number + 1; 0 marks an empty cell
+	index    []int32 // slot number + 1 of a current-region slot; 0 marks an empty cell
+	live     int     // cells of index in use
 	spilled  int64   // events that required catch-all folding
 
-	// names[id] is the region with that id (id 0 is ""); region/regionID
-	// cache the last event's, so a name is looked up once per region change.
+	// names[id] is the region with that id and ids its inverse (id 0 is "");
+	// region/regionID are the current region, the last event's.
 	names    []string
 	ids      map[string]int32
 	region   string
@@ -68,30 +71,36 @@ func newSigTable(capacity int) sigTable {
 	if capacity <= 0 {
 		capacity = DefaultHashCap
 	}
-	return sigTable{capacity: capacity, names: []string{""}}
+	return sigTable{capacity: capacity, names: []string{""}, ids: map[string]int32{"": 0}}
 }
 
-// reset empties the table for reuse, keeping its chunks, index storage and
-// interned region names.
+// reset empties the table for reuse, keeping its chunks and index storage.
+// Interned region names are dropped: they belong to the run that ended.
 func (t *sigTable) reset() {
-	t.n, t.spilled, t.last = 0, 0, nil
+	t.n, t.live, t.spilled, t.last = 0, 0, 0, nil
 	clear(t.index)
+	clear(t.names[1:])
+	clear(t.ids)
+	t.names, t.ids[""], t.region, t.regionID = t.names[:1], 0, "", 0
 }
 
-func (t *sigTable) intern(region string) int32 {
-	if region == "" {
-		return 0
-	}
-	id, ok := t.ids[region]
-	if !ok {
-		if t.ids == nil {
-			t.ids = make(map[string]int32)
-		}
+// enter makes region the current one: the index is emptied and, if the
+// region was seen before (traffic outside any region between two steps),
+// refilled by a scan of the slots, which a region-per-step program skips.
+func (t *sigTable) enter(region string) {
+	id, seen := t.ids[region]
+	if !seen {
 		id = int32(len(t.names))
 		t.names = append(t.names, region)
 		t.ids[region] = id
 	}
-	return id
+	t.region, t.regionID, t.live = region, id, 0
+	clear(t.index)
+	for i := 0; seen && i < t.n; i++ {
+		if k := t.slot(i).key; k.region == id {
+			t.link(k, int32(i+1))
+		}
+	}
 }
 
 func (t *sigTable) slot(i int) *sigSlot { return &t.chunks[i>>chunkShift][i&(chunkLen-1)] }
@@ -123,28 +132,37 @@ func (t *sigTable) place(k sigKey, s int32) {
 	t.index[i] = s
 }
 
-// insert appends a new slot for k, which must not be present.
-func (t *sigTable) insert(k sigKey, st Stat) *Stat {
-	if 2*(t.n+1) > len(t.index) { // keep the index at most half full
-		t.index = make([]int32, max(2*len(t.index), chunkLen))
-		for i := 0; i < t.n; i++ {
-			t.place(t.slot(i).key, int32(i+1))
+// link adds slot number s (already +1), a slot of the current region, to
+// the index, doubling it first if that would leave it over half full.
+func (t *sigTable) link(k sigKey, s int32) {
+	if t.live++; 2*t.live > len(t.index) {
+		old := t.index
+		t.index = make([]int32, max(2*len(old), chunkLen))
+		for _, o := range old {
+			if o != 0 {
+				t.place(t.slot(int(o-1)).key, o)
+			}
 		}
 	}
+	t.place(k, s)
+}
+
+// insert appends a new slot for k, which must not be present.
+func (t *sigTable) insert(k sigKey, st Stat) *Stat {
 	if t.n>>chunkShift == len(t.chunks) {
 		t.chunks = append(t.chunks, make([]sigSlot, chunkLen))
 	}
 	sl := t.slot(t.n)
 	*sl = sigSlot{key: k, stat: st}
 	t.n++
-	t.place(k, int32(t.n))
+	t.link(k, int32(t.n))
 	return &sl.stat
 }
 
 // add folds one event, charged dt modeled seconds, into the table.
 func (t *sigTable) add(e mpi.Event, dt float64) {
 	if e.Region != t.region {
-		t.region, t.regionID = e.Region, t.intern(e.Region)
+		t.enter(e.Region)
 	}
 	key := sigKey{call: e.Call, bytes: e.Bytes, peer: e.Peer, region: t.regionID}
 	st := t.last
@@ -186,38 +204,82 @@ func (t *sigTable) add(e mpi.Event, dt float64) {
 	}
 }
 
-// entries returns the table's contents sorted by key, in one exact-size
-// allocation: slot numbers are sorted (4-byte swaps over pointer-free
-// keys) and the 72-byte entries gathered once, in order. The comparison
-// repeats Key.cmp on sigKeys on purpose: building two Keys per compare to
-// share it costs 1.8x on a 1 000-signature rank.
-func (t *sigTable) entries() []Entry {
-	order := make([]int32, t.n)
-	for i := range order {
-		order[i] = int32(i)
+// sortKey is the tail of a slot's wire key, in its (call, region) bucket.
+type sortKey struct {
+	peer, bytes int
+	slot        int32
+}
+
+// sortScratch is the working memory of entries, reused rank after rank.
+type sortScratch struct {
+	keys   []sortKey
+	ends   []int32 // per (call, region rank) bucket: its end in keys
+	byName []int32 // region ids in name order
+	rank   []int32 // region id -> position in byName
+}
+
+// entries appends the table's contents to dst in wire order (call, region
+// name, peer, bytes): region ids are ranked by name once, slots are
+// counting-sorted on (call, region rank) — every region but "" owns a
+// slot, so the bucket array is linear in the table — and only the small
+// (peer, bytes) buckets are compared. Each slot is written once, into dst.
+func (t *sigTable) entries(dst []Entry, sc *sortScratch) []Entry {
+	regions := len(t.names)
+	sc.byName, sc.rank = sc.byName[:0], slices.Grow(sc.rank[:0], regions)[:regions]
+	for id := range t.names {
+		sc.byName = append(sc.byName, int32(id))
 	}
-	slices.SortFunc(order, func(a, b int32) int {
-		ka, kb := &t.slot(int(a)).key, &t.slot(int(b)).key
-		if c := cmp.Compare(ka.call, kb.call); c != 0 {
-			return c
-		}
-		if ka.region != kb.region {
-			return strings.Compare(t.names[ka.region], t.names[kb.region])
-		}
-		if c := cmp.Compare(ka.peer, kb.peer); c != 0 {
-			return c
-		}
-		return cmp.Compare(ka.bytes, kb.bytes)
-	})
-	es := make([]Entry, t.n)
-	for i, s := range order {
-		sl := t.slot(int(s))
-		es[i] = Entry{
-			Key:  Key{Call: sl.key.call, Bytes: sl.key.bytes, Peer: sl.key.peer, Region: t.names[sl.key.region]},
-			Stat: sl.stat,
-		}
+	slices.SortFunc(sc.byName, func(a, b int32) int { return strings.Compare(t.names[a], t.names[b]) })
+	for r, id := range sc.byName {
+		sc.rank[id] = int32(r)
 	}
-	return es
+	bucket := func(k *sigKey) int { return int(k.call)*regions + int(sc.rank[k.region]) }
+
+	ends := slices.Grow(sc.ends[:0], mpi.NumCalls*regions)[:mpi.NumCalls*regions]
+	clear(ends)
+	for i := 0; i < t.n; i++ {
+		k := &t.slot(i).key
+		if uint(k.call) >= uint(mpi.NumCalls) { // not a call the runtime emits: compare whole keys
+			base := len(dst)
+			for i := 0; i < t.n; i++ {
+				dst = append(dst, t.entry(i))
+			}
+			sortEntries(dst[base:])
+			return dst
+		}
+		ends[bucket(k)]++
+	}
+	sum := int32(0)
+	for b, n := range ends {
+		ends[b] = sum // the bucket's start, advanced to its end as it fills
+		sum += n
+	}
+	keys := slices.Grow(sc.keys[:0], t.n)[:t.n]
+	sc.keys, sc.ends = keys, ends
+	for i := 0; i < t.n; i++ {
+		k := &t.slot(i).key
+		b := bucket(k)
+		keys[ends[b]] = sortKey{peer: k.peer, bytes: k.bytes, slot: int32(i)}
+		ends[b]++
+	}
+	lo := int32(0)
+	for _, hi := range ends {
+		if hi-lo > 1 {
+			slices.SortFunc(keys[lo:hi], func(a, b sortKey) int {
+				return cmp.Or(cmp.Compare(a.peer, b.peer), cmp.Compare(a.bytes, b.bytes))
+			})
+		}
+		lo = hi
+	}
+	for _, k := range keys {
+		dst = append(dst, t.entry(int(k.slot)))
+	}
+	return dst
+}
+
+func (t *sigTable) entry(i int) Entry {
+	sl := t.slot(i)
+	return Entry{Key{sl.key.call, sl.key.bytes, sl.key.peer, t.names[sl.key.region]}, sl.stat}
 }
 
 func sortEntries(es []Entry) {

@@ -1,6 +1,7 @@
 package ipm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -108,6 +109,11 @@ func (c *refCollector) sorted() []Entry {
 	return es
 }
 
+// sorted is entries for a test: its own block, its own scratch.
+func (t *sigTable) sorted() []Entry {
+	return t.entries(make([]Entry, 0, t.n), new(sortScratch))
+}
+
 // eventsFromBytes decodes a hostile event stream: a capacity in [1,16]
 // followed by four bytes per event. The alphabet is built to collide:
 // few calls, few peers including NoPeer, a handful of regions that repeat
@@ -154,7 +160,7 @@ func checkAgainstReference(t *testing.T, capacity int, evs []mpi.Event) {
 	if c.tab.spilled != ref.spilled {
 		t.Fatalf("cap %d, %d events: spilled %d, reference %d", capacity, len(evs), c.tab.spilled, ref.spilled)
 	}
-	if got, want := c.tab.entries(), ref.sorted(); !reflect.DeepEqual(got, want) {
+	if got, want := c.tab.sorted(), ref.sorted(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("cap %d, %d events: entries differ\n got %+v\nwant %+v", capacity, len(evs), got, want)
 	}
 }
@@ -213,7 +219,7 @@ func TestSigTableResetReuse(t *testing.T) {
 			}
 			tab.add(e, elapsed(&lastT, e.T))
 		}
-		if got, want := tab.entries(), ref.sorted(); !reflect.DeepEqual(got, want) || tab.spilled != ref.spilled {
+		if got, want := tab.sorted(), ref.sorted(); !reflect.DeepEqual(got, want) || tab.spilled != ref.spilled {
 			t.Fatalf("reused table diverged: spilled %d vs %d\n got %+v\nwant %+v", tab.spilled, ref.spilled, got, want)
 		}
 	}
@@ -222,8 +228,62 @@ func TestSigTableResetReuse(t *testing.T) {
 	}
 }
 
+// TestSigTableRegionReentry drives through table and oracle the region
+// sequences the region-local index has to rebuild itself for: a region
+// entered twice, traffic outside any region between every two steps, and a
+// change of region on every event. A visit repeats some signatures of the
+// region's earlier visits and brings new ones, so at capacities 1 and 4
+// coarsening and the catch-all fire inside a re-entered region from the
+// start, and at 64 the table fills in the middle of one.
+func TestSigTableRegionReentry(t *testing.T) {
+	everyEvent := make([]string, 240)
+	for v := range everyEvent {
+		everyEvent[v] = []string{"step000", "", "step001"}[v%3]
+	}
+	calls := []mpi.Call{mpi.CallIsend, mpi.CallIrecv, mpi.CallWaitall}
+	for _, seq := range []struct {
+		name     string
+		perVisit int
+		visits   []string
+	}{
+		{"A B A", 30, []string{"step000", "step001", "step000"}},
+		{"outside between", 30, []string{"", "step000", "", "step001", "", "step002", "", "step000"}},
+		{"every event", 1, everyEvent},
+	} {
+		var evs []mpi.Event
+		for v, region := range seq.visits {
+			for i := 0; i < seq.perVisit; i++ {
+				j := (i + 7*v) % 90 // 90 signatures, distinct in (call, peer, bytes)
+				evs = append(evs, mpi.Event{Call: calls[j%3], Peer: j%7 - 1, Bytes: 60 + 9*(j%11), Region: region, T: float64(len(evs)) * 1e-6})
+			}
+		}
+		for _, capacity := range []int{1, 4, 64} {
+			t.Run(fmt.Sprintf("%s/cap%d", seq.name, capacity), func(t *testing.T) {
+				checkAgainstReference(t, capacity, evs)
+			})
+		}
+	}
+}
+
+// reentrySeeds are two such sequences in eventsFromBytes' encoding, for
+// the fuzzer to mutate: capacity 4, A B A with a marker between visits, and
+// capacity 2 with the region changing on every event.
+func reentrySeeds() [][]byte {
+	aba, every := []byte{3}, []byte{1}
+	for v, region := range []byte{2, 3, 2} {
+		for i := 0; i < 24; i++ {
+			aba = append(aba, byte(4*(i+3*v)+i%4), byte(i%5), region, byte(1+i%3))
+		}
+		aba = append(aba, 0, 0, region, 16) // region_end
+	}
+	for i := 0; i < 90; i++ {
+		every = append(every, byte(4*i+i%4), byte(i%5), byte(i%3*2), byte(1+i%3))
+	}
+	return [][]byte{aba, every}
+}
+
 func FuzzSigTable(f *testing.F) {
-	for _, data := range randomStreams(16) {
+	for _, data := range append(randomStreams(16), reentrySeeds()...) {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

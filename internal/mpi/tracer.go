@@ -128,12 +128,14 @@ type Event struct {
 	T float64
 }
 
-// Tracer observes communication events on a single rank. Implementations
-// must be safe for use from that rank's goroutine only; the runtime never
-// shares one Tracer value across ranks.
+// Tracer observes communication events on a single rank. The runtime never
+// shares one Tracer value across ranks, and a world runs one rank at a
+// time: no two Event calls of one world's tracers overlap, each happens
+// after the one before it, and state the tracers share needs no lock.
 type Tracer interface {
 	Event(Event)
 }
 
-// TracerFactory builds the tracer for each world rank before Run starts.
+// TracerFactory builds a rank's tracer when RunContext first resumes that
+// rank, under the same one-at-a-time rule as Event.
 type TracerFactory func(worldRank int) Tracer
