@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"github.com/hfast-sim/hfast/internal/experiments"
+	"github.com/hfast-sim/hfast/internal/pipeline"
 	"github.com/hfast-sim/hfast/internal/server"
 )
 
@@ -54,18 +55,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	// All default-parameter profiling goes through one shared runner, so a
-	// pre-warmed cache also serves cold /v1/provision requests.
-	profiles := experiments.NewRunner(0)
-	if *prewarm {
-		start := time.Now()
-		if err := profiles.WarmAll(context.Background(), experiments.PaperSpecs(), *workers); err != nil {
-			log.Fatalf("hfastd: prewarm: %v", err)
-		}
-		log.Printf("hfastd: pre-warmed %d paper profiles in %v",
-			len(experiments.PaperSpecs()), time.Since(start).Round(time.Millisecond))
-	}
-
 	cfg := server.Config{
 		Workers:        *workers,
 		QueueDepth:     *queue,
@@ -73,7 +62,6 @@ func main() {
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
 		MaxProcs:       *maxProcs,
-		Runner:         profiles.ServeProfile,
 		SelfURL:        *self,
 		PeerTimeout:    *peerTimeout,
 		ClusterToken:   *clusterToken,
@@ -88,6 +76,18 @@ func main() {
 	svc, err := server.New(cfg)
 	if err != nil {
 		log.Fatalf("hfastd: %v", err)
+	}
+	if *prewarm {
+		// Into the server's own store, through its worker pool: a request
+		// for a paper workload at default parameters is then a hit. Built
+		// here even in a cluster: the peers may not be listening yet.
+		start := time.Now()
+		specs := experiments.PaperSpecs()
+		ctx := pipeline.LocalOnly(context.Background())
+		if err := experiments.RunnerOn(svc.Pipeline(), 0).WarmAll(ctx, specs, *workers); err != nil {
+			log.Fatalf("hfastd: prewarm: %v", err)
+		}
+		log.Printf("hfastd: pre-warmed %d paper profiles in %v", len(specs), time.Since(start).Round(time.Millisecond))
 	}
 	if c := svc.Cluster(); c != nil {
 		log.Printf("hfastd: clustered artifact tier: %d replicas, self %s", len(c.Peers()), c.Self())

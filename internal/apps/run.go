@@ -24,26 +24,15 @@ func ProfileRun(name string, cfg Config) (*ipm.Profile, error) {
 // unwinds, and ctx.Err() is returned (wrapped). The serving layer relies
 // on this to bound profiling work per request.
 func ProfileRunContext(ctx context.Context, name string, cfg Config) (*ipm.Profile, error) {
-	info, err := Lookup(name)
+	info, params, err := resolve(name, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Procs <= 0 {
-		return nil, fmt.Errorf("apps: %s: Procs must be positive, got %d", name, cfg.Procs)
-	}
 	set := ipm.NewCollectorSet(0)
-	w := mpi.NewWorld(cfg.Procs,
-		mpi.WithTimeout(DefaultTimeout),
-		mpi.WithCostModel(mpi.DefaultCostModel()),
-		mpi.WithTracerFactory(set.Factory))
-	if err := w.RunContext(ctx, func(c *mpi.Comm) { info.Run(c, cfg) }); err != nil {
-		return nil, fmt.Errorf("apps: %s run failed: %w", name, err)
+	if err := info.runTraced(ctx, cfg, set.Factory); err != nil {
+		return nil, err
 	}
-	full := cfg.withDefaults(info.DefaultScale)
-	return set.Profile(name, cfg.Procs, map[string]int{
-		"steps": full.Steps,
-		"scale": full.Scale,
-	}), nil
+	return set.Profile(name, cfg.Procs, params), nil
 }
 
 // StreamRunContext executes the named skeleton under the streaming IPM
@@ -53,24 +42,41 @@ func ProfileRunContext(ctx context.Context, name string, cfg Config) (*ipm.Profi
 // outside-region remainder). This is the live producer for the hfastd
 // streaming endpoint; ProfileRunContext remains the batch path.
 func StreamRunContext(ctx context.Context, name string, cfg Config, sink ipm.DeltaSink) (int, error) {
-	info, err := Lookup(name)
+	info, params, err := resolve(name, cfg)
 	if err != nil {
 		return 0, err
 	}
+	set := ipm.NewStreamSet(name, cfg.Procs, params, 0, sink)
+	if err := info.runTraced(ctx, cfg, set.Factory); err != nil {
+		return 0, err
+	}
+	return set.Finish(), nil
+}
+
+// resolve looks the skeleton up, refuses a non-positive size and works
+// out the workload parameters a profile of the run records: steps and
+// scale with the skeleton's defaults filled in.
+func resolve(name string, cfg Config) (Info, map[string]int, error) {
+	info, err := Lookup(name)
+	if err != nil {
+		return Info{}, nil, err
+	}
 	if cfg.Procs <= 0 {
-		return 0, fmt.Errorf("apps: %s: Procs must be positive, got %d", name, cfg.Procs)
+		return Info{}, nil, fmt.Errorf("apps: %s: Procs must be positive, got %d", name, cfg.Procs)
 	}
 	full := cfg.withDefaults(info.DefaultScale)
-	set := ipm.NewStreamSet(name, cfg.Procs, map[string]int{
-		"steps": full.Steps,
-		"scale": full.Scale,
-	}, 0, sink)
+	return info, map[string]int{"steps": full.Steps, "scale": full.Scale}, nil
+}
+
+// runTraced runs the skeleton on a fresh world of cfg.Procs ranks whose
+// tracers come from factory.
+func (in Info) runTraced(ctx context.Context, cfg Config, factory mpi.TracerFactory) error {
 	w := mpi.NewWorld(cfg.Procs,
 		mpi.WithTimeout(DefaultTimeout),
 		mpi.WithCostModel(mpi.DefaultCostModel()),
-		mpi.WithTracerFactory(set.Factory))
-	if err := w.RunContext(ctx, func(c *mpi.Comm) { info.Run(c, cfg) }); err != nil {
-		return 0, fmt.Errorf("apps: %s run failed: %w", name, err)
+		mpi.WithTracerFactory(factory))
+	if err := w.RunContext(ctx, func(c *mpi.Comm) { in.Run(c, cfg) }); err != nil {
+		return fmt.Errorf("apps: %s run failed: %w", in.Name, err)
 	}
-	return set.Finish(), nil
+	return nil
 }

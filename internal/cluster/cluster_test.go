@@ -202,9 +202,7 @@ func TestFillHedge(t *testing.T) {
 
 	self := "http://self:1"
 	f := newTestFiller(t, self, []string{self, slow.URL, fast.URL}, func(c *Config) {
-		c.FetchTimeout = 5 * time.Second
-		c.HedgeDelay = 20 * time.Millisecond
-		c.Replicas = 2
+		c.FetchTimeout = time.Second // the hedge fires after a quarter of it
 	})
 	key := keyOwnedBy(t, f, slow.URL, fast.URL)
 	start := time.Now()

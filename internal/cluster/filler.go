@@ -42,9 +42,6 @@ var (
 // build time for artifacts downstream of an already-warm profile.
 const DefaultFetchTimeout = 2 * time.Second
 
-// DefaultMaxFanout bounds how many candidate owners one fill contacts.
-const DefaultMaxFanout = 2
-
 // maxArtifactBytes bounds one fetched artifact; anything past this is
 // a protocol error, not a plausible stage artifact.
 const maxArtifactBytes = 256 << 20
@@ -60,18 +57,10 @@ type Config struct {
 	// Token, when non-empty, authenticates peer-fill requests; every
 	// replica must share it.
 	Token string
-	// FetchTimeout bounds one peer fetch (default DefaultFetchTimeout).
+	// FetchTimeout bounds one peer fetch (default DefaultFetchTimeout). A
+	// fill waits a quarter of it on the first candidate before launching
+	// a hedged fetch to the next.
 	FetchTimeout time.Duration
-	// HedgeDelay is how long to wait on the first candidate before
-	// launching a hedged fetch to the next (default FetchTimeout/4).
-	HedgeDelay time.Duration
-	// MaxFanout bounds candidate owners contacted per fill (default
-	// DefaultMaxFanout).
-	MaxFanout int
-	// VirtualNodes and Replicas tune the ring (defaults
-	// DefaultVirtualNodes, DefaultReplicas).
-	VirtualNodes int
-	Replicas     int
 	// HTTPClient overrides the transport (default http.DefaultClient);
 	// per-fetch deadlines come from context, not the client.
 	HTTPClient *http.Client
@@ -117,16 +106,7 @@ func NewFiller(cfg Config) (*Filler, error) {
 	if cfg.FetchTimeout <= 0 {
 		cfg.FetchTimeout = DefaultFetchTimeout
 	}
-	if cfg.HedgeDelay <= 0 {
-		cfg.HedgeDelay = cfg.FetchTimeout / 4
-	}
-	if cfg.MaxFanout <= 0 {
-		cfg.MaxFanout = DefaultMaxFanout
-	}
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = DefaultReplicas
-	}
-	ring, err := NewRing(peers, cfg.VirtualNodes)
+	ring, err := NewRing(peers, DefaultVirtualNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -134,7 +114,7 @@ func NewFiller(cfg Config) (*Filler, error) {
 	if client == nil {
 		client = http.DefaultClient
 	}
-	return &Filler{cfg: cfg, ring: ring, client: client, metrics: &Metrics{peers: len(peers)}}, nil
+	return &Filler{cfg: cfg, ring: ring, client: client, metrics: &Metrics{s: Snapshot{Peers: len(peers)}}}, nil
 }
 
 // Metrics exposes the cache-tier counters.
@@ -148,7 +128,7 @@ func (f *Filler) Self() string { return f.cfg.Self }
 
 // Owners returns the key's candidate owners in preference order.
 func (f *Filler) Owners(key pipeline.Key) []string {
-	return f.ring.Owners(string(key), f.cfg.Replicas)
+	return f.ring.Owners(string(key), Replicas)
 }
 
 // Fill implements pipeline.Filler: fetch the artifact for key from its
@@ -168,9 +148,6 @@ func (f *Filler) Fill(ctx context.Context, key pipeline.Key, rec pipeline.Recipe
 			candidates = append(candidates, o)
 		}
 	}
-	if len(candidates) > f.cfg.MaxFanout {
-		candidates = candidates[:f.cfg.MaxFanout]
-	}
 	body, err := json.Marshal(rec)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: encoding recipe for %s: %w", key, err)
@@ -186,7 +163,7 @@ func (f *Filler) Fill(ctx context.Context, key pipeline.Key, rec pipeline.Recipe
 }
 
 // hedgedFetch races the candidate owners: the first is contacted
-// immediately, each further one after HedgeDelay — or right away when
+// immediately, each further one after FetchTimeout/4 — or right away when
 // an earlier fetch fails. The first success wins and cancels the rest.
 func (f *Filler) hedgedFetch(ctx context.Context, key pipeline.Key, body []byte, candidates []string) ([]byte, error) {
 	fctx, cancel := context.WithCancel(ctx)
@@ -210,7 +187,7 @@ func (f *Filler) hedgedFetch(ctx context.Context, key pipeline.Key, body []byte,
 		}()
 	}
 	launch(false)
-	hedge := time.NewTimer(f.cfg.HedgeDelay)
+	hedge := time.NewTimer(f.cfg.FetchTimeout / 4)
 	defer hedge.Stop()
 	var miss, deadline bool
 	for pending := 1; pending > 0; {

@@ -1,83 +1,65 @@
 package cluster
 
 import (
-	"fmt"
 	"io"
 	"sync"
+
+	"github.com/hfast-sim/hfast/internal/obs"
 )
 
 // Metrics counts cache-tier outcomes for one replica's peer-fill
-// coordinator. All methods are safe for concurrent use.
+// coordinator: a Snapshot behind a mutex. All methods are safe for
+// concurrent use.
 type Metrics struct {
-	mu          sync.Mutex
-	localOwned  uint64  // keys this replica owns: resolved locally, no fetch
-	peerHits    uint64  // artifacts filled from a peer
-	peerMisses  uint64  // fetches answered 404 (peer had no spec to build from)
-	peerErrors  uint64  // fetches failed: deadline, transport, bad status
-	fallbacks   uint64  // failed fills that fell back to a local build
-	hedged      uint64  // extra fetches launched by the hedge timer
-	served      uint64  // artifacts this replica served to peers
-	fillBytes   uint64  // artifact bytes received from peers
-	fillSeconds float64 // wall time spent on successful fills
-	peers       int     // cluster size, set at construction
+	mu sync.Mutex
+	s  Snapshot
 }
 
-func (m *Metrics) addLocalOwned() { m.mu.Lock(); m.localOwned++; m.mu.Unlock() }
-func (m *Metrics) addHedged()     { m.mu.Lock(); m.hedged++; m.mu.Unlock() }
+func (m *Metrics) addLocalOwned() { m.mu.Lock(); m.s.LocalOwned++; m.mu.Unlock() }
+func (m *Metrics) addHedged()     { m.mu.Lock(); m.s.HedgedFetches++; m.mu.Unlock() }
 
 func (m *Metrics) addPeerHit(bytes int, seconds float64) {
 	m.mu.Lock()
-	m.peerHits++
-	m.fillBytes += uint64(bytes)
-	m.fillSeconds += seconds
+	m.s.PeerHits++
+	m.s.FillBytes += uint64(bytes)
+	m.s.FillSeconds += seconds
 	m.mu.Unlock()
 }
 
 func (m *Metrics) addFillFailure(miss bool) {
 	m.mu.Lock()
 	if miss {
-		m.peerMisses++
+		m.s.PeerMisses++
 	} else {
-		m.peerErrors++
+		m.s.PeerErrors++
 	}
-	m.fallbacks++
+	m.s.FallbackBuilds++
 	m.mu.Unlock()
 }
 
 // AddServed records one artifact served to a peer; called by the
 // /internal/artifact handler.
-func (m *Metrics) AddServed() { m.mu.Lock(); m.served++; m.mu.Unlock() }
+func (m *Metrics) AddServed() { m.mu.Lock(); m.s.Served++; m.mu.Unlock() }
 
 // Snapshot is a copy of the counters for tests and introspection.
 type Snapshot struct {
-	LocalOwned     uint64
-	PeerHits       uint64
-	PeerMisses     uint64
-	PeerErrors     uint64
-	FallbackBuilds uint64
-	HedgedFetches  uint64
-	Served         uint64
-	FillBytes      uint64
-	FillSeconds    float64
-	Peers          int
+	LocalOwned     uint64  // keys this replica owns: resolved locally, no fetch
+	PeerHits       uint64  // artifacts filled from a peer
+	PeerMisses     uint64  // fetches answered 404 (peer had no spec to build from)
+	PeerErrors     uint64  // fetches failed: deadline, transport, bad status
+	FallbackBuilds uint64  // failed fills that fell back to a local build
+	HedgedFetches  uint64  // extra fetches launched by the hedge timer
+	Served         uint64  // artifacts this replica served to peers
+	FillBytes      uint64  // artifact bytes received from peers
+	FillSeconds    float64 // wall time spent on successful fills
+	Peers          int     // cluster size, set at construction
 }
 
 // Snapshot returns a consistent copy of every counter.
 func (m *Metrics) Snapshot() Snapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return Snapshot{
-		LocalOwned:     m.localOwned,
-		PeerHits:       m.peerHits,
-		PeerMisses:     m.peerMisses,
-		PeerErrors:     m.peerErrors,
-		FallbackBuilds: m.fallbacks,
-		HedgedFetches:  m.hedged,
-		Served:         m.served,
-		FillBytes:      m.fillBytes,
-		FillSeconds:    m.fillSeconds,
-		Peers:          m.peers,
-	}
+	return m.s
 }
 
 // WritePrometheus emits the cache-tier counters in Prometheus text
@@ -85,21 +67,14 @@ func (m *Metrics) Snapshot() Snapshot {
 // land beside the request and pipeline metrics on /metrics.
 func (m *Metrics) WritePrometheus(w io.Writer) {
 	s := m.Snapshot()
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("hfastd_cluster_local_hits_total", "Stage keys owned by this replica and resolved locally.", s.LocalOwned)
-	counter("hfastd_cluster_peer_hits_total", "Artifacts filled from a peer replica.", s.PeerHits)
-	counter("hfastd_cluster_peer_misses_total", "Peer fetches answered with 404 (artifact not buildable there).", s.PeerMisses)
-	counter("hfastd_cluster_peer_errors_total", "Peer fetches that failed (deadline, transport, bad status).", s.PeerErrors)
-	counter("hfastd_cluster_fallback_builds_total", "Failed peer fills that fell back to a local build.", s.FallbackBuilds)
-	counter("hfastd_cluster_hedged_fetches_total", "Extra peer fetches launched by the hedge timer.", s.HedgedFetches)
-	counter("hfastd_cluster_artifacts_served_total", "Artifacts this replica served to peers.", s.Served)
-	counter("hfastd_cluster_fill_bytes_total", "Artifact bytes received from peers.", s.FillBytes)
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %g\n",
-		"hfastd_cluster_fill_seconds_total", "Wall time spent on successful peer fills.",
-		"hfastd_cluster_fill_seconds_total", "hfastd_cluster_fill_seconds_total", s.FillSeconds)
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n",
-		"hfastd_cluster_peers", "Configured cluster size including this replica.",
-		"hfastd_cluster_peers", "hfastd_cluster_peers", s.Peers)
+	obs.Single(w, "hfastd_cluster_local_hits_total", "Stage keys owned by this replica and resolved locally.", "counter", s.LocalOwned)
+	obs.Single(w, "hfastd_cluster_peer_hits_total", "Artifacts filled from a peer replica.", "counter", s.PeerHits)
+	obs.Single(w, "hfastd_cluster_peer_misses_total", "Peer fetches answered with 404 (artifact not buildable there).", "counter", s.PeerMisses)
+	obs.Single(w, "hfastd_cluster_peer_errors_total", "Peer fetches that failed (deadline, transport, bad status).", "counter", s.PeerErrors)
+	obs.Single(w, "hfastd_cluster_fallback_builds_total", "Failed peer fills that fell back to a local build.", "counter", s.FallbackBuilds)
+	obs.Single(w, "hfastd_cluster_hedged_fetches_total", "Extra peer fetches launched by the hedge timer.", "counter", s.HedgedFetches)
+	obs.Single(w, "hfastd_cluster_artifacts_served_total", "Artifacts this replica served to peers.", "counter", s.Served)
+	obs.Single(w, "hfastd_cluster_fill_bytes_total", "Artifact bytes received from peers.", "counter", s.FillBytes)
+	obs.Single(w, "hfastd_cluster_fill_seconds_total", "Wall time spent on successful peer fills.", "counter", s.FillSeconds)
+	obs.Single(w, "hfastd_cluster_peers", "Configured cluster size including this replica.", "gauge", s.Peers)
 }

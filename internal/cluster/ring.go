@@ -24,9 +24,10 @@ import (
 // for small static clusters.
 const DefaultVirtualNodes = 64
 
-// DefaultReplicas is the ring replication factor: how many distinct
-// members are considered candidate owners for a key.
-const DefaultReplicas = 2
+// Replicas is the ring replication factor: how many distinct members
+// are candidate owners for a key, and so the most peers one fill
+// contacts.
+const Replicas = 2
 
 // Ring is an immutable consistent-hash ring over a static member list.
 // Members are identified by their base URL; each contributes

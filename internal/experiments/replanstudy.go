@@ -6,10 +6,10 @@ import (
 
 	"github.com/hfast-sim/hfast/internal/hfast"
 	"github.com/hfast-sim/hfast/internal/netsim"
+	"github.com/hfast-sim/hfast/internal/pipeline"
 	"github.com/hfast-sim/hfast/internal/report"
 	"github.com/hfast-sim/hfast/internal/topology"
 	"github.com/hfast-sim/hfast/internal/trace"
-	"github.com/hfast-sim/hfast/internal/treenet"
 )
 
 // ReplanRow compares two ways of spending the same switch hardware on
@@ -114,11 +114,7 @@ func replanOne(r *Runner, app string, procs, cutoff, blockSize int) (ReplanRow, 
 	// per-node hardware the replanner used.
 	union := topology.MustGraph(procs)
 	for _, ph := range phases {
-		ph.Graph.ForEachEdge(func(i, j int, e topology.Edge) {
-			if e.Msgs > 0 {
-				union.AddTraffic(i, j, e.Msgs, e.Vol, e.MaxMsg)
-			}
-		})
+		union.Add(ph.Graph)
 	}
 	static, err := hfast.AssignWithBudget(union, cutoff, blockSize, budget)
 	if err != nil {
@@ -129,20 +125,14 @@ func replanOne(r *Runner, app string, procs, cutoff, blockSize int) (ReplanRow, 
 	for i := range static.Partners {
 		admitted += len(static.Partners[i])
 	}
-	above := 0
-	union.ForEachEdge(func(i, j int, e topology.Edge) {
-		if e.Msgs > 0 && e.MaxMsg >= cutoff {
-			above++
-		}
-	})
-	row.StaticDropped = above - admitted/2
+	row.StaticDropped = len(union.Edges(cutoff)) - admitted/2
 
 	// Replay every window on both fabrics. Spilled or sub-threshold flows
 	// ride the shared collective tree concurrently with the circuit
 	// traffic, so a window costs the slower of the two.
 	staticNet := netsim.NewHFASTNet(static, netsim.DefaultLinkParams())
 	for k := range ws {
-		flows := windowFlows(ws[k].Graph)
+		flows := pipeline.AppendFlows(nil, ws[k].Graph, 1)
 		pi := phaseOf(phases, k)
 		st, err := replayWindow(staticNet, procs, flows)
 		if err != nil {
@@ -170,51 +160,12 @@ func phaseOf(phases []trace.Phase, k int) int {
 	return len(phases) - 1
 }
 
-// windowFlows converts one window's graph into its replay flow set: a
-// directed flow per direction carrying half the edge's (symmetric-sum)
-// volume. Deterministic — ForEachEdge iterates in increasing (i, j).
-func windowFlows(g *topology.Graph) []netsim.Flow {
-	var flows []netsim.Flow
-	g.ForEachEdge(func(i, j int, e topology.Edge) {
-		if e.Msgs == 0 {
-			return
-		}
-		per := e.Vol / 2
-		flows = append(flows, netsim.Flow{Src: i, Dst: j, Bytes: per})
-		flows = append(flows, netsim.Flow{Src: j, Dst: i, Bytes: per})
-	})
-	return flows
-}
-
 // replayWindow simulates one window's flows on an HFAST fabric, sending
 // whatever the circuits cannot carry to the collective tree, and returns
 // the window's wall-clock: the slower of the two concurrent networks.
 func replayWindow(hn *netsim.HFASTNet, procs int, flows []netsim.Flow) (float64, error) {
-	res, err := netsim.Simulate(hn.Network(), hn, flows)
-	if err != nil {
-		return 0, err
-	}
-	t := res.Makespan
-	if res.Unroutable > 0 {
-		var small []netsim.Flow
-		for fi, fr := range res.Flows {
-			if !fr.Routed {
-				small = append(small, flows[fi])
-			}
-		}
-		tn, err := netsim.NewTreeNet(procs, treenet.DefaultParams())
-		if err != nil {
-			return 0, err
-		}
-		tres, err := netsim.Simulate(tn.Network(), tn, small)
-		if err != nil {
-			return 0, err
-		}
-		if tres.Makespan > t {
-			t = tres.Makespan
-		}
-	}
-	return t, nil
+	circuits, _, tree, err := pipeline.ReplayHFAST(hn, procs, flows)
+	return max(circuits, tree), err
 }
 
 // Replan renders the static-vs-replanned comparison for the six paper

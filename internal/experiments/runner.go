@@ -52,15 +52,20 @@ type Runner struct {
 	pipe  *pipeline.Pipeline
 }
 
-// NewRunner creates a runner; steps ≤ 0 uses the skeleton default.
+// NewRunner creates a runner over a store of its own; steps ≤ 0 uses the
+// skeleton default.
 func NewRunner(steps int) *Runner {
-	return &Runner{
-		steps: steps,
-		// The paper grid is 12 profiles; the derived graph, assignment,
-		// comparison, window, and netsim artifacts multiply that by the
-		// stage count. 512 holds every artifact of a full regeneration.
-		pipe: pipeline.New(pipeline.Options{CacheEntries: 512}),
-	}
+	// The paper grid is 12 profiles; the derived graph, assignment,
+	// comparison, window, and netsim artifacts multiply that by the
+	// stage count. 512 holds every artifact of a full regeneration.
+	return RunnerOn(pipeline.New(pipeline.Options{CacheEntries: 512}), steps)
+}
+
+// RunnerOn creates a runner over a store the caller already serves from:
+// hfastd -prewarm warms the server's own pipeline through it, so a warmed
+// profile is held once and found by the requests that ask for it.
+func RunnerOn(pipe *pipeline.Pipeline, steps int) *Runner {
+	return &Runner{steps: steps, pipe: pipe}
 }
 
 // Pipeline exposes the underlying artifact store (e.g. to inspect stage
@@ -171,20 +176,4 @@ feed:
 		return firstErr
 	}
 	return ctx.Err()
-}
-
-// ServeProfile adapts the runner to the hfastd server's Runner injection
-// point: every request resolves through the runner's shared pipeline, so
-// a pre-warmed daemon answers cold /v1/provision requests for the paper
-// workloads without re-profiling. Default-parameter requests (scale and
-// seed zero, steps matching the runner's) share the warm-up's artifacts;
-// anything else content-addresses its own.
-func (r *Runner) ServeProfile(ctx context.Context, app string, cfg apps.Config) (*ipm.Profile, error) {
-	if cfg.Scale == 0 && cfg.Seed == 0 && cfg.Steps == r.steps {
-		return r.ProfileContext(ctx, app, cfg.Procs)
-	}
-	p, _, err := r.pipe.Profile(ctx, pipeline.Spec(pipeline.ProfileSpec{
-		App: app, Procs: cfg.Procs, Steps: cfg.Steps, Scale: cfg.Scale, Seed: cfg.Seed,
-	}))
-	return p, err
 }

@@ -114,33 +114,3 @@ func TestWarmAllHonorsCancellation(t *testing.T) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }
-
-func TestServeProfileUsesSharedCache(t *testing.T) {
-	r := NewRunner(0)
-	p1, err := r.ServeProfile(context.Background(), "cactus", apps.Config{Procs: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := r.ServeProfile(context.Background(), "cactus", apps.Config{Procs: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1 != p2 {
-		t.Error("default-parameter requests should share one cached profile")
-	}
-	stats := r.Pipeline().Metrics().Stage(pipeline.StageProfile)
-	if stats.Misses != 1 || stats.Hits != 1 {
-		t.Errorf("default-parameter pair: %d misses / %d hits, want 1/1", stats.Misses, stats.Hits)
-	}
-	// Non-default parameters resolve a distinct artifact.
-	p3, err := r.ServeProfile(context.Background(), "cactus", apps.Config{Procs: 8, Steps: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p3 == p1 {
-		t.Error("custom-steps request must not be served from the default artifact")
-	}
-	if got := r.Pipeline().Metrics().Stage(pipeline.StageProfile).Misses; got != 2 {
-		t.Errorf("custom-steps request missed %d times total, want 2", got)
-	}
-}

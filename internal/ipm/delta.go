@@ -1,11 +1,14 @@
 package ipm
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // Delta is one time-windowed increment of a streaming profile: the
@@ -117,9 +120,22 @@ func (d *Delta) AsProfile() *Profile {
 	}
 }
 
+// CompareRegions orders region names as the region-per-step skeletons
+// enter them: a shorter name first, then lexicographically. Sorting the
+// names alone would put "step1000" before "step101" — step numbers are
+// padded to three digits, not to the run's width. "" and "init" precede
+// every step either way. SplitDeltas, trace.Windows and the program-order
+// check of a stream fold all use this one order.
+func CompareRegions(a, b string) int {
+	if c := cmp.Compare(len(a), len(b)); c != 0 {
+		return c
+	}
+	return strings.Compare(a, b)
+}
+
 // SplitDeltas decomposes a batch profile into its per-window delta
-// stream, one delta per region in sorted region order (matching the
-// program order of the skeletons: "init" precedes "step000" …). Folding
+// stream, one delta per region in CompareRegions order (the program
+// order of the skeletons: "init" precedes "step000" …). Folding
 // the stream back with MergeDeltas reproduces the profile exactly, so
 // the streaming and batch paths provably share one source of truth.
 func SplitDeltas(p *Profile) ([]*Delta, error) {
@@ -136,7 +152,7 @@ func SplitDeltas(p *Profile) ([]*Delta, error) {
 	for r := range regionSet {
 		regions = append(regions, r)
 	}
-	sort.Strings(regions)
+	slices.SortFunc(regions, CompareRegions)
 	if len(regions) == 0 {
 		regions = append(regions, "") // empty profile still yields one (empty) delta
 	}

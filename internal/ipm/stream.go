@@ -24,7 +24,7 @@ type DeltaSink func(*Delta)
 // order, and a window completes only when its last rank seals it — which
 // happens after that rank sealed every earlier region, by which time
 // those windows were already complete. For the region-per-timestep
-// skeletons, program order coincides with sorted region order, so a live
+// skeletons, program order is CompareRegions order, so a live
 // stream is entry-for-entry identical to SplitDeltas of the batch
 // profile (modulo spill attribution, which a live stream reports in the
 // window where it happened).

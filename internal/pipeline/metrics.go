@@ -1,10 +1,12 @@
 package pipeline
 
 import (
-	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
+
+	"github.com/hfast-sim/hfast/internal/obs"
 )
 
 // StageStats is a point-in-time snapshot of one stage's counters.
@@ -96,29 +98,17 @@ func (m *Metrics) Snapshot() map[string]StageStats {
 // land beside the hfastd_ request metrics on the same /metrics page.
 func (m *Metrics) WritePrometheus(w io.Writer) {
 	snap := m.Snapshot()
-	stages := make([]string, 0, len(snap))
-	for name := range snap {
-		stages = append(stages, name)
-	}
-	sort.Strings(stages)
-
-	emit := func(metric, help, typ string, value func(StageStats) string) {
-		fmt.Fprintf(w, "# HELP %s %s\n", metric, help)
-		fmt.Fprintf(w, "# TYPE %s %s\n", metric, typ)
+	stages := slices.Sorted(maps.Keys(snap))
+	emit := func(metric, help string, value func(StageStats) any) {
+		obs.Header(w, metric, help, "counter")
 		for _, name := range stages {
-			fmt.Fprintf(w, "%s{stage=%q} %s\n", metric, name, value(snap[name]))
+			obs.Sample(w, metric, value(snap[name]), "stage", name)
 		}
 	}
-	emit("hfast_pipeline_stage_hits_total", "Artifact-cache hits per pipeline stage.", "counter",
-		func(s StageStats) string { return fmt.Sprintf("%d", s.Hits) })
-	emit("hfast_pipeline_stage_misses_total", "Artifact-cache misses per pipeline stage.", "counter",
-		func(s StageStats) string { return fmt.Sprintf("%d", s.Misses) })
-	emit("hfast_pipeline_stage_coalesced_total", "Requests coalesced onto an in-flight stage computation.", "counter",
-		func(s StageStats) string { return fmt.Sprintf("%d", s.Coalesced) })
-	emit("hfast_pipeline_stage_errors_total", "Failed stage computations.", "counter",
-		func(s StageStats) string { return fmt.Sprintf("%d", s.Errors) })
-	emit("hfast_pipeline_stage_build_seconds_total", "Cumulative wall time spent building stage artifacts.", "counter",
-		func(s StageStats) string { return fmt.Sprintf("%g", s.BuildSeconds) })
-	emit("hfast_pipeline_stage_builds_total", "Completed stage computations (including failures).", "counter",
-		func(s StageStats) string { return fmt.Sprintf("%d", s.Builds) })
+	emit("hfast_pipeline_stage_hits_total", "Artifact-cache hits per pipeline stage.", func(s StageStats) any { return s.Hits })
+	emit("hfast_pipeline_stage_misses_total", "Artifact-cache misses per pipeline stage.", func(s StageStats) any { return s.Misses })
+	emit("hfast_pipeline_stage_coalesced_total", "Requests coalesced onto an in-flight stage computation.", func(s StageStats) any { return s.Coalesced })
+	emit("hfast_pipeline_stage_errors_total", "Failed stage computations.", func(s StageStats) any { return s.Errors })
+	emit("hfast_pipeline_stage_build_seconds_total", "Cumulative wall time spent building stage artifacts.", func(s StageStats) any { return s.BuildSeconds })
+	emit("hfast_pipeline_stage_builds_total", "Completed stage computations (including failures).", func(s StageStats) any { return s.Builds })
 }

@@ -78,7 +78,7 @@ func (pl *Pipeline) runNetsim(ctx context.Context, ref ProfileRef, fabric string
 		return nil, err
 	}
 	fb := flowsPool.Get().(*[]netsim.Flow)
-	flows := appendFlows((*fb)[:0], prof, g)
+	flows := AppendFlows((*fb)[:0], g, prof.Params["steps"])
 	defer func() { *fb = flows[:0]; flowsPool.Put(fb) }()
 	lp := netsim.DefaultLinkParams()
 	res := &FabricResult{Fabric: fabric, Procs: prof.Procs, Flows: len(flows)}
@@ -86,36 +86,15 @@ func (pl *Pipeline) runNetsim(ctx context.Context, ref ProfileRef, fabric string
 	fail := func(err error) (*FabricResult, error) {
 		return nil, fmt.Errorf("pipeline: netsim %s on %s: %w", ref.describe(), fabric, err)
 	}
-	sim := simPool.Get().(*netsim.Result)
-	defer simPool.Put(sim)
 	switch fabric {
 	case FabricHFAST:
 		a, _, err := pl.Assignment(ctx, ref, Steady(), 0, hfast.DefaultBlockSize)
 		if err != nil {
 			return nil, err
 		}
-		hn := netsim.NewHFASTNet(a, lp)
-		if err := netsim.SimulateInto(sim, hn.Network(), hn, flows); err != nil {
+		res.Makespan, res.Collective, res.TreeTime, err = ReplayHFAST(netsim.NewHFASTNet(a, lp), prof.Procs, flows)
+		if err != nil {
 			return fail(err)
-		}
-		res.Makespan, res.Collective = sim.Makespan, sim.Unroutable
-		if sim.Unroutable > 0 {
-			// Sub-threshold traffic rides the dedicated low-bandwidth
-			// tree (§2.4); simulate those flows there.
-			var small []netsim.Flow
-			for fi, fr := range sim.Flows {
-				if !fr.Routed {
-					small = append(small, flows[fi])
-				}
-			}
-			tn, err := netsim.NewTreeNet(prof.Procs, treenet.DefaultParams())
-			if err != nil {
-				return fail(err)
-			}
-			if err := netsim.SimulateInto(sim, tn.Network(), tn, small); err != nil {
-				return fail(err)
-			}
-			res.TreeTime = sim.Makespan
 		}
 	case FabricFCN:
 		tree, err := fattree.Design(prof.Procs, hfast.DefaultBlockSize)
@@ -123,39 +102,81 @@ func (pl *Pipeline) runNetsim(ctx context.Context, ref ProfileRef, fabric string
 			return fail(err)
 		}
 		fn := netsim.NewFCNNet(prof.Procs, tree, lp)
-		if err := netsim.SimulateInto(sim, fn.Network(), fn, flows); err != nil {
+		if res.Makespan, err = replay(fn.Network(), fn, flows); err != nil {
 			return fail(err)
 		}
-		res.Makespan = sim.Makespan
 	case FabricMesh:
 		mesh, err := meshtorus.New(meshtorus.NearCube(prof.Procs, 3), true)
 		if err != nil {
 			return fail(err)
 		}
 		mn := netsim.NewMeshNet(mesh, lp)
-		if err := netsim.SimulateInto(sim, mn.Network(), mn, flows); err != nil {
+		if res.Makespan, err = replay(mn.Network(), mn, flows); err != nil {
 			return fail(err)
 		}
-		res.Makespan = sim.Makespan
 	default:
 		return nil, fmt.Errorf("pipeline: unknown fabric %q", fabric)
 	}
 	return res, nil
 }
 
-// FlowsFor converts a profile's steady-state graph into the flow set the
-// fabric studies replay: one aggregate flow per directed pair carrying
-// one step's worth of bytes. Deterministic — ForEachEdge iterates in
-// increasing (i, j) order.
-func FlowsFor(prof *ipm.Profile, g *topology.Graph) []netsim.Flow {
-	return appendFlows(nil, prof, g)
+// replay simulates flows on one fabric through a pooled Result and
+// returns the makespan.
+func replay(nw *netsim.Network, r netsim.Router, flows []netsim.Flow) (float64, error) {
+	sim := simPool.Get().(*netsim.Result)
+	defer simPool.Put(sim)
+	if err := netsim.SimulateInto(sim, nw, r, flows); err != nil {
+		return 0, err
+	}
+	return sim.Makespan, nil
 }
 
-// appendFlows is FlowsFor into a caller-owned buffer, so the Netsim
-// stage can replay from a pooled slice instead of allocating ~13 MB of
-// flows per fabric at P=65536.
-func appendFlows(flows []netsim.Flow, prof *ipm.Profile, g *topology.Graph) []netsim.Flow {
-	steps := prof.Params["steps"]
+// ReplayHFAST simulates flows on an HFAST fabric over procs nodes and
+// sends the ones its circuits do not carry — sub-threshold or spilled
+// traffic — to the dedicated low-bandwidth tree (§2.4). It returns the
+// circuit makespan, how many flows went to the tree and their makespan
+// there; the two networks run side by side, so a caller after wall-clock
+// takes the larger.
+func ReplayHFAST(hn *netsim.HFASTNet, procs int, flows []netsim.Flow) (makespan float64, collective int, treeTime float64, err error) {
+	sim := simPool.Get().(*netsim.Result)
+	defer simPool.Put(sim)
+	if err = netsim.SimulateInto(sim, hn.Network(), hn, flows); err != nil {
+		return 0, 0, 0, err
+	}
+	makespan, collective = sim.Makespan, sim.Unroutable
+	if collective == 0 {
+		return makespan, 0, 0, nil
+	}
+	small := make([]netsim.Flow, 0, collective)
+	for fi, fr := range sim.Flows {
+		if !fr.Routed {
+			small = append(small, flows[fi])
+		}
+	}
+	tn, err := netsim.NewTreeNet(procs, treenet.DefaultParams())
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	if err = netsim.SimulateInto(sim, tn.Network(), tn, small); err != nil {
+		return 0, 0, 0, err
+	}
+	return makespan, collective, sim.Makespan, nil
+}
+
+// FlowsFor converts a profile's steady-state graph into the flow set the
+// fabric studies replay: one aggregate flow per directed pair carrying
+// one step's worth of bytes.
+func FlowsFor(prof *ipm.Profile, g *topology.Graph) []netsim.Flow {
+	return AppendFlows(nil, g, prof.Params["steps"])
+}
+
+// AppendFlows appends a traffic graph's replay flow set to flows: per
+// edge that carried a message, one flow in each direction with half the
+// edge's (symmetric-sum) volume, divided by steps when the graph sums
+// that many steps (steps below 1 count as 1). Deterministic —
+// ForEachEdge iterates in increasing (i, j) order. The Netsim stage
+// passes a pooled buffer: at P=65536 a halo's flows are ~13 MB per fabric.
+func AppendFlows(flows []netsim.Flow, g *topology.Graph, steps int) []netsim.Flow {
 	if steps <= 0 {
 		steps = 1
 	}

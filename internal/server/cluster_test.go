@@ -45,7 +45,14 @@ func startCluster(t *testing.T, n int, runs *atomic.Int64) []*replica {
 		lns[i] = ln
 		urls[i] = "http://" + ln.Addr().String()
 	}
-	reps := make([]*replica, n)
+	return serveCluster(t, lns, urls, runs)
+}
+
+// serveCluster is startCluster on the caller's listeners, replica i going
+// by urls[i] on the ring.
+func serveCluster(t *testing.T, lns []net.Listener, urls []string, runs *atomic.Int64) []*replica {
+	t.Helper()
+	reps := make([]*replica, len(lns))
 	for i := range reps {
 		srv, err := New(Config{
 			Workers:      2,

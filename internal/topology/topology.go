@@ -107,6 +107,24 @@ func (g *Graph) addHalf(i, j int, msgs, bytes int64, maxMsg int) {
 	g.adj[i] = es
 }
 
+// Add folds src's traffic into g and returns g. Edges that carry no
+// messages are dropped, so a union never stores a pair nobody used. src
+// must span no more ranks than g.
+func (g *Graph) Add(src *Graph) *Graph {
+	src.ForEachEdge(func(i, j int, e Edge) {
+		if e.Msgs > 0 {
+			g.addHalf(i, j, e.Msgs, e.Vol, e.MaxMsg)
+			g.addHalf(j, i, e.Msgs, e.Vol, e.MaxMsg)
+		}
+	})
+	return g
+}
+
+// Clone returns a deep copy of g, less its zero-message edges.
+func (g *Graph) Clone() *Graph {
+	return (&Graph{P: g.P, adj: make([][]Edge, g.P)}).Add(g)
+}
+
 // find returns rank i's edge toward j, nil when absent or out of range.
 func (g *Graph) find(i, j int) *Edge {
 	if i < 0 || i >= g.P {

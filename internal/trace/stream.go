@@ -102,17 +102,56 @@ type StreamState struct {
 	// Last describes the most recent fold.
 	Last FoldEvent
 
-	// detector state (all copied on fold; graphs cloned on write).
-	closed   []Phase
-	curStart int
-	curGraph *topology.Graph
-	armed    bool
+	detector
 	lastStep string
 
 	// opp holds this snapshot's Opportunity once somebody has asked for
 	// it. It sits behind a pointer because Fold copies the struct; every
 	// snapshot gets its own.
 	opp *opportunityMemo
+}
+
+// detector is the phase automaton between two windows. step returns the
+// successor and leaves the receiver as it was — closed is appended to
+// with its capacity clipped and curGraph is cloned before it is added
+// to — so the snapshots of a fold chain share nothing either one writes.
+type detector struct {
+	closed   []Phase
+	curStart int
+	curGraph *topology.Graph // union of the open phase's windows, nil before the first
+	armed    bool
+}
+
+// step feeds window k's graph to the automaton: the successor state, the
+// partner-set distance it measured against the open phase (0 for the
+// window that opens phase 0) and whether the window opened a phase.
+func (d detector) step(k int, g *topology.Graph, cutoff int, cfg DetectorConfig) (detector, float64, bool) {
+	if d.curGraph == nil {
+		return detector{curStart: k, curGraph: g.Clone(), armed: true}, 0, true
+	}
+	dist := phaseDistance(d.curGraph, g, cutoff)
+	if d.armed && dist > cfg.Enter && k-d.curStart >= cfg.MinWindows {
+		n := len(d.closed)
+		d.closed = append(d.closed[:n:n], Phase{Start: d.curStart, End: k, Graph: d.curGraph})
+		d.curStart, d.curGraph, d.armed = k, g.Clone(), false
+		return d, dist, true
+	}
+	if !d.armed && dist < cfg.Exit {
+		d.armed = true
+	}
+	d.curGraph = d.curGraph.Clone().Add(g)
+	return d, dist, false
+}
+
+// phases lists the closed phases and then the open one, which ends at
+// window end; nil before the first window.
+func (d detector) phases(end int) []Phase {
+	if d.curGraph == nil {
+		return nil
+	}
+	out := make([]Phase, 0, len(d.closed)+1)
+	out = append(out, d.closed...)
+	return append(out, Phase{Start: d.curStart, End: end, Graph: d.curGraph})
 }
 
 type opportunityMemo struct {
@@ -157,7 +196,7 @@ func NewStreamState(procs, cutoff int, prefix string, det DetectorConfig) (*Stre
 // The delta's Procs is checked against the stream's — the stream is the
 // single source of truth for the rank count, so a mismatched delta is an
 // error, not a silently truncated graph. Deltas must arrive in Seq order
-// and step windows in region order (program order).
+// and step windows in program order (ipm.CompareRegions).
 func (s *StreamState) Fold(d *ipm.Delta) (*StreamState, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -173,7 +212,7 @@ func (s *StreamState) Fold(d *ipm.Delta) (*StreamState, error) {
 		return nil, fmt.Errorf("trace: delta seq %d out of order, stream expects %d", d.Seq, s.Deltas)
 	}
 	isStep := strings.HasPrefix(d.Window, s.Prefix)
-	if isStep && d.Window <= s.lastStep {
+	if isStep && ipm.CompareRegions(d.Window, s.lastStep) <= 0 {
 		return nil, fmt.Errorf("trace: step window %q arrived after %q; windows must fold in program order",
 			d.Window, s.lastStep)
 	}
@@ -189,7 +228,7 @@ func (s *StreamState) Fold(d *ipm.Delta) (*StreamState, error) {
 		return nil, err
 	}
 	if d.Window != "init" {
-		ns.Steady = addGraph(cloneGraph(s.Steady), g)
+		ns.Steady = s.Steady.Clone().Add(g)
 	}
 	if !isStep {
 		return &ns, nil
@@ -200,39 +239,16 @@ func (s *StreamState) Fold(d *ipm.Delta) (*StreamState, error) {
 	k := len(s.Windows)
 	ns.Windows = append(s.Windows[:k:k], w)
 	ns.Last.Window = &ns.Windows[k]
-
-	if s.curGraph == nil {
-		// First step window opens phase 0.
-		ns.curStart, ns.curGraph, ns.armed = k, cloneGraph(g), true
-		ns.Last.Boundary, ns.Last.Phase = true, 0
-		return &ns, nil
+	ns.detector, ns.Last.Distance, ns.Last.Boundary = s.detector.step(k, g, s.Cutoff, s.Det)
+	if ns.Last.Boundary {
+		ns.Last.Phase = len(ns.closed)
 	}
-	dist := phaseDistance(s.curGraph, g, s.Cutoff)
-	ns.Last.Distance = dist
-	if s.armed && dist > s.Det.Enter && k-s.curStart >= s.Det.MinWindows {
-		nc := len(s.closed)
-		ns.closed = append(s.closed[:nc:nc], Phase{Start: s.curStart, End: k, Graph: s.curGraph})
-		ns.curStart, ns.curGraph, ns.armed = k, cloneGraph(g), false
-		ns.Last.Boundary, ns.Last.Phase = true, nc+1
-		return &ns, nil
-	}
-	if !s.armed && dist < s.Det.Exit {
-		ns.armed = true
-	}
-	ns.curGraph = addGraph(cloneGraph(s.curGraph), g)
 	return &ns, nil
 }
 
 // Phases returns the detected phases, the open one last (its End is the
 // current window count). Empty before the first step window.
-func (s *StreamState) Phases() []Phase {
-	if s.curGraph == nil {
-		return nil
-	}
-	out := make([]Phase, 0, len(s.closed)+1)
-	out = append(out, s.closed...)
-	return append(out, Phase{Start: s.curStart, End: len(s.Windows), Graph: s.curGraph})
-}
+func (s *StreamState) Phases() []Phase { return s.phases(len(s.Windows)) }
 
 // NumPhases is len(Phases()) without building the slice.
 func (s *StreamState) NumPhases() int {
@@ -260,8 +276,8 @@ func (s *StreamState) Opportunity() (Opportunity, error) {
 }
 
 // DetectPhases runs the online detector over an already-extracted window
-// slice — the batch entry point the experiments use, guaranteed to match
-// what a streamed fold of the same windows produces.
+// slice — the batch entry point the experiments use. It drives the step
+// function Fold drives, so the two cannot disagree.
 func DetectPhases(procs int, ws []Window, cutoff int, det DetectorConfig) ([]Phase, error) {
 	if cutoff == 0 {
 		cutoff = topology.DefaultCutoff
@@ -270,67 +286,23 @@ func DetectPhases(procs int, ws []Window, cutoff int, det DetectorConfig) ([]Pha
 	if err != nil {
 		return nil, err
 	}
-	var (
-		closed   []Phase
-		curStart int
-		curGraph *topology.Graph
-		armed    bool
-	)
+	var d detector
 	for k := range ws {
 		w := &ws[k]
 		if w.Graph == nil || w.Graph.P != procs {
 			return nil, fmt.Errorf("trace: window %q does not span %d procs", w.Region, procs)
 		}
-		if curGraph == nil {
-			curStart, curGraph, armed = k, cloneGraph(w.Graph), true
-			continue
-		}
-		dist := phaseDistance(curGraph, w.Graph, cutoff)
-		if armed && dist > det.Enter && k-curStart >= det.MinWindows {
-			closed = append(closed, Phase{Start: curStart, End: k, Graph: curGraph})
-			curStart, curGraph, armed = k, cloneGraph(w.Graph), false
-			continue
-		}
-		if !armed && dist < det.Exit {
-			armed = true
-		}
-		curGraph = addGraph(curGraph, w.Graph)
+		d, _, _ = d.step(k, w.Graph, cutoff, det)
 	}
-	if curGraph == nil {
-		return nil, nil
-	}
-	return append(closed, Phase{Start: curStart, End: len(ws), Graph: curGraph}), nil
+	return d.phases(len(ws)), nil
 }
 
 // phaseDistance is the Jaccard distance between two graphs' thresholded
 // edge sets: |AΔB| / |A∪B|, 0 when both are empty.
 func phaseDistance(a, b *topology.Graph, cutoff int) float64 {
-	ea, eb := edgeSet(a, cutoff), edgeSet(b, cutoff)
-	inter := 0
-	for e := range ea {
-		if eb[e] {
-			inter++
-		}
-	}
-	union := len(ea) + len(eb) - inter
-	if union == 0 {
+	both, one := edgeDiff(a, b, cutoff)
+	if both+one == 0 {
 		return 0
 	}
-	return float64(len(ea)+len(eb)-2*inter) / float64(union)
-}
-
-// cloneGraph deep-copies a traffic graph.
-func cloneGraph(g *topology.Graph) *topology.Graph {
-	out := topology.MustGraph(g.P)
-	return addGraph(out, g)
-}
-
-// addGraph folds src's traffic into dst and returns dst.
-func addGraph(dst, src *topology.Graph) *topology.Graph {
-	src.ForEachEdge(func(i, j int, e topology.Edge) {
-		if e.Msgs > 0 {
-			dst.AddTraffic(i, j, e.Msgs, e.Vol, e.MaxMsg)
-		}
-	})
-	return dst
+	return float64(one) / float64(both+one)
 }

@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -175,8 +177,8 @@ func TestDetectorHysteresis(t *testing.T) {
 	}
 }
 
-// TestStreamFoldMatchesDetectPhases pins the online and batch detectors
-// to each other: folding window deltas one at a time yields the same
+// TestStreamFoldMatchesDetectPhases holds the two drivers of the phase
+// automaton to each other: folding window deltas one at a time yields the
 // phase list DetectPhases computes over the full slice.
 func TestStreamFoldMatchesDetectPhases(t *testing.T) {
 	p, err := apps.ProfileRun("amr", apps.Config{Procs: 32, Steps: 8})
@@ -200,6 +202,26 @@ func TestStreamFoldMatchesDetectPhases(t *testing.T) {
 	}
 	if len(got) < 2 {
 		t.Fatalf("amr run detected %d phases, want at least 2", len(got))
+	}
+}
+
+// TestAMRPhasesPinned holds the automaton to absolute values: the two
+// callers compared above share one step function, so their agreement says
+// nothing about what it computes. amr at P=64 over 8 steps migrates its
+// refined patch every two steps.
+func TestAMRPhasesPinned(t *testing.T) {
+	p, err := apps.ProfileRun("amr", apps.Config{Procs: 64, Steps: 8})
+	if err != nil {
+		t.Fatalf("profile: %v", err)
+	}
+	type phase struct{ start, end, edges int }
+	want := []phase{{0, 2, 352}, {2, 4, 400}, {4, 6, 400}, {6, 8, 304}}
+	var got []phase
+	for _, ph := range foldAll(t, p, DetectorConfig{}).Phases() {
+		got = append(got, phase{ph.Start, ph.End, ph.Graph.EdgeCount()})
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("amr/64 phases (start, end, edges) = %v, want %v", got, want)
 	}
 }
 
@@ -271,5 +293,61 @@ func TestPhaseDeterminism(t *testing.T) {
 	runtime.GOMAXPROCS(prev)
 	if !bytes.Equal(one, four) {
 		t.Fatalf("phase analysis differs across GOMAXPROCS (%d vs %d bytes)", len(one), len(four))
+	}
+}
+
+// TestLongRunKeepsProgramOrder runs past step999, where the step regions'
+// three-digit padding ends and sorted names stop being program order
+// ("step1000" < "step101"): the live stream must fold, the batch windows
+// must come out step by step, and SplitDeltas must number the windows as
+// the live run emitted them.
+func TestLongRunKeepsProgramOrder(t *testing.T) {
+	const steps = 1002
+	cfg := apps.Config{Procs: 8, Steps: steps}
+	var live []*ipm.Delta
+	if _, err := apps.StreamRunContext(context.Background(), "cactus", cfg, func(d *ipm.Delta) { live = append(live, d) }); err != nil {
+		t.Fatalf("stream run: %v", err)
+	}
+	s, err := NewStreamState(cfg.Procs, 0, "step", DetectorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range live {
+		if s, err = s.Fold(d); err != nil {
+			t.Fatalf("folding the live stream: %v", err)
+		}
+	}
+	if len(s.Windows) != steps {
+		t.Fatalf("live stream folded %d step windows, want %d", len(s.Windows), steps)
+	}
+
+	p, err := apps.ProfileRun("cactus", cfg)
+	if err != nil {
+		t.Fatalf("batch run: %v", err)
+	}
+	ws, err := Windows(p, "step", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ws) != steps {
+		t.Fatalf("batch extracted %d windows, want %d", len(ws), steps)
+	}
+	for i, w := range ws {
+		if want := apps.StepRegion(i); w.Region != want {
+			t.Fatalf("batch window %d is %q, want %q", i, w.Region, want)
+		}
+	}
+
+	split, err := ipm.SplitDeltas(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(split) != len(live) {
+		t.Fatalf("SplitDeltas cut %d deltas, the live run emitted %d", len(split), len(live))
+	}
+	for i, d := range split {
+		if d.Seq != i || d.Window != live[i].Window {
+			t.Fatalf("split delta %d is seq %d window %q; the live run emitted %q there", i, d.Seq, d.Window, live[i].Window)
+		}
 	}
 }

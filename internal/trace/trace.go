@@ -7,7 +7,7 @@ package trace
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"github.com/hfast-sim/hfast/internal/ipm"
@@ -25,8 +25,8 @@ type Window struct {
 	Stats topology.TDCStats
 }
 
-// Windows extracts per-step windows from a profile, ordered by region
-// name. Only regions with the given prefix ("step" for the skeletons'
+// Windows extracts per-step windows from a profile, in program order
+// (ipm.CompareRegions). Only regions with the given prefix ("step" for the skeletons'
 // steady state) are included. A malformed profile (bad rank count or
 // out-of-range peers) yields an error.
 func Windows(p *ipm.Profile, prefix string, cutoff int) ([]Window, error) {
@@ -43,7 +43,7 @@ func Windows(p *ipm.Profile, prefix string, cutoff int) ([]Window, error) {
 	for n := range names {
 		ordered = append(ordered, n)
 	}
-	sort.Strings(ordered)
+	slices.SortFunc(ordered, ipm.CompareRegions)
 	out := make([]Window, 0, len(ordered))
 	for _, name := range ordered {
 		g, err := topology.FromProfile(p, ipm.Region(name))
@@ -61,28 +61,29 @@ func Churn(a, b *topology.Graph, cutoff int) int {
 	if cutoff == 0 {
 		cutoff = topology.DefaultCutoff
 	}
-	ea := edgeSet(a, cutoff)
-	eb := edgeSet(b, cutoff)
-	churn := 0
-	for e := range ea {
-		if !eb[e] {
-			churn++
-		}
-	}
-	for e := range eb {
-		if !ea[e] {
-			churn++
-		}
-	}
-	return churn
+	_, one := edgeDiff(a, b, cutoff)
+	return one
 }
 
-func edgeSet(g *topology.Graph, cutoff int) map[[2]int]bool {
-	s := make(map[[2]int]bool)
-	for _, e := range g.Edges(cutoff) {
-		s[e] = true
+// edgeDiff compares two graphs' thresholded edge sets by one merge walk
+// over their (i, j)-sorted edge lists: both counts the edges in either
+// set that are also in the other, one those in exactly one of them.
+func edgeDiff(a, b *topology.Graph, cutoff int) (both, one int) {
+	ea, eb := a.Edges(cutoff), b.Edges(cutoff)
+	for len(ea) > 0 && len(eb) > 0 {
+		switch c := slices.Compare(ea[0][:], eb[0][:]); {
+		case c == 0:
+			both++
+			ea, eb = ea[1:], eb[1:]
+		case c < 0:
+			one++
+			ea = ea[1:]
+		default:
+			one++
+			eb = eb[1:]
+		}
 	}
-	return s
+	return both, one + len(ea) + len(eb)
 }
 
 // Opportunity summarizes whether runtime reconfiguration would help an
@@ -146,11 +147,7 @@ func AnalyzeWindows(procs int, ws []Window, cutoff int) (Opportunity, error) {
 		if w.Stats.Max > op.MaxWindowTDC {
 			op.MaxWindowTDC = w.Stats.Max
 		}
-		w.Graph.ForEachEdge(func(x, y int, e topology.Edge) {
-			if e.Msgs > 0 {
-				union.AddTraffic(x, y, e.Msgs, e.Vol, e.MaxMsg)
-			}
-		})
+		union.Add(w.Graph)
 		if i > 0 {
 			churnSum += Churn(ws[i-1].Graph, w.Graph, cutoff)
 		}

@@ -124,3 +124,75 @@ func TestChurnCutoffDefaults(t *testing.T) {
 		t.Errorf("raw churn %d, want 1", c)
 	}
 }
+
+// mapEdgeDiff is the comparison edgeDiff replaced — each graph's
+// thresholded edges in a map, membership tested edge by edge — kept as
+// the oracle for the merge walk.
+func mapEdgeDiff(a, b *topology.Graph, cutoff int) (both, one int) {
+	set := func(g *topology.Graph) map[[2]int]bool {
+		s := make(map[[2]int]bool)
+		for _, e := range g.Edges(cutoff) {
+			s[e] = true
+		}
+		return s
+	}
+	ea, eb := set(a), set(b)
+	for e := range ea {
+		if eb[e] {
+			both++
+		} else {
+			one++
+		}
+	}
+	for e := range eb {
+		if !ea[e] {
+			one++
+		}
+	}
+	return both, one
+}
+
+func TestEdgeDiffMatchesMapOracle(t *testing.T) {
+	// ring builds a graph whose rank i talks to i+off for each offset, in
+	// messages of the given size.
+	ring := func(p, size int, offsets ...int) *topology.Graph {
+		g := topology.MustGraph(p)
+		for _, off := range offsets {
+			for i := 0; i < p; i++ {
+				g.AddTraffic(i, (i+off)%p, 1, int64(size), size)
+			}
+		}
+		return g
+	}
+	mixed := ring(16, 8192, 1, 5)
+	mixed.Add(ring(16, 100, 2)) // sub-threshold edges interleaved with the rest
+	silent := topology.MustGraph(16)
+	silent.AddTraffic(0, 1, 0, 0, 0) // recorded, never used: in no edge set
+	graphs := map[string]*topology.Graph{
+		"empty":  topology.MustGraph(16),
+		"silent": silent,
+		"ring1":  ring(16, 8192, 1),
+		"ring15": ring(16, 8192, 15), // ring1's edges, entered from the other end
+		"ring3":  ring(16, 8192, 3),
+		"dense":  ring(16, 8192, 1, 2, 3, 4, 5, 6, 7, 8),
+		"small":  ring(16, 100, 1, 3),
+		"mixed":  mixed,
+	}
+	for an, a := range graphs {
+		for bn, b := range graphs {
+			for _, cutoff := range []int{0, 1, 101, topology.DefaultCutoff, 1 << 20} {
+				both, one := edgeDiff(a, b, cutoff)
+				wantBoth, wantOne := mapEdgeDiff(a, b, cutoff)
+				if both != wantBoth || one != wantOne {
+					t.Errorf("edgeDiff(%s, %s, %d) = (%d, %d), map oracle (%d, %d)", an, bn, cutoff, both, one, wantBoth, wantOne)
+				}
+			}
+		}
+	}
+	if both, one := edgeDiff(graphs["ring1"], graphs["ring15"], 0); both != 16 || one != 0 {
+		t.Errorf("the same ring twice: (%d, %d), want (16, 0)", both, one)
+	}
+	if both, one := edgeDiff(graphs["ring1"], graphs["ring3"], 0); both != 0 || one != 32 {
+		t.Errorf("disjoint rings: (%d, %d), want (0, 32)", both, one)
+	}
+}
