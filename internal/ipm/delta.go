@@ -43,14 +43,10 @@ type Delta struct {
 	Ranks []RankProfile
 }
 
-// WriteJSON serializes the delta in the versioned wire format.
+// WriteJSON serializes the delta in the versioned wire format (see
+// wirewrite.go). Like Profile.WriteJSON it does not modify its receiver.
 func (d *Delta) WriteJSON(w io.Writer) error {
-	if d.Version == 0 {
-		d.Version = SchemaVersion
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(d)
+	return writeDelta(w, d)
 }
 
 // ErrDeltaDecode marks bytes that do not decode as a Delta, as opposed
@@ -142,45 +138,77 @@ func SplitDeltas(p *Profile) ([]*Delta, error) {
 	if p.Procs <= 0 {
 		return nil, fmt.Errorf("ipm: profile %q has non-positive proc count %d", p.App, p.Procs)
 	}
-	regionSet := make(map[string]bool)
+	// Counting pass: the regions in order of first appearance, and how many
+	// entries each rank holds in each. Entries sort by call, then region,
+	// so neighbours mostly share one and the map is seldom asked.
+	type window struct {
+		region string
+		counts []int // per index into p.Ranks
+	}
+	var wins []window
+	index := make(map[string]int)
+	cur := -1
+	lookup := func(region string) int {
+		if cur >= 0 && wins[cur].region == region {
+			return cur
+		}
+		k, ok := index[region]
+		if !ok {
+			k = len(wins)
+			index[region] = k
+			wins = append(wins, window{region, make([]int, len(p.Ranks))})
+		}
+		cur = k
+		return k
+	}
 	for i := range p.Ranks {
-		for _, e := range p.Ranks[i].Entries {
-			regionSet[e.Key.Region] = true
+		es := p.Ranks[i].Entries
+		for j := range es {
+			wins[lookup(es[j].Key.Region)].counts[i]++
 		}
 	}
-	regions := make([]string, 0, len(regionSet))
-	for r := range regionSet {
-		regions = append(regions, r)
+	if len(wins) == 0 {
+		lookup("") // empty profile still yields one (empty) delta
 	}
-	slices.SortFunc(regions, CompareRegions)
-	if len(regions) == 0 {
-		regions = append(regions, "") // empty profile still yields one (empty) delta
-	}
-	out := make([]*Delta, 0, len(regions))
-	for seq, region := range regions {
+	// Each delta's entries are one block, cut into per-rank slices that
+	// cannot grow into a neighbour; a rank with none keeps a nil Entries.
+	out := make([]*Delta, len(wins))
+	for k, win := range wins {
+		total := 0
+		for _, c := range win.counts {
+			total += c
+		}
+		block := make([]Entry, total)
 		d := &Delta{
 			Version: SchemaVersion,
 			App:     p.App,
 			Procs:   p.Procs,
 			Params:  p.Params,
-			Seq:     seq,
-			Window:  region,
-			Ranks:   make([]RankProfile, 0, len(p.Ranks)),
+			Window:  win.region,
+			Ranks:   make([]RankProfile, len(p.Ranks)),
 		}
-		for i := range p.Ranks {
-			rp := &p.Ranks[i]
-			dr := RankProfile{Rank: rp.Rank}
-			for _, e := range rp.Entries {
-				if e.Key.Region == region {
-					dr.Entries = append(dr.Entries, e)
-				}
+		for i, c := range win.counts {
+			d.Ranks[i].Rank = p.Ranks[i].Rank
+			if c > 0 {
+				d.Ranks[i].Entries, block = block[:0:c], block[c:]
 			}
-			if seq == len(regions)-1 {
-				dr.Spilled = rp.Spilled
-			}
-			d.Ranks = append(d.Ranks, dr)
 		}
-		out = append(out, d)
+		out[k] = d
+	}
+	// Fill pass.
+	for i := range p.Ranks {
+		es := p.Ranks[i].Entries
+		for j := range es {
+			dr := &out[lookup(es[j].Key.Region)].Ranks[i]
+			dr.Entries = append(dr.Entries, es[j])
+		}
+	}
+	slices.SortFunc(out, func(a, b *Delta) int { return CompareRegions(a.Window, b.Window) })
+	for seq, d := range out {
+		d.Seq = seq
+	}
+	for i := range p.Ranks {
+		out[len(out)-1].Ranks[i].Spilled = p.Ranks[i].Spilled
 	}
 	return out, nil
 }

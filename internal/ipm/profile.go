@@ -41,8 +41,9 @@ const SchemaVersion = 2
 //
 // The JSON serialization (WriteJSON/ReadJSON) is the service wire format:
 // field set and ordering are stable, slices are sorted (Ranks by rank,
-// Entries by key), and map keys are emitted in Go's sorted-key JSON order,
-// so encode → decode → re-encode is byte-identical. A golden-file test
+// Entries by key), and the writer of wirewrite.go sorts the Params names
+// by bytes as it emits them (the order encoding/json gives a map), so
+// encode → decode → re-encode is byte-identical. A golden-file test
 // guards the format against silent drift.
 type Profile struct {
 	// Version is the wire-format version (SchemaVersion when written by
@@ -239,14 +240,11 @@ func (p *Profile) TimeByCall(filter RegionFilter) map[mpi.Call]float64 {
 	return out
 }
 
-// WriteJSON serializes the profile in the versioned wire format.
+// WriteJSON serializes the profile in the versioned wire format (see
+// wirewrite.go). It does not modify p — a zero Version is written as
+// SchemaVersion — so one profile may be written from several goroutines.
 func (p *Profile) WriteJSON(w io.Writer) error {
-	if p.Version == 0 {
-		p.Version = SchemaVersion
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(p)
+	return writeProfile(w, p)
 }
 
 // ReadJSON reads r to its end and decodes it as the one profile WriteJSON

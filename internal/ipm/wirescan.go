@@ -7,8 +7,9 @@ import (
 )
 
 // wireScanner decodes the canonical encoding of a Delta or Profile — the
-// bytes WriteJSON emits, give or take JSON whitespace — without
-// reflection. The grammar is fixed: every field present, spelled and
+// bytes the writer of wirewrite.go emits, which is what "canonical"
+// means, give or take JSON whitespace — without reflection. Writer and
+// scanner are the two halves of one grammar, and it is fixed: every field present, spelled and
 // ordered as the struct declares it; integers of at most 18 digits with
 // no fraction or exponent; floats in JSON's number grammar, converted by
 // the strconv.ParseFloat call encoding/json makes; strings of printable

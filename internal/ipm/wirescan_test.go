@@ -345,19 +345,25 @@ func encodedRun(t testing.TB, app string, procs int) (profile []byte, deltas [][
 }
 
 // TestScannerDecodesRealStreams: everything the skeletons emit is
-// canonical, so the fast path is the one the service actually runs.
+// canonical, so the fast path is the one the service actually runs — and
+// writer and scanner are one grammar: what the scanner reads back,
+// encoding/json encodes to the bytes the writer wrote.
 func TestScannerDecodesRealStreams(t *testing.T) {
-	for _, app := range []string{"cactus", "gtc", "amr", "superlu", "pmemd"} {
+	for _, app := range apps.Names() {
 		profile, deltas := encodedRun(t, app, 16)
-		if _, scanned := ipm.ScanProfile(profile); !scanned {
+		if p, scanned := ipm.ScanProfile(profile); !scanned {
 			t.Errorf("%s: scanner gave up on the profile", app)
+		} else if want, err := oracleEncode(p); err != nil || !bytes.Equal(profile, want) {
+			t.Errorf("%s: WriteJSON's profile is not encoding/json's (%v)", app, err)
 		}
 		if err := agreeProfile(t, profile); err != nil {
 			t.Errorf("%s profile: %v", app, err)
 		}
 		for i, raw := range deltas {
-			if _, scanned := ipm.ScanDelta(raw); !scanned {
+			if d, scanned := ipm.ScanDelta(raw); !scanned {
 				t.Errorf("%s: scanner gave up on delta %d", app, i)
+			} else if want, err := oracleEncode(d); err != nil || !bytes.Equal(raw, want) {
+				t.Errorf("%s: WriteJSON's delta %d is not encoding/json's (%v)", app, i, err)
 			}
 			if err := agreeDelta(t, raw); err != nil {
 				t.Errorf("%s delta %d: %v", app, i, err)

@@ -1,0 +1,238 @@
+package ipm
+
+import (
+	"encoding/json"
+	"io"
+	"math"
+	"reflect"
+	"slices"
+	"strconv"
+)
+
+// wireWriter is the one encoder of a Delta or Profile, and so the
+// definition of "canonical": byte for byte what json.Encoder with
+// SetIndent("", " ") writes for these types — fields in declaration
+// order, one space of indent per level, null for a nil Params, Ranks or
+// Entries and {} or [] for an empty one, Params names sorted, a newline
+// after the value — appended by hand, without reflection and without the
+// encoder's second indenting pass. The scanner of wirescan.go reads the
+// same grammar back; encoding/json is the oracle both are tested against.
+//
+// The value is read and never written. Whatever would make the encoder
+// refuse it is found before the first byte goes out, so an error from the
+// value leaves w untouched; after that, bytes leave in chunks of about
+// wireChunk, and the only error is w's own.
+type wireWriter struct {
+	w   io.Writer
+	buf []byte
+}
+
+// wireChunk is how much the writer gathers before handing it to w: a hash
+// or a connection never sees the value whole.
+const wireChunk = 64 << 10
+
+// Rough encoded sizes, a little over what the skeletons' entries (≈ 240
+// bytes each) and ranks take, so a buffer told to grow by their sum grows
+// once.
+const (
+	wireEntrySize  = 256
+	wireRankSize   = 96
+	wireHeaderSize = 256
+)
+
+// writeDelta writes d to w as WriteJSON promises.
+func writeDelta(w io.Writer, d *Delta) error {
+	ww, err := newWireWriter(w, len(d.Params), d.Ranks)
+	if err != nil {
+		return err
+	}
+	ww.header(d.Version, d.App, d.Procs, d.Params)
+	b := append(ww.buf, ",\n \"Seq\": "...)
+	b = strconv.AppendInt(b, int64(d.Seq), 10)
+	b = append(b, ",\n \"Window\": "...)
+	ww.buf = appendWireString(b, d.Window)
+	return ww.ranks(d.Ranks)
+}
+
+// writeProfile is writeDelta for a profile.
+func writeProfile(w io.Writer, p *Profile) error {
+	ww, err := newWireWriter(w, len(p.Params), p.Ranks)
+	if err != nil {
+		return err
+	}
+	ww.header(p.Version, p.App, p.Procs, p.Params)
+	return ww.ranks(p.Ranks)
+}
+
+// newWireWriter checks that ranks can be encoded — a Time that is not
+// finite is the one thing in either type that cannot — and sizes the
+// buffer from the entry count. A w that can grow ahead of its writes (a
+// bytes.Buffer) is told the size, and then takes the chunks without
+// reallocating.
+func newWireWriter(w io.Writer, params int, ranks []RankProfile) (wireWriter, error) {
+	size := wireHeaderSize + 32*params + wireRankSize*len(ranks)
+	for i := range ranks {
+		es := ranks[i].Entries
+		for j := range es {
+			if f := es[j].Stat.Time; math.IsInf(f, 0) || math.IsNaN(f) {
+				return wireWriter{}, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+			}
+		}
+		size += wireEntrySize * len(es)
+	}
+	if g, ok := w.(interface{ Grow(n int) }); ok {
+		g.Grow(size)
+	}
+	return wireWriter{w: w, buf: make([]byte, 0, min(size, wireChunk+wireEntrySize+wireRankSize))}, nil
+}
+
+// header writes the fields Delta and Profile open with, from '{' to the
+// end of Params. A zero version is written as SchemaVersion.
+func (ww *wireWriter) header(version int, app string, procs int, params map[string]int) {
+	if version == 0 {
+		version = SchemaVersion
+	}
+	b := append(ww.buf, "{\n \"Version\": "...)
+	b = strconv.AppendInt(b, int64(version), 10)
+	b = append(b, ",\n \"App\": "...)
+	b = appendWireString(b, app)
+	b = append(b, ",\n \"Procs\": "...)
+	b = strconv.AppendInt(b, int64(procs), 10)
+	b = append(b, ",\n \"Params\": "...)
+	switch {
+	case params == nil:
+		b = append(b, "null"...)
+	case len(params) == 0:
+		b = append(b, "{}"...)
+	default:
+		names := make([]string, 0, len(params))
+		for name := range params {
+			names = append(names, name)
+		}
+		slices.Sort(names) // by bytes, as encoding/json orders a map's keys
+		for i, name := range names {
+			if i == 0 {
+				b = append(b, "{\n  "...)
+			} else {
+				b = append(b, ",\n  "...)
+			}
+			b = appendWireString(b, name)
+			b = append(b, ": "...)
+			b = strconv.AppendInt(b, int64(params[name]), 10)
+		}
+		b = append(b, "\n }"...)
+	}
+	ww.buf = b
+}
+
+// ranks writes the Ranks field, the last of both types, the closing
+// brace and the newline, and hands what is left to w.
+func (ww *wireWriter) ranks(ranks []RankProfile) error {
+	b := append(ww.buf, ",\n \"Ranks\": "...)
+	switch {
+	case ranks == nil:
+		b = append(b, "null"...)
+	case len(ranks) == 0:
+		b = append(b, "[]"...)
+	default:
+		for i := range ranks {
+			rp := &ranks[i]
+			if i == 0 {
+				b = append(b, "[\n  {\n   \"Rank\": "...)
+			} else {
+				b = append(b, ",\n  {\n   \"Rank\": "...)
+			}
+			b = strconv.AppendInt(b, int64(rp.Rank), 10)
+			b = append(b, ",\n   \"Entries\": "...)
+			ww.buf = b
+			if err := ww.entries(rp.Entries); err != nil {
+				return err
+			}
+			b = append(ww.buf, ",\n   \"Spilled\": "...)
+			b = strconv.AppendInt(b, rp.Spilled, 10)
+			b = append(b, "\n  }"...)
+		}
+		b = append(b, "\n ]"...)
+	}
+	b = append(b, "\n}\n"...)
+	_, err := ww.w.Write(b)
+	return err
+}
+
+// entries writes one rank's Entries value, handing the buffer to w each
+// time it passes wireChunk.
+func (ww *wireWriter) entries(es []Entry) error {
+	b := ww.buf
+	switch {
+	case es == nil:
+		b = append(b, "null"...)
+	case len(es) == 0:
+		b = append(b, "[]"...)
+	default:
+		for i := range es {
+			e := &es[i]
+			if i == 0 {
+				b = append(b, "[\n    {\n     \"Key\": {\n      \"Call\": "...)
+			} else {
+				b = append(b, ",\n    {\n     \"Key\": {\n      \"Call\": "...)
+			}
+			b = strconv.AppendInt(b, int64(e.Key.Call), 10)
+			b = append(b, ",\n      \"Bytes\": "...)
+			b = strconv.AppendInt(b, int64(e.Key.Bytes), 10)
+			b = append(b, ",\n      \"Peer\": "...)
+			b = strconv.AppendInt(b, int64(e.Key.Peer), 10)
+			b = append(b, ",\n      \"Region\": "...)
+			b = appendWireString(b, e.Key.Region)
+			b = append(b, "\n     },\n     \"Stat\": {\n      \"Count\": "...)
+			b = strconv.AppendInt(b, e.Stat.Count, 10)
+			b = append(b, ",\n      \"TotalBytes\": "...)
+			b = strconv.AppendInt(b, e.Stat.TotalBytes, 10)
+			b = append(b, ",\n      \"MaxBytes\": "...)
+			b = strconv.AppendInt(b, int64(e.Stat.MaxBytes), 10)
+			b = append(b, ",\n      \"Time\": "...)
+			b = appendWireFloat(b, e.Stat.Time)
+			b = append(b, "\n     }\n    }"...)
+			if len(b) >= wireChunk {
+				if _, err := ww.w.Write(b); err != nil {
+					return err
+				}
+				b = b[:0]
+			}
+		}
+		b = append(b, "\n   ]"...)
+	}
+	ww.buf = b
+	return nil
+}
+
+// appendWireString appends s as a JSON string. Printable ASCII free of
+// the bytes encoding/json escapes (the quote, the backslash and, for
+// HTML's sake, <, > and &) is copied between quotes; any other string is
+// encoding/json's to spell.
+func appendWireString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// appendWireFloat appends a finite f in encoding/json's form: the
+// shortest decimal that reads back as f, in exponent form below 1e-6 and
+// from 1e21, with a one-digit exponent written as one digit.
+func appendWireFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && (b[n-3] == '-' || b[n-3] == '+') && b[n-2] == '0' {
+		b[n-2] = b[n-1] // e-09 is written e-9
+		b = b[:n-1]
+	}
+	return b
+}

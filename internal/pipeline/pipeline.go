@@ -26,7 +26,6 @@
 package pipeline
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -172,11 +171,11 @@ func Spec(s ProfileSpec) ProfileRef {
 // its canonical JSON encoding so identical uploads share downstream
 // artifacts.
 func Supplied(p *ipm.Profile) (ProfileRef, error) {
-	var canon bytes.Buffer
-	if err := p.WriteJSON(&canon); err != nil {
+	h := sha256.New() // fed in the writer's chunks: the encoding is never held whole
+	if err := p.WriteJSON(h); err != nil {
 		return ProfileRef{}, fmt.Errorf("pipeline: encoding supplied profile: %w", err)
 	}
-	sum := sha256.Sum256(canon.Bytes())
+	sum := h.Sum(nil)
 	return ProfileRef{key: Key("profile-blob:" + hex.EncodeToString(sum[:12])), prof: p}, nil
 }
 

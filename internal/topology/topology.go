@@ -120,9 +120,25 @@ func (g *Graph) Add(src *Graph) *Graph {
 	return g
 }
 
-// Clone returns a deep copy of g, less its zero-message edges.
+// Clone returns a deep copy of g, less its zero-message edges. The copy's
+// edges are one block cut into per-rank slices of exactly their length,
+// so the first partner a rank gains moves that rank's slice out of the
+// block instead of growing into its neighbour's.
 func (g *Graph) Clone() *Graph {
-	return (&Graph{P: g.P, adj: make([][]Edge, g.P)}).Add(g)
+	c := &Graph{P: g.P, adj: make([][]Edge, g.P)}
+	block := make([]Edge, 0, 2*g.EdgeCount()) // each edge is stored at both ends
+	for i, es := range g.adj {
+		from := len(block)
+		for _, e := range es {
+			if e.Msgs > 0 {
+				block = append(block, e)
+			}
+		}
+		if to := len(block); to > from {
+			c.adj[i] = block[from:to:to]
+		}
+	}
+	return c
 }
 
 // find returns rank i's edge toward j, nil when absent or out of range.

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -182,6 +183,46 @@ func TestFCNUtilization(t *testing.T) {
 	single := MustGraph(1)
 	if u := single.FCNUtilization(0); u != 0 {
 		t.Errorf("P=1 utilization %g", u)
+	}
+}
+
+// TestCloneSharesNothing: a clone's adjacency is one block cut per rank,
+// so inserting a partner into one rank must move that rank's slice, not
+// slide over its neighbours' edges or reach back into the original.
+func TestCloneSharesNothing(t *testing.T) {
+	g := MustGraph(5)
+	g.AddTraffic(0, 1, 2, 100, 60)
+	g.AddTraffic(1, 2, 1, 50, 50)
+	g.AddTraffic(1, 4, 3, 30, 10)
+	g.AddTraffic(2, 3, 0, 0, 0) // carries no messages: a clone drops it
+	snapshot := func(g *Graph) [][]Edge {
+		out := make([][]Edge, g.P)
+		for i := range out {
+			out[i] = append([]Edge(nil), g.Adj(i)...)
+		}
+		return out
+	}
+	before := snapshot(g)
+	c := g.Clone()
+	if c.Msgs(0, 1) != 2 || c.Vol(1, 4) != 30 || c.EdgeCount() != 3 || len(c.Adj(3)) != 0 {
+		t.Fatalf("clone lost or kept the wrong edges: %+v", snapshot(c))
+	}
+	cloned := snapshot(c)
+	more := MustGraph(5)
+	more.AddTraffic(1, 3, 7, 700, 100) // a partner rank 1 did not have, between two it had
+	more.AddTraffic(0, 1, 1, 1, 1)     // and one it had
+	c.Add(more)
+	if got := snapshot(g); !reflect.DeepEqual(got, before) {
+		t.Errorf("Add into the clone changed the original:\n got %+v\nwant %+v", got, before)
+	}
+	got := snapshot(c)
+	for _, r := range []int{2, 4} { // the ranks on either side of rank 1's edges
+		if !reflect.DeepEqual(got[r], cloned[r]) {
+			t.Errorf("rank %d of the clone changed: %+v, was %+v", r, got[r], cloned[r])
+		}
+	}
+	if c.Msgs(1, 3) != 7 || c.Msgs(3, 1) != 7 || c.Msgs(0, 1) != 3 || c.Msgs(1, 2) != 1 || c.Msgs(1, 4) != 3 {
+		t.Errorf("clone after Add: %+v", got)
 	}
 }
 
