@@ -274,25 +274,23 @@ func NetsimRowsFor(r *Runner, appNames []string, procs int) ([]NetsimRow, error)
 		}
 	}
 	errs := make([]error, len(jobs))
-	par.Ranges(len(jobs), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			j := jobs[i]
-			res, err := r.Netsim(j.app, procs, j.fabric)
-			if err != nil {
-				errs[i] = err
-				continue
-			}
-			row := &rows[j.ai]
-			switch j.fabric {
-			case pipeline.FabricHFAST:
-				row.HFAST = res.Makespan
-				row.Collective = res.Collective
-				row.TreeTime = res.TreeTime
-			case pipeline.FabricFCN:
-				row.FCN = res.Makespan
-			case pipeline.FabricMesh:
-				row.Mesh = res.Makespan
-			}
+	par.ForChunks(len(jobs), 1, func(i, _, _ int) {
+		j := jobs[i]
+		res, err := r.Netsim(j.app, procs, j.fabric)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		row := &rows[j.ai]
+		switch j.fabric {
+		case pipeline.FabricHFAST:
+			row.HFAST = res.Makespan
+			row.Collective = res.Collective
+			row.TreeTime = res.TreeTime
+		case pipeline.FabricFCN:
+			row.FCN = res.Makespan
+		case pipeline.FabricMesh:
+			row.Mesh = res.Makespan
 		}
 	})
 	for i, err := range errs {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/hfast-sim/hfast/internal/par"
 	"github.com/hfast-sim/hfast/internal/topology"
 )
 
@@ -86,17 +85,10 @@ func Assign(g *topology.Graph, cutoff, blockSize int) (*Assignment, error) {
 		Partners:  make([][]int, g.P),
 		Blocks:    make([]int, g.P),
 	}
-	// Per-rank partner extraction and block sizing are independent, so
-	// large fabrics shard over the worker pool; the block total is reduced
-	// afterwards to keep it deterministic.
-	par.Ranges(g.P, 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			a.Partners[i] = g.Partners(i, cutoff)
-			a.Blocks[i] = BlocksForDegree(len(a.Partners[i]), blockSize)
-		}
-	})
-	for _, b := range a.Blocks {
-		a.TotalBlocks += b
+	for i := range a.Partners {
+		a.Partners[i] = g.Partners(i, cutoff)
+		a.Blocks[i] = BlocksForDegree(len(a.Partners[i]), blockSize)
+		a.TotalBlocks += a.Blocks[i]
 	}
 	return a, nil
 }
@@ -168,8 +160,7 @@ func (a *Assignment) Ports() PortUsage {
 
 // MaxRoute returns the worst-case route among all provisioned pairs
 // (zero value when nothing is provisioned). Each node's tree shape is
-// derived once, then every edge is walked once from its lower endpoint:
-// per-rank maxima are computed on the worker pool and reduced serially.
+// derived once, then every edge is walked once from its lower endpoint.
 func (a *Assignment) MaxRoute() Route {
 	maxDeg := 0
 	for _, ps := range a.Partners {
@@ -188,28 +179,21 @@ func (a *Assignment) MaxRoute() Route {
 	for i := 0; i < a.P; i++ {
 		partnerSlots(shape(i), len(a.Partners[i]), a.BlockSize)
 	}
-	best := make([]int, a.P)
-	par.Ranges(a.P, 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			mine, depth, m := shape(i), 1, 0
-			for idx, j := range a.Partners[i] {
-				for idx >= mine[depth-1] {
-					depth++
-				}
-				if j < i {
-					continue
-				}
-				di := a.partnerIndex(j, i)
-				checkPartnerIndex(di, len(a.Partners[j]))
-				m = max(m, depth+slotDepth(shape(j), di))
-			}
-			best[i] = m
-		}
-	})
 	var worst Route
-	for _, m := range best {
-		if m > worst.SBHops {
-			worst = Route{SBHops: m, Crossings: m + 1}
+	for i := 0; i < a.P; i++ {
+		mine, depth := shape(i), 1
+		for idx, j := range a.Partners[i] {
+			for idx >= mine[depth-1] {
+				depth++
+			}
+			if j < i {
+				continue
+			}
+			di := a.partnerIndex(j, i)
+			checkPartnerIndex(di, len(a.Partners[j]))
+			if m := depth + slotDepth(shape(j), di); m > worst.SBHops {
+				worst = Route{SBHops: m, Crossings: m + 1}
+			}
 		}
 	}
 	return worst

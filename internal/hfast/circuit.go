@@ -3,8 +3,6 @@ package hfast
 import (
 	"fmt"
 	"sort"
-
-	"github.com/hfast-sim/hfast/internal/par"
 )
 
 // CircuitSwitch models the passive crossbar: a set of ports, each wired to
@@ -158,67 +156,44 @@ func Wire(a *Assignment) (*Wiring, error) {
 		next += a.Blocks[i]
 	}
 	// Build each node's tree and collect its free partner slots in
-	// depth-first-come order. The layout (slot bookkeeping, depth sort,
-	// partner-port choice) touches only node-local state, so rank shards
-	// run on the worker pool; the crossbar connections each layout decided
-	// are recorded per node and applied serially afterwards, since the
-	// switch's peer table and move counter are shared.
+	// depth-first-come order.
 	type slot struct {
 		port  int
 		depth int
 	}
-	nodeConns := make([][][2]int, a.P)
-	nodeErr := make([]error, a.P)
-	par.Ranges(a.P, 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			root := w.BlockBase[i]
-			conns := make([][2]int, 0, a.Blocks[i])
-			conns = append(conns, [2]int{w.NodePort(i), w.blockPort(root, 0)})
-			var free []slot
-			for k := 1; k < a.BlockSize; k++ {
-				free = append(free, slot{port: w.blockPort(root, k), depth: 1})
-			}
-			for b := 1; b < a.Blocks[i]; b++ {
-				if len(free) == 0 {
-					nodeErr[i] = fmt.Errorf("hfast: node %d ran out of tree slots", i)
-					break
-				}
-				parent := free[0]
-				free = free[1:]
-				blk := w.BlockBase[i] + b
-				conns = append(conns, [2]int{parent.port, w.blockPort(blk, 0)})
-				for k := 1; k < a.BlockSize; k++ {
-					free = append(free, slot{port: w.blockPort(blk, k), depth: parent.depth + 1})
-				}
-			}
-			if nodeErr[i] != nil {
-				continue
-			}
-			sort.SliceStable(free, func(x, y int) bool { return free[x].depth < free[y].depth })
-			if len(free) < len(a.Partners[i]) {
-				nodeErr[i] = fmt.Errorf("hfast: node %d has %d partners but only %d slots",
-					i, len(a.Partners[i]), len(free))
-				continue
-			}
-			w.PartnerPort[i] = make([]int, len(a.Partners[i]))
-			w.PartnerDepthOf[i] = make([]int, len(a.Partners[i]))
-			for k := range a.Partners[i] {
-				w.PartnerPort[i][k] = free[k].port
-				w.PartnerDepthOf[i][k] = free[k].depth
-			}
-			nodeConns[i] = conns
+	for i := 0; i < a.P; i++ {
+		root := w.BlockBase[i]
+		if err := cs.Connect(w.NodePort(i), w.blockPort(root, 0)); err != nil {
+			return nil, fmt.Errorf("hfast: wiring node %d tree: %w", i, err)
 		}
-	})
-	for _, err := range nodeErr {
-		if err != nil {
-			return nil, err
+		var free []slot
+		for k := 1; k < a.BlockSize; k++ {
+			free = append(free, slot{port: w.blockPort(root, k), depth: 1})
 		}
-	}
-	for i, conns := range nodeConns {
-		for _, c := range conns {
-			if err := cs.Connect(c[0], c[1]); err != nil {
+		for b := 1; b < a.Blocks[i]; b++ {
+			if len(free) == 0 {
+				return nil, fmt.Errorf("hfast: node %d ran out of tree slots", i)
+			}
+			parent := free[0]
+			free = free[1:]
+			blk := root + b
+			if err := cs.Connect(parent.port, w.blockPort(blk, 0)); err != nil {
 				return nil, fmt.Errorf("hfast: wiring node %d tree: %w", i, err)
 			}
+			for k := 1; k < a.BlockSize; k++ {
+				free = append(free, slot{port: w.blockPort(blk, k), depth: parent.depth + 1})
+			}
+		}
+		sort.SliceStable(free, func(x, y int) bool { return free[x].depth < free[y].depth })
+		if len(free) < len(a.Partners[i]) {
+			return nil, fmt.Errorf("hfast: node %d has %d partners but only %d slots",
+				i, len(a.Partners[i]), len(free))
+		}
+		w.PartnerPort[i] = make([]int, len(a.Partners[i]))
+		w.PartnerDepthOf[i] = make([]int, len(a.Partners[i]))
+		for k := range a.Partners[i] {
+			w.PartnerPort[i][k] = free[k].port
+			w.PartnerDepthOf[i][k] = free[k].depth
 		}
 	}
 	// Cross-connect each provisioned edge once.

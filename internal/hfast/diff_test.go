@@ -192,9 +192,9 @@ func TestAssignWithBudget(t *testing.T) {
 	}
 }
 
-// TestDiffDeterminism pins the diff pipeline bitwise across worker
-// counts: assignments built from the parallel-sharded graph path and
-// their diffs are byte-identical at GOMAXPROCS=1 and 4.
+// TestDiffDeterminism pins the diff pipeline's run-to-run byte
+// stability: two builds of the same assignments and their diff, one at
+// GOMAXPROCS=1 and one at 4, encode to identical bytes.
 func TestDiffDeterminism(t *testing.T) {
 	pairsFor := func(procs, off int) []ipm.PairTraffic {
 		var ps []ipm.PairTraffic

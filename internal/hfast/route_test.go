@@ -108,8 +108,7 @@ func TestMaxRouteMatchesRoutes(t *testing.T) {
 		t.Fatalf("route (20,21) has %d hops, the case wants 2+3", r.SBHops)
 	}
 	checkRoutes(t, "lone worst edge", lone)
-	// Random graphs, both endpoints of an edge deep in their trees. The
-	// last is large enough for MaxRoute to shard over par.Ranges.
+	// Random graphs, both endpoints of an edge deep in their trees.
 	rng := rand.New(rand.NewSource(18))
 	for _, c := range []struct {
 		p, bs   int

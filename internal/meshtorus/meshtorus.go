@@ -210,8 +210,6 @@ func (m Mesh) Degree() int {
 		case d == 1:
 		case d == 2:
 			deg++
-		case m.Wrap:
-			deg += 2
 		default:
 			deg += 2
 		}
@@ -219,8 +217,8 @@ func (m Mesh) Degree() int {
 	return deg
 }
 
-// Embedding reports how well an application graph maps onto a mesh with
-// identity placement (rank i on node i).
+// Embedding reports how well an application graph maps onto a mesh under
+// a placement.
 type Embedding struct {
 	// Isomorphic reports whether every application edge is a mesh link
 	// (dilation 1) — the paper's criterion for case i.
@@ -238,56 +236,41 @@ type Embedding struct {
 	Edges int
 }
 
-// Embed evaluates the identity embedding of g's thresholded edges.
+// Embed evaluates the identity embedding (rank i on node i) of g's
+// thresholded edges.
 func Embed(g *topology.Graph, m Mesh, cutoff int) (Embedding, error) {
-	if g.P != m.Size() {
-		return Embedding{}, fmt.Errorf("meshtorus: graph has %d ranks but mesh has %d nodes", g.P, m.Size())
-	}
-	emb := Embedding{Isomorphic: true}
-	linkLoad := map[[2]int]int64{}
-	var dilSum int
-	for _, e := range g.Edges(cutoff) {
-		emb.Edges++
-		d := m.Distance(e[0], e[1])
-		if d > emb.MaxDilation {
-			emb.MaxDilation = d
-		}
-		dilSum += d
-		if d > 1 {
-			emb.Isomorphic = false
-		}
-		// Dimension-ordered route: correct one dimension at a time.
-		vol := g.Vol(e[0], e[1])
-		for _, hop := range m.RouteDOR(e[0], e[1]) {
-			linkLoad[hop] += vol
-		}
-	}
-	if emb.Edges > 0 {
-		emb.AvgDilation = float64(dilSum) / float64(emb.Edges)
-	}
-	var loadSum int64
-	for _, l := range linkLoad {
-		if l > emb.MaxCongestion {
-			emb.MaxCongestion = l
-		}
-		loadSum += l
-	}
-	if len(linkLoad) > 0 {
-		emb.AvgCongestion = float64(loadSum) / float64(len(linkLoad))
-	}
-	return emb, nil
+	return EmbedPlaced(g, m, IdentityPlacement(g.P), cutoff)
 }
 
-// RouteDOR returns the links of the dimension-ordered route from a to b,
-// each as a canonical (low, high) node pair.
-func (m Mesh) RouteDOR(a, b int) [][2]int {
-	var links [][2]int
-	cur := append([]int(nil), m.Coords(a)...)
-	target := m.Coords(b)
+// maxStackDims bounds the dimensionality AppendDOR walks on the stack; the
+// paper's fabrics are 2-D/3-D, so 8 is comfortably past anything a caller
+// builds. Higher-dimensional meshes spill the coordinate scratch to the
+// heap, trading the zero-alloc guarantee, not correctness.
+const maxStackDims = 8
+
+// AppendDOR appends the nodes of the dimension-ordered route from a to b
+// to buf — a first, b last, Distance(a, b)+1 nodes — and returns the
+// extended slice. The route corrects one dimension at a time, taking the
+// shorter way around a torus ring. Coordinates live in stack arrays and
+// each hop's rank is derived from the last, so a walk into a buffer with
+// room allocates nothing.
+func (m Mesh) AppendDOR(buf []int, a, b int) []int {
+	var curA, tgtA [maxStackDims]int
+	cur, tgt := curA[:], tgtA[:]
+	if len(m.Dims) > maxStackDims {
+		cur, tgt = make([]int, len(m.Dims)), make([]int, len(m.Dims))
+	}
+	ra, rb := a, b
+	for i, d := range m.Dims {
+		cur[i], tgt[i] = ra%d, rb%d
+		ra, rb = ra/d, rb/d
+	}
+	buf = append(buf, a)
+	node, stride := a, 1
 	for dim, d := range m.Dims {
-		for cur[dim] != target[dim] {
+		for cur[dim] != tgt[dim] {
 			step := 1
-			delta := target[dim] - cur[dim]
+			delta := tgt[dim] - cur[dim]
 			if delta < 0 {
 				step = -1
 			}
@@ -300,17 +283,14 @@ func (m Mesh) RouteDOR(a, b int) [][2]int {
 					step = -step // shorter the other way around
 				}
 			}
-			next := append([]int(nil), cur...)
-			next[dim] = (cur[dim] + step + d) % d
-			from, to := m.Rank(cur), m.Rank(next)
-			if from > to {
-				from, to = to, from
-			}
-			links = append(links, [2]int{from, to})
-			cur = next
+			next := (cur[dim] + step + d) % d
+			node += (next - cur[dim]) * stride
+			cur[dim] = next
+			buf = append(buf, node)
 		}
+		stride *= d
 	}
-	return links
+	return buf
 }
 
 // Cost is the mesh fabric cost: one router with Degree()+1 ports per node

@@ -115,22 +115,27 @@ func TestDistance(t *testing.T) {
 	}
 }
 
-func TestRouteDORLengthMatchesDistance(t *testing.T) {
+func TestAppendDORLengthMatchesDistance(t *testing.T) {
 	f := func(sa, sb uint8, wrap bool) bool {
 		m, _ := New([]int{4, 3, 2}, wrap)
 		a := int(sa) % m.Size()
 		b := int(sb) % m.Size()
-		links := m.RouteDOR(a, b)
-		if len(links) != m.Distance(a, b) {
+		// The walk appends after whatever buf holds.
+		nodes := m.AppendDOR([]int{-1}, a, b)
+		if nodes[0] != -1 {
 			return false
 		}
-		// Every link is a valid mesh edge.
+		nodes = nodes[1:]
+		if len(nodes) != m.Distance(a, b)+1 || nodes[0] != a || nodes[len(nodes)-1] != b {
+			return false
+		}
+		// Every hop is a valid mesh edge.
 		valid := map[[2]int]bool{}
 		for _, e := range m.Edges() {
 			valid[e] = true
 		}
-		for _, l := range links {
-			if !valid[l] {
+		for k := 1; k < len(nodes); k++ {
+			if !valid[[2]int{min(nodes[k-1], nodes[k]), max(nodes[k-1], nodes[k])}] {
 				return false
 			}
 		}

@@ -149,10 +149,13 @@ func EmbedPlaced(g *topology.Graph, m Mesh, pl Placement, cutoff int) (Embedding
 	emb := Embedding{Isomorphic: true}
 	linkLoad := map[[2]int]int64{}
 	var dilSum int
+	var nodes []int
 	for _, e := range g.Edges(cutoff) {
 		emb.Edges++
-		a, b := pl[e[0]], pl[e[1]]
-		d := m.Distance(a, b)
+		// The dimension-ordered route is a shortest path, so its hop count
+		// is the dilation.
+		nodes = m.AppendDOR(nodes[:0], pl[e[0]], pl[e[1]])
+		d := len(nodes) - 1
 		if d > emb.MaxDilation {
 			emb.MaxDilation = d
 		}
@@ -161,8 +164,8 @@ func EmbedPlaced(g *topology.Graph, m Mesh, pl Placement, cutoff int) (Embedding
 			emb.Isomorphic = false
 		}
 		vol := g.Vol(e[0], e[1])
-		for _, hop := range m.RouteDOR(a, b) {
-			linkLoad[hop] += vol
+		for k := 1; k < len(nodes); k++ {
+			linkLoad[[2]int{min(nodes[k-1], nodes[k]), max(nodes[k-1], nodes[k])}] += vol
 		}
 	}
 	if emb.Edges > 0 {

@@ -246,7 +246,7 @@ type engine struct {
 	routedOK  []bool
 	simIdx    []int32 // raw flow → super-flow (-1 when unroutable)
 	linkBytes []float64
-	routeBufs [][]int // per-chunk arenas AppendRouter paths live in
+	routeBufs [][]int // per-chunk arenas routed paths live in
 }
 
 // groupKey identifies a coalescing group. The key includes the size:
@@ -357,7 +357,7 @@ func (e *engine) stats() Stats {
 
 // routeChunk is the fixed flow-count grid the routing fan-out splits
 // over. Fixed chunks (never worker-count-derived shards) give every
-// chunk its own append arena, so AppendRouter paths land in engine-owned
+// chunk its own append arena, so routed paths land in engine-owned
 // memory with a layout that is a pure function of the flow list.
 const routeChunk = 4096
 
@@ -373,37 +373,28 @@ func (e *engine) build(net *Network, router Router, flows []Flow, regions []int3
 	e.lats = grow(e.lats, nf)
 	e.routedOK = grow(e.routedOK, nf)
 	e.simIdx = grow(e.simIdx, nf)
-	if ar, ok := router.(AppendRouter); ok {
-		// Route into per-chunk arenas: the fabric appends each path to the
-		// chunk's slab instead of allocating one slice per call. Slab
-		// growth may strand early paths on a retired backing array — they
-		// stay valid, and the high-water slab makes repeat replays
-		// allocation-free.
-		nChunks := (nf + routeChunk - 1) / routeChunk
-		if cap(e.routeBufs) < nChunks {
-			bufs := make([][]int, nChunks)
-			copy(bufs, e.routeBufs)
-			e.routeBufs = bufs
-		}
-		e.routeBufs = e.routeBufs[:nChunks]
-		par.ForChunks(nf, routeChunk, func(ci, lo, hi int) {
-			buf := e.routeBufs[ci][:0]
-			for i := lo; i < hi; i++ {
-				base := len(buf)
-				var full []int
-				full, e.lats[i], e.routedOK[i] = ar.RouteAppend(buf, flows[i].Src, flows[i].Dst)
-				e.paths[i] = full[base:len(full):len(full)]
-				buf = full
-			}
-			e.routeBufs[ci] = buf
-		})
-	} else {
-		par.Ranges(nf, 0, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				e.paths[i], e.lats[i], e.routedOK[i] = router.Route(flows[i].Src, flows[i].Dst)
-			}
-		})
+	// Route into per-chunk arenas: the fabric appends each path to the
+	// chunk's slab instead of allocating one slice per call. Slab growth
+	// may strand early paths on a retired backing array — they stay valid,
+	// and the high-water slab makes repeat replays allocation-free.
+	nChunks := (nf + routeChunk - 1) / routeChunk
+	if cap(e.routeBufs) < nChunks {
+		bufs := make([][]int, nChunks)
+		copy(bufs, e.routeBufs)
+		e.routeBufs = bufs
 	}
+	e.routeBufs = e.routeBufs[:nChunks]
+	par.ForChunks(nf, routeChunk, func(ci, lo, hi int) {
+		buf := e.routeBufs[ci][:0]
+		for i := lo; i < hi; i++ {
+			base := len(buf)
+			var full []int
+			full, e.lats[i], e.routedOK[i] = router.RouteAppend(buf, flows[i].Src, flows[i].Dst)
+			e.paths[i] = full[base:len(full):len(full)]
+			buf = full
+		}
+		e.routeBufs[ci] = buf
+	})
 
 	e.linkBytes = grow(e.linkBytes, nLinks)
 	clear(e.linkBytes)

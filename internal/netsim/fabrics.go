@@ -101,15 +101,10 @@ func NewHFASTNet(a *hfast.Assignment, p LinkParams) *HFASTNet {
 // Network returns the underlying link set.
 func (h *HFASTNet) Network() *Network { return h.net }
 
-// Route implements Router: provisioned pairs traverse src uplink, the
-// dedicated partner circuit, and the dst uplink, paying block-hop
+// RouteAppend implements Router: provisioned pairs traverse src uplink,
+// the dedicated partner circuit, and the dst uplink, paying block-hop
 // latencies from the assignment; other pairs are unroutable on the
 // high-bandwidth fabric (they belong on the collective network).
-func (h *HFASTNet) Route(src, dst int) ([]int, float64, bool) {
-	return h.RouteAppend(nil, src, dst)
-}
-
-// RouteAppend implements AppendRouter.
 func (h *HFASTNet) RouteAppend(buf []int, src, dst int) ([]int, float64, bool) {
 	r, ok := h.assign.Route(src, dst)
 	if !ok {
@@ -186,12 +181,7 @@ func NewFCNNet(procs int, tree fattree.Tree, p LinkParams) *FCNNet {
 // Network returns the underlying link set.
 func (f *FCNNet) Network() *Network { return f.net }
 
-// Route implements Router.
-func (f *FCNNet) Route(src, dst int) ([]int, float64, bool) {
-	return f.RouteAppend(nil, src, dst)
-}
-
-// RouteAppend implements AppendRouter.
+// RouteAppend implements Router.
 func (f *FCNNet) RouteAppend(buf []int, src, dst int) ([]int, float64, bool) {
 	if src < 0 || src >= f.procs || dst < 0 || dst >= f.procs || src == dst {
 		return buf, 0, false
@@ -248,83 +238,31 @@ func NewMeshNet(m meshtorus.Mesh, p LinkParams) *MeshNet {
 // Network returns the underlying link set.
 func (m *MeshNet) Network() *Network { return m.net }
 
-// Route implements Router via dimension-ordered routing.
-func (m *MeshNet) Route(src, dst int) ([]int, float64, bool) {
-	return m.RouteAppend(nil, src, dst)
-}
-
-// maxMeshDims bounds the dimensionality RouteAppend walks on the stack;
-// the paper's fabrics are 2-D/3-D, so 8 is comfortably past anything a
-// caller builds. Higher-dimensional meshes spill the coordinate scratch
-// to the heap, trading the zero-alloc guarantee, not correctness.
-const maxMeshDims = 8
-
-// RouteAppend implements AppendRouter with an in-place dimension-ordered
-// walk: coordinates and strides live in stack arrays and each hop's rank
-// is maintained incrementally, so — unlike meshtorus.RouteDOR, which
-// allocates coordinate slices per hop — routing a replay costs no
+// RouteAppend implements Router with dimension-ordered routing:
+// meshtorus.Mesh.AppendDOR appends the visited nodes to buf, and each is
+// rewritten in place — the source into its injection link, every later
+// node into the mesh link that reaches it — so routing a replay costs no
 // allocations beyond the shared arena the paths land in. Mesh paths are
-// the longest of any fabric, which made the per-call slices the
-// allocation outlier of large replays (~6× the other fabrics at
-// P=16384).
+// the longest of any fabric, which made per-call slices the allocation
+// outlier of large replays (~6× the other fabrics at P=16384).
 func (m *MeshNet) RouteAppend(buf []int, src, dst int) ([]int, float64, bool) {
 	if src == dst {
 		return buf, 0, false
 	}
 	base := len(buf)
-	dims := m.mesh.Dims
-	var curA, tgtA, strideA [maxMeshDims]int
-	var cur, tgt, stride []int
-	if len(dims) <= maxMeshDims {
-		cur, tgt, stride = curA[:len(dims)], tgtA[:len(dims)], strideA[:len(dims)]
-	} else {
-		cur, tgt, stride = make([]int, len(dims)), make([]int, len(dims)), make([]int, len(dims))
-	}
-	r, s, t := src, 1, dst
-	for i, d := range dims {
-		cur[i] = r % d
-		r /= d
-		tgt[i] = t % d
-		t /= d
-		stride[i] = s
-		s *= d
-	}
-
-	buf = append(buf, m.up[src])
-	hops := 0
+	buf = m.mesh.AppendDOR(buf, src, dst)
 	from := src
-	for dim, d := range dims {
-		for cur[dim] != tgt[dim] {
-			step := 1
-			delta := tgt[dim] - cur[dim]
-			if delta < 0 {
-				step = -1
-			}
-			if m.mesh.Wrap {
-				abs := delta
-				if abs < 0 {
-					abs = -abs
-				}
-				if d-abs < abs {
-					step = -step // shorter the other way around
-				}
-			}
-			next := (cur[dim] + step + d) % d
-			to := from + (next-cur[dim])*stride[dim]
-			a, b := from, to
-			if a > b {
-				a, b = b, a
-			}
-			id, ok := m.links[[2]int{a, b}]
-			if !ok {
-				return buf[:base], 0, false
-			}
-			buf = append(buf, id)
-			cur[dim] = next
-			from = to
-			hops++
+	buf[base] = m.up[src]
+	for k := base + 1; k < len(buf); k++ {
+		to := buf[k]
+		id, ok := m.links[[2]int{min(from, to), max(from, to)}]
+		if !ok {
+			return buf[:base], 0, false
 		}
+		buf[k] = id
+		from = to
 	}
+	hops := len(buf) - base - 1
 	buf = append(buf, m.down[dst])
 	// Each hop crosses one router.
 	lat := float64(hops)*m.p.SwitchLatency + float64(hops+1)*m.p.WireLatency
@@ -459,13 +397,8 @@ func (t *TreeNet) linkRegions(target int) []int32 {
 	return regions
 }
 
-// Route implements Router: climb from both endpoints to their lowest
-// common ancestor in the implicit heap layout.
-func (t *TreeNet) Route(src, dst int) ([]int, float64, bool) {
-	return t.RouteAppend(nil, src, dst)
-}
-
-// RouteAppend implements AppendRouter.
+// RouteAppend implements Router: climb from both endpoints to their
+// lowest common ancestor in the implicit heap layout.
 func (t *TreeNet) RouteAppend(buf []int, src, dst int) ([]int, float64, bool) {
 	if src == dst || src < 0 || dst < 0 || src >= t.tree.P || dst >= t.tree.P {
 		return buf, 0, false

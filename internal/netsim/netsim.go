@@ -73,28 +73,26 @@ func (n *Network) Links() int { return len(n.links) }
 func (n *Network) Link(id int) Link { return n.links[id] }
 
 // Router maps a flow's endpoints to the link path it occupies and the
-// fixed propagation/switching latency of that path. ok=false means the
-// pair is unreachable on this fabric.
+// fixed propagation/switching latency of that path. RouteAppend appends
+// the (src, dst) path to buf and returns the extended slice, so the
+// engine routes a whole replay into pooled arenas instead of paying one
+// path slice per flow. ok=false means the pair is unreachable on this
+// fabric, and the returned slice must then be buf at its original length.
 type Router interface {
-	Route(src, dst int) (path []int, latency float64, ok bool)
+	RouteAppend(buf []int, src, dst int) (extended []int, latency float64, ok bool)
 }
 
-// RouterFunc adapts a function to the Router interface.
+// RouterFunc adapts a function returning whole paths to the Router
+// interface.
 type RouterFunc func(src, dst int) ([]int, float64, bool)
 
-// Route implements Router.
-func (f RouterFunc) Route(src, dst int) ([]int, float64, bool) { return f(src, dst) }
-
-// AppendRouter is an optional Router extension for allocation-free
-// routing: RouteAppend appends the (src, dst) path to buf and returns
-// the extended slice, so the engine can route a whole replay into
-// pooled arenas instead of paying one path slice per flow (the
-// mesh-torus fabrics were the worst offenders: long dimension-ordered
-// paths, one fresh slice each). On ok=false the returned slice must be
-// buf trimmed back to its original length.
-type AppendRouter interface {
-	Router
-	RouteAppend(buf []int, src, dst int) (extended []int, latency float64, ok bool)
+// RouteAppend implements Router by appending f's path to buf.
+func (f RouterFunc) RouteAppend(buf []int, src, dst int) ([]int, float64, bool) {
+	path, lat, ok := f(src, dst)
+	if !ok {
+		return buf, lat, false
+	}
+	return append(buf, path...), lat, true
 }
 
 // Flow is one message transfer.

@@ -303,10 +303,10 @@ func TestHFASTNetDedicatedCircuits(t *testing.T) {
 	}
 	hn := NewHFASTNet(a, DefaultLinkParams())
 	// Ring neighbors route; distant pairs do not.
-	if _, _, ok := hn.Route(0, 1); !ok {
+	if _, _, ok := hn.RouteAppend(nil, 0, 1); !ok {
 		t.Fatal("partner pair unroutable")
 	}
-	if _, _, ok := hn.Route(0, 4); ok {
+	if _, _, ok := hn.RouteAppend(nil, 0, 4); ok {
 		t.Fatal("non-partner pair routable on high-bandwidth fabric")
 	}
 	// Disjoint ring exchanges never contend: each of the 8 simultaneous
@@ -350,7 +350,7 @@ func TestFCNNetEndpointContention(t *testing.T) {
 			t.Errorf("incast flow %d finish %.2e, want ≈ %.2e", i, f.Finish, want)
 		}
 	}
-	if _, _, ok := fn.Route(3, 3); ok {
+	if _, _, ok := fn.RouteAppend(nil, 3, 3); ok {
 		t.Error("self route accepted")
 	}
 }
@@ -418,16 +418,16 @@ func TestTreeNetRoutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Siblings 1 and 2 route through the root: 2 links.
-	path, _, ok := tn.Route(1, 2)
+	path, _, ok := tn.RouteAppend(nil, 1, 2)
 	if !ok || len(path) != 2 {
 		t.Fatalf("sibling route: ok=%v len=%d", ok, len(path))
 	}
 	// Child to parent: 1 link.
-	path, _, ok = tn.Route(4, 1)
+	path, _, ok = tn.RouteAppend(nil, 4, 1)
 	if !ok || len(path) != 1 {
 		t.Fatalf("parent route: ok=%v len=%d", ok, len(path))
 	}
-	if _, _, ok := tn.Route(3, 3); ok {
+	if _, _, ok := tn.RouteAppend(nil, 3, 3); ok {
 		t.Error("self route accepted")
 	}
 	// Small flows complete over the shared tree.

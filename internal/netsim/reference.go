@@ -38,7 +38,7 @@ func simulateReference(net *Network, router Router, flows []Flow) (Result, error
 
 	var pending []*state
 	for i, f := range flows {
-		path, lat, ok := router.Route(f.Src, f.Dst)
+		path, lat, ok := router.RouteAppend(nil, f.Src, f.Dst)
 		if err := validateFlow(i, f, lat, ok); err != nil {
 			return Result{}, err
 		}

@@ -9,11 +9,11 @@ import (
 
 // pathRouter serves explicit per-pair paths — the scaffolding for
 // adversarial component topologies no fabric would produce.
-type pathRouter struct{ paths map[[2]int][]int }
-
-func (p pathRouter) Route(src, dst int) ([]int, float64, bool) {
-	pa, ok := p.paths[[2]int{src, dst}]
-	return pa, 1e-6, ok
+func pathRouter(paths map[[2]int][]int) Router {
+	return RouterFunc(func(src, dst int) ([]int, float64, bool) {
+		pa, ok := paths[[2]int{src, dst}]
+		return pa, 1e-6, ok
+	})
 }
 
 // mergeScenario builds a four-island network whose staggered bridges
@@ -62,7 +62,7 @@ func mergeScenario() (*Network, Router, []Flow) {
 	add([]int{isl[4].l0}, 1e6, 3e-3)              // island E founded...
 	add([]int{isl[4].l0, isl[0].l1}, 1e6, 3e-3)   // ...and folded in, same start
 
-	return net, pathRouter{paths}, flows
+	return net, pathRouter(paths), flows
 }
 
 // TestSimulateMergeParity pins the component scheduler's merge protocol

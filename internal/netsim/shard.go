@@ -266,10 +266,8 @@ func (e *engine) solveSharded(c *compState) int {
 			linksB = append(linksB, nil)
 		}
 	}
-	par.Ranges(int(nComp), 1, func(lo, hi int) {
-		for ci := lo; ci < hi; ci++ {
-			e.fill(c, linksB[ci], flowsB[ci], len(flowsB[ci]))
-		}
+	par.ForChunks(int(nComp), 1, func(ci, _, _ int) {
+		e.fill(c, linksB[ci], flowsB[ci], len(flowsB[ci]))
 	})
 	c.compLinksB = linksB
 	return live

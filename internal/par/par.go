@@ -1,11 +1,11 @@
-// Package par is the bounded fan-out the analysis pipeline and the
-// netsim engine share, four functions over one pool bound: Workers caps
-// a fan-out at GOMAXPROCS; Ranges splits per-rank work (graph builds, TDC
-// sweeps, fabric assignment) into contiguous shards, one per worker,
-// collapsing to a plain loop for small inputs so the P≤256 paper grid
-// stays on the code path it always ran; ForChunks splits over a fixed,
-// worker-independent grid for callers that keep per-chunk outputs; and
-// RunPriority runs tasks most-urgent-first.
+// Package par is the bounded fan-out for independent jobs: netsim's
+// routing chunks, component timelines and region shards, and the
+// experiments' fabric replays. Workers caps a fan-out at GOMAXPROCS;
+// ForChunks splits over a fixed, worker-independent grid so callers that
+// keep per-chunk outputs stay deterministic; RunPriority runs tasks
+// most-urgent-first. Per-rank analysis passes (graph builds, TDC sweeps,
+// fabric assignment) are linear and cheap next to profiling, so they run
+// as plain loops and never come here.
 package par
 
 import (
@@ -14,11 +14,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// SerialThreshold is the input size below which Ranges runs inline: the
-// paper-scale grids (P ≤ 256) are too small for goroutine fan-out to pay
-// for itself, and keeping them serial preserves their allocation profile.
-const SerialThreshold = 512
 
 // Workers returns the pool bound for n independent items: at most
 // GOMAXPROCS, at most one worker per item, at least one.
@@ -35,11 +30,11 @@ func Workers(n int) int {
 
 // ForChunks splits [0,n) into chunks of the caller's fixed, positive size
 // and calls fn(ci, lo, hi) for chunk ci covering [lo,hi), chunks spread
-// across pooled workers. Unlike Ranges the chunk grid is a pure function
-// of n and chunk — never of the worker count — so a caller that writes
-// per-chunk outputs and merges them by chunk index gets bit-identical
-// results at any parallelism. n ≤ chunk or a single worker runs inline on
-// the calling goroutine.
+// across pooled workers. The chunk grid is a pure function of n and
+// chunk — never of the worker count — so a caller that writes per-chunk
+// outputs and merges them by chunk index gets bit-identical results at
+// any parallelism. n ≤ chunk or a single worker runs inline on the
+// calling goroutine.
 func ForChunks(n, chunk int, fn func(ci, lo, hi int)) {
 	if n <= 0 {
 		return
@@ -95,71 +90,5 @@ func RunPriority(n int, pri func(int) float64, fn func(int)) {
 		}
 		return order[a] < order[b]
 	})
-	workers := Workers(n)
-	if n == 1 || workers == 1 {
-		for _, i := range order {
-			fn(i)
-		}
-		return
-	}
-	var next int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				k := int(atomic.AddInt64(&next, 1)) - 1
-				if k >= n {
-					return
-				}
-				fn(order[k])
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// Ranges splits [0,n) into contiguous shards and calls fn(lo,hi) for each,
-// one shard per pooled worker. Shards are disjoint, so fn may write to
-// per-index state without locking. When n < minN (SerialThreshold if
-// minN ≤ 0) or only one worker is available, fn(0,n) runs on the calling
-// goroutine. Ranges returns when every shard has completed.
-func Ranges(n, minN int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if minN <= 0 {
-		minN = SerialThreshold
-	}
-	workers := Workers(n)
-	if n < minN || workers == 1 {
-		fn(0, n)
-		return
-	}
-	// A few shards per worker smooths uneven per-rank work (degree skew)
-	// without measurable scheduling overhead at these shard sizes.
-	shards := 4 * workers
-	if shards > n {
-		shards = n
-	}
-	per := (n + shards - 1) / shards
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for lo := 0; lo < n; lo += per {
-		hi := lo + per
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(lo, hi int) {
-			defer func() {
-				<-sem
-				wg.Done()
-			}()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	ForChunks(n, 1, func(k, _, _ int) { fn(order[k]) })
 }

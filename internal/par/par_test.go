@@ -6,12 +6,16 @@ import (
 	"testing"
 )
 
+// The TestRanges* cases pinned the deleted par.Ranges splitter; its
+// contract (every index once, small inputs inline) is ForChunks' now.
+
 func TestRangesCoversEveryIndexOnce(t *testing.T) {
-	for _, n := range []int{0, 1, 7, SerialThreshold - 1, SerialThreshold, 4096} {
+	const chunk = 64
+	for _, n := range []int{0, 1, 7, chunk - 1, chunk, 4096} {
 		hits := make([]int32, n)
-		Ranges(n, 0, func(lo, hi int) {
+		ForChunks(n, chunk, func(ci, lo, hi int) {
 			if lo < 0 || hi > n || lo > hi {
-				t.Errorf("n=%d: bad shard [%d,%d)", n, lo, hi)
+				t.Errorf("n=%d: bad chunk %d [%d,%d)", n, ci, lo, hi)
 			}
 			for i := lo; i < hi; i++ {
 				atomic.AddInt32(&hits[i], 1)
@@ -25,16 +29,34 @@ func TestRangesCoversEveryIndexOnce(t *testing.T) {
 	}
 }
 
+// TestRangesSmallInputRunsInline pins the n ≤ chunk collapse: one
+// chunk, run on the calling goroutine (the unsynchronized counter would
+// trip the race detector otherwise).
 func TestRangesSmallInputRunsInline(t *testing.T) {
 	calls := 0
-	Ranges(16, 32, func(lo, hi int) {
+	ForChunks(16, 32, func(ci, lo, hi int) {
 		calls++
-		if lo != 0 || hi != 16 {
-			t.Errorf("inline shard [%d,%d), want [0,16)", lo, hi)
+		if ci != 0 || lo != 0 || hi != 16 {
+			t.Errorf("inline chunk %d [%d,%d), want 0 [0,16)", ci, lo, hi)
 		}
 	})
 	if calls != 1 {
-		t.Errorf("small input split into %d shards", calls)
+		t.Errorf("small input split into %d chunks", calls)
+	}
+}
+
+// TestRangesBelowMinNRunsInline covers n strictly under the chunk size
+// (0 < n < chunk): one inline chunk covering [0,n).
+func TestRangesBelowMinNRunsInline(t *testing.T) {
+	calls := 0
+	ForChunks(1, 2, func(ci, lo, hi int) {
+		calls++
+		if ci != 0 || lo != 0 || hi != 1 {
+			t.Errorf("chunk %d [%d,%d), want 0 [0,1)", ci, lo, hi)
+		}
+	})
+	if calls != 1 {
+		t.Errorf("n<chunk split into %d chunks", calls)
 	}
 }
 
@@ -56,45 +78,30 @@ func TestWorkersBounds(t *testing.T) {
 	}
 }
 
-func TestRangesZeroAndNegative(t *testing.T) {
+func TestForChunksZeroAndNegative(t *testing.T) {
 	calls := 0
-	Ranges(0, 0, func(lo, hi int) { calls++ })
-	Ranges(-3, 0, func(lo, hi int) { calls++ })
+	ForChunks(0, 4, func(ci, lo, hi int) { calls++ })
+	ForChunks(-3, 4, func(ci, lo, hi int) { calls++ })
 	if calls != 0 {
-		t.Errorf("Ranges on empty input called fn %d times", calls)
+		t.Errorf("ForChunks on empty input called fn %d times", calls)
 	}
 }
 
-// TestRangesSingleWorker pins the documented collapse: with one worker
-// available there is exactly one shard on the calling goroutine, even
-// for inputs far above the serial threshold.
-func TestRangesSingleWorker(t *testing.T) {
+// TestForChunksSingleWorker pins the one-worker collapse: every chunk
+// runs on the calling goroutine, in ascending order, even for inputs far
+// above one chunk.
+func TestForChunksSingleWorker(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
-	calls := 0
-	Ranges(4*SerialThreshold, 0, func(lo, hi int) {
-		calls++
-		if lo != 0 || hi != 4*SerialThreshold {
-			t.Errorf("single-worker shard [%d,%d)", lo, hi)
-		}
-	})
-	if calls != 1 {
-		t.Errorf("single worker split into %d shards", calls)
+	var got []int
+	ForChunks(100, 7, func(ci, lo, hi int) { got = append(got, ci) })
+	if len(got) != 15 {
+		t.Fatalf("single worker ran %d chunks, want 15", len(got))
 	}
-}
-
-// TestRangesBelowMinNRunsInline covers the explicit-minN branch with
-// n strictly under it (n < minN, n > 0).
-func TestRangesBelowMinNRunsInline(t *testing.T) {
-	calls := 0
-	Ranges(1, 2, func(lo, hi int) {
-		calls++
-		if lo != 0 || hi != 1 {
-			t.Errorf("shard [%d,%d), want [0,1)", lo, hi)
+	for i, ci := range got {
+		if ci != i {
+			t.Fatalf("single-worker order %v, want ascending", got)
 		}
-	})
-	if calls != 1 {
-		t.Errorf("n<minN split into %d shards", calls)
 	}
 }
 

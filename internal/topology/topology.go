@@ -10,10 +10,9 @@
 // graph is therefore stored as a per-rank compressed adjacency (sorted
 // partner slices carrying per-edge volume, message count, and largest
 // message) rather than dense P×P matrices, so building and sweeping a
-// P=4096 graph costs O(E) memory instead of O(P²). Builds, degree scans,
-// and sweeps shard the rank range over a bounded worker pool
-// (internal/par); per-rank state is independent, so results are
-// byte-identical to the serial path.
+// P=4096 graph costs O(E) memory instead of O(P²). Builds, degree scans
+// and sweeps are single passes over the ranks: linear in E, they cost
+// nothing next to the profile run that produced the traffic.
 package topology
 
 import (
@@ -21,7 +20,6 @@ import (
 	"sort"
 
 	"github.com/hfast-sim/hfast/internal/ipm"
-	"github.com/hfast-sim/hfast/internal/par"
 )
 
 // DefaultCutoff is the paper's 2 KB bandwidth-delay-product threshold:
@@ -210,9 +208,8 @@ func (g *Graph) ForEachEdge(fn func(i, j int, e Edge)) {
 }
 
 // FromPairs builds a graph over p ranks from accumulated pair traffic,
-// validating every pair before committing. Large rank counts shard the
-// per-rank adjacency build over the worker pool; the merge is
-// commutative, so the result is identical to a serial AddTraffic loop.
+// validating every pair before committing. The merge is commutative, so
+// the result is identical to an AddTraffic loop.
 func FromPairs(p int, pairs []ipm.PairTraffic) (*Graph, error) {
 	g, err := NewGraph(p)
 	if err != nil {
@@ -244,39 +241,37 @@ func FromPairs(p int, pairs []ipm.PairTraffic) (*Graph, error) {
 			buckets[pt.Dst] = append(buckets[pt.Dst], int32(pi))
 		}
 	}
-	par.Ranges(p, 0, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			if len(buckets[r]) == 0 {
+	for r := 0; r < p; r++ {
+		if len(buckets[r]) == 0 {
+			continue
+		}
+		es := make([]Edge, 0, len(buckets[r]))
+		for _, pi := range buckets[r] {
+			pt := pairs[pi]
+			other := pt.Dst
+			if other == r {
+				other = pt.Src
+			}
+			es = append(es, Edge{To: other, Vol: pt.Bytes, Msgs: pt.Msgs, MaxMsg: pt.MaxMsg})
+		}
+		sort.Slice(es, func(a, b int) bool { return es[a].To < es[b].To })
+		// Merge duplicate partners in place (a pair can appear in both
+		// directions in the profile).
+		out := es[:1]
+		for _, e := range es[1:] {
+			last := &out[len(out)-1]
+			if e.To == last.To {
+				last.Vol += e.Vol
+				last.Msgs += e.Msgs
+				if e.MaxMsg > last.MaxMsg {
+					last.MaxMsg = e.MaxMsg
+				}
 				continue
 			}
-			es := make([]Edge, 0, len(buckets[r]))
-			for _, pi := range buckets[r] {
-				pt := pairs[pi]
-				other := pt.Dst
-				if other == r {
-					other = pt.Src
-				}
-				es = append(es, Edge{To: other, Vol: pt.Bytes, Msgs: pt.Msgs, MaxMsg: pt.MaxMsg})
-			}
-			sort.Slice(es, func(a, b int) bool { return es[a].To < es[b].To })
-			// Merge duplicate partners in place (a pair can appear in both
-			// directions in the profile).
-			out := es[:1]
-			for _, e := range es[1:] {
-				last := &out[len(out)-1]
-				if e.To == last.To {
-					last.Vol += e.Vol
-					last.Msgs += e.Msgs
-					if e.MaxMsg > last.MaxMsg {
-						last.MaxMsg = e.MaxMsg
-					}
-					continue
-				}
-				out = append(out, e)
-			}
-			g.adj[r] = out
+			out = append(out, e)
 		}
-	})
+		g.adj[r] = out
+	}
 	return g, nil
 }
 
@@ -319,15 +314,12 @@ func (g *Graph) degreeOf(i, cutoff int) int {
 	return d
 }
 
-// Degrees returns the TDC of every rank at the given cutoff, scanning
-// rank shards in parallel for large graphs.
+// Degrees returns the TDC of every rank at the given cutoff.
 func (g *Graph) Degrees(cutoff int) []int {
 	deg := make([]int, g.P)
-	par.Ranges(g.P, 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			deg[i] = g.degreeOf(i, cutoff)
-		}
-	})
+	for i := range deg {
+		deg[i] = g.degreeOf(i, cutoff)
+	}
 	return deg
 }
 
@@ -386,8 +378,8 @@ func PaperCutoffs() []int {
 // Sweep computes degree statistics across a cutoff series (PaperCutoffs
 // if cutoffs is nil). Rather than rescanning the adjacency once per
 // cutoff, each rank's qualifying message sizes are sorted descending once
-// and every cutoff's degree read off by binary search; rank shards run on
-// the worker pool. The output is identical to calling Stats per cutoff.
+// and every cutoff's degree read off by binary search. The output is
+// identical to calling Stats per cutoff.
 func (g *Graph) Sweep(cutoffs []int) []TDCStats {
 	if cutoffs == nil {
 		cutoffs = PaperCutoffs()
@@ -396,21 +388,19 @@ func (g *Graph) Sweep(cutoffs []int) []TDCStats {
 	for c := range deg {
 		deg[c] = make([]int, g.P)
 	}
-	par.Ranges(g.P, 0, func(lo, hi int) {
-		var sizes []int
-		for i := lo; i < hi; i++ {
-			sizes = sizes[:0]
-			for _, e := range g.adj[i] {
-				if e.Msgs > 0 {
-					sizes = append(sizes, e.MaxMsg)
-				}
-			}
-			sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
-			for c, cut := range cutoffs {
-				deg[c][i] = sort.Search(len(sizes), func(x int) bool { return sizes[x] < cut })
+	var sizes []int
+	for i := 0; i < g.P; i++ {
+		sizes = sizes[:0]
+		for _, e := range g.adj[i] {
+			if e.Msgs > 0 {
+				sizes = append(sizes, e.MaxMsg)
 			}
 		}
-	})
+		sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
+		for c, cut := range cutoffs {
+			deg[c][i] = sort.Search(len(sizes), func(x int) bool { return sizes[x] < cut })
+		}
+	}
 	out := make([]TDCStats, len(cutoffs))
 	for c, cut := range cutoffs {
 		out[c] = statsFromDegrees(cut, deg[c])

@@ -264,10 +264,9 @@ func TestAnalyzeWindowsProcsMismatch(t *testing.T) {
 	}
 }
 
-// TestPhaseDeterminism pins the streaming analysis bitwise across worker
-// counts: the folded windows, steady graph, and detected phases are
-// byte-identical at GOMAXPROCS=1 and 4 (graph building shards over
-// par.Ranges; everything downstream must stay order-free).
+// TestPhaseDeterminism pins the streaming analysis's run-to-run byte
+// stability: two folds of the same profile, one at GOMAXPROCS=1 and one
+// at 4, give identical windows, steady graph, and detected phases.
 func TestPhaseDeterminism(t *testing.T) {
 	run := func() []byte {
 		p, err := apps.ProfileRun("amr", apps.Config{Procs: 64, Steps: 8})

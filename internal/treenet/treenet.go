@@ -7,8 +7,8 @@
 // The model captures what the paper's argument needs: per-level latency, a
 // shared per-link bandwidth far below the data fabric's, cost that scales
 // linearly with node count, and latency formulas for the tree-friendly
-// collectives (broadcast, reduction) versus point-to-point hops through a
-// common ancestor.
+// collectives (broadcast, reduction). Point-to-point routes through a
+// common ancestor are netsim.TreeNet's.
 package treenet
 
 import (
@@ -63,42 +63,6 @@ func (t *Tree) Depth() int {
 		d++
 	}
 	return d
-}
-
-// parent returns the parent of node n in the implicit k-ary tree, -1 for
-// the root.
-func (t *Tree) parent(n int) int {
-	if n == 0 {
-		return -1
-	}
-	return (n - 1) / t.Params.Fanout
-}
-
-// HopsBetween is the number of tree links on the path between two leaves
-// (through their lowest common ancestor in the implicit k-ary layout).
-func (t *Tree) HopsBetween(a, b int) int {
-	if a < 0 || a >= t.P || b < 0 || b >= t.P {
-		panic(fmt.Sprintf("treenet: nodes (%d,%d) out of range [0,%d)", a, b, t.P))
-	}
-	hops := 0
-	for a != b {
-		// Walk the deeper node up (node index grows with depth in the
-		// implicit heap layout).
-		if a > b {
-			a = t.parent(a)
-		} else {
-			b = t.parent(b)
-		}
-		hops++
-	}
-	return hops
-}
-
-// PointToPointLatency is the time to deliver a small message of n bytes
-// between two nodes over the tree.
-func (t *Tree) PointToPointLatency(a, b, n int) float64 {
-	hops := t.HopsBetween(a, b)
-	return float64(hops)*t.Params.HopLatency + float64(n)/t.Params.LinkBandwidth
 }
 
 // BroadcastLatency is the time for a root broadcast of n bytes to reach
