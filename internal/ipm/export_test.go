@@ -12,6 +12,13 @@ var (
 	ScanProfile = scanProfile
 )
 
+// WireGaps is the writer's gap table, in the order a delta spells it.
+var WireGaps = []string{
+	gapVersion, gapApp, gapProcs, gapParams, gapSeq, gapWindow, gapRanks,
+	gapRank, gapEntries, gapSpilled, gapRankEnd,
+	gapCall, gapBytes, gapPeer, gapRegion, gapCount, gapTotal, gapMax, gapTime, gapEntryEnd,
+}
+
 // ResetScratchPool forgets every finished world's scratch: the state of a
 // process that has profiled nothing yet.
 func ResetScratchPool() { scratchPool = sync.Pool{New: scratchPool.New} }

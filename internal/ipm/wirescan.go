@@ -2,6 +2,7 @@ package ipm
 
 import (
 	"strconv"
+	"strings"
 
 	"github.com/hfast-sim/hfast/internal/mpi"
 )
@@ -9,8 +10,10 @@ import (
 // wireScanner decodes the canonical encoding of a Delta or Profile — the
 // bytes the writer of wirewrite.go emits, which is what "canonical"
 // means, give or take JSON whitespace — without reflection. Writer and
-// scanner are the two halves of one grammar, and it is fixed: every field present, spelled and
-// ordered as the struct declares it; integers of at most 18 digits with
+// scanner are the two halves of one grammar, sharing one table of the
+// bytes between values (the gaps of wirewrite.go), and it is fixed:
+// every field present, spelled and ordered as the struct declares it
+// (in any JSON whitespace); integers of at most 18 digits with
 // no fraction or exponent; floats in JSON's number grammar, converted by
 // the strconv.ParseFloat call encoding/json makes; strings of printable
 // ASCII without escapes; null only where WriteJSON writes one (Params,
@@ -37,12 +40,10 @@ func scanDelta(raw []byte) (d *Delta, ok bool) {
 	s := wireScanner{b: raw}
 	d = new(Delta)
 	s.header(&d.Version, &d.App, &d.Procs, &d.Params)
-	s.key(`"Seq"`)
+	s.lit(gapSeq)
 	d.Seq = s.int()
-	s.tok(',')
-	s.key(`"Window"`)
+	s.lit(gapWindow)
 	d.Window = s.str("")
-	s.tok(',')
 	s.region = d.Window // every entry of a window carries its name
 	d.Ranks = s.ranks(d.Procs)
 	return d, s.end()
@@ -58,19 +59,15 @@ func scanProfile(raw []byte) (p *Profile, ok bool) {
 }
 
 // header reads the fields Delta and Profile open with, from '{' to the
-// comma after Params.
+// end of Params.
 func (s *wireScanner) header(version *int, app *string, procs *int, params *map[string]int) {
-	s.tok('{')
-	s.key(`"Version"`)
+	s.lit(gapVersion)
 	*version = s.int()
-	s.tok(',')
-	s.key(`"App"`)
+	s.lit(gapApp)
 	*app = s.str("")
-	s.tok(',')
-	s.key(`"Procs"`)
+	s.lit(gapProcs)
 	*procs = s.int()
-	s.tok(',')
-	s.key(`"Params"`)
+	s.lit(gapParams)
 	if !s.null() {
 		*params = make(map[string]int)
 		for more := s.open('{', '}'); more; more = s.sep('}') {
@@ -79,14 +76,13 @@ func (s *wireScanner) header(version *int, app *string, procs *int, params *map[
 			(*params)[name] = s.int() // a repeated name: the last wins, as in encoding/json
 		}
 	}
-	s.tok(',')
 }
 
 // ranks reads the Ranks field, the last of both types. procs, which the
 // input also chose, is only a hint for the slice's capacity and is held
 // to the number of ranks the remaining bytes could spell.
 func (s *wireScanner) ranks(procs int) []RankProfile {
-	s.key(`"Ranks"`)
+	s.lit(gapRanks)
 	if s.null() {
 		return nil
 	}
@@ -94,16 +90,13 @@ func (s *wireScanner) ranks(procs int) []RankProfile {
 	out := make([]RankProfile, 0, max(0, min(procs, (len(s.b)-s.i)/minRank+1)))
 	for more := s.open('[', ']'); more; more = s.sep(']') {
 		var rp RankProfile
-		s.tok('{')
-		s.key(`"Rank"`)
+		s.lit(gapRank)
 		rp.Rank = s.int()
-		s.tok(',')
-		s.key(`"Entries"`)
+		s.lit(gapEntries)
 		rp.Entries = s.entries()
-		s.tok(',')
-		s.key(`"Spilled"`)
+		s.lit(gapSpilled)
 		rp.Spilled = s.int64()
-		s.tok('}')
+		s.lit(gapRankEnd)
 		out = append(out, rp)
 	}
 	return out
@@ -118,38 +111,24 @@ func (s *wireScanner) entries() []Entry {
 	for more := s.open('[', ']'); more; more = s.sep(']') {
 		s.scratch = append(s.scratch, Entry{})
 		e := &s.scratch[len(s.scratch)-1]
-		s.tok('{')
-		s.key(`"Key"`)
-		s.tok('{')
-		s.key(`"Call"`)
+		s.lit(gapCall)
 		e.Key.Call = mpi.Call(s.int())
-		s.tok(',')
-		s.key(`"Bytes"`)
+		s.lit(gapBytes)
 		e.Key.Bytes = s.int()
-		s.tok(',')
-		s.key(`"Peer"`)
+		s.lit(gapPeer)
 		e.Key.Peer = s.int()
-		s.tok(',')
-		s.key(`"Region"`)
+		s.lit(gapRegion)
 		s.region = s.str(s.region)
 		e.Key.Region = s.region
-		s.tok('}')
-		s.tok(',')
-		s.key(`"Stat"`)
-		s.tok('{')
-		s.key(`"Count"`)
+		s.lit(gapCount)
 		e.Stat.Count = s.int64()
-		s.tok(',')
-		s.key(`"TotalBytes"`)
+		s.lit(gapTotal)
 		e.Stat.TotalBytes = s.int64()
-		s.tok(',')
-		s.key(`"MaxBytes"`)
+		s.lit(gapMax)
 		e.Stat.MaxBytes = s.int()
-		s.tok(',')
-		s.key(`"Time"`)
+		s.lit(gapTime)
 		e.Stat.Time = s.float()
-		s.tok('}')
-		s.tok('}')
+		s.lit(gapEntryEnd)
 	}
 	return append(make([]Entry, 0, len(s.scratch)), s.scratch...)
 }
@@ -186,24 +165,48 @@ func (s *wireScanner) tok(c byte) {
 	s.i++
 }
 
-// key consumes a field name, given with its quotes, and the colon.
-func (s *wireScanner) key(quoted string) {
-	s.peek()
-	if n := len(quoted); len(s.b)-s.i < n || string(s.b[s.i:s.i+n]) != quoted {
-		s.fail()
+// skip consumes lit if the bytes under the cursor spell it.
+func (s *wireScanner) skip(lit string) bool {
+	if len(s.b)-s.i < len(lit) || string(s.b[s.i:s.i+len(lit)]) != lit {
+		return false
+	}
+	s.i += len(lit)
+	return true
+}
+
+// lit consumes gap, one of the writer's fixed byte runs (wirewrite.go).
+// The writer's own bytes match in one comparison, or in a second once the
+// indent that open or sep leaves in front of a member is skipped. Any
+// other spacing — compact JSON, tabs, CRLF, a space before ':' — is
+// walked token by token, whitespace skipped between tokens: the field
+// names with their quotes and the structural bytes, in the gap's order.
+func (s *wireScanner) lit(gap string) {
+	if s.skip(gap) {
 		return
 	}
-	s.i += len(quoted)
-	s.tok(':')
+	if s.peek(); s.skip(gap) {
+		return
+	}
+	for j := 0; j < len(gap) && !s.bad; {
+		switch c := gap[j]; c {
+		case ' ', '\n':
+			j++
+		case '"':
+			end := j + 2 + strings.IndexByte(gap[j+1:], '"')
+			if s.peek(); !s.skip(gap[j:end]) {
+				s.fail()
+			}
+			j = end
+		default:
+			s.tok(c)
+			j++
+		}
+	}
 }
 
 // null consumes a null if one is next.
 func (s *wireScanner) null() bool {
-	if s.peek() != 'n' || len(s.b)-s.i < 4 || string(s.b[s.i:s.i+4]) != "null" {
-		return false
-	}
-	s.i += 4
-	return true
+	return s.peek() == 'n' && s.skip("null")
 }
 
 // open consumes the opening byte of an object or array and reports

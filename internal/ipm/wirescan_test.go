@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -141,7 +142,7 @@ func deltaCases(t testing.TB) []wireCase {
 	params := "{\n  \"scale\": 5,\n  \"steps\": 2\n }"
 	ranksAt := strings.Index(g, `"Ranks": `) + len(`"Ranks": `)
 	const scan, fallback, ok, rejected = true, false, true, false
-	return []wireCase{
+	return append([]wireCase{
 		{"golden", g, scan, ok},
 		{"compact", compact(t, g), scan, ok},
 		{"CRLF", strings.ReplaceAll(g, "\n", "\r\n"), scan, ok},
@@ -193,7 +194,39 @@ func deltaCases(t testing.TB) []wireCase {
 		{"two deltas", g + g, fallback, rejected},
 		{"empty", "", fallback, rejected},
 		{"null", "null", fallback, rejected},
+	}, gapCases(t, g)...)
+}
+
+// gapCases respaces the golden delta at one gap of the writer's table at
+// a time, leaving every other byte canonical: a tab indent, CRLF line
+// ends, or a space before ':' or ','. The scanner's comparison misses
+// there and its token walk must take the gap, as the tok and key chains
+// it replaced did.
+func gapCases(t testing.TB, g string) []wireCase {
+	respace := []struct {
+		name string
+		re   *regexp.Regexp
+		new  string
+	}{
+		{"tab indent", regexp.MustCompile(`\n +`), "\n\t"},
+		{"CRLF", regexp.MustCompile(`\n`), "\r\n"},
+		{"space before ':'", regexp.MustCompile(`:`), " :"},
+		{"space before ','", regexp.MustCompile(`,`), " ,"},
 	}
+	var cases []wireCase
+	for k, gap := range ipm.WireGaps {
+		var fits []int // the respacings that change this gap; every gap has a newline
+		for r := range respace {
+			if respace[r].re.MatchString(gap) {
+				fits = append(fits, r)
+			}
+		}
+		rs := respace[fits[k%len(fits)]]
+		spaced := rs.re.ReplaceAllString(gap, rs.new)
+		name := fmt.Sprintf("gap %s, %s", strings.Join(strings.Fields(gap), ""), rs.name)
+		cases = append(cases, wireCase{name, edit(t, g, gap, spaced), true, true})
+	}
+	return cases
 }
 
 // profileCases is the shorter list for DecodeProfile: the grammar below

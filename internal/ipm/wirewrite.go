@@ -40,6 +40,35 @@ const (
 	wireHeaderSize = 256
 )
 
+// The gaps: every fixed byte run the writer puts between two values, each
+// named once here and written and read by these constants alone. The
+// scanner consumes a gap by one comparison when the bytes are the
+// writer's own, and token by token otherwise (wireScanner.lit). A gap
+// that follows an array's '[' or ',' starts at the member's '{'; the
+// writer puts the indent in front of it.
+const (
+	gapVersion  = "{\n \"Version\": "
+	gapApp      = ",\n \"App\": "
+	gapProcs    = ",\n \"Procs\": "
+	gapParams   = ",\n \"Params\": "
+	gapSeq      = ",\n \"Seq\": "
+	gapWindow   = ",\n \"Window\": "
+	gapRanks    = ",\n \"Ranks\": "
+	gapRank     = "{\n   \"Rank\": "
+	gapEntries  = ",\n   \"Entries\": "
+	gapSpilled  = ",\n   \"Spilled\": "
+	gapRankEnd  = "\n  }"
+	gapCall     = "{\n     \"Key\": {\n      \"Call\": "
+	gapBytes    = ",\n      \"Bytes\": "
+	gapPeer     = ",\n      \"Peer\": "
+	gapRegion   = ",\n      \"Region\": "
+	gapCount    = "\n     },\n     \"Stat\": {\n      \"Count\": "
+	gapTotal    = ",\n      \"TotalBytes\": "
+	gapMax      = ",\n      \"MaxBytes\": "
+	gapTime     = ",\n      \"Time\": "
+	gapEntryEnd = "\n     }\n    }"
+)
+
 // writeDelta writes d to w as WriteJSON promises.
 func writeDelta(w io.Writer, d *Delta) error {
 	ww, err := newWireWriter(w, len(d.Params), d.Ranks)
@@ -47,9 +76,9 @@ func writeDelta(w io.Writer, d *Delta) error {
 		return err
 	}
 	ww.header(d.Version, d.App, d.Procs, d.Params)
-	b := append(ww.buf, ",\n \"Seq\": "...)
+	b := append(ww.buf, gapSeq...)
 	b = strconv.AppendInt(b, int64(d.Seq), 10)
-	b = append(b, ",\n \"Window\": "...)
+	b = append(b, gapWindow...)
 	ww.buf = appendWireString(b, d.Window)
 	return ww.ranks(d.Ranks)
 }
@@ -92,13 +121,13 @@ func (ww *wireWriter) header(version int, app string, procs int, params map[stri
 	if version == 0 {
 		version = SchemaVersion
 	}
-	b := append(ww.buf, "{\n \"Version\": "...)
+	b := append(ww.buf, gapVersion...)
 	b = strconv.AppendInt(b, int64(version), 10)
-	b = append(b, ",\n \"App\": "...)
+	b = append(b, gapApp...)
 	b = appendWireString(b, app)
-	b = append(b, ",\n \"Procs\": "...)
+	b = append(b, gapProcs...)
 	b = strconv.AppendInt(b, int64(procs), 10)
-	b = append(b, ",\n \"Params\": "...)
+	b = append(b, gapParams...)
 	switch {
 	case params == nil:
 		b = append(b, "null"...)
@@ -128,7 +157,7 @@ func (ww *wireWriter) header(version int, app string, procs int, params map[stri
 // ranks writes the Ranks field, the last of both types, the closing
 // brace and the newline, and hands what is left to w.
 func (ww *wireWriter) ranks(ranks []RankProfile) error {
-	b := append(ww.buf, ",\n \"Ranks\": "...)
+	b := append(ww.buf, gapRanks...)
 	switch {
 	case ranks == nil:
 		b = append(b, "null"...)
@@ -138,19 +167,20 @@ func (ww *wireWriter) ranks(ranks []RankProfile) error {
 		for i := range ranks {
 			rp := &ranks[i]
 			if i == 0 {
-				b = append(b, "[\n  {\n   \"Rank\": "...)
+				b = append(b, "[\n  "...)
 			} else {
-				b = append(b, ",\n  {\n   \"Rank\": "...)
+				b = append(b, ",\n  "...)
 			}
+			b = append(b, gapRank...)
 			b = strconv.AppendInt(b, int64(rp.Rank), 10)
-			b = append(b, ",\n   \"Entries\": "...)
+			b = append(b, gapEntries...)
 			ww.buf = b
 			if err := ww.entries(rp.Entries); err != nil {
 				return err
 			}
-			b = append(ww.buf, ",\n   \"Spilled\": "...)
+			b = append(ww.buf, gapSpilled...)
 			b = strconv.AppendInt(b, rp.Spilled, 10)
-			b = append(b, "\n  }"...)
+			b = append(b, gapRankEnd...)
 		}
 		b = append(b, "\n ]"...)
 	}
@@ -172,26 +202,27 @@ func (ww *wireWriter) entries(es []Entry) error {
 		for i := range es {
 			e := &es[i]
 			if i == 0 {
-				b = append(b, "[\n    {\n     \"Key\": {\n      \"Call\": "...)
+				b = append(b, "[\n    "...)
 			} else {
-				b = append(b, ",\n    {\n     \"Key\": {\n      \"Call\": "...)
+				b = append(b, ",\n    "...)
 			}
+			b = append(b, gapCall...)
 			b = strconv.AppendInt(b, int64(e.Key.Call), 10)
-			b = append(b, ",\n      \"Bytes\": "...)
+			b = append(b, gapBytes...)
 			b = strconv.AppendInt(b, int64(e.Key.Bytes), 10)
-			b = append(b, ",\n      \"Peer\": "...)
+			b = append(b, gapPeer...)
 			b = strconv.AppendInt(b, int64(e.Key.Peer), 10)
-			b = append(b, ",\n      \"Region\": "...)
+			b = append(b, gapRegion...)
 			b = appendWireString(b, e.Key.Region)
-			b = append(b, "\n     },\n     \"Stat\": {\n      \"Count\": "...)
+			b = append(b, gapCount...)
 			b = strconv.AppendInt(b, e.Stat.Count, 10)
-			b = append(b, ",\n      \"TotalBytes\": "...)
+			b = append(b, gapTotal...)
 			b = strconv.AppendInt(b, e.Stat.TotalBytes, 10)
-			b = append(b, ",\n      \"MaxBytes\": "...)
+			b = append(b, gapMax...)
 			b = strconv.AppendInt(b, int64(e.Stat.MaxBytes), 10)
-			b = append(b, ",\n      \"Time\": "...)
+			b = append(b, gapTime...)
 			b = appendWireFloat(b, e.Stat.Time)
-			b = append(b, "\n     }\n    }"...)
+			b = append(b, gapEntryEnd...)
 			if len(b) >= wireChunk {
 				if _, err := ww.w.Write(b); err != nil {
 					return err

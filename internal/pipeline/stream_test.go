@@ -146,7 +146,7 @@ func streamArtifacts(t *testing.T, st *trace.StreamState) (windows, assignment [
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := hfast.Assign(st.Steady, st.Cutoff, 0)
+	a, err := hfast.Assign(st.Steady(), st.Cutoff, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -422,7 +422,7 @@ func (s *Server) handleStreamGet(w http.ResponseWriter, r *http.Request, id stri
 			data, err = pipeline.EncodeArtifact(pipeline.StageWindows, sess.state.Windows)
 		} else {
 			var a *core.Assignment
-			if a, err = core.Assign(sess.state.Steady, sess.state.Cutoff, sess.block); err == nil {
+			if a, err = core.Assign(sess.state.Steady(), sess.state.Cutoff, sess.block); err == nil {
 				data, err = pipeline.EncodeArtifact(pipeline.StageAssign, a)
 			}
 		}

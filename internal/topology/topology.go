@@ -87,16 +87,21 @@ func (g *Graph) AddTraffic(src, dst int, msgs, bytes int64, maxMsg int) error {
 	return nil
 }
 
+// absorb adds o's traffic to e.
+func (e *Edge) absorb(o Edge) {
+	e.Vol += o.Vol
+	e.Msgs += o.Msgs
+	if o.MaxMsg > e.MaxMsg {
+		e.MaxMsg = o.MaxMsg
+	}
+}
+
 // addHalf merges traffic into i's adjacency slice, keeping it sorted.
 func (g *Graph) addHalf(i, j int, msgs, bytes int64, maxMsg int) {
 	es := g.adj[i]
 	k := sort.Search(len(es), func(x int) bool { return es[x].To >= j })
 	if k < len(es) && es[k].To == j {
-		es[k].Vol += bytes
-		es[k].Msgs += msgs
-		if maxMsg > es[k].MaxMsg {
-			es[k].MaxMsg = maxMsg
-		}
+		es[k].absorb(Edge{Vol: bytes, Msgs: msgs, MaxMsg: maxMsg})
 		return
 	}
 	es = append(es, Edge{})
@@ -107,15 +112,54 @@ func (g *Graph) addHalf(i, j int, msgs, bytes int64, maxMsg int) {
 
 // Add folds src's traffic into g and returns g. Edges that carry no
 // messages are dropped, so a union never stores a pair nobody used. src
-// must span no more ranks than g.
+// must span no more ranks than g. Rows are symmetric, so merging src's
+// row i into g's row i, rank by rank, adds every edge at both ends.
 func (g *Graph) Add(src *Graph) *Graph {
-	src.ForEachEdge(func(i, j int, e Edge) {
-		if e.Msgs > 0 {
-			g.addHalf(i, j, e.Msgs, e.Vol, e.MaxMsg)
-			g.addHalf(j, i, e.Msgs, e.Vol, e.MaxMsg)
+	for i, add := range src.adj {
+		if len(add) > 0 {
+			g.adj[i] = mergeRow(g.adj[i], add)
 		}
-	})
+	}
 	return g
+}
+
+// mergeRow folds the sorted row add into the sorted row es, skipping
+// add's zero-message edges: in place when es already holds every partner
+// add brings, else into a new slice exactly as long as the union. Neither
+// way does the result share memory with add.
+func mergeRow(es, add []Edge) []Edge {
+	fresh, k := 0, 0
+	for _, e := range add {
+		if e.Msgs == 0 {
+			continue
+		}
+		for k < len(es) && es[k].To < e.To {
+			k++
+		}
+		if k < len(es) && es[k].To == e.To {
+			es[k].absorb(e)
+		} else {
+			fresh++
+		}
+	}
+	if fresh == 0 {
+		return es
+	}
+	out := make([]Edge, 0, len(es)+fresh)
+	k = 0
+	for _, e := range add {
+		if e.Msgs == 0 {
+			continue
+		}
+		for k < len(es) && es[k].To < e.To {
+			out = append(out, es[k])
+			k++
+		}
+		if k == len(es) || es[k].To != e.To { // a partner es holds was absorbed above
+			out = append(out, e)
+		}
+	}
+	return append(out, es[k:]...)
 }
 
 // Clone returns a deep copy of g, less its zero-message edges. The copy's
@@ -259,13 +303,8 @@ func FromPairs(p int, pairs []ipm.PairTraffic) (*Graph, error) {
 		// directions in the profile).
 		out := es[:1]
 		for _, e := range es[1:] {
-			last := &out[len(out)-1]
-			if e.To == last.To {
-				last.Vol += e.Vol
-				last.Msgs += e.Msgs
-				if e.MaxMsg > last.MaxMsg {
-					last.MaxMsg = e.MaxMsg
-				}
+			if last := &out[len(out)-1]; e.To == last.To {
+				last.absorb(e)
 				continue
 			}
 			out = append(out, e)

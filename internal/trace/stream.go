@@ -95,20 +95,20 @@ type StreamState struct {
 	// Windows is the folded step-window stream, element-for-element what
 	// batch Windows() extracts from the merged profile.
 	Windows []Window
-	// Steady is the union of all non-"init" traffic folded so far — the
-	// graph the batch pipeline's steady-state stage builds.
-	Steady *topology.Graph
 
 	// Last describes the most recent fold.
 	Last FoldEvent
 
 	detector
 	lastStep string
+	// steady lists the graphs of the non-"init" deltas folded so far (a
+	// step delta's is the graph its Window holds); Steady() unions them.
+	steady []*topology.Graph
 
-	// opp holds this snapshot's Opportunity once somebody has asked for
-	// it. It sits behind a pointer because Fold copies the struct; every
-	// snapshot gets its own.
-	opp *opportunityMemo
+	// memo holds this snapshot's Opportunity and Steady once somebody has
+	// asked for them. It sits behind a pointer because Fold copies the
+	// struct; every snapshot gets its own.
+	memo *snapshotMemo
 }
 
 // detector is the phase automaton between two windows. step returns the
@@ -154,10 +154,13 @@ func (d detector) phases(end int) []Phase {
 	return append(out, Phase{Start: d.curStart, End: end, Graph: d.curGraph})
 }
 
-type opportunityMemo struct {
-	once sync.Once
-	op   Opportunity
-	err  error
+type snapshotMemo struct {
+	oppOnce sync.Once
+	op      Opportunity
+	err     error
+
+	steadyOnce sync.Once
+	steady     *topology.Graph
 }
 
 // NewStreamState opens a stream for a run over procs ranks. Step windows
@@ -177,18 +180,13 @@ func NewStreamState(procs, cutoff int, prefix string, det DetectorConfig) (*Stre
 	if err != nil {
 		return nil, err
 	}
-	steady, err := topology.NewGraph(procs)
-	if err != nil {
-		return nil, err
-	}
 	return &StreamState{
 		Procs:  procs,
 		Cutoff: cutoff,
 		Prefix: prefix,
 		Det:    det,
-		Steady: steady,
 		Last:   FoldEvent{Phase: -1},
-		opp:    new(opportunityMemo),
+		memo:   new(snapshotMemo),
 	}, nil
 }
 
@@ -221,14 +219,15 @@ func (s *StreamState) Fold(d *ipm.Delta) (*StreamState, error) {
 	ns.App = d.App
 	ns.Deltas = s.Deltas + 1
 	ns.Last = FoldEvent{Phase: s.Last.Phase}
-	ns.opp = new(opportunityMemo)
+	ns.memo = new(snapshotMemo)
 
 	g, err := topology.FromProfile(d.AsProfile(), ipm.Region(d.Window))
 	if err != nil {
 		return nil, err
 	}
 	if d.Window != "init" {
-		ns.Steady = s.Steady.Clone().Add(g)
+		n := len(s.steady)
+		ns.steady = append(s.steady[:n:n], g)
 	}
 	if !isStep {
 		return &ns, nil
@@ -266,13 +265,35 @@ func (s *StreamState) CurrentPhaseGraph() *topology.Graph { return s.curGraph }
 // windows, once per snapshot: the state is immutable and shared, so every
 // session that reaches it reads the same answer.
 func (s *StreamState) Opportunity() (Opportunity, error) {
-	if s.opp == nil { // a literal, not NewStreamState's: nothing to share
+	if s.memo == nil { // a literal, not NewStreamState's: nothing to share
 		return AnalyzeWindows(s.Procs, s.Windows, s.Cutoff)
 	}
-	s.opp.once.Do(func() {
-		s.opp.op, s.opp.err = AnalyzeWindows(s.Procs, s.Windows, s.Cutoff)
+	s.memo.oppOnce.Do(func() {
+		s.memo.op, s.memo.err = AnalyzeWindows(s.Procs, s.Windows, s.Cutoff)
 	})
-	return s.opp.op, s.opp.err
+	return s.memo.op, s.memo.err
+}
+
+// Steady returns the union of all non-"init" traffic folded so far — the
+// graph the batch pipeline's steady-state stage builds — over Procs
+// ranks, built on the first call per snapshot. The graph is shared:
+// callers must not mutate it.
+func (s *StreamState) Steady() *topology.Graph {
+	union := func() *topology.Graph {
+		g, err := topology.NewGraph(s.Procs)
+		if err != nil { // a literal with no ranks
+			return nil
+		}
+		for _, w := range s.steady {
+			g.Add(w)
+		}
+		return g
+	}
+	if s.memo == nil {
+		return union()
+	}
+	s.memo.steadyOnce.Do(func() { s.memo.steady = union() })
+	return s.memo.steady
 }
 
 // DetectPhases runs the online detector over an already-extracted window

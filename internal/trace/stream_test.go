@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"runtime"
+	"runtime/debug"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -67,7 +69,7 @@ func TestFoldMatchesBatch(t *testing.T) {
 				t.Fatalf("batch graph: %v", err)
 			}
 			wantGJ, _ := json.Marshal(wantG)
-			gotGJ, _ := json.Marshal(s.Steady)
+			gotGJ, _ := json.Marshal(s.Steady())
 			if !bytes.Equal(wantGJ, gotGJ) {
 				t.Fatalf("folded steady graph differs from FromProfile")
 			}
@@ -124,6 +126,123 @@ func TestOpportunityPerSnapshot(t *testing.T) {
 	wg.Wait()
 	if last := states[len(states)-1]; last.NumPhases() < 2 {
 		t.Fatalf("amr stream closed %d phases; the test needs a boundary", last.NumPhases())
+	}
+}
+
+// TestSteadyOncePerSnapshot pins Steady's memo to its snapshot: one graph
+// however many ask, concurrently or not; a graph of its own for the
+// successor, whose building leaves the predecessor's as it was; and for
+// the empty state an empty graph over the stream's ranks.
+func TestSteadyOncePerSnapshot(t *testing.T) {
+	p, err := apps.ProfileRun("amr", apps.Config{Procs: 16, Steps: 4})
+	if err != nil {
+		t.Fatalf("profile: %v", err)
+	}
+	ds, err := ipm.SplitDeltas(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewStreamState(p.Procs, 0, "step", DetectorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := s.Steady(); g == nil || g.P != p.Procs || g.EdgeCount() != 0 {
+		t.Fatalf("the empty state's steady graph is %+v, want no edges over %d ranks", g, p.Procs)
+	}
+	for _, d := range ds[:len(ds)-1] {
+		if s, err = s.Fold(d); err != nil {
+			t.Fatalf("fold %q: %v", d.Window, err)
+		}
+	}
+	start := make(chan struct{})
+	got := make([]*topology.Graph, 4)
+	var wg sync.WaitGroup
+	for k := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[k] = s.Steady()
+		}()
+	}
+	close(start)
+	wg.Wait()
+	one := s.Steady()
+	if s.Steady() != one {
+		t.Fatal("two calls on one snapshot built two graphs")
+	}
+	for k, g := range got {
+		if g != one {
+			t.Fatalf("goroutine %d got another graph than the snapshot's", k)
+		}
+	}
+	before, _ := json.Marshal(one)
+	next, err := s.Fold(ds[len(ds)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.Steady() == one {
+		t.Fatal("the successor shares its predecessor's steady graph")
+	}
+	if after, _ := json.Marshal(one); !bytes.Equal(before, after) || one.TotalBytes() >= next.Steady().TotalBytes() {
+		t.Fatalf("the successor's union changed its predecessor's, or added nothing to it")
+	}
+}
+
+// TestFoldAllocsIndependentOfSteady: a fold pays for its own window — the
+// graph FromProfile builds and the open phase's copy the detector makes —
+// and a few kilobytes of bookkeeping, not for a copy of everything folded
+// before it.
+func TestFoldAllocsIndependentOfSteady(t *testing.T) {
+	p, err := apps.ProfileRun("amr", apps.Config{Procs: 64})
+	if err != nil {
+		t.Fatalf("profile: %v", err)
+	}
+	ds, err := ipm.SplitDeltas(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := ds[len(ds)-1]
+	if !strings.HasPrefix(last.Window, "step") {
+		t.Fatalf("the last delta is window %q, want a step", last.Window)
+	}
+	s, err := NewStreamState(p.Procs, 0, "step", DetectorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range ds[:len(ds)-1] {
+		if s, err = s.Fold(d); err != nil {
+			t.Fatalf("fold %q: %v", d.Window, err)
+		}
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	allocated := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var next *StreamState
+	var window, clone *topology.Graph
+	fold := allocated(func() { next, err = s.Fold(last) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := allocated(func() { window, err = topology.FromProfile(last.AsProfile(), ipm.Region(last.Window)) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	copied := allocated(func() { clone = next.CurrentPhaseGraph().Clone() })
+	const slack = 4 << 10
+	t.Logf("window %q: Fold %d B, FromProfile %d B, open-phase copy %d B", last.Window, fold, build, copied)
+	if fold > build+copied+slack {
+		t.Fatalf("Fold allocated %d B for window %q; its graph takes %d B, the open phase's copy %d B, slack %d B",
+			fold, last.Window, build, copied, slack)
+	}
+	if window.EdgeCount() == 0 || clone.EdgeCount() == 0 || s.Steady().EdgeCount() <= window.EdgeCount() {
+		t.Fatal("the test needs a window with traffic and a steady union larger than it")
 	}
 }
 
@@ -279,7 +398,7 @@ func TestPhaseDeterminism(t *testing.T) {
 			Steady  *topology.Graph
 			Phases  []Phase
 			Last    FoldEvent
-		}{s.Windows, s.Steady, s.Phases(), s.Last})
+		}{s.Windows, s.Steady(), s.Phases(), s.Last})
 		if err != nil {
 			t.Fatal(err)
 		}

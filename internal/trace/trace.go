@@ -66,24 +66,37 @@ func Churn(a, b *topology.Graph, cutoff int) int {
 }
 
 // edgeDiff compares two graphs' thresholded edge sets by one merge walk
-// over their (i, j)-sorted edge lists: both counts the edges in either
-// set that are also in the other, one those in exactly one of them.
+// per rank i over both graphs' sorted partners above i, the (i, j) order
+// Edges lists them in, without listing them: both counts the edges in
+// either set that are also in the other, one those in exactly one of them.
 func edgeDiff(a, b *topology.Graph, cutoff int) (both, one int) {
-	ea, eb := a.Edges(cutoff), b.Edges(cutoff)
-	for len(ea) > 0 && len(eb) > 0 {
-		switch c := slices.Compare(ea[0][:], eb[0][:]); {
-		case c == 0:
-			both++
-			ea, eb = ea[1:], eb[1:]
-		case c < 0:
-			one++
-			ea = ea[1:]
-		default:
-			one++
-			eb = eb[1:]
+	for i := range max(a.P, b.P) {
+		ea, eb := a.Adj(i), b.Adj(i)
+		for len(ea) > 0 || len(eb) > 0 {
+			switch {
+			case len(ea) > 0 && !counted(ea[0], i, cutoff):
+				ea = ea[1:]
+			case len(eb) > 0 && !counted(eb[0], i, cutoff):
+				eb = eb[1:]
+			case len(eb) == 0 || len(ea) > 0 && ea[0].To < eb[0].To:
+				one++
+				ea = ea[1:]
+			case len(ea) == 0 || eb[0].To < ea[0].To:
+				one++
+				eb = eb[1:]
+			default:
+				both++
+				ea, eb = ea[1:], eb[1:]
+			}
 		}
 	}
-	return both, one + len(ea) + len(eb)
+	return both, one
+}
+
+// counted reports whether rank i's edge e is an edge (i, e.To) of the
+// thresholded set, listed from its lower end.
+func counted(e topology.Edge, i, cutoff int) bool {
+	return e.To > i && e.Msgs > 0 && e.MaxMsg >= cutoff
 }
 
 // Opportunity summarizes whether runtime reconfiguration would help an

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -195,4 +196,66 @@ func TestEdgeDiffMatchesMapOracle(t *testing.T) {
 	if both, one := edgeDiff(graphs["ring1"], graphs["ring3"], 0); both != 0 || one != 32 {
 		t.Errorf("disjoint rings: (%d, %d), want (0, 32)", both, one)
 	}
+}
+
+// TestChurnAllocatesNothing: the window comparison walks both graphs'
+// rows where they lie; it lists no edges.
+func TestChurnAllocatesNothing(t *testing.T) {
+	a := synthWindow(t, "step000", 256, []int{1, 16}).Graph
+	b := synthWindow(t, "step001", 256, []int{1, 17}).Graph
+	if c := Churn(a, b, 0); c != 2*256 {
+		t.Fatalf("churn %d, want %d", c, 2*256)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { Churn(a, b, 0) }); allocs != 0 {
+		t.Fatalf("Churn on two P=256 halo windows: %.0f allocations, want 0", allocs)
+	}
+}
+
+// FuzzGraphAdd holds both walks over sorted adjacency rows to their
+// oracles on random symmetric graphs: topology's Add to the per-edge
+// insertion it replaced (ForEachEdge, then AddTraffic, which is addHalf
+// at both ends — topology's TestAddMatchesAddHalfOracle keeps the same
+// oracle), and edgeDiff to mapEdgeDiff.
+func FuzzGraphAdd(f *testing.F) {
+	f.Add(uint8(8), uint8(8), []byte{2, 1, 2, 200, 3, 1, 3, 10, 6, 2, 5, 255, 0, 7, 0, 1, 5, 2, 1, 9})
+	f.Add(uint8(16), uint8(5), []byte{7, 0, 4, 128, 2, 0, 15, 128, 4, 3, 9, 1, 1, 4, 3, 0})
+	f.Fuzz(func(t *testing.T, pg, ps uint8, ops []byte) {
+		gp := 1 + int(pg%32)
+		sp := 1 + int(ps)%gp
+		// build replays ops: every four bytes add one pair's traffic to g
+		// (low bit 0) or src (1), 0–3 messages of up to 4 KB.
+		build := func() (g, src *topology.Graph) {
+			g, src = topology.MustGraph(gp), topology.MustGraph(sp)
+			for k := 0; k+3 < len(ops); k += 4 {
+				into := g
+				if ops[k]&1 == 1 {
+					into = src
+				}
+				msgs, size := int64(ops[k]>>1&3), int(ops[k+3])<<4
+				into.AddTraffic(int(ops[k+1])%into.P, int(ops[k+2])%into.P, msgs, msgs*int64(size), size)
+			}
+			return g, src
+		}
+		g, src := build()
+		want, wantSrc := build()
+		wantSrc.ForEachEdge(func(i, j int, e topology.Edge) {
+			if e.Msgs > 0 {
+				want.AddTraffic(i, j, e.Msgs, e.Vol, e.MaxMsg)
+			}
+		})
+		g.Add(src)
+		for i := 0; i < gp; i++ {
+			if !reflect.DeepEqual(g.Adj(i), want.Adj(i)) {
+				t.Fatalf("rank %d: Add merged %+v, the per-edge oracle %+v", i, g.Adj(i), want.Adj(i))
+			}
+		}
+		for _, cutoff := range []int{0, 1, topology.DefaultCutoff} {
+			for _, pair := range [][2]*topology.Graph{{g, src}, {src, g}, {src, src}} {
+				both, one := edgeDiff(pair[0], pair[1], cutoff)
+				if wantBoth, wantOne := mapEdgeDiff(pair[0], pair[1], cutoff); both != wantBoth || one != wantOne {
+					t.Fatalf("edgeDiff at cutoff %d = (%d, %d), map oracle (%d, %d)", cutoff, both, one, wantBoth, wantOne)
+				}
+			}
+		}
+	})
 }
