@@ -50,14 +50,6 @@ func encodeInts(vals []int) []byte {
 	return b
 }
 
-func decodeInts(b []byte) []int {
-	vals := make([]int, len(b)/8)
-	for i := range vals {
-		vals[i] = int(int64(binary.LittleEndian.Uint64(b[8*i:])))
-	}
-	return vals
-}
-
 // Barrier blocks until every rank of the communicator has entered it,
 // using a dissemination exchange.
 func (c *Comm) Barrier() {
@@ -110,24 +102,30 @@ func (c *Comm) Bcast(root int, b *Buf) {
 }
 
 // reduce combines vals across ranks with op using a binomial tree rooted at
-// root, returning the result on root and nil elsewhere.
+// root, returning the result on root and nil elsewhere. Children's partial
+// results are combined from the wire bytes.
 func (c *Comm) reduce(ctx int64, root int, vals []float64, op Op) []float64 {
 	n := len(c.group)
 	c.checkRank(root)
 	rel := (c.rank - root + n) % n
-	acc := append([]float64(nil), vals...)
+	acc := vals
+	if rel == 0 || rel%2 == 0 && rel+1 < n {
+		// The root returns acc and a rank with a child (its first, rel+1,
+		// exists) combines into it, so both work on a copy; a leaf encodes
+		// vals as they are.
+		acc = append([]float64(nil), vals...)
+	}
 	for mask := 1; mask < n; mask <<= 1 {
 		if rel&mask == 0 {
 			src := rel | mask
 			if src < n {
 				st := c.recvWait((src+root)%n, tagReduce+Tag(mask), ctx)
-				op.apply(acc, decodeFloats(st.Data))
+				op.apply(acc, st.Data)
 			}
 		} else {
 			dst := rel &^ mask
 			c.sendRaw((dst+root)%n, tagReduce+Tag(mask), ctx, Data(encodeFloats(acc)))
-			acc = nil
-			break
+			return nil
 		}
 	}
 	return acc
@@ -153,10 +151,12 @@ func (c *Comm) Allreduce(vals []float64, op Op) []float64 {
 		b = Data(encodeFloats(res))
 	}
 	c.bcast(ctx, 0, &b)
-	out := decodeFloats(b.Data)
+	if c.rank != 0 {
+		res = decodeFloats(b.Data)
+	}
 	c.collAdvance(CallAllreduce, 8*len(vals))
 	c.trace(CallAllreduce, NoPeer, 8*len(vals))
-	return out
+	return res
 }
 
 // Gather collects one buffer from every rank at root. Root receives a
@@ -184,47 +184,31 @@ func (c *Comm) Gather(root int, b Buf) []Buf {
 	return res
 }
 
-// allgatherBufs runs a ring allgather inside ctx.
-func (c *Comm) allgatherBufs(ctx int64, b Buf) []Buf {
-	n := len(c.group)
-	r := c.rank
-	res := make([]Buf, n)
-	res[r] = b
+// ring runs a ring allgather of b inside ctx: at step i every rank passes
+// the piece it last received (its own at step 1) to its right neighbour
+// and hands the one arriving from its left, which started at comm rank
+// src, to got.
+func (c *Comm) ring(ctx int64, b Buf, got func(src int, piece Buf)) {
+	n, r := len(c.group), c.rank
 	for i := 1; i < n; i++ {
-		dst := (r + 1) % n
-		src := (r - 1 + n) % n
-		fwd := (r - i + 1 + n) % n
-		req := c.recvRaw(src, tagRing+Tag(i), ctx)
-		c.sendRaw(dst, tagRing+Tag(i), ctx, res[fwd])
+		req := c.recvRaw((r-1+n)%n, tagRing+Tag(i), ctx)
+		c.sendRaw((r+1)%n, tagRing+Tag(i), ctx, b)
 		st := c.waitFree(req)
-		res[(r-i+n)%n] = Buf{N: st.N, Data: st.Data}
+		b = Buf{N: st.N, Data: st.Data}
+		got((r-i+n)%n, b)
 	}
-	return res
 }
 
 // Allgather collects one buffer from every rank on every rank, indexed by
 // comm rank.
 func (c *Comm) Allgather(b Buf) []Buf {
 	ctx := c.collCtx()
-	res := c.allgatherBufs(ctx, b)
+	res := make([]Buf, len(c.group))
+	res[c.rank] = b
+	c.ring(ctx, b, func(src int, piece Buf) { res[src] = piece })
 	c.collAdvance(CallAllgather, b.N)
 	c.trace(CallAllgather, NoPeer, b.N)
 	return res
-}
-
-// allgatherInts exchanges a fixed-length int vector; used by Split.
-func (c *Comm) allgatherInts(ctx int64, vals []int) []int {
-	bufs := c.allgatherBufs(ctx, Data(encodeInts(vals)))
-	out := make([]int, 0, len(vals)*len(bufs))
-	for _, b := range bufs {
-		got := decodeInts(b.Data)
-		if len(got) != len(vals) {
-			// Asserts a programmer error: ranks entered different collectives.
-			panic(fmt.Sprintf("mpi: allgather length mismatch: %d != %d", len(got), len(vals)))
-		}
-		out = append(out, got...)
-	}
-	return out
 }
 
 // Scatter distributes bufs[r] from root to each rank r, returning the
@@ -297,8 +281,7 @@ func (c *Comm) Scan(vals []float64, op Op) []float64 {
 	acc := append([]float64(nil), vals...)
 	if c.rank > 0 {
 		st := c.recvWait(c.rank-1, tagScan, ctx)
-		prefix := decodeFloats(st.Data)
-		op.apply(acc, prefix)
+		op.apply(acc, st.Data)
 	}
 	if c.rank+1 < len(c.group) {
 		c.sendRaw(c.rank+1, tagScan, ctx, Data(encodeFloats(acc)))

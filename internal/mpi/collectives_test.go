@@ -96,6 +96,36 @@ func TestAllreduceOps(t *testing.T) {
 	})
 }
 
+// TestReductionsLeaveValsAlone: a leaf encodes the caller's vals without
+// copying them, so every other rank must combine into a copy. Every rank
+// of every tree shape reduces to every root, and neither its vals nor the
+// result it gets back may share memory with the other.
+func TestReductionsLeaveValsAlone(t *testing.T) {
+	forSizes(t, func(t *testing.T, p int) {
+		run(t, p, func(c *Comm) {
+			me := float64(c.Rank())
+			check := func(what string, vals, res []float64) {
+				if vals[0] != me || vals[1] != 1 {
+					panic(fmt.Sprintf("rank %d: %s changed the caller's vals to %v", c.Rank(), what, vals))
+				}
+				if res != nil {
+					res[0] = -1
+					if vals[0] != me {
+						panic(fmt.Sprintf("rank %d: %s returned the caller's vals", c.Rank(), what))
+					}
+				}
+			}
+			for root := 0; root < c.Size(); root++ {
+				vals := []float64{me, 1}
+				check(fmt.Sprintf("Reduce to %d", root), vals, c.Reduce(root, vals, OpSum))
+			}
+			vals := []float64{me, 1}
+			check("Allreduce", vals, c.Allreduce(vals, OpSum))
+			check("Scan", vals, c.Scan(vals, OpSum))
+		})
+	})
+}
+
 func TestGather(t *testing.T) {
 	forSizes(t, func(t *testing.T, p int) {
 		run(t, p, func(c *Comm) {

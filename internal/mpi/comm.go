@@ -1,8 +1,10 @@
 package mpi
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Comm is one rank's handle on a communicator: an ordered group of world
@@ -272,9 +274,12 @@ func (c *Comm) Wait(req *Request) Status {
 
 // Waitall blocks until every request completes, returning their statuses
 // in order. It consumes every request; the slice itself stays the
-// caller's and may be refilled.
+// caller's and may be refilled. The returned statuses belong to the rank:
+// they stay valid until its next Waitall (on any of its communicators),
+// which reuses the same backing array.
 func (c *Comm) Waitall(reqs []*Request) []Status {
-	sts := make([]Status, len(reqs))
+	sts := slices.Grow(c.rs.sts[:0], len(reqs))[:len(reqs)]
+	c.rs.sts = sts
 	for i, r := range reqs {
 		_, st := c.waitAny(r)
 		sts[i] = c.finish(r, st)
@@ -323,9 +328,30 @@ func (c *Comm) peerWorldOrAny(src int) int {
 
 // --- communicator management ---
 
-// splitMember is exchanged during Split.
+// splitMember is a rank of the caller's color, as Split orders them.
 type splitMember struct {
-	color, key, rank int
+	key, rank int
+}
+
+// splitMembers allgathers (color, key) across the communicator inside ctx
+// and returns the ranks of the caller's color ordered by (key, parent
+// rank). It reads each 16-byte piece as the ring passes it on and keeps
+// only the matches, so what a rank holds grows with its group, not with c.
+func (c *Comm) splitMembers(ctx int64, color, key int) []splitMember {
+	members := []splitMember{{key, c.rank}}
+	c.ring(ctx, Data(encodeInts([]int{color, key})), func(src int, piece Buf) {
+		if len(piece.Data) != 16 {
+			// Asserts a programmer error: ranks entered different collectives.
+			panic(fmt.Sprintf("mpi: allgather length mismatch: %d != %d", len(piece.Data)/8, 2))
+		}
+		if int(int64(binary.LittleEndian.Uint64(piece.Data))) == color {
+			members = append(members, splitMember{int(int64(binary.LittleEndian.Uint64(piece.Data[8:]))), src})
+		}
+	})
+	slices.SortFunc(members, func(a, b splitMember) int {
+		return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.rank, b.rank))
+	})
+	return members
 }
 
 // Split partitions the communicator: ranks supplying the same color form a
@@ -337,24 +363,10 @@ func (c *Comm) Split(color, key int) *Comm {
 	// Allgather (color, key) across the parent communicator using the
 	// internal collective machinery; untraced, like the bookkeeping inside
 	// a real MPI_Comm_split.
-	ctx := c.collCtx()
-	all := c.allgatherInts(ctx, []int{color, key})
+	members := c.splitMembers(c.collCtx(), color, key)
 	if color < 0 {
 		return nil
 	}
-	members := make([]splitMember, 0, len(c.group))
-	for r := 0; r < len(c.group); r++ {
-		mc, mk := all[2*r], all[2*r+1]
-		if mc == color {
-			members = append(members, splitMember{color: mc, key: mk, rank: r})
-		}
-	}
-	sort.Slice(members, func(i, j int) bool {
-		if members[i].key != members[j].key {
-			return members[i].key < members[j].key
-		}
-		return members[i].rank < members[j].rank
-	})
 	group := make([]int, len(members))
 	w2c := make(map[int]int, len(members))
 	myRank := -1

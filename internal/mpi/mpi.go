@@ -31,7 +31,9 @@
 //     the request Waitany returns and a successful Test hand the handle
 //     back to the rank, and a later Isend/Irecv reissues it. Touching a
 //     handle after that panics ("mpi: request used after Wait") until it
-//     is reissued; a steady-state exchange loop allocates no requests.
+//     is reissued. Waitall's statuses belong to the rank until its next
+//     Waitall, so a steady-state exchange loop allocates nothing, under
+//     Wait or Waitall.
 //   - Collectives must be called by every rank of a communicator in the
 //     same order; they are internally implemented over a reserved context
 //     namespace so they can never match user point-to-point traffic.
@@ -45,7 +47,11 @@
 // error naming the rank and unwinds the others: none is a process death.
 package mpi
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+)
 
 // Tag identifies a point-to-point message class within a communicator.
 type Tag int
@@ -105,30 +111,33 @@ const (
 	OpProd
 )
 
-func (op Op) apply(dst, src []float64) {
-	if len(dst) != len(src) {
+// apply combines src, a vector as it travels on the wire (little-endian
+// float64 bits, as encodeFloats writes it), into dst element by element.
+func (op Op) apply(dst []float64, src []byte) {
+	if len(src) != 8*len(dst) {
 		// Asserts a programmer error: ranks reduced vectors of different lengths.
-		panic(fmt.Sprintf("mpi: reduction length mismatch %d != %d", len(dst), len(src)))
+		panic(fmt.Sprintf("mpi: reduction length mismatch %d != %d", len(dst), len(src)/8))
 	}
+	at := func(i int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:])) }
 	switch op {
 	case OpSum:
 		for i := range dst {
-			dst[i] += src[i]
+			dst[i] += at(i)
 		}
 	case OpProd:
 		for i := range dst {
-			dst[i] *= src[i]
+			dst[i] *= at(i)
 		}
 	case OpMax:
 		for i := range dst {
-			if src[i] > dst[i] {
-				dst[i] = src[i]
+			if v := at(i); v > dst[i] {
+				dst[i] = v
 			}
 		}
 	case OpMin:
 		for i := range dst {
-			if src[i] < dst[i] {
-				dst[i] = src[i]
+			if v := at(i); v < dst[i] {
+				dst[i] = v
 			}
 		}
 	default:

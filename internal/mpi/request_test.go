@@ -76,9 +76,9 @@ func haloStep(c *Comm, reqs []*Request, retire func(*Comm, []*Request)) {
 // TestHaloLoopAllocatesNoRequests runs 1 000 halo steps on every rank of
 // a ring while rank 0 counts the process's mallocs per step: after the
 // first step every Isend/Irecv is served from the rank's free list.
-// Retiring through Wait allocates nothing at all; Waitall allocates its
-// returned []Status, once per rank, and nothing else (the ranks drift by
-// a step against rank 0's counting window, so that one is a ceiling).
+// Retiring through Wait or Waitall allocates nothing at all: Waitall's
+// statuses are the rank's own slice, grown by the first step and refilled
+// by every later one.
 func TestHaloLoopAllocatesNoRequests(t *testing.T) {
 	const ranks, steps = 4, 1000
 	for _, tc := range []struct {
@@ -91,7 +91,7 @@ func TestHaloLoopAllocatesNoRequests(t *testing.T) {
 				c.Wait(r)
 			}
 		}, 0},
-		{"Waitall", func(c *Comm, reqs []*Request) { c.Waitall(reqs) }, ranks},
+		{"Waitall", func(c *Comm, reqs []*Request) { c.Waitall(reqs) }, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var got float64
@@ -111,6 +111,61 @@ func TestHaloLoopAllocatesNoRequests(t *testing.T) {
 				t.Errorf("%v allocations per halo step across %d ranks, want at most %v", got, ranks, tc.max)
 			}
 		})
+	}
+}
+
+// TestWaitallStatusesRankOwned checks what Waitall reports and for how
+// long. On a sub-communicator whose ranks run opposite to the world's, comm
+// rank 0 waits on a named receive, an AnySource receive matched by a
+// rendezvous send, and a rendezvous send of its own: each receive's status
+// names its source in comm rank space and carries the tag, size and
+// payload. A second Waitall of the rank, on another communicator, refills
+// the same backing array — the lifetime the doc comment states — and
+// Waitall(nil) reports nothing.
+func TestWaitallStatusesRankOwned(t *testing.T) {
+	w := NewWorld(3, WithTimeout(testTimeout), WithEagerLimit(4))
+	err := w.Run(func(world *Comm) {
+		c := world.Split(0, -world.Rank()) // comm rank = 2 - world rank
+		switch c.Rank() {
+		case 0:
+			sts := c.Waitall([]*Request{
+				c.Irecv(1, 5),
+				c.Irecv(AnySource, 6),
+				c.Isend(1, 7, Data([]byte("rendezvous"))),
+			})
+			for i, want := range []Status{
+				{Source: 1, Tag: 5, N: 3, Data: []byte("one")},
+				{Source: 2, Tag: 6, N: 5, Data: []byte("three")},
+			} {
+				if st := sts[i]; st.Source != want.Source || st.Tag != want.Tag || st.N != want.N || string(st.Data) != string(want.Data) {
+					panic(fmt.Sprintf("status %d is %+v, want %+v", i, st, want))
+				}
+			}
+			if len(sts) != 3 || sts[2].N != len("rendezvous") {
+				panic(fmt.Sprintf("send status %+v of %d", sts[len(sts)-1], len(sts)))
+			}
+			again := world.Waitall([]*Request{world.Irecv(AnySource, 9)})
+			if &again[0] != &sts[0] {
+				panic("the second Waitall did not reuse the rank's statuses")
+			}
+			if sts[0].Source != 0 || sts[0].Tag != 9 || sts[0].N != 1 {
+				panic(fmt.Sprintf("the first Waitall's slice reads %+v, want the second's status", sts[0]))
+			}
+			if got := c.Waitall(nil); len(got) != 0 {
+				panic(fmt.Sprintf("Waitall(nil) returned %d statuses", len(got)))
+			}
+		case 1:
+			c.Send(0, 5, Data([]byte("one"))) // eager
+			if st := c.Recv(0, 7); string(st.Data) != "rendezvous" {
+				panic(fmt.Sprintf("rendezvous payload %q", st.Data))
+			}
+		case 2:
+			c.Send(0, 6, Data([]byte("three"))) // rendezvous: waits for the AnySource receive
+			world.Send(2, 9, Size(1))
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -378,12 +378,13 @@ func (w *World) commID(parent, seq, color int) int {
 }
 
 // rankState is what every Comm of one rank shares: its virtual clock, its
-// free requests and its coroutine.
+// free requests, its Waitall statuses and its coroutine.
 type rankState struct {
 	world *World
 	rank  int      // world rank
 	clock float64  // virtual time in seconds; stays 0 without a cost model
 	free  *Request // released handles, linked through Request.next
+	sts   []Status // what Waitall returns, refilled by the next one
 
 	next  func() (struct{}, bool) // scheduler side: resume the rank until it suspends or returns
 	stop  func()                  // scheduler side: unwind the rank if it has not returned
@@ -439,14 +440,20 @@ func (q *readyQueue) Pop() any {
 // Waitany list — panics with "mpi: request used after Wait" until the
 // handle is reissued, and aliases an unrelated operation afterwards; drop
 // it (or remove it from the list) as soon as it completes.
+//
+// The status lives in the handle's own fields (88 bytes, the 96-byte size
+// class): peer and tag are what the request matches until it is done and
+// the status' Source and Tag after.
 type Request struct {
 	op       reqOp
 	done     bool
-	released bool   // consumed by the Wait family and not yet reissued
-	peer     int    // world rank of the partner, or AnySource
-	tag      Tag    // or AnyTag
-	ctx      int64  // matching context
-	status   Status // valid once done
+	released bool    // consumed by the Wait family and not yet reissued
+	peer     int     // world rank of the partner, or AnySource; then Status.Source
+	tag      Tag     // or AnyTag; then Status.Tag
+	ctx      int64   // matching context
+	n        int     // Status.N, once done
+	data     []byte  // Status.Data, once done
+	vtime    float64 // Status.VTime, once done
 	rs       *rankState
 	next     *Request
 }
@@ -489,19 +496,20 @@ func (c *Comm) newRequest(op reqOp, peer int, tag Tag, ctx int64) *Request {
 // abandoned by an abort is never released, so nothing still in flight can
 // complete a reissued handle.
 func (c *Comm) release(r *Request) {
-	r.status = Status{} // drop the payload reference
+	r.data = nil // drop the payload reference
 	r.released = true
 	r.next, c.rs.free = c.rs.free, r
 }
 
-// complete marks the request finished and, if its owner is parked on it
-// (or on several requests, this perhaps among them), makes the owner
-// runnable. It runs on whichever rank matched the message.
+// complete records st in the request, marks it finished and, if its owner
+// is parked on it (or on several requests, this perhaps among them), makes
+// the owner runnable. It runs on whichever rank matched the message.
 func (r *Request) complete(st Status) {
 	if r.done {
 		panic("mpi: request completed twice") // asserts a runtime bug: one message matched two requests
 	}
-	r.done, r.status = true, st
+	r.done = true
+	r.peer, r.tag, r.n, r.data, r.vtime = st.Source, st.Tag, st.N, st.Data, st.VTime
 	if rs := r.rs; rs.waiting == r || rs.waiting != nil && rs.nwaiting > 1 {
 		rs.waiting = nil
 		heap.Push(&rs.world.ready, rs)
@@ -513,7 +521,10 @@ func (r *Request) poll() (Status, bool) {
 	if r.released {
 		panic("mpi: request used after Wait") // asserts a programmer error: completion consumed the handle
 	}
-	return r.status, r.done
+	if !r.done {
+		return Status{}, false
+	}
+	return Status{Source: r.peer, Tag: r.tag, N: r.n, Data: r.data, VTime: r.vtime}, true
 }
 
 // Done reports whether the request has completed without blocking. Like
