@@ -17,20 +17,12 @@
 package hfast
 
 import (
-	"context"
-
 	"github.com/hfast-sim/hfast/internal/analysis"
 	"github.com/hfast-sim/hfast/internal/apps"
 	core "github.com/hfast-sim/hfast/internal/hfast"
 	"github.com/hfast-sim/hfast/internal/ipm"
-	"github.com/hfast-sim/hfast/internal/pipeline"
 	"github.com/hfast-sim/hfast/internal/topology"
 )
-
-// defaultPipeline backs the one-call helpers: repeated calls within a
-// process share profile/graph/assignment artifacts through the
-// content-addressed store instead of re-running skeletons.
-var defaultPipeline = pipeline.New(pipeline.Options{})
 
 // Config selects the workload of an application skeleton run.
 type Config = apps.Config
@@ -70,27 +62,6 @@ func LookupApp(name string) (AppInfo, error) { return apps.Lookup(name) }
 // its communication profile.
 func RunApp(name string, cfg Config) (*Profile, error) { return apps.ProfileRun(name, cfg) }
 
-// RunAppContext is RunApp with cancellation: when ctx is done before the
-// skeleton finishes, the in-flight MPI world aborts, all rank goroutines
-// unwind, and ctx.Err() is returned (wrapped). Servers and batch drivers
-// should prefer this entry point.
-func RunAppContext(ctx context.Context, name string, cfg Config) (*Profile, error) {
-	return apps.ProfileRunContext(ctx, name, cfg)
-}
-
-// ProvisionForApp profiles the named skeleton under ctx and provisions an
-// HFAST fabric for its steady-state topology in one call — the same
-// pipeline stage chain the hfastd service serves, resolved through the
-// process-wide artifact store (so a second identical call is a cache
-// hit).
-func ProvisionForApp(ctx context.Context, name string, cfg Config, cutoff int, p Params) (*Assignment, error) {
-	ref := pipeline.Spec(pipeline.ProfileSpec{
-		App: name, Procs: cfg.Procs, Steps: cfg.Steps, Scale: cfg.Scale, Seed: cfg.Seed,
-	})
-	a, _, err := defaultPipeline.Assignment(ctx, ref, pipeline.Steady(), cutoff, p.BlockSize)
-	return a, err
-}
-
 // BuildGraph extracts the steady-state communication topology of a
 // profile (initialization regions excluded, as in the paper). A malformed
 // profile yields an error instead of a panic.
@@ -114,10 +85,3 @@ func Provision(g *Graph, cutoff int, p Params) (*Assignment, error) {
 
 // CompareCosts prices an HFAST fabric against the equivalent fat-tree.
 func CompareCosts(a *Assignment, p Params) (Comparison, error) { return core.Compare(a, p) }
-
-// ProvisionFromHints provisions a fabric from declared partner lists
-// (e.g. MPI Cartesian topology neighbors) before any traffic flows —
-// the §2.3 fast path that spares the runtime its measurement phase.
-func ProvisionFromHints(partners [][]int, p Params) (*Assignment, error) {
-	return core.AssignFromHints(partners, p.BlockSize)
-}

@@ -4,54 +4,70 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"runtime"
 	"testing"
 )
 
 // goldenProfileSHA pins the wire bytes of every skeleton's profile at
-// P=64, Seed 7, default steps and scale: the SHA-256 of Profile.WriteJSON.
-// A change to the runtime or the collector that moves one count, one key or
-// one modeled nanosecond fails here.
+// P=64, Seed 7, default steps and scale: the SHA-256 of Profile.WriteJSON
+// and its length. A change to the runtime or the collector that moves one
+// count, one key or one modeled nanosecond fails here, and so does an
+// encoding that grows, without a clock.
 //
 // cactus, lbmhd, gtc, paratec and amr receive from named sources only, so
-// their bytes never depended on how ranks were scheduled; those five hashes
-// were recorded before the collector's signature table and the runtime's
-// request recycling were rewritten and have not moved since. superlu
-// (AnySource) and pmemd (Waitany) were recorded when the world's scheduler
-// made rank order a function of the program — until then their Stat.Time
-// differed from run to run and they were hashed with it cleared (those
-// two hashes, unchanged by the scheduler, are in the history of this file).
+// their bytes never depended on how ranks were scheduled; superlu
+// (AnySource) and pmemd (Waitany) were pinned once the world's scheduler
+// made rank order a function of the program. The hashes are of the
+// compact encoding. The indented layout the wire had before hashed, once
+// re-indented by json.Indent with one space a level and a newline, to the
+// values in the history of this file: only the spacing moved.
 var goldenProfileSHA = []struct {
-	app string
-	sha string
+	app  string
+	sha  string
+	size int64
 }{
-	{"cactus", "39c4a030c800bc571e3d4240318cef3eb285769dacdb27ac5dbf9b617abfb6c2"},
-	{"lbmhd", "6be718822f8d380addbfd10b0e20e5d818e07749108eafd3933880ae921de8c6"},
-	{"gtc", "3abd3f35e89727339bf574fa69ace066a9009eb8e60941727b596885445a0fc0"},
-	{"superlu", "b7fc28581e4a27b4b0ca117c2835c6d9f1f96eec6c41fecfda19c76e318a9432"},
-	{"pmemd", "1aa8ebd1cdab234b1efb86e78f0284b0206653580a5671f5b5159f86146c29db"},
-	{"paratec", "3519cb1382e52a463ca8f63696b62ca25f4ee667010dff9e9d60d23987656f24"},
-	{"amr", "395d2e2e8d4bdb9bb67fcac16ecbd91bc4a781c2bcc56bdc417dec085db97c18"},
+	{"cactus", "a93392703a7358e545abac2abb2ba90a1f7b10e09b8e849951a681bc847e2960", 886582},
+	{"lbmhd", "181fe0d03a8b741f5d8f1bed5128e3077e9beb2cf0adaa38bcf55f0ea9e3960c", 1828488},
+	{"gtc", "af9076e89f0c15454f137bd8139bf63b1f92267e630400e8759986f07a88af8d", 334843},
+	{"superlu", "70923d04fdebb86464c6b34801d7d8a9e51d25d26db855f93e5687ec5b11c385", 6006526},
+	{"pmemd", "e0dd51386f97a219ae6a1679e939fdb9e34cac973042bf10e1a9872400d1df62", 9271866},
+	{"paratec", "097b2670315ec6a7fdef395e7657c3fa63fbb61e16ba7c50efe8a0d22c8af6d7", 10359226},
+	{"amr", "00504199e84eb8211908a6a1e24711bb8bad4069114b0888383a21c7dbcd2087", 1875152},
 }
 
-// profileSHA runs one skeleton and hashes its profile's wire bytes.
-func profileSHA(t *testing.T, app string, cfg Config) string {
+// byteCounter counts what is written to it.
+type byteCounter int64
+
+func (c *byteCounter) Write(p []byte) (int, error) {
+	*c += byteCounter(len(p))
+	return len(p), nil
+}
+
+// profileSHA runs one skeleton and hashes its profile's wire bytes,
+// returning the hash and how many bytes there were.
+func profileSHA(t *testing.T, app string, cfg Config) (string, int64) {
 	t.Helper()
 	p, err := ProfileRun(app, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := sha256.New()
-	if err := p.WriteJSON(h); err != nil {
+	var n byteCounter
+	if err := p.WriteJSON(io.MultiWriter(h, &n)); err != nil {
 		t.Fatal(err)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return hex.EncodeToString(h.Sum(nil)), int64(n)
 }
 
 func TestProfileGoldenSHA(t *testing.T) {
 	for _, g := range goldenProfileSHA {
 		t.Run(g.app, func(t *testing.T) {
-			if got := profileSHA(t, g.app, Config{Procs: 64, Seed: 7}); got != g.sha {
+			got, size := profileSHA(t, g.app, Config{Procs: 64, Seed: 7})
+			if size != g.size {
+				t.Errorf("%s profile is %d bytes, want %d", g.app, size, g.size)
+			}
+			if got != g.sha {
 				t.Errorf("%s profile SHA-256 = %s, want %s", g.app, got, g.sha)
 			}
 		})
@@ -78,7 +94,8 @@ func TestProfileBytesStable(t *testing.T) {
 			seen := map[string]int{}
 			for run := 0; run < 20; run++ {
 				runtime.GOMAXPROCS([]int{1, 2, 4}[run%3])
-				seen[profileSHA(t, sh.app, Config{Procs: sh.procs, Seed: 7})]++
+				sha, _ := profileSHA(t, sh.app, Config{Procs: sh.procs, Seed: 7})
+				seen[sha]++
 			}
 			if len(seen) != 1 {
 				t.Errorf("%d distinct profile hashes over 20 runs: %v", len(seen), seen)

@@ -2,8 +2,6 @@ package ipm
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"github.com/hfast-sim/hfast/internal/mpi"
@@ -41,29 +39,28 @@ func deltaTestProfile() *Profile {
 }
 
 // TestDeltaGoldenWireFormat pins the v2 Delta wire format the same way
-// the profile golden pins v1: the committed golden delta must decode and
-// re-encode byte-identically.
+// the profile goldens pin v1: the committed golden deltas, legacy and
+// compact, must decode and re-encode to the compact one byte for byte.
 func TestDeltaGoldenWireFormat(t *testing.T) {
-	golden, err := os.ReadFile(filepath.Join("testdata", "delta_v2.golden.json"))
-	if err != nil {
-		t.Fatalf("reading golden: %v", err)
-	}
-	d, err := ReadDeltaJSON(bytes.NewReader(golden))
-	if err != nil {
-		t.Fatalf("decoding golden: %v", err)
-	}
-	if d.Version != 2 {
-		t.Fatalf("golden version = %d, want 2", d.Version)
-	}
-	if d.App != "synthetic" || d.Window != "step000" {
-		t.Fatalf("golden header = %s/%q, want synthetic/step000", d.App, d.Window)
-	}
-	var out bytes.Buffer
-	if err := d.WriteJSON(&out); err != nil {
-		t.Fatalf("re-encoding golden: %v", err)
-	}
-	if !bytes.Equal(out.Bytes(), golden) {
-		t.Fatalf("delta wire format drifted: re-encoded golden differs (%d vs %d bytes)", out.Len(), len(golden))
+	old, canon := goldenPair(t, "delta_v2.golden.json", "delta_v2.compact.golden.json")
+	for _, golden := range [][]byte{old, canon} {
+		d, err := ReadDeltaJSON(bytes.NewReader(golden))
+		if err != nil {
+			t.Fatalf("decoding golden: %v", err)
+		}
+		if d.Version != 2 {
+			t.Fatalf("golden version = %d, want 2", d.Version)
+		}
+		if d.App != "synthetic" || d.Window != "step000" {
+			t.Fatalf("golden header = %s/%q, want synthetic/step000", d.App, d.Window)
+		}
+		var out bytes.Buffer
+		if err := d.WriteJSON(&out); err != nil {
+			t.Fatalf("re-encoding golden: %v", err)
+		}
+		if !bytes.Equal(out.Bytes(), canon) {
+			t.Fatalf("delta wire format drifted: re-encoded golden differs (%d vs %d bytes)", out.Len(), len(canon))
+		}
 	}
 }
 

@@ -12,6 +12,10 @@ var (
 	ScanProfile = scanProfile
 )
 
+// FramingSeeds is split_test.go's seed set for a compact canonical body,
+// shared with the decoder's fuzz target.
+var FramingSeeds = framingSeeds
+
 // WireGaps is the writer's gap table, in the order a delta spells it.
 var WireGaps = []string{
 	gapVersion, gapApp, gapProcs, gapParams, gapSeq, gapWindow, gapRanks,

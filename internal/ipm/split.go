@@ -106,20 +106,20 @@ func (s *DeltaSplitter) Next() ([]byte, error) {
 }
 
 // Candidate proposes the next object without matching its braces: the
-// unread bytes from their first '{' to the first '}' that opens a line.
-// In WriteJSON's encoding every nested closer is indented, so for
-// canonical bytes that is the object, found at the speed of a byte
-// search; for any other bytes it is a wrong guess. The caller decides:
-// bytes that decode as one JSON value are the cut Next would make (a
-// valid object is its own shortest brace-balanced prefix) and Accept
-// consumes them; after anything else the caller calls Next, which cuts
-// from the same '{' as if Candidate had not been called, so a cut of the
-// candidate's length is the candidate. Only an object that breaks the
-// line after its '{' is searched, as those layouts do: looking through a
-// compact one for a closer that is not coming would read past its end,
-// which Next never does, and stall a live stream. A stream with nothing
-// to propose — it ended, failed, or opens with other bytes — yields nil
-// and Next says why. The slice aliases the buffer like Next's.
+// unread bytes from their first '{' to the first "]}". WriteJSON's
+// encoding closes Ranks and the value there and spells "]}" nowhere
+// else, so for canonical bytes that is the object, found at the speed of
+// a byte search; a string that spells "]}", or Ranks written as null,
+// makes it a wrong guess. The caller decides: bytes that decode as one
+// JSON value are the cut Next would make (a valid object is its own
+// shortest brace-balanced prefix) and Accept consumes them; after
+// anything else the caller calls Next, which cuts from the same '{' as
+// if Candidate had not been called, so a cut of the candidate's length is
+// the candidate. Only an object that opens as the canonical layout does,
+// with gapVersion, is searched; any other is not read past its end for a
+// "]}" that may never come. A stream with nothing to propose — it ended,
+// failed, or opens with other bytes — yields nil and Next says why. The
+// slice aliases the buffer like Next's.
 func (s *DeltaSplitter) Candidate() []byte {
 	s.cand = 0
 	for ; ; s.start++ {
@@ -130,25 +130,18 @@ func (s *DeltaSplitter) Candidate() []byte {
 			break
 		}
 	}
-	if s.buf[s.start] != '{' {
-		return nil
-	}
-	for off := 1; ; {
+	for off := 0; ; {
 		b := s.buf[s.start:s.end]
-		if len(b) > 1 && b[1] != '\n' && b[1] != '\r' {
+		if n := min(len(b), len(gapVersion)); string(b[:n]) != gapVersion[:n] {
 			return nil
 		}
-		i := bytes.IndexByte(b[off:], '}')
-		if i < 0 {
-			off = len(b)
-			if s.fill() != nil {
-				return nil
-			}
-			continue
+		if i := bytes.Index(b[off:], []byte("]}")); i >= 0 {
+			s.cand = off + i + 2
+			return b[:s.cand:s.cand]
 		}
-		if off += i + 1; b[off-2] == '\n' {
-			s.cand = off
-			return b[:off:off]
+		off = len(b) - 1 // a ']' at the end may be the closer's first half
+		if s.fill() != nil {
+			return nil
 		}
 	}
 }

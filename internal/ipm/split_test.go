@@ -26,6 +26,30 @@ func splitAll(s *DeltaSplitter) ([][]byte, error) {
 	}
 }
 
+func readTestdata(t testing.TB, name string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// framingSeeds are the fuzz seeds one compact canonical body calls for:
+// two of it with nothing, a space or a newline between them, and every
+// prefix that ends inside its final "]}\n".
+func framingSeeds(canon []byte) [][]byte {
+	d := bytes.TrimSuffix(canon, []byte("\n"))
+	var seeds [][]byte
+	for _, sep := range []string{"", " ", "\n"} {
+		seeds = append(seeds, bytes.Join([][]byte{d, d}, []byte(sep)))
+	}
+	for n := len(canon) - 3; n < len(canon); n++ {
+		seeds = append(seeds, canon[:n:n], append(append([]byte(nil), canon...), canon[:n]...))
+	}
+	return seeds
+}
+
 // TestDeltaSplitterYieldsEncodedDeltas streams the synthetic profile's
 // deltas as one body and checks each comes back byte for byte, whatever
 // the read size and however the buffer was sized.
@@ -168,10 +192,7 @@ func TestDeltaSplitterReadError(t *testing.T) {
 }
 
 func TestPeekDeltaProcs(t *testing.T) {
-	golden, err := os.ReadFile(filepath.Join("testdata", "delta_v2.golden.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	golden := readTestdata(t, "delta_v2.compact.golden.json")
 	for _, tc := range []struct {
 		in   string
 		want int
@@ -209,24 +230,16 @@ func TestPeekDeltaProcs(t *testing.T) {
 // and decodes on a miss accepts exactly what one decoding the body
 // accepts.
 func FuzzDeltaSplit(f *testing.F) {
-	delta, err := os.ReadFile(filepath.Join("testdata", "delta_v2.golden.json"))
-	if err != nil {
-		f.Fatal(err)
-	}
-	profile, err := os.ReadFile(filepath.Join("testdata", "profile_v1.golden.json"))
-	if err != nil {
-		f.Fatal(err)
-	}
-	var compact bytes.Buffer
-	if err := json.Compact(&compact, delta); err != nil {
-		f.Fatal(err)
-	}
+	delta := readTestdata(f, "delta_v2.compact.golden.json")
+	legacy := readTestdata(f, "delta_v2.golden.json")
 	f.Add(delta)
-	f.Add(profile)
-	f.Add(compact.Bytes())
-	f.Add(append(append([]byte(nil), delta...), delta...))
-	f.Add(append(append([]byte(nil), compact.Bytes()...), delta...))
+	f.Add(legacy)
+	f.Add(readTestdata(f, "profile_v1.compact.golden.json"))
+	f.Add(append(append([]byte(nil), legacy...), delta...))
 	f.Add(append(append([]byte(nil), delta...), "{not json"...))
+	for _, seed := range framingSeeds(delta) {
+		f.Add(seed)
+	}
 	for _, s := range []string{``, `{`, `}`, `[1]`, `42 {}`, `{"a":"}"}`, `{"a":"\\"}{"b":"\""}`, `{"a":"\`, `{"Procs":1}{"Procs":1,]}`} {
 		f.Add([]byte(s))
 	}
@@ -283,10 +296,14 @@ func frameAll(s *DeltaSplitter, verify func([]byte) bool) (cuts [][]byte, guesse
 }
 
 // TestDeltaSplitterCandidate pins the guess: the bytes up to the first
-// '}' that opens a line, right for every layout that indents nested
-// closers and wrong, never harmful, for the rest — whatever the candidate
-// was, Next cuts what it always cut.
+// "]}" of an object that opens as the canonical layout does, right for
+// every canonical delta and wrong, never harmful, for the rest — whatever
+// the candidate was, Next cuts what it always cut.
 func TestDeltaSplitterCandidate(t *testing.T) {
+	canon := readTestdata(t, "delta_v2.compact.golden.json")
+	d := string(bytes.TrimSuffix(canon, []byte("\n")))
+	legacy := string(bytes.TrimSpace(readTestdata(t, "delta_v2.golden.json")))
+	spelled := strings.Replace(d, `"Region":"step000"`, `"Region":"a]}"`, 1)
 	for _, tc := range []struct {
 		in   string
 		cand string // what Candidate proposes first; "" for nothing
@@ -296,22 +313,30 @@ func TestDeltaSplitterCandidate(t *testing.T) {
 	}{
 		{in: "", want: nil},
 		{in: " \n ", want: nil},
+		{in: d + "\n", cand: d, want: []string{d}, hits: 1},
+		{in: d, cand: d, want: []string{d}, hits: 1},
+		{in: " \r\n" + d, cand: d, want: []string{d}, hits: 1},
+		{in: d + d, cand: d, want: []string{d, d}, hits: 2},
+		{in: d + "\n" + d + "\n", cand: d, want: []string{d, d}, hits: 2},
+		// A string that spells the closer: a wrong guess, cut right by Next.
+		{in: spelled, cand: spelled[:strings.Index(spelled, "]}")+2], want: []string{spelled}},
+		{in: spelled + d, cand: spelled[:strings.Index(spelled, "]}")+2], want: []string{spelled, d}, hits: 1},
+		// Ranks null spells no closer: the search runs on to the next one.
+		{in: `{"Version":2,"Ranks":null}`, want: []string{`{"Version":2,"Ranks":null}`}},
+		{in: `{"Version":2,"Ranks":null}` + d, cand: `{"Version":2,"Ranks":null}` + d, want: []string{`{"Version":2,"Ranks":null}`, d}, hits: 1},
+		{in: `{"Version":2,"Ranks":[]}`, cand: `{"Version":2,"Ranks":[]}`, want: []string{`{"Version":2,"Ranks":[]}`}, hits: 1},
+		{in: `{"Version":2]}`, cand: `{"Version":2]}`, want: []string{`{"Version":2]}`}},
+		{in: `{"Version":2,"Ranks":[]}]}`, cand: `{"Version":2,"Ranks":[]}`, want: []string{`{"Version":2,"Ranks":[]}`}, hits: 1, err: "want '{'"},
+		{in: `{"Version":2,"Ranks":[]`, err: "unexpected EOF"},
+		{in: `{"Vers`, err: "unexpected EOF"},
+		// Any other opening: not searched.
 		{in: `{"a":1}`, want: []string{`{"a":1}`}},
-		{in: "{\n}", cand: "{\n}", want: []string{"{\n}"}, hits: 1},
-		{in: " \r\n{\n \"a\": {\n  \"b\": 1\n }\n}\n", cand: "{\n \"a\": {\n  \"b\": 1\n }\n}", want: []string{"{\n \"a\": {\n  \"b\": 1\n }\n}"}, hits: 1},
-		{in: "{\r\n\t\"a\": {\r\n\t}\r\n}", cand: "{\r\n\t\"a\": {\r\n\t}\r\n}", want: []string{"{\r\n\t\"a\": {\r\n\t}\r\n}"}, hits: 1},
-		{in: "{\n\"a\":{\n}\n}", cand: "{\n\"a\":{\n}", want: []string{"{\n\"a\":{\n}\n}"}},
-		{in: "{\n\"a\":1\n}{\n\"b\":2\n} {\"c\":3}", cand: "{\n\"a\":1\n}", want: []string{"{\n\"a\":1\n}", "{\n\"b\":2\n}", `{"c":3}`}, hits: 2},
-		{in: "{\n\"a\":\"\n}\"}", cand: "{\n\"a\":\"\n}", want: []string{"{\n\"a\":\"\n}\"}"}},
-		{in: "{\n\"a\":1}\n}", cand: "{\n\"a\":1}\n}", want: []string{"{\n\"a\":1}"}, err: "want '{'"},
-		{in: "{\n\"a\":\"\n}", cand: "{\n\"a\":\"\n}", err: "unexpected EOF"},
-		{in: "{\n\"a\":{\n", err: "unexpected EOF"},
-		// No line break after the brace: not a layout worth searching.
-		{in: "{\"a\":{\n}\n}", want: []string{"{\"a\":{\n}\n}"}},
-		{in: "{\"a\":\"\n}\"}", want: []string{"{\"a\":\"\n}\"}"}},
-		{in: "{}\n}", want: []string{"{}"}, err: "want '{'"},
-		{in: "\n}", err: "want '{'"},
-		{in: "[\n}", err: "want '{'"},
+		{in: legacy, want: []string{legacy}},
+		{in: "{\n}", want: []string{"{\n}"}},
+		{in: `{"version":2,"Ranks":[]}`, want: []string{`{"version":2,"Ranks":[]}`}},
+		{in: `{}]}`, want: []string{`{}`}, err: "want '{'"},
+		{in: `]}`, err: "want '{'"},
+		{in: `[{"Version":2]}`, err: "want '{'"},
 	} {
 		for _, oneByte := range []bool{false, true} {
 			var r io.Reader = strings.NewReader(tc.in)
@@ -320,22 +345,57 @@ func TestDeltaSplitterCandidate(t *testing.T) {
 			}
 			s := NewDeltaSplitter(r, 0)
 			if got := string(s.Candidate()); got != tc.cand {
-				t.Fatalf("%q: candidate %q, want %q", tc.in, got, tc.cand)
+				t.Fatalf("%.60q: candidate %.60q, want %.60q", tc.in, got, tc.cand)
 			}
 			if again := string(s.Candidate()); again != tc.cand {
-				t.Fatalf("%q: second candidate %q, want %q", tc.in, again, tc.cand)
+				t.Fatalf("%.60q: second candidate %.60q, want %.60q", tc.in, again, tc.cand)
 			}
 			got, hits, err := frameAll(s, json.Valid)
 			if len(got) != len(tc.want) || hits != tc.hits {
-				t.Fatalf("%q: %d objects, %d of them candidates; want %d and %d", tc.in, len(got), hits, len(tc.want), tc.hits)
+				t.Fatalf("%.60q: %d objects, %d of them candidates; want %d and %d", tc.in, len(got), hits, len(tc.want), tc.hits)
 			}
 			for i := range got {
 				if string(got[i]) != tc.want[i] {
-					t.Fatalf("%q: object %d = %q, want %q", tc.in, i, got[i], tc.want[i])
+					t.Fatalf("%.60q: object %d = %.60q, want %.60q", tc.in, i, got[i], tc.want[i])
 				}
 			}
 			if (err == nil) != (tc.err == "") || err != nil && !strings.Contains(err.Error(), tc.err) {
-				t.Fatalf("%q: ended with %v, want %q", tc.in, err, tc.err)
+				t.Fatalf("%.60q: ended with %v, want %q", tc.in, err, tc.err)
+			}
+		}
+	}
+}
+
+// onceReader hands over its bytes and fails the test if it is read after
+// the last of them: a live client that has sent one delta and waits.
+type onceReader struct {
+	t    *testing.T
+	rest []byte
+}
+
+func (r *onceReader) Read(p []byte) (int, error) {
+	if len(r.rest) == 0 {
+		r.t.Fatal("read past the delta the client sent")
+	}
+	n := copy(p, r.rest)
+	r.rest = r.rest[n:]
+	return n, nil
+}
+
+// TestDeltaSplitterCandidateReadsNoFurther: a canonical delta is proposed
+// from its own bytes, so a client that sent one and waits is not read
+// again — not for the newline after it, and not however small the reads.
+func TestDeltaSplitterCandidateReadsNoFurther(t *testing.T) {
+	canon := readTestdata(t, "delta_v2.compact.golden.json")
+	d := bytes.TrimSuffix(canon, []byte("\n"))
+	for _, oneByte := range []bool{false, true} {
+		for _, hint := range []int{0, len(d)} {
+			var r io.Reader = &onceReader{t, d}
+			if oneByte {
+				r = iotest.OneByteReader(r)
+			}
+			if cand := NewDeltaSplitter(r, hint).Candidate(); !bytes.Equal(cand, d) {
+				t.Fatalf("one byte %v, hint %d: candidate %.60q, want the delta", oneByte, hint, cand)
 			}
 		}
 	}
@@ -366,7 +426,7 @@ func (r *flakyReader) Read(p []byte) (int, error) {
 // that fails is not asked again.
 func TestDeltaSplitterCandidateKeepsReadError(t *testing.T) {
 	boom := errors.New("boom")
-	s := NewDeltaSplitter(&flakyReader{halves: [2]string{"{\n\"a\":1", "\n}"}, err: boom}, 0)
+	s := NewDeltaSplitter(&flakyReader{halves: [2]string{`{"Version":2,"Ranks":[`, `]}`}, err: boom}, 0)
 	if cand := s.Candidate(); cand != nil {
 		t.Fatalf("candidate %q from a stream that failed before its closer", cand)
 	}
@@ -383,33 +443,30 @@ func TestDeltaSplitterCandidateKeepsReadError(t *testing.T) {
 // JSON — and what DecodeDelta takes must be inside it, since the server
 // trusts a candidate on DecodeDelta's word.
 func FuzzDeltaFraming(f *testing.F) {
-	delta, err := os.ReadFile(filepath.Join("testdata", "delta_v2.golden.json"))
-	if err != nil {
-		f.Fatal(err)
-	}
-	delta = bytes.TrimSpace(delta)
-	var compact, flush, tabbed bytes.Buffer
-	if err := json.Compact(&compact, delta); err != nil {
-		f.Fatal(err)
-	}
-	// No indent: every closer opens a line, so every candidate is wrong.
+	canon := readTestdata(f, "delta_v2.compact.golden.json")
+	delta := bytes.TrimSpace(canon)
+	legacy := bytes.TrimSpace(readTestdata(f, "delta_v2.golden.json"))
+	var flush, tabbed bytes.Buffer
 	if err := json.Indent(&flush, delta, "", ""); err != nil {
 		f.Fatal(err)
 	}
 	if err := json.Indent(&tabbed, delta, "", "\t"); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(delta)
-	f.Add(compact.Bytes())
+	f.Add(canon)
+	f.Add(legacy)
 	f.Add(flush.Bytes())
 	f.Add(tabbed.Bytes())
-	f.Add(bytes.ReplaceAll(delta, []byte("\n"), []byte("\r\n")))
+	f.Add(bytes.ReplaceAll(legacy, []byte("\n"), []byte("\r\n")))
+	f.Add(bytes.Replace(delta, []byte(`"Region":"step000"`), []byte(`"Region":"a]}"`), 1))
+	for _, seed := range framingSeeds(canon) {
+		f.Add(seed)
+	}
 	for _, sep := range []string{"", " ", "\n"} {
-		f.Add(bytes.Join([][]byte{delta, delta}, []byte(sep)))
-		f.Add(bytes.Join([][]byte{delta, compact.Bytes(), delta}, []byte(sep)))
+		f.Add(bytes.Join([][]byte{delta, legacy, delta}, []byte(sep)))
 		f.Add(bytes.Join([][]byte{flush.Bytes(), delta, tabbed.Bytes()}, []byte(sep)))
 	}
-	for at := 0; ; {
+	for at := 0; ; { // the old layout's closers, each a cut Next must refuse
 		i := bytes.Index(flush.Bytes()[at:], []byte("\n}"))
 		if i < 0 {
 			break
@@ -417,7 +474,8 @@ func FuzzDeltaFraming(f *testing.F) {
 		at += i + 2
 		f.Add(flush.Bytes()[:at:at])
 	}
-	for _, s := range []string{``, "{\n}", "{\n}\n}", "{\n\"a\":\"\n}\"}", "{\r\"a\":\"\\\n}", "{\n\"Params\":{\"a\":1\n},\"Procs\":4}", "{\"a\":{\n}\n}", "{\n}x", "[\n}"} {
+	for _, s := range []string{``, `{"Version":`, `{"Version":2]}`, `{"Version":2,"Ranks":null}{"Version":2,"Ranks":[]}`,
+		`{"Version":2,"a":"]}"}`, `{"Version":2,"a":"\]}"}`, `{"Version":2,"Ranks":[]}]}`, "{\n}", `{"a":[1]}`, `[{"Version":]}`} {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {

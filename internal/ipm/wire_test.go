@@ -2,40 +2,56 @@ package ipm
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
+	"encoding/json"
 	"testing"
 
 	"github.com/hfast-sim/hfast/internal/mpi"
 )
 
+// goldenPair reads a legacy golden, in the indented layout WriteJSON
+// wrote before the wire went compact, and the compact golden beside it,
+// and checks that they are one value in two layouts: json.Indent of the
+// compact bytes, one space a level, plus a newline is the legacy file.
+func goldenPair(t *testing.T, legacy, compact string) (old, canon []byte) {
+	t.Helper()
+	old, canon = readTestdata(t, legacy), readTestdata(t, compact)
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, bytes.TrimSuffix(canon, []byte("\n")), "", " "); err != nil {
+		t.Fatal(err)
+	}
+	if indented.WriteByte('\n'); !bytes.Equal(indented.Bytes(), old) {
+		t.Fatalf("%s indented is not %s", compact, legacy)
+	}
+	return old, canon
+}
+
 // TestGoldenWireFormat pins the service wire format: the committed golden
-// profile must decode and re-encode byte-identically. Any change to field
-// names, ordering, indentation, or number formatting fails here instead of
-// silently breaking hfastd clients and stored profiles. The golden is a
-// schema v1 profile — v2 added the Delta envelope without touching the
-// Profile field set, so v1 profiles must keep decoding unchanged.
+// profiles, legacy and compact, must decode and re-encode to the compact
+// one byte for byte. Any change to field names, ordering, spacing, or
+// number formatting fails here instead of silently breaking hfastd
+// clients and stored profiles. The golden is a schema v1 profile — v2
+// added the Delta envelope without touching the Profile field set, so v1
+// profiles must keep decoding unchanged.
 func TestGoldenWireFormat(t *testing.T) {
-	golden, err := os.ReadFile(filepath.Join("testdata", "profile_v1.golden.json"))
-	if err != nil {
-		t.Fatalf("reading golden: %v", err)
-	}
-	p, err := ReadJSON(bytes.NewReader(golden))
-	if err != nil {
-		t.Fatalf("decoding golden: %v", err)
-	}
-	if p.Version != 1 {
-		t.Fatalf("golden version = %d, want 1 (pinned old-schema compatibility)", p.Version)
-	}
-	if p.App != "cactus" || p.Procs != 8 {
-		t.Fatalf("golden header = %s/%d, want cactus/8", p.App, p.Procs)
-	}
-	var out bytes.Buffer
-	if err := p.WriteJSON(&out); err != nil {
-		t.Fatalf("re-encoding golden: %v", err)
-	}
-	if !bytes.Equal(out.Bytes(), golden) {
-		t.Fatalf("wire format drifted: re-encoded golden differs (%d vs %d bytes)", out.Len(), len(golden))
+	old, canon := goldenPair(t, "profile_v1.golden.json", "profile_v1.compact.golden.json")
+	for _, golden := range [][]byte{old, canon} {
+		p, err := ReadJSON(bytes.NewReader(golden))
+		if err != nil {
+			t.Fatalf("decoding golden: %v", err)
+		}
+		if p.Version != 1 {
+			t.Fatalf("golden version = %d, want 1 (pinned old-schema compatibility)", p.Version)
+		}
+		if p.App != "cactus" || p.Procs != 8 {
+			t.Fatalf("golden header = %s/%d, want cactus/8", p.App, p.Procs)
+		}
+		var out bytes.Buffer
+		if err := p.WriteJSON(&out); err != nil {
+			t.Fatalf("re-encoding golden: %v", err)
+		}
+		if !bytes.Equal(out.Bytes(), canon) {
+			t.Fatalf("wire format drifted: re-encoded golden differs (%d vs %d bytes)", out.Len(), len(canon))
+		}
 	}
 }
 

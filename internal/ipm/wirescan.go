@@ -2,7 +2,6 @@ package ipm
 
 import (
 	"strconv"
-	"strings"
 
 	"github.com/hfast-sim/hfast/internal/mpi"
 )
@@ -175,32 +174,25 @@ func (s *wireScanner) skip(lit string) bool {
 }
 
 // lit consumes gap, one of the writer's fixed byte runs (wirewrite.go).
-// The writer's own bytes match in one comparison, or in a second once the
-// indent that open or sep leaves in front of a member is skipped. Any
-// other spacing — compact JSON, tabs, CRLF, a space before ':' — is
-// walked token by token, whitespace skipped between tokens: the field
-// names with their quotes and the structural bytes, in the gap's order.
+// The writer's own bytes match in one comparison. Any other spacing — the
+// indented layout, tabs, CRLF, a space before ':' — is matched byte by
+// byte, with whitespace skipped before every byte of the gap outside a
+// field name's quotes.
 func (s *wireScanner) lit(gap string) {
 	if s.skip(gap) {
 		return
 	}
-	if s.peek(); s.skip(gap) {
-		return
-	}
-	for j := 0; j < len(gap) && !s.bad; {
-		switch c := gap[j]; c {
-		case ' ', '\n':
-			j++
-		case '"':
-			end := j + 2 + strings.IndexByte(gap[j+1:], '"')
-			if s.peek(); !s.skip(gap[j:end]) {
-				s.fail()
-			}
-			j = end
-		default:
-			s.tok(c)
-			j++
+	inName := false
+	for j := 0; j < len(gap); j++ {
+		if !inName {
+			s.peek()
 		}
+		if s.i == len(s.b) || s.b[s.i] != gap[j] {
+			s.fail()
+			return
+		}
+		s.i++
+		inName = inName != (gap[j] == '"')
 	}
 }
 

@@ -86,17 +86,19 @@ func agreeProfile(t *testing.T, raw []byte) error {
 	return agree(t, raw, ipm.DecodeProfile, refDecodeProfile)
 }
 
-// wireTypes lets a test say something once of both decoders.
+// wireTypes lets a test say something once of both decoders. golden is
+// the canonical encoding, legacy the same value in the indented layout
+// WriteJSON wrote before the wire went compact.
 var wireTypes = []struct {
-	name    string
-	golden  string
-	cases   func(testing.TB) []wireCase
-	scanned func(raw []byte) bool // whether the scanner, not encoding/json, decodes raw
-	agree   func(*testing.T, []byte) error
+	name           string
+	golden, legacy string
+	cases          func(testing.TB) []wireCase
+	scanned        func(raw []byte) bool // whether the scanner, not encoding/json, decodes raw
+	agree          func(*testing.T, []byte) error
 }{
-	{"delta", "delta_v2.golden.json", deltaCases,
+	{"delta", "delta_v2.compact.golden.json", "delta_v2.golden.json", deltaCases,
 		func(raw []byte) bool { _, ok := ipm.ScanDelta(raw); return ok }, agreeDelta},
-	{"profile", "profile_v1.golden.json", profileCases,
+	{"profile", "profile_v1.compact.golden.json", "profile_v1.golden.json", profileCases,
 		func(raw []byte) bool { _, ok := ipm.ScanProfile(raw); return ok }, agreeProfile},
 }
 
@@ -138,56 +140,58 @@ func compact(t testing.TB, s string) string {
 
 // deltaCases edits the golden delta one step off canonical at a time.
 func deltaCases(t testing.TB) []wireCase {
-	g := readGolden(t, "delta_v2.golden.json")
-	params := "{\n  \"scale\": 5,\n  \"steps\": 2\n }"
-	ranksAt := strings.Index(g, `"Ranks": `) + len(`"Ranks": `)
+	g := readGolden(t, "delta_v2.compact.golden.json")
+	legacy := readGolden(t, "delta_v2.golden.json")
+	params := `{"scale":5,"steps":2}`
+	ranksAt := strings.Index(g, `"Ranks":`) + len(`"Ranks":`)
 	const scan, fallback, ok, rejected = true, false, true, false
 	return append([]wireCase{
 		{"golden", g, scan, ok},
-		{"compact", compact(t, g), scan, ok},
-		{"CRLF", strings.ReplaceAll(g, "\n", "\r\n"), scan, ok},
-		{"tabs and leading whitespace", " \n\t" + strings.ReplaceAll(g, "\n ", "\n\t"), scan, ok},
+		{"legacy", legacy, scan, ok},
+		{"compact", compact(t, legacy), scan, ok},
+		{"CRLF", strings.ReplaceAll(legacy, "\n", "\r\n"), scan, ok},
+		{"tabs and leading whitespace", " \n\t" + strings.ReplaceAll(legacy, "\n ", "\n\t"), scan, ok},
 		{"no trailing newline", strings.TrimSpace(g), scan, ok},
-		{"Entries []", edit(t, g, `"Entries": null`, `"Entries": []`), scan, ok},
+		{"Entries []", edit(t, g, `"Entries":null`, `"Entries":[]`), scan, ok},
 		{"Params null", edit(t, g, params, "null"), scan, ok},
 		{"Params {}", edit(t, g, params, "{}"), scan, ok},
-		{"Params repeats a name", edit(t, g, `"scale": 5,`, `"scale": 4, "scale": 5,`), scan, ok},
-		{"Ranks null", g[:ranksAt] + "null\n}\n", scan, ok},
+		{"Params repeats a name", edit(t, g, `"scale":5,`, `"scale":4, "scale":5,`), scan, ok},
+		{"Ranks null", g[:ranksAt] + "null}\n", scan, ok},
 		{"Ranks []", g[:ranksAt] + "[]}", scan, ok},
-		{"Time 1e-3", edit(t, g, `"Time": 0.5`, `"Time": 1e-3`), scan, ok},
-		{"Time -0", edit(t, g, `"Time": 0.5`, `"Time": -0`), scan, ok},
-		{"Time 17 digits", edit(t, g, `"Time": 0.5`, `"Time": 1.9999999999999978E+07`), scan, ok},
-		{"Peer -1", edit(t, g, `"Peer": 1`, `"Peer": -1`), scan, ok},
-		{"Count 18 digits", edit(t, g, `"Count": 2`, `"Count": 999999999999999999`), scan, ok},
-		{"Procs 0 fails Validate", edit(t, g, `"Procs": 3`, `"Procs": 0`), scan, rejected},
-		{"newer schema", edit(t, g, `"Version": 2`, `"Version": 99`), scan, rejected},
+		{"Time 1e-3", edit(t, g, `"Time":0.5`, `"Time":1e-3`), scan, ok},
+		{"Time -0", edit(t, g, `"Time":0.5`, `"Time":-0`), scan, ok},
+		{"Time 17 digits", edit(t, g, `"Time":0.5`, `"Time":1.9999999999999978E+07`), scan, ok},
+		{"Peer -1", edit(t, g, `"Peer":1`, `"Peer":-1`), scan, ok},
+		{"Count 18 digits", edit(t, g, `"Count":2`, `"Count":999999999999999999`), scan, ok},
+		{"Procs 0 fails Validate", edit(t, g, `"Procs":3`, `"Procs":0`), scan, rejected},
+		{"newer schema", edit(t, g, `"Version":2`, `"Version":99`), scan, rejected},
 
-		{"fields reordered", edit(t, g, " \"App\": \"synthetic\",\n \"Procs\": 3,", " \"Procs\": 3,\n \"App\": \"synthetic\","), fallback, ok},
+		{"fields reordered", edit(t, g, `"App":"synthetic","Procs":3,`, `"Procs":3,"App":"synthetic",`), fallback, ok},
 		{"procs lower-cased", edit(t, g, `"Procs"`, `"procs"`), fallback, ok},
-		{"Procs twice", edit(t, g, `"Procs": 3,`, `"Procs": 7, "Procs": 3,`), fallback, ok},
-		{"unknown field", edit(t, g, `"Seq": 2,`, `"Extra": [1, {"a": null}], "Seq": 2,`), fallback, ok},
-		{"Window missing", edit(t, g, " \"Window\": \"step000\",\n", ""), fallback, ok},
-		{"a profile", readGolden(t, "profile_v1.golden.json"), fallback, ok},
-		{"escaped string", edit(t, g, `"Region": "step000"`, `"Region": "\u0073tep000"`), fallback, ok},
-		{"UTF-8 window", edit(t, g, `"Window": "step000"`, `"Window": "stép000"`), fallback, ok},
-		{"invalid UTF-8 window", edit(t, g, `"Window": "step000"`, "\"Window\": \"st\xffp000\""), fallback, ok},
-		{"DEL in a string", edit(t, g, `"Window": "step000"`, "\"Window\": \"st\x7fp000\""), fallback, ok},
-		{"control byte in a string", edit(t, g, `"Window": "step000"`, "\"Window\": \"st\np000\""), fallback, rejected},
-		{"Spilled null", edit(t, g, `"Spilled": 0`, `"Spilled": null`), fallback, ok},
-		{"Count 19 digits", edit(t, g, `"Count": 2`, `"Count": 1000000000000000000`), fallback, ok},
-		{"Count overflows", edit(t, g, `"Count": 2`, `"Count": 9223372036854775808`), fallback, rejected},
-		{"Bytes 1.0", edit(t, g, `"Bytes": 4096`, `"Bytes": 1.0`), fallback, rejected},
-		{"Bytes 1e3", edit(t, g, `"Bytes": 4096`, `"Bytes": 1e3`), fallback, rejected},
-		{"Seq 01", edit(t, g, `"Seq": 2`, `"Seq": 01`), fallback, rejected},
-		{"Seq -", edit(t, g, `"Seq": 2`, `"Seq": -`), fallback, rejected},
-		{"Time 1E400", edit(t, g, `"Time": 0.5`, `"Time": 1E400`), fallback, rejected},
-		{"Time 1.", edit(t, g, `"Time": 0.5`, `"Time": 1.`), fallback, rejected},
-		{"Time .5", edit(t, g, `"Time": 0.5`, `"Time": .5`), fallback, rejected},
-		{"Time 1e", edit(t, g, `"Time": 0.5`, `"Time": 1e`), fallback, rejected},
-		{"Time 0x1p-2", edit(t, g, `"Time": 0.5`, `"Time": 0x1p-2`), fallback, rejected},
-		{"Time Inf", edit(t, g, `"Time": 0.5`, `"Time": Inf`), fallback, rejected},
-		{"Entries nul", edit(t, g, `"Entries": null`, `"Entries": nul`), fallback, rejected},
-		{"trailing comma", edit(t, g, `"Spilled": 0`, `"Spilled": 0,`), fallback, rejected},
+		{"Procs twice", edit(t, g, `"Procs":3,`, `"Procs":7,"Procs":3,`), fallback, ok},
+		{"unknown field", edit(t, g, `"Seq":2,`, `"Extra":[1,{"a":null}],"Seq":2,`), fallback, ok},
+		{"Window missing", edit(t, g, `"Window":"step000",`, ""), fallback, ok},
+		{"a profile", readGolden(t, "profile_v1.compact.golden.json"), fallback, ok},
+		{"escaped string", edit(t, g, `"Region":"step000"`, `"Region":"\u0073tep000"`), fallback, ok},
+		{"UTF-8 window", edit(t, g, `"Window":"step000"`, `"Window":"stép000"`), fallback, ok},
+		{"invalid UTF-8 window", edit(t, g, `"Window":"step000"`, "\"Window\":\"st\xffp000\""), fallback, ok},
+		{"DEL in a string", edit(t, g, `"Window":"step000"`, "\"Window\":\"st\x7fp000\""), fallback, ok},
+		{"control byte in a string", edit(t, g, `"Window":"step000"`, "\"Window\":\"st\np000\""), fallback, rejected},
+		{"Spilled null", edit(t, g, `"Spilled":0`, `"Spilled":null`), fallback, ok},
+		{"Count 19 digits", edit(t, g, `"Count":2`, `"Count":1000000000000000000`), fallback, ok},
+		{"Count overflows", edit(t, g, `"Count":2`, `"Count":9223372036854775808`), fallback, rejected},
+		{"Bytes 1.0", edit(t, g, `"Bytes":4096`, `"Bytes":1.0`), fallback, rejected},
+		{"Bytes 1e3", edit(t, g, `"Bytes":4096`, `"Bytes":1e3`), fallback, rejected},
+		{"Seq 01", edit(t, g, `"Seq":2`, `"Seq":01`), fallback, rejected},
+		{"Seq -", edit(t, g, `"Seq":2`, `"Seq":-`), fallback, rejected},
+		{"Time 1E400", edit(t, g, `"Time":0.5`, `"Time":1E400`), fallback, rejected},
+		{"Time 1.", edit(t, g, `"Time":0.5`, `"Time":1.`), fallback, rejected},
+		{"Time .5", edit(t, g, `"Time":0.5`, `"Time":.5`), fallback, rejected},
+		{"Time 1e", edit(t, g, `"Time":0.5`, `"Time":1e`), fallback, rejected},
+		{"Time 0x1p-2", edit(t, g, `"Time":0.5`, `"Time":0x1p-2`), fallback, rejected},
+		{"Time Inf", edit(t, g, `"Time":0.5`, `"Time":Inf`), fallback, rejected},
+		{"Entries nul", edit(t, g, `"Entries":null`, `"Entries":nul`), fallback, rejected},
+		{"trailing comma", edit(t, g, `"Spilled":0`, `"Spilled":0,`), fallback, rejected},
 		{"trailing }", g + "}", fallback, rejected},
 		{"trailing garbage", g + "x", fallback, rejected},
 		{"trailing NUL", g + "\x00", fallback, rejected},
@@ -198,24 +202,31 @@ func deltaCases(t testing.TB) []wireCase {
 }
 
 // gapCases respaces the golden delta at one gap of the writer's table at
-// a time, leaving every other byte canonical: a tab indent, CRLF line
-// ends, or a space before ':' or ','. The scanner's comparison misses
-// there and its token walk must take the gap, as the tok and key chains
-// it replaced did.
+// a time, leaving every other byte canonical: a line break and a tab, or
+// CRLF, before each field name and closer, or a space before ':' or ','.
+// The scanner's comparison misses there and its byte walk must take the
+// gap. Each gap is respaced where it first follows the gap before it, so
+// the one-byte gap "}" is the end of a rank and not of Params.
 func gapCases(t testing.TB, g string) []wireCase {
 	respace := []struct {
 		name string
 		re   *regexp.Regexp
 		new  string
 	}{
-		{"tab indent", regexp.MustCompile(`\n +`), "\n\t"},
-		{"CRLF", regexp.MustCompile(`\n`), "\r\n"},
+		{"tab indent", regexp.MustCompile(`("[A-Za-z]+"|\})`), "\n\t$1"},
+		{"CRLF", regexp.MustCompile(`("[A-Za-z]+"|\})`), "\r\n$1"},
 		{"space before ':'", regexp.MustCompile(`:`), " :"},
 		{"space before ','", regexp.MustCompile(`,`), " ,"},
 	}
 	var cases []wireCase
+	at := 0
 	for k, gap := range ipm.WireGaps {
-		var fits []int // the respacings that change this gap; every gap has a newline
+		i := strings.Index(g[at:], gap)
+		if i < 0 {
+			t.Fatalf("golden has no %q after byte %d", gap, at)
+		}
+		at += i
+		var fits []int // the respacings that change this gap
 		for r := range respace {
 			if respace[r].re.MatchString(gap) {
 				fits = append(fits, r)
@@ -223,8 +234,8 @@ func gapCases(t testing.TB, g string) []wireCase {
 		}
 		rs := respace[fits[k%len(fits)]]
 		spaced := rs.re.ReplaceAllString(gap, rs.new)
-		name := fmt.Sprintf("gap %s, %s", strings.Join(strings.Fields(gap), ""), rs.name)
-		cases = append(cases, wireCase{name, edit(t, g, gap, spaced), true, true})
+		raw := g[:at] + spaced + g[at+len(gap):]
+		cases = append(cases, wireCase{fmt.Sprintf("gap %s, %s", gap, rs.name), raw, true, true})
 	}
 	return cases
 }
@@ -232,16 +243,18 @@ func gapCases(t testing.TB, g string) []wireCase {
 // profileCases is the shorter list for DecodeProfile: the grammar below
 // the header is the one routine deltaCases already walks.
 func profileCases(t testing.TB) []wireCase {
-	g := readGolden(t, "profile_v1.golden.json")
+	g := readGolden(t, "profile_v1.compact.golden.json")
+	legacy := readGolden(t, "profile_v1.golden.json")
 	const scan, fallback, ok, rejected = true, false, true, false
 	return []wireCase{
 		{"golden", g, scan, ok},
-		{"compact", compact(t, g), scan, ok},
-		{"CRLF", strings.ReplaceAll(g, "\n", "\r\n"), scan, ok},
-		{"newer schema", edit(t, g, `"Version": 1`, `"Version": 99`), scan, rejected},
-		{"pre-versioning file", edit(t, g, " \"Version\": 1,\n", ""), fallback, ok},
-		{"fields reordered", edit(t, g, " \"App\": \"cactus\",\n \"Procs\": 8,", " \"Procs\": 8,\n \"App\": \"cactus\","), fallback, ok},
-		{"a delta", readGolden(t, "delta_v2.golden.json"), fallback, ok},
+		{"legacy", legacy, scan, ok},
+		{"compact", compact(t, legacy), scan, ok},
+		{"CRLF", strings.ReplaceAll(legacy, "\n", "\r\n"), scan, ok},
+		{"newer schema", edit(t, g, `"Version":1`, `"Version":99`), scan, rejected},
+		{"pre-versioning file", edit(t, g, `"Version":1,`, ""), fallback, ok},
+		{"fields reordered", edit(t, g, `"App":"cactus","Procs":8,`, `"Procs":8,"App":"cactus",`), fallback, ok},
+		{"a delta", readGolden(t, "delta_v2.compact.golden.json"), fallback, ok},
 		{"trailing garbage", g + "x", fallback, rejected},
 		{"two profiles", g + g, fallback, rejected},
 	}
@@ -265,24 +278,26 @@ func TestScannerGiveUpBoundary(t *testing.T) {
 	}
 }
 
-// TestScannerTruncatedInput cuts the golden delta at every byte offset
-// (and the golden profile, 45 times its size, at every 37th): the scanner
-// gives up on each proper prefix without reading past it, and the error
-// is encoding/json's.
+// TestScannerTruncatedInput cuts the golden delta, compact and legacy, at
+// every byte offset (and the golden profile, about 45 times its size, at
+// every 37th): the scanner gives up on each proper prefix without reading
+// past it, and the error is encoding/json's.
 func TestScannerTruncatedInput(t *testing.T) {
 	for _, w := range wireTypes {
-		golden := strings.TrimSpace(readGolden(t, w.golden))
 		stride := 1
 		if w.name == "profile" {
 			stride = 37
 		}
-		for n := 0; n < len(golden); n += stride {
-			raw := []byte(golden[:n])
-			if w.scanned(raw) {
-				t.Fatalf("scanner decoded the %s cut at byte %d", w.name, n)
-			}
-			if err := w.agree(t, raw); err == nil {
-				t.Fatalf("%s cut at byte %d decodes", w.name, n)
+		for _, name := range []string{w.golden, w.legacy} {
+			golden := strings.TrimSpace(readGolden(t, name))
+			for n := 0; n < len(golden); n += stride {
+				raw := []byte(golden[:n])
+				if w.scanned(raw) {
+					t.Fatalf("scanner decoded %s cut at byte %d", name, n)
+				}
+				if err := w.agree(t, raw); err == nil {
+					t.Fatalf("%s cut at byte %d decodes", name, n)
+				}
 			}
 		}
 	}
@@ -298,7 +313,7 @@ func TestDecodeDoesNotAliasInput(t *testing.T) {
 		}
 		return raw
 	}
-	golden := []byte(readGolden(t, "delta_v2.golden.json"))
+	golden := []byte(readGolden(t, "delta_v2.compact.golden.json"))
 	want, err := refDecodeDelta(golden)
 	if err != nil {
 		t.Fatal(err)
@@ -312,7 +327,7 @@ func TestDecodeDoesNotAliasInput(t *testing.T) {
 		t.Fatalf("delta changed with its input's buffer: %+v", d)
 	}
 
-	golden = []byte(readGolden(t, "profile_v1.golden.json"))
+	golden = []byte(readGolden(t, "profile_v1.compact.golden.json"))
 	wantP, err := refDecodeProfile(golden)
 	if err != nil {
 		t.Fatal(err)
@@ -331,7 +346,7 @@ func TestDecodeDoesNotAliasInput(t *testing.T) {
 // and refuse a second, as the in-memory forms always did. json.Decoder,
 // which they used to be, stopped after the first value and dropped the rest.
 func TestReadersRejectTrailingBytes(t *testing.T) {
-	delta := readGolden(t, "delta_v2.golden.json")
+	delta := readGolden(t, "delta_v2.compact.golden.json")
 	if _, err := ipm.ReadDeltaJSON(strings.NewReader(delta + " \n\t\r\n")); err != nil {
 		t.Fatalf("trailing whitespace refused: %v", err)
 	}
@@ -340,7 +355,7 @@ func TestReadersRejectTrailingBytes(t *testing.T) {
 			t.Errorf("delta followed by %.10q: error %v, want ipm: decoding delta", tail, err)
 		}
 	}
-	profile := readGolden(t, "profile_v1.golden.json")
+	profile := readGolden(t, "profile_v1.compact.golden.json")
 	if _, err := ipm.ReadJSON(strings.NewReader(profile + " \n\t\r\n")); err != nil {
 		t.Fatalf("trailing whitespace refused: %v", err)
 	}
@@ -447,6 +462,9 @@ func FuzzDecodeDelta(f *testing.F) {
 	for _, raw := range deltas {
 		f.Add(raw)
 	}
+	for _, seed := range ipm.FramingSeeds([]byte(readGolden(f, "delta_v2.compact.golden.json"))) {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) { agreeDelta(t, raw) })
 }
 
@@ -459,15 +477,18 @@ func FuzzDecodeProfile(f *testing.F) {
 	f.Add(profile)
 	// The goldens are tens of kilobytes, where a mutation seldom lands
 	// anywhere new; the golden delta seen as a profile is the small seed.
-	d, err := ipm.DecodeDelta([]byte(readGolden(f, "delta_v2.golden.json")))
+	d, err := ipm.DecodeDelta([]byte(readGolden(f, "delta_v2.compact.golden.json")))
 	if err != nil {
 		f.Fatal(err)
 	}
-	var small bytes.Buffer
+	var small, indented bytes.Buffer
 	if err := d.AsProfile().WriteJSON(&small); err != nil {
 		f.Fatal(err)
 	}
+	if err := json.Indent(&indented, small.Bytes(), "", " "); err != nil {
+		f.Fatal(err)
+	}
 	f.Add(small.Bytes())
-	f.Add([]byte(compact(f, small.String())))
+	f.Add(indented.Bytes())
 	f.Fuzz(func(t *testing.T, raw []byte) { agreeProfile(t, raw) })
 }

@@ -10,13 +10,12 @@ import (
 )
 
 // wireWriter is the one encoder of a Delta or Profile, and so the
-// definition of "canonical": byte for byte what json.Encoder with
-// SetIndent("", " ") writes for these types — fields in declaration
-// order, one space of indent per level, null for a nil Params, Ranks or
-// Entries and {} or [] for an empty one, Params names sorted, a newline
-// after the value — appended by hand, without reflection and without the
-// encoder's second indenting pass. The scanner of wirescan.go reads the
-// same grammar back; encoding/json is the oracle both are tested against.
+// definition of "canonical": byte for byte what json.Encoder writes for
+// these types — compact, fields in declaration order, null for a nil
+// Params, Ranks or Entries and {} or [] for an empty one, Params names
+// sorted, a newline after the value — appended by hand, without
+// reflection. The scanner of wirescan.go reads the same grammar back;
+// encoding/json is the oracle both are tested against.
 //
 // The value is read and never written. Whatever would make the encoder
 // refuse it is found before the first byte goes out, so an error from the
@@ -31,42 +30,42 @@ type wireWriter struct {
 // or a connection never sees the value whole.
 const wireChunk = 64 << 10
 
-// Rough encoded sizes, a little over what the skeletons' entries (≈ 240
+// Rough encoded sizes, a little over what the skeletons' entries (≈ 140
 // bytes each) and ranks take, so a buffer told to grow by their sum grows
 // once.
 const (
-	wireEntrySize  = 256
-	wireRankSize   = 96
-	wireHeaderSize = 256
+	wireEntrySize  = 160
+	wireRankSize   = 48
+	wireHeaderSize = 128
 )
 
 // The gaps: every fixed byte run the writer puts between two values, each
 // named once here and written and read by these constants alone. The
 // scanner consumes a gap by one comparison when the bytes are the
-// writer's own, and token by token otherwise (wireScanner.lit). A gap
-// that follows an array's '[' or ',' starts at the member's '{'; the
-// writer puts the indent in front of it.
+// writer's own, and byte by byte, skipping whitespace, otherwise
+// (wireScanner.lit). A gap that follows an array's '[' or ',' starts at
+// the member's '{'.
 const (
-	gapVersion  = "{\n \"Version\": "
-	gapApp      = ",\n \"App\": "
-	gapProcs    = ",\n \"Procs\": "
-	gapParams   = ",\n \"Params\": "
-	gapSeq      = ",\n \"Seq\": "
-	gapWindow   = ",\n \"Window\": "
-	gapRanks    = ",\n \"Ranks\": "
-	gapRank     = "{\n   \"Rank\": "
-	gapEntries  = ",\n   \"Entries\": "
-	gapSpilled  = ",\n   \"Spilled\": "
-	gapRankEnd  = "\n  }"
-	gapCall     = "{\n     \"Key\": {\n      \"Call\": "
-	gapBytes    = ",\n      \"Bytes\": "
-	gapPeer     = ",\n      \"Peer\": "
-	gapRegion   = ",\n      \"Region\": "
-	gapCount    = "\n     },\n     \"Stat\": {\n      \"Count\": "
-	gapTotal    = ",\n      \"TotalBytes\": "
-	gapMax      = ",\n      \"MaxBytes\": "
-	gapTime     = ",\n      \"Time\": "
-	gapEntryEnd = "\n     }\n    }"
+	gapVersion  = `{"Version":`
+	gapApp      = `,"App":`
+	gapProcs    = `,"Procs":`
+	gapParams   = `,"Params":`
+	gapSeq      = `,"Seq":`
+	gapWindow   = `,"Window":`
+	gapRanks    = `,"Ranks":`
+	gapRank     = `{"Rank":`
+	gapEntries  = `,"Entries":`
+	gapSpilled  = `,"Spilled":`
+	gapRankEnd  = `}`
+	gapCall     = `{"Key":{"Call":`
+	gapBytes    = `,"Bytes":`
+	gapPeer     = `,"Peer":`
+	gapRegion   = `,"Region":`
+	gapCount    = `},"Stat":{"Count":`
+	gapTotal    = `,"TotalBytes":`
+	gapMax      = `,"MaxBytes":`
+	gapTime     = `,"Time":`
+	gapEntryEnd = `}}`
 )
 
 // writeDelta writes d to w as WriteJSON promises.
@@ -140,16 +139,11 @@ func (ww *wireWriter) header(version int, app string, procs int, params map[stri
 		}
 		slices.Sort(names) // by bytes, as encoding/json orders a map's keys
 		for i, name := range names {
-			if i == 0 {
-				b = append(b, "{\n  "...)
-			} else {
-				b = append(b, ",\n  "...)
-			}
-			b = appendWireString(b, name)
-			b = append(b, ": "...)
+			b = appendWireString(member(b, i, '{'), name)
+			b = append(b, ':')
 			b = strconv.AppendInt(b, int64(params[name]), 10)
 		}
-		b = append(b, "\n }"...)
+		b = append(b, '}')
 	}
 	ww.buf = b
 }
@@ -166,12 +160,7 @@ func (ww *wireWriter) ranks(ranks []RankProfile) error {
 	default:
 		for i := range ranks {
 			rp := &ranks[i]
-			if i == 0 {
-				b = append(b, "[\n  "...)
-			} else {
-				b = append(b, ",\n  "...)
-			}
-			b = append(b, gapRank...)
+			b = append(member(b, i, '['), gapRank...)
 			b = strconv.AppendInt(b, int64(rp.Rank), 10)
 			b = append(b, gapEntries...)
 			ww.buf = b
@@ -182,9 +171,9 @@ func (ww *wireWriter) ranks(ranks []RankProfile) error {
 			b = strconv.AppendInt(b, rp.Spilled, 10)
 			b = append(b, gapRankEnd...)
 		}
-		b = append(b, "\n ]"...)
+		b = append(b, ']')
 	}
-	b = append(b, "\n}\n"...)
+	b = append(b, "}\n"...)
 	_, err := ww.w.Write(b)
 	return err
 }
@@ -201,12 +190,7 @@ func (ww *wireWriter) entries(es []Entry) error {
 	default:
 		for i := range es {
 			e := &es[i]
-			if i == 0 {
-				b = append(b, "[\n    "...)
-			} else {
-				b = append(b, ",\n    "...)
-			}
-			b = append(b, gapCall...)
+			b = append(member(b, i, '['), gapCall...)
 			b = strconv.AppendInt(b, int64(e.Key.Call), 10)
 			b = append(b, gapBytes...)
 			b = strconv.AppendInt(b, int64(e.Key.Bytes), 10)
@@ -230,10 +214,19 @@ func (ww *wireWriter) entries(es []Entry) error {
 				b = b[:0]
 			}
 		}
-		b = append(b, "\n   ]"...)
+		b = append(b, ']')
 	}
 	ww.buf = b
 	return nil
+}
+
+// member appends what comes before the i-th member of an object or
+// array: the opening byte before the first, a comma before the others.
+func member(b []byte, i int, opening byte) []byte {
+	if i == 0 {
+		return append(b, opening)
+	}
+	return append(b, ',')
 }
 
 // appendWireString appends s as a JSON string. Printable ASCII free of

@@ -15,15 +15,12 @@ import (
 	"github.com/hfast-sim/hfast/internal/mpi"
 )
 
-// oracleEncode is the encoder WriteJSON was before it had a writer of
-// its own, and the definition the writer is held to: encoding/json,
-// indented by one space. v is a Profile or a Delta, its zero Version
-// already stamped.
+// oracleEncode is the definition the writer is held to: json.Encoder,
+// compact, which is json.Marshal and a newline. v is a Profile or a
+// Delta, its zero Version already stamped.
 func oracleEncode(v any) ([]byte, error) {
 	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", " ")
-	err := enc.Encode(v)
+	err := json.NewEncoder(&buf).Encode(v)
 	return buf.Bytes(), err
 }
 
@@ -182,7 +179,7 @@ func TestWriteJSONConcurrent(t *testing.T) {
 		if *v.version != 0 {
 			t.Errorf("%s: WriteJSON set Version to %d on its receiver", v.name, *v.version)
 		}
-		want := fmt.Sprintf("{\n \"Version\": %d,", ipm.SchemaVersion)
+		want := fmt.Sprintf(`{"Version":%d,`, ipm.SchemaVersion)
 		for i := range out {
 			if !bytes.HasPrefix(out[i].Bytes(), []byte(want)) || !bytes.Equal(out[i].Bytes(), out[0].Bytes()) {
 				t.Errorf("%s: writer %d wrote %.40q, want the bytes of writer 0 opening %q", v.name, i, out[i].Bytes(), want)

@@ -186,14 +186,15 @@ func TestFoldOneChain(t *testing.T) {
 		} else if how != Hit {
 			t.Fatalf("canonical wire delta %d outcome %v after FoldDelta, want hit", d.Seq, how)
 		}
-		var compact bytes.Buffer
-		if err := json.Compact(&compact, wireOf(t, d)); err != nil {
+		var legacy bytes.Buffer // the indented layout the wire had before it went compact
+		if err := json.Indent(&legacy, bytes.TrimSpace(wireOf(t, d)), "", " "); err != nil {
 			t.Fatal(err)
 		}
-		if cst, ckey, how, err = pl.FoldWire(ctx, ckey, cst, compact.Bytes()); err != nil {
-			t.Fatalf("compact delta %d: %v", d.Seq, err)
+		legacy.WriteByte('\n')
+		if cst, ckey, how, err = pl.FoldWire(ctx, ckey, cst, legacy.Bytes()); err != nil {
+			t.Fatalf("legacy delta %d: %v", d.Seq, err)
 		} else if how != Miss {
-			t.Fatalf("compact delta %d outcome %v, want miss", d.Seq, how)
+			t.Fatalf("legacy delta %d outcome %v, want miss", d.Seq, how)
 		}
 		if ckey == key {
 			t.Fatalf("delta %d: two encodings share key %s", d.Seq, key)
@@ -205,7 +206,7 @@ func TestFoldOneChain(t *testing.T) {
 	wantW, wantA := streamArtifacts(t, structSt)
 	gotW, gotA := streamArtifacts(t, cst)
 	if !bytes.Equal(gotW, wantW) || !bytes.Equal(gotA, wantA) {
-		t.Fatal("compact encoding folded to different windows/assignment artifacts")
+		t.Fatal("legacy encoding folded to different windows/assignment artifacts")
 	}
 }
 

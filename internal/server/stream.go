@@ -252,10 +252,10 @@ func (s *Server) handleStreamPost(w http.ResponseWriter, r *http.Request, id str
 // fold miss finds that out, are reported by their index in the body.
 //
 // Each delta is framed by guess and verify. The splitter's candidate —
-// the bytes up to the first '}' that opens a line, all of a canonical
-// delta — is folded as it stands, and a fold that succeeds proves the
-// guess: a chain hit says these bytes were cut and decoded before, a
-// miss decoded them as one JSON value, and a valid object is exactly the
+// the bytes up to the first "]}", all of a canonical delta — is folded
+// as it stands, and a fold that succeeds proves the guess: a chain hit
+// says these bytes were cut and decoded before, a miss decoded them as
+// one JSON value, and a valid object is exactly the
 // cut the brace matcher makes. A candidate that fails proves nothing, so
 // its error is kept only if the exact cut turns out to be the same
 // bytes; any other cut is folded in its place. Every body thus ends as

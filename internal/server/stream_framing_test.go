@@ -25,7 +25,9 @@ func frames(s *Server) (candidate, exact uint64) {
 	return snap.StreamFramesCandidate, snap.StreamFramesExact
 }
 
-// reindent re-encodes canonical delta bytes with json.Indent.
+// reindent re-encodes canonical delta bytes with json.Indent. An indent
+// of one space, plus a newline, is the legacy layout: what WriteJSON
+// wrote before the wire went compact.
 func reindent(t *testing.T, canon []byte, indent string) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -35,21 +37,17 @@ func reindent(t *testing.T, canon []byte, indent string) []byte {
 	return buf.Bytes()
 }
 
-func compact(t *testing.T, canon []byte) []byte {
+func legacy(t *testing.T, canon []byte) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := json.Compact(&buf, canon); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return append(reindent(t, canon, " "), '\n')
 }
 
 // TestStreamFramingEncodings streams one run in every layout a client
 // might send: each session must answer and serve exactly what the
-// canonical one does. Layouts that indent nested closers are framed by
-// the candidate — proved by a decode, since re-encoded bytes miss the
-// chain — and the rest by the brace matcher, their wrong candidates
-// costing nothing but the try.
+// canonical one does. Compact layouts, whatever the spacing between
+// deltas, are framed by the candidate; every other layout, the legacy
+// indented one included, opens differently, is not searched, and is cut
+// by the brace matcher.
 func TestStreamFramingEncodings(t *testing.T) {
 	s, ts := testServer(t, Config{Workers: 2})
 	_, ds := splitRun(t, "amr", 32, 8)
@@ -105,15 +103,13 @@ func TestStreamFramingEncodings(t *testing.T) {
 		{"trimmed", each(func(_ int, b []byte) []byte { return bytes.TrimSpace(b) }), "", n},
 		{"spaced", each(func(_ int, b []byte) []byte { return bytes.TrimSpace(b) }), " \t ", n},
 		{"crlf", each(func(_ int, b []byte) []byte { return bytes.ReplaceAll(b, []byte("\n"), []byte("\r\n")) }), "", n},
-		{"tabbed", each(func(_ int, b []byte) []byte { return reindent(t, b, "\t") }), "\n", n},
-		{"compact", each(func(_ int, b []byte) []byte { return compact(t, b) }), "", 0},
-		{"compact-lines", each(func(_ int, b []byte) []byte { return compact(t, b) }), "\n", 0},
-		// No indent: every closer opens a line, every candidate is wrong.
+		{"legacy", each(func(_ int, b []byte) []byte { return legacy(t, b) }), "", 0},
+		{"tabbed", each(func(_ int, b []byte) []byte { return reindent(t, b, "\t") }), "\n", 0},
 		{"flush", each(func(_ int, b []byte) []byte { return reindent(t, b, "") }), "", 0},
 		{"mixed", each(func(i int, b []byte) []byte {
 			switch i % 3 {
 			case 1:
-				return compact(t, b)
+				return legacy(t, b)
 			case 2:
 				return reindent(t, b, "")
 			}
@@ -148,14 +144,20 @@ func mustJSON(t *testing.T, v any) []byte {
 // status, the whole message, and how many deltas stay folded — for
 // bodies whose candidate is the exact cut (its error stands), is a wrong
 // cut (its error is dropped for the exact cut's), or does not exist. The
-// expectations were recorded from the commit before candidates existed.
+// expectations were recorded from the commit before candidates existed;
+// those of the cases added since are what the brace matcher alone makes
+// of the same bodies.
 func TestStreamFramingErrors(t *testing.T) {
 	s, ts := testServer(t, Config{Workers: 1})
 	delta := func(seq int) *ipm.Delta {
-		return &ipm.Delta{Version: 2, App: "a", Procs: 4, Params: map[string]int{"steps": 2}, Seq: seq, Window: fmt.Sprintf("step%03d", seq)}
+		return &ipm.Delta{Version: 2, App: "a", Procs: 4, Params: map[string]int{"steps": 2}, Seq: seq, Window: fmt.Sprintf("step%03d", seq),
+			Ranks: []ipm.RankProfile{}}
 	}
 	good0 := string(encodeDeltas(t, []*ipm.Delta{delta(0)}))
 	good1 := string(encodeDeltas(t, []*ipm.Delta{delta(1)}))
+	// Ranks null spells no "]}": never a candidate, always cut exactly.
+	null0 := strings.Replace(good0, `"Ranks":[]`, `"Ranks":null`, 1)
+	null1 := strings.Replace(good1, `"Ranks":[]`, `"Ranks":null`, 1)
 	flush0 := string(reindent(t, []byte(good0), ""))
 	flush1 := string(reindent(t, []byte(good1), ""))
 	const seqErr = `pipeline: fold delta 0 ("step000"): trace: delta seq 0 out of order, stream expects 1`
@@ -172,18 +174,23 @@ func TestStreamFramingErrors(t *testing.T) {
 		{"empty", "", 200, "", 0, 0, 0},
 		{"canonical pair", good0 + good1, 200, "", 2, 2, 0},
 		{"flush pair", flush0 + flush1, 200, "", 2, 0, 2},
-		// The peek trap: the candidate ends at Params' closer, where a
-		// peek reads no Procs at all; only the exact cut may be judged.
-		{"procs after a closer that opens a line",
-			"{\n\"Params\":{\"a\":1\n},\"Version\":2,\"App\":\"a\",\"Procs\":4,\"Seq\":0,\"Window\":\"step000\"}", 200, "", 1, 0, 1},
+		{"Ranks null pair", null0 + null1, 200, "", 2, 0, 2},
+		// The peek trap: the candidate ends at an unknown field's "]}",
+		// where a peek reads no Procs at all; only the exact cut may be
+		// judged.
+		{"procs after a nested closer",
+			`{"Version":2,"Extra":{"a":[1]},"App":"a","Procs":4,"Seq":0,"Window":"step000"}`, 200, "", 1, 0, 1},
+		{"closer spelled in a string", strings.Replace(good0, `"App":"a"`, `"App":"a]}"`, 1), 200, "", 1, 0, 1},
 		{"cut inside nested object", "{\n\"Params\":{\"a\":1\n}", 400, "decoding delta 0: unexpected EOF", -1, 0, 0},
+		{"cut after a nested closer", `{"Version":2,"Extra":{"a":[1]}`, 400, "decoding delta 0: unexpected EOF", -1, 0, 0},
+		{"canonical cut inside its closer", strings.TrimSpace(good0)[:len(strings.TrimSpace(good0))-1], 400, "decoding delta 0: unexpected EOF", -1, 0, 0},
 		{"canonical repeated", good0 + good0, 400, seqErr, 1, 1, 1},
 		{"flush repeated", flush0 + flush0, 400, seqErr, 1, 0, 2},
 		{"garbage after canonical", good0 + "{not json", 400, "decoding delta 1: unexpected EOF", 1, 1, 0},
 		{"closer after canonical", good0 + "}", 400, `decoding delta 1: ipm: delta stream: want '{' opening a delta, found '}'`, 1, 1, 0},
-		{"canonical with a bad value", strings.Replace(good0, `"Procs": 4`, `"Procs": nope`, 1), 400,
+		{"canonical with a bad value", strings.Replace(good0, `"Procs":4`, `"Procs":nope`, 1), 400,
 			"decoding delta 0: ipm: decoding delta: invalid character 'o' in literal null (expecting 'u')", -1, 0, 1},
-		{"canonical over the procs cap", strings.Replace(good0, `"Procs": 4`, `"Procs": 1048576`, 1), 400,
+		{"canonical over the procs cap", strings.Replace(good0, `"Procs":4`, `"Procs":1048576`, 1), 400,
 			"delta procs 1048576 outside (0,1024]", -1, 0, 1},
 		{"empty object, then a closer", "{\n}\n}", 400, "delta procs 0 outside (0,1024]", -1, 0, 1},
 		{"newline and closer inside a string", "{\n\"a\":\"\n}\"}", 400,
