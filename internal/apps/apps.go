@@ -183,11 +183,10 @@ func All() []Info {
 	return append(out, Extra...)
 }
 
-// stepRegion is the region name of steady-state step s.
+// stepRegion is the region name of steady-state step s. Analyses match
+// the "step" prefix (trace windows), and ipm.CompareRegions orders the
+// names as the steps ran.
 func stepRegion(s int) string { return fmt.Sprintf("step%03d", s) }
-
-// StepRegion exposes the step region naming for analyses.
-func StepRegion(s int) string { return stepRegion(s) }
 
 // --- process-grid helpers shared by the skeletons ---
 

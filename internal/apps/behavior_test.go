@@ -53,7 +53,7 @@ func TestAllAppsRunAtSmallSizes(t *testing.T) {
 			if p.TotalCalls(ipm.Region("init")) == 0 {
 				t.Errorf("%s/%d: no init region traffic", name, procs)
 			}
-			if p.TotalCalls(ipm.Region(apps.StepRegion(0))) == 0 {
+			if p.TotalCalls(ipm.Region("step000")) == 0 {
 				t.Errorf("%s/%d: no step000 region traffic", name, procs)
 			}
 		}

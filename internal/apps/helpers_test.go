@@ -176,7 +176,7 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 func TestStepRegionFormat(t *testing.T) {
-	if stepRegion(3) != "step003" || StepRegion(42) != "step042" {
+	if stepRegion(3) != "step003" || stepRegion(1042) != "step1042" {
 		t.Error("region naming changed; trace windows depend on it")
 	}
 }

@@ -2,38 +2,37 @@ package apps
 
 import (
 	"bytes"
-	"context"
 	"testing"
 
 	"github.com/hfast-sim/hfast/internal/ipm"
 )
 
-// TestStreamRunMatchesBatch pins the live emitter against the batch
-// collector: merging the deltas a StreamRunContext emits reproduces the
-// batch ProfileRunContext profile byte-for-byte (both runs are
-// deterministic, and under the hash capacity the per-window and
-// run-global accumulators see identical events).
+// TestStreamRunMatchesBatch pins the stream a client sends for a real
+// skeleton run against the batch profile: SplitDeltas of the run, each
+// delta through the wire and back, merges with MergeDeltas into the batch
+// profile byte for byte. deltaTestProfile pins the same round trip on a
+// synthetic profile; these are the region-per-step shapes hfastd sees.
 func TestStreamRunMatchesBatch(t *testing.T) {
 	for _, app := range []string{"cactus", "amr"} {
 		t.Run(app, func(t *testing.T) {
-			cfg := Config{Procs: 16, Steps: 4}
-			batch, err := ProfileRun(app, cfg)
+			batch, err := ProfileRun(app, Config{Procs: 16, Steps: 4})
 			if err != nil {
-				t.Fatalf("batch: %v", err)
+				t.Fatal(err)
 			}
-			var deltas []*ipm.Delta
-			n, err := StreamRunContext(context.Background(), app, cfg, func(d *ipm.Delta) {
-				deltas = append(deltas, d)
-			})
+			deltas, err := ipm.SplitDeltas(batch)
 			if err != nil {
-				t.Fatalf("stream: %v", err)
-			}
-			if n != len(deltas) {
-				t.Fatalf("Finish reported %d deltas, sink saw %d", n, len(deltas))
+				t.Fatal(err)
 			}
 			for i, d := range deltas {
-				if d.Seq != i {
-					t.Fatalf("delta %d carries seq %d", i, d.Seq)
+				var wire bytes.Buffer
+				if err := d.WriteJSON(&wire); err != nil {
+					t.Fatal(err)
+				}
+				if deltas[i], err = ipm.DecodeDelta(wire.Bytes()); err != nil {
+					t.Fatalf("delta %d: %v", i, err)
+				}
+				if deltas[i].Seq != i {
+					t.Fatalf("delta %d carries seq %d", i, deltas[i].Seq)
 				}
 			}
 			merged, err := ipm.MergeDeltas(deltas)
@@ -54,31 +53,38 @@ func TestStreamRunMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestStreamEmitsWindowsInProgramOrder checks the StreamSet's ordering
-// contract for the region-per-timestep skeletons: deltas arrive init
-// first, then the steps in lexical (= program) order, with the
-// outside-region remainder flushed last.
+// TestStreamEmitsWindowsInProgramOrder checks the ordering contract of the
+// stream a region-per-timestep skeleton sends: SplitDeltas of the run
+// yields "init" first, then the steps in program order, each window once.
+// The outside-region remainder, if the run has one, is the only other
+// window.
 func TestStreamEmitsWindowsInProgramOrder(t *testing.T) {
-	var windows []string
-	_, err := StreamRunContext(context.Background(), "cactus", Config{Procs: 8, Steps: 3}, func(d *ipm.Delta) {
-		windows = append(windows, d.Window)
-	})
+	p, err := ProfileRun("cactus", Config{Procs: 8, Steps: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	deltas, err := ipm.SplitDeltas(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var windows, regions []string
+	for _, d := range deltas {
+		windows = append(windows, d.Window)
+		if d.Window != "" {
+			regions = append(regions, d.Window)
+		}
+	}
 	want := []string{"init", "step000", "step001", "step002"}
-	if len(windows) < len(want) {
-		t.Fatalf("got %d windows %v, want at least %v", len(windows), windows, want)
+	if len(regions) != len(want) {
+		t.Fatalf("got region windows %v, want %v (full order %q)", regions, want, windows)
 	}
 	for i, w := range want {
-		if windows[i] != w {
-			t.Fatalf("window %d = %q, want %q (full order %v)", i, windows[i], w, windows)
+		if regions[i] != w {
+			t.Fatalf("region window %d = %q, want %q (full order %q)", i, regions[i], w, windows)
 		}
 	}
-	for _, w := range windows[len(want):] {
-		if w != "" {
-			t.Fatalf("unexpected trailing window %q (full order %v)", w, windows)
-		}
+	if extra := len(windows) - len(regions); extra > 1 {
+		t.Fatalf("%d outside-region windows, want at most one (full order %q)", extra, windows)
 	}
 }
 

@@ -73,10 +73,3 @@ func BestProduct() float64 {
 	}
 	return best
 }
-
-// N12 returns the N½ metric for an interconnect: the message size below
-// which less than half the peak link performance is achieved, typically
-// half the bandwidth-delay product.
-func N12(ic Interconnect) float64 {
-	return ic.Product() / 2
-}

@@ -29,9 +29,6 @@ func TestProductArithmetic(t *testing.T) {
 	if p := ic.Product(); p != 2000 {
 		t.Errorf("product %g, want 2000 bytes", p)
 	}
-	if n := N12(ic); n != 1000 {
-		t.Errorf("N1/2 %g, want 1000", n)
-	}
 }
 
 func TestBestProductNearTarget(t *testing.T) {

@@ -4,10 +4,7 @@
 // switch-port count per processor grows as 1 + 2(L−1).
 package fattree
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Tree describes a fat-tree sized for a processor count.
 type Tree struct {
@@ -66,12 +63,6 @@ func (t Tree) MaxSwitchHops() int {
 	return 4*t.Layers - 3
 }
 
-// WorstCaseLatency is the switching latency of the worst-case route given
-// a per-switch latency.
-func (t Tree) WorstCaseLatency(perSwitch float64) float64 {
-	return float64(t.MaxSwitchHops()) * perSwitch
-}
-
 // Cost is the fabric cost: total ports × cost per packet-switch port.
 func (t Tree) Cost(portCost float64) float64 {
 	return float64(t.TotalPorts()) * portCost
@@ -81,10 +72,4 @@ func (t Tree) Cost(portCost float64) float64 {
 func (t Tree) String() string {
 	return fmt.Sprintf("fat-tree radix=%d layers=%d procs=%d ports/proc=%d switches=%d",
 		t.Radix, t.Layers, t.Procs, t.PortsPerProc(), t.Switches())
-}
-
-// LayersFor returns the exact (possibly fractional) layer count needed for
-// procs processors at the given radix: log_{N/2}(procs/2).
-func LayersFor(procs, radix int) float64 {
-	return math.Log(float64(procs)/2) / math.Log(float64(radix)/2)
 }

@@ -96,16 +96,20 @@ func TestCostAndSwitches(t *testing.T) {
 	if tr.Cost(2) != float64(128*3*2) {
 		t.Errorf("cost %g", tr.Cost(2))
 	}
-	if got := tr.WorstCaseLatency(50e-9); math.Abs(got-float64(tr.MaxSwitchHops())*50e-9) > 1e-18 {
-		t.Errorf("latency %g", got)
-	}
 }
 
+// TestLayersFor holds Design to the closed form: the smallest L with
+// 2·(N/2)^L ≥ procs is ⌈log_{N/2}(procs/2)⌉, and never below one layer.
+// 128 at radix 16 sits exactly on a boundary (2·8² = 128).
 func TestLayersFor(t *testing.T) {
-	// log_{8}(2048/2) with radix 16 → log_8(1024) = 10/3.
-	got := LayersFor(2048, 16)
-	want := math.Log(1024) / math.Log(8)
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("LayersFor = %g, want %g", got, want)
+	for _, tc := range []struct{ procs, radix int }{{2, 4}, {5, 4}, {16, 8}, {64, 16}, {128, 16}, {2048, 16}, {4096, 8}} {
+		tr, err := Design(tc.procs, tc.radix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact := math.Log(float64(tc.procs)/2) / math.Log(float64(tc.radix)/2)
+		if want := max(1, int(math.Ceil(exact-1e-9))); tr.Layers != want {
+			t.Errorf("Design(%d, %d) has %d layers, want ⌈%.3f⌉ = %d", tc.procs, tc.radix, tr.Layers, exact, want)
+		}
 	}
 }

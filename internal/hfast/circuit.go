@@ -6,14 +6,12 @@ import (
 )
 
 // CircuitSwitch models the passive crossbar: a set of ports, each wired to
-// at most one other port by the external control plane. Reconfigurations
-// are counted (and, in the paper's MEMS hardware, cost milliseconds), but
-// a configured circuit adds essentially no forwarding latency.
+// at most one other port by the external control plane. A configured
+// circuit adds essentially no forwarding latency; what a reconfiguration
+// costs (milliseconds in the paper's MEMS hardware) is Fabric's to count.
 type CircuitSwitch struct {
-	ports   int
-	peer    []int // peer[p] = q when p↔q, -1 when dark
-	moves   int   // total port (dis)connections performed
-	batches int   // reconfiguration events
+	ports int
+	peer  []int // peer[p] = q when p↔q, -1 when dark
 }
 
 // NewCircuitSwitch creates a crossbar with the given port count, all dark.
@@ -58,28 +56,8 @@ func (cs *CircuitSwitch) Connect(a, b int) error {
 		return fmt.Errorf("hfast: port already lit (a=%d→%d, b=%d→%d)", a, cs.peer[a], b, cs.peer[b])
 	}
 	cs.peer[a], cs.peer[b] = b, a
-	cs.moves++
 	return nil
 }
-
-// Disconnect darkens the circuit at port p (no-op when already dark).
-func (cs *CircuitSwitch) Disconnect(p int) {
-	cs.check(p)
-	q := cs.peer[p]
-	if q == -1 {
-		return
-	}
-	cs.peer[p], cs.peer[q] = -1, -1
-	cs.moves++
-}
-
-// BeginBatch marks one reconfiguration event: in hardware, all moves until
-// the next batch settle within a single switch settling time.
-func (cs *CircuitSwitch) BeginBatch() { cs.batches++ }
-
-// Moves and Batches report reconfiguration effort.
-func (cs *CircuitSwitch) Moves() int   { return cs.moves }
-func (cs *CircuitSwitch) Batches() int { return cs.batches }
 
 // LitPorts returns the number of connected ports.
 func (cs *CircuitSwitch) LitPorts() int {
@@ -149,7 +127,6 @@ func Wire(a *Assignment) (*Wiring, error) {
 		PartnerPort:    make([][]int, a.P),
 		PartnerDepthOf: make([][]int, a.P),
 	}
-	cs.BeginBatch()
 	next := 0
 	for i := 0; i < a.P; i++ {
 		w.BlockBase[i] = next

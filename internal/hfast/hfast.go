@@ -88,12 +88,6 @@ func BlocksForDegree(deg, blockSize int) int {
 	return (deg - 1 + per - 1) / per
 }
 
-// maxTwoLevel is the largest partner count a root block plus direct child
-// blocks can expose before a third tree level is needed.
-func maxTwoLevel(blockSize int) int {
-	return (blockSize - 1) + (blockSize-1)*(blockSize-2)
-}
-
 // maxTreeLevels bounds the depth of any block tree: every level holds at
 // least twice the slots of the one above it (blockSize ≥ 3), so no degree
 // an int can express needs more.

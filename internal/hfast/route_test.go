@@ -9,6 +9,12 @@ import (
 	"github.com/hfast-sim/hfast/internal/topology"
 )
 
+// maxTwoLevel is the largest partner count a root block plus direct child
+// blocks can expose before a third tree level is needed.
+func maxTwoLevel(blockSize int) int {
+	return (blockSize - 1) + (blockSize-1)*(blockSize-2)
+}
+
 // checkRoutes holds MaxRoute to two independent readings of the same
 // fabric: the maximum over all pairs of Assignment.Route (the analytic
 // model, one PartnerDepth per endpoint) and of Wiring.Route (the depths of

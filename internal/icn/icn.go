@@ -149,14 +149,3 @@ func (n *Network) Contract(g *topology.Graph, cutoff int) Contraction {
 	c.Fits = c.Max <= n.K
 	return c
 }
-
-// Embeddable reports whether the application graph embeds in an ICN of
-// block size k without oversubscription, under the greedy partition.
-func Embeddable(g *topology.Graph, cutoff, k int) (bool, error) {
-	n, err := Partition(g, cutoff, k)
-	if err != nil {
-		return false, err
-	}
-	c := n.Contract(g, cutoff)
-	return c.Fits && c.OversubscribedEdges == 0, nil
-}

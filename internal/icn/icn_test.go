@@ -79,14 +79,10 @@ func TestHighDegreeHubBreaksICN(t *testing.T) {
 	for j := 1; j < 64; j++ {
 		g.AddTraffic(0, j, 1, 1<<20, 1<<20)
 	}
-	ok, err := Embeddable(g, 0, 4)
+	n, err := Partition(g, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok {
-		t.Error("63-degree hub reported embeddable in k=4 ICN")
-	}
-	n, _ := Partition(g, 0, 4)
 	c := n.Contract(g, 0)
 	if c.Fits {
 		t.Errorf("contraction max %d reported fitting k=4", c.Max)
@@ -116,10 +112,6 @@ func TestIntraBlockTrafficFree(t *testing.T) {
 	c := n.Contract(g, 0)
 	if c.Max != 0 || c.OversubscribedEdges != 0 || !c.Fits {
 		t.Errorf("disjoint cliques should contract to isolated blocks: %+v", c)
-	}
-	ok, _ := Embeddable(g, 0, 4)
-	if !ok {
-		t.Error("disjoint 4-cliques must embed in k=4 ICN")
 	}
 }
 

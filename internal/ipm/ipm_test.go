@@ -420,7 +420,8 @@ func TestCommTimeAttribution(t *testing.T) {
 	if total <= 0 {
 		t.Fatal("no communication time attributed")
 	}
-	byCall := p.TimeByCall(AllRegions)
+	byCall := make(map[mpi.Call]float64)
+	p.Visit(AllRegions, func(_ int, e Entry) { byCall[e.Key.Call] += e.Stat.Time })
 	// The 1MB transfer dominates: the receive (which blocks for it) and
 	// the send (occupancy) should each exceed the allreduce time.
 	m := mpi.DefaultCostModel()

@@ -231,15 +231,6 @@ func (p *Profile) CommTime(filter RegionFilter) float64 {
 	return t
 }
 
-// TimeByCall aggregates modeled communication time per call type.
-func (p *Profile) TimeByCall(filter RegionFilter) map[mpi.Call]float64 {
-	out := make(map[mpi.Call]float64)
-	p.Visit(filter, func(_ int, e Entry) {
-		out[e.Key.Call] += e.Stat.Time
-	})
-	return out
-}
-
 // WriteJSON serializes the profile in the versioned wire format (see
 // wirewrite.go). It does not modify p — a zero Version is written as
 // SchemaVersion — so one profile may be written from several goroutines.

@@ -25,19 +25,12 @@ type DeltaSplitter struct {
 	err        error // what the reader ended with; fill repeats it
 }
 
-// NewDeltaSplitter returns a splitter reading from r. A positive
-// sizeHint, such as a request's Content-Length, sizes the buffer so a
-// stream of that many bytes is read without growing it.
-func NewDeltaSplitter(r io.Reader, sizeHint int) *DeltaSplitter {
-	s := new(DeltaSplitter)
-	s.Reset(r, sizeHint)
-	return s
-}
-
 // Reset points the splitter, which may be a zero DeltaSplitter, at a new
-// stream as NewDeltaSplitter would, keeping the buffer it has unless
-// sizeHint asks for a larger one. The bytes earlier calls to Next
-// returned are overwritten from here on.
+// stream read from r, keeping the buffer it has unless sizeHint asks for
+// a larger one: a positive sizeHint, such as a request's Content-Length,
+// sizes the buffer so a stream of that many bytes is read without growing
+// it. The bytes earlier calls to Next returned are overwritten from here
+// on.
 func (s *DeltaSplitter) Reset(r io.Reader, sizeHint int) {
 	s.r, s.start, s.end, s.cand, s.err = r, 0, 0, 0, nil
 	if sizeHint > 0 && sizeHint >= len(s.buf) {

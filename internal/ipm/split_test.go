@@ -12,6 +12,14 @@ import (
 	"testing/iotest"
 )
 
+// newDeltaSplitter is a fresh splitter on r, as the server's pool hands
+// out: a zero DeltaSplitter Reset onto the stream.
+func newDeltaSplitter(r io.Reader, sizeHint int) *DeltaSplitter {
+	s := new(DeltaSplitter)
+	s.Reset(r, sizeHint)
+	return s
+}
+
 // splitAll drains a splitter, copying each object out of its buffer.
 func splitAll(s *DeltaSplitter) ([][]byte, error) {
 	var out [][]byte
@@ -68,10 +76,10 @@ func TestDeltaSplitterYieldsEncodedDeltas(t *testing.T) {
 		want = append(want, bytes.TrimSpace(body.Bytes()[at:]))
 	}
 	for name, s := range map[string]*DeltaSplitter{
-		"bulk":     NewDeltaSplitter(bytes.NewReader(body.Bytes()), 0),
-		"hinted":   NewDeltaSplitter(bytes.NewReader(body.Bytes()), body.Len()),
-		"one byte": NewDeltaSplitter(iotest.OneByteReader(bytes.NewReader(body.Bytes())), 0),
-		"short":    NewDeltaSplitter(iotest.DataErrReader(bytes.NewReader(body.Bytes())), 16),
+		"bulk":     newDeltaSplitter(bytes.NewReader(body.Bytes()), 0),
+		"hinted":   newDeltaSplitter(bytes.NewReader(body.Bytes()), body.Len()),
+		"one byte": newDeltaSplitter(iotest.OneByteReader(bytes.NewReader(body.Bytes())), 0),
+		"short":    newDeltaSplitter(iotest.DataErrReader(bytes.NewReader(body.Bytes())), 16),
 	} {
 		got, err := splitAll(s)
 		if err != nil {
@@ -154,7 +162,7 @@ func TestDeltaSplitterLexing(t *testing.T) {
 		{in: `}`, err: "want '{'"},
 	} {
 		for _, r := range []io.Reader{strings.NewReader(tc.in), iotest.OneByteReader(strings.NewReader(tc.in))} {
-			got, err := splitAll(NewDeltaSplitter(r, 0))
+			got, err := splitAll(newDeltaSplitter(r, 0))
 			if len(got) != len(tc.want) {
 				t.Fatalf("%q: %d objects, want %d", tc.in, len(got), len(tc.want))
 			}
@@ -184,7 +192,7 @@ func TestDeltaSplitterReadError(t *testing.T) {
 		want error
 	}{{iotest.ErrReader(boom), boom}, {stuckReader{}, io.ErrNoProgress}} {
 		r := io.MultiReader(strings.NewReader(`{"a":1}{"b"`), tc.tail)
-		got, err := splitAll(NewDeltaSplitter(r, 0))
+		got, err := splitAll(newDeltaSplitter(r, 0))
 		if len(got) != 1 || !errors.Is(err, tc.want) {
 			t.Fatalf("got %d objects and %v, want 1 and %v", len(got), err, tc.want)
 		}
@@ -248,7 +256,7 @@ func FuzzDeltaSplit(f *testing.F) {
 		if len(body)%2 == 1 {
 			r = iotest.OneByteReader(r)
 		}
-		split := NewDeltaSplitter(r, len(body)%5)
+		split := newDeltaSplitter(r, len(body)%5)
 		dec := json.NewDecoder(bytes.NewReader(body))
 		for i := 0; ; i++ {
 			var want json.RawMessage
@@ -343,7 +351,7 @@ func TestDeltaSplitterCandidate(t *testing.T) {
 			if oneByte {
 				r = iotest.OneByteReader(r)
 			}
-			s := NewDeltaSplitter(r, 0)
+			s := newDeltaSplitter(r, 0)
 			if got := string(s.Candidate()); got != tc.cand {
 				t.Fatalf("%.60q: candidate %.60q, want %.60q", tc.in, got, tc.cand)
 			}
@@ -394,7 +402,7 @@ func TestDeltaSplitterCandidateReadsNoFurther(t *testing.T) {
 			if oneByte {
 				r = iotest.OneByteReader(r)
 			}
-			if cand := NewDeltaSplitter(r, hint).Candidate(); !bytes.Equal(cand, d) {
+			if cand := newDeltaSplitter(r, hint).Candidate(); !bytes.Equal(cand, d) {
 				t.Fatalf("one byte %v, hint %d: candidate %.60q, want the delta", oneByte, hint, cand)
 			}
 		}
@@ -426,7 +434,7 @@ func (r *flakyReader) Read(p []byte) (int, error) {
 // that fails is not asked again.
 func TestDeltaSplitterCandidateKeepsReadError(t *testing.T) {
 	boom := errors.New("boom")
-	s := NewDeltaSplitter(&flakyReader{halves: [2]string{`{"Version":2,"Ranks":[`, `]}`}, err: boom}, 0)
+	s := newDeltaSplitter(&flakyReader{halves: [2]string{`{"Version":2,"Ranks":[`, `]}`}, err: boom}, 0)
 	if cand := s.Candidate(); cand != nil {
 		t.Fatalf("candidate %q from a stream that failed before its closer", cand)
 	}
@@ -479,7 +487,7 @@ func FuzzDeltaFraming(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		want, werr := splitAll(NewDeltaSplitter(bytes.NewReader(body), 0))
+		want, werr := splitAll(newDeltaSplitter(bytes.NewReader(body), 0))
 		verify := func(cand []byte) bool {
 			ok := json.Valid(cand)
 			if _, err := DecodeDelta(cand); err == nil && !ok {
@@ -488,7 +496,7 @@ func FuzzDeltaFraming(f *testing.F) {
 			return ok
 		}
 		for _, r := range []io.Reader{bytes.NewReader(body), iotest.OneByteReader(bytes.NewReader(body))} {
-			got, _, gerr := frameAll(NewDeltaSplitter(r, len(body)%5), verify)
+			got, _, gerr := frameAll(newDeltaSplitter(r, len(body)%5), verify)
 			if len(got) != len(want) {
 				t.Fatalf("%d cuts, Next alone makes %d", len(got), len(want))
 			}

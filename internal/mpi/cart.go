@@ -49,9 +49,6 @@ func (c *Comm) CartCreate(dims []int, periods []bool, reorder bool) (*Cart, erro
 // Dims returns the grid extents.
 func (ct *Cart) Dims() []int { return append([]int(nil), ct.dims...) }
 
-// Periods returns the per-dimension wraparound flags.
-func (ct *Cart) Periods() []bool { return append([]bool(nil), ct.periods...) }
-
 // Coords returns the Cartesian coordinates of a rank.
 func (ct *Cart) Coords(rank int) []int {
 	ct.checkRank(rank)

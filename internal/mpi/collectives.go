@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 )
 
@@ -21,9 +20,6 @@ const (
 	tagReduce  Tag = 3 << 20
 	tagGather  Tag = 4 << 20
 	tagRing    Tag = 5 << 20
-	tagPair    Tag = 6 << 20
-	tagScatter Tag = 7 << 20
-	tagScan    Tag = 8 << 20
 )
 
 func encodeFloats(vals []float64) []byte {
@@ -131,16 +127,6 @@ func (c *Comm) reduce(ctx int64, root int, vals []float64, op Op) []float64 {
 	return acc
 }
 
-// Reduce combines vals element-wise across ranks with op. The root rank
-// receives the result; every other rank receives nil.
-func (c *Comm) Reduce(root int, vals []float64, op Op) []float64 {
-	ctx := c.collCtx()
-	res := c.reduce(ctx, root, vals, op)
-	c.collAdvance(CallReduce, 8*len(vals))
-	c.trace(CallReduce, c.group[root], 8*len(vals))
-	return res
-}
-
 // Allreduce combines vals element-wise across ranks with op and returns
 // the result on every rank.
 func (c *Comm) Allreduce(vals []float64, op Op) []float64 {
@@ -197,139 +183,4 @@ func (c *Comm) ring(ctx int64, b Buf, got func(src int, piece Buf)) {
 		b = Buf{N: st.N, Data: st.Data}
 		got((r-i+n)%n, b)
 	}
-}
-
-// Allgather collects one buffer from every rank on every rank, indexed by
-// comm rank.
-func (c *Comm) Allgather(b Buf) []Buf {
-	ctx := c.collCtx()
-	res := make([]Buf, len(c.group))
-	res[c.rank] = b
-	c.ring(ctx, b, func(src int, piece Buf) { res[src] = piece })
-	c.collAdvance(CallAllgather, b.N)
-	c.trace(CallAllgather, NoPeer, b.N)
-	return res
-}
-
-// Scatter distributes bufs[r] from root to each rank r, returning the
-// caller's piece. Only root's bufs argument is consulted.
-func (c *Comm) Scatter(root int, bufs []Buf) Buf {
-	ctx := c.collCtx()
-	c.checkRank(root)
-	var mine Buf
-	if c.rank == root {
-		if len(bufs) != len(c.group) {
-			// Asserts a programmer error: root needs one buffer per rank.
-			panic(fmt.Sprintf("mpi: Scatter needs %d buffers, got %d", len(c.group), len(bufs)))
-		}
-		mine = bufs[root]
-		for r := 0; r < len(c.group); r++ {
-			if r == root {
-				continue
-			}
-			c.sendRaw(r, tagScatter+Tag(r), ctx, bufs[r])
-		}
-	} else {
-		st := c.recvWait(root, tagScatter+Tag(c.rank), ctx)
-		mine = Buf{N: st.N, Data: st.Data}
-	}
-	c.collAdvance(CallScatter, mine.N)
-	c.trace(CallScatter, c.group[root], mine.N)
-	return mine
-}
-
-// alltoall exchanges bufs pairwise as the given call: rank r sends bufs[d]
-// to d and returns the pieces received, indexed by source rank.
-func (c *Comm) alltoall(call Call, bufs []Buf) []Buf {
-	ctx := c.collCtx()
-	n := len(c.group)
-	if len(bufs) != n {
-		// Asserts a programmer error: one buffer per rank, each way.
-		panic(fmt.Sprintf("mpi: Alltoall needs %d buffers, got %d", n, len(bufs)))
-	}
-	r := c.rank
-	res := make([]Buf, n)
-	res[r] = bufs[r]
-	total := bufs[r].N
-	for i := 1; i < n; i++ {
-		dst := (r + i) % n
-		src := (r - i + n) % n
-		req := c.recvRaw(src, tagPair+Tag(i), ctx)
-		c.sendRaw(dst, tagPair+Tag(i), ctx, bufs[dst])
-		st := c.waitFree(req)
-		res[src] = Buf{N: st.N, Data: st.Data}
-		total += bufs[dst].N
-	}
-	c.collAdvance(call, total/n)
-	c.trace(call, NoPeer, total)
-	return res
-}
-
-// Alltoall performs an all-to-all personalized exchange of equal-size
-// pieces.
-func (c *Comm) Alltoall(bufs []Buf) []Buf { return c.alltoall(CallAlltoall, bufs) }
-
-// Alltoallv performs an all-to-all personalized exchange where each piece
-// may have a different size (including zero).
-func (c *Comm) Alltoallv(bufs []Buf) []Buf { return c.alltoall(CallAlltoallv, bufs) }
-
-// Scan computes the inclusive prefix reduction: rank r receives
-// op(vals₀, …, valsᵣ). Implemented as a rank chain, which matches the
-// operation's inherent dependence structure.
-func (c *Comm) Scan(vals []float64, op Op) []float64 {
-	ctx := c.collCtx()
-	acc := append([]float64(nil), vals...)
-	if c.rank > 0 {
-		st := c.recvWait(c.rank-1, tagScan, ctx)
-		op.apply(acc, st.Data)
-	}
-	if c.rank+1 < len(c.group) {
-		c.sendRaw(c.rank+1, tagScan, ctx, Data(encodeFloats(acc)))
-	}
-	c.collAdvance(CallScan, 8*len(vals))
-	c.trace(CallScan, NoPeer, 8*len(vals))
-	return acc
-}
-
-// ReduceScatter reduces vals element-wise across ranks and scatters the
-// result: rank r receives the slice of length counts[r] beginning at
-// sum(counts[:r]). The counts must sum to len(vals) and be identical on
-// every rank.
-func (c *Comm) ReduceScatter(vals []float64, counts []int, op Op) []float64 {
-	// The three checks below assert programmer errors: counts must name
-	// every rank, none negative, and tile vals exactly.
-	if len(counts) != len(c.group) {
-		panic(fmt.Sprintf("mpi: ReduceScatter needs %d counts, got %d", len(c.group), len(counts)))
-	}
-	total := 0
-	for _, n := range counts {
-		if n < 0 {
-			panic("mpi: ReduceScatter negative count")
-		}
-		total += n
-	}
-	if total != len(vals) {
-		panic(fmt.Sprintf("mpi: ReduceScatter counts sum to %d but vector has %d", total, len(vals)))
-	}
-	ctx := c.collCtx()
-	full := c.reduce(ctx, 0, vals, op)
-	var mine Buf
-	if c.rank == 0 {
-		offset := 0
-		bufs := make([]Buf, len(c.group))
-		for r, n := range counts {
-			bufs[r] = Data(encodeFloats(full[offset : offset+n]))
-			offset += n
-		}
-		mine = bufs[0]
-		for r := 1; r < len(c.group); r++ {
-			c.sendRaw(r, tagScatter, ctx, bufs[r])
-		}
-	} else {
-		st := c.recvWait(0, tagScatter, ctx)
-		mine = Buf{N: st.N, Data: st.Data}
-	}
-	c.collAdvance(CallReduceScatter, 8*len(vals))
-	c.trace(CallReduceScatter, NoPeer, 8*len(vals))
-	return decodeFloats(mine.Data)
 }

@@ -50,12 +50,14 @@ func TestBcastAllSizesAllRoots(t *testing.T) {
 	})
 }
 
+// TestReduceSum drives the binomial-tree reduce Allreduce runs at root 0
+// to other roots as well, so every tree shape is checked.
 func TestReduceSum(t *testing.T) {
 	forSizes(t, func(t *testing.T, p int) {
 		run(t, p, func(c *Comm) {
 			for root := 0; root < c.Size(); root += 1 + c.Size()/3 {
 				vals := []float64{float64(c.Rank()), 1}
-				res := c.Reduce(root, vals, OpSum)
+				res := c.reduce(c.collCtx(), root, vals, OpSum)
 				if c.Rank() == root {
 					n := float64(c.Size())
 					wantSum := n * (n - 1) / 2
@@ -117,11 +119,10 @@ func TestReductionsLeaveValsAlone(t *testing.T) {
 			}
 			for root := 0; root < c.Size(); root++ {
 				vals := []float64{me, 1}
-				check(fmt.Sprintf("Reduce to %d", root), vals, c.Reduce(root, vals, OpSum))
+				check(fmt.Sprintf("reduce to %d", root), vals, c.reduce(c.collCtx(), root, vals, OpSum))
 			}
 			vals := []float64{me, 1}
 			check("Allreduce", vals, c.Allreduce(vals, OpSum))
-			check("Scan", vals, c.Scan(vals, OpSum))
 		})
 	})
 }
@@ -147,72 +148,17 @@ func TestGather(t *testing.T) {
 	})
 }
 
+// TestAllgather checks the ring allgather Split runs: every rank hands
+// every other rank's piece to its callback, named by its source.
 func TestAllgather(t *testing.T) {
 	forSizes(t, func(t *testing.T, p int) {
 		run(t, p, func(c *Comm) {
-			res := c.Allgather(Data([]byte{byte(c.Rank()), byte(c.Rank() + 1)}))
-			if len(res) != c.Size() {
-				panic("allgather result wrong length")
-			}
+			res := make([]Buf, c.Size())
+			res[c.Rank()] = Data([]byte{byte(c.Rank()), byte(c.Rank() + 1)})
+			c.ring(c.collCtx(), res[c.Rank()], func(src int, piece Buf) { res[src] = piece })
 			for r, b := range res {
 				if b.N != 2 || b.Data[0] != byte(r) || b.Data[1] != byte(r+1) {
 					panic(fmt.Sprintf("allgather slot %d: %v", r, b.Data))
-				}
-			}
-		})
-	})
-}
-
-func TestScatter(t *testing.T) {
-	forSizes(t, func(t *testing.T, p int) {
-		run(t, p, func(c *Comm) {
-			root := 0
-			var bufs []Buf
-			if c.Rank() == root {
-				bufs = make([]Buf, c.Size())
-				for r := range bufs {
-					bufs[r] = Data([]byte{byte(r * 2)})
-				}
-			}
-			mine := c.Scatter(root, bufs)
-			if mine.N != 1 || mine.Data[0] != byte(c.Rank()*2) {
-				panic(fmt.Sprintf("scatter piece %v", mine.Data))
-			}
-		})
-	})
-}
-
-func TestAlltoall(t *testing.T) {
-	forSizes(t, func(t *testing.T, p int) {
-		run(t, p, func(c *Comm) {
-			n := c.Size()
-			bufs := make([]Buf, n)
-			for d := range bufs {
-				bufs[d] = Data([]byte{byte(c.Rank()), byte(d)})
-			}
-			res := c.Alltoall(bufs)
-			for s, b := range res {
-				if b.Data[0] != byte(s) || b.Data[1] != byte(c.Rank()) {
-					panic(fmt.Sprintf("alltoall from %d: %v", s, b.Data))
-				}
-			}
-		})
-	})
-}
-
-func TestAlltoallvVariableSizes(t *testing.T) {
-	forSizes(t, func(t *testing.T, p int) {
-		run(t, p, func(c *Comm) {
-			n := c.Size()
-			bufs := make([]Buf, n)
-			for d := range bufs {
-				bufs[d] = Size((c.Rank() + 1) * (d + 1))
-			}
-			res := c.Alltoallv(bufs)
-			for s, b := range res {
-				want := (s + 1) * (c.Rank() + 1)
-				if b.N != want {
-					panic(fmt.Sprintf("alltoallv from %d: got %d want %d", s, b.N, want))
 				}
 			}
 		})

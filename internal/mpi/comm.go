@@ -304,21 +304,6 @@ func (c *Comm) Waitany(reqs []*Request) (int, Status) {
 	return i, st
 }
 
-// Test reports whether req has completed; if it has, the returned status is
-// valid and req is consumed. A completed receive merges the message's
-// arrival time into the rank's virtual clock, exactly as the Wait family
-// does — a rank that polls with Test must not observe a stale clock. A
-// failed Test lets every runnable rank run before it returns.
-func (c *Comm) Test(req *Request) (bool, Status) {
-	c.trace(CallTest, NoPeer, 0)
-	st, done := req.poll()
-	if !done {
-		c.rs.pollLater()
-		return false, Status{}
-	}
-	return true, c.finish(req, st)
-}
-
 func (c *Comm) peerWorldOrAny(src int) int {
 	if src == AnySource {
 		return NoPeer

@@ -4,6 +4,13 @@
 // matching, nonblocking requests, and the collective operations used by the
 // application skeletons in internal/apps.
 //
+// The surface is what those skeletons call, and no more: Send, Recv,
+// Sendrecv, Isend and Irecv with Wait, Waitall and Waitany; Barrier,
+// Bcast, Allreduce and Gather; Split, Dup and CartCreate. A call none of
+// them makes (Test, Probe, Scan, Alltoall, …) comes back with its first
+// caller. The Call enum still names every MPI function an IPM profile may
+// record, since uploaded profiles use that vocabulary.
+//
 // The runtime exists so that the IPM-style profiling layer (internal/ipm)
 // can observe the exact sequence of communication calls an application
 // makes — call types, buffer sizes, and partner ranks — which is the data
@@ -27,13 +34,12 @@
 //   - Sends use eager delivery: a send completes locally as soon as the
 //     envelope is enqueued at the destination, like a buffered MPI send
 //     (above WithEagerLimit, when the matching receive is posted).
-//   - Completion consumes a request, as MPI_Wait frees one: Wait, Waitall,
-//     the request Waitany returns and a successful Test hand the handle
-//     back to the rank, and a later Isend/Irecv reissues it. Touching a
-//     handle after that panics ("mpi: request used after Wait") until it
-//     is reissued. Waitall's statuses belong to the rank until its next
-//     Waitall, so a steady-state exchange loop allocates nothing, under
-//     Wait or Waitall.
+//   - Completion consumes a request, as MPI_Wait frees one: Wait, Waitall
+//     and the request Waitany returns hand the handle back to the rank,
+//     and a later Isend/Irecv reissues it. Touching a handle after that
+//     panics ("mpi: request used after Wait") until it is reissued.
+//     Waitall's statuses belong to the rank until its next Waitall, so a
+//     steady-state exchange loop allocates nothing, under Wait or Waitall.
 //   - Collectives must be called by every rank of a communicator in the
 //     same order; they are internally implemented over a reserved context
 //     namespace so they can never match user point-to-point traffic.
@@ -100,7 +106,7 @@ type Status struct {
 	VTime float64
 }
 
-// Op is a reduction operator for Reduce and Allreduce.
+// Op is a reduction operator for Allreduce.
 type Op int
 
 // Reduction operators.

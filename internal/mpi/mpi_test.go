@@ -197,27 +197,6 @@ func TestWaitany(t *testing.T) {
 	})
 }
 
-func TestTest(t *testing.T) {
-	run(t, 2, func(c *Comm) {
-		switch c.Rank() {
-		case 0:
-			req := c.Irecv(1, 4)
-			// Busy-poll until the message lands.
-			for {
-				ok, st := c.Test(req)
-				if ok {
-					if st.N != 17 {
-						panic(fmt.Sprintf("bad size %d", st.N))
-					}
-					return
-				}
-			}
-		case 1:
-			c.Send(0, 4, Size(17))
-		}
-	})
-}
-
 func TestSendrecvRing(t *testing.T) {
 	run(t, 5, func(c *Comm) {
 		n := c.Size()
@@ -287,35 +266,29 @@ func TestDeadlockIsDetected(t *testing.T) {
 		t.Errorf("deadlock error %q names rank 1, which finished", err)
 	}
 
-	// A blocked Probe and a receive inside a collective are named too, and
-	// a context that can be cancelled but is not changes nothing.
+	// A receive inside a collective is named too, and a context that can
+	// be cancelled but is not changes nothing.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	err = NewWorld(2, WithTimeout(testTimeout)).RunContext(ctx, func(c *Comm) {
-		if c.Rank() == 0 {
-			c.Probe(1, 3)
-		} else {
+		if c.Rank() == 1 {
 			c.Dup().Barrier()
 		}
 	})
-	for _, want := range []string{"rank 0 waits on probe(peer 1, tag 3, comm 0)", "rank 1 waits on recv(peer 0, ", "inside collective 1)"} {
+	for _, want := range []string{"rank 1 waits on recv(peer 0, ", "inside collective 1)"} {
 		if !errors.Is(err, ErrDeadlock) || !strings.Contains(err.Error(), want) {
 			t.Errorf("deadlock error %q does not say %q", err, want)
 		}
 	}
 }
 
-// TestTimeoutWhileRunning keeps ErrTimeout covered: a rank that spins on
-// Test for a message nobody sends is still running when the timer fires.
+// TestTimeoutWhileRunning keeps ErrTimeout covered: two ranks that trade
+// messages forever are still running when the timer fires.
 func TestTimeoutWhileRunning(t *testing.T) {
 	w := NewWorld(2, WithTimeout(50*time.Millisecond))
 	err := w.Run(func(c *Comm) {
-		if c.Rank() == 0 {
-			for req := c.Irecv(1, 1); ; {
-				if ok, _ := c.Test(req); ok {
-					panic("Test completed a receive nobody sent")
-				}
-			}
+		for peer := 1 - c.Rank(); ; {
+			c.Sendrecv(peer, 1, Size(8), peer, 1)
 		}
 	})
 	if err != ErrTimeout {
@@ -505,15 +478,16 @@ func TestRendezvousCompletes(t *testing.T) {
 
 func TestRendezvousIsend(t *testing.T) {
 	w := NewWorld(2, WithTimeout(testTimeout), WithEagerLimit(1024))
+	posted := false
 	err := w.Run(func(c *Comm) {
 		switch c.Rank() {
 		case 0:
-			req := c.Isend(1, 1, Size(1<<20))
-			if req.Done() {
+			c.Wait(c.Isend(1, 1, Size(1<<20))) // completes once rank 1 posts
+			if !posted {
 				panic("rendezvous isend completed before the receive was posted")
 			}
-			c.Wait(req) // completes once rank 1 posts
 		case 1:
+			posted = true
 			c.Recv(0, 1)
 		}
 	})

@@ -22,45 +22,6 @@ func waitForGoroutines(t *testing.T, before int) {
 	}
 }
 
-// TestPollersDoNotStarveTheWorld: ranks 0 and 1 spin on Test and Iprobe
-// for messages rank 2 sends only after it has received from both. A poller
-// re-queued at its own clock would be the minimum of the ready heap forever
-// (a failed poll does not advance the clock) and rank 2 would never run;
-// the poller FIFO is served only when nothing else can.
-func TestPollersDoNotStarveTheWorld(t *testing.T) {
-	polls := [2]int{}
-	w := NewWorld(3, WithTimeout(testTimeout), WithCostModel(DefaultCostModel()))
-	err := w.Run(func(c *Comm) {
-		switch me := c.Rank(); me {
-		case 0:
-			req := c.Irecv(2, 1)
-			c.Send(2, 0, Size(8))
-			for done := false; !done; polls[me]++ {
-				done, _ = c.Test(req)
-			}
-		case 1:
-			c.Send(2, 0, Size(8))
-			for done := false; !done; polls[me]++ {
-				done, _ = c.Iprobe(2, 1)
-			}
-			c.Recv(2, 1)
-		case 2:
-			c.Recv(0, 0)
-			c.Recv(1, 0)
-			c.Send(0, 1, Size(8))
-			c.Send(1, 1, Size(8))
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The schedule is a function of the program: one failed poll each, then
-	// rank 2 runs to completion, then both succeed.
-	if polls != [2]int{2, 2} {
-		t.Errorf("ranks 0 and 1 polled %v times, want [2 2] on every run", polls)
-	}
-}
-
 // TestRankPanicNamesRankAndUnwinds: a rank that panics mid-run — its peers
 // parked on traffic it will now never send — yields an error naming that
 // rank, the panic value and the stack it panicked on; every other rank is
@@ -101,7 +62,8 @@ func explode() { panic("kaboom") }
 // Recv(AnySource) takes the earliest arrival among each source's oldest
 // message: sources in reverse, never the tiny message before the large one
 // of the same source. Without a cost model every arrival is 0 and the rule
-// is queue order. Iprobe sees what the next Recv takes.
+// is queue order. Every rank sends before it enters the Barrier, so rank 0
+// finds all six messages queued when it leaves.
 func TestAnySourceTakesEarliestArrival(t *testing.T) {
 	const large = 100_000
 	for _, tc := range []struct {
@@ -118,14 +80,9 @@ func TestAnySourceTakesEarliestArrival(t *testing.T) {
 			err := w.Run(func(c *Comm) {
 				me := c.Rank()
 				if me == 0 {
-					c.Recv(3, 9) // every message below is queued by now
+					c.Barrier()
 					for range tc.want {
-						ok, seen := c.Iprobe(AnySource, 1)
-						st := c.Recv(AnySource, 1)
-						if !ok || seen.Source != st.Source || seen.N != st.N {
-							panic(fmt.Sprintf("Iprobe saw %+v (%v), Recv took %+v", seen, ok, st))
-						}
-						got = append(got, st.N)
+						got = append(got, c.Recv(AnySource, 1).N)
 					}
 					return
 				}
@@ -133,9 +90,7 @@ func TestAnySourceTakesEarliestArrival(t *testing.T) {
 				c.Recv(me, 2)
 				c.Wait(c.Isend(0, 1, Size(large+me)))
 				c.Wait(c.Isend(0, 1, Size(me)))
-				if me == 3 {
-					c.Send(0, 9, Size(0))
-				}
+				c.Barrier()
 			})
 			if err != nil {
 				t.Fatal(err)

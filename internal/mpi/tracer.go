@@ -93,16 +93,6 @@ func (c Call) IsCollective() bool {
 	return false
 }
 
-// IsCompletion reports whether the call completes outstanding requests
-// (the MPI_Wait family) rather than initiating traffic.
-func (c Call) IsCompletion() bool {
-	switch c {
-	case CallWait, CallWaitall, CallWaitany, CallTest:
-		return true
-	}
-	return false
-}
-
 // NoPeer marks events without a specific partner rank.
 const NoPeer = -1
 

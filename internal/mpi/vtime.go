@@ -48,13 +48,9 @@ func (m CostModel) collectiveCost(call Call, bytes, n int) float64 {
 	switch call {
 	case CallBarrier:
 		return m.Overhead + rounds*m.Latency
-	case CallAllreduce, CallAllgather, CallReduceScatter:
+	case CallAllreduce:
 		return m.Overhead + 2*rounds*per
-	case CallAlltoall, CallAlltoallv:
-		return m.Overhead + float64(n-1)*per
-	case CallScan:
-		return m.Overhead + per // one chain hop at steady state
-	default: // Bcast, Reduce, Gather, Scatter
+	default: // Bcast, Gather
 		return m.Overhead + rounds*per
 	}
 }

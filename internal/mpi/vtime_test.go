@@ -103,10 +103,10 @@ func TestCollectiveCostScalesWithSize(t *testing.T) {
 	if m.collectiveCost(CallBarrier, 0, 1) != m.Overhead {
 		t.Error("single-rank collective should cost only overhead")
 	}
-	a2a := m.collectiveCost(CallAlltoall, 1024, 64)
+	ar := m.collectiveCost(CallAllreduce, 1024, 64)
 	bc := m.collectiveCost(CallBcast, 1024, 64)
-	if a2a <= bc {
-		t.Errorf("alltoall %g should exceed bcast %g", a2a, bc)
+	if ar <= bc {
+		t.Errorf("allreduce %g should exceed bcast %g", ar, bc)
 	}
 }
 
@@ -151,41 +151,6 @@ func TestEventTimestampsMonotone(t *testing.T) {
 	if events[len(events)-1].T == 0 {
 		t.Fatal("events carry no virtual time")
 	}
-}
-
-// TestTestObservesArrivalTime is a regression test: completing a receive
-// via polling Test must merge the message's arrival into the rank clock
-// exactly like Wait does, and translate the status source into comm
-// ranks. Before the fix, a rank that only ever polled ran with a stale
-// clock, skewing every downstream time attribution.
-func TestTestObservesArrivalTime(t *testing.T) {
-	m := DefaultCostModel()
-	runTimed(t, 2, func(c *Comm) {
-		switch c.Rank() {
-		case 0:
-			c.Send(1, 1, Size(1<<20))
-		case 1:
-			req := c.Irecv(0, 1)
-			var st Status
-			for {
-				done, s := c.Test(req)
-				if done {
-					st = s
-					break
-				}
-			}
-			minArrival := m.Latency + float64(1<<20)/m.Bandwidth
-			if st.VTime < minArrival {
-				panic(fmt.Sprintf("arrival %g before physical minimum %g", st.VTime, minArrival))
-			}
-			if st.Source != 0 {
-				panic(fmt.Sprintf("status source %d not translated to comm rank 0", st.Source))
-			}
-			if c.VirtualTime() < st.VTime {
-				panic("polling receiver's clock behind the message it received")
-			}
-		}
-	})
 }
 
 // TestSendrecvFromProcNullObservesArrival is a regression test for the

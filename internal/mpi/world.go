@@ -36,7 +36,7 @@ type envelope struct {
 	next    *envelope // links the world's free envelopes
 }
 
-// status is what a receive matching (or a probe seeing) the envelope reports.
+// status is what a receive matching the envelope reports.
 func (e *envelope) status() Status {
 	return Status{Source: e.src, Tag: e.tag, N: e.size, Data: e.data, VTime: e.arrival}
 }
@@ -104,12 +104,10 @@ func (q *ctxQueue) find(src int, tag Tag) int {
 	return best
 }
 
-// mailbox holds a rank's matching state, indexed by context, plus its
-// blocked Probe, if any (a rank blocks in one call at a time).
+// mailbox holds a rank's matching state, indexed by context.
 type mailbox struct {
-	ctxs   map[int64]*ctxQueue
-	prober *Request
-	free   *ctxQueue // retired queues, kept warm for later collectives
+	ctxs map[int64]*ctxQueue
+	free *ctxQueue // retired queues, kept warm for later collectives
 }
 
 // queue returns the context's queue, creating it if needed.
@@ -152,9 +150,8 @@ type World struct {
 	cost       *CostModel
 	eagerLimit int // messages above this rendezvous; 0 = everything eager
 
-	aborted atomic.Bool  // set by Abort; the scheduler checks it between switches
-	ready   readyQueue   // runnable ranks, lowest (virtual clock, world rank) first
-	pollers []*rankState // ranks whose Test/Iprobe/Done failed; run when ready is empty
+	aborted atomic.Bool // set by Abort; the scheduler checks it between switches
+	ready   readyQueue  // runnable ranks, lowest (virtual clock, world rank) first
 	freeEnv *envelope
 
 	commIDs  map[[3]int]int // (parent id, split sequence, color) -> id
@@ -207,8 +204,8 @@ var ErrTimeout = errors.New("mpi: world timed out")
 
 // ErrDeadlock is returned (wrapped, with what every unfinished rank waits
 // on) by Run as soon as no rank can run again: each is blocked on a
-// receive, a rendezvous send or a probe that only another blocked rank
-// could satisfy.
+// receive or a rendezvous send that only another blocked rank could
+// satisfy.
 var ErrDeadlock = errors.New("mpi: deadlock")
 
 // abortSignal is the panic value a suspended rank unwinds with when the
@@ -277,24 +274,15 @@ func (w *World) RunContext(ctx context.Context, fn func(*Comm)) error {
 			fn(c)
 		})
 	}
-	w.ready, w.pollers = append(w.ready[:0], ranks...), nil // all at clock 0: rank order is heap order
+	w.ready = append(w.ready[:0], ranks...) // all at clock 0: rank order is heap order
 
 	live := w.size
-	for live > 0 && !w.aborted.Load() {
-		var rs *rankState
-		if len(w.ready) > 0 {
-			rs = heap.Pop(&w.ready).(*rankState)
-		} else if len(w.pollers) > 0 {
-			rs = w.pollers[0]
-			w.pollers = slices.Delete(w.pollers, 0, 1)
-		} else {
-			break // nothing can ever run again
-		}
-		if _, more := rs.next(); !more {
+	for live > 0 && len(w.ready) > 0 && !w.aborted.Load() {
+		if _, more := heap.Pop(&w.ready).(*rankState).next(); !more {
 			live--
 		}
 	}
-	deadlocked := live > 0 && len(w.ready)+len(w.pollers) == 0
+	deadlocked := live > 0 && len(w.ready) == 0 // nothing can ever run again
 	for _, rs := range ranks {
 		rs.stop() // a suspended rank's yield returns false and it unwinds
 	}
@@ -342,10 +330,6 @@ func (w *World) deliver(dst int, ctx int64, env *envelope) {
 		}
 	}
 	q.unexpected = append(q.unexpected, env)
-	if p := mb.prober; p != nil && p.ctx == ctx && env.matches(p.peer, p.tag) {
-		mb.prober = nil
-		p.complete(env.status())
-	}
 }
 
 // post registers a receive request for world rank dst: it completes at
@@ -404,15 +388,6 @@ func (rs *rankState) suspend() {
 	}
 }
 
-// pollLater suspends a rank whose Test, Iprobe or Done found nothing. It
-// queues behind every runnable rank — re-queued at its own clock a poller
-// would stay the minimum of the ready heap and spin there forever — and
-// behind the pollers before it.
-func (rs *rankState) pollLater() {
-	rs.world.pollers = append(rs.world.pollers, rs)
-	rs.suspend()
-}
-
 // readyQueue is a container/heap of runnable ranks ordered by (virtual
 // clock, world rank). A queued rank is not running, so its key is fixed.
 type readyQueue []*rankState
@@ -433,13 +408,14 @@ func (q *readyQueue) Pop() any {
 // Request represents an outstanding nonblocking operation. Its zero value
 // is not useful; requests are created by Isend and Irecv.
 //
-// As in MPI, completion consumes the request: Wait, Waitall, the one
-// request Waitany returns and a successful Test hand the handle back to
-// the runtime, which reissues it from a later Isend/Irecv of the same
-// rank. Using a handle after that — a second Wait, Done, keeping it in a
-// Waitany list — panics with "mpi: request used after Wait" until the
-// handle is reissued, and aliases an unrelated operation afterwards; drop
-// it (or remove it from the list) as soon as it completes.
+// As in MPI, completion consumes the request: Wait, Waitall and the one
+// request Waitany returns hand the handle back to the runtime, which
+// reissues it from a later Isend/Irecv of the same rank. Using a handle
+// after that — a second Wait, keeping it in a Waitany list — panics with
+// "mpi: request used after Wait" until the handle is reissued, and
+// aliases an unrelated operation afterwards; drop it (or remove it from
+// the list) as soon as it completes. There is no nonblocking completion
+// test: a rank that cannot go on blocks, and the scheduler runs another.
 //
 // The status lives in the handle's own fields (88 bytes, the 96-byte size
 // class): peer and tag are what the request matches until it is done and
@@ -459,18 +435,17 @@ type Request struct {
 }
 
 // reqOp says what a request stands for: a send (complete at once when
-// eager, at the match when rendezvous), a receive, or a blocked Probe.
+// eager, at the match when rendezvous) or a receive.
 type reqOp uint8
 
 const (
 	opSend reqOp = iota
 	opRecv
-	opProbe
 )
 
 // String describes the operation for ErrDeadlock.
 func (r *Request) String() string {
-	s := fmt.Sprintf("%s(peer %d, tag %d, comm %d", [...]string{"send", "recv", "probe"}[r.op], r.peer, r.tag, r.ctx>>32)
+	s := fmt.Sprintf("%s(peer %d, tag %d, comm %d", [...]string{"send", "recv"}[r.op], r.peer, r.tag, r.ctx>>32)
 	if !isPtpCtx(r.ctx) {
 		s += fmt.Sprintf(", inside collective %d", r.ctx&0xffffffff)
 	}
@@ -525,16 +500,6 @@ func (r *Request) poll() (Status, bool) {
 		return Status{}, false
 	}
 	return Status{Source: r.peer, Tag: r.tag, N: r.n, Data: r.data, VTime: r.vtime}, true
-}
-
-// Done reports whether the request has completed without blocking. Like
-// a failed Test, a false answer lets every other rank run first.
-func (r *Request) Done() bool {
-	_, done := r.poll()
-	if !done {
-		r.rs.pollLater()
-	}
-	return done
 }
 
 // waitAny blocks until one of reqs completes and returns its index and

@@ -62,6 +62,9 @@ func (f *FlexAllocator) Alloc(nodes int) (int, bool) {
 func (f *FlexAllocator) Free(handle int) {
 	n, ok := f.sizes[handle]
 	if !ok {
+		// Asserts a programmer error: a handle freed twice or never
+		// allocated. sched runs only under cmd/experiments, on no request,
+		// upload or peer's bytes.
 		panic(fmt.Sprintf("sched: double free of handle %d", handle))
 	}
 	delete(f.sizes, handle)
@@ -178,6 +181,7 @@ func (m *MeshAllocator) Alloc(nodes int) (int, bool) {
 func (m *MeshAllocator) Free(handle int) {
 	cells, ok := m.allocs[handle]
 	if !ok {
+		// Asserts a programmer error, as in FlexAllocator.Free.
 		panic(fmt.Sprintf("sched: double free of handle %d", handle))
 	}
 	delete(m.allocs, handle)

@@ -67,6 +67,8 @@ func NewGraph(p int) (*Graph, error) {
 func MustGraph(p int) *Graph {
 	g, err := NewGraph(p)
 	if err != nil {
+		// Asserts a programmer error: every caller passes a size already
+		// validated (a graph's own P, a checked procs), never a request's.
 		panic(err)
 	}
 	return g

@@ -2,8 +2,8 @@ package trace
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
+	"fmt"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -416,33 +416,45 @@ func TestPhaseDeterminism(t *testing.T) {
 
 // TestLongRunKeepsProgramOrder runs past step999, where the step regions'
 // three-digit padding ends and sorted names stop being program order
-// ("step1000" < "step101"): the live stream must fold, the batch windows
-// must come out step by step, and SplitDeltas must number the windows as
-// the live run emitted them.
+// ("step1000" < "step101"): SplitDeltas must cut the run into deltas whose
+// step windows come in program order, so that the stream folds, and the
+// batch windows must come out step by step.
 func TestLongRunKeepsProgramOrder(t *testing.T) {
 	const steps = 1002
 	cfg := apps.Config{Procs: 8, Steps: steps}
-	var live []*ipm.Delta
-	if _, err := apps.StreamRunContext(context.Background(), "cactus", cfg, func(d *ipm.Delta) { live = append(live, d) }); err != nil {
-		t.Fatalf("stream run: %v", err)
+	p, err := apps.ProfileRun("cactus", cfg)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	split, err := ipm.SplitDeltas(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := 0
+	for i, d := range split {
+		if d.Seq != i {
+			t.Fatalf("split delta %d carries seq %d", i, d.Seq)
+		}
+		if strings.HasPrefix(d.Window, "step") {
+			if want := fmt.Sprintf("step%03d", step); d.Window != want {
+				t.Fatalf("split delta %d is window %q, want %q", i, d.Window, want)
+			}
+			step++
+		}
 	}
 	s, err := NewStreamState(cfg.Procs, 0, "step", DetectorConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range live {
+	for _, d := range split {
 		if s, err = s.Fold(d); err != nil {
-			t.Fatalf("folding the live stream: %v", err)
+			t.Fatalf("folding the split stream: %v", err)
 		}
 	}
-	if len(s.Windows) != steps {
-		t.Fatalf("live stream folded %d step windows, want %d", len(s.Windows), steps)
+	if step != steps || len(s.Windows) != steps {
+		t.Fatalf("split %d step windows and folded %d, want %d", step, len(s.Windows), steps)
 	}
 
-	p, err := apps.ProfileRun("cactus", cfg)
-	if err != nil {
-		t.Fatalf("batch run: %v", err)
-	}
 	ws, err := Windows(p, "step", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -451,21 +463,8 @@ func TestLongRunKeepsProgramOrder(t *testing.T) {
 		t.Fatalf("batch extracted %d windows, want %d", len(ws), steps)
 	}
 	for i, w := range ws {
-		if want := apps.StepRegion(i); w.Region != want {
+		if want := fmt.Sprintf("step%03d", i); w.Region != want {
 			t.Fatalf("batch window %d is %q, want %q", i, w.Region, want)
-		}
-	}
-
-	split, err := ipm.SplitDeltas(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(split) != len(live) {
-		t.Fatalf("SplitDeltas cut %d deltas, the live run emitted %d", len(split), len(live))
-	}
-	for i, d := range split {
-		if d.Seq != i || d.Window != live[i].Window {
-			t.Fatalf("split delta %d is seq %d window %q; the live run emitted %q there", i, d.Seq, d.Window, live[i].Window)
 		}
 	}
 }

@@ -90,8 +90,3 @@ func (t *Tree) Links() int { return t.P - 1 }
 func (t *Tree) Cost() float64 {
 	return float64(2*t.Links()) * t.Params.PortCost
 }
-
-// CostPerNode shows the linear scaling the paper relies on.
-func (t *Tree) CostPerNode() float64 {
-	return t.Cost() / float64(t.P)
-}

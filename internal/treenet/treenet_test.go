@@ -54,9 +54,9 @@ func TestLatencies(t *testing.T) {
 func TestCostLinear(t *testing.T) {
 	small := mustTree(t, 64)
 	big := mustTree(t, 4096)
-	if math.Abs(small.CostPerNode()-big.CostPerNode()) > small.CostPerNode()*0.05 {
-		t.Errorf("tree cost not linear: %.2f vs %.2f per node",
-			small.CostPerNode(), big.CostPerNode())
+	perNode := func(tr *Tree) float64 { return tr.Cost() / float64(tr.P) }
+	if math.Abs(perNode(small)-perNode(big)) > perNode(small)*0.05 {
+		t.Errorf("tree cost not linear: %.2f vs %.2f per node", perNode(small), perNode(big))
 	}
 	if small.Links() != 63 {
 		t.Errorf("links %d, want 63", small.Links())
