@@ -19,12 +19,10 @@ var deadExportsAllowed = map[string]string{
 	"Swap":                        "heap.Interface, called by container/heap",
 	"MarshalJSON":                 "json.Marshaler, called by encoding/json",
 	"UnmarshalJSON":               "json.Unmarshaler, called by encoding/json",
-	"hfast.Apps":                  "module API: the façade lists the skeletons for a downstream user",
-	"hfast.LookupApp":             "module API: the façade resolves a skeleton for a downstream user",
 	"internal/ipm.MergeDeltas":    "round-trip oracle: SplitDeltas is pinned against it byte for byte",
 	"internal/mpi.WithEagerLimit": "rendezvous sends; ROADMAP item 7(v) runs every skeleton under it",
 	"internal/pipeline.Pipeline.CachedArtifacts": "cache-size oracle: pipeline, server and experiments tests check that a failed fold stores nothing",
-	"internal/treenet.Tree.AllreduceLatency":     "the tree's collective row in the root bench_test.go",
+	"internal/treenet.Tree.Depth":                "route-length oracle: netsim's router_test bounds every tree route by it (ROADMAP item 13(i))",
 }
 
 // deadExports lists the top-level exports and methods (dir.Type.Method)

@@ -9,7 +9,7 @@
 //
 // Targets: table1 table2 table3 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9
 // fig10 figures cases cost scaling ablation icn netsim trace replan sched
-// faults placement ultra all
+// faults placement ultra hints all (ultra and hints are not part of all)
 package main
 
 import (
@@ -83,6 +83,8 @@ func main() {
 			return experiments.Replan(w, r, 64)
 		case "ultra":
 			return experiments.Ultra(w, r)
+		case "hints":
+			return experiments.Hints(w)
 		default:
 			if app, ok := appFigs[name]; ok {
 				return experiments.FigApp(w, r, app)

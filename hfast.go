@@ -27,9 +27,6 @@ import (
 // Config selects the workload of an application skeleton run.
 type Config = apps.Config
 
-// AppInfo describes one of the six profiled applications (Table 2).
-type AppInfo = apps.Info
-
 // Profile is an assembled IPM communication profile.
 type Profile = ipm.Profile
 
@@ -51,15 +48,9 @@ type Comparison = core.Comparison
 // DefaultCutoff is the paper's 2 KB bandwidth-delay-product threshold.
 const DefaultCutoff = topology.DefaultCutoff
 
-// Apps lists the available application skeletons in Table 2 order.
-func Apps() []AppInfo { return apps.Registry }
-
-// LookupApp finds a skeleton by name ("cactus", "lbmhd", "gtc",
-// "superlu", "pmemd", "paratec").
-func LookupApp(name string) (AppInfo, error) { return apps.Lookup(name) }
-
-// RunApp executes the named skeleton under the IPM collector and returns
-// its communication profile.
+// RunApp executes the named skeleton ("cactus", "lbmhd", "gtc",
+// "superlu", "pmemd", "paratec") under the IPM collector and returns its
+// communication profile.
 func RunApp(name string, cfg Config) (*Profile, error) { return apps.ProfileRun(name, cfg) }
 
 // BuildGraph extracts the steady-state communication topology of a

@@ -188,6 +188,39 @@ func TestAblationRowsSmall(t *testing.T) {
 	}
 }
 
+// TestBlockSizeAblation pins EXPERIMENTS.md's block-size sweep: HFAST's
+// one free design parameter over GTC's measured P=256 topology.
+func TestBlockSizeAblation(t *testing.T) {
+	r := NewRunner(0)
+	for bs, want := range map[int]int{8: 2432, 16: 4096, 32: 8192} {
+		a, err := r.Assignment("gtc", 256, 0, bs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := a.TotalBlocks * bs; got != want {
+			t.Errorf("gtc/256 at block size %d: %d active ports, want %d", bs, got, want)
+		}
+	}
+}
+
+// TestHintsMatchMeasured pins DESIGN.md's A8: the 4×4×4 grid, periodic
+// in z, provisions the same fabric from its declared topology as from
+// its measured traffic.
+func TestHintsMatchMeasured(t *testing.T) {
+	hinted, measured, err := hintsData()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []*hfast.Assignment{hinted, measured} {
+		if a.TotalBlocks != 64 || a.MaxRoute().SBHops != 2 {
+			t.Errorf("%d blocks, worst route %d SB hops; want 64 and 2", a.TotalBlocks, a.MaxRoute().SBHops)
+		}
+	}
+	if !samePartners(hinted, measured) {
+		t.Error("declared and measured partner sets differ")
+	}
+}
+
 func TestNetsimRowsSmall(t *testing.T) {
 	r := testRunner()
 	rows, err := NetsimRows(r, 16)

@@ -1,8 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation from the application skeletons, and adds the ablations
 // DESIGN.md calls out (clique mapping, fabric simulation, time-windowed
-// TDC). cmd/experiments renders them for humans; bench_test.go reports
-// their headline numbers as benchmark metrics.
+// TDC). cmd/experiments -t is their one driver.
 package experiments
 
 import (

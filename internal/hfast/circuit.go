@@ -8,7 +8,7 @@ import (
 // CircuitSwitch models the passive crossbar: a set of ports, each wired to
 // at most one other port by the external control plane. A configured
 // circuit adds essentially no forwarding latency; what a reconfiguration
-// costs (milliseconds in the paper's MEMS hardware) is Fabric's to count.
+// costs (milliseconds in the paper's MEMS hardware) is CircuitDiff's to count.
 type CircuitSwitch struct {
 	ports int
 	peer  []int // peer[p] = q when p↔q, -1 when dark

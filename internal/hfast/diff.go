@@ -8,6 +8,11 @@ import (
 	"github.com/hfast-sim/hfast/internal/topology"
 )
 
+// SettleTime is the circuit-switch reconfiguration latency the paper
+// quotes for MEMS optical switches: on the order of milliseconds per
+// batch, during which no traffic may cross the moving light paths.
+const SettleTime = 5 * time.Millisecond
+
 // CircuitDiff is the minimal reconfiguration taking a fabric from one
 // provisioned assignment to another: which partner circuits to tear
 // down, which to set up, and what the move costs compared to wiring the

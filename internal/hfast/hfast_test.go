@@ -288,52 +288,6 @@ func TestCircuitSwitchInvariants(t *testing.T) {
 	}
 }
 
-func TestFabricReconfigure(t *testing.T) {
-	f, err := NewFabric(64, DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Initially a 3D mesh: 64 nodes → degree ≤ 6.
-	init := f.Current()
-	for i := 0; i < 64; i++ {
-		if d := len(init.Partners[i]); d > 6 {
-			t.Fatalf("initial mesh degree %d > 6 at node %d", d, i)
-		}
-	}
-	// Adapt to a ring: most mesh edges drop, ring edges appear.
-	rep, err := f.Reconfigure(ringGraph(64), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Added == 0 || rep.Removed == 0 {
-		t.Errorf("expected edge churn, got %+v", rep)
-	}
-	if rep.PortMoves < 2*(rep.Added+rep.Removed) {
-		t.Errorf("port moves %d below edge endpoints", rep.PortMoves)
-	}
-	// Reconfiguring to the same graph is free of edge churn.
-	rep2, err := f.Reconfigure(ringGraph(64), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.Added != 0 || rep2.Removed != 0 || rep2.PortMoves != 0 {
-		t.Errorf("idempotent reconfigure changed ports: %+v", rep2)
-	}
-	if f.Batches() != 2 {
-		t.Errorf("batches = %d, want 2", f.Batches())
-	}
-}
-
-func TestFabricRejectsWrongSize(t *testing.T) {
-	f, err := NewFabric(16, DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Reconfigure(ringGraph(8), 0); err == nil {
-		t.Error("expected size mismatch error")
-	}
-}
-
 // TestRouteSymmetryQuick property-checks route symmetry on random graphs.
 func TestRouteSymmetryQuick(t *testing.T) {
 	f := func(seed int64) bool {

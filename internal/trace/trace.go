@@ -119,21 +119,9 @@ type Opportunity struct {
 	ReconfigurableGain int
 }
 
-// Analyze computes the reconfiguration opportunity over a run's windows.
-func Analyze(p *ipm.Profile, cutoff int) (Opportunity, error) {
-	if cutoff == 0 {
-		cutoff = topology.DefaultCutoff
-	}
-	ws, err := Windows(p, "step", cutoff)
-	if err != nil {
-		return Opportunity{}, err
-	}
-	return AnalyzeWindows(p.Procs, ws, cutoff)
-}
-
-// AnalyzeWindows computes the reconfiguration opportunity from
-// already-extracted windows (e.g. a cached pipeline artifact), so the
-// expensive per-region graph builds are not repeated per analysis. The
+// AnalyzeWindows computes the reconfiguration opportunity from a run's
+// extracted windows (e.g. a cached pipeline artifact), so the expensive
+// per-region graph builds are not repeated per analysis. The
 // windows carry their own rank count (each Graph.P); procs is the
 // caller's idea of the run size, and a mismatch is an error rather than
 // a silently wrong union graph.

@@ -79,12 +79,22 @@ func TestChurn(t *testing.T) {
 	}
 }
 
-func TestAnalyzeOpportunity(t *testing.T) {
-	p := phasedProfile(t)
-	op, err := Analyze(p, 0)
+// analyze computes a profile's opportunity over its "step" windows.
+func analyze(t *testing.T, p *ipm.Profile) Opportunity {
+	t.Helper()
+	ws, err := Windows(p, "step", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	op, err := AnalyzeWindows(p.Procs, ws, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return op
+}
+
+func TestAnalyzeOpportunity(t *testing.T) {
+	op := analyze(t, phasedProfile(t))
 	if op.Windows != 4 {
 		t.Fatalf("windows %d", op.Windows)
 	}
@@ -104,11 +114,7 @@ func TestAnalyzeOpportunity(t *testing.T) {
 }
 
 func TestAnalyzeEmptyProfile(t *testing.T) {
-	p := &ipm.Profile{App: "empty", Procs: 4}
-	op, err := Analyze(p, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	op := analyze(t, &ipm.Profile{App: "empty", Procs: 4})
 	if op.Windows != 0 || op.UnionTDC != 0 {
 		t.Errorf("empty analyze: %+v", op)
 	}

@@ -5,10 +5,9 @@
 // that would waste a dedicated circuit.
 //
 // The model captures what the paper's argument needs: per-level latency, a
-// shared per-link bandwidth far below the data fabric's, cost that scales
-// linearly with node count, and latency formulas for the tree-friendly
-// collectives (broadcast, reduction). Point-to-point routes through a
-// common ancestor are netsim.TreeNet's.
+// shared per-link bandwidth far below the data fabric's, and cost that
+// scales linearly with node count. Routes through a common ancestor, and
+// so every latency the tree charges, are netsim.TreeNet's.
 package treenet
 
 import (
@@ -63,24 +62,6 @@ func (t *Tree) Depth() int {
 		d++
 	}
 	return d
-}
-
-// BroadcastLatency is the time for a root broadcast of n bytes to reach
-// every leaf: depth hops of pipelined store-and-forward.
-func (t *Tree) BroadcastLatency(n int) float64 {
-	return float64(t.Depth())*t.Params.HopLatency + float64(n)/t.Params.LinkBandwidth
-}
-
-// ReduceLatency is the time for an n-byte combining reduction up the
-// tree; the tree's ALUs combine at line rate (the BG/L design point), so
-// it matches the broadcast cost.
-func (t *Tree) ReduceLatency(n int) float64 {
-	return t.BroadcastLatency(n)
-}
-
-// AllreduceLatency is a reduction followed by a broadcast.
-func (t *Tree) AllreduceLatency(n int) float64 {
-	return t.ReduceLatency(n) + t.BroadcastLatency(n)
 }
 
 // Links is the number of tree links (one per non-root node).

@@ -39,18 +39,6 @@ func TestDepth(t *testing.T) {
 	}
 }
 
-func TestLatencies(t *testing.T) {
-	tr := mustTree(t, 27)
-	p := tr.Params
-	want := 3*p.HopLatency + 1024/p.LinkBandwidth
-	if got := tr.BroadcastLatency(1024); math.Abs(got-want) > 1e-15 {
-		t.Errorf("broadcast latency %g, want %g", got, want)
-	}
-	if tr.AllreduceLatency(8) != tr.ReduceLatency(8)+tr.BroadcastLatency(8) {
-		t.Error("allreduce != reduce + broadcast")
-	}
-}
-
 func TestCostLinear(t *testing.T) {
 	small := mustTree(t, 64)
 	big := mustTree(t, 4096)
@@ -60,15 +48,5 @@ func TestCostLinear(t *testing.T) {
 	}
 	if small.Links() != 63 {
 		t.Errorf("links %d, want 63", small.Links())
-	}
-}
-
-func TestCollectiveFasterThanDataFabricForSmall(t *testing.T) {
-	// The design point: an 8-byte allreduce on the tree must beat P−1
-	// point-to-point latencies on a multi-layer packet fabric. Sanity:
-	// allreduce of 8 bytes at P=256 stays in the microsecond range.
-	tr := mustTree(t, 256)
-	if l := tr.AllreduceLatency(8); l > 5e-6 {
-		t.Errorf("8B allreduce takes %g s; tree model broken", l)
 	}
 }
