@@ -161,45 +161,91 @@ func (pt *PairTraffic) fold(o PairTraffic) {
 
 // Pairs extracts directed point-to-point traffic for entries passing the
 // filter, sorted by (Src, Dst). Catch-all entries (no peer) are skipped.
-// Ranks ascend and peers are world ranks, so a rank's row is folded in a
-// dense array and emitted in order; anything else costs a sort at the end.
 func (p *Profile) Pairs(filter RegionFilter) []PairTraffic {
 	if filter == nil {
 		filter = AllRegions
 	}
-	procs := max(p.Procs, 0)
-	row := make([]PairTraffic, procs)
-	owner := make([]int, procs) // owner[d] == i+1: row[d] is p.Ranks[i]'s
-	out := []PairTraffic{}
-	inOrder := true
+	left := 0 // entries in the ranks not yet folded
+	for i := range p.Ranks {
+		left += len(p.Ranks[i].Entries)
+	}
+	f := newPairRows(p.Procs)
 	for i := range p.Ranks {
 		rp := &p.Ranks[i]
-		inOrder = inOrder && (i == 0 || p.Ranks[i-1].Rank < rp.Rank)
+		f.begin(rp.Rank)
 		for j := range rp.Entries {
-			e := &rp.Entries[j]
-			dst := e.Key.Peer
-			if !e.Key.Call.IsPointToPoint() || dst == mpi.NoPeer || !filter(e.Key.Region) {
-				continue
-			}
-			one := PairTraffic{Src: rp.Rank, Dst: dst, Msgs: e.Stat.Count, Bytes: e.Stat.TotalBytes, MaxMsg: max(0, e.Key.Bytes, e.Stat.MaxBytes)}
-			if uint(dst) >= uint(procs) { // not a world rank: appended as is, folded below
-				out, inOrder = append(out, one), false
-			} else if owner[dst] != i+1 {
-				owner[dst], row[dst] = i+1, one
-			} else {
-				row[dst].fold(one)
+			if e := &rp.Entries[j]; filter(e.Key.Region) {
+				f.add(e)
 			}
 		}
-		for dst, o := range owner {
-			if o == i+1 {
-				out = append(out, row[dst])
-			}
-		}
-		if i == 0 { // the ranks of one program have about as many partners each
-			out = slices.Grow(out, len(out)*(len(p.Ranks)-1))
+		left -= len(rp.Entries)
+		f.end(len(p.Ranks)-1-i, left)
+	}
+	return f.done()
+}
+
+// pairRows is the one fold of entries into directed pair traffic, fed a
+// source rank at a time: by Profile.Pairs, and by the pair scan of
+// wirescan.go straight off the wire. Ranks ascend and peers are world
+// ranks, so a rank's row is folded in a dense array and emitted in order;
+// anything else costs a sort at the end.
+type pairRows struct {
+	row     []PairTraffic
+	owner   []int // owner[d] == n: row[d] belongs to the n-th rank begun
+	n       int   // ranks begun
+	src     int   // the rank being folded
+	out     []PairTraffic
+	inOrder bool
+}
+
+func newPairRows(procs int) pairRows {
+	procs = max(procs, 0)
+	return pairRows{row: make([]PairTraffic, procs), owner: make([]int, procs), out: []PairTraffic{}, inOrder: true}
+}
+
+// begin opens the row of rank src.
+func (f *pairRows) begin(src int) {
+	f.inOrder = f.inOrder && (f.n == 0 || f.src < src)
+	f.n++
+	f.src = src
+}
+
+// add folds one entry of the open rank that passed the region filter.
+func (f *pairRows) add(e *Entry) {
+	dst := e.Key.Peer
+	if !e.Key.Call.IsPointToPoint() || dst == mpi.NoPeer {
+		return
+	}
+	one := PairTraffic{Src: f.src, Dst: dst, Msgs: e.Stat.Count, Bytes: e.Stat.TotalBytes, MaxMsg: max(0, e.Key.Bytes, e.Stat.MaxBytes)}
+	if uint(dst) >= uint(len(f.row)) { // not a world rank: appended as is, folded in done
+		f.out, f.inOrder = append(f.out, one), false
+	} else if f.owner[dst] != f.n {
+		f.owner[dst], f.row[dst] = f.n, one
+	} else {
+		f.row[dst].fold(one)
+	}
+}
+
+// end closes the open rank's row. After the first, whose pair count
+// guesses every rank's — the ranks of one program have about as many
+// partners each — the output grows once for the ranks still to come, but
+// never past the entries the input has left: a guess the input inflates
+// is held to what the input can still add.
+func (f *pairRows) end(ranksLeft, entriesLeft int) {
+	for dst, o := range f.owner {
+		if o == f.n {
+			f.out = append(f.out, f.row[dst])
 		}
 	}
-	if inOrder {
+	if f.n == 1 {
+		f.out = slices.Grow(f.out, max(0, min(len(f.out)*ranksLeft, entriesLeft)))
+	}
+}
+
+// done returns the folded pairs, sorted by (Src, Dst).
+func (f *pairRows) done() []PairTraffic {
+	out := f.out
+	if f.inOrder {
 		return out
 	}
 	slices.SortFunc(out, func(a, b PairTraffic) int { return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst)) })

@@ -23,6 +23,12 @@ import (
 // with encoding/json, so what is accepted, what is rejected and with
 // which error do not depend on the scanner.
 //
+// The grammar has two consumers. scanDelta and scanProfile build the
+// value. DecodeDeltaPairs builds a delta's header and folds each entry
+// straight into its window's pair rows (pairRows, shared with
+// Profile.Pairs), building no Entry, Region or Time; it also gives up
+// where Validate would refuse, so what it accepts DecodeDelta accepts.
+//
 // Every string in the result is a copy: the value does not alias b.
 type wireScanner struct {
 	b   []byte
@@ -31,21 +37,42 @@ type wireScanner struct {
 
 	region  string  // the last Region built, reused while entries repeat it
 	scratch []Entry // the rank being read, copied out at its exact size
+
+	pairs *pairRows // non-nil: the window's entries fold into it and are not built
 }
 
 // scanDelta decodes raw if it is a canonical delta; ok is false when the
 // scanner gave up and d is to be discarded.
 func scanDelta(raw []byte) (d *Delta, ok bool) {
 	s := wireScanner{b: raw}
-	d = new(Delta)
-	s.header(&d.Version, &d.App, &d.Procs, &d.Params)
-	s.lit(gapSeq)
-	d.Seq = s.int()
-	s.lit(gapWindow)
-	d.Window = s.str("")
-	s.region = d.Window // every entry of a window carries its name
+	d = s.deltaHeader()
 	d.Ranks = s.ranks(d.Procs)
 	return d, s.end()
+}
+
+// DecodeDeltaPairs is DecodeDelta for a fold that reads nothing of a
+// delta but its header and its window's pair traffic. When raw is a
+// canonical delta over procs ranks that Validate accepts, it returns the
+// header — Ranks nil — and exactly what
+// d.AsProfile().Pairs(Region(d.Window)) returns for the delta DecodeDelta
+// builds, without building an Entry, a Region string or a Time. ok is
+// false for anything else: non-canonical bytes, a Procs other than procs,
+// a delta Validate refuses. Those are DecodeDelta's to decode or refuse,
+// and its error is the one to report. Nothing returned aliases raw.
+func DecodeDeltaPairs(raw []byte, procs int) (d *Delta, pairs []PairTraffic, ok bool) {
+	s := wireScanner{b: raw}
+	d = s.deltaHeader()
+	// Procs is checked before it sizes anything.
+	if s.bad || d.Version > SchemaVersion || procs <= 0 || d.Procs != procs {
+		return nil, nil, false
+	}
+	rows := newPairRows(procs)
+	s.pairs = &rows
+	s.ranks(procs)
+	if !s.end() {
+		return nil, nil, false
+	}
+	return d, rows.done(), true
 }
 
 // scanProfile is scanDelta for a profile.
@@ -55,6 +82,18 @@ func scanProfile(raw []byte) (p *Profile, ok bool) {
 	s.header(&p.Version, &p.App, &p.Procs, &p.Params)
 	p.Ranks = s.ranks(p.Procs)
 	return p, s.end()
+}
+
+// deltaHeader reads a delta's fields up to Ranks.
+func (s *wireScanner) deltaHeader() *Delta {
+	d := new(Delta)
+	s.header(&d.Version, &d.App, &d.Procs, &d.Params)
+	s.lit(gapSeq)
+	d.Seq = s.int()
+	s.lit(gapWindow)
+	d.Window = s.str("")
+	s.region = d.Window // every entry of a window carries its name
+	return d
 }
 
 // header reads the fields Delta and Profile open with, from '{' to the
@@ -79,37 +118,61 @@ func (s *wireScanner) header(version *int, app *string, procs *int, params *map[
 
 // ranks reads the Ranks field, the last of both types. procs, which the
 // input also chose, is only a hint for the slice's capacity and is held
-// to the number of ranks the remaining bytes could spell.
+// to the number of ranks the remaining bytes could spell. Folding into
+// pairs, it builds no slice, and procs is the stream's: a rank Validate
+// would refuse gives up.
 func (s *wireScanner) ranks(procs int) []RankProfile {
 	s.lit(gapRanks)
 	if s.null() {
 		return nil
 	}
 	const minRank = len(`{"Rank":0,"Entries":[],"Spilled":0},`)
-	out := make([]RankProfile, 0, max(0, min(procs, (len(s.b)-s.i)/minRank+1)))
+	const minEntry = len(gapCall + "0" + gapBytes + "0" + gapPeer + "0" + gapRegion + `""` +
+		gapCount + "0" + gapTotal + "0" + gapMax + "0" + gapTime + "0" + gapEntryEnd + ",")
+	var out []RankProfile
+	if s.pairs == nil {
+		out = make([]RankProfile, 0, max(0, min(procs, (len(s.b)-s.i)/minRank+1)))
+	}
 	for more := s.open('[', ']'); more; more = s.sep(']') {
 		var rp RankProfile
 		s.lit(gapRank)
 		rp.Rank = s.int()
+		if f := s.pairs; f != nil {
+			if uint(rp.Rank) >= uint(procs) || (f.n > 0 && rp.Rank <= f.src) {
+				s.fail()
+			}
+			f.begin(rp.Rank)
+		}
 		s.lit(gapEntries)
 		rp.Entries = s.entries()
 		s.lit(gapSpilled)
 		rp.Spilled = s.int64()
 		s.lit(gapRankEnd)
-		out = append(out, rp)
+		if s.pairs == nil {
+			out = append(out, rp)
+			continue
+		}
+		// Ranks ascend below procs, and every entry left spells at least
+		// minEntry bytes.
+		s.pairs.end(procs-1-rp.Rank, (len(s.b)-s.i)/minEntry)
 	}
 	return out
 }
 
-// entries reads one rank's Entries value.
+// entries reads one rank's Entries value. Folding into pairs, it folds
+// each entry of the window's region and returns nil.
 func (s *wireScanner) entries() []Entry {
 	if s.null() {
 		return nil
 	}
 	s.scratch = s.scratch[:0]
+	var one Entry // the entry being folded into pairs
 	for more := s.open('[', ']'); more; more = s.sep(']') {
-		s.scratch = append(s.scratch, Entry{})
-		e := &s.scratch[len(s.scratch)-1]
+		e := &one
+		if s.pairs == nil {
+			s.scratch = append(s.scratch, Entry{})
+			e = &s.scratch[len(s.scratch)-1]
+		}
 		s.lit(gapCall)
 		e.Key.Call = mpi.Call(s.int())
 		s.lit(gapBytes)
@@ -117,8 +180,13 @@ func (s *wireScanner) entries() []Entry {
 		s.lit(gapPeer)
 		e.Key.Peer = s.int()
 		s.lit(gapRegion)
-		s.region = s.str(s.region)
-		e.Key.Region = s.region
+		inRegion := true
+		if s.pairs == nil {
+			s.region = s.str(s.region)
+			e.Key.Region = s.region
+		} else {
+			inRegion = string(s.strToken()) == s.region
+		}
 		s.lit(gapCount)
 		e.Stat.Count = s.int64()
 		s.lit(gapTotal)
@@ -126,8 +194,18 @@ func (s *wireScanner) entries() []Entry {
 		s.lit(gapMax)
 		e.Stat.MaxBytes = s.int()
 		s.lit(gapTime)
-		e.Stat.Time = s.float()
+		if s.pairs == nil {
+			e.Stat.Time = s.float()
+		} else {
+			s.skipFloat()
+		}
 		s.lit(gapEntryEnd)
+		if s.pairs != nil && inRegion {
+			s.pairs.add(e)
+		}
+	}
+	if s.pairs != nil {
+		return nil
 	}
 	return append(make([]Entry, 0, len(s.scratch)), s.scratch...)
 }
@@ -259,9 +337,10 @@ func (s *wireScanner) int() int {
 	return int(v)
 }
 
-// float reads a number in JSON's grammar — which strconv.ParseFloat alone
-// would not hold the token to — and converts it as encoding/json does.
-func (s *wireScanner) float() float64 {
+// number reads a number in JSON's grammar, which strconv.ParseFloat
+// alone would not hold the token to. It returns the token and mag, a
+// bound on its size: the number is below 10^mag in magnitude.
+func (s *wireScanner) number() (tok []byte, mag int) {
 	s.peek()
 	b, first := s.b, s.i
 	digits := func(i int) int { // the end of the digit run at i
@@ -277,54 +356,98 @@ func (s *wireScanner) float() float64 {
 	intEnd := digits(i)
 	if intEnd == i || (intEnd > i+1 && b[i] == '0') {
 		s.fail()
-		return 0
+		return nil, 0
 	}
+	mag = intEnd - i // digits before the point: below 10^mag, also for "0"
 	i = intEnd
 	if i < len(b) && b[i] == '.' {
 		if i = digits(i + 1); b[i-1] == '.' {
 			s.fail()
-			return 0
+			return nil, 0
 		}
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+		neg := i < len(b) && b[i] == '-'
+		if i < len(b) && (b[i] == '+' || neg) {
 			i++
 		}
-		if i = digits(i); b[i-1]-'0' > 9 {
-			s.fail()
-			return 0
+		exp, expStart := 0, i
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			if exp < 1<<20 { // saturated far past any exponent that matters
+				exp = exp*10 + int(b[i]-'0')
+			}
 		}
+		if i == expStart {
+			s.fail()
+			return nil, 0
+		}
+		if neg {
+			exp = -exp
+		}
+		mag += exp
 	}
-	f, err := strconv.ParseFloat(string(b[first:i]), 64)
+	s.i = i
+	return b[first:i], mag
+}
+
+// float reads a number and converts it as encoding/json does.
+func (s *wireScanner) float() float64 {
+	tok, _ := s.number()
+	if s.bad {
+		return 0
+	}
+	f, err := strconv.ParseFloat(string(tok), 64)
 	if err != nil { // out of range: encoding/json's error
 		s.fail()
 		return 0
 	}
-	s.i = i
 	return f
 }
 
-// str reads a string of printable ASCII with no escapes and returns prev
-// when it spells prev, a copy otherwise.
-func (s *wireScanner) str(prev string) string {
+// skipFloat reads a number as float does, accepting exactly the tokens
+// float accepts, without converting it. In JSON's grammar the only error
+// left to strconv.ParseFloat is a value out of float64's range, whose
+// largest is 1.797…e308: below 10^308 none is, so only a token that may
+// reach past 10^308 is converted, to find out.
+func (s *wireScanner) skipFloat() {
+	if tok, mag := s.number(); mag > 308 {
+		if _, err := strconv.ParseFloat(string(tok), 64); err != nil {
+			s.fail()
+		}
+	}
+}
+
+// strToken reads a string of printable ASCII with no escapes and returns
+// the bytes between its quotes, which alias b.
+func (s *wireScanner) strToken() []byte {
 	if s.peek() != '"' {
 		s.fail()
-		return ""
+		return nil
 	}
 	i, b := s.i+1, s.b
 	for ; i < len(b) && b[i] != '"'; i++ {
 		if c := b[i]; c < ' ' || c > '~' || c == '\\' {
 			s.fail()
-			return ""
+			return nil
 		}
 	}
 	if i == len(b) {
 		s.fail()
-		return ""
+		return nil
 	}
 	tok := b[s.i+1 : i]
 	s.i = i + 1
+	return tok
+}
+
+// str reads a string as strToken does and returns prev when it spells
+// prev, a copy otherwise.
+func (s *wireScanner) str(prev string) string {
+	tok := s.strToken()
+	if s.bad {
+		return ""
+	}
 	if string(tok) == prev {
 		return prev
 	}

@@ -99,21 +99,33 @@ func (pl *Pipeline) fold(ctx context.Context, prevKey Key, prev *trace.StreamSta
 	sum := sha256.Sum256(raw)
 	key := keyOf(StageFold, foldInputs{Prev: prevKey, Delta: hex.EncodeToString(sum[:12])})
 	v, how, err := pl.cache.do(ctx, StageFold, key, func(context.Context) (any, error) {
-		d := d
-		if d == nil {
-			var err error
-			if d, err = ipm.DecodeDelta(raw); err != nil {
-				return nil, err
-			}
-		}
-		ns, err := prev.Fold(d)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: fold delta %d (%q): %w", d.Seq, d.Window, err)
-		}
-		return ns, nil
+		return foldMiss(prev, raw, d)
 	})
 	if err != nil {
 		return nil, "", how, err
 	}
 	return v.(*trace.StreamState), key, how, nil
+}
+
+// foldMiss folds a delta no link of the chain holds yet. Bytes the pair
+// scan accepts are read for what the fold consumes, the header and the
+// window's pair traffic; the scan declines everything else, which is
+// decoded whole, so every error is DecodeDelta's or Fold's.
+func foldMiss(prev *trace.StreamState, raw []byte, d *ipm.Delta) (*trace.StreamState, error) {
+	var ns *trace.StreamState
+	var err error
+	if d != nil {
+		ns, err = prev.Fold(d)
+	} else if hd, pairs, ok := ipm.DecodeDeltaPairs(raw, prev.Procs); ok {
+		d = hd
+		ns, err = prev.FoldPairs(d, pairs)
+	} else if d, err = ipm.DecodeDelta(raw); err != nil {
+		return nil, err
+	} else {
+		ns, err = prev.Fold(d)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: fold delta %d (%q): %w", d.Seq, d.Window, err)
+	}
+	return ns, nil
 }

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	core "github.com/hfast-sim/hfast/internal/hfast"
@@ -34,7 +35,10 @@ type streamSession struct {
 	seed    pipeline.FoldSeed
 	block   int
 	created time.Time
-	last    time.Time
+	// last is when a POST last named the session, in Unix nanoseconds. It
+	// is atomic, not under mu, so the table never waits on a session whose
+	// POST is still reading its body.
+	last atomic.Int64
 
 	state  *trace.StreamState
 	key    pipeline.Key
@@ -58,17 +62,12 @@ func (t *streams) get(id string, create func() *streamSession, max int, ttl time
 		t.m = make(map[string]*streamSession)
 	}
 	if sess, ok := t.m[id]; ok {
-		sess.mu.Lock()
-		sess.last = now
-		sess.mu.Unlock()
+		sess.last.Store(now.UnixNano())
 		return sess, false
 	}
 	// Evict idle sessions before refusing a new one.
 	for sid, sess := range t.m {
-		sess.mu.Lock()
-		idle := now.Sub(sess.last)
-		sess.mu.Unlock()
-		if idle > ttl {
+		if now.UnixNano()-sess.last.Load() > int64(ttl) {
 			delete(t.m, sid)
 		}
 	}
@@ -76,6 +75,7 @@ func (t *streams) get(id string, create func() *streamSession, max int, ttl time
 		return nil, false
 	}
 	sess = create()
+	sess.last.Store(now.UnixNano())
 	t.m[id] = sess
 	return sess, true
 }
@@ -191,7 +191,7 @@ func (s *Server) handleStreamPost(w http.ResponseWriter, r *http.Request, id str
 	}
 	now := time.Now()
 	sess, created := s.streams.get(id, func() *streamSession {
-		return &streamSession{id: id, seed: seed, block: block, created: now, last: now}
+		return &streamSession{id: id, seed: seed, block: block, created: now}
 	}, s.cfg.MaxStreamSessions, s.cfg.StreamSessionTTL, now)
 	if sess == nil {
 		s.metrics.addRejected()

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/hfast-sim/hfast/internal/apps"
 	"github.com/hfast-sim/hfast/internal/ipm"
@@ -599,6 +600,71 @@ func TestStreamParity(t *testing.T) {
 					t.Fatalf("assignment artifact differs from batch (%d vs %d bytes)", len(gotA), len(wantA))
 				}
 			})
+		}
+	}
+}
+
+// TestStreamStalledPostHoldsOnlyItsSession: a POST whose body stops
+// mid-delta holds its own session and nothing else. While it waits for
+// the rest, a new session opens and an existing one answers a GET.
+func TestStreamStalledPostHoldsOnlyItsSession(t *testing.T) {
+	s, ts := testServer(t, Config{Workers: 2})
+	_, ds := splitRun(t, "cactus", 8, 2)
+	if resp, _ := postDeltas(t, ts.URL+"/v1/stream/c", ds[:1]); resp.StatusCode != http.StatusOK {
+		t.Fatalf("session c: status %d", resp.StatusCode)
+	}
+	// Session a gets one whole delta and half of the next, then nothing:
+	// once the first is folded, its handler holds a's lock and waits.
+	body := encodeDeltas(t, ds[:2])
+	cut := len(encodeDeltas(t, ds[:1])) + 40
+	pr, pw := io.Pipe()
+	stalled := make(chan struct{})
+	go func() {
+		defer close(stalled)
+		if resp, err := http.Post(ts.URL+"/v1/stream/a", "application/json", pr); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	defer func() { pw.CloseWithError(io.ErrUnexpectedEOF); <-stalled }()
+	if _, err := pw.Write(body[:cut]); err != nil {
+		t.Fatal(err)
+	}
+	for s.Metrics().Snapshot().StreamDeltas < 2 {
+		select {
+		case <-stalled:
+			t.Fatal("the stalled POST returned")
+		case <-time.After(time.Millisecond):
+		}
+	}
+
+	answered := make(chan string, 2)
+	first := encodeDeltas(t, ds[:1])
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/stream/b", "application/json", bytes.NewReader(first))
+		if err != nil {
+			answered <- "POST b: " + err.Error()
+			return
+		}
+		resp.Body.Close()
+		answered <- fmt.Sprintf("POST b: %d", resp.StatusCode)
+	}()
+	go func() {
+		resp, err := http.Get(ts.URL + "/v1/stream/c")
+		if err != nil {
+			answered <- "GET c: " + err.Error()
+			return
+		}
+		resp.Body.Close()
+		answered <- fmt.Sprintf("GET c: %d", resp.StatusCode)
+	}()
+	for i := 0; i < 2; i++ {
+		select {
+		case got := <-answered:
+			if !strings.HasSuffix(got, ": 200") {
+				t.Errorf("%s, want 200", got)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a stalled POST on session a held up other sessions for 10s")
 		}
 	}
 }

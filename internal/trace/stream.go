@@ -196,13 +196,38 @@ func NewStreamState(procs, cutoff int, prefix string, det DetectorConfig) (*Stre
 // error, not a silently truncated graph. Deltas must arrive in Seq order
 // and step windows in program order (ipm.CompareRegions).
 func (s *StreamState) Fold(d *ipm.Delta) (*StreamState, error) {
-	if err := d.Validate(); err != nil {
+	if err := s.admit(d); err != nil {
 		return nil, err
 	}
+	return s.fold(d, d.AsProfile().Pairs(ipm.Region(d.Window)))
+}
+
+// FoldPairs is Fold for a delta whose window traffic has already been
+// extracted: pairs is d.AsProfile().Pairs(ipm.Region(d.Window)), which
+// ipm.DecodeDeltaPairs reads off the wire with no Ranks built. The
+// checks and the fold are Fold's.
+func (s *StreamState) FoldPairs(d *ipm.Delta, pairs []ipm.PairTraffic) (*StreamState, error) {
+	if err := s.admit(d); err != nil {
+		return nil, err
+	}
+	return s.fold(d, pairs)
+}
+
+// admit runs Validate and the procs check, before anything is sized by
+// the delta's Procs.
+func (s *StreamState) admit(d *ipm.Delta) error {
+	if err := d.Validate(); err != nil {
+		return err
+	}
 	if d.Procs != s.Procs {
-		return nil, fmt.Errorf("trace: delta %q window %q spans %d ranks but stream folds %d procs",
+		return fmt.Errorf("trace: delta %q window %q spans %d ranks but stream folds %d procs",
 			d.App, d.Window, d.Procs, s.Procs)
 	}
+	return nil
+}
+
+// fold is the body Fold and FoldPairs share, from the stream-order checks on.
+func (s *StreamState) fold(d *ipm.Delta, pairs []ipm.PairTraffic) (*StreamState, error) {
 	if s.App != "" && d.App != s.App {
 		return nil, fmt.Errorf("trace: delta for app %q folded into stream of %q", d.App, s.App)
 	}
@@ -221,9 +246,9 @@ func (s *StreamState) Fold(d *ipm.Delta) (*StreamState, error) {
 	ns.Last = FoldEvent{Phase: s.Last.Phase}
 	ns.memo = new(snapshotMemo)
 
-	g, err := topology.FromProfile(d.AsProfile(), ipm.Region(d.Window))
-	if err != nil {
-		return nil, err
+	g, err := topology.FromPairs(s.Procs, pairs)
+	if err != nil { // worded as topology.FromProfile words it
+		return nil, fmt.Errorf("topology: profile %q: %w", d.App, err)
 	}
 	if d.Window != "init" {
 		n := len(s.steady)
