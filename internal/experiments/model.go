@@ -249,26 +249,21 @@ type netsimJob struct {
 
 // NetsimRowsFor replays the named applications' steady-state traffic on
 // the three fabric models through the pipeline's Netsim stage. Per-app
-// preparation (profile, graph, flow count) runs serially — those
-// artifacts come from the pipeline's warm cache — and the fabric
-// simulations, three independent jobs per app, shard over the
-// internal/par worker pool. Every job resolves a distinct fabric
-// artifact and owns distinct row fields, so the parallel run is
+// preparation (the profile) runs serially — it comes from the
+// pipeline's warm cache — and the fabric simulations, three independent
+// jobs per app, shard over the internal/par worker pool. Every job
+// resolves a distinct fabric artifact and owns distinct row fields (the
+// HFAST job also sets the flow count), so the parallel run is
 // deterministic and race-free.
 func NetsimRowsFor(r *Runner, appNames []string, procs int) ([]NetsimRow, error) {
 	fabrics := []string{pipeline.FabricHFAST, pipeline.FabricFCN, pipeline.FabricMesh}
 	rows := make([]NetsimRow, len(appNames))
 	var jobs []netsimJob
 	for ai, app := range appNames {
-		p, err := r.Profile(app, procs)
-		if err != nil {
+		if _, err := r.Profile(app, procs); err != nil {
 			return nil, err
 		}
-		g, err := r.Graph(app, procs)
-		if err != nil {
-			return nil, err
-		}
-		rows[ai] = NetsimRow{App: app, Procs: procs, Flows: len(pipeline.FlowsFor(p, g))}
+		rows[ai] = NetsimRow{App: app, Procs: procs}
 		for _, fabric := range fabrics {
 			jobs = append(jobs, netsimJob{ai: ai, app: app, fabric: fabric})
 		}
@@ -284,6 +279,7 @@ func NetsimRowsFor(r *Runner, appNames []string, procs int) ([]NetsimRow, error)
 		row := &rows[j.ai]
 		switch j.fabric {
 		case pipeline.FabricHFAST:
+			row.Flows = res.Flows
 			row.HFAST = res.Makespan
 			row.Collective = res.Collective
 			row.TreeTime = res.TreeTime

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -129,18 +130,31 @@ func replanOne(r *Runner, app string, procs, cutoff, blockSize int) (ReplanRow, 
 
 	// Replay every window on both fabrics. Spilled or sub-threshold flows
 	// ride the shared collective tree concurrently with the circuit
-	// traffic, so a window costs the slower of the two.
-	staticNet := netsim.NewHFASTNet(static, netsim.DefaultLinkParams())
-	for k := range ws {
-		flows := pipeline.AppendFlows(nil, ws[k].Graph, 1)
-		pi := phaseOf(phases, k)
-		st, err := replayWindow(staticNet, procs, flows)
+	// traffic, so a window costs the slower of the two. Each replay is
+	// keyed by the whole plan and window, so a repeated window — or a
+	// phase plan equal to the static one — simulates once; the windows
+	// still sum in order.
+	replay := func(a *hfast.Assignment, g *topology.Graph) (float64, error) {
+		in := struct {
+			Plan   *hfast.Assignment
+			Window *topology.Graph
+		}{a, g}
+		v, _, err := r.Pipeline().Derived(context.Background(), "replan-replay", in, func(context.Context) (any, error) {
+			circuits, _, tree, err := pipeline.ReplayHFAST(netsim.NewHFASTNet(a, netsim.DefaultLinkParams()), procs, pipeline.AppendFlows(nil, g, 1))
+			return max(circuits, tree), err
+		})
+		if err != nil {
+			return 0, err
+		}
+		return v.(float64), nil
+	}
+	for k, w := range ws {
+		st, err := replay(static, w.Graph)
 		if err != nil {
 			return row, err
 		}
 		row.StaticMakespan += st
-		phNet := netsim.NewHFASTNet(assigns[pi], netsim.DefaultLinkParams())
-		rt, err := replayWindow(phNet, procs, flows)
+		rt, err := replay(assigns[phaseOf(phases, k)], w.Graph)
 		if err != nil {
 			return row, err
 		}
@@ -158,14 +172,6 @@ func phaseOf(phases []trace.Phase, k int) int {
 		}
 	}
 	return len(phases) - 1
-}
-
-// replayWindow simulates one window's flows on an HFAST fabric, sending
-// whatever the circuits cannot carry to the collective tree, and returns
-// the window's wall-clock: the slower of the two concurrent networks.
-func replayWindow(hn *netsim.HFASTNet, procs int, flows []netsim.Flow) (float64, error) {
-	circuits, _, tree, err := pipeline.ReplayHFAST(hn, procs, flows)
-	return max(circuits, tree), err
 }
 
 // Replan renders the static-vs-replanned comparison for the six paper

@@ -55,8 +55,9 @@ type Runner struct {
 // skeleton default.
 func NewRunner(steps int) *Runner {
 	// The paper grid is 12 profiles; the derived graph, assignment,
-	// comparison, window, and netsim artifacts multiply that by the
-	// stage count. 512 holds every artifact of a full regeneration.
+	// comparison, window, netsim and replan-replay artifacts multiply
+	// that by the stage count. 512 holds every artifact of a full
+	// regeneration (95 of them).
 	return RunnerOn(pipeline.New(pipeline.Options{CacheEntries: 512}), steps)
 }
 

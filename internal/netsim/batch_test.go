@@ -15,7 +15,7 @@ import (
 // mid-flight (general seeded recompute).
 func TestSimulateBatchedAdmissionParity(t *testing.T) {
 	for _, app := range []string{"cactus", "gtc"} {
-		base := steadyFlows(t, app, 64)
+		g, base := steadyTraffic(t, app, 64)
 		sync := make([]Flow, len(base))
 		burst := make([]Flow, len(base))
 		for i, f := range base {
@@ -24,7 +24,7 @@ func TestSimulateBatchedAdmissionParity(t *testing.T) {
 			f.Start = float64(f.Src%4) * 1e-3
 			burst[i] = f
 		}
-		for name, router := range parityFabrics(t, app, 64) {
+		for name, router := range parityFabrics(t, g) {
 			net := fabricNetwork(router)
 			for label, flows := range map[string][]Flow{"sync": sync, "burst": burst} {
 				want, err := simulateReference(net, router, flows)
@@ -98,13 +98,13 @@ func TestBatchedAdmissionAdmitsOncePerGroup(t *testing.T) {
 // machinery.
 func TestSimulateIntraComponentDeterminism(t *testing.T) {
 	forceSharded(t)
-	base := steadyFlows(t, "cactus", 64)
+	g, base := steadyTraffic(t, "cactus", 64)
 	flows := make([]Flow, len(base))
 	for i, f := range base {
 		f.Start = float64(f.Src%2) * 1e-4
 		flows[i] = f
 	}
-	for name, router := range parityFabrics(t, "cactus", 64) {
+	for name, router := range parityFabrics(t, g) {
 		net := fabricNetwork(router)
 		var regions []int32
 		if rh, ok := router.(RegionHinter); ok {

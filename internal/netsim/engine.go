@@ -294,9 +294,10 @@ func Simulate(net *Network, router Router, flows []Flow) (Result, error) {
 }
 
 // SimulateInto is Simulate reusing the caller's Result: res.Flows is
-// resliced in place when its capacity suffices, so replay loops (the
-// pipeline Netsim stage, benchmarks) can pool Result values and stop
-// paying one FlowResult slice per call. On error *res is untouched.
+// resliced in place when its capacity suffices, so replay loops
+// (benchmarks, pipeline.ReplayHFAST's circuit and tree passes) can reuse
+// one Result and stop paying one FlowResult slice per call. On error
+// *res is untouched.
 func SimulateInto(res *Result, net *Network, router Router, flows []Flow) error {
 	var regions []int32
 	if rh, ok := router.(RegionHinter); ok {

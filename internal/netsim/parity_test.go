@@ -1,9 +1,7 @@
 package netsim
 
 import (
-	"fmt"
 	"math"
-	"os"
 	"testing"
 
 	"github.com/hfast-sim/hfast/internal/apps"
@@ -63,9 +61,10 @@ func assertParity(t *testing.T, label string, got, want Result) {
 	}
 }
 
-// steadyFlows replays an application's steady-state traffic as the model
-// study does: one aggregate flow per directed pair per step-average.
-func steadyFlows(t *testing.T, app string, procs int) []Flow {
+// steadyTraffic runs an application skeleton once and returns its
+// steady-state graph and the flow set the model study replays from it:
+// one aggregate flow per directed pair per step-average.
+func steadyTraffic(t *testing.T, app string, procs int) (*topology.Graph, []Flow) {
 	t.Helper()
 	p, err := apps.ProfileRun(app, apps.Config{Procs: procs, Steps: 2})
 	if err != nil {
@@ -88,28 +87,16 @@ func steadyFlows(t *testing.T, app string, procs int) []Flow {
 		flows = append(flows, Flow{Src: i, Dst: j, Bytes: per})
 		flows = append(flows, Flow{Src: j, Dst: i, Bytes: per})
 	})
-	return flows
-}
-
-func steadyGraph(t *testing.T, app string, procs int) *topology.Graph {
-	t.Helper()
-	p, err := apps.ProfileRun(app, apps.Config{Procs: procs, Steps: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := topology.FromProfile(p, ipm.SteadyState)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
+	return g, flows
 }
 
 // parityFabrics builds the four fabric models compared in the paper's §5
-// model study for one app×size and returns (network, router) pairs.
-func parityFabrics(t *testing.T, app string, procs int) map[string]Router {
+// model study over a steady-state graph's ranks, provisioning HFAST for
+// that graph, and returns them by name.
+func parityFabrics(t *testing.T, g *topology.Graph) map[string]Router {
 	t.Helper()
 	lp := DefaultLinkParams()
-	g := steadyGraph(t, app, procs)
+	procs := g.P
 	a, err := hfast.Assign(g, 0, hfast.DefaultBlockSize)
 	if err != nil {
 		t.Fatal(err)
@@ -146,50 +133,4 @@ func fabricNetwork(r Router) *Network {
 		return f.Network()
 	}
 	return nil
-}
-
-// parityGrid gates the app×size matrix: the full six-skeleton grid runs
-// at P=64 by default; the all-to-all codes (pmemd, paratec) generate
-// ~130k flows at P=256, which the quadratic reference solver needs
-// minutes for, so P=256 covers the near-neighbor codes by default and
-// the full set only under HFAST_TEST_ULTRA=1. HFAST_TEST_QUICK=1 (the
-// race CI job) trims to three apps at P=64.
-func parityGrid() map[int][]string {
-	if os.Getenv("HFAST_TEST_QUICK") != "" {
-		return map[int][]string{64: {"cactus", "lbmhd", "gtc"}}
-	}
-	if os.Getenv("HFAST_TEST_ULTRA") != "" {
-		return map[int][]string{64: apps.Names(), 256: apps.Names()}
-	}
-	return map[int][]string{
-		64:  apps.Names(),
-		256: {"cactus", "lbmhd", "gtc"},
-	}
-}
-
-// TestSimulateParity pins the incremental event-driven engine to the
-// reference whole-network water-filling solver on every skeleton's
-// steady-state traffic across all four fabric models.
-func TestSimulateParity(t *testing.T) {
-	for procs, names := range parityGrid() {
-		for _, app := range names {
-			t.Run(fmt.Sprintf("%s/P%d", app, procs), func(t *testing.T) {
-				flows := steadyFlows(t, app, procs)
-				if len(flows) == 0 {
-					t.Fatalf("no steady-state flows for %s at P=%d", app, procs)
-				}
-				for name, router := range parityFabrics(t, app, procs) {
-					got, err := Simulate(fabricNetwork(router), router, flows)
-					if err != nil {
-						t.Fatalf("%s: engine: %v", name, err)
-					}
-					want, err := simulateReference(fabricNetwork(router), router, flows)
-					if err != nil {
-						t.Fatalf("%s: reference: %v", name, err)
-					}
-					assertParity(t, name, got, want)
-				}
-			})
-		}
-	}
 }

@@ -149,13 +149,13 @@ func TestPartitionStructure(t *testing.T) {
 // per start wave and merge as later waves bridge them — pinned against
 // the reference solver.
 func TestStaggeredFabricMergeParity(t *testing.T) {
-	base := steadyFlows(t, "gtc", 64)
+	g, base := steadyTraffic(t, "gtc", 64)
 	flows := make([]Flow, len(base))
 	for i, f := range base {
 		f.Start += float64(f.Src%8) * 1e-4
 		flows[i] = f
 	}
-	for name, router := range parityFabrics(t, "gtc", 64) {
+	for name, router := range parityFabrics(t, g) {
 		net := fabricNetwork(router)
 		want, err := simulateReference(net, router, flows)
 		if err != nil {

@@ -44,8 +44,8 @@ func randomCut(rng *rand.Rand, nLinks, nr int) []int32 {
 func TestSimulateShardedCutParity(t *testing.T) {
 	forceSharded(t)
 	for _, app := range []string{"cactus", "gtc"} {
-		flows := steadyFlows(t, app, 64)
-		for name, router := range parityFabrics(t, app, 64) {
+		g, flows := steadyTraffic(t, app, 64)
+		for name, router := range parityFabrics(t, g) {
 			net := fabricNetwork(router)
 			want, err := simulateReference(net, router, flows)
 			if err != nil {
@@ -81,7 +81,7 @@ func TestSimulateShardedCutParity(t *testing.T) {
 // test.
 func TestSimulateWorkerCountDeterminism(t *testing.T) {
 	forceSharded(t)
-	base := steadyFlows(t, "cactus", 64)
+	g, base := steadyTraffic(t, "cactus", 64)
 	// Stagger start times per source rank so the scheduler sees many
 	// live components whose timelines merge as later flows bridge them.
 	flows := make([]Flow, len(base))
@@ -89,7 +89,7 @@ func TestSimulateWorkerCountDeterminism(t *testing.T) {
 		f.Start += float64(f.Src%16) * 1e-4
 		flows[i] = f
 	}
-	for name, router := range parityFabrics(t, "cactus", 64) {
+	for name, router := range parityFabrics(t, g) {
 		net := fabricNetwork(router)
 		var regions []int32
 		if rh, ok := router.(RegionHinter); ok {
@@ -131,7 +131,8 @@ func TestSimulateWorkerCountDeterminism(t *testing.T) {
 // contract: one id per link, ids dense in [-1, target), and at least two
 // regions actually used at paper scale.
 func TestRegionHinterShapes(t *testing.T) {
-	for name, router := range parityFabrics(t, "cactus", 256) {
+	g, _ := steadyTraffic(t, "cactus", 256)
+	for name, router := range parityFabrics(t, g) {
 		rh, ok := router.(RegionHinter)
 		if !ok {
 			t.Errorf("%s: fabric does not implement RegionHinter", name)

@@ -3,27 +3,14 @@ package pipeline
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"github.com/hfast-sim/hfast/internal/fattree"
 	"github.com/hfast-sim/hfast/internal/hfast"
-	"github.com/hfast-sim/hfast/internal/ipm"
 	"github.com/hfast-sim/hfast/internal/meshtorus"
 	"github.com/hfast-sim/hfast/internal/netsim"
 	"github.com/hfast-sim/hfast/internal/topology"
 	"github.com/hfast-sim/hfast/internal/treenet"
 )
-
-// simPool recycles Result values across replays: the fabric studies
-// simulate the same flow counts over and over, so SimulateInto reuses
-// the pooled FlowResult slices instead of allocating one per run.
-var simPool = sync.Pool{New: func() any { return new(netsim.Result) }}
-
-// flowsPool recycles the flow slices the Netsim stage replays. At
-// P=65536 the halo skeleton carries ~400k flows (~13 MB as a slice);
-// the three fabric replays of one app each rebuild that set, so the
-// backing arrays are worth keeping warm across stage invocations.
-var flowsPool = sync.Pool{New: func() any { return new([]netsim.Flow) }}
 
 // Fabric names accepted by the Netsim stage.
 const (
@@ -77,9 +64,7 @@ func (pl *Pipeline) runNetsim(ctx context.Context, ref ProfileRef, fabric string
 	if err != nil {
 		return nil, err
 	}
-	fb := flowsPool.Get().(*[]netsim.Flow)
-	flows := AppendFlows((*fb)[:0], g, prof.Params["steps"])
-	defer func() { *fb = flows[:0]; flowsPool.Put(fb) }()
+	flows := AppendFlows(nil, g, prof.Params["steps"])
 	lp := netsim.DefaultLinkParams()
 	res := &FabricResult{Fabric: fabric, Procs: prof.Procs, Flows: len(flows)}
 
@@ -102,33 +87,26 @@ func (pl *Pipeline) runNetsim(ctx context.Context, ref ProfileRef, fabric string
 			return fail(err)
 		}
 		fn := netsim.NewFCNNet(prof.Procs, tree, lp)
-		if res.Makespan, err = replay(fn.Network(), fn, flows); err != nil {
+		sim, err := netsim.Simulate(fn.Network(), fn, flows)
+		if err != nil {
 			return fail(err)
 		}
+		res.Makespan = sim.Makespan
 	case FabricMesh:
 		mesh, err := meshtorus.New(meshtorus.NearCube(prof.Procs, 3), true)
 		if err != nil {
 			return fail(err)
 		}
 		mn := netsim.NewMeshNet(mesh, lp)
-		if res.Makespan, err = replay(mn.Network(), mn, flows); err != nil {
+		sim, err := netsim.Simulate(mn.Network(), mn, flows)
+		if err != nil {
 			return fail(err)
 		}
+		res.Makespan = sim.Makespan
 	default:
 		return nil, fmt.Errorf("pipeline: unknown fabric %q", fabric)
 	}
 	return res, nil
-}
-
-// replay simulates flows on one fabric through a pooled Result and
-// returns the makespan.
-func replay(nw *netsim.Network, r netsim.Router, flows []netsim.Flow) (float64, error) {
-	sim := simPool.Get().(*netsim.Result)
-	defer simPool.Put(sim)
-	if err := netsim.SimulateInto(sim, nw, r, flows); err != nil {
-		return 0, err
-	}
-	return sim.Makespan, nil
 }
 
 // ReplayHFAST simulates flows on an HFAST fabric over procs nodes and
@@ -138,9 +116,8 @@ func replay(nw *netsim.Network, r netsim.Router, flows []netsim.Flow) (float64, 
 // there; the two networks run side by side, so a caller after wall-clock
 // takes the larger.
 func ReplayHFAST(hn *netsim.HFASTNet, procs int, flows []netsim.Flow) (makespan float64, collective int, treeTime float64, err error) {
-	sim := simPool.Get().(*netsim.Result)
-	defer simPool.Put(sim)
-	if err = netsim.SimulateInto(sim, hn.Network(), hn, flows); err != nil {
+	var sim netsim.Result
+	if err = netsim.SimulateInto(&sim, hn.Network(), hn, flows); err != nil {
 		return 0, 0, 0, err
 	}
 	makespan, collective = sim.Makespan, sim.Unroutable
@@ -157,25 +134,17 @@ func ReplayHFAST(hn *netsim.HFASTNet, procs int, flows []netsim.Flow) (makespan 
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	if err = netsim.SimulateInto(sim, tn.Network(), tn, small); err != nil {
+	if err = netsim.SimulateInto(&sim, tn.Network(), tn, small); err != nil {
 		return 0, 0, 0, err
 	}
 	return makespan, collective, sim.Makespan, nil
-}
-
-// FlowsFor converts a profile's steady-state graph into the flow set the
-// fabric studies replay: one aggregate flow per directed pair carrying
-// one step's worth of bytes.
-func FlowsFor(prof *ipm.Profile, g *topology.Graph) []netsim.Flow {
-	return AppendFlows(nil, g, prof.Params["steps"])
 }
 
 // AppendFlows appends a traffic graph's replay flow set to flows: per
 // edge that carried a message, one flow in each direction with half the
 // edge's (symmetric-sum) volume, divided by steps when the graph sums
 // that many steps (steps below 1 count as 1). Deterministic —
-// ForEachEdge iterates in increasing (i, j) order. The Netsim stage
-// passes a pooled buffer: at P=65536 a halo's flows are ~13 MB per fabric.
+// ForEachEdge iterates in increasing (i, j) order.
 func AppendFlows(flows []netsim.Flow, g *topology.Graph, steps int) []netsim.Flow {
 	if steps <= 0 {
 		steps = 1
