@@ -1,13 +1,17 @@
 package hfast_test
 
 import (
+	"cmp"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -25,12 +29,11 @@ var deadExportsAllowed = map[string]string{
 	"internal/treenet.Tree.Depth":                "route-length oracle: netsim's router_test bounds every tree route by it (ROADMAP item 13(i))",
 }
 
-// deadExports lists the top-level exports and methods (dir.Type.Method)
-// under root whose name no non-test file spells outside its declaration.
-// Names match without types: the census can miss, never accuse wrongly.
-func deadExports(t *testing.T, root string) []string {
-	var keys []string
-	used := map[string]bool{}
+// walkGo parses every Go file under root, skipping testdata and dot
+// directories, and hands each to fn with its directory relative to root
+// (the package name for root itself).
+func walkGo(t *testing.T, root string, fn func(path, dir string, f *ast.File)) {
+	t.Helper()
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			if err == nil && path != root && (d.Name() == "testdata" || d.Name()[0] == '.') {
@@ -38,7 +41,7 @@ func deadExports(t *testing.T, root string) []string {
 			}
 			return err
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
 		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
@@ -49,10 +52,28 @@ func deadExports(t *testing.T, root string) []string {
 		if dir == "." {
 			dir = f.Name.Name
 		}
+		fn(path, filepath.ToSlash(dir), f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// deadExports lists the top-level exports and methods (dir.Type.Method)
+// under root whose name no non-test file spells outside its declaration.
+// Names match without types: the census can miss, never accuse wrongly.
+func deadExports(t *testing.T, root string) []string {
+	var keys []string
+	used := map[string]bool{}
+	walkGo(t, root, func(path, dir string, f *ast.File) {
+		if strings.HasSuffix(path, "_test.go") {
+			return
+		}
 		own := map[*ast.Ident]bool{}
 		declare := func(id *ast.Ident, key string) {
 			if own[id] = true; id.IsExported() {
-				keys = append(keys, filepath.ToSlash(dir)+"."+key)
+				keys = append(keys, dir+"."+key)
 			}
 		}
 		for _, d := range f.Decls {
@@ -81,11 +102,7 @@ func deadExports(t *testing.T, root string) []string {
 			}
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	return slices.DeleteFunc(keys, func(key string) bool { return used[key[strings.LastIndexByte(key, '.')+1:]] })
 }
 
@@ -106,6 +123,240 @@ func TestNoDeadExports(t *testing.T) {
 	for key := range deadExportsAllowed {
 		if !hit[key] {
 			t.Errorf("allowlist entry %s names no dead export: drop it", key)
+		}
+	}
+}
+
+// knobsAllowed says what each pool and package-level tuning constant
+// buys. A knob earns its line by a measured number, or by being a bound,
+// a tolerance or a protocol value rather than a tuning choice; any other
+// goes. The ablations removed the knob on a copy and ran the ledger
+// (go run ./bench, 2 cores, go1.24.0, one to two pairs of 4–5 s runs).
+var knobsAllowed = map[string]string{
+	"internal/netsim.enginePool":  "without it netsim_replay goes from 0.38–0.56 to 12–13 MB/op (two ablations); its throughput moved within run-to-run noise",
+	"internal/server.splitters":   "without it stream_replay goes 0.077 → 0.394 MB/op and stream_ingest 0.355 → 0.666",
+	"internal/ipm.scratchPool":    "without it provision_cold goes 4.33 → 6.90 MB/op",
+	"internal/ipm.wireChunk":      "no ledger row moves, but hfastsim -app cactus -p 8192 -o f (a 130 MB profile) peaks at 334 MB RSS without it, 209 MB with it",
+	"internal/ipm.chunkShift":     "a *Stat stays valid because slot chunks never move; 64 slots is the chunk size, never ablated against others",
+	"internal/ipm.wireEntrySize":  "growth hint just over the skeletons' ≈ 140-byte entries, so an encode buffer grows once",
+	"internal/ipm.wireRankSize":   "growth hint for one rank's header, so an encode buffer grows once",
+	"internal/ipm.wireHeaderSize": "growth hint for the profile header, so an encode buffer grows once",
+
+	"internal/netsim.shardedSolveMin": "pinned by bench/testdata/netsim_golden.json (mesh.p16384.sync's finish_hash moves without the sharded solve); goes with shard.go in ROADMAP item 4",
+	"internal/netsim.shardBackoffMax": "pinned by bench/testdata/netsim_golden.json (dropping only the backoff moves mesh.p16384.sync's finish_hash); goes with shard.go in ROADMAP item 4",
+	"internal/netsim.maxShardRegions": "bounds the union-find a region hint may size; goes with shard.go in ROADMAP item 4",
+
+	"internal/netsim.completionEpsilon": "numerical tolerance shared with the reference solver; engine_bits.json pins it",
+	"internal/netsim.satSlack":          "numerical tolerance of the saturation verdict; engine_bits.json pins it",
+	"internal/netsim.rateBand":          "numerical tolerance of the bottleneck rate band; engine_bits.json pins it",
+
+	"internal/mpi.tagBarrier": "protocol tag namespace, not tuning",
+	"internal/mpi.tagBcast":   "protocol tag namespace, not tuning",
+	"internal/mpi.tagReduce":  "protocol tag namespace, not tuning",
+	"internal/mpi.tagGather":  "protocol tag namespace, not tuning",
+	"internal/mpi.tagRing":    "protocol tag namespace, not tuning",
+
+	"internal/apps.pmemdDecay":          "model parameter of pmemd's distance falloff; the profile goldens pin it",
+	"internal/experiments.hintsProcs":   "the size of the -t hints study the CI README chain runs",
+	"internal/experiments.hintsSteps":   "the length of the -t hints study the CI README chain runs",
+	"internal/meshtorus.maxStackDims":   "keeps AppendDOR's coordinates on the stack for the paper's 2-D/3-D meshes (TestMeshNetRouteAppendAllocs); more dimensions spill, still correct",
+	"internal/hfast.maxTreeLevels":      "correctness bound: no degree an int holds needs a deeper block tree",
+	"internal/hfast.maxCrossbarPorts":   "input bound: one number in a request or peer artifact cannot size the port table past it",
+	"internal/cluster.maxArtifactBytes": "input bound: a fetched peer artifact past it is a protocol error",
+	"internal/server.maxRecipeBytes":    "input bound on a peer-fill request body",
+}
+
+// knobs lists, as dir.name, every package-level sync.Pool and every
+// unexported package-level const or var whose value is built from
+// numeric literals alone, in the non-test Go under root outside bench/.
+func knobs(t *testing.T, root string) []string {
+	var keys []string
+	walkGo(t, root, func(path, dir string, f *ast.File) {
+		if strings.HasSuffix(path, "_test.go") || dir == "bench" || strings.HasPrefix(dir, "bench/") {
+			return
+		}
+		for _, d := range f.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok || (gd.Tok != token.CONST && gd.Tok != token.VAR) {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				vs := spec.(*ast.ValueSpec)
+				for i, id := range vs.Names {
+					var val ast.Expr
+					if i < len(vs.Values) {
+						val = vs.Values[i]
+					}
+					if isPool(vs.Type) || isPool(val) || (!id.IsExported() && numericLiteral(val)) {
+						keys = append(keys, dir+"."+id.Name)
+					}
+				}
+			}
+		}
+	})
+	return keys
+}
+
+// isPool reports whether e is the type sync.Pool or a composite of it.
+func isPool(e ast.Expr) bool {
+	if c, ok := e.(*ast.CompositeLit); ok {
+		e = c.Type
+	}
+	return e != nil && types.ExprString(e) == "sync.Pool"
+}
+
+// TestKnobsHaveReasons fails on a pool or tuning constant with no
+// knobsAllowed reason and on a stale entry, once the census has found
+// its fixture's two knobs.
+func TestKnobsHaveReasons(t *testing.T) {
+	if got := knobs(t, filepath.Join("testdata", "census")); !slices.Equal(got, []string{"lib.pool", "lib.chunk"}) {
+		t.Fatalf("the knob census of its fixture reports %v, want [lib.pool lib.chunk]", got)
+	}
+	hit := map[string]bool{}
+	for _, key := range knobs(t, ".") {
+		hit[key] = true
+		if knobsAllowed[key] == "" {
+			t.Errorf("%s is a pool or tuning constant: ablate it, then delete it or give knobsAllowed the number it buys", key)
+		}
+	}
+	for key := range knobsAllowed {
+		if !hit[key] {
+			t.Errorf("knobsAllowed entry %s names no pool or tuning constant: drop it", key)
+		}
+	}
+}
+
+// numericLiteral reports whether e is built from numeric literals and
+// operators alone.
+func numericLiteral(e ast.Expr) bool {
+	switch e := e.(type) {
+	case *ast.BasicLit:
+		return e.Kind == token.INT || e.Kind == token.FLOAT
+	case *ast.ParenExpr:
+		return numericLiteral(e.X)
+	case *ast.UnaryExpr:
+		return numericLiteral(e.X)
+	case *ast.BinaryExpr:
+		return numericLiteral(e.X) && numericLiteral(e.Y)
+	}
+	return false
+}
+
+// docSpan matches a backticked span shaped like a Go name: dotted
+// identifiers, optionally called.
+var docSpan = regexp.MustCompile("`([A-Za-z_][A-Za-z0-9_]*(?:\\.[A-Za-z_][A-Za-z0-9_]*)*)(?:\\(\\))?`")
+
+// docNames lists, as "doc: span", every backticked name in docs that
+// resolves to nothing. A name resolves when each dotted part is declared
+// in the module (a type, func, method, var, const, field or package), a
+// keyword or predeclared name, or a string literal the non-test Go
+// spells whole (a -t target, flag, app, route or query parameter); a
+// name qualified by an imported standard-library package resolves as is.
+// Snake_case spans are ledger rows, metrics and JSON fields, not Go
+// names, and a span with a file extension must name a file in the tree.
+func docNames(t *testing.T, root string, docs []string) []string {
+	declared, pkgs, stdlib, files := map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}
+	walkGo(t, root, func(path, dir string, f *ast.File) {
+		pkgs[f.Name.Name], pkgs[filepath.Base(dir)] = true, true
+		for _, im := range f.Imports {
+			p, _ := strconv.Unquote(im.Path.Value)
+			if !strings.Contains(strings.Split(p, "/")[0], ".") {
+				stdlib[p[strings.LastIndexByte(p, '/')+1:]] = true
+			}
+		}
+		test := strings.HasSuffix(path, "_test.go")
+		ast.Inspect(f, func(n ast.Node) bool {
+			var ids []*ast.Ident
+			switch n := n.(type) {
+			case *ast.ImportSpec:
+				return false
+			case *ast.FuncDecl:
+				ids = []*ast.Ident{n.Name}
+			case *ast.TypeSpec:
+				ids = []*ast.Ident{n.Name}
+			case *ast.ValueSpec:
+				ids = n.Names
+			case *ast.Field:
+				ids = n.Names
+			case *ast.BasicLit:
+				if s, err := strconv.Unquote(n.Value); err == nil && n.Kind == token.STRING && !test {
+					declared[s] = true
+				}
+			}
+			for _, id := range ids {
+				declared[id.Name] = true
+			}
+			return true
+		})
+	})
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.Name() == ".git" {
+			return cmp.Or(err, filepath.SkipDir)
+		}
+		files[d.Name()] = true
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hits []string
+	for _, doc := range docs {
+		data, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range docSpan.FindAllStringSubmatch(string(data), -1) {
+			name := m[1]
+			parts := strings.Split(name, ".")
+			ok := true
+			switch ext := parts[len(parts)-1]; {
+			case len(parts) > 1 && slices.Contains([]string{"go", "json", "md", "mod", "golden"}, ext):
+				ok = files[name]
+			case strings.Contains(name, "_"):
+			case len(parts) > 1 && stdlib[parts[0]] && !pkgs[parts[0]]:
+			default:
+				for _, p := range parts {
+					ok = ok && (declared[p] || pkgs[p] || stdlib[p] || token.IsKeyword(p) || types.Universe.Lookup(p) != nil)
+				}
+			}
+			if !ok {
+				hits = append(hits, doc+": "+name)
+			}
+		}
+	}
+	return hits
+}
+
+// docNamesAllowed says why each backticked name the docs use that
+// resolves to no code stays.
+var docNamesAllowed = map[string]string{
+	"DELETE":    "the HTTP method that closes a stream session",
+	"benchmark": "the change tag that alone may regenerate bench goldens",
+	"correct":   "the verdict bench prints for a run whose oracles hold",
+	"jq":        "the JSON command-line tool",
+	"step999":   "an example region name: region order holds past three digits",
+}
+
+// TestDocsNameLiveCode fails on a backticked name in README.md,
+// DESIGN.md or EXPERIMENTS.md that the code does not declare and
+// docNamesAllowed does not explain, and on a stale entry, once the
+// census has found its fixture's two dead names.
+func TestDocsNameLiveCode(t *testing.T) {
+	fixture := docNames(t, filepath.Join("testdata", "census"), []string{"doc.md"})
+	if want := []string{"doc.md: Gone", "doc.md: gone.go"}; !slices.Equal(fixture, want) {
+		t.Fatalf("the doc census of its fixture reports %v, want %v", fixture, want)
+	}
+	hit := map[string]bool{}
+	for _, h := range docNames(t, ".", []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}) {
+		name := h[strings.Index(h, ": ")+2:]
+		hit[name] = true
+		if docNamesAllowed[name] == "" {
+			t.Errorf("%s names nothing in the code: reword it, or allow it with a reason", h)
+		}
+	}
+	for name := range docNamesAllowed {
+		if !hit[name] {
+			t.Errorf("docNamesAllowed entry %s is named by no doc or resolves to code: drop it", name)
 		}
 	}
 }

@@ -269,7 +269,7 @@ func NetsimRowsFor(r *Runner, appNames []string, procs int) ([]NetsimRow, error)
 		}
 	}
 	errs := make([]error, len(jobs))
-	par.ForChunks(len(jobs), 1, func(i, _, _ int) {
+	par.For(len(jobs), func(i int) {
 		j := jobs[i]
 		res, err := r.Netsim(j.app, procs, j.fabric)
 		if err != nil {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-
-	"github.com/hfast-sim/hfast/internal/par"
 )
 
 // completionEpsilon is the sub-byte residue treated as "finished".
@@ -246,7 +244,7 @@ type engine struct {
 	routedOK  []bool
 	simIdx    []int32 // raw flow → super-flow (-1 when unroutable)
 	linkBytes []float64
-	routeBufs [][]int // per-chunk arenas routed paths live in
+	routeBuf  []int // arena routed paths live in
 }
 
 // groupKey identifies a coalescing group. The key includes the size:
@@ -281,10 +279,9 @@ func (e *engine) path(f *flowRec) []int32 {
 // bandwidth. The engine is incremental — see the package comment — and
 // its results match simulateReference's whole-network recomputation to
 // float-rounding noise. Link-disjoint components of the flow set advance
-// concurrently, and when the router implements RegionHinter and the
-// network is large enough the heavy water-fills run region-sharded over
-// par workers; nothing else forks, and results are bit-identical at any
-// GOMAXPROCS.
+// concurrently, and on a large mesh (the one RegionHinter) the heavy
+// water-fills run region-sharded over par workers; nothing else forks,
+// and results are bit-identical at any GOMAXPROCS.
 func Simulate(net *Network, router Router, flows []Flow) (Result, error) {
 	var res Result
 	if err := SimulateInto(&res, net, router, flows); err != nil {
@@ -356,17 +353,9 @@ func (e *engine) stats() Stats {
 	return st
 }
 
-// routeChunk is the fixed flow-count grid the routing fan-out splits
-// over. Fixed chunks (never worker-count-derived shards) give every
-// chunk its own append arena, so routed paths land in engine-owned
-// memory with a layout that is a pure function of the flow list.
-const routeChunk = 4096
-
 // build routes, validates, and coalesces the raw flows, then sizes every
-// engine array for the run. Routing is the only per-flow work with no
-// cross-flow dependency, so it fans out over par workers; validation,
-// byte accounting, and coalescing stay serial so error precedence and
-// float accumulation order never depend on the worker count.
+// engine array for the run. Everything here is serial, so error
+// precedence and float accumulation order follow the flow list.
 func (e *engine) build(net *Network, router Router, flows []Flow, regions []int32) (unroutable int, maxLinkBytes float64, err error) {
 	nLinks := net.Links()
 	nf := len(flows)
@@ -374,28 +363,17 @@ func (e *engine) build(net *Network, router Router, flows []Flow, regions []int3
 	e.lats = grow(e.lats, nf)
 	e.routedOK = grow(e.routedOK, nf)
 	e.simIdx = grow(e.simIdx, nf)
-	// Route into per-chunk arenas: the fabric appends each path to the
-	// chunk's slab instead of allocating one slice per call. Slab growth
-	// may strand early paths on a retired backing array — they stay valid,
+	// Route into one arena: the fabric appends each path to the engine's
+	// slab instead of allocating one slice per call. Slab growth may
+	// strand early paths on a retired backing array — they stay valid,
 	// and the high-water slab makes repeat replays allocation-free.
-	nChunks := (nf + routeChunk - 1) / routeChunk
-	if cap(e.routeBufs) < nChunks {
-		bufs := make([][]int, nChunks)
-		copy(bufs, e.routeBufs)
-		e.routeBufs = bufs
+	buf := e.routeBuf[:0]
+	for i, f := range flows {
+		base := len(buf)
+		buf, e.lats[i], e.routedOK[i] = router.RouteAppend(buf, f.Src, f.Dst)
+		e.paths[i] = buf[base:len(buf):len(buf)]
 	}
-	e.routeBufs = e.routeBufs[:nChunks]
-	par.ForChunks(nf, routeChunk, func(ci, lo, hi int) {
-		buf := e.routeBufs[ci][:0]
-		for i := lo; i < hi; i++ {
-			base := len(buf)
-			var full []int
-			full, e.lats[i], e.routedOK[i] = router.RouteAppend(buf, flows[i].Src, flows[i].Dst)
-			e.paths[i] = full[base:len(full):len(full)]
-			buf = full
-		}
-		e.routeBufs[ci] = buf
-	})
+	e.routeBuf = buf
 
 	e.linkBytes = grow(e.linkBytes, nLinks)
 	clear(e.linkBytes)

@@ -28,13 +28,13 @@ func DefaultLinkParams() LinkParams {
 	return LinkParams{Bandwidth: 1e9, SwitchLatency: 50e-9, WireLatency: 20e-9}
 }
 
-// regionMemo keeps a fabric's last LinkRegions answer. The table is a
+// regionMemo keeps the mesh's last LinkRegions answer. The table is a
 // pure function of the immutable fabric and the target, and the target
 // SimulateInto asks for is itself a function of the link count, so a
 // replay loop would otherwise rebuild the same slice — a fresh
-// allocation per link plus, for the map-backed fabrics, a walk over a Go
-// map — on every call. Callers share the memoised slice and must not
-// write it (RegionHinter's contract).
+// allocation per link plus a walk over the link map — on every call.
+// Callers share the memoised slice and must not write it (RegionHinter's
+// contract).
 type regionMemo struct {
 	mu     sync.Mutex
 	target int
@@ -50,13 +50,11 @@ func (m *regionMemo) get(target int, compute func(target int) []int32) []int32 {
 	return m.ids
 }
 
-// unregioned is a region table with every link on the boundary (-1).
-func unregioned(nLinks int) []int32 {
-	regions := make([]int32, nLinks)
-	for i := range regions {
-		regions[i] = -1
-	}
-	return regions
+// endpoints reports whether src → dst is a flow between two distinct
+// nodes of a p-node fabric. Every router answers any other pair as
+// unroutable, so hostile flow lists never reach a fabric's tables.
+func endpoints(src, dst, p int) bool {
+	return src != dst && src >= 0 && dst >= 0 && src < p && dst < p
 }
 
 // HFASTNet wraps a provisioned assignment as a simulatable fabric: each
@@ -68,7 +66,6 @@ type HFASTNet struct {
 	p        LinkParams
 	up, down []int
 	edgeLink map[[2]int]int
-	regions  regionMemo
 }
 
 // NewHFASTNet builds the simulation model of an assignment. Node links
@@ -106,6 +103,9 @@ func (h *HFASTNet) Network() *Network { return h.net }
 // latencies from the assignment; other pairs are unroutable on the
 // high-bandwidth fabric (they belong on the collective network).
 func (h *HFASTNet) RouteAppend(buf []int, src, dst int) ([]int, float64, bool) {
+	if !endpoints(src, dst, h.assign.P) {
+		return buf, 0, false
+	}
 	r, ok := h.assign.Route(src, dst)
 	if !ok {
 		return buf, 0, false
@@ -123,37 +123,6 @@ func (h *HFASTNet) RouteAppend(buf []int, src, dst int) ([]int, float64, bool) {
 	return buf, lat, true
 }
 
-// nodeRegion maps node i of p into one of target contiguous rank blocks.
-func nodeRegion(i, p, target int) int32 {
-	return int32(i * target / p)
-}
-
-// LinkRegions implements RegionHinter: HFAST regions are contiguous node
-// blocks (aligned with the clique/block structure the assignment
-// provisions). A node's up/down links take its block's region; a circuit
-// is interior when both endpoints share a block and a boundary link
-// otherwise.
-func (h *HFASTNet) LinkRegions(target int) []int32 {
-	return h.regions.get(target, h.linkRegions)
-}
-
-func (h *HFASTNet) linkRegions(target int) []int32 {
-	regions := unregioned(h.net.Links())
-	p := h.assign.P
-	for i := 0; i < p; i++ {
-		r := nodeRegion(i, p, target)
-		regions[h.up[i]] = r
-		regions[h.down[i]] = r
-	}
-	for e, l := range h.edgeLink {
-		ri, rj := nodeRegion(e[0], p, target), nodeRegion(e[1], p, target)
-		if ri == rj {
-			regions[l] = ri
-		}
-	}
-	return regions
-}
-
 // FCNNet models a fully connected network (fat-tree with full bisection):
 // contention only at the endpoint up/down links, latency through the tree
 // layers.
@@ -164,8 +133,6 @@ type FCNNet struct {
 	up    []int
 	down  []int
 	procs int
-
-	regions regionMemo
 }
 
 // NewFCNNet builds the FCN model for procs nodes.
@@ -183,30 +150,11 @@ func (f *FCNNet) Network() *Network { return f.net }
 
 // RouteAppend implements Router.
 func (f *FCNNet) RouteAppend(buf []int, src, dst int) ([]int, float64, bool) {
-	if src < 0 || src >= f.procs || dst < 0 || dst >= f.procs || src == dst {
+	if !endpoints(src, dst, f.procs) {
 		return buf, 0, false
 	}
 	lat := float64(f.tree.MaxSwitchHops())*f.p.SwitchLatency + 2*f.p.WireLatency
 	return append(buf, f.up[src], f.down[dst]), lat, true
-}
-
-// LinkRegions implements RegionHinter: fat-tree regions are the
-// subtrees over contiguous rank blocks, so a node's up/down links take
-// its block's region. The FCN model has no shared internal links, which
-// makes every intra-block flow interior and leaves only cross-block
-// traffic for the boundary pass.
-func (f *FCNNet) LinkRegions(target int) []int32 {
-	return f.regions.get(target, f.linkRegions)
-}
-
-func (f *FCNNet) linkRegions(target int) []int32 {
-	regions := unregioned(f.net.Links())
-	for i := 0; i < f.procs; i++ {
-		r := nodeRegion(i, f.procs, target)
-		regions[f.up[i]] = r
-		regions[f.down[i]] = r
-	}
-	return regions
 }
 
 // MeshNet models a fixed mesh/torus with dimension-ordered routing;
@@ -246,7 +194,7 @@ func (m *MeshNet) Network() *Network { return m.net }
 // the longest of any fabric, which made per-call slices the allocation
 // outlier of large replays (~6× the other fabrics at P=16384).
 func (m *MeshNet) RouteAppend(buf []int, src, dst int) ([]int, float64, bool) {
-	if src == dst {
+	if !endpoints(src, dst, len(m.up)) {
 		return buf, 0, false
 	}
 	base := len(buf)
@@ -316,7 +264,10 @@ func (m *MeshNet) linkRegions(target int) []int32 {
 		}
 		return int32(r)
 	}
-	regions := unregioned(m.net.Links())
+	regions := make([]int32, m.net.Links())
+	for l := range regions {
+		regions[l] = -1 // boundary until a block claims it
+	}
 	for e, l := range m.links {
 		if ba, bb := block(e[0]), block(e[1]); ba == bb {
 			regions[l] = ba
@@ -337,8 +288,6 @@ type TreeNet struct {
 	net   *Network
 	tree  *treenet.Tree
 	links map[[2]int]int // (child, parent) → link id
-
-	regions regionMemo
 }
 
 // NewTreeNet builds the tree fabric for p leaves.
@@ -359,48 +308,10 @@ func NewTreeNet(p int, params treenet.Params) (*TreeNet, error) {
 // Network returns the underlying link set.
 func (t *TreeNet) Network() *Network { return t.net }
 
-// LinkRegions implements RegionHinter: tree regions are the subtrees
-// rooted at the shallowest depth with at least target nodes. Links
-// strictly below a depth-d root take that subtree's region; links at or
-// above the cut are boundary, so traffic climbing through the upper
-// tree reconciles serially while subtree-local traffic shards.
-func (t *TreeNet) LinkRegions(target int) []int32 {
-	return t.regions.get(target, t.linkRegions)
-}
-
-func (t *TreeNet) linkRegions(target int) []int32 {
-	fanout := t.tree.Params.Fanout
-	// lo is the first node id at the cut depth; the heap layout keeps
-	// each depth contiguous, so depth-d roots are [lo, lo+width).
-	lo, width := 0, 1
-	for width < target && lo+width < t.tree.P {
-		lo = lo*fanout + 1
-		width *= fanout
-	}
-	root := func(n int) int {
-		for n >= lo+width {
-			n = (n - 1) / fanout
-		}
-		if n < lo {
-			return -1
-		}
-		return n - lo
-	}
-	regions := unregioned(t.net.Links())
-	for e, l := range t.links {
-		// e is (child, parent): interior iff the child sits strictly
-		// below a cut root, i.e. both endpoints resolve to the same one.
-		if rc, rp := root(e[0]), root(e[1]); rc >= 0 && rc == rp {
-			regions[l] = int32(rc)
-		}
-	}
-	return regions
-}
-
 // RouteAppend implements Router: climb from both endpoints to their
 // lowest common ancestor in the implicit heap layout.
 func (t *TreeNet) RouteAppend(buf []int, src, dst int) ([]int, float64, bool) {
-	if src == dst || src < 0 || dst < 0 || src >= t.tree.P || dst >= t.tree.P {
+	if !endpoints(src, dst, t.tree.P) {
 		return buf, 0, false
 	}
 	base := len(buf)

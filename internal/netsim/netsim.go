@@ -21,15 +21,15 @@
 // the scheduler (scheduler.go) advances live timelines concurrently
 // between merge barriers. Within a timeline every event is handled
 // serially — seed, water-fill, commit, refresh, witness scan — except
-// that a large water-fill may run region-sharded: fabrics hint a
-// per-link partition (RegionHinter, shard.go), the affected set splits
-// into region-granular connected components, and those independent
-// fills run over par workers. Routing, at build time, fans out over a
-// fixed chunk grid. Every partition is a pure function of the problem,
-// so results are identical at any GOMAXPROCS. The original whole-network
-// solver is retained as simulateReference (reference.go) and pins the
-// engine's output in parity and fuzz tests, including under randomized
-// region cuts.
+// that a large water-fill may run region-sharded: the mesh hints a
+// per-link partition into torus blocks (RegionHinter, shard.go), the
+// affected set splits into region-granular connected components, and
+// those independent fills run over par workers. Routing, at build time,
+// is one serial pass into the engine's arena. Every partition is a pure
+// function of the problem, so results are identical at any GOMAXPROCS.
+// The original whole-network solver is retained as simulateReference
+// (reference.go) and pins the engine's output in parity and fuzz tests,
+// including under randomized region cuts.
 package netsim
 
 import (
@@ -75,7 +75,7 @@ func (n *Network) Link(id int) Link { return n.links[id] }
 // Router maps a flow's endpoints to the link path it occupies and the
 // fixed propagation/switching latency of that path. RouteAppend appends
 // the (src, dst) path to buf and returns the extended slice, so the
-// engine routes a whole replay into pooled arenas instead of paying one
+// engine routes a whole replay into a pooled arena instead of paying one
 // path slice per flow. ok=false means the pair is unreachable on this
 // fabric, and the returned slice must then be buf at its original length.
 type Router interface {

@@ -227,6 +227,23 @@ func TestSimulateUnroutable(t *testing.T) {
 	}
 }
 
+// TestFabricsRefuseOutOfRangeEndpoints holds every fabric to FCNNet's
+// answer for an endpoint outside [0, P): the flow is unroutable. The
+// mesh used to index past its link tables, or with Dst = -1 walk its
+// dimension-ordered route forever, and HFASTNet panicked in the
+// assignment's range assertion.
+func TestFabricsRefuseOutOfRangeEndpoints(t *testing.T) {
+	const p = 64
+	for name, router := range parityFabrics(t, ringGraph(p, 1<<10)) {
+		for _, pair := range [][2]int{{p, 0}, {-1, 0}, {0, p}, {0, -1}} {
+			res, err := Simulate(fabricNetwork(router), router, []Flow{{Src: pair[0], Dst: pair[1], Bytes: 10}})
+			if err != nil || res.Unroutable != 1 {
+				t.Errorf("%s %v: Unroutable %d, error %v; want 1, nil", name, pair, res.Unroutable, err)
+			}
+		}
+	}
+}
+
 // TestSimulateRejectsBadFlows pins the input contract of both engines:
 // a flow that cannot be represented — negative size, a start time or
 // route latency that is negative, NaN or infinite — is refused with

@@ -9,9 +9,9 @@ import (
 
 // Component-parallel event scheduling.
 //
-// The region-sharded water-fill (shard.go) parallelizes *within* one
-// solve; everything else — heap pops, cascades, witness passes — was one
-// serial timeline, the Amdahl wall of large replays. The scheduler
+// The mesh's region-sharded water-fill (shard.go) parallelizes *within*
+// one solve; everything else — heap pops, cascades, witness passes — was
+// one serial timeline, the Amdahl wall of large replays. The scheduler
 // removes it by partitioning the super-flows at build time into
 // link-disjoint connected components and giving each its own timeline
 // (compState): components never share a link, so their event streams are

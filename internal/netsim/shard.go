@@ -4,12 +4,14 @@ import (
 	"github.com/hfast-sim/hfast/internal/par"
 )
 
-// RegionHinter is implemented by routers (the fabric models) that can
-// partition their links into topology-aware regions: fat-tree and tree
-// subtrees, torus blocks, HFAST node blocks. LinkRegions returns one
-// region id per link — dense small ids, roughly the requested target
-// count — or -1 for links that belong to no region (boundary links
-// shared across the cut).
+// RegionHinter is implemented by routers that can partition their links
+// into topology-aware regions. MeshNet is the one fabric that does
+// (torus blocks): cut by node blocks, HFAST circuits and the fat-tree's
+// endpoint links collapsed nearly every sharded solve back to one
+// component, and the collective tree never reaches regionTarget's size.
+// LinkRegions returns one region id per link — dense small ids, roughly
+// the requested target count — or -1 for links that belong to no region
+// (boundary links shared across the cut).
 //
 // The hint drives the engine's sharded water-fill: a large affected set
 // is split into connected components at region granularity (a flow whose
@@ -24,8 +26,8 @@ import (
 //
 // The engine only reads the slice it is given and drops its reference
 // when the replay returns, so an implementation may hand every caller
-// the same memoised table (the fabric models do); callers must not
-// write it either.
+// the same memoised table (MeshNet does); callers must not write it
+// either.
 type RegionHinter interface {
 	LinkRegions(target int) []int32
 }
@@ -266,7 +268,7 @@ func (e *engine) solveSharded(c *compState) int {
 			linksB = append(linksB, nil)
 		}
 	}
-	par.ForChunks(int(nComp), 1, func(ci, _, _ int) {
+	par.For(int(nComp), func(ci int) {
 		e.fill(c, linksB[ci], flowsB[ci], len(flowsB[ci]))
 	})
 	c.compLinksB = linksB

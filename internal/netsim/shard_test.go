@@ -37,10 +37,9 @@ func randomCut(rng *rand.Rand, nLinks, nr int) []int32 {
 
 // TestSimulateShardedCutParity pins the region-sharded engine against the
 // reference solver under region cuts the fabrics would never produce:
-// random per-link regions (boundary flows everywhere) and, where the
-// fabric implements RegionHinter, its own topology-aware cut. The cut is
-// a pure performance hint, so every cut must yield reference-parity
-// results.
+// random per-link regions (boundary flows everywhere) and, on the mesh
+// (the one RegionHinter), its own torus-block cut. The cut is a pure
+// performance hint, so every cut must yield reference-parity results.
 func TestSimulateShardedCutParity(t *testing.T) {
 	forceSharded(t)
 	for _, app := range []string{"cactus", "gtc"} {
@@ -127,15 +126,18 @@ func TestSimulateWorkerCountDeterminism(t *testing.T) {
 	}
 }
 
-// TestRegionHinterShapes sanity-checks every fabric's LinkRegions
-// contract: one id per link, ids dense in [-1, target), and at least two
-// regions actually used at paper scale.
+// TestRegionHinterShapes sanity-checks the mesh's LinkRegions contract
+// (one id per link, ids dense in [-1, target), at least two regions
+// actually used at paper scale) and that the mesh is the only fabric
+// that hints.
 func TestRegionHinterShapes(t *testing.T) {
 	g, _ := steadyTraffic(t, "cactus", 256)
 	for name, router := range parityFabrics(t, g) {
 		rh, ok := router.(RegionHinter)
+		if ok != (name == "mesh") {
+			t.Errorf("%s: implements RegionHinter = %v, want %v", name, ok, name == "mesh")
+		}
 		if !ok {
-			t.Errorf("%s: fabric does not implement RegionHinter", name)
 			continue
 		}
 		net := fabricNetwork(router)

@@ -1,11 +1,11 @@
 // Package par is the bounded fan-out for independent jobs: netsim's
-// routing chunks, component timelines and region shards, and the
-// experiments' fabric replays. Workers caps a fan-out at GOMAXPROCS;
-// ForChunks splits over a fixed, worker-independent grid so callers that
-// keep per-chunk outputs stay deterministic; RunPriority runs tasks
-// most-urgent-first. Per-rank analysis passes (graph builds, TDC sweeps,
-// fabric assignment) are linear and cheap next to profiling, so they run
-// as plain loops and never come here.
+// component timelines and mesh region shards, and the experiments'
+// fabric replays. Workers caps a fan-out at GOMAXPROCS; For runs one job
+// per index, so a caller that writes per-index outputs stays
+// deterministic; RunPriority runs tasks most-urgent-first. Per-rank
+// analysis passes (graph builds, TDC sweeps, fabric assignment) are
+// linear and cheap next to profiling, so they run as plain loops and
+// never come here.
 package par
 
 import (
@@ -28,23 +28,19 @@ func Workers(n int) int {
 	return w
 }
 
-// ForChunks splits [0,n) into chunks of the caller's fixed, positive size
-// and calls fn(ci, lo, hi) for chunk ci covering [lo,hi), chunks spread
-// across pooled workers. The chunk grid is a pure function of n and
-// chunk — never of the worker count — so a caller that writes per-chunk
-// outputs and merges them by chunk index gets bit-identical results at
-// any parallelism. n ≤ chunk or a single worker runs inline on the
-// calling goroutine.
-func ForChunks(n, chunk int, fn func(ci, lo, hi int)) {
+// For calls fn(i) for every i in [0,n), indices spread across pooled
+// workers that each pull the next undone index. A caller that writes
+// per-index outputs and reduces them in index order gets bit-identical
+// results at any parallelism. n ≤ 1 or a single worker runs inline on
+// the calling goroutine, in ascending order.
+func For(n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
-	nc := (n + chunk - 1) / chunk
-	run := func(ci int) { fn(ci, ci*chunk, min((ci+1)*chunk, n)) }
-	workers := Workers(nc)
+	workers := Workers(n)
 	if workers == 1 {
-		for ci := 0; ci < nc; ci++ {
-			run(ci)
+		for i := 0; i < n; i++ {
+			fn(i)
 		}
 		return
 	}
@@ -55,11 +51,11 @@ func ForChunks(n, chunk int, fn func(ci, lo, hi int)) {
 		go func() {
 			defer wg.Done()
 			for {
-				ci := int(atomic.AddInt64(&next, 1)) - 1
-				if ci >= nc {
+				i := int(atomic.AddInt64(&next, 1)) - 1
+				if i >= n {
 					return
 				}
-				run(ci)
+				fn(i)
 			}
 		}()
 	}
@@ -90,5 +86,5 @@ func RunPriority(n int, pri func(int) float64, fn func(int)) {
 		}
 		return order[a] < order[b]
 	})
-	ForChunks(n, 1, func(k, _, _ int) { fn(order[k]) })
+	For(n, func(k int) { fn(order[k]) })
 }

@@ -6,20 +6,15 @@ import (
 	"testing"
 )
 
-// The TestRanges* cases pinned the deleted par.Ranges splitter; its
-// contract (every index once, small inputs inline) is ForChunks' now.
-
-func TestRangesCoversEveryIndexOnce(t *testing.T) {
-	const chunk = 64
-	for _, n := range []int{0, 1, 7, chunk - 1, chunk, 4096} {
+func TestForCoversEveryIndexOnce(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 63, 64, 4096} {
 		hits := make([]int32, n)
-		ForChunks(n, chunk, func(ci, lo, hi int) {
-			if lo < 0 || hi > n || lo > hi {
-				t.Errorf("n=%d: bad chunk %d [%d,%d)", n, ci, lo, hi)
+		For(n, func(i int) {
+			if i < 0 || i >= n {
+				t.Errorf("n=%d: index %d out of range", n, i)
+				return
 			}
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&hits[i], 1)
-			}
+			atomic.AddInt32(&hits[i], 1)
 		})
 		for i, h := range hits {
 			if h != 1 {
@@ -29,34 +24,19 @@ func TestRangesCoversEveryIndexOnce(t *testing.T) {
 	}
 }
 
-// TestRangesSmallInputRunsInline pins the n ≤ chunk collapse: one
-// chunk, run on the calling goroutine (the unsynchronized counter would
-// trip the race detector otherwise).
-func TestRangesSmallInputRunsInline(t *testing.T) {
+// TestForOneIndexRunsInline pins the n = 1 collapse: one call, run on
+// the calling goroutine (the unsynchronized counter would trip the race
+// detector otherwise).
+func TestForOneIndexRunsInline(t *testing.T) {
 	calls := 0
-	ForChunks(16, 32, func(ci, lo, hi int) {
+	For(1, func(i int) {
 		calls++
-		if ci != 0 || lo != 0 || hi != 16 {
-			t.Errorf("inline chunk %d [%d,%d), want 0 [0,16)", ci, lo, hi)
+		if i != 0 {
+			t.Errorf("inline index %d, want 0", i)
 		}
 	})
 	if calls != 1 {
-		t.Errorf("small input split into %d chunks", calls)
-	}
-}
-
-// TestRangesBelowMinNRunsInline covers n strictly under the chunk size
-// (0 < n < chunk): one inline chunk covering [0,n).
-func TestRangesBelowMinNRunsInline(t *testing.T) {
-	calls := 0
-	ForChunks(1, 2, func(ci, lo, hi int) {
-		calls++
-		if ci != 0 || lo != 0 || hi != 1 {
-			t.Errorf("chunk %d [%d,%d), want 0 [0,1)", ci, lo, hi)
-		}
-	})
-	if calls != 1 {
-		t.Errorf("n<chunk split into %d chunks", calls)
+		t.Errorf("one index ran %d times", calls)
 	}
 }
 
@@ -78,55 +58,28 @@ func TestWorkersBounds(t *testing.T) {
 	}
 }
 
-func TestForChunksZeroAndNegative(t *testing.T) {
+func TestForZeroAndNegative(t *testing.T) {
 	calls := 0
-	ForChunks(0, 4, func(ci, lo, hi int) { calls++ })
-	ForChunks(-3, 4, func(ci, lo, hi int) { calls++ })
+	For(0, func(int) { calls++ })
+	For(-3, func(int) { calls++ })
 	if calls != 0 {
-		t.Errorf("ForChunks on empty input called fn %d times", calls)
+		t.Errorf("For on empty input called fn %d times", calls)
 	}
 }
 
-// TestForChunksSingleWorker pins the one-worker collapse: every chunk
-// runs on the calling goroutine, in ascending order, even for inputs far
-// above one chunk.
-func TestForChunksSingleWorker(t *testing.T) {
+// TestForSingleWorker pins the one-worker collapse: every index runs on
+// the calling goroutine, in ascending order.
+func TestForSingleWorker(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
 	var got []int
-	ForChunks(100, 7, func(ci, lo, hi int) { got = append(got, ci) })
+	For(15, func(i int) { got = append(got, i) })
 	if len(got) != 15 {
-		t.Fatalf("single worker ran %d chunks, want 15", len(got))
+		t.Fatalf("single worker ran %d indices, want 15", len(got))
 	}
-	for i, ci := range got {
-		if ci != i {
+	for k, i := range got {
+		if i != k {
 			t.Fatalf("single-worker order %v, want ascending", got)
-		}
-	}
-}
-
-func TestForChunksGridIsWorkerIndependent(t *testing.T) {
-	const chunk = 2048
-	for _, n := range []int{0, 1, chunk - 1, chunk, chunk + 1, 5*chunk + 13} {
-		hits := make([]int32, n)
-		var chunks int32
-		ForChunks(n, chunk, func(ci, lo, hi int) {
-			atomic.AddInt32(&chunks, 1)
-			if lo != ci*chunk {
-				t.Errorf("n=%d: chunk %d starts at %d", n, ci, lo)
-			}
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&hits[i], 1)
-			}
-		})
-		want := int32((n + chunk - 1) / chunk)
-		if chunks != want {
-			t.Errorf("n=%d: %d chunks, want %d", n, chunks, want)
-		}
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("n=%d: index %d visited %d times", n, i, h)
-			}
 		}
 	}
 }

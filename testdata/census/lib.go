@@ -1,4 +1,16 @@
 package lib
 
-func Used() int { return 1 }
+import "sync"
+
+// Limit is exported, so the knob census leaves it to the API.
+const Limit = 1 << 20
+
+func Used() int { return Limit >> 20 }
 func Dead() int { return Used() } // only lib_test.go calls it
+
+// The knob census finds pool and chunk, and nothing else in this file.
+var pool = sync.Pool{New: func() any { return new(int) }}
+
+const chunk = 64 << 10
+
+var label = "lib"
