@@ -29,9 +29,9 @@ var deadExportsAllowed = map[string]string{
 	"internal/treenet.Tree.Depth":                "route-length oracle: netsim's router_test bounds every tree route by it (ROADMAP item 13(i))",
 }
 
-// walkGo parses every Go file under root, skipping testdata and dot
-// directories, and hands each to fn with its directory relative to root
-// (the package name for root itself).
+// walkGo parses every Go file under root, comments included, skipping
+// testdata and dot directories, and hands each to fn with its directory
+// relative to root (the package name for root itself).
 func walkGo(t *testing.T, root string, fn func(path, dir string, f *ast.File)) {
 	t.Helper()
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -44,7 +44,7 @@ func walkGo(t *testing.T, root string, fn func(path, dir string, f *ast.File)) {
 		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution|parser.ParseComments)
 		if err != nil {
 			return err
 		}
@@ -157,8 +157,10 @@ var knobsAllowed = map[string]string{
 	"internal/mpi.tagRing":    "protocol tag namespace, not tuning",
 
 	"internal/apps.pmemdDecay":          "model parameter of pmemd's distance falloff; the profile goldens pin it",
-	"internal/experiments.hintsProcs":   "the size of the -t hints study the CI README chain runs",
-	"internal/experiments.hintsSteps":   "the length of the -t hints study the CI README chain runs",
+	"internal/analysis.fullFraction":    "model threshold of the §2.5 case iv test; -t cases pins it",
+	"internal/analysis.maxOverAvg":      "model threshold of the §2.5 case iii test; -t cases pins it",
+	"internal/experiments.hintsProcs":   "the size of the -t hints study the CLI test runs",
+	"internal/experiments.hintsSteps":   "the length of the -t hints study the CLI test runs",
 	"internal/meshtorus.maxStackDims":   "keeps AppendDOR's coordinates on the stack for the paper's 2-D/3-D meshes (TestMeshNetRouteAppendAllocs); more dimensions spill, still correct",
 	"internal/hfast.maxTreeLevels":      "correctness bound: no degree an int holds needs a deeper block tree",
 	"internal/hfast.maxCrossbarPorts":   "input bound: one number in a request or peer artifact cannot size the port table past it",
@@ -332,7 +334,6 @@ func docNames(t *testing.T, root string, docs []string) []string {
 var docNamesAllowed = map[string]string{
 	"DELETE":    "the HTTP method that closes a stream session",
 	"benchmark": "the change tag that alone may regenerate bench goldens",
-	"correct":   "the verdict bench prints for a run whose oracles hold",
 	"jq":        "the JSON command-line tool",
 	"step999":   "an example region name: region order holds past three digits",
 }
@@ -358,5 +359,71 @@ func TestDocsNameLiveCode(t *testing.T) {
 		if !hit[name] {
 			t.Errorf("docNamesAllowed entry %s is named by no doc or resolves to code: drop it", name)
 		}
+	}
+}
+
+var (
+	// designRef matches a pointer into DESIGN.md: one or more quoted
+	// headings, or an experiment ID from its index.
+	designRef = regexp.MustCompile(`DESIGN\.md(?:'s)?,?\s+((?:"[^"]+"(?:,?\s+(?:and\s+)?)?)+|[A-Z]+[0-9][\w.]*)`)
+	quoted    = regexp.MustCompile(`"([^"]+)"`)
+)
+
+// designRefs lists, as "file: target", every pointer into root's
+// DESIGN.md, from docs or from a Go comment under root, that names
+// neither a heading (a quoted prefix of one) nor an experiment ID.
+func designRefs(t *testing.T, root string, docs []string) []string {
+	design, err := os.ReadFile(filepath.Join(root, "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	headings := regexp.MustCompile(`(?m)^#+ (.+)$`).FindAllStringSubmatch(string(design), -1)
+	ids := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^\| ([A-Z]+[0-9][\w.]*) \|`).FindAllStringSubmatch(string(design), -1) {
+		ids[m[1]] = true
+	}
+	texts := map[string]string{}
+	for _, doc := range docs {
+		data, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		texts[doc] = string(data)
+	}
+	walkGo(t, root, func(path, dir string, f *ast.File) {
+		name, _ := filepath.Rel(root, path)
+		for _, cg := range f.Comments {
+			texts[filepath.ToSlash(name)] += cg.Text()
+		}
+	})
+	var hits []string
+	for file, text := range texts {
+		for _, m := range designRef.FindAllStringSubmatch(text, -1) {
+			targets := quoted.FindAllStringSubmatch(m[1], -1)
+			if targets == nil && !ids[m[1]] {
+				hits = append(hits, file+": "+m[1])
+			}
+			for _, q := range targets {
+				want := strings.Join(strings.Fields(q[1]), " ")
+				if !slices.ContainsFunc(headings, func(h []string) bool { return strings.HasPrefix(h[1], want) }) {
+					hits = append(hits, file+": "+want)
+				}
+			}
+		}
+	}
+	slices.Sort(hits)
+	return hits
+}
+
+// TestDocsNameLiveSections fails on a pointer into DESIGN.md, from
+// README.md, EXPERIMENTS.md or a Go comment, to a section or experiment
+// the design does not have, once the census has found its fixture's two.
+func TestDocsNameLiveSections(t *testing.T) {
+	fixture := designRefs(t, filepath.Join("testdata", "census"), []string{"doc.md"})
+	if want := []string{"doc.md: Dead section", "lib.go: X2"}; !slices.Equal(fixture, want) {
+		t.Fatalf("the section census of its fixture reports %v, want %v", fixture, want)
+	}
+	for _, h := range designRefs(t, ".", []string{"README.md", "EXPERIMENTS.md"}) {
+		t.Errorf("%s names no DESIGN.md heading or experiment ID", h)
 	}
 }

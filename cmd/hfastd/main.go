@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -92,16 +93,21 @@ func main() {
 	if c := svc.Cluster(); c != nil {
 		log.Printf("hfastd: clustered artifact tier: %d replicas, self %s", len(c.Peers()), c.Self())
 	}
+	// Listening before logging names the bound address, so -addr :0
+	// picks a free port and the log says which.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatalf("hfastd: %v", err)
+	}
 	httpSrv := &http.Server{
-		Addr:              *addr,
 		Handler:           svc.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 
 	errCh := make(chan error, 1)
 	go func() {
-		log.Printf("hfastd listening on %s", *addr)
-		errCh <- httpSrv.ListenAndServe()
+		log.Printf("hfastd listening on %s", ln.Addr())
+		errCh <- httpSrv.Serve(ln)
 	}()
 
 	sigCh := make(chan os.Signal, 1)

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 
 	"github.com/hfast-sim/hfast/internal/hfast"
 	"github.com/hfast-sim/hfast/internal/ipm"
@@ -79,19 +80,22 @@ func main() {
 		}
 		tbl.AddRow(fmt.Sprintf("%d", count), fmt.Sprintf("%d", pa), fmt.Sprintf("%d", pb), what)
 	}
-	// Uplinks and internal tree links first, then partner circuits, in
-	// the same deterministic order Wire lays them out.
-	for i := 0; i < a.P; i++ {
-		p := w.NodePort(i)
-		emit(p, w.Switch.Peer(p), fmt.Sprintf("node %d uplink", i))
+	// Every circuit once, at its lower port, in port order: node ports
+	// come first and each node's blocks follow in node order. Only a
+	// tree link reaches a block's port 0.
+	owner := func(port int) int {
+		return sort.SearchInts(w.BlockBase, (port-a.P)/a.BlockSize+1) - 1
 	}
-	for i := 0; i < a.P; i++ {
-		for k, j := range a.Partners[i] {
-			if j < i {
-				continue
-			}
-			pa := w.PartnerPort[i][k]
-			emit(pa, w.Switch.Peer(pa), fmt.Sprintf("edge %d-%d", i, j))
+	for p := 0; p < plan.Summary.SwitchPorts; p++ {
+		q := w.Switch.Peer(p)
+		switch {
+		case q < p: // dark, or listed at its lower port
+		case p < a.P:
+			emit(p, q, fmt.Sprintf("node %d uplink", p))
+		case (q-a.P)%a.BlockSize == 0:
+			emit(p, q, fmt.Sprintf("node %d tree link", owner(p)))
+		default:
+			emit(p, q, fmt.Sprintf("edge %d-%d", owner(p), owner(q)))
 		}
 	}
 	tbl.Write(os.Stdout)

@@ -196,46 +196,32 @@ const (
 	CaseIV  Case = "iv"  // TDC ≈ P: needs an FCN's full bisection
 )
 
-// ClassifyOptions tunes Classify's decision thresholds.
-type ClassifyOptions struct {
-	// Cutoff is the thresholding applied before classification (the 2 KB
-	// default when zero).
-	Cutoff int
-	// FullFraction is the avg-TDC/P fraction above which the code is case
-	// iv (default 0.6).
-	FullFraction float64
-	// MaxOverAvg is the max/avg ratio above which a bounded-average code
-	// is case iii rather than i/ii (default 1.6).
-	MaxOverAvg float64
-	// MeshEmbeds reports whether the thresholded graph embeds
-	// isomorphically into a mesh/torus; nil means "unknown", which
-	// classifies bounded isotropic codes as case ii conservatively.
-	MeshEmbeds func(g *topology.Graph) bool
-}
+// Classify's thresholds, read off the paper's §2.5 cases.
+const (
+	// fullFraction is the avg-TDC/(P−1) fraction at or above which a
+	// code needs full bisection (case iv).
+	fullFraction = 0.6
+	// maxOverAvg is the max/avg TDC ratio above which a bounded-average
+	// code is case iii rather than i or ii.
+	maxOverAvg = 1.6
+)
 
-// Classify assigns a profile's communication graph to one of the paper's
-// four hypothesis classes.
-func Classify(g *topology.Graph, opt ClassifyOptions) Case {
-	cutoff := opt.Cutoff
-	if cutoff <= 0 {
-		cutoff = topology.DefaultCutoff
-	}
-	if opt.FullFraction == 0 {
-		opt.FullFraction = 0.6
-	}
-	if opt.MaxOverAvg == 0 {
-		opt.MaxOverAvg = 1.6
-	}
-	st := g.Stats(cutoff)
+// Classify assigns a profile's communication graph, thresholded at the
+// 2 KB default cutoff, to one of the paper's four hypothesis classes.
+// meshEmbeds reports whether the thresholded graph embeds isomorphically
+// into a mesh or torus; nil means "unknown", which classifies bounded
+// isotropic codes as case ii conservatively.
+func Classify(g *topology.Graph, meshEmbeds func(*topology.Graph) bool) Case {
+	st := g.Stats(topology.DefaultCutoff)
 	st0 := g.Stats(0)
 	p := float64(g.P)
-	if st.Avg >= opt.FullFraction*(p-1) {
+	if st.Avg >= fullFraction*(p-1) {
 		return CaseIV
 	}
 	// Case iii captures both signatures the paper describes: a maximum
 	// degree far above a bounded average (GTC, PMEMD), and a raw degree
 	// near P whose bandwidth-relevant part is far smaller (SuperLU).
-	if st.Avg > 0 && float64(st.Max) > opt.MaxOverAvg*st.Avg {
+	if st.Avg > 0 && float64(st.Max) > maxOverAvg*st.Avg {
 		return CaseIII
 	}
 	if float64(st0.Max) >= 0.8*(p-1) && st.Avg < 0.25*(p-1) {
@@ -243,7 +229,7 @@ func Classify(g *topology.Graph, opt ClassifyOptions) Case {
 	}
 	// Bounded and uniform: mesh-embeddable patterns are case i, the rest
 	// case ii.
-	if opt.MeshEmbeds != nil && opt.MeshEmbeds(g.Subgraph(cutoff)) {
+	if meshEmbeds != nil && meshEmbeds(g.Subgraph(topology.DefaultCutoff)) {
 		return CaseI
 	}
 	return CaseII

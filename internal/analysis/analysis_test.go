@@ -152,7 +152,7 @@ func TestClassifyCases(t *testing.T) {
 			full.AddTraffic(i, j, 1, 32<<10, 32<<10)
 		}
 	}
-	if c := Classify(full, ClassifyOptions{}); c != CaseIV {
+	if c := Classify(full, nil); c != CaseIV {
 		t.Errorf("complete graph classified %s, want iv", c)
 	}
 
@@ -161,7 +161,7 @@ func TestClassifyCases(t *testing.T) {
 	for j := 2; j < 30; j++ {
 		star.AddTraffic(0, j, 1, 1<<20, 1<<20)
 	}
-	if c := Classify(star, ClassifyOptions{}); c != CaseIII {
+	if c := Classify(star, nil); c != CaseIII {
 		t.Errorf("hub graph classified %s, want iii", c)
 	}
 
@@ -172,7 +172,7 @@ func TestClassifyCases(t *testing.T) {
 			sl.AddTraffic(i, j, 1, 64, 64) // tiny messages to everyone
 		}
 	}
-	if c := Classify(sl, ClassifyOptions{}); c != CaseIII {
+	if c := Classify(sl, nil); c != CaseIII {
 		t.Errorf("superlu-like graph classified %s, want iii", c)
 	}
 
@@ -180,14 +180,14 @@ func TestClassifyCases(t *testing.T) {
 	ring := ringG(16, 1<<20)
 	yes := func(*topology.Graph) bool { return true }
 	no := func(*topology.Graph) bool { return false }
-	if c := Classify(ring, ClassifyOptions{MeshEmbeds: yes}); c != CaseI {
+	if c := Classify(ring, yes); c != CaseI {
 		t.Errorf("ring with embed oracle classified %s, want i", c)
 	}
-	if c := Classify(ring, ClassifyOptions{MeshEmbeds: no}); c != CaseII {
+	if c := Classify(ring, no); c != CaseII {
 		t.Errorf("ring without embedding classified %s, want ii", c)
 	}
 	// Unknown embedding defaults to case ii (conservative).
-	if c := Classify(ring, ClassifyOptions{}); c != CaseII {
+	if c := Classify(ring, nil); c != CaseII {
 		t.Errorf("ring with nil oracle classified %s, want ii", c)
 	}
 }

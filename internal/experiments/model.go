@@ -305,6 +305,13 @@ func Netsim(w io.Writer, r *Runner, procs int) error {
 		return err
 	}
 	fmt.Fprintf(w, "Flow-level fabric comparison at P=%d (per-step traffic, makespan in ms)\n", procs)
+	writeFabricTable(w, rows)
+	fmt.Fprintln(w, "(sub-2KB flows ride the dedicated low-bandwidth tree, simulated in the last column)")
+	return nil
+}
+
+// writeFabricTable renders fabric replays as one makespan table.
+func writeFabricTable(w io.Writer, rows []NetsimRow) {
 	tbl := report.NewTable("Code", "Flows", "HFAST", "FCN", "Mesh(torus)", "Mesh/HFAST", "tree flows", "tree ms")
 	for _, row := range rows {
 		tbl.AddRow(
@@ -319,8 +326,6 @@ func Netsim(w io.Writer, r *Runner, procs int) error {
 		)
 	}
 	tbl.Write(w)
-	fmt.Fprintln(w, "(sub-2KB flows ride the dedicated low-bandwidth tree, simulated in the last column)")
-	return nil
 }
 
 // TraceRow is one application's reconfiguration-opportunity summary.

@@ -99,7 +99,7 @@ func CasesRows(r *Runner, procs int) ([]CaseResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		got := analysis.Classify(g, analysis.ClassifyOptions{MeshEmbeds: meshEmbeds})
+		got := analysis.Classify(g, meshEmbeds)
 		out = append(out, CaseResult{App: in.Name, Procs: procs, Got: got, Expected: in.Case})
 	}
 	return out, nil

@@ -141,20 +141,7 @@ func Ultra(w io.Writer, r *Runner) error {
 			return err
 		}
 		fmt.Fprintf(w, "\nFabric contention at P=%d (per-step traffic, makespan in ms)\n", fprocs)
-		ftbl := report.NewTable("Code", "Flows", "HFAST", "FCN", "Mesh(torus)", "Mesh/HFAST", "tree flows", "tree ms")
-		for _, row := range frows {
-			ftbl.AddRow(
-				row.App,
-				fmt.Sprintf("%d", row.Flows),
-				fmt.Sprintf("%.3f", row.HFAST*1e3),
-				fmt.Sprintf("%.3f", row.FCN*1e3),
-				fmt.Sprintf("%.3f", row.Mesh*1e3),
-				fmt.Sprintf("%.2f", row.Mesh/row.HFAST),
-				fmt.Sprintf("%d", row.Collective),
-				fmt.Sprintf("%.3f", row.TreeTime*1e3),
-			)
-		}
-		ftbl.Write(w)
+		writeFabricTable(w, frows)
 	}
 	fmt.Fprintln(w, "(dense codes are omitted: with every pair communicating the incremental")
 	fmt.Fprintln(w, " replay has no locality to exploit; their TDC above already settles case iv)")

@@ -54,13 +54,6 @@ func DefaultParams() Params {
 	}
 }
 
-func (p Params) validate() error {
-	if p.BlockSize < 4 {
-		return fmt.Errorf("hfast: block size must be ≥ 4, got %d", p.BlockSize)
-	}
-	return nil
-}
-
 // BlocksForDegree is the paper's linear-time sizing rule: a node whose
 // thresholded TDC fits the block's non-uplink ports gets one block;
 // otherwise enough blocks are chained into a tree to expose deg partner

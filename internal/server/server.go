@@ -60,10 +60,9 @@ type Config struct {
 	PeerTimeout  time.Duration
 	ClusterToken string
 	// MaxStreamSessions bounds live delta-stream sessions; beyond it new
-	// streams are shed with 429 (default: 64). StreamSessionTTL evicts
-	// streams idle longer than this when the table is full (default: 10m).
+	// streams are shed with 429 (default: 64). A full table first evicts
+	// sessions idle longer than streamSessionTTL.
 	MaxStreamSessions int
-	StreamSessionTTL  time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -87,9 +86,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxStreamSessions <= 0 {
 		c.MaxStreamSessions = 64
-	}
-	if c.StreamSessionTTL <= 0 {
-		c.StreamSessionTTL = 10 * time.Minute
 	}
 	return c
 }

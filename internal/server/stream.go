@@ -47,6 +47,10 @@ type streamSession struct {
 	closed bool
 }
 
+// streamSessionTTL is how long a session may sit idle before a full
+// table evicts it to admit a new one.
+const streamSessionTTL = 10 * time.Minute
+
 // streams is the server's session table.
 type streams struct {
 	mu sync.Mutex
@@ -192,7 +196,7 @@ func (s *Server) handleStreamPost(w http.ResponseWriter, r *http.Request, id str
 	now := time.Now()
 	sess, created := s.streams.get(id, func() *streamSession {
 		return &streamSession{id: id, seed: seed, block: block, created: now}
-	}, s.cfg.MaxStreamSessions, s.cfg.StreamSessionTTL, now)
+	}, s.cfg.MaxStreamSessions, streamSessionTTL, now)
 	if sess == nil {
 		s.metrics.addRejected()
 		s.writeError(w, http.StatusTooManyRequests,

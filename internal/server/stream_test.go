@@ -530,6 +530,39 @@ func TestStreamSessionLimit(t *testing.T) {
 	}
 }
 
+// TestStreamTableEvictsIdleSessions drives the session table's clock by
+// hand: a full table evicts a session idle past the TTL to admit a new
+// one, and refuses the new one while every session was touched within it.
+func TestStreamTableEvictsIdleSessions(t *testing.T) {
+	var tbl streams
+	t0 := time.Unix(1_000_000, 0)
+	get := func(id string, at time.Duration) (*streamSession, bool) {
+		return tbl.get(id, func() *streamSession { return &streamSession{id: id} }, 2, streamSessionTTL, t0.Add(at))
+	}
+	get("a", 0)
+	get("b", 5*time.Minute)
+
+	// a has idled 12 minutes, past the TTL; b only 7.
+	if sess, created := get("c", 12*time.Minute); sess == nil || !created {
+		t.Fatalf("full table with an idle session: got (%v, %v), want c admitted", sess, created)
+	}
+	if tbl.lookup("a") != nil || tbl.lookup("b") == nil || tbl.len() != 2 {
+		t.Fatalf("after admitting c: a=%v b=%v len=%d, want a evicted and b kept", tbl.lookup("a"), tbl.lookup("b"), tbl.len())
+	}
+
+	// Touching b at 12 minutes keeps it at 20, when it would otherwise
+	// have idled 15: neither b nor c is past the TTL, so d is refused.
+	if sess, created := get("b", 12*time.Minute); sess == nil || created {
+		t.Fatalf("touching b: got (%v, %v), want the existing session", sess, created)
+	}
+	if sess, _ := get("d", 20*time.Minute); sess != nil {
+		t.Fatal("full table with every session inside the TTL admitted d")
+	}
+	if tbl.lookup("b") == nil || tbl.lookup("c") == nil || tbl.len() != 2 {
+		t.Fatalf("after refusing d: b=%v c=%v len=%d, want both kept", tbl.lookup("b"), tbl.lookup("c"), tbl.len())
+	}
+}
+
 // streamParityProcs mirrors the pipeline parity gating: HFAST_TEST_QUICK=1
 // (the race CI lane) drops the expensive grid size.
 func streamParityProcs() []int {
