@@ -136,6 +136,7 @@ var knobsAllowed = map[string]string{
 	"internal/netsim.enginePool":  "without it netsim_replay goes from 0.38–0.56 to 12–13 MB/op (two ablations); its throughput moved within run-to-run noise",
 	"internal/server.splitters":   "without it stream_replay goes 0.077 → 0.394 MB/op and stream_ingest 0.355 → 0.666",
 	"internal/ipm.scratchPool":    "without it provision_cold goes 4.33 → 6.90 MB/op",
+	"internal/pipeline.pairLists": "without it stream_ingest goes 0.217 → 0.300 MB/op (two ablations)",
 	"internal/ipm.wireChunk":      "no ledger row moves, but hfastsim -app cactus -p 8192 -o f (a 130 MB profile) peaks at 334 MB RSS without it, 209 MB with it",
 	"internal/ipm.chunkShift":     "a *Stat stays valid because slot chunks never move; 64 slots is the chunk size, never ablated against others",
 	"internal/ipm.wireEntrySize":  "growth hint just over the skeletons' ≈ 140-byte entries, so an encode buffer grows once",

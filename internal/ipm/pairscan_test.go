@@ -3,6 +3,7 @@ package ipm_test
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -12,17 +13,19 @@ import (
 	"github.com/hfast-sim/hfast/internal/mpi"
 )
 
-// agreePairs holds DecodeDeltaPairs(raw, procs) to DecodeDelta: it
+// agreePairs holds DecodeDeltaPairs(raw, procs, dst) to DecodeDelta: it
 // accepts only what DecodeDelta accepts over procs ranks, and all of
-// that which the value scanner reads, returning the same header and the
-// pairs Profile.Pairs folds from the decoded delta's window; and nothing
-// it returns aliases raw.
+// that which the value scanner reads, returning the same header and dst
+// with the pairs Profile.Pairs folds from the decoded delta's window
+// appended, dst's own pair untouched though it sorts after them; and
+// nothing it returns aliases raw.
 func agreePairs(t *testing.T, raw []byte, procs int) {
 	t.Helper()
 	want, err := ipm.DecodeDelta(raw)
 	_, scanned := ipm.ScanDelta(raw)
 	buf := bytes.Clone(raw)
-	d, pairs, ok := ipm.DecodeDeltaPairs(buf, procs)
+	kept := ipm.PairTraffic{Src: math.MaxInt, Msgs: 7}
+	d, pairs, ok := ipm.DecodeDeltaPairs(buf, procs, []ipm.PairTraffic{kept})
 	if !bytes.Equal(buf, raw) {
 		t.Fatal("pair scan wrote to its input")
 	}
@@ -46,8 +49,11 @@ func agreePairs(t *testing.T, raw []byte, procs int) {
 	if !reflect.DeepEqual(d, &header) {
 		t.Fatalf("pair scan header %+v, DecodeDelta's %+v", d, &header)
 	}
-	if wantPairs := want.AsProfile().Pairs(ipm.Region(want.Window)); !reflect.DeepEqual(pairs, wantPairs) {
-		t.Fatalf("pair scan folded %v, Profile.Pairs %v", pairs, wantPairs)
+	if len(pairs) == 0 || pairs[0] != kept {
+		t.Fatalf("pair scan did not append to the slice it was passed: %v", pairs)
+	}
+	if wantPairs := want.AsProfile().Pairs(ipm.Region(want.Window)); !reflect.DeepEqual(pairs[1:], wantPairs) {
+		t.Fatalf("pair scan folded %v, Profile.Pairs %v", pairs[1:], wantPairs)
 	}
 }
 
@@ -100,7 +106,7 @@ func TestDeltaPairsTimeBoundary(t *testing.T) {
 		var f float64
 		want := json.Unmarshal([]byte(tok), &f) == nil
 		raw := []byte(edit(t, g, `"Time":0.5`, `"Time":`+tok))
-		if _, _, ok := ipm.DecodeDeltaPairs(raw, 3); ok != want {
+		if _, _, ok := ipm.DecodeDeltaPairs(raw, 3, nil); ok != want {
 			t.Errorf("Time %.30s: pair scan accepted %v, encoding/json %v", tok, ok, want)
 		}
 		agreePairs(t, raw, 3)
@@ -113,7 +119,7 @@ func TestDeltaPairsRealStreams(t *testing.T) {
 	for _, app := range []string{"cactus", "amr", "gtc"} {
 		_, deltas := encodedRun(t, app, 16)
 		for _, raw := range deltas {
-			if _, _, ok := ipm.DecodeDeltaPairs(raw, 16); !ok {
+			if _, _, ok := ipm.DecodeDeltaPairs(raw, 16, nil); !ok {
 				t.Fatalf("%s: pair scan declined a delta the writer wrote", app)
 			}
 			agreePairs(t, raw, 16)
@@ -165,7 +171,7 @@ func TestPairsHostileGrowth(t *testing.T) {
 		t.Errorf("Profile.Pairs allocated %d MB for a %d KB delta", n>>20, len(raw)>>10)
 	}
 	var ok bool
-	if n := allocated(func() { _, scanned, ok = ipm.DecodeDeltaPairs(raw, d.Procs) }); n > ceiling {
+	if n := allocated(func() { _, scanned, ok = ipm.DecodeDeltaPairs(raw, d.Procs, nil) }); n > ceiling {
 		t.Errorf("DecodeDeltaPairs allocated %d MB for a %d KB delta", n>>20, len(raw)>>10)
 	}
 	if len(pairs) != 20000 || !ok || !reflect.DeepEqual(scanned, pairs) {

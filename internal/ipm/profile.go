@@ -169,7 +169,7 @@ func (p *Profile) Pairs(filter RegionFilter) []PairTraffic {
 	for i := range p.Ranks {
 		left += len(p.Ranks[i].Entries)
 	}
-	f := newPairRows(p.Procs)
+	f := newPairRows(p.Procs, []PairTraffic{})
 	for i := range p.Ranks {
 		rp := &p.Ranks[i]
 		f.begin(rp.Rank)
@@ -188,19 +188,21 @@ func (p *Profile) Pairs(filter RegionFilter) []PairTraffic {
 // source rank at a time: by Profile.Pairs, and by the pair scan of
 // wirescan.go straight off the wire. Ranks ascend and peers are world
 // ranks, so a rank's row is folded in a dense array and emitted in order;
-// anything else costs a sort at the end.
+// anything else costs a sort at the end. The pairs are appended to the
+// slice the fold starts from.
 type pairRows struct {
 	row     []PairTraffic
 	owner   []int // owner[d] == n: row[d] belongs to the n-th rank begun
 	n       int   // ranks begun
 	src     int   // the rank being folded
 	out     []PairTraffic
+	base    int // out[:base] was there before the fold
 	inOrder bool
 }
 
-func newPairRows(procs int) pairRows {
+func newPairRows(procs int, out []PairTraffic) pairRows {
 	procs = max(procs, 0)
-	return pairRows{row: make([]PairTraffic, procs), owner: make([]int, procs), out: []PairTraffic{}, inOrder: true}
+	return pairRows{row: make([]PairTraffic, procs), owner: make([]int, procs), out: out, base: len(out), inOrder: true}
 }
 
 // begin opens the row of rank src.
@@ -238,16 +240,17 @@ func (f *pairRows) end(ranksLeft, entriesLeft int) {
 		}
 	}
 	if f.n == 1 {
-		f.out = slices.Grow(f.out, max(0, min(len(f.out)*ranksLeft, entriesLeft)))
+		f.out = slices.Grow(f.out, max(0, min((len(f.out)-f.base)*ranksLeft, entriesLeft)))
 	}
 }
 
-// done returns the folded pairs, sorted by (Src, Dst).
+// done returns the slice the fold started from with the folded pairs
+// appended, sorted by (Src, Dst).
 func (f *pairRows) done() []PairTraffic {
-	out := f.out
 	if f.inOrder {
-		return out
+		return f.out
 	}
+	out := f.out[f.base:]
 	slices.SortFunc(out, func(a, b PairTraffic) int { return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst)) })
 	n := 0
 	for _, pt := range out {
@@ -258,7 +261,7 @@ func (f *pairRows) done() []PairTraffic {
 		out[n] = pt
 		n++
 	}
-	return out[:n]
+	return f.out[:f.base+n]
 }
 
 // TotalCalls returns the number of communication calls passing the filter.

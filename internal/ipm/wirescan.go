@@ -53,20 +53,21 @@ func scanDelta(raw []byte) (d *Delta, ok bool) {
 // DecodeDeltaPairs is DecodeDelta for a fold that reads nothing of a
 // delta but its header and its window's pair traffic. When raw is a
 // canonical delta over procs ranks that Validate accepts, it returns the
-// header — Ranks nil — and exactly what
+// header — Ranks nil — and dst with exactly what
 // d.AsProfile().Pairs(Region(d.Window)) returns for the delta DecodeDelta
-// builds, without building an Entry, a Region string or a Time. ok is
+// builds appended, without building an Entry, a Region string or a Time.
+// A caller that recycles the list passes its storage as dst[:0]. ok is
 // false for anything else: non-canonical bytes, a Procs other than procs,
 // a delta Validate refuses. Those are DecodeDelta's to decode or refuse,
 // and its error is the one to report. Nothing returned aliases raw.
-func DecodeDeltaPairs(raw []byte, procs int) (d *Delta, pairs []PairTraffic, ok bool) {
+func DecodeDeltaPairs(raw []byte, procs int, dst []PairTraffic) (d *Delta, pairs []PairTraffic, ok bool) {
 	s := wireScanner{b: raw}
 	d = s.deltaHeader()
 	// Procs is checked before it sizes anything.
 	if s.bad || d.Version > SchemaVersion || procs <= 0 || d.Procs != procs {
 		return nil, nil, false
 	}
-	rows := newPairRows(procs)
+	rows := newPairRows(procs, dst)
 	s.pairs = &rows
 	s.ranks(procs)
 	if !s.end() {

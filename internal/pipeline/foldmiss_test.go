@@ -121,7 +121,7 @@ func TestFoldWireErrorParity(t *testing.T) {
 		{"Time 1e309", regexp.MustCompile(`"Time":[^}]*`).ReplaceAllString(g, `"Time":1e309`), declined, fails},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			if _, _, ok := ipm.DecodeDeltaPairs([]byte(c.raw), prev.Procs); ok != c.scan {
+			if _, _, ok := ipm.DecodeDeltaPairs([]byte(c.raw), prev.Procs, nil); ok != c.scan {
 				t.Errorf("pair scan read it: %v, want %v", ok, c.scan)
 			}
 			if err := agreeFold(t, prev, []byte(c.raw)); (err == nil) != c.ok {
@@ -172,25 +172,29 @@ func TestFoldWireHostileGrowth(t *testing.T) {
 // raceEnabled is set by race_test.go.
 var raceEnabled bool
 
-// foldMissBudgetKB is what folding each stream through an empty pipeline
-// may allocate, in KB: hashing, keys and cache entries, the pair scan,
-// graphs, windows and the detector, every link a miss. Each ceiling is
-// 1.1× the bytes measured when it was set (Go 1.24, linux/amd64), when a
-// miss came to read canonical bytes for their pair traffic alone.
-var foldMissBudgetKB = []struct {
-	app   string
-	procs int
-	kb    uint64
+// foldMissBudget is what folding each stream through an empty pipeline
+// may allocate: hashing, keys and cache entries, the pair scan, graphs,
+// windows and the detector, every link a miss. Each ceiling is 1.1× what
+// was measured when it was set (Go 1.24, linux/amd64), when a miss came
+// to build its window graph in one exact block and recycle its pair
+// list: kb in KB for the whole stream, objects per delta on average.
+var foldMissBudget = []struct {
+	app         string
+	procs       int
+	kb, objects uint64
 }{
-	{"cactus", 64, 730},
-	{"amr", 64, 1410},
+	{"cactus", 64, 285, 44},
+	{"cactus", 256, 1205, 44},
+	{"amr", 64, 552, 44},
 }
 
 // TestFoldMissAllocBudget holds the cold fold of a stream's wire bytes to
-// a committed byte ceiling: a clock-free gate on what a stream_ingest
-// fold allocates. The chain is a function of the bytes, so its byte
-// count repeats; the test holds still what could move it anyway (one P,
-// no collection, no race detector) and measures the second fold.
+// committed byte and object ceilings: a clock-free gate on what a
+// stream_ingest fold allocates, where the object count catches an
+// allocation per rank that the bytes would hide. The chain is a function
+// of the bytes, so its counts repeat; the test holds still what could
+// move them anyway (one P, no collection, no race detector) and measures
+// the second fold.
 func TestFoldMissAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates beside the program")
@@ -198,7 +202,7 @@ func TestFoldMissAllocBudget(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ctx := context.Background()
-	for _, sh := range foldMissBudgetKB {
+	for _, sh := range foldMissBudget {
 		t.Run(fmt.Sprintf("%s/P%d", sh.app, sh.procs), func(t *testing.T) {
 			p, err := apps.ProfileRun(sh.app, apps.Config{Procs: sh.procs})
 			if err != nil {
@@ -212,7 +216,7 @@ func TestFoldMissAllocBudget(t *testing.T) {
 			for i, d := range ds {
 				raws[i] = wireOf(t, d)
 			}
-			var got uint64
+			var alloc, objects uint64
 			for i := 0; i < 2; i++ {
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
@@ -228,11 +232,14 @@ func TestFoldMissAllocBudget(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got = after.TotalAlloc - before.TotalAlloc
+				alloc, objects = after.TotalAlloc-before.TotalAlloc, (after.Mallocs-before.Mallocs)/uint64(len(raws))
 			}
-			t.Logf("%d KB for %d deltas (ceiling %d KB)", got/1024, len(raws), sh.kb)
-			if got > sh.kb*1024 {
-				t.Errorf("%s P=%d: a cold fold of the stream allocates %d KB, over its %d KB ceiling", sh.app, sh.procs, got/1024, sh.kb)
+			t.Logf("%d KB and %d objects per delta for %d deltas (ceilings %d KB, %d objects)", alloc/1024, objects, len(raws), sh.kb, sh.objects)
+			if alloc > sh.kb*1024 {
+				t.Errorf("%s P=%d: a cold fold of the stream allocates %d KB, over its %d KB ceiling", sh.app, sh.procs, alloc/1024, sh.kb)
+			}
+			if objects > sh.objects {
+				t.Errorf("%s P=%d: a cold fold allocates %d objects per delta, over its ceiling of %d", sh.app, sh.procs, objects, sh.objects)
 			}
 		})
 	}

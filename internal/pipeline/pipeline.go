@@ -279,7 +279,7 @@ func (pl *Pipeline) resolve(ctx context.Context, rec Recipe, build func(context.
 	return pl.cache.do(ctx, rec.Stage, key, func(fctx context.Context) (any, error) {
 		if fill {
 			if data, ferr := pl.opts.Filler.Fill(fctx, key, rec); ferr == nil {
-				if v, derr := DecodeArtifact(rec.Stage, data); derr == nil {
+				if v, derr := decodeArtifact(rec.Stage, data, rec.Spec.Procs); derr == nil {
 					return v, nil
 				}
 			}

@@ -71,6 +71,14 @@ func EncodeArtifact(stage string, v any) ([]byte, error) {
 // DecodeArtifact deserializes a stage artifact off the peer-fill wire,
 // returning the same concrete type the stage method builds locally.
 func DecodeArtifact(stage string, data []byte) (any, error) {
+	return decodeArtifact(stage, data, 0)
+}
+
+// decodeArtifact is DecodeArtifact for a fill, which knows the recipe's
+// rank count: when procs is positive, a graph artifact and each window's
+// graph must span exactly procs ranks, checked before anything is sized
+// by the peer's count.
+func decodeArtifact(stage string, data []byte, procs int) (any, error) {
 	fail := func(err error) (any, error) {
 		return nil, fmt.Errorf("pipeline: decoding %s artifact: %w", stage, err)
 	}
@@ -82,15 +90,30 @@ func DecodeArtifact(stage string, data []byte) (any, error) {
 		}
 		return p, nil
 	case StageGraph:
-		g := new(topology.Graph)
-		if err := json.Unmarshal(data, g); err != nil {
+		g, err := topology.DecodeGraph(data, procs)
+		if err != nil {
 			return fail(err)
 		}
 		return g, nil
 	case StageWindows:
-		var ws []trace.Window
-		if err := json.Unmarshal(data, &ws); err != nil {
+		var wire []struct { // trace.Window, its graph decoded below
+			Region string
+			Graph  json.RawMessage
+			Stats  topology.TDCStats
+		}
+		if err := json.Unmarshal(data, &wire); err != nil {
 			return fail(err)
+		}
+		var ws []trace.Window // null stays nil, as it re-encodes
+		if wire != nil {
+			ws = make([]trace.Window, len(wire))
+		}
+		for i, w := range wire {
+			g, err := topology.DecodeGraph(w.Graph, procs)
+			if err != nil {
+				return fail(err)
+			}
+			ws[i] = trace.Window{Region: w.Region, Graph: g, Stats: w.Stats}
 		}
 		return ws, nil
 	case StageAssign:

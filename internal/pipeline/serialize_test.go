@@ -4,10 +4,16 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/hfast-sim/hfast/internal/apps"
 	"github.com/hfast-sim/hfast/internal/hfast"
+	"github.com/hfast-sim/hfast/internal/ipm"
+	"github.com/hfast-sim/hfast/internal/topology"
+	"github.com/hfast-sim/hfast/internal/trace"
 )
 
 // TestArtifactRoundTrip is the clustered tier's wire-contract property
@@ -200,5 +206,105 @@ func TestLocalOnlyDisablesFill(t *testing.T) {
 	ref := Spec(ProfileSpec{App: "lbmhd", Procs: 64, Steps: 2})
 	if _, _, err := pl.Profile(ctx, ref); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// stageFiller hands back body for the stage it fills and fails every
+// other fill.
+type stageFiller struct {
+	stage string
+	body  []byte
+}
+
+func (f stageFiller) Fill(ctx context.Context, key Key, r Recipe) ([]byte, error) {
+	if r.Stage != f.stage {
+		return nil, errors.New("no fill")
+	}
+	return f.body, nil
+}
+
+// starBody is a graph wire body over edges+1 ranks whose rank 0 talks to
+// every other, its edges in descending j when down (which no encoder
+// writes, and which inserting edge by edge pays for quadratically).
+func starBody(edges int, down bool) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, `{"p":%d,"edges":[`, edges+1)
+	for k := 1; k <= edges; k++ {
+		j := k
+		if down {
+			j = edges + 1 - k
+		}
+		if k > 1 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, `{"i":0,"j":%d,"vol":8,"msgs":1,"max_msg":8}`, j)
+	}
+	b.WriteString("]}")
+	return b.String()
+}
+
+// TestFillRefusesHostileGraphs hands the fill path graph bodies a peer
+// could send, alone as a graph artifact and as the graph of a windows
+// artifact: each is refused, so the request falls back to its local
+// build, or decoded, within a byte ceiling. A rank count other than the
+// recipe's is refused before it sizes anything; edges out of the order
+// MarshalJSON writes are refused.
+func TestFillRefusesHostileGraphs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates beside the program")
+	}
+	const star = 50000
+	errLocal := errors.New("local build")
+	for _, c := range []struct {
+		name    string
+		procs   int
+		graph   string
+		refused bool
+	}{
+		{"p 2^40", 64, `{"p":1099511627776,"edges":[]}`, true},
+		{"p 10^8", 64, `{"p":100000000,"edges":[]}`, true},
+		{"p below the recipe's", 64, `{"p":8,"edges":[]}`, true},
+		{"star in descending j", star + 1, starBody(star, true), true},
+		{"star in ascending j", star + 1, starBody(star, false), false},
+	} {
+		window := `[{"Region":"step000","Graph":` + c.graph + `,"Stats":{"Cutoff":2048,"Max":1,"Min":1,"Avg":1,"Median":1}}]`
+		for _, stage := range []string{StageGraph, StageWindows} {
+			t.Run(c.name+"/"+stage, func(t *testing.T) {
+				body := c.graph
+				if stage == StageWindows {
+					body = window
+				}
+				pl := New(Options{
+					Filler: stageFiller{stage, []byte(body)},
+					Runner: func(context.Context, string, apps.Config) (*ipm.Profile, error) { return nil, errLocal },
+				})
+				ref := Spec(ProfileSpec{App: "cactus", Procs: c.procs})
+				var g *topology.Graph
+				var err error
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				if stage == StageGraph {
+					g, _, err = pl.Graph(context.Background(), ref, Steady())
+				} else {
+					var ws []trace.Window
+					if ws, _, err = pl.Windows(context.Background(), ref, "step", 0); err == nil {
+						g = ws[0].Graph
+					}
+				}
+				runtime.ReadMemStats(&after)
+				if c.refused != errors.Is(err, errLocal) {
+					t.Fatalf("refused %v (err %v), want %v", !c.refused, err, c.refused)
+				}
+				if !c.refused && (err != nil || g.P != c.procs || g.EdgeCount() != star) {
+					t.Fatalf("decoded %v, err %v; want P=%d with %d edges", g, err, c.procs, star)
+				}
+				// Decoding costs under ten times the body (8.6 when this was
+				// set); the ranks are sized only when the recipe asked for them.
+				ceiling := 10*uint64(len(body)) + 24*uint64(c.procs) + 64<<10
+				if n := after.TotalAlloc - before.TotalAlloc; n > ceiling {
+					t.Errorf("the fill allocated %d KB for a %d KB body, over its %d KB ceiling", n>>10, len(body)>>10, ceiling>>10)
+				}
+			})
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"sync"
 
 	"github.com/hfast-sim/hfast/internal/ipm"
 	"github.com/hfast-sim/hfast/internal/trace"
@@ -116,16 +117,33 @@ func foldMiss(prev *trace.StreamState, raw []byte, d *ipm.Delta) (*trace.StreamS
 	var err error
 	if d != nil {
 		ns, err = prev.Fold(d)
-	} else if hd, pairs, ok := ipm.DecodeDeltaPairs(raw, prev.Procs); ok {
-		d = hd
-		ns, err = prev.FoldPairs(d, pairs)
-	} else if d, err = ipm.DecodeDelta(raw); err != nil {
-		return nil, err
-	} else {
+	} else if d, ns, err = foldScanned(prev, raw); d == nil {
+		if d, err = ipm.DecodeDelta(raw); err != nil {
+			return nil, err
+		}
 		ns, err = prev.Fold(d)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: fold delta %d (%q): %w", d.Seq, d.Window, err)
 	}
 	return ns, nil
+}
+
+// pairLists recycles the pair list a fold miss scans a window into. The
+// list lives only until FoldPairs returns, because the graph copies what
+// it keeps.
+var pairLists = sync.Pool{New: func() any { return new([]ipm.PairTraffic) }}
+
+// foldScanned folds raw by the pair scan, into a recycled pair list. d is
+// nil when the scan declines raw.
+func foldScanned(prev *trace.StreamState, raw []byte) (*ipm.Delta, *trace.StreamState, error) {
+	buf := pairLists.Get().(*[]ipm.PairTraffic)
+	defer pairLists.Put(buf)
+	d, pairs, ok := ipm.DecodeDeltaPairs(raw, prev.Procs, (*buf)[:0])
+	if !ok {
+		return nil, nil, nil
+	}
+	*buf = pairs
+	ns, err := prev.FoldPairs(d, pairs)
+	return d, ns, err
 }

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"sync"
 	"testing"
 
 	"github.com/hfast-sim/hfast/internal/apps"
 	"github.com/hfast-sim/hfast/internal/hfast"
 	"github.com/hfast-sim/hfast/internal/ipm"
+	"github.com/hfast-sim/hfast/internal/topology"
 	"github.com/hfast-sim/hfast/internal/trace"
 )
 
@@ -339,5 +342,99 @@ func TestFoldMatchesBatchArtifacts(t *testing.T) {
 	}
 	if !bytes.Equal(want, got) {
 		t.Fatalf("folded windows artifact differs from batch (%d vs %d bytes)", len(got), len(want))
+	}
+}
+
+// TestFoldWireConcurrentMisses folds distinct streams through one
+// pipeline, a goroutine each, so that misses in concurrent flights share
+// the recycled pair lists. Then every state of every stream is held to
+// the batch pipeline over the deltas it has folded, merged: the same
+// window graphs and the same Steady graph.
+func TestFoldWireConcurrentMisses(t *testing.T) {
+	type stream struct {
+		ds     []*ipm.Delta
+		states []*trace.StreamState
+		err    error
+	}
+	var streams []*stream
+	for _, app := range []string{"cactus", "gtc", "amr"} {
+		for _, procs := range []int{8, 16} {
+			p, err := apps.ProfileRun(app, apps.Config{Procs: procs, Steps: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ds, err := ipm.SplitDeltas(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			streams = append(streams, &stream{ds: ds})
+		}
+	}
+	pl := New(Options{})
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for _, s := range streams {
+		raws := make([][]byte, len(s.ds))
+		for i, d := range s.ds {
+			raws[i] = wireOf(t, d)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st, key, _, err := pl.FoldInit(ctx, FoldSeed{Procs: s.ds[0].Procs})
+			for _, raw := range raws {
+				if err != nil {
+					break
+				}
+				st, key, _, err = pl.FoldWire(ctx, key, st, raw)
+				s.states = append(s.states, st)
+			}
+			s.err = err
+		}()
+	}
+	wg.Wait()
+
+	batch := New(Options{})
+	encode := func(g *topology.Graph) string {
+		b, err := json.Marshal(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	for _, s := range streams {
+		if s.err != nil {
+			t.Fatal(s.err)
+		}
+		for k, st := range s.states {
+			merged, err := ipm.MergeDeltas(s.ds[:k+1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := Supplied(merged)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ws, _, err := batch.Windows(ctx, ref, "step", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, _, err := batch.Graph(ctx, ref, Steady())
+			if err != nil {
+				t.Fatal(err)
+			}
+			what := fmt.Sprintf("%s P=%d after %d deltas", merged.App, merged.Procs, k+1)
+			if len(st.Windows) != len(ws) {
+				t.Fatalf("%s: %d windows folded, %d in batch", what, len(st.Windows), len(ws))
+			}
+			for i, w := range ws {
+				if got := st.Windows[i]; got.Region != w.Region || encode(got.Graph) != encode(w.Graph) {
+					t.Fatalf("%s: window %q's graph differs from batch", what, w.Region)
+				}
+			}
+			if encode(st.Steady()) != encode(g) {
+				t.Fatalf("%s: the Steady graph differs from batch", what)
+			}
+		}
 	}
 }

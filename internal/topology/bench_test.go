@@ -1,7 +1,9 @@
 package topology_test
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/hfast-sim/hfast/internal/ipm"
@@ -12,7 +14,8 @@ import (
 // rank talks to its six grid neighbors plus a handful of long-range
 // toroidal shift partners, with a size mix spanning the cutoff range.
 // This keeps the benchmark deterministic and independent of the skeleton
-// runtimes while matching the paper's observed sparsity (TDC ≈ 10).
+// runtimes while matching the paper's observed sparsity (TDC ≈ 10). The
+// list is in (Src, Dst) order, as FromPairs requires.
 func benchPairs(p int) []ipm.PairTraffic {
 	var pairs []ipm.PairTraffic
 	add := func(src, dst int, msgs, bytes int64, maxMsg int) {
@@ -31,6 +34,9 @@ func benchPairs(p int) []ipm.PairTraffic {
 		// threshold predicate without raising the provisioned degree.
 		add(i, (i+p/2)%p, 10, 10*512, 512)
 	}
+	slices.SortFunc(pairs, func(a, b ipm.PairTraffic) int {
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
+	})
 	return pairs
 }
 

@@ -17,6 +17,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"github.com/hfast-sim/hfast/internal/ipm"
@@ -253,67 +254,101 @@ func (g *Graph) ForEachEdge(fn func(i, j int, e Edge)) {
 	}
 }
 
-// FromPairs builds a graph over p ranks from accumulated pair traffic,
-// validating every pair before committing. The merge is commutative, so
-// the result is identical to an AddTraffic loop.
+// FromPairs builds a graph over p ranks from directed pair traffic in
+// (Src, Dst) order, the order Profile.Pairs and ipm.DecodeDeltaPairs
+// emit. A pair may repeat and self pairs are skipped; a pair out of that
+// order or out of range is an error. The graph is the one an AddTraffic
+// loop over the pairs builds, made in two linear passes: the first
+// indexes each rank's incoming pairs, the second merges each rank's run
+// of outgoing pairs with them, absorbing repeats and the reverse of each
+// pair. The rows are cut from one exactly-sized block with their capacity
+// clipped, as Clone's are, so the pairs can be overwritten after the
+// build and a row that gains a partner moves instead of growing into its
+// neighbour's.
 func FromPairs(p int, pairs []ipm.PairTraffic) (*Graph, error) {
 	g, err := NewGraph(p)
 	if err != nil {
 		return nil, err
 	}
-	for _, pt := range pairs {
+	if len(pairs) > math.MaxInt32 {
+		return nil, fmt.Errorf("topology: %d pairs overflow the pair index", len(pairs))
+	}
+	// in[start[d]:start[d+1]] lists, in Src order, the pairs into rank d:
+	// counted at d+2, summed, then filled with start[d+1] as d's cursor.
+	start := make([]int32, p+2)
+	for k, pt := range pairs {
 		if pt.Src < 0 || pt.Src >= p || pt.Dst < 0 || pt.Dst >= p {
 			return nil, fmt.Errorf("topology: pair (%d,%d) out of range [0,%d)", pt.Src, pt.Dst, p)
 		}
-	}
-	// Bucket pair indices per endpoint rank, then build each rank's sorted
-	// slice independently.
-	counts := make([]int, p)
-	for _, pt := range pairs {
-		if pt.Src != pt.Dst {
-			counts[pt.Src]++
-			counts[pt.Dst]++
-		}
-	}
-	buckets := make([][]int32, p)
-	for i, c := range counts {
-		if c > 0 {
-			buckets[i] = make([]int32, 0, c)
-		}
-	}
-	for pi, pt := range pairs {
-		if pt.Src != pt.Dst {
-			buckets[pt.Src] = append(buckets[pt.Src], int32(pi))
-			buckets[pt.Dst] = append(buckets[pt.Dst], int32(pi))
-		}
-	}
-	for r := 0; r < p; r++ {
-		if len(buckets[r]) == 0 {
-			continue
-		}
-		es := make([]Edge, 0, len(buckets[r]))
-		for _, pi := range buckets[r] {
-			pt := pairs[pi]
-			other := pt.Dst
-			if other == r {
-				other = pt.Src
+		if k > 0 {
+			if prev := pairs[k-1]; pt.Src < prev.Src || (pt.Src == prev.Src && pt.Dst < prev.Dst) {
+				return nil, fmt.Errorf("topology: pair (%d,%d) follows (%d,%d), out of (Src, Dst) order", pt.Src, pt.Dst, prev.Src, prev.Dst)
 			}
-			es = append(es, Edge{To: other, Vol: pt.Bytes, Msgs: pt.Msgs, MaxMsg: pt.MaxMsg})
 		}
-		sort.Slice(es, func(a, b int) bool { return es[a].To < es[b].To })
-		// Merge duplicate partners in place (a pair can appear in both
-		// directions in the profile).
-		out := es[:1]
-		for _, e := range es[1:] {
-			if last := &out[len(out)-1]; e.To == last.To {
-				last.absorb(e)
+		if pt.Src != pt.Dst {
+			start[pt.Dst+2]++
+		}
+	}
+	for d := 2; d < len(start); d++ {
+		start[d] += start[d-1]
+	}
+	in := make([]int32, start[p+1])
+	for k, pt := range pairs {
+		if pt.Src != pt.Dst {
+			in[start[pt.Dst+1]] = int32(k)
+			start[pt.Dst+1]++
+		}
+	}
+	g.fillRows(make([]Edge, g.fillRows(nil, pairs, in, start)), pairs, in, start)
+	return g, nil
+}
+
+// fillRows merges every rank's outgoing pairs with its incoming ones (see
+// FromPairs) and returns how many edges the rows hold. A nil block only
+// counts them; otherwise the rows are written into block, which must
+// hold exactly that many, and cut from it.
+func (g *Graph) fillRows(block []Edge, pairs []ipm.PairTraffic, in, start []int32) int {
+	at, lo := 0, 0
+	for r := range g.adj {
+		hi := lo
+		for hi < len(pairs) && pairs[hi].Src == r {
+			hi++
+		}
+		out, into := pairs[lo:hi], in[start[r]:start[r+1]]
+		lo = hi
+		n, last := 0, -1
+		for i, k := 0, 0; i < len(out) || k < len(into); {
+			var pt *ipm.PairTraffic
+			to := 0
+			if k == len(into) || (i < len(out) && out[i].Dst <= pairs[into[k]].Src) {
+				pt, to = &out[i], out[i].Dst
+				i++
+			} else {
+				pt = &pairs[into[k]]
+				to = pt.Src
+				k++
+			}
+			if to == r { // a self pair: it does not use the interconnect
 				continue
 			}
-			out = append(out, e)
+			e := Edge{To: to, Vol: pt.Bytes, Msgs: pt.Msgs, MaxMsg: pt.MaxMsg}
+			if to == last {
+				if block != nil {
+					block[at+n-1].absorb(e)
+				}
+				continue
+			}
+			if block != nil {
+				block[at+n] = e
+			}
+			n, last = n+1, to
 		}
-		g.adj[r] = out
+		if n > 0 && block != nil {
+			g.adj[r] = block[at : at+n : at+n]
+		}
+		at += n
 	}
-	return g, nil
+	return at
 }
 
 // FromProfile builds the graph from a profile's point-to-point traffic,
