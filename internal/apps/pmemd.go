@@ -3,6 +3,7 @@ package apps
 import (
 	"math"
 
+	"github.com/hfast-sim/hfast/internal/bdp"
 	"github.com/hfast-sim/hfast/internal/mpi"
 )
 
@@ -20,7 +21,7 @@ func pmemdPairBytes(base int, d int, lo, hi int, seed int64) int {
 	// simulation": jitter each pair by ×[0.6, 1.4).
 	v *= 0.6 + 0.8*hashFloat(uint64(lo), uint64(hi), uint64(seed))
 	n := int(v)
-	if n < 2048 {
+	if n < bdp.TargetThreshold {
 		// Sub-bandwidth-delay-product pairs degenerate to tiny
 		// coordination payloads — including the zero-byte handshakes the
 		// paper's Table 3 footnote describes (a partner expects a message

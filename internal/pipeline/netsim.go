@@ -2,10 +2,10 @@ package pipeline
 
 import (
 	"context"
-	"fmt"
 
 	"github.com/hfast-sim/hfast/internal/fattree"
 	"github.com/hfast-sim/hfast/internal/hfast"
+	"github.com/hfast-sim/hfast/internal/ipm"
 	"github.com/hfast-sim/hfast/internal/meshtorus"
 	"github.com/hfast-sim/hfast/internal/netsim"
 	"github.com/hfast-sim/hfast/internal/topology"
@@ -46,67 +46,40 @@ type netsimInputs struct {
 func (pl *Pipeline) Netsim(ctx context.Context, ref ProfileRef, fabric string) (*FabricResult, Outcome, error) {
 	rec := ref.recipe(StageNetsim)
 	rec.Filter, rec.Fabric = Steady().name, fabric
-	v, how, err := pl.resolve(ctx, rec, func(fctx context.Context) (any, error) {
-		return pl.runNetsim(fctx, ref, fabric)
-	})
-	if err != nil {
-		return nil, how, err
-	}
-	return v.(*FabricResult), how, nil
+	return get[*FabricResult](ctx, pl, ref, rec)
 }
 
-func (pl *Pipeline) runNetsim(ctx context.Context, ref ProfileRef, fabric string) (*FabricResult, error) {
-	prof, _, err := pl.Profile(ctx, ref)
-	if err != nil {
-		return nil, err
-	}
-	g, _, err := pl.Graph(ctx, ref, Steady())
-	if err != nil {
-		return nil, err
-	}
+// replay is the netsim stage's own step: prof's traffic graph g replayed
+// on a checked fabric; a is g's assignment, which FabricHFAST alone uses.
+func replay(fabric string, prof *ipm.Profile, g *topology.Graph, a *hfast.Assignment) (*FabricResult, error) {
 	flows := AppendFlows(nil, g, prof.Params["steps"])
 	lp := netsim.DefaultLinkParams()
 	res := &FabricResult{Fabric: fabric, Procs: prof.Procs, Flows: len(flows)}
-
-	fail := func(err error) (*FabricResult, error) {
-		return nil, fmt.Errorf("pipeline: netsim %s on %s: %w", ref.describe(), fabric, err)
-	}
+	var nw *netsim.Network
+	var router netsim.Router
 	switch fabric {
 	case FabricHFAST:
-		a, _, err := pl.Assignment(ctx, ref, Steady(), 0, hfast.DefaultBlockSize)
-		if err != nil {
-			return nil, err
-		}
+		var err error
 		res.Makespan, res.Collective, res.TreeTime, err = ReplayHFAST(netsim.NewHFASTNet(a, lp), prof.Procs, flows)
-		if err != nil {
-			return fail(err)
-		}
+		return res, err
 	case FabricFCN:
 		tree, err := fattree.Design(prof.Procs, hfast.DefaultBlockSize)
 		if err != nil {
-			return fail(err)
+			return nil, err
 		}
 		fn := netsim.NewFCNNet(prof.Procs, tree, lp)
-		sim, err := netsim.Simulate(fn.Network(), fn, flows)
-		if err != nil {
-			return fail(err)
-		}
-		res.Makespan = sim.Makespan
-	case FabricMesh:
+		nw, router = fn.Network(), fn
+	default: // FabricMesh: the recipe check admits no other name
 		mesh, err := meshtorus.New(meshtorus.NearCube(prof.Procs, 3), true)
 		if err != nil {
-			return fail(err)
+			return nil, err
 		}
 		mn := netsim.NewMeshNet(mesh, lp)
-		sim, err := netsim.Simulate(mn.Network(), mn, flows)
-		if err != nil {
-			return fail(err)
-		}
-		res.Makespan = sim.Makespan
-	default:
-		return nil, fmt.Errorf("pipeline: unknown fabric %q", fabric)
+		nw, router = mn.Network(), mn
 	}
-	return res, nil
+	sim, err := netsim.Simulate(nw, router, flows)
+	res.Makespan = sim.Makespan
+	return res, err
 }
 
 // ReplayHFAST simulates flows on an HFAST fabric over procs nodes and

@@ -31,6 +31,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strings"
 
 	"github.com/hfast-sim/hfast/internal/apps"
 	"github.com/hfast-sim/hfast/internal/hfast"
@@ -76,35 +77,13 @@ type Options struct {
 	// across all stages).
 	CacheEntries int
 	// Runner overrides the profile-stage executor (default:
-	// apps.ProfileRunContext).
+	// apps.ProfileRunContext); its errors reach every waiter %w-wrapped.
 	Runner Runner
-	// AcquireSlot/ReleaseSlot, when set, gate profile-stage executions —
-	// the expensive stage — through an external worker pool. Acquire
-	// errors (e.g. saturation) propagate to every waiter unwrapped, so
-	// callers can map them with errors.Is. Downstream stages run
-	// ungated: graph/assignment/wiring are cheap next to a skeleton run.
-	AcquireSlot func(ctx context.Context) error
-	ReleaseSlot func()
-	// OnProfileRun is called once per profile execution actually started
-	// (after slot acquisition), for run accounting.
-	OnProfileRun func()
 	// Filler, when set, is consulted between an LRU miss and the local
 	// build: it may return the serialized artifact from a cheaper source
 	// (a peer replica's cache). Any Fill error falls back to the local
 	// build, so a filler can only make requests faster, never fail them.
 	Filler Filler
-}
-
-func (o Options) withDefaults() Options {
-	if o.CacheEntries <= 0 {
-		o.CacheEntries = 256
-	}
-	if o.Runner == nil {
-		o.Runner = func(ctx context.Context, app string, cfg apps.Config) (*ipm.Profile, error) {
-			return apps.ProfileRunContext(ctx, app, cfg)
-		}
-	}
-	return o
 }
 
 // Pipeline is the staged artifact store. Create with New; a Pipeline is
@@ -117,7 +96,12 @@ type Pipeline struct {
 
 // New creates a pipeline with the given options.
 func New(opts Options) *Pipeline {
-	opts = opts.withDefaults()
+	if opts.CacheEntries <= 0 {
+		opts.CacheEntries = 256
+	}
+	if opts.Runner == nil {
+		opts.Runner = apps.ProfileRunContext
+	}
 	m := newMetrics()
 	return &Pipeline{opts: opts, cache: newCache(opts.CacheEntries, m), metrics: m}
 }
@@ -188,95 +172,57 @@ func (r ProfileRef) recipe(stage string) Recipe {
 }
 
 func (r ProfileRef) describe() string {
-	switch {
-	case r.spec != nil:
+	if r.spec != nil {
 		return r.spec.String()
-	case r.prof != nil:
-		return fmt.Sprintf("%s/%d (supplied)", r.prof.App, r.prof.Procs)
 	}
-	return "(empty ref)"
+	return fmt.Sprintf("%s/%d (supplied)", r.prof.App, r.prof.Procs)
 }
 
 // --- region filters ---
 
 // Filter is a canonically-named region filter, so filtered artifacts can
 // be content-addressed (a bare func has no identity).
-type Filter struct {
-	name string
-	fn   ipm.RegionFilter
-}
+type Filter struct{ name string }
 
 // Steady selects every region but initialization — the paper's default.
-func Steady() Filter { return Filter{name: "steady", fn: ipm.SteadyState} }
+func Steady() Filter { return Filter{"steady"} }
 
 // Everything selects all regions including initialization.
-func Everything() Filter { return Filter{name: "all", fn: ipm.AllRegions} }
+func Everything() Filter { return Filter{"all"} }
 
 // Region selects a single named region.
-func Region(name string) Filter { return Filter{name: "region:" + name, fn: ipm.Region(name)} }
+func Region(name string) Filter { return Filter{"region:" + name} }
 
-// --- parameter normalization ---
-
-// normCutoff mirrors hfast.Assign's zero handling so cutoff 0 and the
-// explicit default address the same artifact.
-func normCutoff(c int) int {
-	if c == 0 {
-		return topology.DefaultCutoff
+// regionFilter is the region filter a checked filter name stands for.
+func regionFilter(name string) ipm.RegionFilter {
+	switch name {
+	case "steady":
+		return ipm.SteadyState
+	case "all":
+		return ipm.AllRegions
 	}
-	return c
-}
-
-func normBlock(b int) int {
-	if b == 0 {
-		return hfast.DefaultBlockSize
-	}
-	return b
-}
-
-// --- stage key derivations ---
-
-type graphInputs struct {
-	Profile Key    `json:"profile"`
-	Filter  string `json:"filter"`
-}
-
-type windowsInputs struct {
-	Profile Key    `json:"profile"`
-	Prefix  string `json:"prefix"`
-	Cutoff  int    `json:"cutoff"`
-}
-
-type assignInputs struct {
-	Graph     Key `json:"graph"`
-	Cutoff    int `json:"cutoff"`
-	BlockSize int `json:"block_size"`
-}
-
-type planInputs struct {
-	Assign Key `json:"assign"`
-}
-
-type compareInputs struct {
-	Assign Key          `json:"assign"`
-	Params hfast.Params `json:"params"`
+	return ipm.Region(strings.TrimPrefix(name, "region:"))
 }
 
 // --- stages ---
 
-// resolve is the shared stage-resolution path: derive the recipe's
-// content address, consult the cache (with in-flight coalescing), and on
-// a miss try the Filler (peer fill) before running the local build. The
-// fill decision is captured from the caller's context before the flight
-// detaches it, so LocalOnly requests — a replica serving a peer — never
-// re-forward the key they are being asked for. A corrupt or undecodable
-// peer artifact silently falls back to the local build.
-func (pl *Pipeline) resolve(ctx context.Context, rec Recipe, build func(context.Context) (any, error)) (any, Outcome, error) {
-	key, err := rec.Key()
+// get is the one path of a stage request. It checks and normalizes the
+// recipe, derives its content address and consults the cache (with
+// in-flight coalescing); on a miss it tries the Filler (peer fill) before
+// the local build, and it asserts the artifact's type. The fill decision
+// is captured from the caller's context before the flight detaches it, so
+// LocalOnly requests — a replica serving a peer — never re-forward the
+// key they are being asked for. A corrupt or undecodable peer artifact
+// silently falls back to the local build.
+func get[T any](ctx context.Context, pl *Pipeline, ref ProfileRef, r Recipe) (T, Outcome, error) {
+	var zero T
+	rec, err := r.normalized()
 	if err != nil {
-		return nil, Miss, err
+		return zero, Miss, err
 	}
+	key := rec.key()
 	fill := pl.opts.Filler != nil && rec.Fillable() && !isLocalOnly(ctx)
-	return pl.cache.do(ctx, rec.Stage, key, func(fctx context.Context) (any, error) {
+	v, how, err := pl.cache.do(ctx, rec.Stage, key, func(fctx context.Context) (any, error) {
 		if fill {
 			if data, ferr := pl.opts.Filler.Fill(fctx, key, rec); ferr == nil {
 				if v, derr := decodeArtifact(rec.Stage, data, rec.Spec.Procs); derr == nil {
@@ -284,43 +230,84 @@ func (pl *Pipeline) resolve(ctx context.Context, rec Recipe, build func(context.
 				}
 			}
 		}
-		return build(fctx)
+		return pl.build(fctx, ref, rec)
 	})
+	if err != nil {
+		return zero, how, err
+	}
+	return v.(T), how, nil
+}
+
+// build makes the artifact of a checked recipe on a miss no peer filled.
+// Upstream artifacts come through their stage methods, so each is a stage
+// request of its own, cached and coalesced in its own slot. Their errors
+// pass as they are; the stage's own errors name the stage and the run.
+func (pl *Pipeline) build(ctx context.Context, ref ProfileRef, rec Recipe) (any, error) {
+	f := Filter{rec.Filter}
+	var (
+		v    any
+		prof *ipm.Profile
+		g    *topology.Graph
+		a    *hfast.Assignment
+		err  error
+	)
+	// Assign and compare build from one upstream artifact alone; every
+	// other stage but the profile reads the profile.
+	if rec.Stage != StageProfile && rec.Stage != StageAssign && rec.Stage != StageCompare {
+		if prof, _, err = pl.Profile(ctx, ref); err != nil {
+			return nil, err
+		}
+	}
+	what, on := rec.Stage, ""
+	switch rec.Stage {
+	case StageProfile:
+		v, err = pl.opts.Runner(ctx, ref.spec.App, ref.spec.config())
+	case StageGraph:
+		v, err = topology.FromProfile(prof, regionFilter(rec.Filter))
+	case StageWindows:
+		v, err = trace.Windows(prof, rec.Prefix, rec.Cutoff)
+	case StageAssign:
+		if g, _, err = pl.Graph(ctx, ref, f); err != nil {
+			return nil, err
+		}
+		v, err = hfast.Assign(g, rec.Cutoff, rec.BlockSize)
+	case StagePlan:
+		if a, _, err = pl.Assignment(ctx, ref, f, rec.Cutoff, rec.BlockSize); err != nil {
+			return nil, err
+		}
+		what = "wire"
+		v, err = newPlan(prof.App, prof.Procs, a)
+	case StageCompare:
+		if a, _, err = pl.Assignment(ctx, ref, f, rec.Cutoff, rec.Params.BlockSize); err != nil {
+			return nil, err
+		}
+		v, err = hfast.Compare(a, *rec.Params)
+	case StageNetsim:
+		if g, _, err = pl.Graph(ctx, ref, f); err != nil {
+			return nil, err
+		}
+		if rec.Fabric == FabricHFAST {
+			if a, _, err = pl.Assignment(ctx, ref, f, 0, hfast.DefaultBlockSize); err != nil {
+				return nil, err
+			}
+		}
+		on = " on " + rec.Fabric
+		v, err = replay(rec.Fabric, prof, g, a)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: %s %s%s: %w", what, ref.describe(), on, err)
+	}
+	return v, nil
 }
 
 // Profile resolves the referenced profile, running the skeleton under the
-// runner (and the worker-slot gate, when configured) on a miss. A
-// supplied reference returns its in-memory profile directly.
+// runner on a miss. A supplied reference returns its in-memory profile
+// directly.
 func (pl *Pipeline) Profile(ctx context.Context, ref ProfileRef) (*ipm.Profile, Outcome, error) {
 	if ref.prof != nil {
 		return ref.prof, Hit, nil
 	}
-	if ref.spec == nil {
-		return nil, Miss, fmt.Errorf("pipeline: empty profile ref")
-	}
-	spec := *ref.spec
-	v, how, err := pl.resolve(ctx, ref.recipe(StageProfile), func(fctx context.Context) (any, error) {
-		if pl.opts.AcquireSlot != nil {
-			// Gate errors pass through unwrapped so callers can map pool
-			// saturation with errors.Is.
-			if err := pl.opts.AcquireSlot(fctx); err != nil {
-				return nil, err
-			}
-			defer pl.opts.ReleaseSlot()
-		}
-		if pl.opts.OnProfileRun != nil {
-			pl.opts.OnProfileRun()
-		}
-		p, err := pl.opts.Runner(fctx, spec.App, spec.config())
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: profile %s: %w", spec, err)
-		}
-		return p, nil
-	})
-	if err != nil {
-		return nil, how, err
-	}
-	return v.(*ipm.Profile), how, nil
+	return get[*ipm.Profile](ctx, pl, ref, ref.recipe(StageProfile))
 }
 
 // Graph resolves the communication-topology graph of the referenced
@@ -328,21 +315,7 @@ func (pl *Pipeline) Profile(ctx context.Context, ref ProfileRef) (*ipm.Profile, 
 func (pl *Pipeline) Graph(ctx context.Context, ref ProfileRef, f Filter) (*topology.Graph, Outcome, error) {
 	rec := ref.recipe(StageGraph)
 	rec.Filter = f.name
-	v, how, err := pl.resolve(ctx, rec, func(fctx context.Context) (any, error) {
-		prof, _, err := pl.Profile(fctx, ref)
-		if err != nil {
-			return nil, err
-		}
-		g, err := topology.FromProfile(prof, f.fn)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: graph %s: %w", ref.describe(), err)
-		}
-		return g, nil
-	})
-	if err != nil {
-		return nil, how, err
-	}
-	return v.(*topology.Graph), how, nil
+	return get[*topology.Graph](ctx, pl, ref, rec)
 }
 
 // Windows resolves the per-step traffic windows of the referenced profile
@@ -350,48 +323,18 @@ func (pl *Pipeline) Graph(ctx context.Context, ref ProfileRef, f Filter) (*topol
 // analysis. Window artifacts are cached independently of the steady-state
 // graph, so phase-level consumers do not perturb whole-run ones.
 func (pl *Pipeline) Windows(ctx context.Context, ref ProfileRef, prefix string, cutoff int) ([]trace.Window, Outcome, error) {
-	cutoff = normCutoff(cutoff)
 	rec := ref.recipe(StageWindows)
 	rec.Prefix, rec.Cutoff = prefix, cutoff
-	v, how, err := pl.resolve(ctx, rec, func(fctx context.Context) (any, error) {
-		prof, _, err := pl.Profile(fctx, ref)
-		if err != nil {
-			return nil, err
-		}
-		ws, err := trace.Windows(prof, prefix, cutoff)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: windows %s: %w", ref.describe(), err)
-		}
-		return ws, nil
-	})
-	if err != nil {
-		return nil, how, err
-	}
-	return v.([]trace.Window), how, nil
+	return get[[]trace.Window](ctx, pl, ref, rec)
 }
 
 // Assignment resolves the paper's linear-time switch-block provisioning
 // of the filtered graph at the cutoff (DefaultCutoff when 0) and block
 // size (DefaultBlockSize when 0).
 func (pl *Pipeline) Assignment(ctx context.Context, ref ProfileRef, f Filter, cutoff, blockSize int) (*hfast.Assignment, Outcome, error) {
-	cutoff, blockSize = normCutoff(cutoff), normBlock(blockSize)
 	rec := ref.recipe(StageAssign)
 	rec.Filter, rec.Cutoff, rec.BlockSize = f.name, cutoff, blockSize
-	v, how, err := pl.resolve(ctx, rec, func(fctx context.Context) (any, error) {
-		g, _, err := pl.Graph(fctx, ref, f)
-		if err != nil {
-			return nil, err
-		}
-		a, err := hfast.Assign(g, cutoff, blockSize)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: assign %s: %w", ref.describe(), err)
-		}
-		return a, nil
-	})
-	if err != nil {
-		return nil, how, err
-	}
-	return v.(*hfast.Assignment), how, nil
+	return get[*hfast.Assignment](ctx, pl, ref, rec)
 }
 
 // Plan is an assignment plus its physical circuit-switch wiring — the
@@ -434,53 +377,18 @@ func newPlan(app string, procs int, a *hfast.Assignment) (*Plan, error) {
 
 // Plan resolves the full wiring plan for the referenced profile.
 func (pl *Pipeline) Plan(ctx context.Context, ref ProfileRef, f Filter, cutoff, blockSize int) (*Plan, Outcome, error) {
-	cutoff, blockSize = normCutoff(cutoff), normBlock(blockSize)
 	rec := ref.recipe(StagePlan)
 	rec.Filter, rec.Cutoff, rec.BlockSize = f.name, cutoff, blockSize
-	v, how, err := pl.resolve(ctx, rec, func(fctx context.Context) (any, error) {
-		prof, _, err := pl.Profile(fctx, ref)
-		if err != nil {
-			return nil, err
-		}
-		a, _, err := pl.Assignment(fctx, ref, f, cutoff, blockSize)
-		if err != nil {
-			return nil, err
-		}
-		p, err := newPlan(prof.App, prof.Procs, a)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: wire %s: %w", ref.describe(), err)
-		}
-		return p, nil
-	})
-	if err != nil {
-		return nil, how, err
-	}
-	return v.(*Plan), how, nil
+	return get[*Plan](ctx, pl, ref, rec)
 }
 
 // Comparison resolves the cost-model comparison of the provisioned fabric
 // against the fat-tree baseline. The assignment uses params.BlockSize
 // (DefaultBlockSize when 0).
 func (pl *Pipeline) Comparison(ctx context.Context, ref ProfileRef, f Filter, cutoff int, params hfast.Params) (hfast.Comparison, Outcome, error) {
-	cutoff = normCutoff(cutoff)
-	params.BlockSize = normBlock(params.BlockSize)
 	rec := ref.recipe(StageCompare)
 	rec.Filter, rec.Cutoff, rec.Params = f.name, cutoff, &params
-	v, how, err := pl.resolve(ctx, rec, func(fctx context.Context) (any, error) {
-		a, _, err := pl.Assignment(fctx, ref, f, cutoff, params.BlockSize)
-		if err != nil {
-			return nil, err
-		}
-		cmp, err := hfast.Compare(a, params)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: compare %s: %w", ref.describe(), err)
-		}
-		return cmp, nil
-	})
-	if err != nil {
-		return hfast.Comparison{}, how, err
-	}
-	return v.(hfast.Comparison), how, nil
+	return get[hfast.Comparison](ctx, pl, ref, rec)
 }
 
 // Derived resolves a consumer-defined artifact through the same

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"github.com/hfast-sim/hfast/internal/hfast"
+	"github.com/hfast-sim/hfast/internal/topology"
 )
 
 // A Recipe is the portable description of one stage request: everything a
@@ -29,9 +30,9 @@ type Recipe struct {
 	Filter string `json:"filter,omitempty"`
 	// Prefix is the region prefix (Windows stage).
 	Prefix string `json:"prefix,omitempty"`
-	// Cutoff and BlockSize are the provisioning parameters, already
-	// normalized by the stage methods; Key normalizes again, so a
-	// hand-built recipe with zeros addresses the defaults' artifact.
+	// Cutoff and BlockSize are the provisioning parameters; zero selects
+	// the default, so a hand-built recipe with zeros addresses the
+	// defaults' artifact.
 	Cutoff    int `json:"cutoff,omitempty"`
 	BlockSize int `json:"block_size,omitempty"`
 	// Fabric names the simulated fabric (Netsim stage).
@@ -44,54 +45,123 @@ type Recipe struct {
 // a runnable profile spec (supplied-profile blobs exist only locally).
 func (r Recipe) Fillable() bool { return r.Spec != nil }
 
-// Key derives the recipe's content address. It is the single source of
-// the per-stage key derivations, shared by the stage methods and the
-// peer-fill protocol, so a key computed on one replica addresses the same
-// artifact on every other.
+// Key checks the recipe and derives its content address. Stage requests
+// and the peer-fill protocol derive keys the same way, so a key computed
+// on one replica addresses the same artifact on every other.
 func (r Recipe) Key() (Key, error) {
-	if r.ProfileKey == "" {
-		return "", fmt.Errorf("pipeline: recipe for stage %q has no profile key", r.Stage)
+	n, err := r.normalized()
+	if err != nil {
+		return "", err
 	}
-	graphKey := keyOf(StageGraph, graphInputs{r.ProfileKey, r.Filter})
-	assignKey := func(blockSize int) Key {
-		return keyOf(StageAssign, assignInputs{graphKey, normCutoff(r.Cutoff), normBlock(blockSize)})
+	return n.key(), nil
+}
+
+// normalized is the one check of a stage request, made before anything
+// resolves: it refuses a recipe with no profile key, an unknown stage,
+// filter or fabric, a negative cutoff, or a compare stage without
+// params, and fills in the default cutoff and block size of the stages
+// that use them.
+func (r Recipe) normalized() (Recipe, error) {
+	if r.ProfileKey == "" {
+		return r, fmt.Errorf("pipeline: recipe for stage %q has no profile key", r.Stage)
+	}
+	if r.Cutoff < 0 {
+		return r, fmt.Errorf("pipeline: negative cutoff %d", r.Cutoff)
 	}
 	switch r.Stage {
 	case StageProfile:
-		return r.ProfileKey, nil
-	case StageGraph:
-		return graphKey, nil
+		return r, nil
 	case StageWindows:
-		return keyOf(StageWindows, windowsInputs{r.ProfileKey, r.Prefix, normCutoff(r.Cutoff)}), nil
-	case StageAssign:
-		return assignKey(r.BlockSize), nil
-	case StagePlan:
-		return keyOf(StagePlan, planInputs{assignKey(r.BlockSize)}), nil
+		r.Cutoff = normCutoff(r.Cutoff)
+		return r, nil
+	case StageGraph, StageAssign, StagePlan, StageCompare, StageNetsim:
+	default:
+		return r, fmt.Errorf("pipeline: unknown stage %q", r.Stage)
+	}
+	if r.Filter != "steady" && r.Filter != "all" && !strings.HasPrefix(r.Filter, "region:") {
+		return r, fmt.Errorf("pipeline: unknown filter %q", r.Filter)
+	}
+	switch r.Stage {
+	case StageAssign, StagePlan:
+		r.Cutoff = normCutoff(r.Cutoff)
+		if r.BlockSize == 0 {
+			r.BlockSize = hfast.DefaultBlockSize
+		}
 	case StageCompare:
 		if r.Params == nil {
-			return "", fmt.Errorf("pipeline: compare recipe has no params")
+			return r, fmt.Errorf("pipeline: compare recipe has no params")
 		}
-		p := *r.Params
-		p.BlockSize = normBlock(p.BlockSize)
-		return keyOf(StageCompare, compareInputs{assignKey(p.BlockSize), p}), nil
+		r.Cutoff = normCutoff(r.Cutoff)
+		if r.Params.BlockSize == 0 {
+			p := *r.Params
+			p.BlockSize = hfast.DefaultBlockSize
+			r.Params = &p
+		}
 	case StageNetsim:
-		return keyOf(StageNetsim, netsimInputs{graphKey, r.Fabric, hfast.DefaultBlockSize}), nil
+		if r.Fabric != FabricHFAST && r.Fabric != FabricFCN && r.Fabric != FabricMesh {
+			return r, fmt.Errorf("pipeline: unknown fabric %q", r.Fabric)
+		}
 	}
-	return "", fmt.Errorf("pipeline: unknown stage %q", r.Stage)
+	return r, nil
 }
 
-// FilterByName reconstructs a region filter from its canonical name, the
-// inverse of Steady/Everything/Region for recipes arriving off the wire.
-func FilterByName(name string) (Filter, error) {
-	switch {
-	case name == "steady":
-		return Steady(), nil
-	case name == "all":
-		return Everything(), nil
-	case strings.HasPrefix(name, "region:"):
-		return Region(strings.TrimPrefix(name, "region:")), nil
+// normCutoff mirrors hfast.Assign's zero handling so cutoff 0 and the
+// explicit default address the same artifact.
+func normCutoff(c int) int {
+	if c == 0 {
+		return topology.DefaultCutoff
 	}
-	return Filter{}, fmt.Errorf("pipeline: unknown filter %q", name)
+	return c
+}
+
+type graphInputs struct {
+	Profile Key    `json:"profile"`
+	Filter  string `json:"filter"`
+}
+
+type windowsInputs struct {
+	Profile Key    `json:"profile"`
+	Prefix  string `json:"prefix"`
+	Cutoff  int    `json:"cutoff"`
+}
+
+type assignInputs struct {
+	Graph     Key `json:"graph"`
+	Cutoff    int `json:"cutoff"`
+	BlockSize int `json:"block_size"`
+}
+
+type planInputs struct {
+	Assign Key `json:"assign"`
+}
+
+type compareInputs struct {
+	Assign Key          `json:"assign"`
+	Params hfast.Params `json:"params"`
+}
+
+// key derives a normalized recipe's content address.
+func (r Recipe) key() Key {
+	switch r.Stage {
+	case StageProfile:
+		return r.ProfileKey
+	case StageWindows:
+		return keyOf(StageWindows, windowsInputs{r.ProfileKey, r.Prefix, r.Cutoff})
+	}
+	graphKey := keyOf(StageGraph, graphInputs{r.ProfileKey, r.Filter})
+	assign := assignInputs{graphKey, r.Cutoff, r.BlockSize}
+	switch r.Stage {
+	case StageAssign:
+		return keyOf(StageAssign, assign)
+	case StagePlan:
+		return keyOf(StagePlan, planInputs{keyOf(StageAssign, assign)})
+	case StageCompare:
+		assign.BlockSize = r.Params.BlockSize
+		return keyOf(StageCompare, compareInputs{keyOf(StageAssign, assign), *r.Params})
+	case StageNetsim:
+		return keyOf(StageNetsim, netsimInputs{graphKey, r.Fabric, hfast.DefaultBlockSize})
+	}
+	return graphKey
 }
 
 // Filler fills a stage-cache miss from somewhere cheaper than a local
@@ -123,9 +193,9 @@ func isLocalOnly(ctx context.Context) bool {
 	return v
 }
 
-// Resolve executes an arbitrary recipe through the staged store — the
-// serving half of the peer-fill protocol. The recipe must carry a profile
-// spec (supplied-profile artifacts cannot be rebuilt remotely).
+// Resolve executes a peer's recipe through the staged store — the serving
+// half of the peer-fill protocol — once it names the spec its profile key
+// is derived from (supplied-profile artifacts cannot be rebuilt remotely).
 func (pl *Pipeline) Resolve(ctx context.Context, r Recipe) (any, Outcome, error) {
 	if r.Spec == nil {
 		return nil, Miss, fmt.Errorf("pipeline: recipe for stage %q names no profile spec", r.Stage)
@@ -134,37 +204,5 @@ func (pl *Pipeline) Resolve(ctx context.Context, r Recipe) (any, Outcome, error)
 	if r.ProfileKey != "" && ref.Key() != r.ProfileKey {
 		return nil, Miss, fmt.Errorf("pipeline: recipe profile key %s does not match its spec (%s)", r.ProfileKey, ref.Key())
 	}
-	switch r.Stage {
-	case StageProfile:
-		p, how, err := pl.Profile(ctx, ref)
-		return p, how, err
-	case StageWindows:
-		ws, how, err := pl.Windows(ctx, ref, r.Prefix, r.Cutoff)
-		return ws, how, err
-	case StageNetsim:
-		res, how, err := pl.Netsim(ctx, ref, r.Fabric)
-		return res, how, err
-	}
-	f, err := FilterByName(r.Filter)
-	if err != nil {
-		return nil, Miss, err
-	}
-	switch r.Stage {
-	case StageGraph:
-		g, how, err := pl.Graph(ctx, ref, f)
-		return g, how, err
-	case StageAssign:
-		a, how, err := pl.Assignment(ctx, ref, f, r.Cutoff, r.BlockSize)
-		return a, how, err
-	case StagePlan:
-		p, how, err := pl.Plan(ctx, ref, f, r.Cutoff, r.BlockSize)
-		return p, how, err
-	case StageCompare:
-		if r.Params == nil {
-			return nil, Miss, fmt.Errorf("pipeline: compare recipe has no params")
-		}
-		c, how, err := pl.Comparison(ctx, ref, f, r.Cutoff, *r.Params)
-		return c, how, err
-	}
-	return nil, Miss, fmt.Errorf("pipeline: unknown stage %q", r.Stage)
+	return get[any](ctx, pl, ref, r)
 }

@@ -79,80 +79,67 @@ func DecodeArtifact(stage string, data []byte) (any, error) {
 // graph must span exactly procs ranks, checked before anything is sized
 // by the peer's count.
 func decodeArtifact(stage string, data []byte, procs int) (any, error) {
-	fail := func(err error) (any, error) {
-		return nil, fmt.Errorf("pipeline: decoding %s artifact: %w", stage, err)
-	}
+	var v any
+	var err error
 	switch stage {
 	case StageProfile:
-		p, err := ipm.DecodeProfile(data)
-		if err != nil {
-			return fail(err)
-		}
-		return p, nil
+		v, err = ipm.DecodeProfile(data)
 	case StageGraph:
-		g, err := topology.DecodeGraph(data, procs)
-		if err != nil {
-			return fail(err)
-		}
-		return g, nil
+		v, err = topology.DecodeGraph(data, procs)
 	case StageWindows:
-		var wire []struct { // trace.Window, its graph decoded below
-			Region string
-			Graph  json.RawMessage
-			Stats  topology.TDCStats
-		}
-		if err := json.Unmarshal(data, &wire); err != nil {
-			return fail(err)
-		}
-		var ws []trace.Window // null stays nil, as it re-encodes
-		if wire != nil {
-			ws = make([]trace.Window, len(wire))
-		}
-		for i, w := range wire {
-			g, err := topology.DecodeGraph(w.Graph, procs)
-			if err != nil {
-				return fail(err)
-			}
-			ws[i] = trace.Window{Region: w.Region, Graph: g, Stats: w.Stats}
-		}
-		return ws, nil
+		v, err = decodeWindows(data, procs)
 	case StageAssign:
 		a := new(hfast.Assignment)
-		if err := json.Unmarshal(data, a); err != nil {
-			return fail(err)
+		if err = json.Unmarshal(data, a); err == nil {
+			v, err = a, a.Validate()
 		}
-		if err := a.Validate(); err != nil {
-			return fail(err)
-		}
-		return a, nil
 	case StagePlan:
 		var w planWire
-		if err := json.Unmarshal(data, &w); err != nil {
-			return fail(err)
+		if err = json.Unmarshal(data, &w); err == nil {
+			if w.Assignment == nil {
+				err = fmt.Errorf("plan wire form has no assignment")
+			} else if err = w.Assignment.Validate(); err == nil {
+				v, err = newPlan(w.App, w.Procs, w.Assignment)
+			}
 		}
-		if w.Assignment == nil {
-			return fail(fmt.Errorf("plan wire form has no assignment"))
-		}
-		if err := w.Assignment.Validate(); err != nil {
-			return fail(err)
-		}
-		p, err := newPlan(w.App, w.Procs, w.Assignment)
-		if err != nil {
-			return fail(err)
-		}
-		return p, nil
 	case StageCompare:
 		var c hfast.Comparison
-		if err := json.Unmarshal(data, &c); err != nil {
-			return fail(err)
-		}
-		return c, nil
+		err = json.Unmarshal(data, &c)
+		v = c
 	case StageNetsim:
 		r := new(FabricResult)
-		if err := json.Unmarshal(data, r); err != nil {
-			return fail(err)
-		}
-		return r, nil
+		err = json.Unmarshal(data, r)
+		v = r
+	default:
+		return nil, fmt.Errorf("pipeline: cannot decode unknown stage %q", stage)
 	}
-	return nil, fmt.Errorf("pipeline: cannot decode unknown stage %q", stage)
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: decoding %s artifact: %w", stage, err)
+	}
+	return v, nil
+}
+
+// decodeWindows decodes a windows artifact, each window's graph held to
+// procs ranks.
+func decodeWindows(data []byte, procs int) ([]trace.Window, error) {
+	var wire []struct { // trace.Window, its graph decoded below
+		Region string
+		Graph  json.RawMessage
+		Stats  topology.TDCStats
+	}
+	if err := json.Unmarshal(data, &wire); err != nil {
+		return nil, err
+	}
+	var ws []trace.Window // null stays nil, as it re-encodes
+	if wire != nil {
+		ws = make([]trace.Window, len(wire))
+	}
+	for i, w := range wire {
+		g, err := topology.DecodeGraph(w.Graph, procs)
+		if err != nil {
+			return nil, err
+		}
+		ws[i] = trace.Window{Region: w.Region, Graph: g, Stats: w.Stats}
+	}
+	return ws, nil
 }

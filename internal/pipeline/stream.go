@@ -28,6 +28,9 @@ type FoldSeed struct {
 }
 
 func (s FoldSeed) normalize() (FoldSeed, error) {
+	if s.Cutoff < 0 {
+		return s, fmt.Errorf("pipeline: negative cutoff %d", s.Cutoff)
+	}
 	s.Cutoff = normCutoff(s.Cutoff)
 	if s.Prefix == "" {
 		s.Prefix = "step"

@@ -52,6 +52,10 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, "recipe names no profile spec; not buildable here", 0)
 		return
 	}
+	if err := s.checkSpec(*rec.Spec); err != nil {
+		s.writeError(w, http.StatusBadRequest, err.Error(), 0)
+		return
+	}
 	derived, err := rec.Key()
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error(), 0)

@@ -18,6 +18,7 @@ import (
 	"github.com/hfast-sim/hfast/internal/cluster"
 	core "github.com/hfast-sim/hfast/internal/hfast"
 	"github.com/hfast-sim/hfast/internal/icn"
+	"github.com/hfast-sim/hfast/internal/ipm"
 	"github.com/hfast-sim/hfast/internal/meshtorus"
 	"github.com/hfast-sim/hfast/internal/pipeline"
 	"github.com/hfast-sim/hfast/internal/topology"
@@ -87,6 +88,9 @@ func (c Config) withDefaults() Config {
 	if c.MaxStreamSessions <= 0 {
 		c.MaxStreamSessions = 64
 	}
+	if c.Runner == nil {
+		c.Runner = apps.ProfileRunContext
+	}
 	return c
 }
 
@@ -116,10 +120,16 @@ func New(cfg Config) (*Server, error) {
 	p := newPool(cfg.Workers, cfg.QueueDepth, m)
 	opts := pipeline.Options{
 		CacheEntries: cfg.CacheEntries,
-		Runner:       cfg.Runner,
-		AcquireSlot:  p.acquire,
-		ReleaseSlot:  p.release,
-		OnProfileRun: m.addRun,
+		// A profile run, the one expensive stage, takes a worker slot; pool
+		// errors come back %w-wrapped, so saturation still maps to 429.
+		Runner: func(ctx context.Context, app string, c apps.Config) (*ipm.Profile, error) {
+			if err := p.acquire(ctx); err != nil {
+				return nil, err
+			}
+			defer p.release()
+			m.addRun()
+			return cfg.Runner(ctx, app, c)
+		},
 	}
 	var filler *cluster.Filler
 	if len(cfg.Peers) > 0 {
@@ -330,19 +340,21 @@ func (s *Server) recordOutcome(how pipeline.Outcome) {
 	}
 }
 
-// validateProfileRequest normalizes and checks an app-spec request.
-func (s *Server) validateProfileRequest(req *ProfileRequest) error {
-	if req.App == "" {
+// checkSpec refuses a profile run this server will not make: an unknown
+// app, or procs outside (0, MaxProcs]. Every request that names a spec,
+// a peer's recipe included, passes it before anything resolves.
+func (s *Server) checkSpec(spec pipeline.ProfileSpec) error {
+	if spec.App == "" {
 		return errors.New("missing \"app\"")
 	}
-	if _, err := apps.Lookup(req.App); err != nil {
+	if _, err := apps.Lookup(spec.App); err != nil {
 		return err
 	}
-	if req.Procs <= 0 {
-		return fmt.Errorf("\"procs\" must be positive, got %d", req.Procs)
+	if spec.Procs <= 0 {
+		return fmt.Errorf("\"procs\" must be positive, got %d", spec.Procs)
 	}
-	if req.Procs > s.cfg.MaxProcs {
-		return fmt.Errorf("\"procs\" %d exceeds the server limit %d", req.Procs, s.cfg.MaxProcs)
+	if spec.Procs > s.cfg.MaxProcs {
+		return fmt.Errorf("\"procs\" %d exceeds the server limit %d", spec.Procs, s.cfg.MaxProcs)
 	}
 	return nil
 }
@@ -420,13 +432,14 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err.Error(), 0)
 		return
 	}
-	if err := s.validateProfileRequest(&req); err != nil {
+	spec := specOf(req)
+	if err := s.checkSpec(spec); err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error(), 0)
 		return
 	}
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)
 	defer cancel()
-	prof, how, err := s.pipe.Profile(ctx, pipeline.Spec(specOf(req)))
+	prof, how, err := s.pipe.Profile(ctx, pipeline.Spec(spec))
 	s.recordOutcome(how)
 	if err != nil {
 		s.writePipelineError(w, err)
@@ -458,11 +471,12 @@ func (s *Server) handleProvision(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	default:
-		if err := s.validateProfileRequest(&req.ProfileRequest); err != nil {
+		spec := specOf(req.ProfileRequest)
+		if err := s.checkSpec(spec); err != nil {
 			s.writeError(w, http.StatusBadRequest, err.Error(), 0)
 			return
 		}
-		ref = pipeline.Spec(specOf(req.ProfileRequest))
+		ref = pipeline.Spec(spec)
 	}
 
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)
@@ -511,12 +525,13 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("blocksize: %v", err), 0)
 		return
 	}
-	if err := s.validateProfileRequest(&req); err != nil {
+	spec := specOf(req)
+	if err := s.checkSpec(spec); err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error(), 0)
 		return
 	}
 
-	ref := pipeline.Spec(specOf(req))
+	ref := pipeline.Spec(spec)
 	inputs := struct {
 		Profile   pipeline.Key `json:"profile"`
 		Cutoff    int          `json:"cutoff"`
@@ -572,6 +587,12 @@ func planResponse(p *pipeline.Plan) *ProvisionResponse {
 func (s *Server) buildComparison(ctx context.Context, ref pipeline.ProfileRef, cutoff, blockSize int) (*CompareResponse, error) {
 	params := core.DefaultParams()
 	params.BlockSize = blockSize
+	// The comparison carries every parameter, so it resolves first: its
+	// recipe check refuses a bad one before the skeleton runs.
+	cmp, _, err := s.pipe.Comparison(ctx, ref, pipeline.Steady(), cutoff, params)
+	if err != nil {
+		return nil, err
+	}
 	prof, _, err := s.pipe.Profile(ctx, ref)
 	if err != nil {
 		return nil, err
@@ -581,10 +602,6 @@ func (s *Server) buildComparison(ctx context.Context, ref pipeline.ProfileRef, c
 		return nil, err
 	}
 	a, _, err := s.pipe.Assignment(ctx, ref, pipeline.Steady(), cutoff, blockSize)
-	if err != nil {
-		return nil, err
-	}
-	cmp, _, err := s.pipe.Comparison(ctx, ref, pipeline.Steady(), cutoff, params)
 	if err != nil {
 		return nil, err
 	}

@@ -20,13 +20,14 @@ import (
 	"math"
 	"sort"
 
+	"github.com/hfast-sim/hfast/internal/bdp"
 	"github.com/hfast-sim/hfast/internal/ipm"
 )
 
 // DefaultCutoff is the paper's 2 KB bandwidth-delay-product threshold:
 // messages below it are latency-bound and do not benefit from a dedicated
 // circuit.
-const DefaultCutoff = 2048
+const DefaultCutoff = bdp.TargetThreshold
 
 // Edge is one adjacency entry of a rank: the accumulated traffic between
 // the rank and a single partner. Links are bidirectional (as the paper
