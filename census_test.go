@@ -160,6 +160,8 @@ var knobsAllowed = map[string]string{
 	"internal/apps.pmemdDecay":          "model parameter of pmemd's distance falloff; the profile goldens pin it",
 	"internal/analysis.fullFraction":    "model threshold of the §2.5 case iv test; -t cases pins it",
 	"internal/analysis.maxOverAvg":      "model threshold of the §2.5 case iii test; -t cases pins it",
+	"internal/trace.phaseEnter":         "model threshold of the phase detector; TestAMRPhasesPinned and -t replan pin it",
+	"internal/trace.phaseExit":          "model threshold of the phase detector; TestAMRPhasesPinned and -t replan pin it",
 	"internal/experiments.hintsProcs":   "the size of the -t hints study the CLI test runs",
 	"internal/experiments.hintsSteps":   "the length of the -t hints study the CLI test runs",
 	"internal/meshtorus.maxStackDims":   "keeps AppendDOR's coordinates on the stack for the paper's 2-D/3-D meshes (TestMeshNetRouteAppendAllocs); more dimensions spill, still correct",
@@ -167,6 +169,7 @@ var knobsAllowed = map[string]string{
 	"internal/hfast.maxCrossbarPorts":   "input bound: one number in a request or peer artifact cannot size the port table past it",
 	"internal/cluster.maxArtifactBytes": "input bound: a fetched peer artifact past it is a protocol error",
 	"internal/server.maxRecipeBytes":    "input bound on a peer-fill request body",
+	"internal/server.maxStreamSessions": "bound on live stream sessions: a full table sheds new ones with 429",
 }
 
 // knobs lists, as dir.name, every package-level sync.Pool and every
@@ -225,6 +228,135 @@ func TestKnobsHaveReasons(t *testing.T) {
 	for key := range knobsAllowed {
 		if !hit[key] {
 			t.Errorf("knobsAllowed entry %s names no pool or tuning constant: drop it", key)
+		}
+	}
+}
+
+// unsetOptionsAllowed says why each option field that nothing outside
+// its package sets stays. A dir.Type entry covers every field of Type.
+var unsetOptionsAllowed = map[string]string{
+	"internal/server.Config.Runner":            "test fake: server tests count and pace profile runs through it",
+	"internal/hfast.Params.ActivePortCost":     "unit cost: hfast.CompareCosts takes it from library users",
+	"internal/hfast.Params.PassivePortCost":    "unit cost: hfast.CompareCosts takes it from library users",
+	"internal/hfast.Params.CollectiveNodeCost": "unit cost: hfast.CompareCosts takes it from library users",
+	"internal/hfast.Params.NICCost":            "unit cost: hfast.CompareCosts takes it from library users",
+	"internal/netsim.LinkParams":               "bench/netsim.go passes them to the fabric constructors, so making them constants is a benchmark change",
+}
+
+// unsetOptions lists, as dir.Type.Field, every exported field of a
+// non-test struct type whose name ends in Config, Options, Params or
+// Seed that no non-test code outside the type's own package sets — by a
+// keyed or positional composite literal, an assignment or an address
+// taken. An assignment under an if that tests its target fills a
+// default and does not count. Names match without types: the census can
+// miss, never accuse wrongly.
+func unsetOptions(t *testing.T, root string) []string {
+	type field struct{ dir, typ, name string }
+	var fields []field
+	// dirs that set a field of the name, and that spell a positional
+	// literal of a type of the name
+	fieldSet, litSet := map[string]map[string]bool{}, map[string]map[string]bool{}
+	walkGo(t, root, func(path, dir string, f *ast.File) {
+		if strings.HasSuffix(path, "_test.go") {
+			return
+		}
+		set := func(in map[string]map[string]bool, e ast.Expr) {
+			name := ""
+			switch e := e.(type) {
+			case *ast.Ident:
+				name = e.Name
+			case *ast.SelectorExpr:
+				name = e.Sel.Name
+			}
+			if in[name] == nil {
+				in[name] = map[string]bool{}
+			}
+			in[name][dir] = true
+		}
+		defaults := map[ast.Node]bool{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				st, ok := n.Type.(*ast.StructType)
+				if !ok || !slices.ContainsFunc([]string{"Config", "Options", "Params", "Seed"}, func(s string) bool { return strings.HasSuffix(n.Name.Name, s) }) {
+					break
+				}
+				for _, fl := range st.Fields.List {
+					for _, id := range fl.Names {
+						if id.IsExported() {
+							fields = append(fields, field{dir, n.Name.Name, id.Name})
+						}
+					}
+				}
+			case *ast.IfStmt:
+				for _, s := range n.Body.List {
+					if as, ok := s.(*ast.AssignStmt); ok && len(as.Lhs) == 1 {
+						target := types.ExprString(as.Lhs[0])
+						ast.Inspect(n.Cond, func(c ast.Node) bool {
+							if e, ok := c.(ast.Expr); ok && types.ExprString(e) == target {
+								defaults[as] = true
+							}
+							return true
+						})
+					}
+				}
+			case *ast.CompositeLit:
+				for _, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						set(fieldSet, kv.Key)
+					} else {
+						set(litSet, n.Type)
+					}
+				}
+			case *ast.AssignStmt:
+				for _, l := range n.Lhs {
+					if sel, ok := l.(*ast.SelectorExpr); ok && !defaults[n] {
+						set(fieldSet, sel)
+					}
+				}
+			case *ast.IncDecStmt:
+				if sel, ok := n.X.(*ast.SelectorExpr); ok {
+					set(fieldSet, sel)
+				}
+			case *ast.UnaryExpr:
+				if sel, ok := n.X.(*ast.SelectorExpr); ok && n.Op == token.AND {
+					set(fieldSet, sel)
+				}
+			}
+			return true
+		})
+	})
+	elsewhere := func(dirs map[string]bool, dir string) bool {
+		return len(dirs) > 1 || len(dirs) == 1 && !dirs[dir]
+	}
+	var keys []string
+	for _, fl := range fields {
+		if !elsewhere(fieldSet[fl.name], fl.dir) && !elsewhere(litSet[fl.typ], fl.dir) {
+			keys = append(keys, fl.dir+"."+fl.typ+"."+fl.name)
+		}
+	}
+	return keys
+}
+
+// TestNoUnsetOptions fails on an option field no caller sets that
+// unsetOptionsAllowed does not explain, and on a stale entry, once the
+// census has found its fixture's unset field: a setting nobody sets is a
+// constant, and goes back to an option with its first caller.
+func TestNoUnsetOptions(t *testing.T) {
+	if got := unsetOptions(t, filepath.Join("testdata", "census")); !slices.Equal(got, []string{"lib.Config.Unset"}) {
+		t.Fatalf("the option census of its fixture reports %v, want [lib.Config.Unset]", got)
+	}
+	hit := map[string]bool{}
+	for _, key := range unsetOptions(t, ".") {
+		typ := key[:strings.LastIndexByte(key, '.')]
+		hit[key], hit[typ] = true, true
+		if unsetOptionsAllowed[key] == "" && unsetOptionsAllowed[typ] == "" {
+			t.Errorf("%s is an option no caller sets: make it a constant, or allow it with a reason", key)
+		}
+	}
+	for key := range unsetOptionsAllowed {
+		if !hit[key] {
+			t.Errorf("unsetOptionsAllowed entry %s names no unset option: drop it", key)
 		}
 	}
 }

@@ -61,9 +61,6 @@ type Config struct {
 	// fill waits a quarter of it on the first candidate before launching
 	// a hedged fetch to the next.
 	FetchTimeout time.Duration
-	// HTTPClient overrides the transport (default http.DefaultClient);
-	// per-fetch deadlines come from context, not the client.
-	HTTPClient *http.Client
 }
 
 // Filler is the peer-fill coordinator: it implements pipeline.Filler by
@@ -72,7 +69,6 @@ type Config struct {
 type Filler struct {
 	cfg     Config
 	ring    *Ring
-	client  *http.Client
 	metrics *Metrics
 }
 
@@ -110,11 +106,7 @@ func NewFiller(cfg Config) (*Filler, error) {
 	if err != nil {
 		return nil, err
 	}
-	client := cfg.HTTPClient
-	if client == nil {
-		client = http.DefaultClient
-	}
-	return &Filler{cfg: cfg, ring: ring, client: client, metrics: &Metrics{s: Snapshot{Peers: len(peers)}}}, nil
+	return &Filler{cfg: cfg, ring: ring, metrics: &Metrics{s: Snapshot{Peers: len(peers)}}}, nil
 }
 
 // Metrics exposes the cache-tier counters.
@@ -235,7 +227,7 @@ func (f *Filler) fetchOne(ctx context.Context, peer string, key pipeline.Key, bo
 	if f.cfg.Token != "" {
 		req.Header.Set(TokenHeader, f.cfg.Token)
 	}
-	resp, err := f.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
 			return nil, fmt.Errorf("cluster: peer %s: %w", peer, ErrPeerDeadline)

@@ -76,7 +76,7 @@ func replanOne(r *Runner, app string, procs, cutoff, blockSize int) (ReplanRow, 
 	if len(ws) == 0 {
 		return row, fmt.Errorf("no step windows")
 	}
-	phases, err := trace.DetectPhases(procs, ws, cutoff, trace.DetectorConfig{})
+	phases, err := trace.DetectPhases(procs, ws, cutoff)
 	if err != nil {
 		return row, err
 	}

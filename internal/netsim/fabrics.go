@@ -291,16 +291,16 @@ type TreeNet struct {
 }
 
 // NewTreeNet builds the tree fabric for p leaves.
-func NewTreeNet(p int, params treenet.Params) (*TreeNet, error) {
-	tr, err := treenet.New(p, params)
+func NewTreeNet(p int) (*TreeNet, error) {
+	tr, err := treenet.New(p)
 	if err != nil {
 		return nil, err
 	}
 	tn := &TreeNet{net: NewNetwork(), tree: tr, links: make(map[[2]int]int)}
 	for child := 1; child < p; child++ {
-		parent := (child - 1) / params.Fanout
+		parent := (child - 1) / treenet.Fanout
 		tn.links[[2]int{child, parent}] = tn.net.AddLink(
-			fmt.Sprintf("tree%d-%d", child, parent), params.LinkBandwidth)
+			fmt.Sprintf("tree%d-%d", child, parent), treenet.LinkBandwidth)
 	}
 	return tn, nil
 }
@@ -315,19 +315,18 @@ func (t *TreeNet) RouteAppend(buf []int, src, dst int) ([]int, float64, bool) {
 		return buf, 0, false
 	}
 	base := len(buf)
-	fanout := t.tree.Params.Fanout
 	a, b := src, dst
 	for a != b {
 		if a > b {
-			parent := (a - 1) / fanout
+			parent := (a - 1) / treenet.Fanout
 			buf = append(buf, t.links[[2]int{a, parent}])
 			a = parent
 		} else {
-			parent := (b - 1) / fanout
+			parent := (b - 1) / treenet.Fanout
 			buf = append(buf, t.links[[2]int{b, parent}])
 			b = parent
 		}
 	}
-	lat := float64(len(buf)-base) * t.tree.Params.HopLatency
+	lat := float64(len(buf)-base) * treenet.HopLatency
 	return buf, lat, true
 }

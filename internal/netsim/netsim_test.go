@@ -10,7 +10,6 @@ import (
 	"github.com/hfast-sim/hfast/internal/hfast"
 	"github.com/hfast-sim/hfast/internal/meshtorus"
 	"github.com/hfast-sim/hfast/internal/topology"
-	"github.com/hfast-sim/hfast/internal/treenet"
 )
 
 func near(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -430,7 +429,7 @@ func TestMeshVsHFASTOnNonIsomorphicPattern(t *testing.T) {
 }
 
 func TestTreeNetRoutes(t *testing.T) {
-	tn, err := NewTreeNet(13, treenet.DefaultParams())
+	tn, err := NewTreeNet(13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +460,7 @@ func TestTreeNetRoutes(t *testing.T) {
 }
 
 func TestTreeNetSharedRootContention(t *testing.T) {
-	tn, err := NewTreeNet(9, treenet.DefaultParams())
+	tn, err := NewTreeNet(9)
 	if err != nil {
 		t.Fatal(err)
 	}

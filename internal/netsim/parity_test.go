@@ -10,7 +10,6 @@ import (
 	"github.com/hfast-sim/hfast/internal/ipm"
 	"github.com/hfast-sim/hfast/internal/meshtorus"
 	"github.com/hfast-sim/hfast/internal/topology"
-	"github.com/hfast-sim/hfast/internal/treenet"
 )
 
 // parityTol is the per-finish tolerance between the incremental engine
@@ -109,7 +108,7 @@ func parityFabrics(t *testing.T, g *topology.Graph) map[string]Router {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tn, err := NewTreeNet(procs, treenet.DefaultParams())
+	tn, err := NewTreeNet(procs)
 	if err != nil {
 		t.Fatal(err)
 	}

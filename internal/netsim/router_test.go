@@ -103,8 +103,7 @@ func TestMeshNetRoutesPastStackDims(t *testing.T) {
 // ways, at one hop latency per link; a node never routes to itself.
 func TestTreeNetRouteQuick(t *testing.T) {
 	const p = 200
-	params := treenet.DefaultParams()
-	tn, err := NewTreeNet(p, params)
+	tn, err := NewTreeNet(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +115,7 @@ func TestTreeNetRouteQuick(t *testing.T) {
 		}
 		back, _, _ := tn.RouteAppend(nil, b, a)
 		return ok && len(path) > 0 && len(path) <= 2*(tn.tree.Depth()+1) &&
-			len(back) == len(path) && lat == float64(len(path))*params.HopLatency
+			len(back) == len(path) && lat == float64(len(path))*treenet.HopLatency
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -75,7 +75,7 @@ func TestFoldWireErrorParity(t *testing.T) {
 	if !strings.HasPrefix(ds[k].Window, "step") || !strings.HasPrefix(ds[k-1].Window, "step") {
 		t.Fatalf("deltas %d and %d are %q and %q, want steps", k-1, k, ds[k-1].Window, ds[k].Window)
 	}
-	prev, err := trace.NewStreamState(p.Procs, 0, "", trace.DetectorConfig{})
+	prev, err := trace.NewStreamState(p.Procs, 0, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"github.com/hfast-sim/hfast/internal/meshtorus"
 	"github.com/hfast-sim/hfast/internal/netsim"
 	"github.com/hfast-sim/hfast/internal/topology"
-	"github.com/hfast-sim/hfast/internal/treenet"
 )
 
 // Fabric names accepted by the Netsim stage.
@@ -103,7 +102,7 @@ func ReplayHFAST(hn *netsim.HFASTNet, procs int, flows []netsim.Flow) (makespan 
 			small = append(small, flows[fi])
 		}
 	}
-	tn, err := netsim.NewTreeNet(procs, treenet.DefaultParams())
+	tn, err := netsim.NewTreeNet(procs)
 	if err != nil {
 		return 0, 0, 0, err
 	}

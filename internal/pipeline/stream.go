@@ -17,14 +17,13 @@ import (
 const StageFold = "fold"
 
 // FoldSeed identifies the empty state of a delta stream — the root of a
-// fold chain. Zero Cutoff/Prefix select the usual defaults, and the
-// detector config participates in the key, so streams analyzed with
-// different thresholds never share state.
+// fold chain. Zero Cutoff/Prefix select the usual defaults, and both
+// participate in the key, so streams analyzed under different cutoffs or
+// window prefixes never share state.
 type FoldSeed struct {
-	Procs  int                  `json:"procs"`
-	Cutoff int                  `json:"cutoff"`
-	Prefix string               `json:"prefix"`
-	Det    trace.DetectorConfig `json:"det"`
+	Procs  int    `json:"procs"`
+	Cutoff int    `json:"cutoff"`
+	Prefix string `json:"prefix"`
 }
 
 func (s FoldSeed) normalize() (FoldSeed, error) {
@@ -35,11 +34,6 @@ func (s FoldSeed) normalize() (FoldSeed, error) {
 	if s.Prefix == "" {
 		s.Prefix = "step"
 	}
-	det, err := s.Det.Normalize()
-	if err != nil {
-		return s, err
-	}
-	s.Det = det
 	return s, nil
 }
 
@@ -57,7 +51,7 @@ func (pl *Pipeline) FoldInit(ctx context.Context, seed FoldSeed) (*trace.StreamS
 	}
 	key := keyOf(StageFold, seed)
 	v, how, err := pl.cache.do(ctx, StageFold, key, func(context.Context) (any, error) {
-		return trace.NewStreamState(seed.Procs, seed.Cutoff, seed.Prefix, seed.Det)
+		return trace.NewStreamState(seed.Procs, seed.Cutoff, seed.Prefix)
 	})
 	if err != nil {
 		return nil, "", how, err

@@ -278,8 +278,8 @@ func TestFoldWireWarmAllocs(t *testing.T) {
 }
 
 // TestFoldSeedKeying checks that analysis parameters participate in the
-// chain key: the same deltas folded under different detector thresholds
-// or cutoffs never share artifacts.
+// chain key: the same deltas folded under different cutoffs or window
+// prefixes never share artifacts.
 func TestFoldSeedKeying(t *testing.T) {
 	pl := New(Options{})
 	ctx := context.Background()
@@ -291,7 +291,7 @@ func TestFoldSeedKeying(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, k3, _, err := pl.FoldInit(ctx, FoldSeed{Procs: 8, Det: trace.DetectorConfig{Enter: 0.7, Exit: 0.1}})
+	_, k3, _, err := pl.FoldInit(ctx, FoldSeed{Procs: 8, Prefix: "iter"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestFoldSeedKeying(t *testing.T) {
 	}
 	// Defaults normalize: an explicit default-equivalent seed shares the
 	// zero seed's chain.
-	_, k4, how, err := pl.FoldInit(ctx, FoldSeed{Procs: 8, Prefix: "step", Det: trace.DetectorConfig{Enter: 0.5, Exit: 0.25, MinWindows: 1}})
+	_, k4, how, err := pl.FoldInit(ctx, FoldSeed{Procs: 8, Prefix: "step"})
 	if err != nil {
 		t.Fatal(err)
 	}

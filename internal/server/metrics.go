@@ -20,10 +20,11 @@ var durationBuckets = [...]float64{0.001, 0.005, 0.025, 0.1, 0.5, 1, 2.5, 10, 30
 
 // Metrics is the service's observability surface, rendered in Prometheus
 // text exposition format by WritePrometheus. The counters are the fields
-// of a Snapshot behind one mutex. Three things are filled in only when a
+// of a Snapshot behind one mutex. Four things are filled in only when a
 // snapshot is taken: Requests, counted under a (path, code) key so that
-// a request formats no status code, and the gauges, which are atomics
-// because the hot path moves them without the lock.
+// a request formats no status code, the inflight gauge, an atomic
+// because the hot path moves it without the lock, and the queue and
+// session gauges, which read the state they report.
 type Metrics struct {
 	mu       sync.Mutex
 	s        Snapshot
@@ -32,8 +33,8 @@ type Metrics struct {
 	durSum   float64
 
 	inflight       atomic.Int64 // requests currently inside a handler
-	queueDepth     atomic.Int64 // requests waiting for a worker slot
-	streamSessions atomic.Int64 // live delta-stream sessions
+	queueDepth     func() int   // requests waiting for a worker slot
+	streamSessions func() int   // live delta-stream sessions
 }
 
 type routeCode struct {
@@ -41,9 +42,10 @@ type routeCode struct {
 	code int
 }
 
-// NewMetrics creates an empty metrics set.
-func NewMetrics() *Metrics {
-	return &Metrics{requests: make(map[routeCode]uint64)}
+// NewMetrics creates an empty metrics set whose gauges call queueDepth
+// and streamSessions.
+func NewMetrics(queueDepth, streamSessions func() int) *Metrics {
+	return &Metrics{requests: make(map[routeCode]uint64), queueDepth: queueDepth, streamSessions: streamSessions}
 }
 
 // ObserveRequest records one finished request: its path, status code, and
@@ -80,7 +82,6 @@ func (m *Metrics) addStreamPhase()               { m.add(&m.s.StreamPhases, 1) }
 func (m *Metrics) addStreamCircuitMoves(n int64) { m.add(&m.s.StreamCircuitMoves, uint64(n)) }
 func (m *Metrics) addFrameCandidate()            { m.add(&m.s.StreamFramesCandidate, 1) }
 func (m *Metrics) addFrameExact()                { m.add(&m.s.StreamFramesExact, 1) }
-func (m *Metrics) setStreamSessions(n int64)     { m.streamSessions.Store(n) }
 
 // Snapshot is a copy of the counters for tests and introspection.
 type Snapshot struct {
@@ -116,7 +117,7 @@ func (m *Metrics) Snapshot() Snapshot {
 	for k, v := range m.requests {
 		s.Requests[k.path+" "+strconv.Itoa(k.code)] = v
 	}
-	s.Inflight, s.QueueDepth, s.StreamSessions = m.inflight.Load(), m.queueDepth.Load(), m.streamSessions.Load()
+	s.Inflight, s.QueueDepth, s.StreamSessions = m.inflight.Load(), int64(m.queueDepth()), int64(m.streamSessions())
 	return s
 }
 
@@ -162,6 +163,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	obs.Sample(w, "hfastd_stream_frames_total", s.StreamFramesExact, "path", "exact")
 
 	obs.Single(w, "hfastd_inflight_requests", "Requests currently being handled.", "gauge", m.inflight.Load())
-	obs.Single(w, "hfastd_queue_depth", "Requests waiting for a worker slot.", "gauge", m.queueDepth.Load())
-	obs.Single(w, "hfastd_stream_sessions", "Live delta-stream sessions.", "gauge", m.streamSessions.Load())
+	obs.Single(w, "hfastd_queue_depth", "Requests waiting for a worker slot.", "gauge", m.queueDepth())
+	obs.Single(w, "hfastd_stream_sessions", "Live delta-stream sessions.", "gauge", m.streamSessions())
 }

@@ -25,11 +25,9 @@ type pool struct {
 	mu     sync.Mutex
 	queued int
 	closed bool
-
-	metrics *Metrics // queueDepth gauge; may be nil in unit tests
 }
 
-func newPool(workers, queueLimit int, m *Metrics) *pool {
+func newPool(workers, queueLimit int) *pool {
 	if workers < 1 {
 		workers = 1
 	}
@@ -40,7 +38,6 @@ func newPool(workers, queueLimit int, m *Metrics) *pool {
 		slots:      make(chan struct{}, workers),
 		closeCh:    make(chan struct{}),
 		queueLimit: queueLimit,
-		metrics:    m,
 	}
 }
 
@@ -64,16 +61,10 @@ func (p *pool) acquire(ctx context.Context) error {
 	}
 	p.queued++
 	p.mu.Unlock()
-	if p.metrics != nil {
-		p.metrics.queueDepth.Add(1)
-	}
 	defer func() {
 		p.mu.Lock()
 		p.queued--
 		p.mu.Unlock()
-		if p.metrics != nil {
-			p.metrics.queueDepth.Add(-1)
-		}
 	}()
 	select {
 	case p.slots <- struct{}{}:

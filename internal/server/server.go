@@ -60,10 +60,6 @@ type Config struct {
 	// when non-empty, authenticates /internal/artifact requests.
 	PeerTimeout  time.Duration
 	ClusterToken string
-	// MaxStreamSessions bounds live delta-stream sessions; beyond it new
-	// streams are shed with 429 (default: 64). A full table first evicts
-	// sessions idle longer than streamSessionTTL.
-	MaxStreamSessions int
 }
 
 func (c Config) withDefaults() Config {
@@ -84,9 +80,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxProcs <= 0 {
 		c.MaxProcs = 1024
-	}
-	if c.MaxStreamSessions <= 0 {
-		c.MaxStreamSessions = 64
 	}
 	if c.Runner == nil {
 		c.Runner = apps.ProfileRunContext
@@ -116,8 +109,10 @@ type Server struct {
 // than two replicas).
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	m := NewMetrics()
-	p := newPool(cfg.Workers, cfg.QueueDepth, m)
+	p := newPool(cfg.Workers, cfg.QueueDepth)
+	s := &Server{cfg: cfg, pool: p, mux: http.NewServeMux(), streams: streams{max: maxStreamSessions}}
+	m := NewMetrics(p.queueDepth, s.streams.len)
+	s.metrics = m
 	opts := pipeline.Options{
 		CacheEntries: cfg.CacheEntries,
 		// A profile run, the one expensive stage, takes a worker slot; pool
@@ -145,14 +140,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		opts.Filler = filler
 	}
-	s := &Server{
-		cfg:     cfg,
-		metrics: m,
-		pool:    p,
-		pipe:    pipeline.New(opts),
-		cluster: filler,
-		mux:     http.NewServeMux(),
-	}
+	s.pipe, s.cluster = pipeline.New(opts), filler
 	s.mux.HandleFunc("/v1/apps", s.handleApps)
 	s.mux.HandleFunc("/v1/profile", s.handleProfile)
 	s.mux.HandleFunc("/v1/provision", s.handleProvision)

@@ -7,7 +7,6 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -30,11 +29,10 @@ import (
 
 // streamSession is one live delta stream.
 type streamSession struct {
-	mu      sync.Mutex
-	id      string
-	seed    pipeline.FoldSeed
-	block   int
-	created time.Time
+	mu    sync.Mutex
+	id    string
+	seed  pipeline.FoldSeed
+	block int
 	// last is when a POST last named the session, in Unix nanoseconds. It
 	// is atomic, not under mu, so the table never waits on a session whose
 	// POST is still reading its body.
@@ -51,15 +49,20 @@ type streamSession struct {
 // table evicts it to admit a new one.
 const streamSessionTTL = 10 * time.Minute
 
+// maxStreamSessions bounds live delta-stream sessions; beyond it new
+// streams are shed with 429.
+const maxStreamSessions = 64
+
 // streams is the server's session table.
 type streams struct {
-	mu sync.Mutex
-	m  map[string]*streamSession
+	mu  sync.Mutex
+	m   map[string]*streamSession
+	max int // maxStreamSessions; tests shrink it
 }
 
 // get returns the named session, creating it with the given seed when
 // absent, and whether it did. A nil return means the table is full.
-func (t *streams) get(id string, create func() *streamSession, max int, ttl time.Duration, now time.Time) (sess *streamSession, created bool) {
+func (t *streams) get(id string, create func() *streamSession, now time.Time) (sess *streamSession, created bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.m == nil {
@@ -71,11 +74,11 @@ func (t *streams) get(id string, create func() *streamSession, max int, ttl time
 	}
 	// Evict idle sessions before refusing a new one.
 	for sid, sess := range t.m {
-		if now.UnixNano()-sess.last.Load() > int64(ttl) {
+		if now.UnixNano()-sess.last.Load() > int64(streamSessionTTL) {
 			delete(t.m, sid)
 		}
 	}
-	if len(t.m) >= max {
+	if len(t.m) >= t.max {
 		return nil, false
 	}
 	sess = create()
@@ -162,19 +165,6 @@ func streamSeed(q map[string][]string) (pipeline.FoldSeed, int, error) {
 		return seed, 0, fmt.Errorf("cutoff: %w", err)
 	}
 	seed.Prefix = get("prefix")
-	if v := get("enter"); v != "" {
-		if seed.Det.Enter, err = strconv.ParseFloat(v, 64); err != nil {
-			return seed, 0, fmt.Errorf("enter: %w", err)
-		}
-	}
-	if v := get("exit"); v != "" {
-		if seed.Det.Exit, err = strconv.ParseFloat(v, 64); err != nil {
-			return seed, 0, fmt.Errorf("exit: %w", err)
-		}
-	}
-	if seed.Det.MinWindows, err = intParam(get("min_windows"), 0); err != nil {
-		return seed, 0, fmt.Errorf("min_windows: %w", err)
-	}
 	block, err := intParam(get("blocksize"), 0)
 	if err != nil {
 		return seed, 0, fmt.Errorf("blocksize: %w", err)
@@ -193,18 +183,16 @@ func (s *Server) handleStreamPost(w http.ResponseWriter, r *http.Request, id str
 		s.writeError(w, http.StatusBadRequest, err.Error(), 0)
 		return
 	}
-	now := time.Now()
 	sess, created := s.streams.get(id, func() *streamSession {
-		return &streamSession{id: id, seed: seed, block: block, created: now}
-	}, s.cfg.MaxStreamSessions, streamSessionTTL, now)
+		return &streamSession{id: id, seed: seed, block: block}
+	}, time.Now())
 	if sess == nil {
 		s.metrics.addRejected()
 		s.writeError(w, http.StatusTooManyRequests,
-			fmt.Sprintf("stream session table full (%d live sessions); retry later", s.cfg.MaxStreamSessions),
+			fmt.Sprintf("stream session table full (%d live sessions); retry later", s.streams.max),
 			s.retryAfterSeconds())
 		return
 	}
-	s.metrics.setStreamSessions(int64(s.streams.len()))
 
 	ctx, cancel := s.requestContext(r, 0)
 	defer cancel()
@@ -230,7 +218,6 @@ func (s *Server) handleStreamPost(w http.ResponseWriter, r *http.Request, id str
 		sess.mu.Unlock()
 		if orphan {
 			s.streams.discard(sess)
-			s.metrics.setStreamSessions(int64(s.streams.len()))
 		}
 		s.writePipelineError(w, err)
 		return
@@ -443,7 +430,6 @@ func (s *Server) handleStreamGet(w http.ResponseWriter, r *http.Request, id stri
 
 func (s *Server) handleStreamDelete(w http.ResponseWriter, r *http.Request, id string) {
 	sess := s.streams.remove(id)
-	s.metrics.setStreamSessions(int64(s.streams.len()))
 	if sess == nil {
 		s.writeError(w, http.StatusNotFound, fmt.Sprintf("no stream session %q", id), 0)
 		return

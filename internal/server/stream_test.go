@@ -222,7 +222,7 @@ func TestStreamEndpointValidation(t *testing.T) {
 		{"bad id chars", "POST", "/v1/stream/no%20spaces", "", http.StatusBadRequest, ""},
 		{"bad method", "PUT", "/v1/stream/x", "", http.StatusMethodNotAllowed, ""},
 		{"bad body", "POST", "/v1/stream/x1", "{not json", http.StatusBadRequest, "decoding delta 0:"},
-		{"bad param", "POST", "/v1/stream/x2?enter=nope", "", http.StatusBadRequest, ""},
+		{"bad param", "POST", "/v1/stream/x2?cutoff=nope", "", http.StatusBadRequest, ""},
 		{"get unknown", "GET", "/v1/stream/ghost", "", http.StatusNotFound, ""},
 		{"delete unknown", "DELETE", "/v1/stream/ghost", "", http.StatusNotFound, ""},
 		{"procs over cap", "POST", "/v1/stream/x3",
@@ -279,7 +279,8 @@ func TestStreamEndpointValidation(t *testing.T) {
 // slot, a bad request to one id must not lock out the next id. A POST
 // with an empty body is not an error and keeps its session.
 func TestStreamRejectedPostLeavesNoSession(t *testing.T) {
-	s, ts := testServer(t, Config{Workers: 1, MaxStreamSessions: 1})
+	s, ts := testServer(t, Config{Workers: 1})
+	s.streams.max = 1
 	const good = `{"Version":2,"App":"a","Procs":4,"Seq":0,"Window":"step000"}`
 
 	for _, bad := range []string{
@@ -496,7 +497,8 @@ func TestStreamReplayFoldsNothing(t *testing.T) {
 // table a second session is refused with 429 and Retry-After, and
 // deleting the first frees the slot.
 func TestStreamSessionLimit(t *testing.T) {
-	_, ts := testServer(t, Config{Workers: 1, MaxStreamSessions: 1})
+	s, ts := testServer(t, Config{Workers: 1})
+	s.streams.max = 1
 	_, ds := splitRun(t, "cactus", 8, 2)
 
 	if resp, _ := postDeltas(t, ts.URL+"/v1/stream/first", ds[:1]); resp.StatusCode != http.StatusOK {
@@ -534,10 +536,10 @@ func TestStreamSessionLimit(t *testing.T) {
 // hand: a full table evicts a session idle past the TTL to admit a new
 // one, and refuses the new one while every session was touched within it.
 func TestStreamTableEvictsIdleSessions(t *testing.T) {
-	var tbl streams
+	tbl := streams{max: 2}
 	t0 := time.Unix(1_000_000, 0)
 	get := func(id string, at time.Duration) (*streamSession, bool) {
-		return tbl.get(id, func() *streamSession { return &streamSession{id: id} }, 2, streamSessionTTL, t0.Add(at))
+		return tbl.get(id, func() *streamSession { return &streamSession{id: id} }, t0.Add(at))
 	}
 	get("a", 0)
 	get("b", 5*time.Minute)

@@ -17,39 +17,18 @@ import (
 	"github.com/hfast-sim/hfast/internal/topology"
 )
 
-// DetectorConfig tunes the online phase-change detector. The distance
-// between a new window and the current phase aggregate is the Jaccard
-// distance of their thresholded edge sets (0 = identical partner sets,
-// 1 = disjoint). Hysteresis keeps one noisy window from oscillating the
-// fabric: a boundary fires when the distance exceeds Enter while the
-// detector is armed, which disarms it; it re-arms only once the distance
-// falls below Exit.
-type DetectorConfig struct {
-	// Enter is the boundary-firing threshold (default 0.5).
-	Enter float64 `json:"enter"`
-	// Exit is the re-arming threshold (default 0.25); Exit <= Enter.
-	Exit float64 `json:"exit"`
-	// MinWindows is the minimum windows a phase must span before a
-	// boundary may fire (default 1).
-	MinWindows int `json:"min_windows"`
-}
-
-// Normalize fills defaults and validates the thresholds.
-func (c DetectorConfig) Normalize() (DetectorConfig, error) {
-	if c.Enter == 0 {
-		c.Enter = 0.5
-	}
-	if c.Exit == 0 {
-		c.Exit = 0.25
-	}
-	if c.MinWindows == 0 {
-		c.MinWindows = 1
-	}
-	if c.Enter < 0 || c.Enter > 1 || c.Exit < 0 || c.Exit > 1 || c.Exit > c.Enter || c.MinWindows < 1 {
-		return c, fmt.Errorf("trace: bad detector config enter=%g exit=%g min_windows=%d", c.Enter, c.Exit, c.MinWindows)
-	}
-	return c, nil
-}
+// The online phase-change detector compares each new window with the
+// current phase aggregate by the Jaccard distance of their thresholded
+// edge sets (0 = identical partner sets, 1 = disjoint). Hysteresis keeps
+// one noisy window from oscillating the fabric: a boundary fires when
+// the distance exceeds phaseEnter while the detector is armed, which
+// disarms it; it re-arms only once the distance falls below phaseExit.
+// A phase spans at least one window with no check: a boundary at window
+// k closes a phase opened at an earlier one.
+const (
+	phaseEnter = 0.5
+	phaseExit  = 0.25
+)
 
 // Phase is a maximal run of consecutive windows the detector considers
 // one communication epoch.
@@ -87,7 +66,6 @@ type StreamState struct {
 	Procs  int
 	Cutoff int
 	Prefix string
-	Det    DetectorConfig
 
 	// Deltas is the number of deltas folded; the next delta must carry
 	// Seq == Deltas.
@@ -125,18 +103,18 @@ type detector struct {
 // step feeds window k's graph to the automaton: the successor state, the
 // partner-set distance it measured against the open phase (0 for the
 // window that opens phase 0) and whether the window opened a phase.
-func (d detector) step(k int, g *topology.Graph, cutoff int, cfg DetectorConfig) (detector, float64, bool) {
+func (d detector) step(k int, g *topology.Graph, cutoff int) (detector, float64, bool) {
 	if d.curGraph == nil {
 		return detector{curStart: k, curGraph: g.Clone(), armed: true}, 0, true
 	}
 	dist := phaseDistance(d.curGraph, g, cutoff)
-	if d.armed && dist > cfg.Enter && k-d.curStart >= cfg.MinWindows {
+	if d.armed && dist > phaseEnter {
 		n := len(d.closed)
 		d.closed = append(d.closed[:n:n], Phase{Start: d.curStart, End: k, Graph: d.curGraph})
 		d.curStart, d.curGraph, d.armed = k, g.Clone(), false
 		return d, dist, true
 	}
-	if !d.armed && dist < cfg.Exit {
+	if !d.armed && dist < phaseExit {
 		d.armed = true
 	}
 	d.curGraph = d.curGraph.Clone().Add(g)
@@ -166,7 +144,7 @@ type snapshotMemo struct {
 // NewStreamState opens a stream for a run over procs ranks. Step windows
 // are regions with the given prefix ("step" when empty); cutoff 0 means
 // topology.DefaultCutoff.
-func NewStreamState(procs, cutoff int, prefix string, det DetectorConfig) (*StreamState, error) {
+func NewStreamState(procs, cutoff int, prefix string) (*StreamState, error) {
 	if procs <= 0 {
 		return nil, fmt.Errorf("trace: stream needs positive proc count, got %d", procs)
 	}
@@ -176,15 +154,10 @@ func NewStreamState(procs, cutoff int, prefix string, det DetectorConfig) (*Stre
 	if prefix == "" {
 		prefix = "step"
 	}
-	det, err := det.Normalize()
-	if err != nil {
-		return nil, err
-	}
 	return &StreamState{
 		Procs:  procs,
 		Cutoff: cutoff,
 		Prefix: prefix,
-		Det:    det,
 		Last:   FoldEvent{Phase: -1},
 		memo:   new(snapshotMemo),
 	}, nil
@@ -263,7 +236,7 @@ func (s *StreamState) fold(d *ipm.Delta, pairs []ipm.PairTraffic) (*StreamState,
 	k := len(s.Windows)
 	ns.Windows = append(s.Windows[:k:k], w)
 	ns.Last.Window = &ns.Windows[k]
-	ns.detector, ns.Last.Distance, ns.Last.Boundary = s.detector.step(k, g, s.Cutoff, s.Det)
+	ns.detector, ns.Last.Distance, ns.Last.Boundary = s.detector.step(k, g, s.Cutoff)
 	if ns.Last.Boundary {
 		ns.Last.Phase = len(ns.closed)
 	}
@@ -324,13 +297,9 @@ func (s *StreamState) Steady() *topology.Graph {
 // DetectPhases runs the online detector over an already-extracted window
 // slice — the batch entry point the experiments use. It drives the step
 // function Fold drives, so the two cannot disagree.
-func DetectPhases(procs int, ws []Window, cutoff int, det DetectorConfig) ([]Phase, error) {
+func DetectPhases(procs int, ws []Window, cutoff int) ([]Phase, error) {
 	if cutoff == 0 {
 		cutoff = topology.DefaultCutoff
-	}
-	det, err := det.Normalize()
-	if err != nil {
-		return nil, err
 	}
 	var d detector
 	for k := range ws {
@@ -338,7 +307,7 @@ func DetectPhases(procs int, ws []Window, cutoff int, det DetectorConfig) ([]Pha
 		if w.Graph == nil || w.Graph.P != procs {
 			return nil, fmt.Errorf("trace: window %q does not span %d procs", w.Region, procs)
 		}
-		d, _, _ = d.step(k, w.Graph, cutoff, det)
+		d, _, _ = d.step(k, w.Graph, cutoff)
 	}
 	return d.phases(len(ws)), nil
 }

@@ -17,13 +17,13 @@ import (
 )
 
 // foldAll folds a profile's delta decomposition through a fresh stream.
-func foldAll(t *testing.T, p *ipm.Profile, det DetectorConfig) *StreamState {
+func foldAll(t *testing.T, p *ipm.Profile) *StreamState {
 	t.Helper()
 	ds, err := ipm.SplitDeltas(p)
 	if err != nil {
 		t.Fatalf("split: %v", err)
 	}
-	s, err := NewStreamState(p.Procs, 0, "step", det)
+	s, err := NewStreamState(p.Procs, 0, "step")
 	if err != nil {
 		t.Fatalf("new stream: %v", err)
 	}
@@ -46,7 +46,7 @@ func TestFoldMatchesBatch(t *testing.T) {
 			if err != nil {
 				t.Fatalf("profile: %v", err)
 			}
-			s := foldAll(t, p, DetectorConfig{})
+			s := foldAll(t, p)
 
 			wantWs, err := Windows(p, "step", 0)
 			if err != nil {
@@ -90,7 +90,7 @@ func TestOpportunityPerSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewStreamState(p.Procs, 0, "step", DetectorConfig{})
+	s, err := NewStreamState(p.Procs, 0, "step")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestSteadyOncePerSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewStreamState(p.Procs, 0, "step", DetectorConfig{})
+	s, err := NewStreamState(p.Procs, 0, "step")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestFoldAllocsIndependentOfSteady(t *testing.T) {
 	if !strings.HasPrefix(last.Window, "step") {
 		t.Fatalf("the last delta is window %q, want a step", last.Window)
 	}
-	s, err := NewStreamState(p.Procs, 0, "step", DetectorConfig{})
+	s, err := NewStreamState(p.Procs, 0, "step")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestDetectorHysteresis(t *testing.T) {
 		synthWindow(t, "step004", procs, []int{7, 9, 13, 15}), // matches phase aggregate: re-arms
 		synthWindow(t, "step005", procs, []int{4, 5}),         // jump: boundary
 	}
-	phases, err := DetectPhases(procs, ws, 0, DetectorConfig{})
+	phases, err := DetectPhases(procs, ws, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,12 +304,12 @@ func TestStreamFoldMatchesDetectPhases(t *testing.T) {
 	if err != nil {
 		t.Fatalf("profile: %v", err)
 	}
-	s := foldAll(t, p, DetectorConfig{})
+	s := foldAll(t, p)
 	ws, err := Windows(p, "step", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := DetectPhases(p.Procs, ws, 0, DetectorConfig{})
+	want, err := DetectPhases(p.Procs, ws, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestAMRPhasesPinned(t *testing.T) {
 	type phase struct{ start, end, edges int }
 	want := []phase{{0, 2, 352}, {2, 4, 400}, {4, 6, 400}, {6, 8, 304}}
 	var got []phase
-	for _, ph := range foldAll(t, p, DetectorConfig{}).Phases() {
+	for _, ph := range foldAll(t, p).Phases() {
 		got = append(got, phase{ph.Start, ph.End, ph.Graph.EdgeCount()})
 	}
 	if !slices.Equal(got, want) {
@@ -348,7 +348,7 @@ func TestAMRPhasesPinned(t *testing.T) {
 // validation: procs mismatches, app mixing, and out-of-order deltas are
 // errors, never silent truncation.
 func TestFoldRejectsMismatches(t *testing.T) {
-	s, err := NewStreamState(8, 0, "step", DetectorConfig{})
+	s, err := NewStreamState(8, 0, "step")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +392,7 @@ func TestPhaseDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("profile: %v", err)
 		}
-		s := foldAll(t, p, DetectorConfig{})
+		s := foldAll(t, p)
 		blob, err := json.Marshal(struct {
 			Windows []Window
 			Steady  *topology.Graph
@@ -442,7 +442,7 @@ func TestLongRunKeepsProgramOrder(t *testing.T) {
 			step++
 		}
 	}
-	s, err := NewStreamState(cfg.Procs, 0, "step", DetectorConfig{})
+	s, err := NewStreamState(cfg.Procs, 0, "step")
 	if err != nil {
 		t.Fatal(err)
 	}

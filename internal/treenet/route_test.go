@@ -4,14 +4,13 @@ import (
 	"testing"
 
 	"github.com/hfast-sim/hfast/internal/netsim"
-	"github.com/hfast-sim/hfast/internal/treenet"
 )
 
 // TestHopsBetween pins the hop counts of point-to-point paths through the
 // lowest common ancestor. The one LCA walk is netsim.TreeNet's route, so
 // the hop count is the length of the routed path.
 func TestHopsBetween(t *testing.T) {
-	tn, err := netsim.NewTreeNet(13, treenet.DefaultParams()) // fanout 3: 0 is root; children 1,2,3; etc.
+	tn, err := netsim.NewTreeNet(13) // fanout 3: 0 is root; children 1,2,3; etc.
 	if err != nil {
 		t.Fatal(err)
 	}

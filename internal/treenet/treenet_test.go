@@ -1,13 +1,10 @@
 package treenet
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func mustTree(t *testing.T, p int) *Tree {
 	t.Helper()
-	tr, err := New(p, DefaultParams())
+	tr, err := New(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -15,18 +12,8 @@ func mustTree(t *testing.T, p int) *Tree {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(0, DefaultParams()); err == nil {
+	if _, err := New(0); err == nil {
 		t.Error("zero nodes accepted")
-	}
-	bad := DefaultParams()
-	bad.Fanout = 1
-	if _, err := New(8, bad); err == nil {
-		t.Error("fanout 1 accepted")
-	}
-	bad = DefaultParams()
-	bad.LinkBandwidth = 0
-	if _, err := New(8, bad); err == nil {
-		t.Error("zero bandwidth accepted")
 	}
 }
 
@@ -36,17 +23,5 @@ func TestDepth(t *testing.T) {
 		if got := mustTree(t, p).Depth(); got != want {
 			t.Errorf("depth(%d) = %d, want %d", p, got, want)
 		}
-	}
-}
-
-func TestCostLinear(t *testing.T) {
-	small := mustTree(t, 64)
-	big := mustTree(t, 4096)
-	perNode := func(tr *Tree) float64 { return tr.Cost() / float64(tr.P) }
-	if math.Abs(perNode(small)-perNode(big)) > perNode(small)*0.05 {
-		t.Errorf("tree cost not linear: %.2f vs %.2f per node", perNode(small), perNode(big))
-	}
-	if small.Links() != 63 {
-		t.Errorf("links %d, want 63", small.Links())
 	}
 }
