@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"sort"
 
+	"github.com/hfast-sim/hfast/internal/meshtorus"
 	"github.com/hfast-sim/hfast/internal/mpi"
 )
 
@@ -196,47 +197,11 @@ type grid3 struct {
 	wrap       [3]bool
 }
 
-// factor3 splits p into three near-equal factors, largest dimensions
-// first (64 → 4×4×4, 256 → 8×8×4, 128 → 8×4×4).
-func factor3(p int) (int, int, int) {
-	best := [3]int{p, 1, 1}
-	bestScore := p * 1000
-	for a := 1; a*a*a <= p; a++ {
-		if p%a != 0 {
-			continue
-		}
-		q := p / a
-		for b := a; b*b <= q; b++ {
-			if q%b != 0 {
-				continue
-			}
-			c := q / b
-			// Prefer the most cubic factorization: smallest extent
-			// spread, then smallest gap between the two largest.
-			score := (c-a)*1000 + (c - b)
-			if score < bestScore {
-				bestScore = score
-				best = [3]int{c, b, a}
-			}
-		}
-	}
-	return best[0], best[1], best[2]
-}
-
-// factor2 splits p into two near-equal factors, larger first.
-func factor2(p int) (int, int) {
-	a := 1
-	for b := 1; b*b <= p; b++ {
-		if p%b == 0 {
-			a = b
-		}
-	}
-	return p / a, a
-}
-
+// newGrid3 lays p ranks out on meshtorus.NearCube's grid, the shape of
+// the mesh baseline, so a nearest-neighbor skeleton embeds in it.
 func newGrid3(p int, wrap [3]bool) grid3 {
-	nx, ny, nz := factor3(p)
-	return grid3{nx: nx, ny: ny, nz: nz, wrap: wrap}
+	d := meshtorus.NearCube(p, 3)
+	return grid3{nx: d[0], ny: d[1], nz: d[2], wrap: wrap}
 }
 
 // coords returns the (x, y, z) position of rank r.

@@ -5,42 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestFactor3(t *testing.T) {
-	cases := map[int][3]int{
-		64:  {4, 4, 4},
-		256: {8, 8, 4},
-		128: {8, 4, 4},
-		1:   {1, 1, 1},
-		2:   {2, 1, 1},
-		27:  {3, 3, 3},
-		60:  {5, 4, 3},
-	}
-	for p, want := range cases {
-		a, b, c := factor3(p)
-		if a*b*c != p {
-			t.Errorf("factor3(%d) = %d,%d,%d does not multiply back", p, a, b, c)
-		}
-		if [3]int{a, b, c} != want {
-			t.Errorf("factor3(%d) = %d,%d,%d, want %v", p, a, b, c, want)
-		}
-		if a < b || b < c {
-			t.Errorf("factor3(%d) not sorted descending", p)
-		}
-	}
-}
-
-func TestFactor2(t *testing.T) {
-	for _, p := range []int{1, 2, 4, 12, 64, 256, 100} {
-		a, b := factor2(p)
-		if a*b != p || a < b {
-			t.Errorf("factor2(%d) = %d,%d", p, a, b)
-		}
-	}
-	if a, b := factor2(64); a != 8 || b != 8 {
-		t.Errorf("factor2(64) = %d,%d, want 8,8", a, b)
-	}
-}
-
 func TestGrid3RoundTripQuick(t *testing.T) {
 	f := func(pRaw uint8, rRaw uint16) bool {
 		p := int(pRaw)%200 + 1

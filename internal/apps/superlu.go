@@ -1,6 +1,9 @@
 package apps
 
-import "github.com/hfast-sim/hfast/internal/mpi"
+import (
+	"github.com/hfast-sim/hfast/internal/meshtorus"
+	"github.com/hfast-sim/hfast/internal/mpi"
+)
 
 // RunSuperLU reproduces the communication skeleton of SuperLU_DIST: a
 // right-looking sparse LU factorization on a 2D block-cyclic process grid
@@ -22,7 +25,8 @@ func RunSuperLU(c *mpi.Comm, cfg Config) {
 	cfg = cfg.withDefaults(96)
 	procs := c.Size()
 	me := c.Rank()
-	pr, pc := factor2(procs)
+	grid := meshtorus.NearCube(procs, 2)
+	pr, pc := grid[0], grid[1]
 	myRow, myCol := me/pc, me%pc
 
 	rankAt := func(row, col int) int { return row*pc + col }

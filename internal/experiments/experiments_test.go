@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/hfast-sim/hfast/internal/analysis"
 	"github.com/hfast-sim/hfast/internal/hfast"
 )
 
@@ -253,18 +254,26 @@ func TestTraceRowsSmall(t *testing.T) {
 	}
 }
 
+// TestCasesRowsSmall classifies every application at a power of two and
+// at P=28, whose most cubic grid (7×2×2) a greedy factorizer misses:
+// Cactus's stencil embeds in the mesh baseline at every P.
 func TestCasesRowsSmall(t *testing.T) {
 	r := testRunner()
-	rows, err := CasesRows(r, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 6 {
-		t.Fatalf("got %d case rows", len(rows))
-	}
-	for _, c := range rows {
-		if c.Got == "" {
-			t.Errorf("%s: empty classification", c.App)
+	for _, procs := range []int{16, 28} {
+		rows, err := CasesRows(r, procs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 6 {
+			t.Fatalf("P=%d: got %d case rows", procs, len(rows))
+		}
+		for _, c := range rows {
+			if c.Got == "" {
+				t.Errorf("P=%d %s: empty classification", procs, c.App)
+			}
+			if c.App == "cactus" && c.Got != analysis.CaseI {
+				t.Errorf("P=%d: cactus is case %s, want %s", procs, c.Got, analysis.CaseI)
+			}
 		}
 	}
 }

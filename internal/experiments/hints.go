@@ -8,14 +8,16 @@ import (
 
 	"github.com/hfast-sim/hfast/internal/hfast"
 	"github.com/hfast-sim/hfast/internal/ipm"
+	"github.com/hfast-sim/hfast/internal/meshtorus"
 	"github.com/hfast-sim/hfast/internal/mpi"
 	"github.com/hfast-sim/hfast/internal/topology"
 )
 
 // The §2.3 topology-directive study runs a Cactus-shaped stencil: a
-// 4×4×4 Cartesian grid, periodic in z, exchanging 300 KB ghost zones.
+// near-cube Cartesian grid (4×4×4), periodic in z, exchanging 300 KB
+// ghost zones.
 var (
-	hintsDims    = []int{4, 4, 4}
+	hintsDims    = meshtorus.NearCube(hintsProcs, 3)
 	hintsPeriods = []bool{false, false, true}
 )
 

@@ -92,7 +92,7 @@ func ScalingSweep(degreeOf func(p int) int, sizes []int, params hfast.Params) ([
 		if err != nil {
 			return nil, err
 		}
-		mesh, err := meshtorus.New(meshtorus.NearCube(p, 3), true)
+		mesh, err := meshtorus.Baseline(p)
 		if err != nil {
 			return nil, err
 		}

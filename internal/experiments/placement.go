@@ -27,7 +27,7 @@ type PlacementRow struct {
 // dilated — whereas HFAST routes every provisioned pair in a constant
 // number of switch blocks regardless of placement.
 func PlacementRows(r *Runner, procs, iters int) ([]PlacementRow, error) {
-	m, err := meshtorus.New(meshtorus.NearCube(procs, 3), true)
+	m, err := meshtorus.Baseline(procs)
 	if err != nil {
 		return nil, err
 	}

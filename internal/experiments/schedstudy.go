@@ -79,7 +79,7 @@ type FaultRow struct {
 // FaultRows kills a deterministic set of nodes and compares the mesh and
 // HFAST impact for every application at the given size.
 func FaultRows(r *Runner, procs, failures int) ([]FaultRow, error) {
-	m, err := meshtorus.New(meshtorus.NearCube(procs, 3), true)
+	m, err := meshtorus.Baseline(procs)
 	if err != nil {
 		return nil, err
 	}

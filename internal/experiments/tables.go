@@ -86,8 +86,8 @@ type CaseResult struct {
 // (§2.5 / §5.2), using a mesh-embedding oracle for the case i/ii split.
 func CasesRows(r *Runner, procs int) ([]CaseResult, error) {
 	meshEmbeds := func(g *topology.Graph) bool {
-		m, err := meshtorus.New(meshtorus.NearCube(g.P, 3), true)
-		if err != nil || m.Size() != g.P {
+		m, err := meshtorus.Baseline(g.P)
+		if err != nil {
 			return false
 		}
 		emb, err := meshtorus.Embed(g, m, 1)

@@ -69,11 +69,9 @@ type Assignment struct {
 // Assign provisions a fabric for the communication graph with the paper's
 // linear-time rule at the given cutoff (DefaultCutoff when zero).
 func Assign(g *topology.Graph, cutoff, blockSize int) (*Assignment, error) {
-	if blockSize == 0 {
-		blockSize = DefaultBlockSize
-	}
-	if blockSize < 4 {
-		return nil, fmt.Errorf("hfast: block size must be ≥ 4, got %d", blockSize)
+	blockSize, err := BlockSize(blockSize)
+	if err != nil {
+		return nil, err
 	}
 	if cutoff == 0 {
 		cutoff = topology.DefaultCutoff
@@ -216,7 +214,8 @@ func (a *Assignment) Validate() error {
 	if a.P <= 0 || len(a.Partners) != a.P || len(a.Blocks) != a.P {
 		return bad("P=%d with %d partner lists and %d block counts", a.P, len(a.Partners), len(a.Blocks))
 	}
-	if a.BlockSize < 4 {
+	// A built assignment holds a resolved size, never the zero request.
+	if size, err := BlockSize(a.BlockSize); err != nil || size != a.BlockSize {
 		return bad("block size %d, want ≥ 4", a.BlockSize)
 	}
 	total := 0
@@ -251,11 +250,9 @@ func (a *Assignment) Validate() error {
 // the circuit switch can be configured before the first message. The
 // lists are symmetrized and deduplicated.
 func AssignFromHints(partners [][]int, blockSize int) (*Assignment, error) {
-	if blockSize == 0 {
-		blockSize = DefaultBlockSize
-	}
-	if blockSize < 4 {
-		return nil, fmt.Errorf("hfast: block size must be ≥ 4, got %d", blockSize)
+	blockSize, err := BlockSize(blockSize)
+	if err != nil {
+		return nil, err
 	}
 	p := len(partners)
 	if p == 0 {

@@ -152,11 +152,9 @@ func CapacityForBlocks(b, blockSize int) int {
 // busiest phase — so static-vs-replanned comparisons hold hardware
 // constant. budget[i] <= 0 grants node i one block (the idle minimum).
 func AssignWithBudget(g *topology.Graph, cutoff, blockSize int, budget []int) (*Assignment, error) {
-	if blockSize == 0 {
-		blockSize = DefaultBlockSize
-	}
-	if blockSize < 4 {
-		return nil, fmt.Errorf("hfast: block size must be ≥ 4, got %d", blockSize)
+	blockSize, err := BlockSize(blockSize)
+	if err != nil {
+		return nil, err
 	}
 	if cutoff == 0 {
 		cutoff = topology.DefaultCutoff

@@ -21,6 +21,19 @@ import "fmt"
 // 16 ports, of which one uplinks to the node, leaving 15 for partners.
 const DefaultBlockSize = 16
 
+// BlockSize resolves a requested switch-block size: zero selects
+// DefaultBlockSize, and any other size below 4 is refused. It is the one
+// block-size rule of the planners, Validate and the stream endpoint.
+func BlockSize(requested int) (int, error) {
+	switch {
+	case requested == 0:
+		return DefaultBlockSize, nil
+	case requested < 4:
+		return 0, fmt.Errorf("hfast: block size must be ≥ 4, got %d", requested)
+	}
+	return requested, nil
+}
+
 // Params sets the component prices and block geometry of a fabric.
 // Prices are arbitrary units; only ratios matter and the defaults follow
 // the paper's premise that a passive (circuit) port costs far less than

@@ -33,73 +33,66 @@ func New(dims []int, wrap bool) (Mesh, error) {
 	return Mesh{Dims: append([]int(nil), dims...), Wrap: wrap}, nil
 }
 
-// NearCube factorizes p into ndims near-equal extents (largest first),
-// the "densely-packed mesh" shape HFAST provisions initially.
+// NearCube factorizes p into the most cubic ndims extents, largest first:
+// the smallest spread between the largest and smallest extent, then the
+// smallest gaps below the largest (64 → 4×4×4, 108 → 6×6×3, 30 → 5×3×2).
+// It is the one process-grid shape in the code: the skeletons lay their
+// ranks out on it and Baseline shapes the fixed fabric from it. It
+// allocates once, the result's backing array, whose tail holds the
+// candidate being built.
 func NearCube(p, ndims int) []int {
 	if ndims <= 0 || p <= 0 {
 		return nil
 	}
-	dims := make([]int, ndims)
-	for i := range dims {
-		dims[i] = 1
+	buf := make([]int, 2*ndims)
+	best, cur := buf[:ndims:ndims], buf[ndims:]
+	best[0] = p
+	for i := 1; i < ndims; i++ {
+		best[i] = 1
 	}
-	remaining := p
-	for i := 0; i < ndims; i++ {
-		// Choose the largest factor of remaining that is ≤ the ceiling of
-		// remaining^(1/(ndims-i)).
-		target := intRoot(remaining, ndims-i)
-		best := 1
-		for f := 1; f <= remaining; f++ {
-			if remaining%f == 0 && f <= target {
-				best = f
-			}
-		}
-		dims[i] = best
-		remaining /= best
-	}
-	dims[ndims-1] *= remaining
-	// Sort descending for a canonical shape.
-	for i := 0; i < len(dims); i++ {
-		for j := i + 1; j < len(dims); j++ {
-			if dims[j] > dims[i] {
-				dims[i], dims[j] = dims[j], dims[i]
-			}
-		}
-	}
-	return dims
+	nearCube(p, 1, ndims-1, cur, best)
+	return best
 }
 
-// intRoot returns ceil(p^(1/n)) via integer search.
-func intRoot(p, n int) int {
-	if n <= 1 {
-		return p
-	}
-	r := 1
-	for pow(r+1, n) <= p {
-		r++
-	}
-	if pow(r, n) < p {
-		r++
-	}
-	return r
-}
-
-func pow(b, e int) int {
-	out := 1
-	for i := 0; i < e; i++ {
-		if out > 1<<40/bMax(b, 1) {
-			return 1 << 40 // avoid overflow; larger than any node count
+// nearCube fills cur[i], cur[i-1], ..., cur[0] with every non-decreasing
+// run of factors ≥ lo whose product is rem, and keeps the most cubic
+// whole candidate in best.
+func nearCube(rem, lo, i int, cur, best []int) {
+	if i == 0 {
+		cur[0] = rem
+		if moreCubic(cur, best) {
+			copy(best, cur)
 		}
-		out *= b
+		return
 	}
-	return out
+	for f := lo; f*f <= rem; f++ {
+		if rem%f == 0 {
+			cur[i] = f
+			nearCube(rem/f, f, i-1, cur, best)
+		}
+	}
 }
 
-func bMax(a, b int) int {
-	if a > b {
-		return a
+// moreCubic reports whether descending extents a are more cubic than b:
+// a smaller spread, or the same spread and, at the first extent where
+// they differ, a smaller gap below the largest.
+func moreCubic(a, b []int) bool {
+	last := len(a) - 1
+	if sa, sb := a[0]-a[last], b[0]-b[last]; sa != sb {
+		return sa < sb
 	}
-	return b
+	for i := 1; i < last; i++ {
+		if ga, gb := a[0]-a[i], b[0]-b[i]; ga != gb {
+			return ga < gb
+		}
+	}
+	return false
+}
+
+// Baseline is the fixed fabric HFAST is judged against: the near-cube
+// 3-D torus over p nodes, the same grid the skeletons run on.
+func Baseline(p int) (Mesh, error) {
+	return New(NearCube(p, 3), true)
 }
 
 // Size is the node count.

@@ -69,7 +69,7 @@ func replay(fabric string, prof *ipm.Profile, g *topology.Graph, a *hfast.Assign
 		fn := netsim.NewFCNNet(prof.Procs, tree, lp)
 		nw, router = fn.Network(), fn
 	default: // FabricMesh: the recipe check admits no other name
-		mesh, err := meshtorus.New(meshtorus.NearCube(prof.Procs, 3), true)
+		mesh, err := meshtorus.Baseline(prof.Procs)
 		if err != nil {
 			return nil, err
 		}

@@ -593,7 +593,7 @@ func (s *Server) buildComparison(ctx context.Context, ref pipeline.ProfileRef, c
 	if err != nil {
 		return nil, err
 	}
-	mesh, err := meshtorus.New(meshtorus.NearCube(prof.Procs, 3), true)
+	mesh, err := meshtorus.Baseline(prof.Procs)
 	if err != nil {
 		return nil, fmt.Errorf("building mesh baseline: %w", err)
 	}

@@ -166,6 +166,11 @@ func streamSeed(q map[string][]string) (pipeline.FoldSeed, int, error) {
 	}
 	seed.Prefix = get("prefix")
 	block, err := intParam(get("blocksize"), 0)
+	if err == nil {
+		// Refuse the session before it exists: a bad size would fail
+		// only at its first assignment or phase boundary.
+		_, err = core.BlockSize(block)
+	}
 	if err != nil {
 		return seed, 0, fmt.Errorf("blocksize: %w", err)
 	}

@@ -223,6 +223,10 @@ func TestStreamEndpointValidation(t *testing.T) {
 		{"bad method", "PUT", "/v1/stream/x", "", http.StatusMethodNotAllowed, ""},
 		{"bad body", "POST", "/v1/stream/x1", "{not json", http.StatusBadRequest, "decoding delta 0:"},
 		{"bad param", "POST", "/v1/stream/x2?cutoff=nope", "", http.StatusBadRequest, ""},
+		{"block size too small", "POST", "/v1/stream/b2?blocksize=2", good, http.StatusBadRequest, "blocksize: hfast: block size must be ≥ 4, got 2"},
+		{"block size negative", "POST", "/v1/stream/b3?blocksize=-1", good, http.StatusBadRequest, "blocksize: hfast: block size must be ≥ 4, got -1"},
+		{"no session of a bad block size", "GET", "/v1/stream/b2", "", http.StatusNotFound, ""},
+		{"no session of a negative block size", "GET", "/v1/stream/b3", "", http.StatusNotFound, ""},
 		{"get unknown", "GET", "/v1/stream/ghost", "", http.StatusNotFound, ""},
 		{"delete unknown", "DELETE", "/v1/stream/ghost", "", http.StatusNotFound, ""},
 		{"procs over cap", "POST", "/v1/stream/x3",
