@@ -32,6 +32,32 @@ func TestBlocksForDegree(t *testing.T) {
 
 // TestBlocksForDegreePortAccounting property-checks that the assigned
 // blocks always expose enough partner ports: n·B ≥ 1 + 2(n−1) + deg.
+// TestBlockSize pins the one block-size rule: zero selects the default,
+// sizes of 4 and up pass through, and anything else is refused.
+func TestBlockSize(t *testing.T) {
+	for _, tc := range []struct {
+		requested, want int
+		err             string
+	}{
+		{0, DefaultBlockSize, ""},
+		{4, 4, ""},
+		{32, 32, ""},
+		{3, 0, "hfast: block size must be ≥ 4, got 3"},
+		{-5, 0, "hfast: block size must be ≥ 4, got -5"},
+	} {
+		got, err := BlockSize(tc.requested)
+		if tc.err != "" {
+			if err == nil || err.Error() != tc.err {
+				t.Errorf("BlockSize(%d) error = %v, want %q", tc.requested, err, tc.err)
+			}
+			continue
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("BlockSize(%d) = %d, %v, want %d", tc.requested, got, err, tc.want)
+		}
+	}
+}
+
 func TestBlocksForDegreePortAccounting(t *testing.T) {
 	f := func(degRaw uint16, bsRaw uint8) bool {
 		deg := int(degRaw) % 1024
