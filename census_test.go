@@ -560,3 +560,63 @@ func TestDocsNameLiveSections(t *testing.T) {
 		t.Errorf("%s names no DESIGN.md heading or experiment ID", h)
 	}
 }
+
+// fuzzStep matches a CI step that fuzzes one target of one package:
+// go test ./internal/ipm -run '^$' -fuzz FuzzDecodeDelta.
+var fuzzStep = regexp.MustCompile(`go test \./(\S+) .*-fuzz (\w+)`)
+
+// unfuzzed holds the Fuzz targets of the test files under root, as
+// dir.Name, to the steps of the workflow ci: unrun lists the targets no
+// step fuzzes, unknown the steps that fuzz a target their package lacks.
+func unfuzzed(t *testing.T, root string, ci []byte) (unrun, unknown []string) {
+	declared := map[string]bool{}
+	walkGo(t, root, func(path, dir string, f *ast.File) {
+		if !strings.HasSuffix(path, "_test.go") {
+			return
+		}
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Fuzz") {
+				declared[dir+"."+fn.Name.Name] = true
+			}
+		}
+	})
+	run := map[string]bool{}
+	for _, m := range fuzzStep.FindAllSubmatch(ci, -1) {
+		key := string(m[1]) + "." + string(m[2])
+		run[key] = true
+		if !declared[key] {
+			unknown = append(unknown, key)
+		}
+	}
+	for key := range declared {
+		if !run[key] {
+			unrun = append(unrun, key)
+		}
+	}
+	slices.Sort(unrun)
+	slices.Sort(unknown)
+	return unrun, unknown
+}
+
+// TestEveryFuzzTargetRunsInCI fails on a fuzz target no CI step fuzzes,
+// which would never leave its seed corpus, and on a step that names a
+// target its package lacks, which fuzzes nothing and still passes; once
+// the census has found its fixture's one of each.
+func TestEveryFuzzTargetRunsInCI(t *testing.T) {
+	fixture := []byte("run: go test ./lib -run '^$' -fuzz FuzzRun\nrun: go test ./lib -run '^$' -fuzz FuzzGone -fuzztime 10s\n")
+	unrun, unknown := unfuzzed(t, filepath.Join("testdata", "census"), fixture)
+	if !slices.Equal(unrun, []string{"lib.FuzzUnrun"}) || !slices.Equal(unknown, []string{"lib.FuzzGone"}) {
+		t.Fatalf("the fuzz census of its fixture reports unrun %v and unknown %v, want [lib.FuzzUnrun] and [lib.FuzzGone]", unrun, unknown)
+	}
+	ci, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	unrun, unknown = unfuzzed(t, ".", ci)
+	for _, key := range unrun {
+		t.Errorf("fuzz target %s has no -fuzz step in ci.yml", key)
+	}
+	for _, key := range unknown {
+		t.Errorf("ci.yml fuzzes %s, which no test file declares", key)
+	}
+}

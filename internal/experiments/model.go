@@ -339,11 +339,11 @@ type TraceRow struct {
 func TraceRows(r *Runner, procs int) ([]TraceRow, error) {
 	var rows []TraceRow
 	for _, app := range apps.Names() {
-		ws, err := r.Windows(app, procs, 0)
+		st, err := r.Replay(app, procs, 0)
 		if err != nil {
 			return nil, err
 		}
-		op, err := trace.AnalyzeWindows(procs, ws, 0)
+		op, err := st.Opportunity()
 		if err != nil {
 			return nil, err
 		}

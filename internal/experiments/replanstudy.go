@@ -69,17 +69,15 @@ func ReplanRows(r *Runner, appNames []string, procs, cutoff, blockSize int) ([]R
 
 func replanOne(r *Runner, app string, procs, cutoff, blockSize int) (ReplanRow, error) {
 	row := ReplanRow{App: app, Procs: procs}
-	ws, err := r.Windows(app, procs, cutoff)
+	st, err := r.Replay(app, procs, cutoff)
 	if err != nil {
 		return row, err
 	}
+	ws := st.Windows
 	if len(ws) == 0 {
 		return row, fmt.Errorf("no step windows")
 	}
-	phases, err := trace.DetectPhases(procs, ws, cutoff)
-	if err != nil {
-		return row, err
-	}
+	phases := st.Phases()
 	row.Phases = len(phases)
 
 	// Per-phase plans, the per-node budget they imply, and the diff chain.

@@ -1,6 +1,58 @@
 package experiments
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+
+	"github.com/hfast-sim/hfast/internal/hfast"
+	"github.com/hfast-sim/hfast/internal/pipeline"
+)
+
+// TestReplayPhasedApp replays amr, whose refined patch migrates every
+// quarter of the run: the replay splits its eight windows into four
+// phases, each provisioning other partner lists than the one before, and
+// it reads the cached profile alone, never the steady-state graph stage.
+func TestReplayPhasedApp(t *testing.T) {
+	r := NewRunner(8)
+	for range 2 {
+		st, err := r.Replay("amr", 64, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(st.Windows) != 8 {
+			t.Fatalf("replayed %d windows, want 8", len(st.Windows))
+		}
+		for _, w := range st.Windows {
+			if w.Stats.Max == 0 {
+				t.Errorf("window %q has no partners above the cutoff", w.Region)
+			}
+		}
+		var prev *hfast.Assignment
+		for k, ph := range st.Phases() {
+			if ph.Start != 2*k || ph.End != 2*k+2 {
+				t.Fatalf("phase %d spans windows [%d,%d), want [%d,%d)", k, ph.Start, ph.End, 2*k, 2*k+2)
+			}
+			a, err := hfast.Assign(ph.Graph, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prev != nil && reflect.DeepEqual(prev.Partners, a.Partners) {
+				t.Errorf("phase %d provisions the partner lists of phase %d", k, k-1)
+			}
+			prev = a
+		}
+		if st.NumPhases() != 4 {
+			t.Fatalf("replay detected %d phases, want 4", st.NumPhases())
+		}
+	}
+	m := r.Pipeline().Metrics()
+	if prof := m.Stage(pipeline.StageProfile); prof.Misses != 1 || prof.Hits != 1 {
+		t.Errorf("two replays: %d profile misses and %d hits, want 1 and 1", prof.Misses, prof.Hits)
+	}
+	if g := m.Stage(pipeline.StageGraph); g.Misses+g.Hits != 0 {
+		t.Errorf("a replay asked the graph stage %d times", g.Misses+g.Hits)
+	}
+}
 
 // TestReplanReplaysEachInputOnce pins the replan study at P=64 as
 // -t replan runs it, clock-free: each app's replays resolve through the

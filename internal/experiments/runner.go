@@ -110,11 +110,15 @@ func (r *Runner) Comparison(app string, procs, cutoff int, params hfast.Params) 
 	return cmp, err
 }
 
-// Windows returns the per-step traffic windows of an application profile
-// at the analysis cutoff (0 selects the default).
-func (r *Runner) Windows(app string, procs, cutoff int) ([]trace.Window, error) {
-	ws, _, err := r.pipe.Windows(context.Background(), r.ref(app, procs), "step", cutoff)
-	return ws, err
+// Replay folds an application profile's step windows through a fresh
+// stream at the analysis cutoff (0 selects the default): the run's
+// windows, phases and reconfiguration opportunity.
+func (r *Runner) Replay(app string, procs, cutoff int) (*trace.StreamState, error) {
+	p, err := r.Profile(app, procs)
+	if err != nil {
+		return nil, err
+	}
+	return trace.Replay(p, "step", cutoff)
 }
 
 // Netsim replays the application's steady-state traffic on the named

@@ -76,19 +76,29 @@ func Assign(g *topology.Graph, cutoff, blockSize int) (*Assignment, error) {
 	if cutoff == 0 {
 		cutoff = topology.DefaultCutoff
 	}
+	partners := make([][]int, g.P)
+	for i := range partners {
+		partners[i] = g.Partners(i, cutoff)
+	}
+	return newAssignment(partners, cutoff, blockSize), nil
+}
+
+// newAssignment builds the assignment of sorted partner lists, each node
+// given the blocks its degree needs: the one constructor of Assign,
+// AssignFromHints and AssignWithBudget.
+func newAssignment(partners [][]int, cutoff, blockSize int) *Assignment {
 	a := &Assignment{
-		P:         g.P,
+		P:         len(partners),
 		BlockSize: blockSize,
 		Cutoff:    cutoff,
-		Partners:  make([][]int, g.P),
-		Blocks:    make([]int, g.P),
+		Partners:  partners,
+		Blocks:    make([]int, len(partners)),
 	}
-	for i := range a.Partners {
-		a.Partners[i] = g.Partners(i, cutoff)
-		a.Blocks[i] = BlocksForDegree(len(a.Partners[i]), blockSize)
+	for i, ps := range partners {
+		a.Blocks[i] = BlocksForDegree(len(ps), blockSize)
 		a.TotalBlocks += a.Blocks[i]
 	}
-	return a, nil
+	return a
 }
 
 // AssignDegrees provisions directly from a degree list (used by the cost
@@ -274,22 +284,14 @@ func AssignFromHints(partners [][]int, blockSize int) (*Assignment, error) {
 			sets[j][i] = true
 		}
 	}
-	a := &Assignment{
-		P:         p,
-		BlockSize: blockSize,
-		Cutoff:    0, // hints carry no sizes
-		Partners:  make([][]int, p),
-		Blocks:    make([]int, p),
-	}
+	lists := make([][]int, p)
 	for i, set := range sets {
 		list := make([]int, 0, len(set))
 		for j := range set {
 			list = append(list, j)
 		}
 		sort.Ints(list)
-		a.Partners[i] = list
-		a.Blocks[i] = BlocksForDegree(len(list), blockSize)
-		a.TotalBlocks += a.Blocks[i]
+		lists[i] = list
 	}
-	return a, nil
+	return newAssignment(lists, 0, blockSize), nil // hints carry no sizes, so no cutoff
 }

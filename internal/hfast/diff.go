@@ -188,26 +188,15 @@ func AssignWithBudget(g *topology.Graph, cutoff, blockSize int, budget []int) (*
 		}
 		capacity[i] = CapacityForBlocks(b, blockSize)
 	}
-	deg := make([]int, g.P)
-	a := &Assignment{
-		P:         g.P,
-		BlockSize: blockSize,
-		Cutoff:    cutoff,
-		Partners:  make([][]int, g.P),
-		Blocks:    make([]int, g.P),
-	}
+	partners := make([][]int, g.P)
 	for _, e := range edges {
-		if deg[e.i] < capacity[e.i] && deg[e.j] < capacity[e.j] {
-			a.Partners[e.i] = append(a.Partners[e.i], e.j)
-			a.Partners[e.j] = append(a.Partners[e.j], e.i)
-			deg[e.i]++
-			deg[e.j]++
+		if len(partners[e.i]) < capacity[e.i] && len(partners[e.j]) < capacity[e.j] {
+			partners[e.i] = append(partners[e.i], e.j)
+			partners[e.j] = append(partners[e.j], e.i)
 		}
 	}
-	for i := range a.Partners {
-		sort.Ints(a.Partners[i])
-		a.Blocks[i] = BlocksForDegree(len(a.Partners[i]), blockSize)
-		a.TotalBlocks += a.Blocks[i]
+	for _, ps := range partners {
+		sort.Ints(ps)
 	}
-	return a, nil
+	return newAssignment(partners, cutoff, blockSize), nil
 }

@@ -1,6 +1,7 @@
 package hfast
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -398,5 +399,72 @@ func TestAssignFromHintsValidation(t *testing.T) {
 	}
 	if len(a.Partners[0]) != 1 || a.Partners[0][0] != 1 {
 		t.Errorf("self-hint handling: %v", a.Partners[0])
+	}
+}
+
+// stencilGraph is a ring over n ranks with partners at the given strides,
+// every edge above the default cutoff.
+func stencilGraph(n int, strides ...int) *topology.Graph {
+	g := topology.MustGraph(n)
+	for i := 0; i < n; i++ {
+		for _, s := range strides {
+			g.AddTraffic(i, (i+s)%n, 1, 1<<20, 1<<20)
+		}
+	}
+	return g
+}
+
+// TestAssignersShareOneRule: measured traffic, the same partners declared
+// as hints and a budget that admits every edge provision one fabric, each
+// a valid assignment, because all three size blocks from the partner
+// lists by one rule.
+func TestAssignersShareOneRule(t *testing.T) {
+	g := stencilGraph(64, 1, 8, 9, 27)
+	measured, err := Assign(g, 0, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hinted, err := AssignFromHints(measured.Partners, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budgeted, err := AssignWithBudget(g, 0, 8, measured.Blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, a := range map[string]*Assignment{"measured": measured, "hinted": hinted, "budgeted": budgeted} {
+		if err := a.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if a.TotalBlocks != measured.TotalBlocks || !slices.Equal(a.Blocks, measured.Blocks) {
+			t.Errorf("%s: %d blocks %v, measured %d %v", name, a.TotalBlocks, a.Blocks, measured.TotalBlocks, measured.Blocks)
+		}
+		for i := range a.Partners {
+			if !slices.Equal(a.Partners[i], measured.Partners[i]) {
+				t.Fatalf("%s: node %d partners %v, measured %v", name, i, a.Partners[i], measured.Partners[i])
+			}
+		}
+	}
+	if measured.TotalBlocks <= g.P {
+		t.Fatal("the test needs nodes of more than one block")
+	}
+}
+
+// TestAssignAllocs: beyond the partner lists Graph.Partners builds,
+// Assign allocates the list of them, the assignment and its block counts.
+func TestAssignAllocs(t *testing.T) {
+	g := stencilGraph(256, 1, 2, 16, 17, 64)
+	lists := testing.AllocsPerRun(20, func() {
+		for i := 0; i < g.P; i++ {
+			_ = g.Partners(i, topology.DefaultCutoff)
+		}
+	})
+	assign := testing.AllocsPerRun(20, func() {
+		if _, err := Assign(g, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if assign != lists+3 {
+		t.Fatalf("Assign allocates %v objects; its partner lists take %v, want them plus 3", assign, lists)
 	}
 }

@@ -120,8 +120,8 @@ func (d *Delta) AsProfile() *Profile {
 // enter them: a shorter name first, then lexicographically. Sorting the
 // names alone would put "step1000" before "step101" — step numbers are
 // padded to three digits, not to the run's width. "" and "init" precede
-// every step either way. SplitDeltas, trace.Windows and the program-order
-// check of a stream fold all use this one order.
+// every step either way. SplitDeltas and the program-order check of a
+// stream fold both use this one order.
 func CompareRegions(a, b string) int {
 	if c := cmp.Compare(len(a), len(b)); c != 0 {
 		return c

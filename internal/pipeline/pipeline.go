@@ -11,7 +11,6 @@
 //	Profile    app/procs/steps/scale/seed  (or the blob hash of an
 //	           uploaded profile)
 //	Graph      profile key + region filter
-//	Windows    profile key + region prefix + cutoff
 //	Assignment graph key + cutoff + block size
 //	Plan       assignment key (adds the physical wiring)
 //	Comparison assignment key + cost params
@@ -37,14 +36,12 @@ import (
 	"github.com/hfast-sim/hfast/internal/hfast"
 	"github.com/hfast-sim/hfast/internal/ipm"
 	"github.com/hfast-sim/hfast/internal/topology"
-	"github.com/hfast-sim/hfast/internal/trace"
 )
 
 // Stage names, used as cache-key prefixes and metric labels.
 const (
 	StageProfile = "profile"
 	StageGraph   = "graph"
-	StageWindows = "windows"
 	StageAssign  = "assign"
 	StagePlan    = "plan"
 	StageCompare = "compare"
@@ -264,8 +261,6 @@ func (pl *Pipeline) build(ctx context.Context, ref ProfileRef, rec Recipe) (any,
 		v, err = pl.opts.Runner(ctx, ref.spec.App, ref.spec.config())
 	case StageGraph:
 		v, err = topology.FromProfile(prof, regionFilter(rec.Filter))
-	case StageWindows:
-		v, err = trace.Windows(prof, rec.Prefix, rec.Cutoff)
 	case StageAssign:
 		if g, _, err = pl.Graph(ctx, ref, f); err != nil {
 			return nil, err
@@ -316,16 +311,6 @@ func (pl *Pipeline) Graph(ctx context.Context, ref ProfileRef, f Filter) (*topol
 	rec := ref.recipe(StageGraph)
 	rec.Filter = f.name
 	return get[*topology.Graph](ctx, pl, ref, rec)
-}
-
-// Windows resolves the per-step traffic windows of the referenced profile
-// (regions matching prefix, TDC at cutoff) — the §6 time-windowed
-// analysis. Window artifacts are cached independently of the steady-state
-// graph, so phase-level consumers do not perturb whole-run ones.
-func (pl *Pipeline) Windows(ctx context.Context, ref ProfileRef, prefix string, cutoff int) ([]trace.Window, Outcome, error) {
-	rec := ref.recipe(StageWindows)
-	rec.Prefix, rec.Cutoff = prefix, cutoff
-	return get[[]trace.Window](ctx, pl, ref, rec)
 }
 
 // Assignment resolves the paper's linear-time switch-block provisioning

@@ -28,8 +28,6 @@ type Recipe struct {
 	Spec *ProfileSpec `json:"spec,omitempty"`
 	// Filter is the canonical region-filter name (graph-derived stages).
 	Filter string `json:"filter,omitempty"`
-	// Prefix is the region prefix (Windows stage).
-	Prefix string `json:"prefix,omitempty"`
 	// Cutoff and BlockSize are the provisioning parameters; zero selects
 	// the default, so a hand-built recipe with zeros addresses the
 	// defaults' artifact.
@@ -70,9 +68,6 @@ func (r Recipe) normalized() (Recipe, error) {
 	}
 	switch r.Stage {
 	case StageProfile:
-		return r, nil
-	case StageWindows:
-		r.Cutoff = normCutoff(r.Cutoff)
 		return r, nil
 	case StageGraph, StageAssign, StagePlan, StageCompare, StageNetsim:
 	default:
@@ -119,12 +114,6 @@ type graphInputs struct {
 	Filter  string `json:"filter"`
 }
 
-type windowsInputs struct {
-	Profile Key    `json:"profile"`
-	Prefix  string `json:"prefix"`
-	Cutoff  int    `json:"cutoff"`
-}
-
 type assignInputs struct {
 	Graph     Key `json:"graph"`
 	Cutoff    int `json:"cutoff"`
@@ -142,11 +131,8 @@ type compareInputs struct {
 
 // key derives a normalized recipe's content address.
 func (r Recipe) key() Key {
-	switch r.Stage {
-	case StageProfile:
+	if r.Stage == StageProfile {
 		return r.ProfileKey
-	case StageWindows:
-		return keyOf(StageWindows, windowsInputs{r.ProfileKey, r.Prefix, r.Cutoff})
 	}
 	graphKey := keyOf(StageGraph, graphInputs{r.ProfileKey, r.Filter})
 	assign := assignInputs{graphKey, r.Cutoff, r.BlockSize}

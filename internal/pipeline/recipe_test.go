@@ -34,7 +34,6 @@ func refusedRecipes() []refusedRecipe {
 		{Recipe{Stage: StageAssign, ProfileKey: key, Spec: &spec, Filter: "steady", Cutoff: -1}, "pipeline: negative cutoff -1"},
 		{Recipe{Stage: StagePlan, ProfileKey: key, Spec: &spec, Filter: "steady", Cutoff: -2048}, "pipeline: negative cutoff -2048"},
 		{Recipe{Stage: StageCompare, ProfileKey: key, Spec: &spec, Filter: "steady", Cutoff: -1, Params: &params}, "pipeline: negative cutoff -1"},
-		{Recipe{Stage: StageWindows, ProfileKey: key, Spec: &spec, Prefix: "step", Cutoff: -1}, "pipeline: negative cutoff -1"},
 		{Recipe{Stage: StageGraph, Spec: &spec, Filter: "steady"}, `pipeline: recipe for stage "graph" has no profile key`},
 	}
 }
@@ -65,7 +64,6 @@ func TestBadRecipesRunNothing(t *testing.T) {
 		{"Assignment at a negative cutoff", errOf(pl.Assignment(ctx, ref, Steady(), -1, 0)), "pipeline: negative cutoff -1"},
 		{"Plan at a negative cutoff", errOf(pl.Plan(ctx, ref, Steady(), -1, 0)), "pipeline: negative cutoff -1"},
 		{"Comparison at a negative cutoff", errOf(pl.Comparison(ctx, ref, Steady(), -1, params)), "pipeline: negative cutoff -1"},
-		{"Windows at a negative cutoff", errOf(pl.Windows(ctx, ref, "step", -1)), "pipeline: negative cutoff -1"},
 	}
 	for _, rc := range refusedRecipes() {
 		cases = append(cases, refusal{"Resolve " + rc.rec.Stage, errOf(pl.Resolve(ctx, rc.rec)), rc.want})
@@ -98,7 +96,6 @@ func FuzzRecipe(f *testing.F) {
 	for _, rec := range []Recipe{
 		{Stage: StageProfile, ProfileKey: key, Spec: &spec},
 		{Stage: StageGraph, ProfileKey: key, Spec: &spec, Filter: "steady"},
-		{Stage: StageWindows, ProfileKey: key, Spec: &spec, Prefix: "step"},
 		{Stage: StageAssign, ProfileKey: key, Spec: &spec, Filter: "steady"},
 		{Stage: StagePlan, ProfileKey: key, Spec: &spec, Filter: "steady"},
 		{Stage: StageCompare, ProfileKey: key, Spec: &spec, Filter: "steady", Params: &params},

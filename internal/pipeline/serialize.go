@@ -8,7 +8,6 @@ import (
 	"github.com/hfast-sim/hfast/internal/hfast"
 	"github.com/hfast-sim/hfast/internal/ipm"
 	"github.com/hfast-sim/hfast/internal/topology"
-	"github.com/hfast-sim/hfast/internal/trace"
 )
 
 // Artifact (de)serialization for every stage type — the wire half of the
@@ -50,8 +49,6 @@ func EncodeArtifact(stage string, v any) ([]byte, error) {
 		return buf.Bytes(), nil
 	case StageGraph:
 		return encodeAs[*topology.Graph](stage, v)
-	case StageWindows:
-		return encodeAs[[]trace.Window](stage, v)
 	case StageAssign:
 		return encodeAs[*hfast.Assignment](stage, v)
 	case StagePlan:
@@ -75,9 +72,8 @@ func DecodeArtifact(stage string, data []byte) (any, error) {
 }
 
 // decodeArtifact is DecodeArtifact for a fill, which knows the recipe's
-// rank count: when procs is positive, a graph artifact and each window's
-// graph must span exactly procs ranks, checked before anything is sized
-// by the peer's count.
+// rank count: when procs is positive, a graph artifact must span exactly
+// procs ranks, checked before anything is sized by the peer's count.
 func decodeArtifact(stage string, data []byte, procs int) (any, error) {
 	var v any
 	var err error
@@ -86,8 +82,6 @@ func decodeArtifact(stage string, data []byte, procs int) (any, error) {
 		v, err = ipm.DecodeProfile(data)
 	case StageGraph:
 		v, err = topology.DecodeGraph(data, procs)
-	case StageWindows:
-		v, err = decodeWindows(data, procs)
 	case StageAssign:
 		a := new(hfast.Assignment)
 		if err = json.Unmarshal(data, a); err == nil {
@@ -117,29 +111,4 @@ func decodeArtifact(stage string, data []byte, procs int) (any, error) {
 		return nil, fmt.Errorf("pipeline: decoding %s artifact: %w", stage, err)
 	}
 	return v, nil
-}
-
-// decodeWindows decodes a windows artifact, each window's graph held to
-// procs ranks.
-func decodeWindows(data []byte, procs int) ([]trace.Window, error) {
-	var wire []struct { // trace.Window, its graph decoded below
-		Region string
-		Graph  json.RawMessage
-		Stats  topology.TDCStats
-	}
-	if err := json.Unmarshal(data, &wire); err != nil {
-		return nil, err
-	}
-	var ws []trace.Window // null stays nil, as it re-encodes
-	if wire != nil {
-		ws = make([]trace.Window, len(wire))
-	}
-	for i, w := range wire {
-		g, err := topology.DecodeGraph(w.Graph, procs)
-		if err != nil {
-			return nil, err
-		}
-		ws[i] = trace.Window{Region: w.Region, Graph: g, Stats: w.Stats}
-	}
-	return ws, nil
 }

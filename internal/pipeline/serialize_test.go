@@ -12,8 +12,6 @@ import (
 	"github.com/hfast-sim/hfast/internal/apps"
 	"github.com/hfast-sim/hfast/internal/hfast"
 	"github.com/hfast-sim/hfast/internal/ipm"
-	"github.com/hfast-sim/hfast/internal/topology"
-	"github.com/hfast-sim/hfast/internal/trace"
 )
 
 // TestArtifactRoundTrip is the clustered tier's wire-contract property
@@ -32,9 +30,6 @@ func TestArtifactRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			if artifacts[StageGraph], _, err = pl.Graph(ctx, ref, Steady()); err != nil {
-				t.Fatal(err)
-			}
-			if artifacts[StageWindows], _, err = pl.Windows(ctx, ref, "", 0); err != nil {
 				t.Fatal(err)
 			}
 			if artifacts[StageAssign], _, err = pl.Assignment(ctx, ref, Steady(), 0, 0); err != nil {
@@ -113,7 +108,6 @@ func TestRecipeKeyAgreement(t *testing.T) {
 	recipes := []Recipe{
 		{Stage: StageProfile, ProfileKey: ref.Key(), Spec: &spec},
 		{Stage: StageGraph, ProfileKey: ref.Key(), Spec: &spec, Filter: "steady"},
-		{Stage: StageWindows, ProfileKey: ref.Key(), Spec: &spec, Prefix: "step"},
 		{Stage: StageAssign, ProfileKey: ref.Key(), Spec: &spec, Filter: "steady"},
 		{Stage: StagePlan, ProfileKey: ref.Key(), Spec: &spec, Filter: "steady"},
 		{Stage: StageCompare, ProfileKey: ref.Key(), Spec: &spec, Filter: "steady", Params: &params},
@@ -138,8 +132,6 @@ func TestRecipeKeyAgreement(t *testing.T) {
 	assertHit(StageProfile, how, err)
 	_, how, err = pl.Graph(ctx, ref, Steady())
 	assertHit(StageGraph, how, err)
-	_, how, err = pl.Windows(ctx, ref, "step", 0)
-	assertHit(StageWindows, how, err)
 	_, how, err = pl.Assignment(ctx, ref, Steady(), 0, 0)
 	assertHit(StageAssign, how, err)
 	_, how, err = pl.Plan(ctx, ref, Steady(), 0, 0)
@@ -243,9 +235,8 @@ func starBody(edges int, down bool) string {
 	return b.String()
 }
 
-// TestFillRefusesHostileGraphs hands the fill path graph bodies a peer
-// could send, alone as a graph artifact and as the graph of a windows
-// artifact: each is refused, so the request falls back to its local
+// TestFillRefusesHostileGraphs hands the fill path graph artifacts a peer
+// could send: each is refused, so the request falls back to its local
 // build, or decoded, within a byte ceiling. A rank count other than the
 // recipe's is refused before it sizes anything; edges out of the order
 // MarshalJSON writes are refused.
@@ -267,44 +258,28 @@ func TestFillRefusesHostileGraphs(t *testing.T) {
 		{"star in descending j", star + 1, starBody(star, true), true},
 		{"star in ascending j", star + 1, starBody(star, false), false},
 	} {
-		window := `[{"Region":"step000","Graph":` + c.graph + `,"Stats":{"Cutoff":2048,"Max":1,"Min":1,"Avg":1,"Median":1}}]`
-		for _, stage := range []string{StageGraph, StageWindows} {
-			t.Run(c.name+"/"+stage, func(t *testing.T) {
-				body := c.graph
-				if stage == StageWindows {
-					body = window
-				}
-				pl := New(Options{
-					Filler: stageFiller{stage, []byte(body)},
-					Runner: func(context.Context, string, apps.Config) (*ipm.Profile, error) { return nil, errLocal },
-				})
-				ref := Spec(ProfileSpec{App: "cactus", Procs: c.procs})
-				var g *topology.Graph
-				var err error
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				if stage == StageGraph {
-					g, _, err = pl.Graph(context.Background(), ref, Steady())
-				} else {
-					var ws []trace.Window
-					if ws, _, err = pl.Windows(context.Background(), ref, "step", 0); err == nil {
-						g = ws[0].Graph
-					}
-				}
-				runtime.ReadMemStats(&after)
-				if c.refused != errors.Is(err, errLocal) {
-					t.Fatalf("refused %v (err %v), want %v", !c.refused, err, c.refused)
-				}
-				if !c.refused && (err != nil || g.P != c.procs || g.EdgeCount() != star) {
-					t.Fatalf("decoded %v, err %v; want P=%d with %d edges", g, err, c.procs, star)
-				}
-				// Decoding costs under ten times the body (8.6 when this was
-				// set); the ranks are sized only when the recipe asked for them.
-				ceiling := 10*uint64(len(body)) + 24*uint64(c.procs) + 64<<10
-				if n := after.TotalAlloc - before.TotalAlloc; n > ceiling {
-					t.Errorf("the fill allocated %d KB for a %d KB body, over its %d KB ceiling", n>>10, len(body)>>10, ceiling>>10)
-				}
+		t.Run(c.name+"/"+StageGraph, func(t *testing.T) {
+			pl := New(Options{
+				Filler: stageFiller{StageGraph, []byte(c.graph)},
+				Runner: func(context.Context, string, apps.Config) (*ipm.Profile, error) { return nil, errLocal },
 			})
-		}
+			ref := Spec(ProfileSpec{App: "cactus", Procs: c.procs})
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			g, _, err := pl.Graph(context.Background(), ref, Steady())
+			runtime.ReadMemStats(&after)
+			if c.refused != errors.Is(err, errLocal) {
+				t.Fatalf("refused %v (err %v), want %v", !c.refused, err, c.refused)
+			}
+			if !c.refused && (err != nil || g.P != c.procs || g.EdgeCount() != star) {
+				t.Fatalf("decoded %v, err %v; want P=%d with %d edges", g, err, c.procs, star)
+			}
+			// Decoding costs under ten times the body (8.6 when this was
+			// set); the ranks are sized only when the recipe asked for them.
+			ceiling := 10*uint64(len(c.graph)) + 24*uint64(c.procs) + 64<<10
+			if n := after.TotalAlloc - before.TotalAlloc; n > ceiling {
+				t.Errorf("the fill allocated %d KB for a %d KB body, over its %d KB ceiling", n>>10, len(c.graph)>>10, ceiling>>10)
+			}
+		})
 	}
 }

@@ -26,7 +26,9 @@ type FoldSeed struct {
 	Prefix string `json:"prefix"`
 }
 
-func (s FoldSeed) normalize() (FoldSeed, error) {
+// Normalize is the one check of a seed, the one FoldInit makes: it
+// refuses a negative cutoff and fills in the default cutoff and prefix.
+func (s FoldSeed) Normalize() (FoldSeed, error) {
 	if s.Cutoff < 0 {
 		return s, fmt.Errorf("pipeline: negative cutoff %d", s.Cutoff)
 	}
@@ -45,7 +47,7 @@ type foldInputs struct {
 // FoldInit resolves the empty stream state for a seed and returns it
 // with its chain key.
 func (pl *Pipeline) FoldInit(ctx context.Context, seed FoldSeed) (*trace.StreamState, Key, Outcome, error) {
-	seed, err := seed.normalize()
+	seed, err := seed.Normalize()
 	if err != nil {
 		return nil, "", Miss, err
 	}

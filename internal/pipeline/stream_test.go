@@ -145,7 +145,7 @@ func wireOf(t testing.TB, d *ipm.Delta) []byte {
 // streamArtifacts serializes what a client can fetch of a folded stream.
 func streamArtifacts(t *testing.T, st *trace.StreamState) (windows, assignment []byte) {
 	t.Helper()
-	windows, err := EncodeArtifact(StageWindows, st.Windows)
+	windows, err := json.Marshal(st.Windows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,8 +310,9 @@ func TestFoldSeedKeying(t *testing.T) {
 }
 
 // TestFoldMatchesBatchArtifacts is the pipeline-layer parity check: the
-// windows a folded stream accumulates serialize byte-identically to the
-// batch StageWindows artifact of the merged profile.
+// windows a stream folds from its wire bytes, by the pair scan
+// (FoldPairs), serialize byte-identically to those trace.Replay folds
+// from the merged profile's decoded deltas (Fold).
 func TestFoldMatchesBatchArtifacts(t *testing.T) {
 	p, err := apps.ProfileRun("gtc", apps.Config{Procs: 16, Steps: 3})
 	if err != nil {
@@ -322,34 +323,43 @@ func TestFoldMatchesBatchArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl := New(Options{})
-	st, _, _ := foldChain(t, pl, FoldSeed{Procs: p.Procs}, ds)
-
-	ref, err := Supplied(p)
+	ctx := context.Background()
+	st, key, _, err := pl.FoldInit(ctx, FoldSeed{Procs: p.Procs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	batchWs, _, err := pl.Windows(context.Background(), ref, "step", 0)
+	for _, d := range ds {
+		if st, key, _, err = pl.FoldWire(ctx, key, st, wireOf(t, d)); err != nil {
+			t.Fatalf("fold delta %d: %v", d.Seq, err)
+		}
+	}
+	merged, err := ipm.MergeDeltas(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := EncodeArtifact(StageWindows, batchWs)
+	batch, err := trace.Replay(merged, "step", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := EncodeArtifact(StageWindows, st.Windows)
+	want, err := json.Marshal(batch.Windows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(want, got) {
-		t.Fatalf("folded windows artifact differs from batch (%d vs %d bytes)", len(got), len(want))
+	got, err := json.Marshal(st.Windows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Windows) != 3 || !bytes.Equal(want, got) {
+		t.Fatalf("%d windows folded off the wire differ from the replay's %d (%d vs %d bytes)",
+			len(st.Windows), len(batch.Windows), len(got), len(want))
 	}
 }
 
 // TestFoldWireConcurrentMisses folds distinct streams through one
 // pipeline, a goroutine each, so that misses in concurrent flights share
 // the recycled pair lists. Then every state of every stream is held to
-// the batch pipeline over the deltas it has folded, merged: the same
-// window graphs and the same Steady graph.
+// the deltas it has folded, merged: the window graphs trace.Replay folds
+// from them and the Steady graph the batch pipeline builds.
 func TestFoldWireConcurrentMisses(t *testing.T) {
 	type stream struct {
 		ds     []*ipm.Delta
@@ -415,21 +425,22 @@ func TestFoldWireConcurrentMisses(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ws, _, err := batch.Windows(ctx, ref, "step", 0)
+			replayed, err := trace.Replay(merged, "step", 0)
 			if err != nil {
 				t.Fatal(err)
 			}
+			ws := replayed.Windows
 			g, _, err := batch.Graph(ctx, ref, Steady())
 			if err != nil {
 				t.Fatal(err)
 			}
 			what := fmt.Sprintf("%s P=%d after %d deltas", merged.App, merged.Procs, k+1)
 			if len(st.Windows) != len(ws) {
-				t.Fatalf("%s: %d windows folded, %d in batch", what, len(st.Windows), len(ws))
+				t.Fatalf("%s: %d windows folded, %d replayed", what, len(st.Windows), len(ws))
 			}
 			for i, w := range ws {
 				if got := st.Windows[i]; got.Region != w.Region || encode(got.Graph) != encode(w.Graph) {
-					t.Fatalf("%s: window %q's graph differs from batch", what, w.Region)
+					t.Fatalf("%s: window %q's graph differs from the replay's", what, w.Region)
 				}
 			}
 			if encode(st.Steady()) != encode(g) {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -23,9 +24,11 @@ import (
 // online through the pipeline's incremental fold stage, runs the phase
 // detector, and answers with the re-provisioning plans (circuit diffs)
 // the detected boundaries produced. GET returns the stream's status (or,
-// with ?artifact=windows|assignment, the canonical artifact bytes — the
-// same encoding the batch pipeline serves, so parity is checkable on the
-// wire). DELETE closes and removes the session.
+// with ?artifact=windows|assignment, the folded windows as JSON — the
+// bytes trace.Replay's windows of the whole run encode to — or the
+// steady-state assignment in the pipeline's artifact encoding, so parity
+// with a finished run is checkable on the wire). DELETE closes and
+// removes the session.
 
 // streamSession is one live delta stream.
 type streamSession struct {
@@ -159,16 +162,20 @@ func streamSeed(q map[string][]string) (pipeline.FoldSeed, int, error) {
 		}
 		return ""
 	}
+	// Bad values are refused before the session exists: a bad cutoff
+	// would fail only at its first fold, a bad block size only at its
+	// first assignment or phase boundary.
 	var seed pipeline.FoldSeed
 	var err error
 	if seed.Cutoff, err = intParam(get("cutoff"), 0); err != nil {
 		return seed, 0, fmt.Errorf("cutoff: %w", err)
 	}
 	seed.Prefix = get("prefix")
+	if _, err = seed.Normalize(); err != nil {
+		return seed, 0, err
+	}
 	block, err := intParam(get("blocksize"), 0)
 	if err == nil {
-		// Refuse the session before it exists: a bad size would fail
-		// only at its first assignment or phase boundary.
 		_, err = core.BlockSize(block)
 	}
 	if err != nil {
@@ -415,7 +422,7 @@ func (s *Server) handleStreamGet(w http.ResponseWriter, r *http.Request, id stri
 		var data []byte
 		var err error
 		if artifact == "windows" {
-			data, err = pipeline.EncodeArtifact(pipeline.StageWindows, sess.state.Windows)
+			data, err = json.Marshal(sess.state.Windows)
 		} else {
 			var a *core.Assignment
 			if a, err = core.Assign(sess.state.Steady(), sess.state.Cutoff, sess.block); err == nil {

@@ -15,6 +15,7 @@ import (
 	"github.com/hfast-sim/hfast/internal/apps"
 	"github.com/hfast-sim/hfast/internal/ipm"
 	"github.com/hfast-sim/hfast/internal/pipeline"
+	"github.com/hfast-sim/hfast/internal/trace"
 )
 
 // encodeDeltas concatenates the deltas' canonical wire encodings — the
@@ -227,6 +228,8 @@ func TestStreamEndpointValidation(t *testing.T) {
 		{"block size negative", "POST", "/v1/stream/b3?blocksize=-1", good, http.StatusBadRequest, "blocksize: hfast: block size must be ≥ 4, got -1"},
 		{"no session of a bad block size", "GET", "/v1/stream/b2", "", http.StatusNotFound, ""},
 		{"no session of a negative block size", "GET", "/v1/stream/b3", "", http.StatusNotFound, ""},
+		{"cutoff negative", "POST", "/v1/stream/c1?cutoff=-1", "", http.StatusBadRequest, "pipeline: negative cutoff -1"},
+		{"no session of a negative cutoff", "GET", "/v1/stream/c1", "", http.StatusNotFound, ""},
 		{"get unknown", "GET", "/v1/stream/ghost", "", http.StatusNotFound, ""},
 		{"delete unknown", "DELETE", "/v1/stream/ghost", "", http.StatusNotFound, ""},
 		{"procs over cap", "POST", "/v1/stream/x3",
@@ -579,9 +582,10 @@ func streamParityProcs() []int {
 }
 
 // TestStreamParity is the end-to-end acceptance check: for every paper
-// skeleton, streaming the profile's deltas through the live endpoint
-// yields byte-identical windows and assignment artifacts to the batch
-// pipeline run over the same profile.
+// skeleton, streaming the profile's deltas through the live endpoint,
+// whose folds read the wire by the pair scan, yields the windows
+// trace.Replay folds from the profile's decoded deltas and the
+// assignment the batch pipeline builds, byte for byte.
 func TestStreamParity(t *testing.T) {
 	_, ts := testServer(t, Config{Workers: 4})
 	pl := pipeline.New(pipeline.Options{})
@@ -601,17 +605,11 @@ func TestStreamParity(t *testing.T) {
 					t.Fatalf("chunk 2: status %d", resp.StatusCode)
 				}
 
-				ref, err := pipeline.Supplied(prof)
+				replayed, err := trace.Replay(prof, "step", 0)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ctx := t.Context()
-
-				batchWs, _, err := pl.Windows(ctx, ref, "step", 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantWs, err := pipeline.EncodeArtifact(pipeline.StageWindows, batchWs)
+				wantWs, err := json.Marshal(replayed.Windows)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -620,10 +618,14 @@ func TestStreamParity(t *testing.T) {
 					t.Fatalf("GET windows artifact: status %d", resp.StatusCode)
 				}
 				if !bytes.Equal(wantWs, gotWs) {
-					t.Fatalf("windows artifact differs from batch (%d vs %d bytes)", len(gotWs), len(wantWs))
+					t.Fatalf("windows artifact differs from the replay's (%d vs %d bytes)", len(gotWs), len(wantWs))
 				}
 
-				batchA, _, err := pl.Assignment(ctx, ref, pipeline.Steady(), 0, 0)
+				ref, err := pipeline.Supplied(prof)
+				if err != nil {
+					t.Fatal(err)
+				}
+				batchA, _, err := pl.Assignment(t.Context(), ref, pipeline.Steady(), 0, 0)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,10 +1,10 @@
-// Streaming window folding and online phase detection: the live
-// counterpart of Windows/AnalyzeWindows. A StreamState folds profile
-// deltas (ipm.Delta) into the same window stream the batch path
-// extracts, while a hysteresis-thresholded detector watches the
-// partner-set distance between each new window and the running phase
-// aggregate — the signal an HFAST controller needs to re-provision
-// circuits mid-run.
+// Streaming window folding and online phase detection: the one path to
+// a run's windows and phases, live (a delta at a time) or after the fact
+// (Replay). A StreamState folds profile deltas (ipm.Delta) into the
+// run's step-window stream, while a hysteresis-thresholded detector
+// watches the partner-set distance between each new window and the
+// running phase aggregate — the signal an HFAST controller needs to
+// re-provision circuits mid-run.
 
 package trace
 
@@ -70,8 +70,8 @@ type StreamState struct {
 	// Deltas is the number of deltas folded; the next delta must carry
 	// Seq == Deltas.
 	Deltas int
-	// Windows is the folded step-window stream, element-for-element what
-	// batch Windows() extracts from the merged profile.
+	// Windows is the folded step-window stream: one window per step
+	// region, in program order (ipm.CompareRegions).
 	Windows []Window
 
 	// Last describes the most recent fold.
@@ -186,6 +186,27 @@ func (s *StreamState) FoldPairs(d *ipm.Delta, pairs []ipm.PairTraffic) (*StreamS
 	return s.fold(d, pairs)
 }
 
+// Replay folds a finished run: it splits the profile into its delta
+// stream (ipm.SplitDeltas) and folds every delta into a fresh stream over
+// p.Procs ranks, so a whole run's windows and phases come from the same
+// fold a live stream runs. Prefix and cutoff are NewStreamState's.
+func Replay(p *ipm.Profile, prefix string, cutoff int) (*StreamState, error) {
+	ds, err := ipm.SplitDeltas(p)
+	if err != nil {
+		return nil, err
+	}
+	s, err := NewStreamState(p.Procs, cutoff, prefix)
+	if err != nil {
+		return nil, err
+	}
+	for _, d := range ds {
+		if s, err = s.Fold(d); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
+}
+
 // admit runs Validate and the procs check, before anything is sized by
 // the delta's Procs.
 func (s *StreamState) admit(d *ipm.Delta) error {
@@ -292,24 +313,6 @@ func (s *StreamState) Steady() *topology.Graph {
 	}
 	s.memo.steadyOnce.Do(func() { s.memo.steady = union() })
 	return s.memo.steady
-}
-
-// DetectPhases runs the online detector over an already-extracted window
-// slice — the batch entry point the experiments use. It drives the step
-// function Fold drives, so the two cannot disagree.
-func DetectPhases(procs int, ws []Window, cutoff int) ([]Phase, error) {
-	if cutoff == 0 {
-		cutoff = topology.DefaultCutoff
-	}
-	var d detector
-	for k := range ws {
-		w := &ws[k]
-		if w.Graph == nil || w.Graph.P != procs {
-			return nil, fmt.Errorf("trace: window %q does not span %d procs", w.Region, procs)
-		}
-		d, _, _ = d.step(k, w.Graph, cutoff)
-	}
-	return d.phases(len(ws)), nil
 }
 
 // phaseDistance is the Jaccard distance between two graphs' thresholded

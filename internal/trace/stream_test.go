@@ -16,43 +16,55 @@ import (
 	"github.com/hfast-sim/hfast/internal/topology"
 )
 
-// foldAll folds a profile's delta decomposition through a fresh stream.
-func foldAll(t *testing.T, p *ipm.Profile) *StreamState {
+// replay folds a profile's delta decomposition through a fresh stream.
+func replay(t *testing.T, p *ipm.Profile) *StreamState {
 	t.Helper()
-	ds, err := ipm.SplitDeltas(p)
+	s, err := Replay(p, "step", 0)
 	if err != nil {
-		t.Fatalf("split: %v", err)
-	}
-	s, err := NewStreamState(p.Procs, 0, "step")
-	if err != nil {
-		t.Fatalf("new stream: %v", err)
-	}
-	for _, d := range ds {
-		if s, err = s.Fold(d); err != nil {
-			t.Fatalf("fold %q: %v", d.Window, err)
-		}
+		t.Fatalf("replay: %v", err)
 	}
 	return s
 }
 
-// TestFoldMatchesBatch pins streaming parity at the trace layer: folding
-// a profile's deltas yields the same window stream as the batch Windows
-// extraction and the same steady-state graph as FromProfile, compared on
-// canonical JSON.
+// stepWindows is the batch oracle for a replay's windows: one window per
+// "step" region of the profile, its graph built by FromProfile from that
+// region alone, in program order.
+func stepWindows(t *testing.T, p *ipm.Profile) []Window {
+	t.Helper()
+	seen := map[string]bool{}
+	var names []string
+	p.Visit(ipm.AllRegions, func(_ int, e ipm.Entry) {
+		if r := e.Key.Region; strings.HasPrefix(r, "step") && !seen[r] {
+			seen[r] = true
+			names = append(names, r)
+		}
+	})
+	slices.SortFunc(names, ipm.CompareRegions)
+	ws := make([]Window, len(names))
+	for i, name := range names {
+		g, err := topology.FromProfile(p, ipm.Region(name))
+		if err != nil {
+			t.Fatalf("batch window %q: %v", name, err)
+		}
+		ws[i] = Window{Region: name, Graph: g, Stats: g.Stats(topology.DefaultCutoff)}
+	}
+	return ws
+}
+
+// TestFoldMatchesBatch pins streaming parity at the trace layer for every
+// skeleton: folding a profile's deltas yields the window stream a
+// per-region batch extraction builds and the steady-state graph
+// FromProfile builds, compared on canonical JSON.
 func TestFoldMatchesBatch(t *testing.T) {
-	for _, app := range []string{"cactus", "gtc", "amr"} {
+	for _, app := range append(apps.Names(), "amr") {
 		t.Run(app, func(t *testing.T) {
 			p, err := apps.ProfileRun(app, apps.Config{Procs: 16, Steps: 4})
 			if err != nil {
 				t.Fatalf("profile: %v", err)
 			}
-			s := foldAll(t, p)
+			s := replay(t, p)
 
-			wantWs, err := Windows(p, "step", 0)
-			if err != nil {
-				t.Fatalf("batch windows: %v", err)
-			}
-			wantJSON, err := json.Marshal(wantWs)
+			wantJSON, err := json.Marshal(stepWindows(t, p))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -74,6 +86,23 @@ func TestFoldMatchesBatch(t *testing.T) {
 				t.Fatalf("folded steady graph differs from FromProfile")
 			}
 		})
+	}
+}
+
+// TestReplayRefusesMalformedProfiles: a profile with no ranks to fold
+// over, or with a rank outside its proc count, is an error, not a stream.
+func TestReplayRefusesMalformedProfiles(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		p    *ipm.Profile
+		want string
+	}{
+		{"no procs", &ipm.Profile{App: "x"}, "non-positive proc count 0"},
+		{"rank out of range", &ipm.Profile{App: "x", Procs: 4, Ranks: []ipm.RankProfile{{Rank: 7}}}, "rank 7 out of range"},
+	} {
+		if s, err := Replay(tc.p, "step", 0); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: replay %v, error %v; want one naming %q", tc.name, s, err, tc.want)
+		}
 	}
 }
 
@@ -276,10 +305,11 @@ func TestDetectorHysteresis(t *testing.T) {
 		synthWindow(t, "step004", procs, []int{7, 9, 13, 15}), // matches phase aggregate: re-arms
 		synthWindow(t, "step005", procs, []int{4, 5}),         // jump: boundary
 	}
-	phases, err := DetectPhases(procs, ws, 0)
-	if err != nil {
-		t.Fatal(err)
+	var d detector
+	for k, w := range ws {
+		d, _, _ = d.step(k, w.Graph, topology.DefaultCutoff)
 	}
+	phases := d.phases(len(ws))
 	if len(phases) != 3 {
 		t.Fatalf("got %d phases, want 3: %+v", len(phases), phases)
 	}
@@ -296,24 +326,22 @@ func TestDetectorHysteresis(t *testing.T) {
 	}
 }
 
-// TestStreamFoldMatchesDetectPhases holds the two drivers of the phase
-// automaton to each other: folding window deltas one at a time yields the
-// phase list DetectPhases computes over the full slice.
-func TestStreamFoldMatchesDetectPhases(t *testing.T) {
+// TestReplayPhasesMatchDetector holds a replay's phases to the automaton
+// driven directly over the batch windows: folding the run's deltas one at
+// a time yields the phase list the detector's steps compute over windows
+// built region by region.
+func TestReplayPhasesMatchDetector(t *testing.T) {
 	p, err := apps.ProfileRun("amr", apps.Config{Procs: 32, Steps: 8})
 	if err != nil {
 		t.Fatalf("profile: %v", err)
 	}
-	s := foldAll(t, p)
-	ws, err := Windows(p, "step", 0)
-	if err != nil {
-		t.Fatal(err)
+	ws := stepWindows(t, p)
+	var d detector
+	for k, w := range ws {
+		d, _, _ = d.step(k, w.Graph, topology.DefaultCutoff)
 	}
-	want, err := DetectPhases(p.Procs, ws, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := s.Phases()
+	want := d.phases(len(ws))
+	got := replay(t, p).Phases()
 	wj, _ := json.Marshal(want)
 	gj, _ := json.Marshal(got)
 	if !bytes.Equal(wj, gj) {
@@ -336,7 +364,7 @@ func TestAMRPhasesPinned(t *testing.T) {
 	type phase struct{ start, end, edges int }
 	want := []phase{{0, 2, 352}, {2, 4, 400}, {4, 6, 400}, {6, 8, 304}}
 	var got []phase
-	for _, ph := range foldAll(t, p).Phases() {
+	for _, ph := range replay(t, p).Phases() {
 		got = append(got, phase{ph.Start, ph.End, ph.Graph.EdgeCount()})
 	}
 	if !slices.Equal(got, want) {
@@ -392,7 +420,7 @@ func TestPhaseDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("profile: %v", err)
 		}
-		s := foldAll(t, p)
+		s := replay(t, p)
 		blob, err := json.Marshal(struct {
 			Windows []Window
 			Steady  *topology.Graph
@@ -418,7 +446,7 @@ func TestPhaseDeterminism(t *testing.T) {
 // three-digit padding ends and sorted names stop being program order
 // ("step1000" < "step101"): SplitDeltas must cut the run into deltas whose
 // step windows come in program order, so that the stream folds, and the
-// batch windows must come out step by step.
+// folded windows must come out step by step.
 func TestLongRunKeepsProgramOrder(t *testing.T) {
 	const steps = 1002
 	cfg := apps.Config{Procs: 8, Steps: steps}
@@ -454,17 +482,9 @@ func TestLongRunKeepsProgramOrder(t *testing.T) {
 	if step != steps || len(s.Windows) != steps {
 		t.Fatalf("split %d step windows and folded %d, want %d", step, len(s.Windows), steps)
 	}
-
-	ws, err := Windows(p, "step", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ws) != steps {
-		t.Fatalf("batch extracted %d windows, want %d", len(ws), steps)
-	}
-	for i, w := range ws {
+	for i, w := range s.Windows {
 		if want := fmt.Sprintf("step%03d", i); w.Region != want {
-			t.Fatalf("batch window %d is %q, want %q", i, w.Region, want)
+			t.Fatalf("folded window %d is %q, want %q", i, w.Region, want)
 		}
 	}
 }

@@ -7,10 +7,7 @@ package trace
 
 import (
 	"fmt"
-	"slices"
-	"strings"
 
-	"github.com/hfast-sim/hfast/internal/ipm"
 	"github.com/hfast-sim/hfast/internal/topology"
 )
 
@@ -23,36 +20,6 @@ type Window struct {
 	Graph *topology.Graph
 	// Stats is the TDC at the analysis cutoff.
 	Stats topology.TDCStats
-}
-
-// Windows extracts per-step windows from a profile, in program order
-// (ipm.CompareRegions). Only regions with the given prefix ("step" for the skeletons'
-// steady state) are included. A malformed profile (bad rank count or
-// out-of-range peers) yields an error.
-func Windows(p *ipm.Profile, prefix string, cutoff int) ([]Window, error) {
-	if cutoff == 0 {
-		cutoff = topology.DefaultCutoff
-	}
-	names := map[string]bool{}
-	p.Visit(ipm.AllRegions, func(_ int, e ipm.Entry) {
-		if strings.HasPrefix(e.Key.Region, prefix) {
-			names[e.Key.Region] = true
-		}
-	})
-	ordered := make([]string, 0, len(names))
-	for n := range names {
-		ordered = append(ordered, n)
-	}
-	slices.SortFunc(ordered, ipm.CompareRegions)
-	out := make([]Window, 0, len(ordered))
-	for _, name := range ordered {
-		g, err := topology.FromProfile(p, ipm.Region(name))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Window{Region: name, Graph: g, Stats: g.Stats(cutoff)})
-	}
-	return out, nil
 }
 
 // Churn measures how much the thresholded partner-set changes between two
@@ -120,8 +87,7 @@ type Opportunity struct {
 }
 
 // AnalyzeWindows computes the reconfiguration opportunity from a run's
-// extracted windows (e.g. a cached pipeline artifact), so the expensive
-// per-region graph builds are not repeated per analysis. The
+// folded windows (StreamState.Opportunity memoizes it per snapshot). The
 // windows carry their own rank count (each Graph.P); procs is the
 // caller's idea of the run size, and a mismatch is an error rather than
 // a silently wrong union graph.

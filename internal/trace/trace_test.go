@@ -45,11 +45,7 @@ func stepName(s int) string {
 }
 
 func TestWindowsExtraction(t *testing.T) {
-	p := phasedProfile(t)
-	ws, err := Windows(p, "step", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ws := replay(t, phasedProfile(t)).Windows
 	if len(ws) != 4 {
 		t.Fatalf("got %d windows, want 4", len(ws))
 	}
@@ -65,11 +61,7 @@ func TestWindowsExtraction(t *testing.T) {
 }
 
 func TestChurn(t *testing.T) {
-	p := phasedProfile(t)
-	ws, err := Windows(p, "step", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ws := replay(t, phasedProfile(t)).Windows
 	if c := Churn(ws[0].Graph, ws[1].Graph, 0); c != 0 {
 		t.Errorf("same-phase churn %d, want 0", c)
 	}
@@ -82,11 +74,7 @@ func TestChurn(t *testing.T) {
 // analyze computes a profile's opportunity over its "step" windows.
 func analyze(t *testing.T, p *ipm.Profile) Opportunity {
 	t.Helper()
-	ws, err := Windows(p, "step", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	op, err := AnalyzeWindows(p.Procs, ws, 0)
+	op, err := replay(t, p).Opportunity()
 	if err != nil {
 		t.Fatal(err)
 	}
