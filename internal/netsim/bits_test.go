@@ -1,9 +1,11 @@
 package netsim
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"os"
@@ -14,9 +16,16 @@ import (
 	"github.com/hfast-sim/hfast/internal/apps"
 )
 
-var updateBits = flag.Bool("update", false, "rewrite testdata/engine_bits.json from this build's results")
+var updateBits = flag.Bool("update", false, "rewrite testdata/engine_bits.json and engine_counts.json from this build's results")
 
-const engineBitsPath = "testdata/engine_bits.json"
+// engineBitsPath pins what each replay returns, engineCountsPath what it
+// did to get there: its Result.Stats, exact work counts that hold at any
+// GOMAXPROCS, so a change that claims less work shows it as a diff of
+// the file.
+const (
+	engineBitsPath   = "testdata/engine_bits.json"
+	engineCountsPath = "testdata/engine_counts.json"
+)
 
 // resultBits is the hash bench/netsim.go pins its replays with — FNV-1a
 // over every flow's finish bits and routed flag — extended over the
@@ -117,15 +126,16 @@ func engineGrid() []engineRow {
 // the reference whole-network water-filling solver to parityTol. The
 // bits catch a float operation that moved, which 1e-9 would allow; the
 // reference catches a wrong answer, which a regenerated file would
-// bless. Every case is a pure function of the problem, so the file must
-// hold at any GOMAXPROCS.
+// bless. The same runs pin each case's Result.Stats in a second file.
+// Every case is a pure function of the problem, so both files must hold
+// at any GOMAXPROCS.
 func TestEngineBitsGolden(t *testing.T) {
 	quick := os.Getenv("HFAST_TEST_QUICK") != ""
 	if *updateBits && (quick || os.Getenv("HFAST_TEST_ULTRA") != "") {
 		t.Fatal("-update needs the default grid: unset HFAST_TEST_QUICK and HFAST_TEST_ULTRA")
 	}
-	got := map[string]string{}
-	record := func(key string, res *Result) { got[key] = resultBits(res) }
+	got, counts := map[string]string{}, map[string]Stats{}
+	record := func(key string, res *Result) { got[key], counts[key] = resultBits(res), res.Stats }
 
 	for _, row := range engineGrid() {
 		t.Run(fmt.Sprintf("%s/P%d", row.app, row.procs), func(t *testing.T) {
@@ -198,29 +208,61 @@ func TestEngineBitsGolden(t *testing.T) {
 	}
 
 	if *updateBits {
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(engineBitsPath, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
+		writeGolden(t, engineBitsPath, got)
+		writeGolden(t, engineCountsPath, counts)
 		return
 	}
-	data, err := os.ReadFile(engineBitsPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want map[string]string
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("%s: %v", engineBitsPath, err)
-	}
-	if !quick && len(got) != len(want) {
-		t.Errorf("%d cases run, %d pinned", len(got), len(want))
+	want, wantCounts := readGolden[string](t, engineBitsPath), readGolden[Stats](t, engineCountsPath)
+	if !quick && (len(got) != len(want) || len(counts) != len(wantCounts)) {
+		t.Errorf("%d cases run, %d pinned bits, %d pinned counts", len(got), len(want), len(wantCounts))
 	}
 	for key, bits := range got {
 		if want[key] != bits {
 			t.Errorf("%s: result bits %s, pinned %s", key, bits, want[key])
 		}
+		if c, ok := wantCounts[key]; !ok || c != counts[key] {
+			t.Errorf("%s: work counts %+v, pinned %+v", key, counts[key], c)
+		}
 	}
+}
+
+// writeGolden writes m as a JSON object of one sorted key per line, so a
+// diff of the file reads row by row. For string values these are the
+// bytes json.MarshalIndent writes.
+func writeGolden[V any](t *testing.T, path string, m map[string]V) {
+	t.Helper()
+	var b bytes.Buffer
+	b.WriteString("{\n")
+	for i, key := range slices.Sorted(maps.Keys(m)) {
+		k, err := json.Marshal(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := json.Marshal(m[key])
+		if err != nil {
+			t.Fatal(err)
+		}
+		sep := ",\n"
+		if i == len(m)-1 {
+			sep = "\n"
+		}
+		fmt.Fprintf(&b, "  %s: %s%s", k, v, sep)
+	}
+	b.WriteString("}\n")
+	if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func readGolden[V any](t *testing.T, path string) map[string]V {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]V
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return m
 }
