@@ -151,11 +151,7 @@ var knobsAllowed = map[string]string{
 	"internal/netsim.satSlack":          "numerical tolerance of the saturation verdict; engine_bits.json pins it",
 	"internal/netsim.rateBand":          "numerical tolerance of the bottleneck rate band; engine_bits.json pins it",
 
-	"internal/mpi.tagBarrier": "protocol tag namespace, not tuning",
-	"internal/mpi.tagBcast":   "protocol tag namespace, not tuning",
-	"internal/mpi.tagReduce":  "protocol tag namespace, not tuning",
-	"internal/mpi.tagGather":  "protocol tag namespace, not tuning",
-	"internal/mpi.tagRing":    "protocol tag namespace, not tuning",
+	"internal/mpi.ready": "protocol mark a meeting passes when its result is there, the bit above every round's; not tuning",
 
 	"internal/apps.pmemdDecay":          "model parameter of pmemd's distance falloff; the profile goldens pin it",
 	"internal/analysis.fullFraction":    "model threshold of the §2.5 case iv test; -t cases pins it",

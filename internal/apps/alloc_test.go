@@ -13,22 +13,21 @@ import (
 // allocate, in KB: the mpi runtime's own bytes (handles, envelopes,
 // mailboxes, coroutines, communicators) with no collector installed. Each
 // ceiling is 1.1× the bytes measured when it was set (Go 1.24, linux/amd64),
-// when Waitall's statuses became the rank's, Split came to keep only its
-// own color and reductions came to combine from the wire.
+// when collectives came to meet in memory instead of exchanging messages.
 var runBudgetKB = []struct {
 	app   string
 	procs int
 	kb    uint64
 }{
-	{"cactus", 64, 244},
-	{"lbmhd", 64, 133},
-	{"gtc", 64, 609},
-	{"superlu", 64, 101},
-	{"pmemd", 64, 2946},
-	{"paratec", 64, 5632},
-	{"cactus", 256, 1002},
-	{"lbmhd", 256, 536},
-	{"gtc", 256, 3520},
+	{"cactus", 64, 241},
+	{"lbmhd", 64, 129},
+	{"gtc", 64, 526},
+	{"superlu", 64, 94},
+	{"pmemd", 64, 2791},
+	{"paratec", 64, 5620},
+	{"cactus", 256, 983},
+	{"lbmhd", 256, 517},
+	{"gtc", 256, 2264},
 }
 
 // TestRunAllocBudget holds each untraced world of provision_cold's nine

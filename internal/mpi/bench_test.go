@@ -76,9 +76,9 @@ func BenchmarkHaloExchange(b *testing.B) {
 	}
 }
 
-// BenchmarkAllreduce8 exercises the collective context churn: every call
-// allocates a fresh matching context, so the mailbox index must create
-// and retire per-context queues without leaking them.
+// BenchmarkAllreduce8 exercises the meeting churn: every call opens a
+// meeting, and the last rank to leave must put it back on the world's free
+// list, so a steady loop allocates only the results.
 func BenchmarkAllreduce8(b *testing.B) {
 	const ranks = 8
 	w := NewWorld(ranks, WithTimeout(time.Minute), WithCostModel(DefaultCostModel()))

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"cmp"
-	"encoding/binary"
 	"fmt"
 	"slices"
 )
@@ -92,15 +91,12 @@ func (c *Comm) Region() string { return c.region }
 
 // --- point-to-point operations ---
 
-// sendRaw enqueues b at dst (a comm rank) without tracing or a request:
-// internal collective traffic, always eager.
-func (c *Comm) sendRaw(dst int, tag Tag, ctx int64, b Buf) { c.send(dst, tag, ctx, b, nil) }
-
-// send enqueues b at dst. ack, when not nil, is the send's own request:
-// above the eager limit it travels with the envelope and the matching
-// receive completes it (rendezvous), otherwise it is complete on return.
-func (c *Comm) send(dst int, tag Tag, ctx int64, b Buf, ack *Request) {
-	c.checkRank(dst)
+// startSend enqueues b at comm rank dst and returns the send's request.
+// Above the eager limit the request travels with the envelope and the
+// matching receive completes it (rendezvous); otherwise it is complete on
+// return.
+func (c *Comm) startSend(dst int, tag Tag, b Buf) *Request {
+	req := c.newRequest(opSend, c.WorldRank(dst), tag)
 	if b.Data != nil && len(b.Data) != b.N {
 		// Asserts a programmer error: a hand-built Buf (Size and Data cannot disagree).
 		panic(fmt.Sprintf("mpi: buffer claims %d bytes but carries %d", b.N, len(b.Data)))
@@ -110,25 +106,18 @@ func (c *Comm) send(dst int, tag Tag, ctx int64, b Buf, ack *Request) {
 	if cm := c.world.cost; cm != nil {
 		env.arrival = cm.ptpArrival(c.rs.clock, b.N)
 	}
-	if lim := c.world.eagerLimit; ack != nil && lim > 0 && b.N > lim {
-		env.ack = ack
-	} else if ack != nil {
-		ack.complete(Status{Source: env.src, Tag: tag, N: b.N})
+	if lim := c.world.eagerLimit; lim > 0 && b.N > lim {
+		env.ack = req
+	} else {
+		req.complete(Status{Source: env.src, Tag: tag, N: b.N})
 	}
-	c.world.deliver(c.group[dst], ctx, env)
-}
-
-// startSend starts a user-level send to comm rank dst and returns its
-// request, already complete unless the message goes by rendezvous.
-func (c *Comm) startSend(dst int, tag Tag, b Buf) *Request {
-	req := c.newRequest(opSend, c.WorldRank(dst), tag, ptpCtx(c.id))
-	c.send(dst, tag, req.ctx, b, req)
+	c.world.deliver(c.group[dst], c.id, env)
 	return req
 }
 
 // completed returns an already complete request, for operations on ProcNull.
 func (c *Comm) completed() *Request {
-	req := c.newRequest(opSend, ProcNull, AnyTag, ptpCtx(c.id)) // not a receive: the null status passes through Wait unchanged
+	req := c.newRequest(opSend, ProcNull, AnyTag) // not a receive: the null status passes through Wait unchanged
 	req.complete(nullStatus())
 	return req
 }
@@ -143,15 +132,10 @@ func (c *Comm) worldSrcOf(src int) int {
 }
 
 // recvRaw posts a receive without tracing and returns its request.
-func (c *Comm) recvRaw(src int, tag Tag, ctx int64) *Request {
-	req := c.newRequest(opRecv, c.worldSrcOf(src), tag, ctx)
+func (c *Comm) recvRaw(src int, tag Tag) *Request {
+	req := c.newRequest(opRecv, c.worldSrcOf(src), tag)
 	c.world.post(c.group[c.rank], req)
 	return req
-}
-
-// recvWait posts an internal receive and blocks for its status.
-func (c *Comm) recvWait(src int, tag Tag, ctx int64) Status {
-	return c.waitFree(c.recvRaw(src, tag, ctx))
 }
 
 // statusToComm rewrites a status' world source rank into comm rank space.
@@ -188,7 +172,7 @@ func (c *Comm) Recv(src int, tag Tag) Status {
 		c.trace(CallRecv, NoPeer, 0)
 		return nullStatus()
 	}
-	st := c.recvWait(src, tag, ptpCtx(c.id))
+	st := c.waitFree(c.recvRaw(src, tag))
 	c.observeArrival(st.VTime)
 	c.advance(0)
 	c.trace(CallRecv, c.peerWorldOrAny(src), 0)
@@ -215,7 +199,7 @@ func (c *Comm) Irecv(src int, tag Tag) *Request {
 		c.trace(CallIrecv, NoPeer, 0)
 		return c.completed()
 	}
-	req := c.recvRaw(src, tag, ptpCtx(c.id))
+	req := c.recvRaw(src, tag)
 	c.advance(0)
 	c.trace(CallIrecv, c.peerWorldOrAny(src), 0)
 	return req
@@ -234,7 +218,7 @@ func (c *Comm) Sendrecv(dst int, stag Tag, sb Buf, src int, rtag Tag) Status {
 	if !isNull(src) {
 		// Posted before the send can block, so pairwise exchanges are
 		// safe under rendezvous.
-		recv = c.recvRaw(src, rtag, ptpCtx(c.id))
+		recv = c.recvRaw(src, rtag)
 	}
 	if !isNull(dst) {
 		c.waitFree(c.startSend(dst, stag, sb))
@@ -313,59 +297,51 @@ func (c *Comm) peerWorldOrAny(src int) int {
 
 // --- communicator management ---
 
-// splitMember is a rank of the caller's color, as Split orders them.
-type splitMember struct {
-	key, rank int
-}
-
-// splitMembers allgathers (color, key) across the communicator inside ctx
-// and returns the ranks of the caller's color ordered by (key, parent
-// rank). It reads each 16-byte piece as the ring passes it on and keeps
-// only the matches, so what a rank holds grows with its group, not with c.
-func (c *Comm) splitMembers(ctx int64, color, key int) []splitMember {
-	members := []splitMember{{key, c.rank}}
-	c.ring(ctx, Data(encodeInts([]int{color, key})), func(src int, piece Buf) {
-		if len(piece.Data) != 16 {
-			// Asserts a programmer error: ranks entered different collectives.
-			panic(fmt.Sprintf("mpi: allgather length mismatch: %d != %d", len(piece.Data)/8, 2))
-		}
-		if int(int64(binary.LittleEndian.Uint64(piece.Data))) == color {
-			members = append(members, splitMember{int(int64(binary.LittleEndian.Uint64(piece.Data[8:]))), src})
-		}
-	})
-	slices.SortFunc(members, func(a, b splitMember) int {
-		return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.rank, b.rank))
-	})
-	return members
-}
-
 // Split partitions the communicator: ranks supplying the same color form a
 // new communicator, ordered by (key, parent rank). Every rank of c must
 // call Split. A negative color returns nil for that rank (MPI_UNDEFINED).
+//
+// The members meet untraced, like the bookkeeping inside a real
+// MPI_Comm_split. The last to arrive sorts them all by (color, key, rank)
+// once and wakes the rest, and each takes the run of its own color, so what
+// a rank keeps grows with its group, not with c.
 func (c *Comm) Split(color, key int) *Comm {
 	seq := c.splitSeq
 	c.splitSeq++
-	// Allgather (color, key) across the parent communicator using the
-	// internal collective machinery; untraced, like the bookkeeping inside
-	// a real MPI_Comm_split.
-	members := c.splitMembers(c.collCtx(), color, key)
+	m := c.meet(callSplit)
+	if m.arrived == 1 {
+		m.members = m.members[:0]
+	}
+	m.members = append(m.members, [3]int{color, key, c.rank})
+	if m.arrived == len(m.parked) {
+		slices.SortFunc(m.members, func(a, b [3]int) int { return slices.Compare(a[:], b[:]) })
+		for r := range m.parked {
+			m.signal(r, ready)
+		}
+	}
+	c.expect(m, ready)
+	defer c.world.leave(m)
 	if color < 0 {
 		return nil
 	}
-	group := make([]int, len(members))
-	w2c := make(map[int]int, len(members))
+	lo, _ := slices.BinarySearchFunc(m.members, color, func(e [3]int, color int) int { return cmp.Compare(e[0], color) })
+	hi := lo
+	for hi < len(m.members) && m.members[hi][0] == color {
+		hi++
+	}
+	group := make([]int, hi-lo)
+	w2c := make(map[int]int, len(group))
 	myRank := -1
-	for i, m := range members {
-		group[i] = c.group[m.rank]
+	for i, mb := range m.members[lo:hi] {
+		group[i] = c.group[mb[2]]
 		w2c[group[i]] = i
-		if m.rank == c.rank {
+		if mb[2] == c.rank {
 			myRank = i
 		}
 	}
-	id := c.world.commID(c.id, seq, color)
 	return &Comm{
 		world:  c.world,
-		id:     id,
+		id:     c.world.commID(c.id, seq, color),
 		group:  group,
 		w2c:    w2c,
 		rank:   myRank,

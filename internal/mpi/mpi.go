@@ -41,8 +41,9 @@
 //     Waitall's statuses belong to the rank until its next Waitall, so a
 //     steady-state exchange loop allocates nothing, under Wait or Waitall.
 //   - Collectives must be called by every rank of a communicator in the
-//     same order; they are internally implemented over a reserved context
-//     namespace so they can never match user point-to-point traffic.
+//     same order. They send no messages, so they never match user traffic:
+//     the ranks of one call meet in memory, and ranks that enter different
+//     collectives at one place in that order panic.
 //   - A world in which no rank can run again returns ErrDeadlock at once,
 //     naming what each rank waits on.
 //
@@ -53,11 +54,7 @@
 // error naming the rank and unwinds the others: none is a process death.
 package mpi
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Tag identifies a point-to-point message class within a communicator.
 type Tag int
@@ -117,32 +114,26 @@ const (
 	OpProd
 )
 
-// apply combines src, a vector as it travels on the wire (little-endian
-// float64 bits, as encodeFloats writes it), into dst element by element.
-func (op Op) apply(dst []float64, src []byte) {
-	if len(src) != 8*len(dst) {
-		// Asserts a programmer error: ranks reduced vectors of different lengths.
-		panic(fmt.Sprintf("mpi: reduction length mismatch %d != %d", len(dst), len(src)/8))
-	}
-	at := func(i int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:])) }
+// apply combines src into dst element by element; the two are as long.
+func (op Op) apply(dst, src []float64) {
 	switch op {
 	case OpSum:
-		for i := range dst {
-			dst[i] += at(i)
+		for i, v := range src {
+			dst[i] += v
 		}
 	case OpProd:
-		for i := range dst {
-			dst[i] *= at(i)
+		for i, v := range src {
+			dst[i] *= v
 		}
 	case OpMax:
-		for i := range dst {
-			if v := at(i); v > dst[i] {
+		for i, v := range src {
+			if v > dst[i] {
 				dst[i] = v
 			}
 		}
 	case OpMin:
-		for i := range dst {
-			if v := at(i); v < dst[i] {
+		for i, v := range src {
+			if v < dst[i] {
 				dst[i] = v
 			}
 		}

@@ -266,8 +266,9 @@ func TestDeadlockIsDetected(t *testing.T) {
 		t.Errorf("deadlock error %q names rank 1, which finished", err)
 	}
 
-	// A receive inside a collective is named too, and a context that can
-	// be cancelled but is not changes nothing.
+	// A rank parked in a collective is named too, with its communicator
+	// and how many members arrived, and a context that can be cancelled but
+	// is not changes nothing.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	err = NewWorld(2, WithTimeout(testTimeout)).RunContext(ctx, func(c *Comm) {
@@ -275,7 +276,7 @@ func TestDeadlockIsDetected(t *testing.T) {
 			c.Dup().Barrier()
 		}
 	})
-	for _, want := range []string{"rank 1 waits on recv(peer 0, ", "inside collective 1)"} {
+	for _, want := range []string{"rank 1 waits in MPI_Comm_split(comm 0, ", "inside collective 1, 1 of 2 arrived)"} {
 		if !errors.Is(err, ErrDeadlock) || !strings.Contains(err.Error(), want) {
 			t.Errorf("deadlock error %q does not say %q", err, want)
 		}

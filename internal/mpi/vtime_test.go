@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"testing"
@@ -178,13 +179,13 @@ func TestSendrecvFromProcNullObservesArrival(t *testing.T) {
 			c.Recv(1, 2)
 			t0 := c.VirtualTime()
 			c.Sendrecv(0, 1, Size(size), ProcNull, 1)
-			c.Send(0, 3, Data(encodeFloats([]float64{t0})))
+			c.Send(0, 3, Data(binary.LittleEndian.AppendUint64(nil, math.Float64bits(t0))))
 			return
 		}
 		before := c.VirtualTime()
 		st := c.Sendrecv(ProcNull, 1, Size(size), 1, 1)
 		after := c.VirtualTime()
-		sentAt := decodeFloats(c.Recv(1, 3).Data)[0]
+		sentAt := math.Float64frombits(binary.LittleEndian.Uint64(c.Recv(1, 3).Data))
 		if want := sentAt + m.Latency + m.transfer(size); st.N != size || st.VTime < want || after < want {
 			panic(fmt.Sprintf("Sendrecv(ProcNull, …, 1, …): status %+v, clock %g → %g, want both ≥ %g", st, before, after, want))
 		}

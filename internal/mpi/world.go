@@ -13,17 +13,6 @@ import (
 	"time"
 )
 
-// ptpCtx returns the matching context of ordinary point-to-point traffic
-// on a communicator: the comm id shifted past the sequence bits collective
-// contexts use (collectives always have a nonzero sequence, so the two
-// namespaces never collide).
-func ptpCtx(commID int) int64 { return int64(commID) << 32 }
-
-// isPtpCtx reports whether a context is a communicator's long-lived
-// point-to-point context (zero sequence bits) rather than a one-shot
-// collective context.
-func isPtpCtx(ctx int64) bool { return ctx&0xffffffff == 0 }
-
 // envelope is one in-flight message. The world owns envelopes from send to
 // match and recycles them on a free list.
 type envelope struct {
@@ -69,14 +58,12 @@ func (e *envelope) matches(src int, tag Tag) bool {
 }
 
 // ctxQueue holds the unmatched envelopes and pending receives (requests
-// carry their own source and tag) of one matching context, each in arrival
-// order. Splitting the mailbox by context keeps every scan to the messages
-// that could legally match — for collective-heavy workloads the queues are
-// a handful of entries deep.
+// carry their own source and tag) of one communicator, its matching
+// context, each in arrival order. Splitting the mailbox by communicator
+// keeps every scan to the messages that could legally match.
 type ctxQueue struct {
 	unexpected []*envelope
 	posted     []*Request
-	next       *ctxQueue // links the mailbox's retired queues
 }
 
 // find returns the index of the unexpected envelope a receive of (src, tag)
@@ -104,35 +91,17 @@ func (q *ctxQueue) find(src int, tag Tag) int {
 	return best
 }
 
-// mailbox holds a rank's matching state, indexed by context.
-type mailbox struct {
-	ctxs map[int64]*ctxQueue
-	free *ctxQueue // retired queues, kept warm for later collectives
-}
+// mailbox holds a rank's matching state, a queue per communicator id.
+type mailbox map[int]*ctxQueue
 
-// queue returns the context's queue, creating it if needed.
-func (mb *mailbox) queue(ctx int64) *ctxQueue {
-	if q, ok := mb.ctxs[ctx]; ok {
-		return q
-	}
-	q := mb.free
+// queue returns the communicator's queue, creating it if needed.
+func (mb mailbox) queue(comm int) *ctxQueue {
+	q := mb[comm]
 	if q == nil {
 		q = new(ctxQueue)
+		mb[comm] = q
 	}
-	mb.free = q.next // nil when q is new
-	mb.ctxs[ctx] = q
 	return q
-}
-
-// retire drops a drained collective context so the index does not grow
-// with every collective ever executed; the communicator's long-lived
-// point-to-point context stays resident.
-func (mb *mailbox) retire(ctx int64, q *ctxQueue) {
-	if isPtpCtx(ctx) || len(q.unexpected) != 0 || len(q.posted) != 0 {
-		return
-	}
-	delete(mb.ctxs, ctx)
-	q.next, mb.free = mb.free, q
 }
 
 // World is a fixed-size set of ranks that can communicate. Create one with
@@ -153,6 +122,9 @@ type World struct {
 	aborted atomic.Bool // set by Abort; the scheduler checks it between switches
 	ready   readyQueue  // runnable ranks, lowest (virtual clock, world rank) first
 	freeEnv *envelope
+
+	meetings map[int64]*meeting // open collective calls, by collCtx
+	freeMeet *meeting
 
 	commIDs  map[[3]int]int // (parent id, split sequence, color) -> id
 	nextComm int
@@ -185,9 +157,10 @@ func NewWorld(size int, opts ...Option) *World {
 		boxes:    make([]mailbox, size),
 		commIDs:  make(map[[3]int]int),
 		nextComm: 1, // id 0 is the world communicator
+		meetings: make(map[int64]*meeting),
 	}
 	for i := range w.boxes {
-		w.boxes[i].ctxs = make(map[int64]*ctxQueue)
+		w.boxes[i] = make(mailbox)
 	}
 	for _, opt := range opts {
 		opt(w)
@@ -204,8 +177,8 @@ var ErrTimeout = errors.New("mpi: world timed out")
 
 // ErrDeadlock is returned (wrapped, with what every unfinished rank waits
 // on) by Run as soon as no rank can run again: each is blocked on a
-// receive or a rendezvous send that only another blocked rank could
-// satisfy.
+// receive, a rendezvous send or a collective that only another blocked or
+// finished rank could satisfy.
 var ErrDeadlock = errors.New("mpi: deadlock")
 
 // abortSignal is the panic value a suspended rank unwinds with when the
@@ -306,7 +279,9 @@ func (w *World) RunContext(ctx context.Context, fn func(*Comm)) error {
 func describeBlocked(ranks []*rankState) string {
 	var parts []string
 	for _, rs := range ranks {
-		if rs.waiting != nil && rs.nwaiting > 1 {
+		if rs.meeting != nil {
+			parts = append(parts, fmt.Sprintf("rank %d waits in %v", rs.rank, rs.meeting))
+		} else if rs.waiting != nil && rs.nwaiting > 1 {
 			parts = append(parts, fmt.Sprintf("rank %d waits on %v (first of %d requests)", rs.rank, rs.waiting, rs.nwaiting))
 		} else if rs.waiting != nil {
 			parts = append(parts, fmt.Sprintf("rank %d waits on %v", rs.rank, rs.waiting))
@@ -318,13 +293,11 @@ func describeBlocked(ranks []*rankState) string {
 // deliver routes an envelope to the destination world rank, completing a
 // posted receive when one matches (the oldest: receives match in the order
 // they were posted), otherwise queueing it.
-func (w *World) deliver(dst int, ctx int64, env *envelope) {
-	mb := &w.boxes[dst]
-	q := mb.queue(ctx)
+func (w *World) deliver(dst, comm int, env *envelope) {
+	q := w.boxes[dst].queue(comm)
 	for i, p := range q.posted {
 		if env.matches(p.peer, p.tag) {
 			q.posted = slices.Delete(q.posted, i, i+1)
-			mb.retire(ctx, q)
 			w.match(env, p)
 			return
 		}
@@ -335,12 +308,10 @@ func (w *World) deliver(dst int, ctx int64, env *envelope) {
 // post registers a receive request for world rank dst: it completes at
 // once if an unexpected envelope matches, otherwise it queues.
 func (w *World) post(dst int, req *Request) {
-	mb := &w.boxes[dst]
-	q := mb.queue(req.ctx)
+	q := w.boxes[dst].queue(req.comm)
 	if i := q.find(req.peer, req.tag); i >= 0 {
 		env := q.unexpected[i]
 		q.unexpected = slices.Delete(q.unexpected, i, i+1)
-		mb.retire(req.ctx, q)
 		w.match(env, req)
 		return
 	}
@@ -375,9 +346,12 @@ type rankState struct {
 	yield func(struct{}) bool     // rank side: suspend; false means unwind
 
 	// While parked the rank waits on nwaiting requests, waiting the first
-	// (nil when it is not parked); complete makes it runnable again.
+	// (nil when it is not parked); complete makes it runnable again. Or it
+	// waits in a collective's meeting for mark, until a member signals it.
 	waiting  *Request
 	nwaiting int
+	meeting  *meeting
+	mark     uint64
 }
 
 // suspend hands control to the scheduler until it resumes this rank, or
@@ -426,7 +400,7 @@ type Request struct {
 	released bool    // consumed by the Wait family and not yet reissued
 	peer     int     // world rank of the partner, or AnySource; then Status.Source
 	tag      Tag     // or AnyTag; then Status.Tag
-	ctx      int64   // matching context
+	comm     int     // communicator id: the matching context
 	n        int     // Status.N, once done
 	data     []byte  // Status.Data, once done
 	vtime    float64 // Status.VTime, once done
@@ -445,24 +419,20 @@ const (
 
 // String describes the operation for ErrDeadlock.
 func (r *Request) String() string {
-	s := fmt.Sprintf("%s(peer %d, tag %d, comm %d", [...]string{"send", "recv"}[r.op], r.peer, r.tag, r.ctx>>32)
-	if !isPtpCtx(r.ctx) {
-		s += fmt.Sprintf(", inside collective %d", r.ctx&0xffffffff)
-	}
-	return s + ")"
+	return fmt.Sprintf("%s(peer %d, tag %d, comm %d)", [...]string{"send", "recv"}[r.op], r.peer, r.tag, r.comm)
 }
 
-// newRequest issues a request owned by c's rank, reusing a released
+// newRequest issues a request on c owned by c's rank, reusing a released
 // handle when there is one. Every request — user-facing or backing a
-// blocking call or a collective — comes from here.
-func (c *Comm) newRequest(op reqOp, peer int, tag Tag, ctx int64) *Request {
+// blocking call — comes from here.
+func (c *Comm) newRequest(op reqOp, peer int, tag Tag) *Request {
 	r := c.rs.free
 	if r == nil {
 		r = &Request{rs: c.rs}
 	} else {
 		c.rs.free = r.next
 	}
-	r.op, r.peer, r.tag, r.ctx = op, peer, tag, ctx
+	r.op, r.peer, r.tag, r.comm = op, peer, tag, c.id
 	r.next, r.done, r.released = nil, false, false
 	return r
 }
