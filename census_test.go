@@ -151,8 +151,6 @@ var knobsAllowed = map[string]string{
 	"internal/netsim.satSlack":          "numerical tolerance of the saturation verdict; engine_bits.json pins it",
 	"internal/netsim.rateBand":          "numerical tolerance of the bottleneck rate band; engine_bits.json pins it",
 
-	"internal/mpi.ready": "protocol mark a meeting passes when its result is there, the bit above every round's; not tuning",
-
 	"internal/apps.pmemdDecay":          "model parameter of pmemd's distance falloff; the profile goldens pin it",
 	"internal/analysis.fullFraction":    "model threshold of the §2.5 case iv test; -t cases pins it",
 	"internal/analysis.maxOverAvg":      "model threshold of the §2.5 case iii test; -t cases pins it",

@@ -10,10 +10,9 @@ import (
 // contributions there; a world runs one rank at a time, so a meeting needs
 // no lock. Nothing inside a collective is traced or timed (collAdvance
 // charges it in closed form), so a meeting decides only when each member
-// goes on. A rank marks the ranks it would have sent to (signal) and waits
-// for the marks it would have received (expect), so Barrier, Bcast and
-// Allreduce wake ranks in the order their message rounds did, which
-// AnySource and Waitany ranks observe.
+// goes on: a member that waits parks until the last arrives (await). The
+// AnySource and Waitany ranks of superlu and pmemd see that order in
+// Stat.Time; goldenWildcardSHA (internal/apps) pins it at P = 13, 48, 100.
 
 // collCtx names the meeting of the next collective call: the comm id and
 // the per-rank collective sequence number. Collectives must be invoked in
@@ -26,11 +25,6 @@ func (c *Comm) collCtx() int64 {
 // callSplit is what a Split's meeting records: Split is not a profiled call.
 const callSplit = numCalls
 
-// ready is the mark that the result is there for a member: from its parent
-// in a tree broadcast, from the last to arrive in Gather and Split. Lower
-// bits mark the rounds of a dissemination or a reduction.
-const ready uint64 = 1 << 63
-
 // meeting is one collective call's rendezvous. It goes back on its world's
 // free list once every member has left it, keeping its slices warm.
 type meeting struct {
@@ -39,7 +33,6 @@ type meeting struct {
 	arrived int          // members that have entered
 	left    int          // members that have left
 	parked  []*rankState // by comm rank: the member parked here, else nil
-	marks   []uint64     // by comm rank: the marks the member has been sent
 	buf     Buf          // Bcast: the root's buffer
 	bufs    []Buf        // Gather: the pieces by comm rank, handed to the root
 	vals    [][]float64  // Allreduce: the vectors by comm rank
@@ -74,8 +67,6 @@ func (c *Comm) meet(call Call) *meeting {
 		w.freeMeet, m.next = m.next, nil
 		m.key, m.call = key, call
 		m.parked = slices.Grow(m.parked[:0], n)[:n]
-		m.marks = slices.Grow(m.marks[:0], n)[:n]
-		clear(m.marks)
 		w.meetings[key] = m
 	case m.call != call:
 		// Asserts a programmer error: collectives are called in the same order on every rank.
@@ -96,34 +87,27 @@ func (w *World) leave(m *meeting) {
 	m.next, w.freeMeet = w.freeMeet, m
 }
 
-// signal sends mark to comm rank dst and, if dst is parked waiting for it,
-// makes dst runnable, as a message completes the receive it was posted for.
-func (m *meeting) signal(dst int, mark uint64) {
-	m.marks[dst] |= mark
-	if rs := m.parked[dst]; rs != nil && rs.mark == mark {
-		m.parked[dst], rs.meeting = nil, nil
-		heap.Push(&rs.world.ready, rs)
-	}
-}
-
-// expect parks the caller until it has been sent mark.
-func (c *Comm) expect(m *meeting, mark uint64) {
-	if m.marks[c.rank]&mark == 0 {
-		m.parked[c.rank], c.rs.meeting, c.rs.mark = c.rs, m, mark
+// await parks the caller in m until every member has entered it. The last
+// to arrive does not park: it makes every parked member runnable and goes
+// on, and the scheduler resumes them by (virtual clock, world rank).
+func (c *Comm) await(m *meeting) {
+	if m.arrived < len(m.parked) {
+		m.parked[c.rank], c.rs.meeting = c.rs, m
 		c.rs.suspend()
+		return
+	}
+	for r, rs := range m.parked {
+		if rs != nil {
+			m.parked[r], rs.meeting = nil, nil
+			heap.Push(&c.world.ready, rs)
+		}
 	}
 }
 
-// Barrier blocks until every rank of the communicator has entered it. The
-// members run a dissemination exchange: in round k each marks the rank 2^k
-// ahead of it and waits for the mark of the rank 2^k behind.
+// Barrier blocks until every rank of the communicator has entered it.
 func (c *Comm) Barrier() {
 	m := c.meet(CallBarrier)
-	n := len(m.parked)
-	for k, d := 0, 1; d < n; k, d = k+1, 2*d {
-		m.signal((c.rank+d)%n, 1<<k)
-		c.expect(m, 1<<k)
-	}
+	c.await(m)
 	c.world.leave(m)
 	c.collAdvance(CallBarrier, 0)
 	c.trace(CallBarrier, NoPeer, 0)
@@ -137,38 +121,16 @@ func (c *Comm) Bcast(root int, b *Buf) {
 	if c.rank == root {
 		m.buf = *b
 	}
-	c.descend(m, root)
+	c.await(m)
 	*b = m.buf
 	c.world.leave(m)
 	c.collAdvance(CallBcast, b.N)
 	c.trace(CallBcast, c.group[root], b.N)
 }
 
-// descend passes what the root holds down a binomial tree: a rank other
-// than the root waits for its parent's mark, then marks its children,
-// largest subtree first.
-func (c *Comm) descend(m *meeting, root int) {
-	n := len(m.parked)
-	rel := (c.rank - root + n) % n
-	mask := 1
-	for mask < n && rel&mask == 0 {
-		mask <<= 1
-	}
-	if mask < n {
-		c.expect(m, ready)
-	}
-	for mask >>= 1; mask > 0; mask >>= 1 {
-		if rel+mask < n {
-			m.signal((rel+mask+root)%n, ready)
-		}
-	}
-}
-
 // Allreduce combines vals element-wise across ranks with op and returns
 // the result on every rank, in a slice of its own. The last member to
-// arrive folds every vector; then each waits for its children in the
-// binomial tree rooted at comm rank 0, nearest first, and marks its parent,
-// and rank 0 passes the result back down.
+// arrive folds every vector.
 func (c *Comm) Allreduce(vals []float64, op Op) []float64 {
 	m := c.meet(CallAllreduce)
 	n := len(m.parked)
@@ -179,16 +141,7 @@ func (c *Comm) Allreduce(vals []float64, op Op) []float64 {
 	if m.arrived == n {
 		m.reduce(op)
 	}
-	for k, mask := 0, 1; mask < n; k, mask = k+1, 2*mask {
-		if c.rank&mask != 0 {
-			m.signal(c.rank&^mask, 1<<k)
-			break
-		}
-		if c.rank|mask < n {
-			c.expect(m, 1<<k)
-		}
-	}
-	c.descend(m, 0)
+	c.await(m)
 	res := slices.Clone(m.acc[:len(vals)])
 	c.world.leave(m)
 	c.collAdvance(CallAllreduce, 8*len(vals))
@@ -220,7 +173,10 @@ func (m *meeting) reduce(op Op) {
 
 // Gather collects one buffer from every rank at root. Root receives a
 // slice indexed by comm rank (its own entry included); other ranks receive
-// nil. Only the root waits, for the last to arrive.
+// nil. Only the root waits, and the last to arrive releases it: another
+// member needs nothing from the rest, and parking it too made gtc's
+// profile run (half its calls are Gathers) a fifth to two fifths slower
+// at P=256.
 func (c *Comm) Gather(root int, b Buf) []Buf {
 	c.checkRank(root)
 	m := c.meet(CallGather)
@@ -228,13 +184,12 @@ func (c *Comm) Gather(root int, b Buf) []Buf {
 		m.bufs = make([]Buf, len(m.parked))
 	}
 	m.bufs[c.rank] = b
-	if m.arrived == len(m.parked) {
-		m.signal(root, ready)
+	if c.rank == root || m.arrived == len(m.parked) {
+		c.await(m)
 	}
 	var res []Buf
 	if c.rank == root {
-		c.expect(m, ready)
-		res, m.bufs = m.bufs, nil
+		res = m.bufs
 	}
 	c.world.leave(m)
 	c.collAdvance(CallGather, b.N)

@@ -178,6 +178,69 @@ func TestAllreduceTreeOrder(t *testing.T) {
 	}
 }
 
+// TestCollectivesReleaseAtLastArrival holds the release rule without a
+// clock: no member that waits leaves a collective before the last one has
+// entered it. Every member waits, except in Gather, where only the root
+// does. The ranks enter one by one, each after a receive from the rank
+// before it in a chain, first in rank order and then in reverse, and log
+// entering and leaving, one log per round; a world runs one rank at a
+// time, so each log is in world order.
+func TestCollectivesReleaseAtLastArrival(t *testing.T) {
+	everyone := func(int) bool { return true }
+	collectives := []struct {
+		name  string
+		call  func(c *Comm)
+		waits func(rank int) bool
+	}{
+		{"Barrier", func(c *Comm) { c.Barrier() }, everyone},
+		{"Bcast", func(c *Comm) { b := Size(8); c.Bcast(c.Size()/2, &b) }, everyone},
+		{"Allreduce", func(c *Comm) { c.Allreduce([]float64{1}, OpSum) }, everyone},
+		{"Gather", func(c *Comm) { c.Gather(0, Size(8)) }, func(rank int) bool { return rank == 0 }},
+		{"Split", func(c *Comm) { c.Split(0, c.Rank()) }, everyone},
+	}
+	type event struct {
+		rank  int
+		leave bool
+	}
+	for _, coll := range collectives {
+		for _, p := range []int{1, 2, 3, 13, 16} {
+			t.Run(fmt.Sprintf("%s/P=%d", coll.name, p), func(t *testing.T) {
+				var logs [2][]event // by round
+				run(t, p, func(c *Comm) {
+					for round, reverse := range []bool{false, true} {
+						pos, prev, next := c.Rank(), c.Rank()-1, c.Rank()+1
+						if reverse {
+							pos, prev, next = p-1-c.Rank(), c.Rank()+1, c.Rank()-1
+						}
+						if pos > 0 {
+							c.Recv(prev, 1)
+						}
+						if pos < p-1 {
+							c.Send(next, 1, Size(0))
+						}
+						logs[round] = append(logs[round], event{c.Rank(), false})
+						coll.call(c)
+						logs[round] = append(logs[round], event{c.Rank(), true})
+					}
+				})
+				for round, log := range logs {
+					lastEnter := -1
+					for i, e := range log {
+						if !e.leave {
+							lastEnter = i
+						}
+					}
+					if len(log) != 2*p {
+						t.Errorf("round %d: %d events, want %d: %v", round, len(log), 2*p, log)
+					} else if early := slices.IndexFunc(log[:lastEnter+1], func(e event) bool { return e.leave && coll.waits(e.rank) }); early >= 0 {
+						t.Errorf("round %d: rank %d left before the last member entered: %v", round, log[early].rank, log)
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestMismatchedCollectivesFail: ranks that enter different collectives at
 // one place in their order fail the run instead of pairing up.
 func TestMismatchedCollectivesFail(t *testing.T) {

@@ -315,11 +315,8 @@ func (c *Comm) Split(color, key int) *Comm {
 	m.members = append(m.members, [3]int{color, key, c.rank})
 	if m.arrived == len(m.parked) {
 		slices.SortFunc(m.members, func(a, b [3]int) int { return slices.Compare(a[:], b[:]) })
-		for r := range m.parked {
-			m.signal(r, ready)
-		}
 	}
-	c.expect(m, ready)
+	c.await(m)
 	defer c.world.leave(m)
 	if color < 0 {
 		return nil

@@ -347,11 +347,10 @@ type rankState struct {
 
 	// While parked the rank waits on nwaiting requests, waiting the first
 	// (nil when it is not parked); complete makes it runnable again. Or it
-	// waits in a collective's meeting for mark, until a member signals it.
+	// waits in a collective's meeting until the last member arrives.
 	waiting  *Request
 	nwaiting int
 	meeting  *meeting
-	mark     uint64
 }
 
 // suspend hands control to the scheduler until it resumes this rank, or

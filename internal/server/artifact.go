@@ -67,7 +67,11 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, cancel := s.requestContext(r, 0)
+	ctx, cancel, err := s.requestContext(r, 0)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, err.Error(), 0)
+		return
+	}
 	defer cancel()
 	v, how, err := s.pipe.Resolve(pipeline.LocalOnly(ctx), rec)
 	if err != nil {

@@ -236,23 +236,29 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // --- request plumbing ---
 
 // requestContext applies the per-request deadline: timeout_ms from the
-// query (or body, pre-parsed into ms) clamped to MaxTimeout, else the
-// server default.
-func (s *Server) requestContext(r *http.Request, bodyMS int64) (context.Context, context.CancelFunc) {
-	d := s.cfg.DefaultTimeout
+// query, else from the body (bodyMS), clamped to MaxTimeout; 0 or none
+// means the server default. A malformed or negative timeout_ms is an
+// error, which the caller answers with 400.
+func (s *Server) requestContext(r *http.Request, bodyMS int64) (context.Context, context.CancelFunc, error) {
 	ms := bodyMS
 	if q := r.URL.Query().Get("timeout_ms"); q != "" {
-		if v, err := strconv.ParseInt(q, 10, 64); err == nil {
-			ms = v
+		v, err := strconv.ParseInt(q, 10, 64)
+		if err != nil {
+			return nil, nil, fmt.Errorf("timeout_ms: %w", err)
 		}
+		ms = v
 	}
-	if ms > 0 {
+	d := s.cfg.DefaultTimeout
+	switch {
+	case ms < 0:
+		return nil, nil, fmt.Errorf("timeout_ms: %d is negative", ms)
+	case ms > int64(s.cfg.MaxTimeout/time.Millisecond):
+		d = s.cfg.MaxTimeout // also keeps ms × 1e6 from overflowing
+	case ms > 0:
 		d = time.Duration(ms) * time.Millisecond
 	}
-	if d > s.cfg.MaxTimeout {
-		d = s.cfg.MaxTimeout
-	}
-	return context.WithTimeout(r.Context(), d)
+	ctx, cancel := context.WithTimeout(r.Context(), min(d, s.cfg.MaxTimeout))
+	return ctx, cancel, nil
 }
 
 // retryAfterSeconds estimates when shed load is worth retrying: one
@@ -425,7 +431,11 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err.Error(), 0)
 		return
 	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
+	ctx, cancel, err := s.requestContext(r, req.TimeoutMS)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, err.Error(), 0)
+		return
+	}
 	defer cancel()
 	prof, how, err := s.pipe.Profile(ctx, pipeline.Spec(spec))
 	s.recordOutcome(how)
@@ -467,7 +477,11 @@ func (s *Server) handleProvision(w http.ResponseWriter, r *http.Request) {
 		ref = pipeline.Spec(spec)
 	}
 
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
+	ctx, cancel, err := s.requestContext(r, req.TimeoutMS)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, err.Error(), 0)
+		return
+	}
 	defer cancel()
 	plan, how, err := s.pipe.Plan(ctx, ref, pipeline.Steady(), req.Cutoff, req.BlockSize)
 	s.recordOutcome(how)
@@ -525,7 +539,11 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		Cutoff    int          `json:"cutoff"`
 		BlockSize int          `json:"block_size"`
 	}{ref.Key(), cutoff, blockSize}
-	ctx, cancel := s.requestContext(r, 0)
+	ctx, cancel, err := s.requestContext(r, 0)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, err.Error(), 0)
+		return
+	}
 	defer cancel()
 	v, how, err := s.pipe.Derived(ctx, "compare-response", inputs, func(fctx context.Context) (any, error) {
 		return s.buildComparison(fctx, ref, cutoff, blockSize)

@@ -101,3 +101,48 @@ func TestNegativeCutoff(t *testing.T) {
 		t.Errorf("negative cutoffs ran %d skeletons, want 0", n)
 	}
 }
+
+// TestTimeoutMSValidated: a malformed or negative timeout_ms, in the query
+// or in a request body, answers 400 and runs nothing, where it used to fall
+// back to the server default; a stream POST refused for it opens no
+// session. A timeout past MaxTimeout is clamped, not overflowed into a
+// deadline already gone.
+func TestTimeoutMSValidated(t *testing.T) {
+	var runs atomic.Int64
+	_, ts := testServer(t, Config{Workers: 1, Runner: func(ctx context.Context, app string, cfg apps.Config) (*ipm.Profile, error) {
+		runs.Add(1)
+		return apps.ProfileRunContext(ctx, app, cfg)
+	}})
+	const spec = `{"app":"cactus","procs":8,"steps":1}`
+	const delta = `{"Version":2,"App":"a","Procs":4,"Seq":0,"Window":"step000"}`
+	for _, tc := range []struct{ name, method, path, body, want string }{
+		{"query malformed: profile", "POST", "/v1/profile?timeout_ms=soon", spec, "timeout_ms: "},
+		{"query malformed: provision", "POST", "/v1/provision?timeout_ms=1.5", spec, "timeout_ms: "},
+		{"query malformed: compare", "GET", "/v1/compare?app=cactus&procs=8&steps=1&timeout_ms=x", "", "timeout_ms: "},
+		{"query malformed: stream post", "POST", "/v1/stream/t1?timeout_ms=x", delta, "timeout_ms: "},
+		{"query malformed: stream get", "GET", "/v1/stream/t1?timeout_ms=x", "", "timeout_ms: "},
+		{"query negative: profile", "POST", "/v1/profile?timeout_ms=-1", spec, "timeout_ms: -1 is negative"},
+		{"query negative: compare", "GET", "/v1/compare?app=cactus&procs=8&steps=1&timeout_ms=-5", "", "timeout_ms: -5 is negative"},
+		{"query negative: stream post", "POST", "/v1/stream/t2?timeout_ms=-1", delta, "timeout_ms: -1 is negative"},
+		{"body negative: profile", "POST", "/v1/profile", `{"app":"cactus","procs":8,"steps":1,"timeout_ms":-1}`, "timeout_ms: -1 is negative"},
+		{"body negative: provision", "POST", "/v1/provision", `{"app":"cactus","procs":8,"steps":1,"timeout_ms":-20}`, "timeout_ms: -20 is negative"},
+		{"body malformed: profile", "POST", "/v1/profile", `{"app":"cactus","procs":8,"steps":1,"timeout_ms":"soon"}`, ""},
+	} {
+		code, msg := sendRaw(t, tc.method, ts.URL+tc.path, tc.body)
+		if code != http.StatusBadRequest || !strings.HasPrefix(msg, tc.want) {
+			t.Errorf("%s: status %d %q, want 400 starting %q", tc.name, code, msg, tc.want)
+		}
+	}
+	if n := runs.Load(); n != 0 {
+		t.Errorf("refused timeouts ran %d skeletons, want 0", n)
+	}
+	for _, id := range []string{"t1", "t2"} {
+		if code, _ := sendRaw(t, "GET", ts.URL+"/v1/stream/"+id, ""); code != http.StatusNotFound {
+			t.Errorf("stream %s: refused POST left a session (GET answers %d, want 404)", id, code)
+		}
+	}
+	fresh := `{"app":"cactus","procs":8,"steps":1,"seed":2}` // no cached profile answers it
+	if code, msg := sendRaw(t, "POST", ts.URL+"/v1/profile?timeout_ms=9223372036854775807", fresh); code != http.StatusOK {
+		t.Errorf("timeout_ms past MaxTimeout: status %d %q, want 200", code, msg)
+	}
+}

@@ -198,6 +198,12 @@ func (s *Server) handleStreamPost(w http.ResponseWriter, r *http.Request, id str
 		s.writeError(w, http.StatusBadRequest, err.Error(), 0)
 		return
 	}
+	ctx, cancel, err := s.requestContext(r, 0)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, err.Error(), 0)
+		return
+	}
+	defer cancel()
 	sess, created := s.streams.get(id, func() *streamSession {
 		return &streamSession{id: id, seed: seed, block: block}
 	}, time.Now())
@@ -208,9 +214,6 @@ func (s *Server) handleStreamPost(w http.ResponseWriter, r *http.Request, id str
 			s.retryAfterSeconds())
 		return
 	}
-
-	ctx, cancel := s.requestContext(r, 0)
-	defer cancel()
 
 	sess.mu.Lock()
 	if sess.closed {
@@ -446,6 +449,12 @@ func (s *Server) streamResponseLocked(sess *streamSession, folded int, plans []S
 }
 
 func (s *Server) handleStreamGet(w http.ResponseWriter, r *http.Request, id string) {
+	ctx, cancel, err := s.requestContext(r, 0)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, err.Error(), 0)
+		return
+	}
+	defer cancel()
 	sess := s.streams.lookup(id)
 	if sess == nil {
 		s.writeError(w, http.StatusNotFound, fmt.Sprintf("no stream session %q", id), 0)
@@ -462,17 +471,12 @@ func (s *Server) handleStreamGet(w http.ResponseWriter, r *http.Request, id stri
 			return
 		}
 		var data []byte
-		var err error
 		if artifact == "windows" {
 			data, err = json.Marshal(sess.state.Windows)
-		} else {
-			ctx, cancel := s.requestContext(r, 0)
-			defer cancel()
-			if data, err = s.streamAssignment(ctx, sess); err != nil && ctx.Err() != nil {
-				// The request ended while the artifact was in flight.
-				s.writePipelineError(w, err)
-				return
-			}
+		} else if data, err = s.streamAssignment(ctx, sess); err != nil && ctx.Err() != nil {
+			// The request ended while the artifact was in flight.
+			s.writePipelineError(w, err)
+			return
 		}
 		if err != nil {
 			// The state is the server's own fold: failing on it is a fault.
