@@ -62,7 +62,9 @@ func walkGo(t *testing.T, root string, fn func(path, dir string, f *ast.File)) {
 
 // deadExports lists the top-level exports and methods (dir.Type.Method)
 // under root whose name no non-test file spells outside its declaration.
-// Names match without types: the census can miss, never accuse wrongly.
+// A method's receiver type is part of the method's declaration, so a
+// type that only its own methods name is dead. Names match without
+// types: the census can miss, never accuse wrongly.
 func deadExports(t *testing.T, root string) []string {
 	var keys []string
 	used := map[string]bool{}
@@ -80,7 +82,14 @@ func deadExports(t *testing.T, root string) []string {
 			if fn, ok := d.(*ast.FuncDecl); ok {
 				key := fn.Name.Name
 				if fn.Recv != nil {
-					key = strings.TrimPrefix(types.ExprString(fn.Recv.List[0].Type), "*") + "." + key
+					recv := fn.Recv.List[0].Type
+					key = strings.TrimPrefix(types.ExprString(recv), "*") + "." + key
+					ast.Inspect(recv, func(n ast.Node) bool {
+						if id, ok := n.(*ast.Ident); ok {
+							own[id] = true
+						}
+						return true
+					})
 				}
 				declare(fn.Name, key)
 				continue
@@ -109,8 +118,8 @@ func deadExports(t *testing.T, root string) []string {
 // TestNoDeadExports fails on an unexplained dead export and on a stale
 // allowlist entry, once the census has found its fixture's dead export.
 func TestNoDeadExports(t *testing.T) {
-	if got := deadExports(t, filepath.Join("testdata", "census")); !slices.Equal(got, []string{"lib.Dead"}) {
-		t.Fatalf("the census of its fixture reports %v, want [lib.Dead]", got)
+	if got := deadExports(t, filepath.Join("testdata", "census")); !slices.Equal(got, []string{"lib.Dead", "lib.Adapter"}) {
+		t.Fatalf("the census of its fixture reports %v, want [lib.Dead lib.Adapter]", got)
 	}
 	hit := map[string]bool{}
 	for _, key := range deadExports(t, ".") {

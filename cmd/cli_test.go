@@ -50,7 +50,8 @@ func TestCLIs(t *testing.T) {
 	t.Run("readme chain", func(t *testing.T) {
 		prof := filepath.Join(t.TempDir(), "c.json")
 		run(t, "hfastsim", "-app", "cactus", "-p", "16", "-o", prof)
-		mustContain(t, "ipmreport", run(t, "ipmreport", "-i", prof), "cactus")
+		mustContain(t, "ipmreport", run(t, "ipmreport", "-i", prof), "cactus", "TDC@2KB(max,avg)")
+		mustContain(t, "ipmreport -cutoff 4096", run(t, "ipmreport", "-i", prof, "-cutoff", "4096"), "TDC@4KB(max,avg)")
 		mustContain(t, "hfastplan", run(t, "hfastplan", "-i", prof), "# HFAST wiring plan: cactus, P=16", "node 0 uplink")
 	})
 
@@ -78,19 +79,30 @@ func TestCLIs(t *testing.T) {
 		mustContain(t, "-full", out, "node 0 tree link", "edge 0-1")
 	})
 
+	// A usage error is refused before anything reaches stdout: no report
+	// computed at some other value than the one asked for.
 	t.Run("usage errors exit 2", func(t *testing.T) {
 		cases := [][]string{
 			{"hfastsim", "-no-such-flag"}, {"hfastsim", "-app", "nosuch"}, {"hfastsim", "-app", "cactus", "extra"},
+			{"hfastsim", "-app", "cactus", "-p", "0"},
 			{"ipmreport", "-no-such-flag"}, {"ipmreport", "-i", filepath.Join(bin, "missing.json")}, {"ipmreport", "extra"},
+			{"ipmreport", "-cutoff", "-1"},
 			{"hfastplan", "-no-such-flag"}, {"hfastplan", "-i", filepath.Join(bin, "missing.json")}, {"hfastplan", "extra"},
+			{"hfastplan", "-cutoff", "-1"}, {"hfastplan", "-blocksize", "2"},
 			{"experiments", "-no-such-flag"}, {"experiments", "extra"},
 			{"hfastd", "-no-such-flag"}, {"hfastd", "extra"},
 		}
 		for _, c := range cases {
-			err := exec.Command(filepath.Join(bin, c[0]), c[1:]...).Run()
+			var stdout bytes.Buffer
+			cmd := exec.Command(filepath.Join(bin, c[0]), c[1:]...)
+			cmd.Stdout = &stdout
+			err := cmd.Run()
 			var exit *exec.ExitError
 			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
 				t.Errorf("%s: %v, want exit status 2", strings.Join(c, " "), err)
+			}
+			if stdout.Len() > 0 {
+				t.Errorf("%s printed %d bytes to stdout before its usage error", strings.Join(c, " "), stdout.Len())
 			}
 		}
 	})

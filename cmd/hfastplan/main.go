@@ -34,6 +34,14 @@ func main() {
 	if flag.NArg() > 0 {
 		usageErr(fmt.Sprintf("unexpected argument %q", flag.Arg(0)))
 	}
+	// The pipeline's own cutoff and block-size rules, checked before
+	// anything prints.
+	if _, err := (pipeline.FoldSeed{Cutoff: *cutoff}).Normalize(); err != nil {
+		usageErr(err.Error())
+	}
+	if _, err := hfast.BlockSize(*blockSize); err != nil {
+		usageErr(err.Error())
+	}
 
 	var src io.Reader = os.Stdin
 	if *in != "-" {

@@ -49,6 +49,9 @@ func main() {
 	if _, err := apps.Lookup(*app); err != nil {
 		usageErr(fmt.Sprintf("%v (use -list to see choices)", err))
 	}
+	if *procs <= 0 {
+		usageErr(fmt.Sprintf("-p must be positive, got %d", *procs))
+	}
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hfastsim: %v\n", err)

@@ -34,6 +34,10 @@ func main() {
 	if flag.NArg() > 0 {
 		usageErr(fmt.Sprintf("unexpected argument %q", flag.Arg(0)))
 	}
+	// The pipeline's own cutoff rule, checked before anything prints.
+	if _, err := (pipeline.FoldSeed{Cutoff: *cutoff}).Normalize(); err != nil {
+		usageErr(err.Error())
+	}
 
 	var src io.Reader = os.Stdin
 	if *in != "-" {

@@ -53,8 +53,8 @@ func resultBits(res *Result) string {
 // bitsVariants are the three traffic shapes every steady-state flow list
 // is replayed in: as profiled (one t=0 storm), staggered by source rank
 // (components born and merged mid-run), and with every third flow
-// tripled and every seventeenth shadowed by a zero-byte twin (weights
-// above one, zero-byte finalization).
+// tripled and every seventeenth shadowed by a zero-byte twin (identical
+// flows sharing links, zero-byte finalization).
 func bitsVariants(base []Flow) map[string][]Flow {
 	stag := make([]Flow, len(base))
 	var dup []Flow
@@ -82,6 +82,11 @@ func sortedRouters(m map[string]Router) []string {
 	return names
 }
 
+// nearApps are the near-neighbour skeletons: pinned at P=256 too, and
+// cheap enough at P=64 for the reference to check their duplicated
+// replays.
+var nearApps = []string{"cactus", "lbmhd", "gtc"}
+
 // engineRow is one app×size of the golden's grid; pinned rows hold
 // result bits in engine_bits.json.
 type engineRow struct {
@@ -98,10 +103,9 @@ type engineRow struct {
 // HFAST_TEST_QUICK=1 (the race and determinism CI jobs) trims to three
 // apps at P=64.
 func engineGrid() []engineRow {
-	near := []string{"cactus", "lbmhd", "gtc"}
 	var rows []engineRow
 	if os.Getenv("HFAST_TEST_QUICK") != "" {
-		for _, app := range near {
+		for _, app := range nearApps {
 			rows = append(rows, engineRow{app, 64, true})
 		}
 		return rows
@@ -111,7 +115,7 @@ func engineGrid() []engineRow {
 	}
 	ultra := os.Getenv("HFAST_TEST_ULTRA") != ""
 	for _, app := range apps.Names() {
-		if pinned := slices.Contains(near, app); pinned || ultra {
+		if pinned := slices.Contains(nearApps, app); pinned || ultra {
 			rows = append(rows, engineRow{app, 256, pinned})
 		}
 	}
@@ -120,11 +124,11 @@ func engineGrid() []engineRow {
 
 // TestEngineBitsGolden pins the engine on every skeleton's steady-state
 // traffic across all four fabric models, two ways from one run per
-// replay. Every variant's result must match, bit for bit, a file
-// generated before the record layout, cached shares, stale-only refresh
-// and indexed heap went in; and the synchronous replay must agree with
-// the reference whole-network water-filling solver to parityTol. The
-// bits catch a float operation that moved, which 1e-9 would allow; the
+// replay. Every variant's result must match its row of engine_bits.json
+// bit for bit; and the synchronous replay, the duplicated replays of the
+// near-neighbour codes at P=64 and every fuzz seed must agree with the
+// reference whole-network water-filling solver to parityTol. The bits
+// catch a float operation that moved, which 1e-9 would allow; the
 // reference catches a wrong answer, which a regenerated file would
 // bless. The same runs pin each case's Result.Stats in a second file.
 // Every case is a pure function of the problem, so both files must hold
@@ -156,7 +160,7 @@ func TestEngineBitsGolden(t *testing.T) {
 					if row.pinned {
 						record(fmt.Sprintf("%s.p%d.%s.%s", row.app, row.procs, fabric, mode), &res)
 					}
-					if mode != "sync" {
+					if mode != "sync" && (mode != "dup" || row.procs != 64 || !slices.Contains(nearApps, row.app)) {
 						continue
 					}
 					want, err := simulateReference(fabricNetwork(router), router, flows)
@@ -181,7 +185,13 @@ func TestEngineBitsGolden(t *testing.T) {
 			if err := simulateRegions(&res, net, router, flows, regions); err != nil {
 				t.Fatalf("fuzz seed %d: %v", seed, err)
 			}
-			record(fmt.Sprintf("fuzz.%02d", seed), &res)
+			key := fmt.Sprintf("fuzz.%02d", seed)
+			record(key, &res)
+			want, err := simulateReference(net, router, flows)
+			if err != nil {
+				t.Fatalf("%s: reference: %v", key, err)
+			}
+			assertParity(t, key, res, want)
 		}
 	})
 

@@ -13,33 +13,28 @@ import (
 // engines share the constant so their retirement behavior matches.
 const completionEpsilon = 1e-3
 
-// superFlow is one simulated unit: identical application flows (same
-// src, dst, start time, size — and therefore the same path) coalesced so
-// the event loop and the water-filling solver see one flow where the
-// input had many. Every constituent receives the same max-min share, so
-// they finish together and the super-flow's result fans back out through
-// the engine's raw-flow index map. Only cold, per-run-constant data
-// lives here; everything the hot loops touch is the flow's flowRec.
-type superFlow struct {
+// simFlow is one routed input flow's cold data: what the build read off
+// the input and the router, and the finish the run writes back.
+// Everything the hot loops touch is the flow's flowRec.
+type simFlow struct {
 	start   float64
-	bytes   float64 // per-constituent size
+	bytes   float64
 	latency float64
 	finish  float64
 }
 
-// flowRec is a super-flow's hot state, one cache line. No loop scans the
+// flowRec is a routed flow's hot state, one cache line. No loop scans the
 // flows densely — each reaches a flow by a random index out of a link's
 // ref segment or an affected-set list and then wants most of these
 // fields — so they sit together: a visit costs one line, and flows of
 // link-disjoint components never share one.
 type flowRec struct {
-	remaining float64 // per-constituent bytes left, valid at lastT
-	rate      float64 // current per-constituent max-min share
+	remaining float64 // bytes left, valid at lastT
+	rate      float64 // current max-min share
 	lastT     float64 // time remaining was last settled
 	newRate   float64 // candidate rate of the solve in progress
 	pathOff   int32   // the path is pathLinks[pathOff:][:pathLen]
 	pathLen   int32
-	weight    int32 // coalesced input flows
 	heapPos   int32 // index of the flow's entry in its component's heap, or -1
 	flowMark  int32 // in the affected set A this epoch
 	fixedMark int32 // fixed during this epoch's solve
@@ -57,9 +52,9 @@ type flowRec struct {
 // would recompute exactly what is stored and is skipped.
 type linkRec struct {
 	bw      float64
-	s       float64 // consumed bandwidth: Σ weight·rate over active flows
+	s       float64 // consumed bandwidth: Σ rate over active flows
 	resid   float64 // unconsumed bandwidth
-	maxRate float64 // largest per-share rate among active flows
+	maxRate float64 // largest rate among active flows
 	off, n  int32
 	mark    int32 // in the solve set T this epoch
 	pull    int32 // flows pulled into A this epoch
@@ -67,11 +62,11 @@ type linkRec struct {
 	stale   bool
 }
 
-// solveRec is a link's water-filling scratch: the capacity and unfixed
-// weight left for the solve in progress, and their quotient. share is
-// recomputed wherever cap or w is written, so the fill's scans compare
-// a cached cap/w — of the very operands a division at that visit would
-// read — instead of dividing twice per link per round.
+// solveRec is a link's water-filling scratch: the capacity and the count
+// of unfixed flows left for the solve in progress, and their quotient.
+// share is recomputed wherever cap or w is written, so the fill's scans
+// compare a cached cap/w — of the very operands a division at that visit
+// would read — instead of dividing twice per link per round.
 type solveRec struct {
 	cap, share float64
 	w          int32
@@ -119,7 +114,7 @@ type linkRef struct{ flow, pos int32 }
 // where the merged timeline needs it).
 type compState struct {
 	id     int32
-	nFlows int // super-flows assigned to this component, processed or not
+	nFlows int // flows assigned to this component, processed or not
 
 	heap []heapEntry
 
@@ -179,28 +174,28 @@ type compState struct {
 }
 
 // engine is the incremental event-driven simulator state. Everything is
-// arena-style: every slice (including the coalescing map and the heap
-// backing arrays) lives on the engine, is grown to high-water marks, and
-// is reused across Simulate calls through enginePool, so a replay at a
-// size the pool has seen before allocates only what the routers return.
+// arena-style: every slice (the heap backing arrays included) lives on
+// the engine, is grown to high-water marks, and is reused across
+// Simulate calls through enginePool, so a replay at a size the pool has
+// seen before allocates only what the routers return.
 //
 // Between events the engine maintains, per link, the consumed bandwidth
-// (s), the residual slack (resid) and the largest per-share flow rate
-// (maxRate) of the committed allocation. These are what make recompute
-// local: an event re-solves only the flows on the links it touched, and
-// the stored slack/max-rate of every other link certifies — via the
-// max-min bottleneck property — that untouched flows keep their rates.
+// (s), the residual slack (resid) and the largest flow rate (maxRate) of
+// the committed allocation. These are what make recompute local: an
+// event re-solves only the flows on the links it touched, and the stored
+// slack/max-rate of every other link certifies — via the max-min
+// bottleneck property — that untouched flows keep their rates.
 //
 // Per-timeline state lives in compState: the scheduler (scheduler.go)
 // partitions the flows into link-disjoint connected components, each
 // advanced by its own compState over these shared records.
 type engine struct {
-	sims  []superFlow
-	flows []flowRec // hot per-flow state, indexed by super-flow
+	sims  []simFlow
+	flows []flowRec // hot per-flow state, indexed like sims
 	links []linkRec
 	sol   []solveRec // per-link water-filling scratch
 
-	// Paths, CSR over super-flows: flow f crosses pathLinks[f.pathOff:]
+	// Paths, CSR over routed flows: flow f crosses pathLinks[f.pathOff:]
 	// [:f.pathLen], and pathPos holds, at the same index, the position of
 	// f's entry in that link's ref segment.
 	pathLinks []int32
@@ -227,37 +222,27 @@ type engine struct {
 	comps      []compState
 	nodes      []schedNode
 	mergeNodes []int32 // merge-node ids in (time, flow-index) order
-	nodeOfFlow []int32 // super-flow → owning scheduler node
+	nodeOfFlow []int32 // routed flow → owning scheduler node
 	flowSlab   []int32 // per-node flow lists, CSR over nodes
 	linkUF     []int32 // union-find parent per link, -1 while unowned
 	nodeOfRoot []int32 // union-find root link → scheduler node
-	arrival    []int32 // routable nonzero super-flows in (start, index) order
+	arrival    []int32 // routed nonzero flows in (start, index) order
 	live       []int32 // comps currently runnable (scratch)
 	runErrs    []error // per-live-comp errors from a scheduler epoch
 	invol      []int32 // partition scratch: nodes a flow's path touches
 	kids       []int32 // partition scratch: live children of a union
 
 	// Build scratch for SimulateInto, reused across calls.
-	groups    map[groupKey]int32
 	paths     [][]int
 	lats      []float64
 	routedOK  []bool
-	simIdx    []int32 // raw flow → super-flow (-1 when unroutable)
+	simIdx    []int32 // input flow → routed flow (-1 when unroutable)
 	linkBytes []float64
 	routeBuf  []int // arena routed paths live in
 }
 
-// groupKey identifies a coalescing group. The key includes the size:
-// flows differing only in bytes share a path but finish at different
-// times, so they stay separate.
-type groupKey struct {
-	src, dst int
-	start    float64
-	bytes    int64
-}
-
-// enginePool recycles engines — and with them every scratch slice, the
-// heap backing array, and the coalescing map — across Simulate calls.
+// enginePool recycles engines — and with them every scratch slice and
+// the heap backing array — across Simulate calls.
 var enginePool = sync.Pool{New: func() any { return new(engine) }}
 
 // grow reslices s to n elements, reallocating only past its high-water
@@ -308,8 +293,8 @@ func SimulateInto(res *Result, net *Network, router Router, flows []Flow) error 
 // simulateRegions is the full engine entry point: regions is the
 // per-link region id slice (nil for unsharded; see RegionHinter for the
 // contract). Tests drive it directly with explicit cuts. The replay runs
-// component-scheduled: build routes and coalesces, partition splits the
-// super-flows into link-disjoint connected components (scheduler.go),
+// component-scheduled: build routes and validates, partition splits the
+// routed flows into link-disjoint connected components (scheduler.go),
 // and runScheduled advances the component timelines — concurrently when
 // there is more than one.
 func simulateRegions(res *Result, net *Network, router Router, flows []Flow, regions []int32) error {
@@ -344,7 +329,7 @@ func simulateRegions(res *Result, net *Network, router Router, flows []Flow, reg
 // already carries its children's) into a finished replay's Stats. Every
 // spliced merge added one component to the ones partition built.
 func (e *engine) stats() Stats {
-	st := Stats{SuperFlows: len(e.sims), Components: len(e.comps) - len(e.mergeNodes), Merges: len(e.mergeNodes)}
+	st := Stats{Flows: len(e.sims), Components: len(e.comps) - len(e.mergeNodes), Merges: len(e.mergeNodes)}
 	for i := range e.comps {
 		if c := &e.comps[i]; !c.merged {
 			st.add(&c.stats)
@@ -353,9 +338,9 @@ func (e *engine) stats() Stats {
 	return st
 }
 
-// build routes, validates, and coalesces the raw flows, then sizes every
-// engine array for the run. Everything here is serial, so error
-// precedence and float accumulation order follow the flow list.
+// build routes and validates the input flows, then sizes every engine
+// array for the run. Everything here is serial, so error precedence and
+// float accumulation order follow the flow list.
 func (e *engine) build(net *Network, router Router, flows []Flow, regions []int32) (unroutable int, maxLinkBytes float64, err error) {
 	nLinks := net.Links()
 	nf := len(flows)
@@ -377,12 +362,7 @@ func (e *engine) build(net *Network, router Router, flows []Flow, regions []int3
 
 	e.linkBytes = grow(e.linkBytes, nLinks)
 	clear(e.linkBytes)
-	if e.groups == nil {
-		e.groups = make(map[groupKey]int32, nf)
-	} else {
-		clear(e.groups)
-	}
-	// Super-flows are bounded by the raw flow count and their paths by the
+	// Routed flows are bounded by the input count and their paths by the
 	// routed total: pre-size once so a cold storm-scale build pays one
 	// allocation each instead of a doubling cascade (the P=65536 halo
 	// grew e.sims through ~160 MB of retired backing arrays before this).
@@ -411,21 +391,13 @@ func (e *engine) build(net *Network, router Router, flows []Flow, regions []int3
 			}
 			e.linkBytes[l] += float64(f.Bytes)
 		}
-		k := groupKey{f.Src, f.Dst, f.Start, f.Bytes}
-		if gi, ok := e.groups[k]; ok {
-			e.flows[gi].weight++
-			e.simIdx[i] = gi
-			continue
-		}
-		gi := int32(len(e.sims))
-		e.groups[k] = gi
-		e.simIdx[i] = gi
-		e.sims = append(e.sims, superFlow{start: f.Start, bytes: float64(f.Bytes), latency: e.lats[i], finish: -1})
+		e.simIdx[i] = int32(len(e.sims))
+		e.sims = append(e.sims, simFlow{start: f.Start, bytes: float64(f.Bytes), latency: e.lats[i], finish: -1})
 		// The router's []int path is copied once into the int32 CSR. The
 		// whole record is written, so a pooled engine's marks, heap index
 		// and done flag never leak into this run.
 		e.flows = append(e.flows, flowRec{
-			remaining: float64(f.Bytes), weight: 1, heapPos: -1,
+			remaining: float64(f.Bytes), heapPos: -1,
 			pathOff: int32(len(e.pathLinks)), pathLen: int32(len(path)),
 		})
 		for _, l := range path {
@@ -481,14 +453,11 @@ func (e *engine) release() {
 	enginePool.Put(e)
 }
 
-// maxEventCap bounds the event loop. Every super-flow contributes one
-// arrival and one completion event; float rounding can split a
-// simultaneous completion batch into a few ulp-separated events, so the
-// cap is proportional at 3 events per coalesced flow plus slack for tiny
-// inputs. (The seed's 16·flows+4096 constant overshot by orders of
-// magnitude at scale and still undershot pathological tie storms on tiny
-// inputs, since it scaled with raw rather than coalesced flow count.)
-func maxEventCap(superFlows int) int { return 3*superFlows + 64 }
+// maxEventCap bounds the event loop. Every flow contributes one arrival
+// and one completion event; float rounding can split a simultaneous
+// completion batch into a few ulp-separated events, so the cap is
+// proportional at 3 events per flow plus slack for tiny inputs.
+func maxEventCap(flows int) int { return 3*flows + 64 }
 
 // run advances one component timeline, processing every event strictly
 // before horizon. The clock, arrival cursor, and heap survive in the
@@ -513,7 +482,7 @@ func (e *engine) run(c *compState, horizon float64) error {
 		}
 		c.stats.Events++
 		if c.stats.Events > c.maxEvents {
-			return fmt.Errorf("netsim: component %d: no progress after %d events (cap %d for %d coalesced flows, t=%.6g, horizon=%g, %d active)",
+			return fmt.Errorf("netsim: component %d: no progress after %d events (cap %d for %d flows, t=%.6g, horizon=%g, %d active)",
 				c.id, c.stats.Events, c.maxEvents, c.nFlows, c.now, horizon, c.activeCount)
 		}
 		c.now = tNext
@@ -567,7 +536,6 @@ func (e *engine) retire(c *compState, fi int32) {
 	e.sims[fi].finish = c.now + e.sims[fi].latency
 	e.heapRemove(c, fi)
 	c.activeCount--
-	drop := float64(f.weight) * f.rate
 	path := e.path(f)
 	for k, l := range path {
 		lk := &e.links[l]
@@ -576,7 +544,7 @@ func (e *engine) retire(c *compState, fi int32) {
 		moved := e.refs[lk.off+lk.n]
 		e.refs[lk.off+p] = moved
 		e.pathPos[moved.pos] = p
-		lk.s -= drop
+		lk.s -= f.rate
 		lk.stale = true
 	}
 	c.seeds = append(c.seeds, path...)
@@ -697,7 +665,7 @@ func (e *engine) solve(c *compState) int {
 // prepSolve sets up the solve scratch of every solve-set link: every
 // frozen flow is fixed background consumption, so a link's capacity for
 // the solve is its bandwidth minus the committed consumption of flows
-// outside A, and its weight the live affected flows crossing it. Returns
+// outside A, and its count the live affected flows crossing it. Returns
 // the live affected-flow count.
 func (e *engine) prepSolve(c *compState) int {
 	for _, l := range c.queue {
@@ -711,10 +679,9 @@ func (e *engine) prepSolve(c *compState) int {
 		}
 		live++
 		f.fixedMark = 0
-		own := float64(f.weight) * f.rate
 		for _, l := range e.path(f) {
-			e.sol[l].cap += own
-			e.sol[l].w += f.weight
+			e.sol[l].cap += f.rate
+			e.sol[l].w++
 		}
 	}
 	for _, l := range c.queue {
@@ -743,7 +710,7 @@ func (e *engine) solveAffected(c *compState) int {
 }
 
 // minShare is the smallest cached share over links; a link with no
-// unfixed weight holds +Inf.
+// unfixed flow holds +Inf.
 func (e *engine) minShare(links []int32) float64 {
 	m := math.Inf(1)
 	for _, l := range links {
@@ -806,14 +773,13 @@ func (e *engine) fill(c *compState, links, flows []int32, live int) {
 				f.newRate = bottle
 				live--
 				progressed = true
-				take := float64(f.weight) * bottle
 				for _, l2 := range e.path(f) {
 					sr := &e.sol[l2]
-					sr.cap -= take
+					sr.cap -= bottle
 					if sr.cap < 0 {
 						sr.cap = 0
 					}
-					sr.w -= f.weight
+					sr.w--
 					sr.share = shareOf(sr.cap, sr.w)
 				}
 			}
@@ -860,9 +826,8 @@ func (e *engine) refreshQueue(c *compState) {
 
 // refreshLink recommits link l's consumed/slack/max-rate state and
 // reports whether the slack or top rate changed. A clean link is left
-// alone: its refs, their order, and their rates and weights are those of
-// its last refresh, so the walk would store the same values and report
-// no change.
+// alone: its refs, their order, and their rates are those of its last
+// refresh, so the walk would store the same values and report no change.
 func (e *engine) refreshLink(l int32) bool {
 	lk := &e.links[l]
 	if !lk.stale {
@@ -872,7 +837,7 @@ func (e *engine) refreshLink(l int32) bool {
 	s, maxR := 0.0, 0.0
 	for _, ref := range e.refs[lk.off : lk.off+lk.n] {
 		f := &e.flows[ref.flow]
-		s += float64(f.weight) * f.rate
+		s += f.rate
 		if f.rate > maxR {
 			maxR = f.rate
 		}

@@ -36,7 +36,7 @@ func fuzzFabric(rng *rand.Rand, nodes int) (*Network, Router) {
 
 // fuzzFlows draws random traffic: random endpoints, sizes up to 1 MB,
 // staggered starts, and a deliberate fraction of exact duplicates so
-// coalescing and simultaneous completions get exercised.
+// equal shares and simultaneous completions get exercised.
 func fuzzFlows(rng *rand.Rand, nodes, n int) []Flow {
 	flows := make([]Flow, 0, n)
 	for len(flows) < n {

@@ -37,7 +37,7 @@ func haloReplays(t *testing.T, f func(name string, net *Network, router Router, 
 
 // TestHeapHoldsOnlyLiveFlows gates the indexed completion heap without a
 // clock: a component heap holds one entry per draining flow, so its peak
-// can never pass the super-flow count (a lazily-invalidated heap, one
+// can never pass the flow count (a lazily-invalidated heap, one
 // push per rate change, peaks at several times that), and every entry is
 // gone once the last flow retires.
 func TestHeapHoldsOnlyLiveFlows(t *testing.T) {
@@ -51,8 +51,8 @@ func TestHeapHoldsOnlyLiveFlows(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		st := e.stats()
-		if st.PeakHeap == 0 || st.PeakHeap > st.SuperFlows {
-			t.Errorf("%s: heap peaked at %d entries for %d super-flows", name, st.PeakHeap, st.SuperFlows)
+		if st.PeakHeap == 0 || st.PeakHeap > st.Flows {
+			t.Errorf("%s: heap peaked at %d entries for %d flows", name, st.PeakHeap, st.Flows)
 		}
 		for i := range e.comps {
 			if c := &e.comps[i]; !c.merged && len(c.heap) != 0 {

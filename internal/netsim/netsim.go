@@ -7,11 +7,11 @@
 // congest under non-isomorphic traffic, and fat-trees pay per-hop switch
 // latency through their layers.
 //
-// Simulate is an incremental event-driven engine (engine.go): identical
-// flows coalesce into weighted super-flows, projected completions sit in
-// an indexed min-heap holding exactly one entry per draining flow, and
-// each event re-solves max-min rates only over the flows and links it
-// can affect. All engine state is arena-style (one cache-line record per
+// Simulate is an incremental event-driven engine (engine.go): every
+// input flow is simulated as given, projected completions sit in an
+// indexed min-heap holding exactly one entry per draining flow, and each
+// event re-solves max-min rates only over the flows and links it can
+// affect. All engine state is arena-style (one cache-line record per
 // flow and per link, CSR slabs for paths and per-link active sets, a
 // pooled engine recycled across calls — SimulateInto additionally reuses
 // the caller's Result).
@@ -82,19 +82,6 @@ type Router interface {
 	RouteAppend(buf []int, src, dst int) (extended []int, latency float64, ok bool)
 }
 
-// RouterFunc adapts a function returning whole paths to the Router
-// interface.
-type RouterFunc func(src, dst int) ([]int, float64, bool)
-
-// RouteAppend implements Router by appending f's path to buf.
-func (f RouterFunc) RouteAppend(buf []int, src, dst int) ([]int, float64, bool) {
-	path, lat, ok := f(src, dst)
-	if !ok {
-		return buf, lat, false
-	}
-	return append(buf, path...), lat, true
-}
-
 // Flow is one message transfer.
 type Flow struct {
 	// Src and Dst are node ids.
@@ -157,7 +144,7 @@ type Result struct {
 // Stats, and a slow replay can be read off them: events × solve passes ×
 // affected-set sizes is the time.
 type Stats struct {
-	SuperFlows int // coalesced flows the engine simulated
+	Flows      int // routed flows simulated
 	Components int // link-disjoint component timelines at build time
 	Merges     int // runtime merge barriers spliced
 

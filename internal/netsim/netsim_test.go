@@ -107,9 +107,8 @@ func TestSimulateZeroByteFlow(t *testing.T) {
 // TestSimulateDeterministicTieBreak covers the satellite fix for the
 // map-order completion scan: two equal-size flows sharing one link at
 // equal rates finish at exactly the same instant, and repeated runs must
-// be byte-identical. The flows use distinct destinations so coalescing
-// cannot merge them — the tie must be broken by flow index, not map
-// iteration order.
+// be byte-identical: the tie is broken by flow index, not map iteration
+// order.
 func TestSimulateDeterministicTieBreak(t *testing.T) {
 	n, r := lineNet()
 	flows := []Flow{
@@ -183,9 +182,9 @@ func TestSimulateSimultaneousCompletions(t *testing.T) {
 	}
 }
 
-// TestSimulateCoalescedIdenticalFlows checks that identical flows merge
-// into one weighted super-flow (taking four shares of the link) and that
-// the result fans back out to every original flow index.
+// TestSimulateCoalescedIdenticalFlows checks that identical flows are
+// simulated one by one: each takes an equal share of the link, and they
+// finish together, at the very same instant.
 func TestSimulateCoalescedIdenticalFlows(t *testing.T) {
 	n, r := lineNet()
 	var flows []Flow
@@ -196,10 +195,13 @@ func TestSimulateCoalescedIdenticalFlows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res.Stats.Flows != len(flows) {
+		t.Errorf("simulated %d flows, want %d", res.Stats.Flows, len(flows))
+	}
 	// Four equal flows at 25 B/s each: transfer done at t=4, +0.5 latency.
 	for i, f := range res.Flows {
-		if !f.Routed || !near(f.Finish, 4.5, 1e-9) {
-			t.Errorf("flow %d finish %.9f, want 4.5", i, f.Finish)
+		if !f.Routed || !near(f.Finish, 4.5, 1e-9) || f.Finish != res.Flows[0].Finish {
+			t.Errorf("flow %d finish %.9f, want 4.5 like flow 0 (%.9f)", i, f.Finish, res.Flows[0].Finish)
 		}
 	}
 	ref, err := simulateReference(n, r, flows)

@@ -8,6 +8,19 @@ import (
 	"github.com/hfast-sim/hfast/internal/treenet"
 )
 
+// RouterFunc adapts a function returning whole paths to the Router
+// interface, for the hand-built fabrics of the tests.
+type RouterFunc func(src, dst int) ([]int, float64, bool)
+
+// RouteAppend implements Router by appending f's path to buf.
+func (f RouterFunc) RouteAppend(buf []int, src, dst int) ([]int, float64, bool) {
+	path, lat, ok := f(src, dst)
+	if !ok {
+		return buf, lat, false
+	}
+	return append(buf, path...), lat, true
+}
+
 // TestRouterFuncAppendContract pins the half of the Router contract the
 // engine relies on when one flow of a chunk is unroutable: the arena comes
 // back at its original length, so the next flow's path starts where the

@@ -12,7 +12,7 @@ import (
 // The mesh's region-sharded water-fill (shard.go) parallelizes *within*
 // one solve; everything else — heap pops, cascades, witness passes — was
 // one serial timeline, the Amdahl wall of large replays. The scheduler
-// removes it by partitioning the super-flows at build time into
+// removes it by partitioning the routed flows at build time into
 // link-disjoint connected components and giving each its own timeline
 // (compState): components never share a link, so their event streams are
 // causally independent and can be advanced concurrently with bitwise the
@@ -111,7 +111,7 @@ func (e *engine) newComp() *compState {
 	return c
 }
 
-// partition splits the routable nonzero super-flows into link-disjoint
+// partition splits the routed nonzero flows into link-disjoint
 // connected components and plans every runtime merge. One streaming pass
 // in arrival order classifies each flow against the link union-find:
 //

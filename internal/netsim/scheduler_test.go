@@ -99,8 +99,8 @@ func TestSimulateMergeDeterminism(t *testing.T) {
 	}
 	r1 := run(1)
 	// Four islands, three barriers, and one batched admission per island.
-	if st := r1.Stats; st.Components != 4 || st.Merges != 3 || st.StormBatches != 4 || st.SuperFlows != len(flows) {
-		t.Errorf("stats %+v, want 4 components, 3 merges, 4 storm batches, %d super-flows", st, len(flows))
+	if st := r1.Stats; st.Components != 4 || st.Merges != 3 || st.StormBatches != 4 || st.Flows != len(flows) {
+		t.Errorf("stats %+v, want 4 components, 3 merges, 4 storm batches, %d flows", st, len(flows))
 	}
 	for _, workers := range []int{2, 8} {
 		rw := run(workers)

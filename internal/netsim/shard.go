@@ -58,7 +58,7 @@ var shardedSolveMin = 1024
 const maxShardRegions = 4096
 
 // initShards digests a RegionHinter's per-link regions into the static
-// shard state: the region id per link and, per super-flow, the region
+// shard state: the region id per link and, per routed flow, the region
 // whose links cover its whole path (-1 for boundary flows). Out-of-range
 // ids disable sharding rather than corrupt it.
 func (e *engine) initShards(regions []int32, nLinks int) {

@@ -223,10 +223,16 @@ func CallMix(w io.Writer, title string, mix []analysis.CallShare) {
 	}
 }
 
-// SummaryTable renders Table 3 rows.
+// SummaryTable renders Table 3 rows. The TDC column is labeled with the
+// first row's cutoff (the paper's 2 KB when there are no rows); the rows
+// of one table share it.
 func SummaryTable(w io.Writer, rows []analysis.Summary) {
+	cutoff := topology.DefaultCutoff
+	if len(rows) > 0 {
+		cutoff = rows[0].Cutoff
+	}
 	tbl := NewTable("Code", "Procs", "%PTP", "med PTP", "%Col", "med Col",
-		"TDC@2KB(max,avg)", "TDC@0(max,avg)", "FCN util")
+		"TDC@"+Bytes(cutoff)+"B(max,avg)", "TDC@0(max,avg)", "FCN util")
 	for _, s := range rows {
 		tbl.AddRow(
 			s.App,

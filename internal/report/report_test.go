@@ -177,15 +177,23 @@ func TestCallMixRender(t *testing.T) {
 
 func TestSummaryTableRender(t *testing.T) {
 	var b strings.Builder
-	SummaryTable(&b, []analysis.Summary{{
+	row := analysis.Summary{
 		App: "gtc", Procs: 256, PTPCallPct: 40.2, CollCallPct: 59.8,
-		MedianPTPBuf: 131072, MedianCollBuf: 100,
+		MedianPTPBuf: 131072, MedianCollBuf: 100, Cutoff: 2048,
 		TDCMax: 10, TDCAvg: 4, MaxTDC0: 17, AvgTDC0: 7, FCNUtil: 0.02,
-	}})
+	}
+	SummaryTable(&b, []analysis.Summary{row})
 	out := b.String()
-	for _, want := range []string{"gtc", "256", "40.2", "128K", "10, 4.0", "2%"} {
+	for _, want := range []string{"TDC@2KB(max,avg)", "gtc", "256", "40.2", "128K", "10, 4.0", "2%"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("summary missing %q:\n%s", want, out)
 		}
+	}
+	// The TDC column names the cutoff its values were computed at.
+	b.Reset()
+	row.Cutoff = 400000
+	SummaryTable(&b, []analysis.Summary{row})
+	if out := b.String(); !strings.Contains(out, "TDC@390.6KB(max,avg)") {
+		t.Errorf("summary at a 400000 B cutoff is not labeled TDC@390.6KB:\n%s", out)
 	}
 }
