@@ -26,7 +26,6 @@ var deadExportsAllowed = map[string]string{
 	"internal/ipm.MergeDeltas":    "round-trip oracle: SplitDeltas is pinned against it byte for byte",
 	"internal/mpi.WithEagerLimit": "rendezvous sends; ROADMAP item 7(v) runs every skeleton under it",
 	"internal/pipeline.Pipeline.CachedArtifacts": "cache-size oracle: pipeline, server and experiments tests check that a failed fold stores nothing",
-	"internal/treenet.Tree.Depth":                "route-length oracle: netsim's router_test bounds every tree route by it (ROADMAP item 13(i))",
 }
 
 // walkGo parses every Go file under root, comments included, skipping
@@ -159,6 +158,10 @@ var knobsAllowed = map[string]string{
 	"internal/netsim.completionEpsilon": "numerical tolerance shared with the reference solver; engine_bits.json pins it",
 	"internal/netsim.satSlack":          "numerical tolerance of the saturation verdict; engine_bits.json pins it",
 	"internal/netsim.rateBand":          "numerical tolerance of the bottleneck rate band; engine_bits.json pins it",
+
+	"internal/netsim.treeFanout":        "model parameter of the §2.4 tree; the -t netsim tree column in all.golden pins it",
+	"internal/netsim.treeLinkBandwidth": "model parameter of the §2.4 tree; the -t netsim tree column in all.golden pins it",
+	"internal/netsim.treeHopLatency":    "model parameter of the §2.4 tree; the -t netsim tree column in all.golden pins it",
 
 	"internal/apps.pmemdDecay":          "model parameter of pmemd's distance falloff; the profile goldens pin it",
 	"internal/analysis.fullFraction":    "model threshold of the §2.5 case iv test; -t cases pins it",

@@ -49,7 +49,7 @@ func TestSimulateBatchedAdmissionParity(t *testing.T) {
 // arrives while earlier flows are still active.
 func TestBatchedAdmissionAdmitsOncePerGroup(t *testing.T) {
 	net := NewNetwork()
-	net.AddLink("shared", 1e9)
+	net.AddLink(1e9)
 	router := RouterFunc(func(src, dst int) ([]int, float64, bool) {
 		return []int{0}, 0, true
 	})

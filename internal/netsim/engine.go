@@ -425,7 +425,7 @@ func (e *engine) build(net *Network, router Router, flows []Flow, regions []int3
 	// so the active sets never move after this.
 	e.links = grow(e.links, nLinks)
 	for l := range e.links {
-		bw := net.links[l].Bandwidth
+		bw := net.links[l]
 		e.links[l] = linkRec{bw: bw, resid: bw, sat: bw <= satSlack*bw}
 	}
 	for _, l := range e.pathLinks {

@@ -7,7 +7,6 @@ import (
 	"github.com/hfast-sim/hfast/internal/fattree"
 	"github.com/hfast-sim/hfast/internal/hfast"
 	"github.com/hfast-sim/hfast/internal/meshtorus"
-	"github.com/hfast-sim/hfast/internal/treenet"
 )
 
 // LinkParams sets the physical constants shared by the fabric models, so
@@ -82,13 +81,13 @@ func NewHFASTNet(a *hfast.Assignment, p LinkParams) *HFASTNet {
 		edgeLink: make(map[[2]int]int),
 	}
 	for i := 0; i < a.P; i++ {
-		h.up[i] = h.net.AddLink(fmt.Sprintf("node%d.up", i), p.Bandwidth)
-		h.down[i] = h.net.AddLink(fmt.Sprintf("node%d.down", i), p.Bandwidth)
+		h.up[i] = h.net.AddLink(p.Bandwidth)
+		h.down[i] = h.net.AddLink(p.Bandwidth)
 	}
 	for i := 0; i < a.P; i++ {
 		for _, j := range a.Partners[i] {
 			if j > i {
-				h.edgeLink[[2]int{i, j}] = h.net.AddLink(fmt.Sprintf("circuit%d-%d", i, j), p.Bandwidth)
+				h.edgeLink[[2]int{i, j}] = h.net.AddLink(p.Bandwidth)
 			}
 		}
 	}
@@ -139,8 +138,8 @@ type FCNNet struct {
 func NewFCNNet(procs int, tree fattree.Tree, p LinkParams) *FCNNet {
 	f := &FCNNet{net: NewNetwork(), tree: tree, p: p, procs: procs}
 	for i := 0; i < procs; i++ {
-		f.up = append(f.up, f.net.AddLink(fmt.Sprintf("node%d.up", i), p.Bandwidth))
-		f.down = append(f.down, f.net.AddLink(fmt.Sprintf("node%d.down", i), p.Bandwidth))
+		f.up = append(f.up, f.net.AddLink(p.Bandwidth))
+		f.down = append(f.down, f.net.AddLink(p.Bandwidth))
 	}
 	return f
 }
@@ -174,11 +173,11 @@ type MeshNet struct {
 func NewMeshNet(m meshtorus.Mesh, p LinkParams) *MeshNet {
 	mn := &MeshNet{net: NewNetwork(), mesh: m, p: p, links: make(map[[2]int]int)}
 	for _, e := range m.Edges() {
-		mn.links[e] = mn.net.AddLink(fmt.Sprintf("mesh%d-%d", e[0], e[1]), p.Bandwidth)
+		mn.links[e] = mn.net.AddLink(p.Bandwidth)
 	}
 	for i := 0; i < m.Size(); i++ {
-		mn.up = append(mn.up, mn.net.AddLink(fmt.Sprintf("node%d.up", i), p.Bandwidth))
-		mn.down = append(mn.down, mn.net.AddLink(fmt.Sprintf("node%d.down", i), p.Bandwidth))
+		mn.up = append(mn.up, mn.net.AddLink(p.Bandwidth))
+		mn.down = append(mn.down, mn.net.AddLink(p.Bandwidth))
 	}
 	return mn
 }
@@ -281,26 +280,41 @@ func (m *MeshNet) linkRegions(target int) []int32 {
 	return regions
 }
 
-// TreeNet models the §2.4 dedicated collective/small-message tree as a
-// simulatable fabric: one shared low-bandwidth link per tree edge, routes
-// through the lowest common ancestor.
+// The collective tree is the dedicated low-bandwidth network the paper
+// pairs with HFAST (§2.4): a BlueGene/L-style k-ary tree built from
+// inexpensive components that carries collective operations and small
+// point-to-point messages — the traffic below the bandwidth-delay product
+// that would waste a dedicated circuit. The model captures what the
+// paper's argument needs: per-level latency and a shared per-link
+// bandwidth far below the data fabric's. Its price is
+// hfast.Params.CollectiveNodeCost per node.
+const (
+	// treeFanout is the tree arity.
+	treeFanout = 3
+	// treeLinkBandwidth is bytes/second per tree link (low by design).
+	treeLinkBandwidth = 350e6
+	// treeHopLatency is per-level store-and-forward latency in seconds.
+	treeHopLatency = 100e-9
+)
+
+// TreeNet models the §2.4 collective tree as a simulatable fabric: node
+// c > 0 hangs below (c−1)/treeFanout in the implicit heap layout, one
+// shared low-bandwidth link per tree edge, routes through the lowest
+// common ancestor.
 type TreeNet struct {
-	net   *Network
-	tree  *treenet.Tree
-	links map[[2]int]int // (child, parent) → link id
+	net *Network
+	p   int
 }
 
-// NewTreeNet builds the tree fabric for p leaves.
+// NewTreeNet builds the tree fabric for p leaves. Links are added in
+// child order, so the up-link of child c is link c−1.
 func NewTreeNet(p int) (*TreeNet, error) {
-	tr, err := treenet.New(p)
-	if err != nil {
-		return nil, err
+	if p <= 0 {
+		return nil, fmt.Errorf("netsim: tree node count must be positive, got %d", p)
 	}
-	tn := &TreeNet{net: NewNetwork(), tree: tr, links: make(map[[2]int]int)}
+	tn := &TreeNet{net: NewNetwork(), p: p}
 	for child := 1; child < p; child++ {
-		parent := (child - 1) / treenet.Fanout
-		tn.links[[2]int{child, parent}] = tn.net.AddLink(
-			fmt.Sprintf("tree%d-%d", child, parent), treenet.LinkBandwidth)
+		tn.net.AddLink(treeLinkBandwidth)
 	}
 	return tn, nil
 }
@@ -309,24 +323,22 @@ func NewTreeNet(p int) (*TreeNet, error) {
 func (t *TreeNet) Network() *Network { return t.net }
 
 // RouteAppend implements Router: climb from both endpoints to their
-// lowest common ancestor in the implicit heap layout.
+// lowest common ancestor.
 func (t *TreeNet) RouteAppend(buf []int, src, dst int) ([]int, float64, bool) {
-	if !endpoints(src, dst, t.tree.P) {
+	if !endpoints(src, dst, t.p) {
 		return buf, 0, false
 	}
 	base := len(buf)
 	a, b := src, dst
 	for a != b {
 		if a > b {
-			parent := (a - 1) / treenet.Fanout
-			buf = append(buf, t.links[[2]int{a, parent}])
-			a = parent
+			buf = append(buf, a-1)
+			a = (a - 1) / treeFanout
 		} else {
-			parent := (b - 1) / treenet.Fanout
-			buf = append(buf, t.links[[2]int{b, parent}])
-			b = parent
+			buf = append(buf, b-1)
+			b = (b - 1) / treeFanout
 		}
 	}
-	lat := float64(len(buf)-base) * treenet.HopLatency
+	lat := float64(len(buf)-base) * treeHopLatency
 	return buf, lat, true
 }

@@ -17,13 +17,13 @@ func fuzzFabric(rng *rand.Rand, nodes int) (*Network, Router) {
 	down := make([]int, nodes)
 	for i := 0; i < nodes; i++ {
 		bw := 1e6 * math.Pow(10, 3*rng.Float64())
-		up[i] = net.AddLink("up", bw)
-		down[i] = net.AddLink("down", 1e6*math.Pow(10, 3*rng.Float64()))
+		up[i] = net.AddLink(bw)
+		down[i] = net.AddLink(1e6 * math.Pow(10, 3*rng.Float64()))
 	}
 	spines := 1 + rng.Intn(3)
 	spine := make([]int, spines)
 	for s := range spine {
-		spine[s] = net.AddLink("spine", 1e6*math.Pow(10, 3*rng.Float64()))
+		spine[s] = net.AddLink(1e6 * math.Pow(10, 3*rng.Float64()))
 	}
 	latency := rng.Float64() * 1e-6
 	return net, RouterFunc(func(src, dst int) ([]int, float64, bool) {

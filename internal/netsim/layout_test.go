@@ -70,9 +70,8 @@ func TestHeapHoldsOnlyLiveFlows(t *testing.T) {
 // TestWarmReplayAllocs gates the arena reuse without a clock: once the
 // pooled engine and the caller's Result have grown, a replay allocates
 // next to nothing — no per-flow path slices, no region table, no heap
-// growth. Routing forks no workers, and at GOMAXPROCS 1, 2 and 4 the
-// count is the same: 7 on the fat-tree, 2 on hfast and mesh. The ceiling
-// is twice the largest.
+// growth. Routing forks no workers, and at GOMAXPROCS 1, 2, 4, 8 and 16
+// the count is the same: 3 on every fabric. The ceiling is twice that.
 func TestWarmReplayAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector; the engine is rebuilt every replay")
@@ -85,8 +84,8 @@ func TestWarmReplayAllocs(t *testing.T) {
 			}
 		}
 		replay() // AllocsPerRun's own warm-up call is the second replay
-		if n := testing.AllocsPerRun(1, replay); n > 14 {
-			t.Errorf("%s: %.0f allocations in a warm replay, want <= 14", name, n)
+		if n := testing.AllocsPerRun(1, replay); n > 6 {
+			t.Errorf("%s: %.0f allocations in a warm replay, want <= 6", name, n)
 		} else {
 			t.Logf("%s: %.0f allocations", name, n)
 		}

@@ -18,8 +18,8 @@
 //
 // The event loop forks in one place: the flows partition into
 // link-disjoint connected components, each with its own timeline, and
-// the scheduler (scheduler.go) advances live timelines concurrently
-// between merge barriers. Within a timeline every event is handled
+// the scheduler (scheduler.go) advances live timelines concurrently over
+// par.For between merge barriers. Within a timeline every event is handled
 // serially — seed, water-fill, commit, refresh, witness scan — except
 // that a large water-fill may run region-sharded: the mesh hints a
 // per-link partition into torus blocks (RegionHinter, shard.go), the
@@ -38,39 +38,30 @@ import (
 	"math"
 )
 
-// Link is one shared resource in the network.
-type Link struct {
-	// Name identifies the link in results ("node3.up", "mesh 4-5", ...).
-	Name string
-	// Bandwidth is the capacity in bytes per second.
-	Bandwidth float64
-}
-
-// Network is a set of links; paths are provided per flow by a Router.
+// Network is a set of links, each known by its id and holding only its
+// capacity in bytes per second; paths are provided per flow by a Router.
 type Network struct {
-	links []Link
+	links []float64
 }
 
 // NewNetwork creates an empty network.
 func NewNetwork() *Network { return &Network{} }
 
-// AddLink registers a link and returns its id. The panic is a
-// construction-time assertion: bandwidths come from the fabric models'
-// own parameters, never from simulated input, and a zero, negative, NaN
-// or infinite one would only surface later as flows stalled at zero rate.
-func (n *Network) AddLink(name string, bandwidth float64) int {
+// AddLink registers a link of the given bandwidth and returns its id.
+// The panic is a construction-time assertion: bandwidths come from the
+// fabric models' own parameters, never from simulated input, and a zero,
+// negative, NaN or infinite one would only surface later as flows stalled
+// at zero rate.
+func (n *Network) AddLink(bandwidth float64) int {
 	if !(bandwidth > 0) || math.IsInf(bandwidth, 1) {
-		panic(fmt.Sprintf("netsim: link %q needs positive finite bandwidth, got %g", name, bandwidth))
+		panic(fmt.Sprintf("netsim: link %d needs positive finite bandwidth, got %g", len(n.links), bandwidth))
 	}
-	n.links = append(n.links, Link{Name: name, Bandwidth: bandwidth})
+	n.links = append(n.links, bandwidth)
 	return len(n.links) - 1
 }
 
 // Links returns the number of links.
 func (n *Network) Links() int { return len(n.links) }
-
-// Link returns link metadata.
-func (n *Network) Link(id int) Link { return n.links[id] }
 
 // Router maps a flow's endpoints to the link path it occupies and the
 // fixed propagation/switching latency of that path. RouteAppend appends

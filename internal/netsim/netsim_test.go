@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -17,7 +18,7 @@ func near(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 // lineNet builds a single shared link between node 0 and node 1.
 func lineNet() (*Network, Router) {
 	n := NewNetwork()
-	l := n.AddLink("wire", 100) // 100 B/s
+	l := n.AddLink(100) // 100 B/s
 	r := RouterFunc(func(src, dst int) ([]int, float64, bool) {
 		return []int{l}, 0.5, true
 	})
@@ -217,7 +218,7 @@ func TestSimulateCoalescedIdenticalFlows(t *testing.T) {
 
 func TestSimulateUnroutable(t *testing.T) {
 	n := NewNetwork()
-	n.AddLink("x", 1)
+	n.AddLink(1)
 	r := RouterFunc(func(src, dst int) ([]int, float64, bool) { return nil, 0, false })
 	res, err := Simulate(n, r, []Flow{{Src: 0, Dst: 1, Bytes: 10}})
 	if err != nil {
@@ -253,7 +254,7 @@ func TestFabricsRefuseOutOfRangeEndpoints(t *testing.T) {
 // or to spin the event loop to its cap.
 func TestSimulateRejectsBadFlows(t *testing.T) {
 	n := NewNetwork()
-	a, b := n.AddLink("a", 100), n.AddLink("b", 100)
+	a, b := n.AddLink(100), n.AddLink(100)
 	good := RouterFunc(func(src, dst int) ([]int, float64, bool) { return []int{a, b}, 0.5, true })
 	nanLatency := RouterFunc(func(src, dst int) ([]int, float64, bool) { return []int{a, b}, math.NaN(), true })
 	ok := Flow{Src: 0, Dst: 1, Bytes: 10}
@@ -296,11 +297,16 @@ func TestSimulateRejectsBadFlows(t *testing.T) {
 	for _, bw := range []float64{0, -1, math.NaN(), math.Inf(1)} {
 		func() {
 			defer func() {
-				if recover() == nil {
+				r := recover()
+				if r == nil {
 					t.Errorf("AddLink accepted bandwidth %g", bw)
+				} else if msg := fmt.Sprint(r); !strings.Contains(msg, "link 1 ") {
+					t.Errorf("AddLink(%g) panic %q does not name link 1", bw, msg)
 				}
 			}()
-			NewNetwork().AddLink("bad", bw)
+			bad := NewNetwork()
+			bad.AddLink(1)
+			bad.AddLink(bw)
 		}()
 	}
 }

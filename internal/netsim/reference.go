@@ -86,7 +86,7 @@ func simulateReference(net *Network, router Router, flows []Flow) (Result, error
 			}
 		}
 		for i := range ls {
-			ls[i].cap = net.links[i].Bandwidth
+			ls[i].cap = net.links[i]
 		}
 		unfixed := append([]*state(nil), active...)
 		for len(unfixed) > 0 {

@@ -23,8 +23,9 @@ import (
 // streaming the flows in (start, flow-index) arrival order through a
 // link union-find, and records a merge node at the bridge flow's start
 // time. At runtime, runScheduled advances every live component to the
-// next merge time (exclusive), splices the participating components'
-// timelines at the barrier, and continues; the final epoch runs to +Inf.
+// next merge time (exclusive) over par.For, splices the participating
+// components' timelines at the barrier, and continues; the final epoch
+// runs to +Inf.
 // Merge times and membership are pure functions of the problem — never
 // of GOMAXPROCS — which keeps the whole schedule, and with it every
 // float, identical at any parallelism.
@@ -316,10 +317,7 @@ func appendUniqueI32(s []int32, v int32) []int32 {
 }
 
 // peek is a component's next event time: its earliest pending arrival or
-// projected completion, +Inf when it has neither. run steps by it, and
-// RunPriority uses it as a hint to start the earliest-event components
-// first: they have the longest remaining timelines, so the epoch's
-// critical path starts before the stragglers queue behind it.
+// projected completion, +Inf when it has neither. run steps by it.
 func (e *engine) peek(c *compState) float64 {
 	t := math.Inf(1)
 	if c.next < len(c.order) {
@@ -333,11 +331,12 @@ func (e *engine) peek(c *compState) float64 {
 
 // runScheduled advances every component timeline to completion,
 // epoch-by-epoch between merge barriers. Within an epoch the live
-// components run concurrently over the par pool (priority-ordered by
-// projected next event); at each barrier the due merges splice in
-// deterministic (time, flow-index) order. Error selection is by
-// component id, so a failing replay reports the same diagnostic at any
-// worker count.
+// components run concurrently over par.For (a lone one runs inline); at
+// each barrier the due merges splice in deterministic (time, flow-index)
+// order. Components own disjoint flow and link records, so the order they
+// start in cannot move a result or a Stats counter, and error selection
+// is by component id, so a failing replay reports the same diagnostic at
+// any worker count.
 func (e *engine) runScheduled() error {
 	mi := 0
 	for {
@@ -351,31 +350,19 @@ func (e *engine) runScheduled() error {
 				e.live = append(e.live, int32(i))
 			}
 		}
-		switch {
-		case len(e.live) == 1:
-			// Single timeline: run inline on the calling goroutine, the
-			// exact serial path (and allocation profile) of the
-			// pre-scheduler engine.
-			if err := e.run(&e.comps[e.live[0]], horizon); err != nil {
-				return err
-			}
-		case len(e.live) > 1:
-			live := e.live
-			if cap(e.runErrs) < len(live) {
-				e.runErrs = make([]error, len(live))
-			}
-			errs := e.runErrs[:len(live)]
-			par.RunPriority(len(live), func(i int) float64 {
-				return e.peek(&e.comps[live[i]])
-			}, func(i int) {
-				errs[i] = e.run(&e.comps[live[i]], horizon)
-			})
-			// live is ascending in component id: the first error is the
-			// lowest-id failure regardless of completion order.
-			for _, er := range errs {
-				if er != nil {
-					return er
-				}
+		live := e.live
+		if cap(e.runErrs) < len(live) {
+			e.runErrs = make([]error, len(live))
+		}
+		errs := e.runErrs[:len(live)]
+		par.For(len(live), func(i int) {
+			errs[i] = e.run(&e.comps[live[i]], horizon)
+		})
+		// live is ascending in component id: the first error is the
+		// lowest-id failure regardless of completion order.
+		for _, er := range errs {
+			if er != nil {
+				return er
 			}
 		}
 		if math.IsInf(horizon, 1) {

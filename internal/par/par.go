@@ -2,15 +2,14 @@
 // component timelines and mesh region shards, and the experiments'
 // fabric replays. Workers caps a fan-out at GOMAXPROCS; For runs one job
 // per index, so a caller that writes per-index outputs stays
-// deterministic; RunPriority runs tasks most-urgent-first. Per-rank
-// analysis passes (graph builds, TDC sweeps, fabric assignment) are
-// linear and cheap next to profiling, so they run as plain loops and
-// never come here.
+// deterministic, and its only order is the ascending one it keeps when
+// it runs inline. Per-rank analysis passes (graph builds, TDC sweeps,
+// fabric assignment) are linear and cheap next to profiling, so they run
+// as plain loops and never come here.
 package par
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -60,31 +59,4 @@ func For(n int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// RunPriority runs fn(i) for every i in [0,n) over pooled workers,
-// dispatching tasks in ascending (pri(i), i) order: workers pull the
-// next undone task from the sorted queue, so the most urgent tasks
-// (netsim component timelines with the earliest projected events, which
-// are the longest-running) start first and stragglers steal whatever
-// remains. The priority shapes only the start order — every task runs
-// to completion before RunPriority returns — so callers that reduce
-// per-index results in index order stay parallelism-independent. A
-// single task or a single worker runs inline, in sorted order.
-func RunPriority(n int, pri func(int) float64, fn func(int)) {
-	if n <= 0 {
-		return
-	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		pa, pb := pri(order[a]), pri(order[b])
-		if pa != pb {
-			return pa < pb
-		}
-		return order[a] < order[b]
-	})
-	For(n, func(k int) { fn(order[k]) })
 }

@@ -83,35 +83,3 @@ func TestForSingleWorker(t *testing.T) {
 		}
 	}
 }
-
-func TestRunPriorityCoversEveryIndexOnce(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 7, 64} {
-		hits := make([]int32, n)
-		RunPriority(n, func(i int) float64 { return float64(n - i) }, func(i int) {
-			atomic.AddInt32(&hits[i], 1)
-		})
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("n=%d: index %d visited %d times", n, i, h)
-			}
-		}
-	}
-}
-
-// TestRunPriorityInlineOrder pins the serial collapse: one worker runs
-// the tasks inline in ascending (priority, index) order.
-func TestRunPriorityInlineOrder(t *testing.T) {
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
-	pri := []float64{3, 1, 2, 1}
-	var got []int
-	RunPriority(len(pri), func(i int) float64 { return pri[i] }, func(i int) {
-		got = append(got, i)
-	})
-	want := []int{1, 3, 2, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("inline order %v, want %v", got, want)
-		}
-	}
-}
