@@ -13,21 +13,21 @@ import (
 // allocate, in KB: the mpi runtime's own bytes (handles, envelopes,
 // mailboxes, coroutines, communicators) with no collector installed. Each
 // ceiling is 1.1× the bytes measured when it was set (Go 1.24, linux/amd64),
-// when collectives came to meet in memory instead of exchanging messages.
+// when messages stopped carrying payloads and Gather its result.
 var runBudgetKB = []struct {
 	app   string
 	procs int
 	kb    uint64
 }{
-	{"cactus", 64, 241},
-	{"lbmhd", 64, 129},
-	{"gtc", 64, 526},
-	{"superlu", 64, 94},
-	{"pmemd", 64, 2791},
-	{"paratec", 64, 5620},
-	{"cactus", 256, 983},
-	{"lbmhd", 256, 517},
-	{"gtc", 256, 2264},
+	{"cactus", 64, 208},
+	{"lbmhd", 64, 109},
+	{"gtc", 64, 288},
+	{"superlu", 64, 84},
+	{"pmemd", 64, 2393},
+	{"paratec", 64, 4076},
+	{"cactus", 256, 846},
+	{"lbmhd", 256, 438},
+	{"gtc", 256, 1286},
 }
 
 // TestRunAllocBudget holds each untraced world of provision_cold's nine
@@ -53,7 +53,7 @@ func TestRunAllocBudget(t *testing.T) {
 			for i := 0; i < 2; i++ {
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
-				w := mpi.NewWorld(cfg.Procs, mpi.WithTimeout(DefaultTimeout), mpi.WithCostModel(mpi.DefaultCostModel()))
+				w := mpi.NewWorld(cfg.Procs, mpi.WithCostModel(mpi.DefaultCostModel()))
 				if err := w.Run(func(c *mpi.Comm) { in.Run(c, cfg) }); err != nil {
 					t.Fatal(err)
 				}

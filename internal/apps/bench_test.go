@@ -86,7 +86,7 @@ func TestProfileRunAllocBudget(t *testing.T) {
 				entries += uint64(len(rp.Entries))
 			}
 			untraced := allocated(func() error {
-				w := mpi.NewWorld(cfg.Procs, mpi.WithTimeout(DefaultTimeout), mpi.WithCostModel(mpi.DefaultCostModel()))
+				w := mpi.NewWorld(cfg.Procs, mpi.WithCostModel(mpi.DefaultCostModel()))
 				return w.Run(func(c *mpi.Comm) { in.Run(c, cfg) })
 			})
 			traced := allocated(func() error {

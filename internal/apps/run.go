@@ -9,8 +9,9 @@ import (
 	"github.com/hfast-sim/hfast/internal/mpi"
 )
 
-// DefaultTimeout bounds a profiled skeleton run; the largest standard
-// workload (PARATEC at P=256) finishes well inside it.
+// DefaultTimeout is what the benchmark's untraced skeleton runs pass to
+// mpi.WithTimeout. A profile run has no bound of its own: its context is
+// the one (hfastd's request deadline), and the CLIs run unbounded.
 const DefaultTimeout = 5 * time.Minute
 
 // ProfileRun executes the named skeleton on a fresh world under the IPM
@@ -35,7 +36,6 @@ func ProfileRunContext(ctx context.Context, name string, cfg Config) (*ipm.Profi
 	}
 	set := ipm.NewCollectorSet(0)
 	w := mpi.NewWorld(cfg.Procs,
-		mpi.WithTimeout(DefaultTimeout),
 		mpi.WithCostModel(mpi.DefaultCostModel()),
 		mpi.WithTracerFactory(set.Factory))
 	if err := w.RunContext(ctx, func(c *mpi.Comm) { info.Run(c, cfg) }); err != nil {

@@ -33,7 +33,6 @@ func TestWorldIsSingleThreaded(t *testing.T) {
 	total := 0
 	tracers := make([]*countingTracer, procs)
 	w := mpi.NewWorld(procs,
-		mpi.WithTimeout(DefaultTimeout),
 		mpi.WithCostModel(mpi.DefaultCostModel()),
 		mpi.WithTracerFactory(func(rank int) mpi.Tracer {
 			tracers[rank] = &countingTracer{shared: &total}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"time"
 
 	"github.com/hfast-sim/hfast/internal/hfast"
 	"github.com/hfast-sim/hfast/internal/ipm"
@@ -33,7 +32,7 @@ func hintsData() (hinted, measured *hfast.Assignment, err error) {
 	hints := make([][]int, hintsProcs)
 	var cartErr error
 	set := ipm.NewCollectorSet(0)
-	w := mpi.NewWorld(hintsProcs, mpi.WithTimeout(time.Minute), mpi.WithTracerFactory(set.Factory))
+	w := mpi.NewWorld(hintsProcs, mpi.WithTracerFactory(set.Factory))
 	err = w.Run(func(c *mpi.Comm) {
 		ct, err := c.CartCreate(hintsDims, hintsPeriods, false)
 		if err != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-	"time"
 
 	"github.com/hfast-sim/hfast/internal/apps"
 	"github.com/hfast-sim/hfast/internal/ipm"
@@ -90,7 +89,7 @@ func BenchmarkCollectorSkeleton(b *testing.B) {
 				b.Fatal(err)
 			}
 			var stream []rankEvent
-			w := mpi.NewWorld(sh.procs, mpi.WithTimeout(time.Minute), mpi.WithCostModel(mpi.DefaultCostModel()),
+			w := mpi.NewWorld(sh.procs, mpi.WithCostModel(mpi.DefaultCostModel()),
 				mpi.WithTracerFactory(func(rank int) mpi.Tracer { return recorder{rank, &stream} }))
 			if err := w.Run(func(c *mpi.Comm) { info.Run(c, apps.Config{Procs: sh.procs}) }); err != nil {
 				b.Fatal(err)

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
-	"time"
 
 	"github.com/hfast-sim/hfast/internal/apps"
 	"github.com/hfast-sim/hfast/internal/ipm"
@@ -44,7 +43,7 @@ func profileOf(t *testing.T, app string, cfg apps.Config, capacity, cancelAt int
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	set := ipm.NewCollectorSet(capacity)
-	w := mpi.NewWorld(cfg.Procs, mpi.WithTimeout(time.Minute), mpi.WithCostModel(mpi.DefaultCostModel()),
+	w := mpi.NewWorld(cfg.Procs, mpi.WithCostModel(mpi.DefaultCostModel()),
 		mpi.WithTracerFactory(func(rank int) mpi.Tracer {
 			tr := set.Factory(rank)
 			if rank == 0 && cancelAt > 0 {

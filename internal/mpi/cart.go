@@ -46,9 +46,6 @@ func (c *Comm) CartCreate(dims []int, periods []bool, reorder bool) (*Cart, erro
 	}, nil
 }
 
-// Dims returns the grid extents.
-func (ct *Cart) Dims() []int { return append([]int(nil), ct.dims...) }
-
 // Coords returns the Cartesian coordinates of a rank.
 func (ct *Cart) Coords(rank int) []int {
 	ct.checkRank(rank)

@@ -41,12 +41,11 @@ func TestBcastAllSizesAllRoots(t *testing.T) {
 			for root := 0; root < c.Size(); root++ {
 				var b Buf
 				if c.Rank() == root {
-					b = Data([]byte(fmt.Sprintf("payload-from-%d", root)))
+					b = Size(100 + root)
 				}
 				c.Bcast(root, &b)
-				want := fmt.Sprintf("payload-from-%d", root)
-				if string(b.Data) != want {
-					panic(fmt.Sprintf("rank %d: bcast root %d: got %q want %q", c.Rank(), root, b.Data, want))
+				if b.N != 100+root {
+					panic(fmt.Sprintf("rank %d: bcast root %d: got %d bytes want %d", c.Rank(), root, b.N, 100+root))
 				}
 			}
 		})
@@ -256,24 +255,28 @@ func TestMismatchedCollectivesFail(t *testing.T) {
 	}
 }
 
+// TestGather runs Gather on a communicator whose ranks run opposite to the
+// world's: every rank's tracer sees one MPI_Gather, naming the root by its
+// world rank and carrying that rank's own bytes.
 func TestGather(t *testing.T) {
 	forSizes(t, func(t *testing.T, p int) {
-		run(t, p, func(c *Comm) {
-			root := c.Size() - 1
-			res := c.Gather(root, Data([]byte{byte(c.Rank())}))
-			if c.Rank() == root {
-				if len(res) != c.Size() {
-					panic("gather result wrong length")
-				}
-				for r, b := range res {
-					if len(b.Data) != 1 || b.Data[0] != byte(r) {
-						panic(fmt.Sprintf("gather slot %d: %v", r, b.Data))
-					}
-				}
-			} else if res != nil {
-				panic("non-root got gather result")
-			}
+		tracers := make([]*recordingTracer, p)
+		w := NewWorld(p, WithTimeout(testTimeout), WithTracerFactory(func(rank int) Tracer {
+			tracers[rank] = &recordingTracer{}
+			return tracers[rank]
+		}))
+		err := w.Run(func(c *Comm) {
+			c.Split(0, -c.Rank()).Gather(0, Size(1+c.Rank())) // comm rank 0 is world rank p-1
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rank, tr := range tracers {
+			want := Event{Call: CallGather, Peer: p - 1, Bytes: 1 + rank}
+			if len(tr.events) != 1 || tr.events[0] != want {
+				t.Errorf("rank %d traced %+v, want [%+v]", rank, tr.events, want)
+			}
+		}
 	})
 }
 
@@ -440,10 +443,10 @@ func TestCollectiveStress(t *testing.T) {
 			root := iter % c.Size()
 			b := Buf{}
 			if c.Rank() == root {
-				b = Data([]byte{byte(iter)})
+				b = Size(iter + 1)
 			}
 			c.Bcast(root, &b)
-			if b.Data[0] != byte(iter) {
+			if b.N != iter+1 {
 				panic("bcast corrupted under stress")
 			}
 			sum := c.Allreduce([]float64{1}, OpSum)

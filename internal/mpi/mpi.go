@@ -14,9 +14,10 @@
 // The runtime exists so that the IPM-style profiling layer (internal/ipm)
 // can observe the exact sequence of communication calls an application
 // makes — call types, buffer sizes, and partner ranks — which is the data
-// the HFAST paper derives every figure and table from. Message payloads are
-// optional: a Buf may carry only a logical byte count, so large transfer
-// patterns can be replayed without materializing gigabytes of data.
+// the HFAST paper derives every figure and table from. No message carries
+// a payload: a Buf is its logical byte count, so large transfer patterns
+// replay without materializing gigabytes of data, and Gather returns
+// nothing.
 //
 // One scheduler per World (RunContext) resumes one rank at a time, always
 // the runnable rank with the lowest (virtual clock, world rank), and a rank
@@ -46,6 +47,9 @@
 //     collectives at one place in that order panic.
 //   - A world in which no rank can run again returns ErrDeadlock at once,
 //     naming what each rank waits on.
+//   - The context passed to RunContext is a world's one way to stop: when
+//     it is done the ranks unwind and Run returns ctx.Err() (WithTimeout
+//     is a deadline on that context).
 //
 // Usage errors (invalid rank, mismatched collective participation, a request
 // used after Wait) panic, mirroring an MPI abort. Every panic in this package
@@ -67,16 +71,12 @@ const (
 	AnySource = -1
 )
 
-// Buf describes a message buffer. N is the logical payload size in bytes.
-// Data optionally carries real bytes (len(Data) == N when non-nil); the
-// application skeletons send size-only buffers while tests exercise real
-// payload delivery.
+// Buf describes a message buffer: N is its logical size in bytes.
 type Buf struct {
-	N    int
-	Data []byte
+	N int
 }
 
-// Size returns a size-only buffer of n logical bytes.
+// Size returns a buffer of n logical bytes.
 func Size(n int) Buf {
 	if n < 0 {
 		// Asserts a programmer error: a negative byte count.
@@ -85,19 +85,14 @@ func Size(n int) Buf {
 	return Buf{N: n}
 }
 
-// Data returns a buffer carrying the given payload.
-func Data(b []byte) Buf { return Buf{N: len(b), Data: b} }
-
 // Status reports the outcome of a completed receive.
 type Status struct {
 	// Source is the communicator rank the message came from.
 	Source int
 	// Tag is the message tag.
 	Tag Tag
-	// N is the payload size in bytes.
+	// N is the message size in bytes.
 	N int
-	// Data is the payload if the sender supplied one, else nil.
-	Data []byte
 	// VTime is the modeled arrival time when the world has a CostModel,
 	// else 0.
 	VTime float64

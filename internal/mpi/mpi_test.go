@@ -35,10 +35,10 @@ func TestSendRecvPayload(t *testing.T) {
 	run(t, 2, func(c *Comm) {
 		switch c.Rank() {
 		case 0:
-			c.Send(1, 7, Data([]byte("hello")))
+			c.Send(1, 7, Size(5))
 		case 1:
 			st := c.Recv(0, 7)
-			if st.Source != 0 || st.Tag != 7 || st.N != 5 || string(st.Data) != "hello" {
+			if st.Source != 0 || st.Tag != 7 || st.N != 5 {
 				panic(fmt.Sprintf("bad status %+v", st))
 			}
 		}
@@ -52,7 +52,7 @@ func TestSendRecvSizeOnly(t *testing.T) {
 			c.Send(1, 0, Size(300000))
 		case 1:
 			st := c.Recv(0, 0)
-			if st.N != 300000 || st.Data != nil {
+			if st.N != 300000 {
 				panic(fmt.Sprintf("bad status %+v", st))
 			}
 		}
@@ -119,7 +119,7 @@ func TestIsendIrecvWait(t *testing.T) {
 	run(t, 2, func(c *Comm) {
 		switch c.Rank() {
 		case 0:
-			req := c.Isend(1, 3, Data([]byte{1, 2, 3}))
+			req := c.Isend(1, 3, Size(3))
 			c.Wait(req)
 		case 1:
 			req := c.Irecv(0, 3)
@@ -213,10 +213,10 @@ func TestSendrecvRing(t *testing.T) {
 func TestSelfSend(t *testing.T) {
 	run(t, 1, func(c *Comm) {
 		req := c.Irecv(0, 1)
-		c.Send(0, 1, Data([]byte("self")))
+		c.Send(0, 1, Size(4))
 		st := c.Wait(req)
-		if string(st.Data) != "self" {
-			panic("self message lost")
+		if st.Source != 0 || st.Tag != 1 || st.N != 4 {
+			panic(fmt.Sprintf("self message lost: %+v", st))
 		}
 	})
 }
@@ -283,8 +283,8 @@ func TestDeadlockIsDetected(t *testing.T) {
 	}
 }
 
-// TestTimeoutWhileRunning keeps ErrTimeout covered: two ranks that trade
-// messages forever are still running when the timer fires.
+// TestTimeoutWhileRunning: WithTimeout is a context deadline, so two ranks
+// that trade messages forever are unwound when it passes and Run says so.
 func TestTimeoutWhileRunning(t *testing.T) {
 	w := NewWorld(2, WithTimeout(50*time.Millisecond))
 	err := w.Run(func(c *Comm) {
@@ -292,8 +292,8 @@ func TestTimeoutWhileRunning(t *testing.T) {
 			c.Sendrecv(peer, 1, Size(8), peer, 1)
 		}
 	})
-	if err != ErrTimeout {
-		t.Fatalf("expected ErrTimeout, got %v", err)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expected context.DeadlineExceeded, got %v", err)
 	}
 }
 
@@ -306,16 +306,6 @@ func TestInvalidRankPanics(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("expected error for out-of-range destination")
-	}
-}
-
-func TestBufferSizeMismatchPanics(t *testing.T) {
-	w := NewWorld(1, WithTimeout(testTimeout))
-	err := w.Run(func(c *Comm) {
-		c.Send(0, 0, Buf{N: 10, Data: []byte("abc")})
-	})
-	if err == nil {
-		t.Fatal("expected error for N/Data mismatch")
 	}
 }
 
@@ -379,12 +369,6 @@ func TestTracerSeesCallsAndRegions(t *testing.T) {
 	if barrier == nil || barrier.Region != "" {
 		t.Fatalf("bad barrier event %+v", barrier)
 	}
-	// Sequence numbers are strictly increasing.
-	for i := 1; i < len(ev0); i++ {
-		if ev0[i].Seq <= ev0[i-1].Seq {
-			t.Fatalf("event seq not increasing at %d", i)
-		}
-	}
 }
 
 func TestCollectivesNotTracedAsPTP(t *testing.T) {
@@ -402,7 +386,7 @@ func TestCollectivesNotTracedAsPTP(t *testing.T) {
 	err := w.Run(func(c *Comm) {
 		b := Buf{}
 		if c.Rank() == 0 {
-			b = Data([]byte("bcast"))
+			b = Size(5)
 		}
 		c.Bcast(0, &b)
 		c.Allreduce([]float64{1}, OpSum)

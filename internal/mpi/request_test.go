@@ -95,8 +95,8 @@ func TestHaloLoopAllocatesNoRequests(t *testing.T) {
 // long. On a sub-communicator whose ranks run opposite to the world's, comm
 // rank 0 waits on a named receive, an AnySource receive matched by a
 // rendezvous send, and a rendezvous send of its own: each receive's status
-// names its source in comm rank space and carries the tag, size and
-// payload. A second Waitall of the rank, on another communicator, refills
+// names its source in comm rank space and carries the tag and a size that
+// says which message it is. A second Waitall of the rank, on another communicator, refills
 // the same backing array — the lifetime the doc comment states — and
 // Waitall(nil) reports nothing.
 func TestWaitallStatusesRankOwned(t *testing.T) {
@@ -108,17 +108,17 @@ func TestWaitallStatusesRankOwned(t *testing.T) {
 			sts := c.Waitall([]*Request{
 				c.Irecv(1, 5),
 				c.Irecv(AnySource, 6),
-				c.Isend(1, 7, Data([]byte("rendezvous"))),
+				c.Isend(1, 7, Size(10)),
 			})
 			for i, want := range []Status{
-				{Source: 1, Tag: 5, N: 3, Data: []byte("one")},
-				{Source: 2, Tag: 6, N: 5, Data: []byte("three")},
+				{Source: 1, Tag: 5, N: 3},
+				{Source: 2, Tag: 6, N: 5},
 			} {
-				if st := sts[i]; st.Source != want.Source || st.Tag != want.Tag || st.N != want.N || string(st.Data) != string(want.Data) {
+				if st := sts[i]; st.Source != want.Source || st.Tag != want.Tag || st.N != want.N {
 					panic(fmt.Sprintf("status %d is %+v, want %+v", i, st, want))
 				}
 			}
-			if len(sts) != 3 || sts[2].N != len("rendezvous") {
+			if len(sts) != 3 || sts[2].N != 10 {
 				panic(fmt.Sprintf("send status %+v of %d", sts[len(sts)-1], len(sts)))
 			}
 			again := world.Waitall([]*Request{world.Irecv(AnySource, 9)})
@@ -132,12 +132,12 @@ func TestWaitallStatusesRankOwned(t *testing.T) {
 				panic(fmt.Sprintf("Waitall(nil) returned %d statuses", len(got)))
 			}
 		case 1:
-			c.Send(0, 5, Data([]byte("one"))) // eager
-			if st := c.Recv(0, 7); string(st.Data) != "rendezvous" {
-				panic(fmt.Sprintf("rendezvous payload %q", st.Data))
+			c.Send(0, 5, Size(3)) // eager
+			if st := c.Recv(0, 7); st.N != 10 {
+				panic(fmt.Sprintf("rendezvous message of %d bytes, want 10", st.N))
 			}
 		case 2:
-			c.Send(0, 6, Data([]byte("three"))) // rendezvous: waits for the AnySource receive
+			c.Send(0, 6, Size(5)) // rendezvous: waits for the AnySource receive
 			world.Send(2, 9, Size(1))
 		}
 	})
@@ -183,9 +183,9 @@ func freeListLen(c *Comm) int {
 
 // TestRendezvousRequestsRecycle sends every message above the eager limit,
 // so each Isend's request is completed by the receiving rank's match — not
-// by the owner — and the handle is reissued right after. Payloads carry the
-// step, so a completion or a status landing on the wrong incarnation of a
-// handle shows up as a wrong byte.
+// by the owner — and the handle is reissued right after. A message's size
+// names the step and the sender, so a completion or a status landing on
+// the wrong incarnation of a handle shows up as a wrong size.
 func TestRendezvousRequestsRecycle(t *testing.T) {
 	const steps = 300
 	w := NewWorld(2, WithTimeout(testTimeout), WithEagerLimit(4))
@@ -193,14 +193,13 @@ func TestRendezvousRequestsRecycle(t *testing.T) {
 		peer := 1 - c.Rank()
 		sub := c.Dup() // the free list belongs to the rank, not the comm
 		for s := 0; s < steps; s++ {
-			payload := []byte{byte(s), byte(s >> 8), byte(c.Rank()), 3, 4, 5, 6, 7}
 			rr := c.Irecv(peer, 1)
-			sr := sub.Isend(peer, 2, Data(payload))
-			sr2 := c.Isend(peer, 1, Data(payload))
+			sr := sub.Isend(peer, 2, Size(8+2*s+c.Rank()))
+			sr2 := c.Isend(peer, 1, Size(8+2*s+c.Rank()))
 			rr2 := sub.Irecv(peer, 2)
 			for _, st := range []Status{c.Wait(rr), sub.Wait(rr2)} {
-				if st.N != 8 || st.Data[0] != byte(s) || st.Data[1] != byte(s>>8) || st.Data[2] != byte(peer) {
-					panic("rendezvous payload from the wrong step")
+				if st.N != 8+2*s+peer {
+					panic(fmt.Sprintf("step %d: a %d-byte message, want %d", s, st.N, 8+2*s+peer))
 				}
 			}
 			c.Waitall([]*Request{sr, sr2})

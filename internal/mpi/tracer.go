@@ -105,10 +105,6 @@ type Event struct {
 	Peer int
 	// Bytes is the per-rank payload size of the call (0 for waits/barrier).
 	Bytes int
-	// Comm is the communicator id the call executed on.
-	Comm int
-	// Seq is the per-rank event sequence number, usable as a logical clock.
-	Seq int
 	// Region is the name of the enclosing profiling region, "" if none.
 	// For CallRegionBegin/End it is the region being entered or left.
 	Region string

@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"testing"
@@ -162,7 +161,7 @@ func TestEventTimestampsMonotone(t *testing.T) {
 func TestSendrecvFromProcNullObservesArrival(t *testing.T) {
 	m := DefaultCostModel()
 	const pad, size = 4 << 20, 1 << 20
-	var eventT float64
+	var eventT, t0 float64 // a world runs one rank at a time: no lock
 	w := NewWorld(2,
 		WithTimeout(30*time.Second),
 		WithCostModel(m),
@@ -177,16 +176,16 @@ func TestSendrecvFromProcNullObservesArrival(t *testing.T) {
 		if c.Rank() == 1 {
 			c.Send(1, 2, Size(pad)) // to itself: pushes the clock to t ≈ 4 ms
 			c.Recv(1, 2)
-			t0 := c.VirtualTime()
+			t0 = c.VirtualTime()
 			c.Sendrecv(0, 1, Size(size), ProcNull, 1)
-			c.Send(0, 3, Data(binary.LittleEndian.AppendUint64(nil, math.Float64bits(t0))))
+			c.Send(0, 3, Size(8))
 			return
 		}
 		before := c.VirtualTime()
 		st := c.Sendrecv(ProcNull, 1, Size(size), 1, 1)
 		after := c.VirtualTime()
-		sentAt := math.Float64frombits(binary.LittleEndian.Uint64(c.Recv(1, 3).Data))
-		if want := sentAt + m.Latency + m.transfer(size); st.N != size || st.VTime < want || after < want {
+		c.Recv(1, 3) // rank 1 set t0 before this send
+		if want := t0 + m.Latency + m.transfer(size); st.N != size || st.VTime < want || after < want {
 			panic(fmt.Sprintf("Sendrecv(ProcNull, …, 1, …): status %+v, clock %g → %g, want both ≥ %g", st, before, after, want))
 		}
 		if eventT < after {

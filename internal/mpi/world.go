@@ -19,7 +19,6 @@ type envelope struct {
 	src     int // world rank of the sender
 	tag     Tag
 	size    int
-	data    []byte
 	arrival float64   // modeled arrival time; 0 without a cost model
 	ack     *Request  // rendezvous: the send's request, completed by the match; nil for eager
 	next    *envelope // links the world's free envelopes
@@ -27,7 +26,7 @@ type envelope struct {
 
 // status is what a receive matching the envelope reports.
 func (e *envelope) status() Status {
-	return Status{Source: e.src, Tag: e.tag, N: e.size, Data: e.data, VTime: e.arrival}
+	return Status{Source: e.src, Tag: e.tag, N: e.size, VTime: e.arrival}
 }
 
 // newEnvelope takes an envelope off the free list, or allocates one.
@@ -47,7 +46,7 @@ func (w *World) match(e *envelope, recv *Request) {
 		e.ack.complete(Status{Source: e.src, Tag: e.tag, N: e.size})
 	}
 	recv.complete(e.status())
-	*e = envelope{next: w.freeEnv} // drops the payload reference
+	*e = envelope{next: w.freeEnv}
 	w.freeEnv = e
 }
 
@@ -119,7 +118,7 @@ type World struct {
 	cost       *CostModel
 	eagerLimit int // messages above this rendezvous; 0 = everything eager
 
-	aborted atomic.Bool // set by Abort; the scheduler checks it between switches
+	aborted atomic.Bool // set by abort; the scheduler checks it between switches
 	ready   readyQueue  // runnable ranks, lowest (virtual clock, world rank) first
 	freeEnv *envelope
 
@@ -138,8 +137,9 @@ func WithTracerFactory(f TracerFactory) Option {
 	return func(w *World) { w.factory = f }
 }
 
-// WithTimeout aborts Run with ErrTimeout if the ranks have not all finished
-// after d. Zero means no limit.
+// WithTimeout bounds Run by a deadline d after it starts, as
+// context.WithTimeout(ctx, d) would: when it passes, Run returns
+// context.DeadlineExceeded. Zero means no limit.
 func WithTimeout(d time.Duration) Option {
 	return func(w *World) { w.timeout = d }
 }
@@ -168,13 +168,6 @@ func NewWorld(size int, opts ...Option) *World {
 	return w
 }
 
-// Size returns the number of ranks in the world.
-func (w *World) Size() int { return w.size }
-
-// ErrTimeout is returned by Run when WithTimeout expires while ranks are
-// still running (a world that can no longer run at all is ErrDeadlock).
-var ErrTimeout = errors.New("mpi: world timed out")
-
 // ErrDeadlock is returned (wrapped, with what every unfinished rank waits
 // on) by Run as soon as no rank can run again: each is blocked on a
 // receive, a rendezvous send or a collective that only another blocked or
@@ -186,10 +179,10 @@ var ErrDeadlock = errors.New("mpi: deadlock")
 // world-level error carries the cause).
 type abortSignal struct{}
 
-// Abort makes the scheduler stop at its next switch and unwind every
-// unfinished rank; Run returns once they have exited. Safe to call multiple
-// times and from any goroutine.
-func (w *World) Abort() { w.aborted.Store(true) }
+// abort makes the scheduler stop at its next switch and unwind every
+// unfinished rank; Run returns once they have exited. It runs on the
+// context's AfterFunc goroutine or on a panicking rank.
+func (w *World) abort() { w.aborted.Store(true) }
 
 // rankError carries a rank panic out of Run.
 type rankError struct {
@@ -216,14 +209,15 @@ func (w *World) Run(fn func(*Comm)) error {
 // (virtual clock, world rank) — a rank far ahead in virtual time does not
 // run before the laggards whose sends it may match — so one rank executes
 // at a time, in an order that is a pure function of the program. When ctx
-// is done or the timeout expires the loop stops at its next switch, every
-// unfinished coroutine is unwound, and ctx.Err() or ErrTimeout is returned.
+// is done (or WithTimeout's deadline passes) the loop stops at its next
+// switch, every unfinished coroutine is unwound, and ctx.Err() is returned.
 func (w *World) RunContext(ctx context.Context, fn func(*Comm)) error {
-	defer context.AfterFunc(ctx, w.Abort)()
-	var timer *time.Timer
 	if w.timeout > 0 {
-		timer = time.AfterFunc(w.timeout, w.Abort)
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, w.timeout)
+		defer cancel()
 	}
+	defer context.AfterFunc(ctx, w.abort)()
 	group := make([]int, w.size)
 	ranks := make([]*rankState, w.size)
 	var errs []error
@@ -236,7 +230,7 @@ func (w *World) RunContext(ctx context.Context, fn func(*Comm)) error {
 					errs = append(errs, &rankError{rank: r, value: v, stack: debug.Stack()})
 					// Peers may be blocked on traffic this rank will never
 					// send: report the real failure, not a deadlock.
-					w.Abort()
+					w.abort()
 				}
 			}()
 			rs.yield = yield
@@ -255,11 +249,9 @@ func (w *World) RunContext(ctx context.Context, fn func(*Comm)) error {
 			live--
 		}
 	}
-	deadlocked := live > 0 && len(w.ready) == 0 // nothing can ever run again
 	for _, rs := range ranks {
 		rs.stop() // a suspended rank's yield returns false and it unwinds
 	}
-	timedOut := timer != nil && !timer.Stop()
 	switch {
 	case len(errs) > 0:
 		return errors.Join(errs...)
@@ -267,12 +259,9 @@ func (w *World) RunContext(ctx context.Context, fn func(*Comm)) error {
 		return nil
 	case ctx.Err() != nil:
 		return ctx.Err()
-	case deadlocked:
-		return fmt.Errorf("%w: %s", ErrDeadlock, describeBlocked(ranks))
-	case timedOut:
-		return ErrTimeout
 	}
-	return nil // Abort was called from outside
+	// Not aborted, yet ranks are left: none of them can ever run again.
+	return fmt.Errorf("%w: %s", ErrDeadlock, describeBlocked(ranks))
 }
 
 // describeBlocked lists what each parked rank of a deadlocked world waits on.
@@ -390,7 +379,7 @@ func (q *readyQueue) Pop() any {
 // the list) as soon as it completes. There is no nonblocking completion
 // test: a rank that cannot go on blocks, and the scheduler runs another.
 //
-// The status lives in the handle's own fields (88 bytes, the 96-byte size
+// The status lives in the handle's own fields (64 bytes, the 64-byte size
 // class): peer and tag are what the request matches until it is done and
 // the status' Source and Tag after.
 type Request struct {
@@ -401,7 +390,6 @@ type Request struct {
 	tag      Tag     // or AnyTag; then Status.Tag
 	comm     int     // communicator id: the matching context
 	n        int     // Status.N, once done
-	data     []byte  // Status.Data, once done
 	vtime    float64 // Status.VTime, once done
 	rs       *rankState
 	next     *Request
@@ -440,7 +428,6 @@ func (c *Comm) newRequest(op reqOp, peer int, tag Tag) *Request {
 // abandoned by an abort is never released, so nothing still in flight can
 // complete a reissued handle.
 func (c *Comm) release(r *Request) {
-	r.data = nil // drop the payload reference
 	r.released = true
 	r.next, c.rs.free = c.rs.free, r
 }
@@ -453,7 +440,7 @@ func (r *Request) complete(st Status) {
 		panic("mpi: request completed twice") // asserts a runtime bug: one message matched two requests
 	}
 	r.done = true
-	r.peer, r.tag, r.n, r.data, r.vtime = st.Source, st.Tag, st.N, st.Data, st.VTime
+	r.peer, r.tag, r.n, r.vtime = st.Source, st.Tag, st.N, st.VTime
 	if rs := r.rs; rs.waiting == r || rs.waiting != nil && rs.nwaiting > 1 {
 		rs.waiting = nil
 		heap.Push(&rs.world.ready, rs)
@@ -468,7 +455,7 @@ func (r *Request) poll() (Status, bool) {
 	if !r.done {
 		return Status{}, false
 	}
-	return Status{Source: r.peer, Tag: r.tag, N: r.n, Data: r.data, VTime: r.vtime}, true
+	return Status{Source: r.peer, Tag: r.tag, N: r.n, VTime: r.vtime}, true
 }
 
 // waitAny blocks until one of reqs completes and returns its index and

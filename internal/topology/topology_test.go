@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"github.com/hfast-sim/hfast/internal/ipm"
 	"github.com/hfast-sim/hfast/internal/mpi"
@@ -245,9 +244,7 @@ func TestEdgesAndSubgraph(t *testing.T) {
 
 func TestFromProfileEndToEnd(t *testing.T) {
 	set := ipm.NewCollectorSet(0)
-	w := mpi.NewWorld(4,
-		mpi.WithTimeout(30*time.Second),
-		mpi.WithTracerFactory(set.Factory))
+	w := mpi.NewWorld(4, mpi.WithTracerFactory(set.Factory))
 	err := w.Run(func(c *mpi.Comm) {
 		n, me := c.Size(), c.Rank()
 		right := (me + 1) % n

@@ -3,7 +3,6 @@ package trace
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"github.com/hfast-sim/hfast/internal/ipm"
 	"github.com/hfast-sim/hfast/internal/mpi"
@@ -16,9 +15,7 @@ func phasedProfile(t *testing.T) *ipm.Profile {
 	t.Helper()
 	const p = 8
 	set := ipm.NewCollectorSet(0)
-	w := mpi.NewWorld(p,
-		mpi.WithTimeout(30*time.Second),
-		mpi.WithTracerFactory(set.Factory))
+	w := mpi.NewWorld(p, mpi.WithTracerFactory(set.Factory))
 	err := w.Run(func(c *mpi.Comm) {
 		me := c.Rank()
 		for s := 0; s < 4; s++ {
