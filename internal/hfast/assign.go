@@ -19,12 +19,6 @@ type Route struct {
 	Crossings int
 }
 
-// Latency estimates the route's switching latency given per-component
-// costs; circuit crossings contribute only propagation delay.
-func (r Route) Latency(perBlock, perCrossing float64) float64 {
-	return float64(r.SBHops)*perBlock + float64(r.Crossings)*perCrossing
-}
-
 // PortUsage accounts for fabric ports.
 type PortUsage struct {
 	// ActivePorts is the total packet-switch ports provisioned

@@ -78,10 +78,8 @@ type Wiring struct {
 	Switch     *CircuitSwitch
 	// BlockBase[i] is the global index of node i's first block.
 	BlockBase []int
-	// PartnerPort[i][k] is the crossbar port of node i's k-th partner
-	// connection (on i's own tree).
-	PartnerPort [][]int
-	// PartnerDepthOf[i][k] is that port's block depth within the tree.
+	// PartnerDepthOf[i][k] is the block depth, within node i's own tree,
+	// of the crossbar port of i's k-th partner connection.
 	PartnerDepthOf [][]int
 }
 
@@ -124,7 +122,6 @@ func Wire(a *Assignment) (*Wiring, error) {
 		Assignment:     a,
 		Switch:         cs,
 		BlockBase:      make([]int, a.P),
-		PartnerPort:    make([][]int, a.P),
 		PartnerDepthOf: make([][]int, a.P),
 	}
 	next := 0
@@ -133,7 +130,9 @@ func Wire(a *Assignment) (*Wiring, error) {
 		next += a.Blocks[i]
 	}
 	// Build each node's tree and collect its free partner slots in
-	// depth-first-come order.
+	// depth-first-come order; partnerPort[i][k] is the crossbar port of
+	// node i's k-th partner connection.
+	partnerPort := make([][]int, a.P)
 	type slot struct {
 		port  int
 		depth int
@@ -166,10 +165,10 @@ func Wire(a *Assignment) (*Wiring, error) {
 			return nil, fmt.Errorf("hfast: node %d has %d partners but only %d slots",
 				i, len(a.Partners[i]), len(free))
 		}
-		w.PartnerPort[i] = make([]int, len(a.Partners[i]))
+		partnerPort[i] = make([]int, len(a.Partners[i]))
 		w.PartnerDepthOf[i] = make([]int, len(a.Partners[i]))
 		for k := range a.Partners[i] {
-			w.PartnerPort[i][k] = free[k].port
+			partnerPort[i][k] = free[k].port
 			w.PartnerDepthOf[i][k] = free[k].depth
 		}
 	}
@@ -183,7 +182,7 @@ func Wire(a *Assignment) (*Wiring, error) {
 			if ki < 0 {
 				return nil, fmt.Errorf("hfast: asymmetric partner lists for edge (%d,%d)", i, j)
 			}
-			if err := cs.Connect(w.PartnerPort[i][k], w.PartnerPort[j][ki]); err != nil {
+			if err := cs.Connect(partnerPort[i][k], partnerPort[j][ki]); err != nil {
 				return nil, fmt.Errorf("hfast: wiring edge (%d,%d): %w", i, j, err)
 			}
 		}
