@@ -19,7 +19,8 @@ var UltraProcs = []int{1024}
 
 // UltraSizes is the grid Ultra actually renders: UltraProcs by default,
 // extended to P=4096 and P=16384 — the region-sharded netsim's target
-// scale — when HFAST_TEST_ULTRA=1 opts into the long run.
+// scale — when HFAST_TEST_ULTRA=1 opts into the long run. ultraCaps
+// leaves out the codes whose profiles are too large there.
 func UltraSizes() []int {
 	sizes := append([]int{}, UltraProcs...)
 	if os.Getenv("HFAST_TEST_ULTRA") != "" {
@@ -43,12 +44,15 @@ type UltraRow struct {
 
 // UltraRows runs the full analysis-and-provisioning pipeline — profile,
 // sparse graph build, TDC, assignment, cost model — for each named app at
-// each ultra size.
+// each ultra size, except where ultraCaps leaves the app out.
 func UltraRows(r *Runner, appNames []string, sizes []int) ([]UltraRow, error) {
 	params := hfast.DefaultParams()
 	var rows []UltraRow
 	for _, app := range appNames {
 		for _, procs := range sizes {
+			if ultraCapped(app, procs) {
+				continue
+			}
 			g, err := r.Graph(app, procs)
 			if err != nil {
 				return nil, err
@@ -73,9 +77,8 @@ func UltraRows(r *Runner, appNames []string, sizes []int) ([]UltraRow, error) {
 // UltraFabricSizes is the grid the fabric-contention study replays:
 // the analysis sizes, extended to P=65536 — the component-parallel
 // scheduler's target scale — when HFAST_TEST_ULTRA=1 opts into the long
-// run. The six-app analysis grid stops at P=16384: the dense codes'
-// P² comparison matrices are infeasible past that, and the contention
-// study is the only consumer that scales further.
+// run. The analysis grid stops at P=16384, and the contention study is
+// the only consumer that scales further.
 func UltraFabricSizes() []int {
 	sizes := UltraSizes()
 	if os.Getenv("HFAST_TEST_ULTRA") != "" {
@@ -84,15 +87,49 @@ func UltraFabricSizes() []int {
 	return sizes
 }
 
-// UltraFabricAppsAt narrows the replayed skeletons at the extreme end of
-// the grid: past P=16384 only the halo skeleton replays — its bounded
-// degree keeps the flow count linear in P, while the gtc/lbmhd profile
-// builders spend minutes just materializing their traffic there.
-func UltraFabricAppsAt(procs int) []string {
-	if procs > 16384 {
-		return []string{"cactus"}
+// ultraCaps is the largest P at which the ultra grid profiles each
+// skeleton, and why; a skeleton it does not name runs at every size. Past
+// its cap a code's profile does not fit a 2-core, 8 GB box in minutes,
+// and the runtime has no timer to end the attempt.
+var ultraCaps = map[string]struct {
+	procs int
+	why   string
+}{
+	"superlu": {1024, "dense: its profile grows as P^2"},
+	"pmemd":   {1024, "dense: its profile grows as P^2"},
+	"paratec": {1024, "dense: 1.18 GB of profile at P=1024, over 7.2 GB RSS at P=4096"},
+	"gtc":     {4096, "its profile grows ~14.6x per 4x in P: 314 MB at P=4096"},
+	"lbmhd":   {16384, "its profile builder spends minutes materializing the traffic"},
+}
+
+// ultraCapped reports whether ultraCaps leaves app out at procs.
+func ultraCapped(app string, procs int) bool {
+	c, ok := ultraCaps[app]
+	return ok && procs > c.procs
+}
+
+// writeUltraOmitted names each of appNames that ultraCaps leaves out at
+// procs, and why.
+func writeUltraOmitted(w io.Writer, appNames []string, procs int) {
+	for _, app := range appNames {
+		if ultraCapped(app, procs) {
+			c := ultraCaps[app]
+			fmt.Fprintf(w, "(P=%d omits %s, profiled only up to P=%d: %s)\n", procs, app, c.procs, c.why)
+		}
 	}
-	return UltraFabricApps()
+}
+
+// UltraFabricAppsAt narrows the replayed skeletons by ultraCaps: past
+// P=16384 only the halo skeleton replays — its bounded degree keeps the
+// flow count linear in P.
+func UltraFabricAppsAt(procs int) []string {
+	var names []string
+	for _, app := range UltraFabricApps() {
+		if !ultraCapped(app, procs) {
+			names = append(names, app)
+		}
+	}
+	return names
 }
 
 // UltraFabricApps names the skeletons the ultra fabric-contention study
@@ -134,6 +171,9 @@ func Ultra(w io.Writer, r *Runner) error {
 		)
 	}
 	tbl.Write(w)
+	for _, procs := range sizes {
+		writeUltraOmitted(w, apps.Names(), procs)
+	}
 
 	for _, fprocs := range UltraFabricSizes() {
 		frows, err := NetsimRowsFor(r, UltraFabricAppsAt(fprocs), fprocs)
@@ -142,6 +182,7 @@ func Ultra(w io.Writer, r *Runner) error {
 		}
 		fmt.Fprintf(w, "\nFabric contention at P=%d (per-step traffic, makespan in ms)\n", fprocs)
 		writeFabricTable(w, frows)
+		writeUltraOmitted(w, UltraFabricApps(), fprocs)
 	}
 	fmt.Fprintln(w, "(dense codes are omitted: with every pair communicating the incremental")
 	fmt.Fprintln(w, " replay has no locality to exploit; their TDC above already settles case iv)")

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -42,6 +43,44 @@ func TestUltraRowsAtP1024(t *testing.T) {
 		}
 		if row.Cmp.HFAST.Total() <= 0 || row.Cmp.FatTree.Total() <= 0 {
 			t.Errorf("%s: non-positive costs", row.App)
+		}
+	}
+}
+
+// TestUltraCaps pins which skeletons the ultra grid profiles at each
+// size, in the analysis rows and in the fabric study, and that the tables
+// name every code they leave out.
+func TestUltraCaps(t *testing.T) {
+	for _, tc := range []struct {
+		procs            int
+		analysis, fabric []string
+	}{
+		{1024, PaperApps, []string{"cactus", "lbmhd", "gtc"}},
+		{4096, []string{"cactus", "lbmhd", "gtc"}, []string{"cactus", "lbmhd", "gtc"}},
+		{16384, []string{"cactus", "lbmhd"}, []string{"cactus", "lbmhd"}},
+		{65536, []string{"cactus"}, []string{"cactus"}},
+	} {
+		var analysis []string
+		for _, app := range PaperApps {
+			if !ultraCapped(app, tc.procs) {
+				analysis = append(analysis, app)
+			}
+		}
+		if !slices.Equal(analysis, tc.analysis) {
+			t.Errorf("P=%d: the analysis grid profiles %v, want %v", tc.procs, analysis, tc.analysis)
+		}
+		if got := UltraFabricAppsAt(tc.procs); !slices.Equal(got, tc.fabric) {
+			t.Errorf("P=%d: the fabric study replays %v, want %v", tc.procs, got, tc.fabric)
+		}
+		var b strings.Builder
+		writeUltraOmitted(&b, PaperApps, tc.procs)
+		if got, want := strings.Count(b.String(), "\n"), len(PaperApps)-len(tc.analysis); got != want {
+			t.Errorf("P=%d: %d omission notes, want %d:\n%s", tc.procs, got, want, b.String())
+		}
+		for _, app := range PaperApps {
+			if noted := strings.Contains(b.String(), " omits "+app+","); noted == slices.Contains(tc.analysis, app) {
+				t.Errorf("P=%d: omission of %s noted %v:\n%s", tc.procs, app, noted, b.String())
+			}
 		}
 	}
 }
