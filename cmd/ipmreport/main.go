@@ -54,17 +54,11 @@ func main() {
 		os.Exit(1)
 	}
 
-	// filter aggregates raw profile series (call mix, CDFs); pfilter names
-	// the same region selection for the content-addressed pipeline stages.
-	var filter ipm.RegionFilter
-	var pfilter pipeline.Filter
-	switch *region {
-	case "steady":
-		filter, pfilter = ipm.SteadyState, pipeline.Steady()
-	case "all":
-		filter, pfilter = ipm.AllRegions, pipeline.Everything()
-	default:
-		filter, pfilter = ipm.Region(*region), pipeline.Region(*region)
+	// One filter serves the raw profile series (call mix, CDFs) and keys
+	// the content-addressed pipeline stages.
+	filter := ipm.Region(*region)
+	if f := ipm.RegionFilter(*region); f == ipm.SteadyState || f == ipm.AllRegions {
+		filter = f
 	}
 
 	w := os.Stdout
@@ -90,7 +84,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ipmreport: %v\n", err)
 		os.Exit(1)
 	}
-	g, _, err := pipe.Graph(context.Background(), ref, pfilter)
+	g, _, err := pipe.Graph(context.Background(), ref, filter)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ipmreport: topology: %v\n", err)
 		os.Exit(1)
@@ -110,7 +104,7 @@ func main() {
 	report.SummaryTable(w, []analysis.Summary{sum})
 	fmt.Fprintln(w)
 
-	cmp, _, err := pipe.Comparison(context.Background(), ref, pfilter, *cutoff, hfast.DefaultParams())
+	cmp, _, err := pipe.Comparison(context.Background(), ref, filter, *cutoff, hfast.DefaultParams())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ipmreport: provisioning: %v\n", err)
 		os.Exit(1)

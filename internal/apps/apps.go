@@ -236,26 +236,6 @@ func (g grid3) neighbor(r, dx, dy, dz int) int {
 	return g.rank(x+dx, y+dy, z+dz)
 }
 
-// torusDistance is the L1 distance between two ranks on the wrapped grid.
-func (g grid3) torusDistance(a, b int) int {
-	ax, ay, az := g.coords(a)
-	bx, by, bz := g.coords(b)
-	return torusDelta(ax, bx, g.nx, g.wrap[0]) +
-		torusDelta(ay, by, g.ny, g.wrap[1]) +
-		torusDelta(az, bz, g.nz, g.wrap[2])
-}
-
-func torusDelta(a, b, n int, wrap bool) int {
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	if wrap && n-d < d {
-		d = n - d
-	}
-	return d
-}
-
 func wrapCoord(c, n int, wrap bool) (int, bool) {
 	if c >= 0 && c < n {
 		return c, true

@@ -3,6 +3,8 @@ package apps
 import (
 	"testing"
 	"testing/quick"
+
+	"github.com/hfast-sim/hfast/internal/meshtorus"
 )
 
 func TestGrid3RoundTripQuick(t *testing.T) {
@@ -32,18 +34,36 @@ func TestGrid3Boundaries(t *testing.T) {
 	}
 }
 
+// TestTorusDistance: pmemd's domain distance, meshtorus.Baseline(p).Distance,
+// is the wrapped L1 distance between the ranks' cells of the periodic
+// grid newGrid3 lays them out on, for every pair.
 func TestTorusDistance(t *testing.T) {
-	g := newGrid3(64, [3]bool{true, true, true}) // 4x4x4
-	if d := g.torusDistance(0, 0); d != 0 {
-		t.Errorf("self distance %d", d)
+	for _, p := range []int{13, 48, 64} {
+		torus, err := meshtorus.Baseline(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := newGrid3(p, [3]bool{true, true, true})
+		extents := [3]int{g.nx, g.ny, g.nz}
+		for a := 0; a < p; a++ {
+			ax, ay, az := g.coords(a)
+			for b := 0; b < p; b++ {
+				bx, by, bz := g.coords(b)
+				want := 0
+				for i, d := range [3]int{ax - bx, ay - by, az - bz} {
+					d = max(d, -d)
+					want += min(d, extents[i]-d)
+				}
+				if got := torus.Distance(a, b); got != want {
+					t.Fatalf("P=%d: Distance(%d, %d) = %d, want %d", p, a, b, got, want)
+				}
+			}
+		}
 	}
-	// (0,0,0) to (3,3,3): wraps to 1+1+1.
-	far := g.rank(3, 3, 3)
-	if d := g.torusDistance(0, far); d != 3 {
+	// 4×4×4: (0,0,0) to (3,3,3) wraps to 1+1+1.
+	torus, _ := meshtorus.Baseline(64)
+	if d := torus.Distance(0, newGrid3(64, [3]bool{true, true, true}).rank(3, 3, 3)); d != 3 {
 		t.Errorf("wrap distance %d, want 3", d)
-	}
-	if g.torusDistance(0, far) != g.torusDistance(far, 0) {
-		t.Error("distance not symmetric")
 	}
 }
 

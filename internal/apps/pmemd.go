@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"github.com/hfast-sim/hfast/internal/bdp"
+	"github.com/hfast-sim/hfast/internal/meshtorus"
 	"github.com/hfast-sim/hfast/internal/mpi"
 )
 
@@ -55,7 +56,8 @@ func RunPMEMD(c *mpi.Comm, cfg Config) {
 	cfg = cfg.withDefaults(24576)
 	procs := c.Size()
 	me := c.Rank()
-	g := newGrid3(procs, [3]bool{true, true, true})
+	// The domains tile the Baseline torus; its error is for procs < 1.
+	torus, _ := meshtorus.Baseline(procs)
 
 	// Strong scaling: the molecule is fixed, so per-pair volume shrinks
 	// with the process count.
@@ -92,7 +94,7 @@ func RunPMEMD(c *mpi.Comm, cfg Config) {
 				continue
 			}
 			lo, hi := orderPair(me, peer)
-			size := pmemdPairBytes(base, g.torusDistance(me, peer), lo, hi, cfg.Seed)
+			size := pmemdPairBytes(base, torus.Distance(me, peer), lo, hi, cfg.Seed)
 			if me == 0 || peer == 0 {
 				// Load-balancing master traffic rides the same exchange
 				// and keeps it above the bandwidth-delay product.

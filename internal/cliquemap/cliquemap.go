@@ -9,7 +9,7 @@
 package cliquemap
 
 import (
-	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/hfast-sim/hfast/internal/hfast"
@@ -48,11 +48,13 @@ func (m *Mapping) TotalBlocks() int { return len(m.Cliques) + m.ExtraBlocks }
 
 // Greedy builds a clique mapping: it seeds cliques from the heaviest
 // remaining edge and grows them while every candidate is adjacent (at the
-// cutoff) to all current members and the block still has ports for the
-// members' external edges.
+// cutoff) to all current members and the block still has an uplink port
+// for it; external edges that overflow a block's free ports are counted
+// as chained extra blocks. Block size 0 selects hfast.DefaultBlockSize.
 func Greedy(g *topology.Graph, cutoff, blockSize int) (*Mapping, error) {
-	if blockSize < 4 {
-		return nil, fmt.Errorf("cliquemap: block size must be ≥ 4, got %d", blockSize)
+	blockSize, err := hfast.BlockSize(blockSize)
+	if err != nil {
+		return nil, err
 	}
 	if cutoff == 0 {
 		cutoff = topology.DefaultCutoff
@@ -81,7 +83,7 @@ func Greedy(g *topology.Graph, cutoff, blockSize int) (*Mapping, error) {
 		// Candidates adjacent to every member, densest first.
 		var cands []int
 		for v := 0; v < g.P; v++ {
-			if m.CliqueOf[v] != -1 || contains(members, v) {
+			if m.CliqueOf[v] != -1 || slices.Contains(members, v) {
 				continue
 			}
 			ok := true
@@ -106,20 +108,17 @@ func Greedy(g *topology.Graph, cutoff, blockSize int) (*Mapping, error) {
 			if len(members) >= blockSize {
 				break
 			}
-			grown := append(append([]int(nil), members...), v)
-			if fitsBlock(g, grown, cutoff, blockSize) {
-				// Re-verify adjacency to all (members grew since cands
-				// were computed).
-				ok := true
-				for _, u := range members {
-					if !adjacent(u, v) {
-						ok = false
-						break
-					}
+			// Re-verify adjacency to all (members grew since cands
+			// were computed).
+			ok := true
+			for _, u := range members {
+				if !adjacent(u, v) {
+					ok = false
+					break
 				}
-				if ok {
-					members = grown
-				}
+			}
+			if ok {
+				members = append(members, v)
 			}
 		}
 		return members
@@ -127,9 +126,6 @@ func Greedy(g *topology.Graph, cutoff, blockSize int) (*Mapping, error) {
 
 	for _, e := range edges {
 		if m.CliqueOf[e[0]] != -1 || m.CliqueOf[e[1]] != -1 {
-			continue
-		}
-		if !fitsBlock(g, []int{e[0], e[1]}, cutoff, blockSize) {
 			continue
 		}
 		members := tryGrow([]int{e[0], e[1]})
@@ -170,23 +166,6 @@ func Greedy(g *topology.Graph, cutoff, blockSize int) (*Mapping, error) {
 		}
 	}
 	return m, nil
-}
-
-func contains(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-// fitsBlock reports whether the member set plus its external edges fit a
-// single block's ports (members each take an uplink; external edges take
-// one port each, allowing chained expansion to be counted later — here we
-// only require the uplinks to fit).
-func fitsBlock(g *topology.Graph, members []int, cutoff, blockSize int) bool {
-	return len(members) <= blockSize
 }
 
 // Savings compares the clique mapping against the paper's linear-time

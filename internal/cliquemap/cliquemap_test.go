@@ -1,9 +1,11 @@
 package cliquemap
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"github.com/hfast-sim/hfast/internal/hfast"
 	"github.com/hfast-sim/hfast/internal/topology"
 )
 
@@ -173,5 +175,23 @@ func TestCliqueNeverWorseThanNaiveOnCliqueGraphs(t *testing.T) {
 func TestGreedyValidation(t *testing.T) {
 	if _, err := Greedy(topology.MustGraph(4), 0, 2); err == nil {
 		t.Error("block size 2 accepted")
+	}
+}
+
+// TestGreedyZeroBlockSizeIsDefault: block size 0 selects
+// hfast.DefaultBlockSize, as in every other planner. Cliques of 20 are
+// cut at the block size, so the mapping tells 16 from any other size.
+func TestGreedyZeroBlockSizeIsDefault(t *testing.T) {
+	g := cliqueGraph(2, 20)
+	got, err := Greedy(g, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Greedy(g, 0, hfast.DefaultBlockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.BlockSize != 16 || !reflect.DeepEqual(got, want) {
+		t.Errorf("Greedy at block size 0 planned %+v, want the block-size-16 plan %+v", got, want)
 	}
 }

@@ -106,6 +106,47 @@ func TestRegionSeparation(t *testing.T) {
 	}
 }
 
+// TestRegionFilterMatch: a filter is its canonical name, the zero value
+// selects what AllRegions does but has no name, a one-region filter named like a
+// canonical one is still that one region, and matching allocates nothing.
+func TestRegionFilterMatch(t *testing.T) {
+	regions := []string{"", "init", "steady", "all", "step000", "region:step000"}
+	for _, c := range []struct {
+		filter RegionFilter
+		name   string
+		named  bool
+		match  []bool // per regions
+	}{
+		{"", "", false, []bool{true, true, true, true, true, true}},
+		{AllRegions, "all", true, []bool{true, true, true, true, true, true}},
+		{SteadyState, "steady", true, []bool{true, false, true, true, true, true}},
+		{Region("step000"), "region:step000", true, []bool{false, false, false, false, true, false}},
+		{Region("steady"), "region:steady", true, []bool{false, false, true, false, false, false}},
+		{Region(""), "region:", true, []bool{true, false, false, false, false, false}},
+		{"bogus", "bogus", false, []bool{false, false, false, false, false, false}},
+	} {
+		if string(c.filter) != c.name || c.filter.Named() != c.named {
+			t.Errorf("filter %q (Named %v), want the name %q (Named %v)", c.filter, c.filter.Named(), c.name, c.named)
+		}
+		for i, r := range regions {
+			if got := c.filter.Match(r); got != c.match[i] {
+				t.Errorf("%q.Match(%q) = %v, want %v", c.filter, r, got, c.match[i])
+			}
+		}
+	}
+	f := Region("step000")
+	hits := 0
+	if n := testing.AllocsPerRun(100, func() {
+		for _, r := range regions {
+			if f.Match(r) {
+				hits++
+			}
+		}
+	}); n != 0 {
+		t.Errorf("Match allocates %.0f times per pass, want 0", n)
+	}
+}
+
 func TestPairsDirectedTraffic(t *testing.T) {
 	p := profileRun(t, 3, 0, func(c *mpi.Comm) {
 		switch c.Rank() {
@@ -575,7 +616,7 @@ func TestPairsMatchesMapReference(t *testing.T) {
 		"shuffled":      {Procs: 4, Ranks: shuffled},
 		"empty":         {Procs: 4},
 	} {
-		for fname, filter := range map[string]RegionFilter{"nil": nil, "steady": SteadyState, "step000": Region("step000")} {
+		for fname, filter := range map[string]RegionFilter{"zero": "", "steady": SteadyState, "step000": Region("step000")} {
 			got, want := p.Pairs(filter), refPairs(p, filter)
 			if got == nil || !reflect.DeepEqual(got, want) {
 				t.Errorf("%s, filter %s:\n got %+v\nwant %+v", name, fname, got, want)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"slices"
 	"sort"
+	"strings"
 
 	"github.com/hfast-sim/hfast/internal/mpi"
 )
@@ -59,30 +60,51 @@ type Profile struct {
 	Ranks []RankProfile
 }
 
-// RegionFilter selects entries by region when scanning a profile.
-type RegionFilter func(region string) bool
+// RegionFilter selects entries by region when scanning a profile. Its
+// value is its canonical name — "all", "steady" or "region:<name>" — so a
+// filter is comparable and content-addresses the artifacts built under
+// it. The zero value selects every region, as AllRegions does; a name of
+// any other form selects none.
+type RegionFilter string
 
-// AllRegions matches every region including code outside regions.
-func AllRegions(string) bool { return true }
+const (
+	// AllRegions matches every region including code outside regions.
+	AllRegions RegionFilter = "all"
+	// SteadyState matches everything except the conventional "init"
+	// region, reproducing the paper's exclusion of initialization traffic.
+	SteadyState RegionFilter = "steady"
+)
+
+// regionPrefix heads the name of a one-region filter.
+const regionPrefix = "region:"
 
 // Region matches exactly one region name.
-func Region(name string) RegionFilter {
-	return func(r string) bool { return r == name }
+func Region(name string) RegionFilter { return RegionFilter(regionPrefix + name) }
+
+// Named reports whether f is one of the canonical names; the zero value
+// is not.
+func (f RegionFilter) Named() bool {
+	return f == AllRegions || f == SteadyState || strings.HasPrefix(string(f), regionPrefix)
 }
 
-// SteadyState matches everything except the conventional "init" region,
-// reproducing the paper's exclusion of initialization traffic.
-func SteadyState(r string) bool { return r != "init" }
+// Match reports whether entries of the region pass the filter.
+func (f RegionFilter) Match(region string) bool {
+	switch f {
+	case "", AllRegions:
+		return true
+	case SteadyState:
+		return region != "init"
+	}
+	name, ok := strings.CutPrefix(string(f), regionPrefix)
+	return ok && name == region
+}
 
 // Visit walks every entry of every rank that passes the filter.
 func (p *Profile) Visit(filter RegionFilter, fn func(rank int, e Entry)) {
-	if filter == nil {
-		filter = AllRegions
-	}
 	for i := range p.Ranks {
 		rp := &p.Ranks[i]
 		for _, e := range rp.Entries {
-			if filter(e.Key.Region) {
+			if filter.Match(e.Key.Region) {
 				fn(rp.Rank, e)
 			}
 		}
@@ -162,9 +184,6 @@ func (pt *PairTraffic) fold(o PairTraffic) {
 // Pairs extracts directed point-to-point traffic for entries passing the
 // filter, sorted by (Src, Dst). Catch-all entries (no peer) are skipped.
 func (p *Profile) Pairs(filter RegionFilter) []PairTraffic {
-	if filter == nil {
-		filter = AllRegions
-	}
 	left := 0 // entries in the ranks not yet folded
 	for i := range p.Ranks {
 		left += len(p.Ranks[i].Entries)
@@ -174,7 +193,7 @@ func (p *Profile) Pairs(filter RegionFilter) []PairTraffic {
 		rp := &p.Ranks[i]
 		f.begin(rp.Rank)
 		for j := range rp.Entries {
-			if e := &rp.Entries[j]; filter(e.Key.Region) {
+			if e := &rp.Entries[j]; filter.Match(e.Key.Region) {
 				f.add(e)
 			}
 		}

@@ -8,6 +8,7 @@ package meshtorus
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/hfast-sim/hfast/internal/topology"
 )
@@ -143,22 +144,9 @@ func (m Mesh) Neighbors(r int) []int {
 			}
 			c2 := append([]int(nil), c...)
 			c2[i] = x
-			n := m.Rank(c2)
-			if n != r {
+			if n := m.Rank(c2); n != r && !slices.Contains(out, n) {
 				out = append(out, n)
 			}
-		}
-	}
-	return dedupInts(out)
-}
-
-func dedupInts(in []int) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, v := range in {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
 		}
 	}
 	return out
@@ -179,11 +167,13 @@ func (m Mesh) Edges() [][2]int {
 }
 
 // Distance is the L1 hop distance between ranks (with wrap when a torus).
+// It reads the coordinates off the ranks digit by digit, allocating
+// nothing: pmemd calls it once per pair per step.
 func (m Mesh) Distance(a, b int) int {
-	ca, cb := m.Coords(a), m.Coords(b)
 	sum := 0
-	for i, d := range m.Dims {
-		delta := ca[i] - cb[i]
+	for _, d := range m.Dims {
+		delta := a%d - b%d
+		a, b = a/d, b/d
 		if delta < 0 {
 			delta = -delta
 		}

@@ -168,6 +168,19 @@ func TestDistance(t *testing.T) {
 	}
 }
 
+// TestDistanceAllocatesNothing: pmemd asks for a distance per pair per
+// step and OptimizePlacement per edge per move.
+func TestDistanceAllocatesNothing(t *testing.T) {
+	torus, err := Baseline(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum int
+	if n := testing.AllocsPerRun(100, func() { sum += torus.Distance(5, 58) }); n != 0 {
+		t.Errorf("Distance allocates %.0f times per call, want 0", n)
+	}
+}
+
 func TestAppendDORLengthMatchesDistance(t *testing.T) {
 	f := func(sa, sb uint8, wrap bool) bool {
 		m, _ := New([]int{4, 3, 2}, wrap)

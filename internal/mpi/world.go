@@ -210,7 +210,8 @@ func (w *World) Run(fn func(*Comm)) error {
 // run before the laggards whose sends it may match — so one rank executes
 // at a time, in an order that is a pure function of the program. When ctx
 // is done (or WithTimeout's deadline passes) the loop stops at its next
-// switch, every unfinished coroutine is unwound, and ctx.Err() is returned.
+// switch, every unfinished coroutine is unwound, and ctx.Err() is returned,
+// also when the ranks finish before the loop sees it.
 func (w *World) RunContext(ctx context.Context, fn func(*Comm)) error {
 	if w.timeout > 0 {
 		var cancel context.CancelFunc
@@ -255,10 +256,12 @@ func (w *World) RunContext(ctx context.Context, fn func(*Comm)) error {
 	switch {
 	case len(errs) > 0:
 		return errors.Join(errs...)
+	case ctx.Err() != nil:
+		// Checked before completion: abort runs on its own goroutine, so
+		// the ranks may all finish before the loop sees the flag.
+		return ctx.Err()
 	case live == 0:
 		return nil
-	case ctx.Err() != nil:
-		return ctx.Err()
 	}
 	// Not aborted, yet ranks are left: none of them can ever run again.
 	return fmt.Errorf("%w: %s", ErrDeadlock, describeBlocked(ranks))

@@ -44,7 +44,7 @@ type netsimInputs struct {
 // three fabric replays of one app share their upstream artifacts.
 func (pl *Pipeline) Netsim(ctx context.Context, ref ProfileRef, fabric string) (*FabricResult, Outcome, error) {
 	rec := ref.recipe(StageNetsim)
-	rec.Filter, rec.Fabric = Steady().name, fabric
+	rec.Filter, rec.Fabric = ipm.SteadyState, fabric
 	return get[*FabricResult](ctx, pl, ref, rec)
 }
 

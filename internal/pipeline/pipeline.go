@@ -30,7 +30,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"strings"
 
 	"github.com/hfast-sim/hfast/internal/apps"
 	"github.com/hfast-sim/hfast/internal/hfast"
@@ -175,31 +174,9 @@ func (r ProfileRef) describe() string {
 	return fmt.Sprintf("%s/%d (supplied)", r.prof.App, r.prof.Procs)
 }
 
-// --- region filters ---
-
-// Filter is a canonically-named region filter, so filtered artifacts can
-// be content-addressed (a bare func has no identity).
-type Filter struct{ name string }
-
-// Steady selects every region but initialization — the paper's default.
-func Steady() Filter { return Filter{"steady"} }
-
-// Everything selects all regions including initialization.
-func Everything() Filter { return Filter{"all"} }
-
-// Region selects a single named region.
-func Region(name string) Filter { return Filter{"region:" + name} }
-
-// regionFilter is the region filter a checked filter name stands for.
-func regionFilter(name string) ipm.RegionFilter {
-	switch name {
-	case "steady":
-		return ipm.SteadyState
-	case "all":
-		return ipm.AllRegions
-	}
-	return ipm.Region(strings.TrimPrefix(name, "region:"))
-}
+// Steady is ipm.SteadyState, every region but initialization: the
+// paper's default.
+func Steady() ipm.RegionFilter { return ipm.SteadyState }
 
 // --- stages ---
 
@@ -240,7 +217,6 @@ func get[T any](ctx context.Context, pl *Pipeline, ref ProfileRef, r Recipe) (T,
 // request of its own, cached and coalesced in its own slot. Their errors
 // pass as they are; the stage's own errors name the stage and the run.
 func (pl *Pipeline) build(ctx context.Context, ref ProfileRef, rec Recipe) (any, error) {
-	f := Filter{rec.Filter}
 	var (
 		v    any
 		prof *ipm.Profile
@@ -260,29 +236,29 @@ func (pl *Pipeline) build(ctx context.Context, ref ProfileRef, rec Recipe) (any,
 	case StageProfile:
 		v, err = pl.opts.Runner(ctx, ref.spec.App, ref.spec.config())
 	case StageGraph:
-		v, err = topology.FromProfile(prof, regionFilter(rec.Filter))
+		v, err = topology.FromProfile(prof, rec.Filter)
 	case StageAssign:
-		if g, _, err = pl.Graph(ctx, ref, f); err != nil {
+		if g, _, err = pl.Graph(ctx, ref, rec.Filter); err != nil {
 			return nil, err
 		}
 		v, err = hfast.Assign(g, rec.Cutoff, rec.BlockSize)
 	case StagePlan:
-		if a, _, err = pl.Assignment(ctx, ref, f, rec.Cutoff, rec.BlockSize); err != nil {
+		if a, _, err = pl.Assignment(ctx, ref, rec.Filter, rec.Cutoff, rec.BlockSize); err != nil {
 			return nil, err
 		}
 		what = "wire"
 		v, err = newPlan(prof.App, prof.Procs, a)
 	case StageCompare:
-		if a, _, err = pl.Assignment(ctx, ref, f, rec.Cutoff, rec.Params.BlockSize); err != nil {
+		if a, _, err = pl.Assignment(ctx, ref, rec.Filter, rec.Cutoff, rec.Params.BlockSize); err != nil {
 			return nil, err
 		}
 		v, err = hfast.Compare(a, *rec.Params)
 	case StageNetsim:
-		if g, _, err = pl.Graph(ctx, ref, f); err != nil {
+		if g, _, err = pl.Graph(ctx, ref, rec.Filter); err != nil {
 			return nil, err
 		}
 		if rec.Fabric == FabricHFAST {
-			if a, _, err = pl.Assignment(ctx, ref, f, 0, hfast.DefaultBlockSize); err != nil {
+			if a, _, err = pl.Assignment(ctx, ref, rec.Filter, 0, hfast.DefaultBlockSize); err != nil {
 				return nil, err
 			}
 		}
@@ -307,18 +283,18 @@ func (pl *Pipeline) Profile(ctx context.Context, ref ProfileRef) (*ipm.Profile, 
 
 // Graph resolves the communication-topology graph of the referenced
 // profile under the region filter.
-func (pl *Pipeline) Graph(ctx context.Context, ref ProfileRef, f Filter) (*topology.Graph, Outcome, error) {
+func (pl *Pipeline) Graph(ctx context.Context, ref ProfileRef, f ipm.RegionFilter) (*topology.Graph, Outcome, error) {
 	rec := ref.recipe(StageGraph)
-	rec.Filter = f.name
+	rec.Filter = f
 	return get[*topology.Graph](ctx, pl, ref, rec)
 }
 
 // Assignment resolves the paper's linear-time switch-block provisioning
 // of the filtered graph at the cutoff (DefaultCutoff when 0) and block
 // size (DefaultBlockSize when 0).
-func (pl *Pipeline) Assignment(ctx context.Context, ref ProfileRef, f Filter, cutoff, blockSize int) (*hfast.Assignment, Outcome, error) {
+func (pl *Pipeline) Assignment(ctx context.Context, ref ProfileRef, f ipm.RegionFilter, cutoff, blockSize int) (*hfast.Assignment, Outcome, error) {
 	rec := ref.recipe(StageAssign)
-	rec.Filter, rec.Cutoff, rec.BlockSize = f.name, cutoff, blockSize
+	rec.Filter, rec.Cutoff, rec.BlockSize = f, cutoff, blockSize
 	return get[*hfast.Assignment](ctx, pl, ref, rec)
 }
 
@@ -361,18 +337,18 @@ func newPlan(app string, procs int, a *hfast.Assignment) (*Plan, error) {
 }
 
 // Plan resolves the full wiring plan for the referenced profile.
-func (pl *Pipeline) Plan(ctx context.Context, ref ProfileRef, f Filter, cutoff, blockSize int) (*Plan, Outcome, error) {
+func (pl *Pipeline) Plan(ctx context.Context, ref ProfileRef, f ipm.RegionFilter, cutoff, blockSize int) (*Plan, Outcome, error) {
 	rec := ref.recipe(StagePlan)
-	rec.Filter, rec.Cutoff, rec.BlockSize = f.name, cutoff, blockSize
+	rec.Filter, rec.Cutoff, rec.BlockSize = f, cutoff, blockSize
 	return get[*Plan](ctx, pl, ref, rec)
 }
 
 // Comparison resolves the cost-model comparison of the provisioned fabric
 // against the fat-tree baseline. The assignment uses params.BlockSize
 // (DefaultBlockSize when 0).
-func (pl *Pipeline) Comparison(ctx context.Context, ref ProfileRef, f Filter, cutoff int, params hfast.Params) (hfast.Comparison, Outcome, error) {
+func (pl *Pipeline) Comparison(ctx context.Context, ref ProfileRef, f ipm.RegionFilter, cutoff int, params hfast.Params) (hfast.Comparison, Outcome, error) {
 	rec := ref.recipe(StageCompare)
-	rec.Filter, rec.Cutoff, rec.Params = f.name, cutoff, &params
+	rec.Filter, rec.Cutoff, rec.Params = f, cutoff, &params
 	return get[hfast.Comparison](ctx, pl, ref, rec)
 }
 

@@ -3,9 +3,9 @@ package pipeline
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"github.com/hfast-sim/hfast/internal/hfast"
+	"github.com/hfast-sim/hfast/internal/ipm"
 	"github.com/hfast-sim/hfast/internal/topology"
 )
 
@@ -26,8 +26,9 @@ type Recipe struct {
 	ProfileKey Key `json:"profile_key"`
 	// Spec reproduces the profile run; nil for supplied profiles.
 	Spec *ProfileSpec `json:"spec,omitempty"`
-	// Filter is the canonical region-filter name (graph-derived stages).
-	Filter string `json:"filter,omitempty"`
+	// Filter is the region filter, encoded as its canonical name
+	// (graph-derived stages).
+	Filter ipm.RegionFilter `json:"filter,omitempty"`
 	// Cutoff and BlockSize are the provisioning parameters; zero selects
 	// the default, so a hand-built recipe with zeros addresses the
 	// defaults' artifact.
@@ -73,7 +74,10 @@ func (r Recipe) normalized() (Recipe, error) {
 	default:
 		return r, fmt.Errorf("pipeline: unknown stage %q", r.Stage)
 	}
-	if r.Filter != "steady" && r.Filter != "all" && !strings.HasPrefix(r.Filter, "region:") {
+	// A filter is keyed by its canonical name, so the zero filter, which
+	// selects what AllRegions does, is refused rather than given a second
+	// address.
+	if !r.Filter.Named() {
 		return r, fmt.Errorf("pipeline: unknown filter %q", r.Filter)
 	}
 	switch r.Stage {
@@ -110,8 +114,8 @@ func normCutoff(c int) int {
 }
 
 type graphInputs struct {
-	Profile Key    `json:"profile"`
-	Filter  string `json:"filter"`
+	Profile Key              `json:"profile"`
+	Filter  ipm.RegionFilter `json:"filter"`
 }
 
 type assignInputs struct {

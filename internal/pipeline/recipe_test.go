@@ -60,7 +60,7 @@ func TestBadRecipesRunNothing(t *testing.T) {
 	}
 	cases := []refusal{
 		{"Netsim on an unknown fabric", errOf(pl.Netsim(ctx, ref, "nope")), `pipeline: unknown fabric "nope"`},
-		{"Graph under the zero Filter", errOf(pl.Graph(ctx, ref, Filter{})), `pipeline: unknown filter ""`},
+		{"Graph under the zero filter", errOf(pl.Graph(ctx, ref, "")), `pipeline: unknown filter ""`},
 		{"Assignment at a negative cutoff", errOf(pl.Assignment(ctx, ref, Steady(), -1, 0)), "pipeline: negative cutoff -1"},
 		{"Plan at a negative cutoff", errOf(pl.Plan(ctx, ref, Steady(), -1, 0)), "pipeline: negative cutoff -1"},
 		{"Comparison at a negative cutoff", errOf(pl.Comparison(ctx, ref, Steady(), -1, params)), "pipeline: negative cutoff -1"},
@@ -143,4 +143,28 @@ func FuzzRecipe(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestRegionFilterKeys pins the content addresses a region filter gives
+// the graph and plan of one profile spec: a filter is keyed by its
+// canonical name, so these keys are the ones every replica, cache and
+// peer-fill request has derived since the name was first hashed.
+func TestRegionFilterKeys(t *testing.T) {
+	ref := Spec(ProfileSpec{App: "cactus", Procs: 64})
+	for _, c := range []struct {
+		filter      ipm.RegionFilter
+		graph, plan Key
+	}{
+		{ipm.SteadyState, "graph:f7e90f61324486f8862706e9", "plan:a4a0a0f51751e77d037531ed"},
+		{ipm.AllRegions, "graph:38eae153d193ce91ef57cb70", "plan:158684d05e1a1b5526f4527e"},
+		{ipm.Region("step000"), "graph:4936a56c202410e312ddac2f", "plan:d35eea6028e50adfbb58b9db"},
+	} {
+		for stage, want := range map[string]Key{StageGraph: c.graph, StagePlan: c.plan} {
+			rec := ref.recipe(stage)
+			rec.Filter = c.filter
+			if got, err := rec.Key(); err != nil || got != want {
+				t.Errorf("%s %s key = %q, %v; want %q", c.filter, stage, got, err, want)
+			}
+		}
+	}
 }

@@ -62,7 +62,7 @@ func FaultImpact(g *topology.Graph, m meshtorus.Mesh, failed []int, blockSize in
 			rep.MeshDisconnected++
 			continue
 		}
-		detour := float64(d) / float64(maxInt(base, 1))
+		detour := float64(d) / float64(max(base, 1))
 		detourSum += detour
 		if detour > rep.MeshMaxDetour {
 			rep.MeshMaxDetour = detour
@@ -95,13 +95,6 @@ func FaultImpact(g *topology.Graph, m meshtorus.Mesh, failed []int, blockSize in
 		rep.HFASTBlocksFreed += before.Blocks[f]
 	}
 	return rep, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // bfsAvoiding returns the shortest hop count from a to b over healthy

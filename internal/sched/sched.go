@@ -32,6 +32,8 @@ type Allocator interface {
 	Free(handle int)
 	// Capacity is the machine size in nodes.
 	Capacity() int
+	// FreeNodes is the current free-node count.
+	FreeNodes() int
 }
 
 // FlexAllocator places jobs on any free nodes — the HFAST/FCN discipline.
@@ -74,7 +76,7 @@ func (f *FlexAllocator) Free(handle int) {
 // Capacity implements Allocator.
 func (f *FlexAllocator) Capacity() int { return f.capacity }
 
-// FreeNodes reports the current free-node count.
+// FreeNodes implements Allocator.
 func (f *FlexAllocator) FreeNodes() int { return f.free }
 
 // MeshAllocator places jobs as contiguous axis-aligned boxes in a 3D
@@ -190,7 +192,7 @@ func (m *MeshAllocator) Free(handle int) {
 	}
 }
 
-// FreeNodes reports the current free-node count.
+// FreeNodes implements Allocator.
 func (m *MeshAllocator) FreeNodes() int {
 	n := 0
 	for _, u := range m.used {
@@ -224,10 +226,6 @@ type runningJob struct {
 	nodes  int
 }
 
-// freeCounter is implemented by both allocators for fragmentation
-// accounting.
-type freeCounter interface{ FreeNodes() int }
-
 // Simulate runs a FCFS batch queue over the job list (sorted by submit
 // time) on the given allocator.
 func Simulate(jobs []Job, alloc Allocator) (Result, error) {
@@ -251,7 +249,6 @@ func Simulate(jobs []Job, alloc Allocator) (Result, error) {
 		qi       int
 		pending  []Job
 	)
-	fc, _ := alloc.(freeCounter)
 
 	finishEarliest := func() int {
 		best := -1
@@ -274,7 +271,7 @@ func Simulate(jobs []Job, alloc Allocator) (Result, error) {
 			j := pending[0]
 			h, ok := alloc.Alloc(j.Nodes)
 			if !ok {
-				if fc != nil && fc.FreeNodes() >= j.Nodes {
+				if alloc.FreeNodes() >= j.Nodes {
 					res.BlockedWithFreeNodes++
 				}
 				break

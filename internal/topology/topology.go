@@ -353,7 +353,7 @@ func (g *Graph) fillRows(block []Edge, pairs []ipm.PairTraffic, in, start []int3
 }
 
 // FromProfile builds the graph from a profile's point-to-point traffic,
-// honoring the region filter (nil means all regions). A profile with a
+// honoring the region filter (the zero filter means all regions). A profile with a
 // non-positive rank count or out-of-range peers yields an error.
 func FromProfile(p *ipm.Profile, filter ipm.RegionFilter) (*Graph, error) {
 	g, err := FromPairs(p.Procs, p.Pairs(filter))

@@ -257,7 +257,7 @@ func TestFromProfileEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	prof := set.Profile("ring", 4, nil)
-	g, err := FromProfile(prof, nil)
+	g, err := FromProfile(prof, "")
 	if err != nil {
 		t.Fatal(err)
 	}
