@@ -58,6 +58,31 @@ var goldenWildcardSHA = []struct {
 	{"superlu", 100, 11, "6cc69c2b7b3ebef5bf24cf6e0e20ade43789b47fcf099b8897a14d2618fb4eed", 11817021},
 }
 
+// goldenGridSHA pins the grid skeletons at non-cube P, where NearCube's
+// extents (2×1×1, 13×1×1, 4×4×3, 5×5×4) make a dimension wrap onto the
+// rank itself, fold its ±1 neighbours into one, or end at an open edge:
+// the cases P=64's 4×4×4 never reaches. Columns as goldenWildcardSHA's.
+var goldenGridSHA = []struct {
+	app   string
+	procs int
+	seed  int64
+	sha   string
+	size  int64
+}{
+	{"cactus", 2, 1, "a94ae07db32d00ba4f50e76555b5f97590d065c441b3d9119aad832b42d0f0f3", 9712},
+	{"cactus", 13, 5, "331bbb95ef030a9e046ae350b961eab42f74148653643e292171a124da4eb393", 87202},
+	{"cactus", 48, 3, "39ada89c83ef3457886adcfa15dec172a8bf781f906abd8aa6e26ab2b8b6387d", 664790},
+	{"cactus", 100, 11, "c52166dcefc39b74352a1fe5ff8fe505b05b8f8d33313913b07947ca8848697b", 1431673},
+	{"lbmhd", 2, 1, "11251cda48029a4d1d60acc7c9d382ed6b0c4e7468f3c093dc4527589c561197", 12069},
+	{"lbmhd", 13, 5, "f46aa785ab88a33393094bd8ae0e2d1a821acb7bd749acd2e45eef46f3b827ff", 106478},
+	{"lbmhd", 48, 3, "489b88770528c9ed2b68fe26f4a80aa2a9f77557fa03bfa8b008d067f0037b46", 1372344},
+	{"lbmhd", 100, 11, "144a405f33d31b70d17f79391c3fcfc2d32629c3e058eec0ed0bb62fdb44b483", 2862553},
+	{"amr", 2, 1, "e1bc1acd01edced729cd961d399882c2d2d9d7f7cfd62b29b0bb47c2f07e2e32", 8320},
+	{"amr", 13, 5, "68d7aec206d450817fd41a0c7e7762a4c8085bc68ef02f9405b605830396772c", 266022},
+	{"amr", 48, 3, "4139a7edd6761dfb445ab10b9b5de941946cc8b8262a8a210c0887901ef2a535", 1352441},
+	{"amr", 100, 11, "c213d1780ffdbb879e1aabf0be3e2211049c230c40c4015b6beacb214bcc523d", 2888118},
+}
+
 // byteCounter counts what is written to it.
 type byteCounter int64
 
@@ -105,6 +130,14 @@ func TestProfileGoldenSHA(t *testing.T) {
 
 func TestWildcardGoldenSHA(t *testing.T) {
 	for _, g := range goldenWildcardSHA {
+		t.Run(fmt.Sprintf("%s/P%d/seed%d", g.app, g.procs, g.seed), func(t *testing.T) {
+			checkProfileSHA(t, g.app, Config{Procs: g.procs, Seed: g.seed}, g.sha, g.size)
+		})
+	}
+}
+
+func TestGridGoldenSHA(t *testing.T) {
+	for _, g := range goldenGridSHA {
 		t.Run(fmt.Sprintf("%s/P%d/seed%d", g.app, g.procs, g.seed), func(t *testing.T) {
 			checkProfileSHA(t, g.app, Config{Procs: g.procs, Seed: g.seed}, g.sha, g.size)
 		})
