@@ -1,6 +1,9 @@
 package apps
 
-import "github.com/hfast-sim/hfast/internal/mpi"
+import (
+	"github.com/hfast-sim/hfast/internal/meshtorus"
+	"github.com/hfast-sim/hfast/internal/mpi"
+)
 
 // RunAMR is a minimal adaptive-mesh-refinement communication skeleton:
 // the partner set migrates mid-run, which none of the paper's six static
@@ -22,7 +25,7 @@ import "github.com/hfast-sim/hfast/internal/mpi"
 func RunAMR(c *mpi.Comm, cfg Config) {
 	cfg = cfg.withDefaults(96)
 	p := c.Size()
-	g := newGrid3(p, [3]bool{false, false, false})
+	g := meshtorus.Mesh{Dims: meshtorus.NearCube(p, 3), Wrap: []bool{false, false, false}}
 	me := c.Rank()
 
 	// Refinement ratio 2 halves the grid spacing, so a refined patch face
@@ -55,8 +58,8 @@ func RunAMR(c *mpi.Comm, cfg Config) {
 		// an edge agree on the match regardless of their own coordinates.
 		var reqs []*mpi.Request
 		for d, off := range [3][3]int{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}} {
-			plus := g.neighbor(me, off[0], off[1], off[2])
-			minus := g.neighbor(me, -off[0], -off[1], -off[2])
+			plus := g.Offset(me, off[0], off[1], off[2])
+			minus := g.Offset(me, -off[0], -off[1], -off[2])
 			if minus >= 0 {
 				reqs = append(reqs, c.Irecv(minus, coarseTag+mpi.Tag(2*d)))
 				reqs = append(reqs, c.Isend(minus, coarseTag+mpi.Tag(2*d+1), mpi.Size(coarseBytes)))

@@ -19,9 +19,7 @@ package apps
 
 import (
 	"fmt"
-	"sort"
 
-	"github.com/hfast-sim/hfast/internal/meshtorus"
 	"github.com/hfast-sim/hfast/internal/mpi"
 )
 
@@ -188,83 +186,6 @@ func All() []Info {
 // the "step" prefix (trace windows), and ipm.CompareRegions orders the
 // names as the steps ran.
 func stepRegion(s int) string { return fmt.Sprintf("step%03d", s) }
-
-// --- process-grid helpers shared by the skeletons ---
-
-// grid3 is a 3D process grid with optional wraparound per dimension.
-type grid3 struct {
-	nx, ny, nz int
-	wrap       [3]bool
-}
-
-// newGrid3 lays p ranks out on meshtorus.NearCube's grid, the shape of
-// the mesh baseline, so a nearest-neighbor skeleton embeds in it.
-func newGrid3(p int, wrap [3]bool) grid3 {
-	d := meshtorus.NearCube(p, 3)
-	return grid3{nx: d[0], ny: d[1], nz: d[2], wrap: wrap}
-}
-
-// coords returns the (x, y, z) position of rank r.
-func (g grid3) coords(r int) (int, int, int) {
-	x := r % g.nx
-	y := (r / g.nx) % g.ny
-	z := r / (g.nx * g.ny)
-	return x, y, z
-}
-
-// rank returns the rank at (x, y, z), or -1 when the offset walks off a
-// non-wrapping boundary.
-func (g grid3) rank(x, y, z int) int {
-	x, ok := wrapCoord(x, g.nx, g.wrap[0])
-	if !ok {
-		return -1
-	}
-	y, ok = wrapCoord(y, g.ny, g.wrap[1])
-	if !ok {
-		return -1
-	}
-	z, ok = wrapCoord(z, g.nz, g.wrap[2])
-	if !ok {
-		return -1
-	}
-	return x + g.nx*(y+g.ny*z)
-}
-
-// neighbor returns the rank at offset (dx,dy,dz) from r, or -1.
-func (g grid3) neighbor(r, dx, dy, dz int) int {
-	x, y, z := g.coords(r)
-	return g.rank(x+dx, y+dy, z+dz)
-}
-
-func wrapCoord(c, n int, wrap bool) (int, bool) {
-	if c >= 0 && c < n {
-		return c, true
-	}
-	if !wrap {
-		return 0, false
-	}
-	c %= n
-	if c < 0 {
-		c += n
-	}
-	return c, true
-}
-
-// uniquePartners deduplicates and sorts a partner list, dropping self and
-// invalid ranks.
-func uniquePartners(self int, ranks []int) []int {
-	seen := make(map[int]bool, len(ranks))
-	var out []int
-	for _, r := range ranks {
-		if r < 0 || r == self || seen[r] {
-			continue
-		}
-		seen[r] = true
-		out = append(out, r)
-	}
-	sort.Ints(out)
-	return out
-}
 
 // splitMix64 is a tiny deterministic hash used for reproducible
 // pseudo-random workload structure (particle imbalance, matrix fill).

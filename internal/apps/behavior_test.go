@@ -1,6 +1,7 @@
 package apps_test
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/hfast-sim/hfast/internal/apps"
@@ -118,6 +119,30 @@ func TestLBMHDTwelvePartners(t *testing.T) {
 	// Insensitive to thresholding: streams are ~800KB.
 	if st2 := g.Stats(topology.DefaultCutoff); st2.Max != 12 {
 		t.Errorf("lbmhd thresholded max %d, want 12", st2.Max)
+	}
+}
+
+// TestDegreeLaws checks each skeleton's degree at the 2 KB cutoff against
+// the law in P its doc comment states, at P = 64, 256 and 1024: cactus
+// reaches its 6 faces and no more, lbmhd has exactly its 12 streaming
+// partners at every rank, whatever P.
+func TestDegreeLaws(t *testing.T) {
+	for _, law := range []struct {
+		app   string
+		law   string
+		holds func(st topology.TDCStats) bool
+	}{
+		{"cactus", "max 6", func(st topology.TDCStats) bool { return st.Max == 6 }},
+		{"lbmhd", "exactly 12", func(st topology.TDCStats) bool { return st.Min == 12 && st.Max == 12 }},
+	} {
+		for _, procs := range []int{64, 256, 1024} {
+			t.Run(fmt.Sprintf("%s/P%d", law.app, procs), func(t *testing.T) {
+				g := steadyGraph(t, quickProfile(t, law.app, procs), ipm.SteadyState)
+				if st := g.Stats(topology.DefaultCutoff); !law.holds(st) {
+					t.Errorf("degree min %d, max %d at 2 KB; the law is %s", st.Min, st.Max, law.law)
+				}
+			})
+		}
 	}
 }
 

@@ -1,6 +1,11 @@
 package apps
 
-import "github.com/hfast-sim/hfast/internal/mpi"
+import (
+	"slices"
+
+	"github.com/hfast-sim/hfast/internal/meshtorus"
+	"github.com/hfast-sim/hfast/internal/mpi"
+)
 
 // RunCactus reproduces the communication skeleton of Cactus: a 3D
 // finite-difference code solving Einstein's equations on a regular grid.
@@ -17,24 +22,14 @@ import "github.com/hfast-sim/hfast/internal/mpi"
 // steps, matching Cactus' >99% point-to-point call mix in Figure 2.
 func RunCactus(c *mpi.Comm, cfg Config) {
 	cfg = cfg.withDefaults(194)
-	g := newGrid3(c.Size(), [3]bool{false, false, true})
+	g := meshtorus.Mesh{Dims: meshtorus.NearCube(c.Size(), 3), Wrap: []bool{false, false, true}}
 	me := c.Rank()
 
 	faceBytes := cfg.Scale * cfg.Scale * 8
 
-	// The 6 stencil faces. Order matters only for determinism.
-	offsets := [][3]int{
-		{-1, 0, 0}, {1, 0, 0},
-		{0, -1, 0}, {0, 1, 0},
-		{0, 0, -1}, {0, 0, 1},
-	}
-	var partners []int
-	for _, o := range offsets {
-		if n := g.neighbor(me, o[0], o[1], o[2]); n >= 0 {
-			partners = append(partners, n)
-		}
-	}
-	partners = uniquePartners(me, partners)
+	// The distinct face neighbours, in rank order.
+	partners := g.Neighbors(me)
+	slices.Sort(partners)
 
 	c.RegionBegin("init")
 	// Parameter file broadcast and startup synchronization.

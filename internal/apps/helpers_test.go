@@ -7,52 +7,24 @@ import (
 	"github.com/hfast-sim/hfast/internal/meshtorus"
 )
 
-func TestGrid3RoundTripQuick(t *testing.T) {
-	f := func(pRaw uint8, rRaw uint16) bool {
-		p := int(pRaw)%200 + 1
-		g := newGrid3(p, [3]bool{true, false, true})
-		r := int(rRaw) % p
-		x, y, z := g.coords(r)
-		return g.rank(x, y, z) == r
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGrid3Boundaries(t *testing.T) {
-	g := newGrid3(64, [3]bool{false, false, true}) // cactus layout
-	// Corner (0,0,0): -x and -y walk off; -z wraps.
-	if n := g.neighbor(0, -1, 0, 0); n != -1 {
-		t.Errorf("-x off grid gave %d", n)
-	}
-	if n := g.neighbor(0, 0, -1, 0); n != -1 {
-		t.Errorf("-y off grid gave %d", n)
-	}
-	if n := g.neighbor(0, 0, 0, -1); n == -1 {
-		t.Error("-z should wrap")
-	}
-}
-
 // TestTorusDistance: pmemd's domain distance, meshtorus.Baseline(p).Distance,
-// is the wrapped L1 distance between the ranks' cells of the periodic
-// grid newGrid3 lays them out on, for every pair.
+// is the wrapped L1 distance between the ranks' cells of NearCube's
+// periodic grid, first extent fastest, for every pair.
 func TestTorusDistance(t *testing.T) {
 	for _, p := range []int{13, 48, 64} {
 		torus, err := meshtorus.Baseline(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := newGrid3(p, [3]bool{true, true, true})
-		extents := [3]int{g.nx, g.ny, g.nz}
+		extents := meshtorus.NearCube(p, 3)
 		for a := 0; a < p; a++ {
-			ax, ay, az := g.coords(a)
 			for b := 0; b < p; b++ {
-				bx, by, bz := g.coords(b)
-				want := 0
-				for i, d := range [3]int{ax - bx, ay - by, az - bz} {
+				want, ra, rb := 0, a, b
+				for _, e := range extents {
+					d := ra%e - rb%e
+					ra, rb = ra/e, rb/e
 					d = max(d, -d)
-					want += min(d, extents[i]-d)
+					want += min(d, e-d)
 				}
 				if got := torus.Distance(a, b); got != want {
 					t.Fatalf("P=%d: Distance(%d, %d) = %d, want %d", p, a, b, got, want)
@@ -60,23 +32,10 @@ func TestTorusDistance(t *testing.T) {
 			}
 		}
 	}
-	// 4×4×4: (0,0,0) to (3,3,3) wraps to 1+1+1.
+	// 4×4×4: (0,0,0) to (3,3,3), rank 63, wraps to 1+1+1.
 	torus, _ := meshtorus.Baseline(64)
-	if d := torus.Distance(0, newGrid3(64, [3]bool{true, true, true}).rank(3, 3, 3)); d != 3 {
+	if d := torus.Distance(0, 63); d != 3 {
 		t.Errorf("wrap distance %d, want 3", d)
-	}
-}
-
-func TestUniquePartners(t *testing.T) {
-	got := uniquePartners(2, []int{5, 3, 5, -1, 2, 7, 3})
-	want := []int{3, 5, 7}
-	if len(got) != len(want) {
-		t.Fatalf("got %v want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v want %v", got, want)
-		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package apps
 
-import "github.com/hfast-sim/hfast/internal/mpi"
+import (
+	"github.com/hfast-sim/hfast/internal/meshtorus"
+	"github.com/hfast-sim/hfast/internal/mpi"
+)
 
 // lbmhdOffsets are the 12 face-diagonal streaming directions left after
 // LBMHD's optimization folds the 27-direction D3Q27 lattice down to 12
@@ -24,7 +27,7 @@ var lbmhdOffsets = [12][3]int{
 // threshold, so thresholding never reduces it.
 func RunLBMHD(c *mpi.Comm, cfg Config) {
 	cfg = cfg.withDefaults(160)
-	g := newGrid3(c.Size(), [3]bool{true, true, true})
+	g := meshtorus.Mesh{Dims: meshtorus.NearCube(c.Size(), 3), Wrap: []bool{true, true, true}}
 	me := c.Rank()
 
 	msgBytes := cfg.Scale * cfg.Scale * 8 * 4
@@ -49,12 +52,12 @@ func RunLBMHD(c *mpi.Comm, cfg Config) {
 			group := make([]*mpi.Request, 0, 4)
 			for k := d; k < d+2; k++ {
 				o := lbmhdOffsets[k]
-				p := g.neighbor(me, o[0], o[1], o[2])
+				p := g.Offset(me, o[0], o[1], o[2])
 				group = append(group, c.Irecv(p, streamTag+mpi.Tag(k)))
 			}
 			for k := d; k < d+2; k++ {
 				o := lbmhdOffsets[k]
-				p := g.neighbor(me, -o[0], -o[1], -o[2])
+				p := g.Offset(me, -o[0], -o[1], -o[2])
 				group = append(group, c.Isend(p, streamTag+mpi.Tag(k), mpi.Size(msgBytes)))
 			}
 			c.Waitall(group)

@@ -15,10 +15,7 @@ import (
 // The §2.3 topology-directive study runs a Cactus-shaped stencil: a
 // near-cube Cartesian grid (4×4×4), periodic in z, exchanging 300 KB
 // ghost zones.
-var (
-	hintsDims    = meshtorus.NearCube(hintsProcs, 3)
-	hintsPeriods = []bool{false, false, true}
-)
+var hintsGrid = meshtorus.Mesh{Dims: meshtorus.NearCube(hintsProcs, 3), Wrap: []bool{false, false, true}}
 
 const (
 	hintsProcs = 64
@@ -26,32 +23,33 @@ const (
 )
 
 // hintsData provisions the stencil's fabric twice: from the neighbors its
-// Cartesian topology directive declares, before any message, and from the
-// traffic the same run then measures (DESIGN.md A8).
+// declared grid gives, before any message, and from the traffic the same
+// run then measures (DESIGN.md A8).
 func hintsData() (hinted, measured *hfast.Assignment, err error) {
 	hints := make([][]int, hintsProcs)
-	var cartErr error
+	for r := range hints {
+		hints[r] = hintsGrid.Neighbors(r)
+	}
 	set := ipm.NewCollectorSet(0)
 	w := mpi.NewWorld(hintsProcs, mpi.WithTracerFactory(set.Factory))
 	err = w.Run(func(c *mpi.Comm) {
-		ct, err := c.CartCreate(hintsDims, hintsPeriods, false)
-		if err != nil {
-			cartErr = err // every rank fails alike, so none is left waiting
-			return
+		// shift is the rank disp steps along dim, ProcNull off an open edge.
+		shift := func(dim, disp int) int {
+			var delta [3]int
+			delta[dim] = disp
+			if r := hintsGrid.Offset(c.Rank(), delta[:]...); r >= 0 {
+				return r
+			}
+			return mpi.ProcNull
 		}
-		hints[c.Rank()] = ct.Neighbors()
 		for step := 0; step < hintsSteps; step++ {
-			for dim := range hintsDims {
+			for dim := range hintsGrid.Dims {
 				for _, disp := range []int{1, -1} {
-					src, dst := ct.Shift(dim, disp)
-					ct.Sendrecv(dst, mpi.Tag(dim), mpi.Size(300<<10), src, mpi.Tag(dim))
+					c.Sendrecv(shift(dim, disp), mpi.Tag(dim), mpi.Size(300<<10), shift(dim, -disp), mpi.Tag(dim))
 				}
 			}
 		}
 	})
-	if err == nil {
-		err = cartErr
-	}
 	if err != nil {
 		return nil, nil, err
 	}
@@ -81,7 +79,7 @@ func Hints(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "Topology directives (§2.3): %v grid, periodic %v, P=%d\n", hintsDims, hintsPeriods, hintsProcs)
+	fmt.Fprintf(w, "Topology directives (§2.3): %v grid, periodic %v, P=%d\n", hintsGrid.Dims, hintsGrid.Wrap, hintsProcs)
 	for _, f := range []struct {
 		name string
 		a    *hfast.Assignment

@@ -248,7 +248,7 @@ func (a *Assignment) Validate() error {
 }
 
 // AssignFromHints provisions a fabric directly from declared partner
-// lists — e.g. the neighbors of an MPI Cartesian topology — instead of
+// lists — e.g. a declared grid's meshtorus.Mesh.Neighbors — instead of
 // measured traffic. This is the §2.3 fast path: "MPI topology directives
 // can be used to speed the runtime topology optimization process", since
 // the circuit switch can be configured before the first message. The

@@ -13,15 +13,21 @@ import (
 	"github.com/hfast-sim/hfast/internal/topology"
 )
 
-// Mesh is an n-dimensional grid of nodes, optionally wrapped into a torus.
+// Mesh is an n-dimensional grid of nodes, each dimension open or wrapped
+// into a ring. It is the one Cartesian layout in the code: rank r sits at
+// the digits of r in the mixed radix Dims, the first dimension fastest.
+// The skeletons lay their ranks out on it, the §2.3 stencil declares its
+// grid as one, and the torus baseline is one.
 type Mesh struct {
 	// Dims are the per-dimension extents; their product is the node count.
 	Dims []int
-	// Wrap selects torus (true) or mesh (false) boundaries.
-	Wrap bool
+	// Wrap holds one entry per dimension: a ring (true) or an open edge
+	// (false).
+	Wrap []bool
 }
 
-// New builds a mesh and validates the dimensions.
+// New builds a mesh whose every dimension wraps, or none does, and
+// validates the dimensions.
 func New(dims []int, wrap bool) (Mesh, error) {
 	if len(dims) == 0 {
 		return Mesh{}, fmt.Errorf("meshtorus: no dimensions")
@@ -31,7 +37,7 @@ func New(dims []int, wrap bool) (Mesh, error) {
 			return Mesh{}, fmt.Errorf("meshtorus: dimension %d not positive", d)
 		}
 	}
-	return Mesh{Dims: append([]int(nil), dims...), Wrap: wrap}, nil
+	return Mesh{Dims: append([]int(nil), dims...), Wrap: slices.Repeat([]bool{wrap}, len(dims))}, nil
 }
 
 // NearCube factorizes p into the most cubic ndims extents, largest first:
@@ -105,49 +111,49 @@ func (m Mesh) Size() int {
 	return n
 }
 
-// Coords returns the position of rank r.
-func (m Mesh) Coords(r int) []int {
-	c := make([]int, len(m.Dims))
+// Offset returns the rank delta away from r, one entry of delta per
+// dimension, or -1 when the walk leaves an open dimension; a wrapped one
+// takes it modulo its extent. It reads r's coordinates digit by digit
+// and allocates nothing: the skeletons ask for a partner per step.
+func (m Mesh) Offset(r int, delta ...int) int {
+	out, stride := 0, 1
 	for i, d := range m.Dims {
-		c[i] = r % d
+		x := r%d + delta[i]
 		r /= d
-	}
-	return c
-}
-
-// Rank returns the rank at coordinates c.
-func (m Mesh) Rank(c []int) int {
-	r := 0
-	stride := 1
-	for i, d := range m.Dims {
-		r += c[i] * stride
+		if x < 0 || x >= d {
+			if !m.Wrap[i] {
+				return -1
+			}
+			x = (x%d + d) % d
+		}
+		out += x * stride
 		stride *= d
 	}
-	return r
+	return out
 }
 
-// Neighbors returns the ranks adjacent to r along each dimension.
+// Neighbors returns the distinct ranks one step from r, per dimension
+// the lower before the upper. A wrapped dimension of extent 2 gives one
+// neighbour and one of extent 1 none, so r is never its own neighbour.
+// It walks by stride and allocates only its result.
 func (m Mesh) Neighbors(r int) []int {
-	c := m.Coords(r)
-	var out []int
+	out := make([]int, 0, 2*len(m.Dims))
+	stride := 1
 	for i, d := range m.Dims {
-		if d == 1 {
-			continue
+		c, ring := r/stride%d, m.Wrap[i] && d > 2
+		switch {
+		case c > 0:
+			out = append(out, r-stride)
+		case ring:
+			out = append(out, r+(d-1)*stride)
 		}
-		for _, dir := range []int{-1, 1} {
-			x := c[i] + dir
-			if x < 0 || x >= d {
-				if !m.Wrap || d <= 2 {
-					continue
-				}
-				x = (x + d) % d
-			}
-			c2 := append([]int(nil), c...)
-			c2[i] = x
-			if n := m.Rank(c2); n != r && !slices.Contains(out, n) {
-				out = append(out, n)
-			}
+		switch {
+		case c < d-1:
+			out = append(out, r+stride)
+		case ring:
+			out = append(out, r-(d-1)*stride)
 		}
+		stride *= d
 	}
 	return out
 }
@@ -171,13 +177,13 @@ func (m Mesh) Edges() [][2]int {
 // nothing: pmemd calls it once per pair per step.
 func (m Mesh) Distance(a, b int) int {
 	sum := 0
-	for _, d := range m.Dims {
+	for i, d := range m.Dims {
 		delta := a%d - b%d
 		a, b = a/d, b/d
 		if delta < 0 {
 			delta = -delta
 		}
-		if m.Wrap && d-delta < delta {
+		if m.Wrap[i] && d-delta < delta {
 			delta = d - delta
 		}
 		sum += delta
@@ -257,7 +263,7 @@ func (m Mesh) AppendDOR(buf []int, a, b int) []int {
 			if delta < 0 {
 				step = -1
 			}
-			if m.Wrap {
+			if m.Wrap[dim] {
 				abs := delta
 				if abs < 0 {
 					abs = -abs

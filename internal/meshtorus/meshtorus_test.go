@@ -103,7 +103,7 @@ func TestBaseline(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Baseline(%d): %v", p, err)
 		}
-		if !m.Wrap || !slices.Equal(m.Dims, NearCube(p, 3)) || m.Size() != p {
+		if !slices.Equal(m.Wrap, []bool{true, true, true}) || !slices.Equal(m.Dims, NearCube(p, 3)) || m.Size() != p {
 			t.Errorf("Baseline(%d) = %v wrap=%v, want the torus %v", p, m.Dims, m.Wrap, NearCube(p, 3))
 		}
 	}
@@ -112,18 +112,127 @@ func TestBaseline(t *testing.T) {
 	}
 }
 
-func TestCoordsRankRoundTrip(t *testing.T) {
-	m, _ := New([]int{3, 4, 5}, false)
-	for r := 0; r < m.Size(); r++ {
-		if got := m.Rank(m.Coords(r)); got != r {
-			t.Fatalf("round trip broke at %d: got %d", r, got)
+// offsetOracle is Offset by coordinates: split r into digits, move each
+// by its delta, refuse an open edge, wrap a ring, and recombine.
+func offsetOracle(m Mesh, r int, delta []int) int {
+	c := make([]int, len(m.Dims))
+	for i, d := range m.Dims {
+		c[i] = r % d
+		r /= d
+	}
+	out, stride := 0, 1
+	for i, d := range m.Dims {
+		x := c[i] + delta[i]
+		if x < 0 || x >= d {
+			if !m.Wrap[i] {
+				return -1
+			}
+			x = ((x % d) + d) % d
 		}
+		out += x * stride
+		stride *= d
+	}
+	return out
+}
+
+// gridShapes mix open and wrapped dimensions, extents 1 and 2 included:
+// 3×4 open and 4×2 periodic in x only are the Cartesian grids of the MPI
+// topology directive this type replaced.
+var gridShapes = []Mesh{
+	{Dims: []int{3, 4}, Wrap: []bool{false, false}},
+	{Dims: []int{4, 2}, Wrap: []bool{true, false}},
+	{Dims: []int{2, 4}, Wrap: []bool{true, true}},
+	{Dims: []int{3, 4, 5}, Wrap: []bool{true, false, true}},
+	{Dims: []int{2, 1, 3}, Wrap: []bool{true, true, false}},
+	{Dims: []int{13, 1, 1}, Wrap: []bool{false, false, true}},
+}
+
+// TestOffsetMatchesCoordinates checks Offset against the coordinate
+// oracle for every rank and every delta in {-2..2}ⁿ.
+func TestOffsetMatchesCoordinates(t *testing.T) {
+	for _, m := range gridShapes {
+		delta := make([]int, len(m.Dims))
+		var walk func(i int)
+		walk = func(i int) {
+			if i == len(delta) {
+				for r := 0; r < m.Size(); r++ {
+					if got, want := m.Offset(r, delta...), offsetOracle(m, r, delta); got != want {
+						t.Errorf("%v wrap %v: Offset(%d, %v) = %d, want %d", m.Dims, m.Wrap, r, delta, got, want)
+					}
+				}
+				return
+			}
+			for delta[i] = -2; delta[i] <= 2; delta[i]++ {
+				walk(i + 1)
+			}
+		}
+		walk(0)
+	}
+}
+
+// TestNeighborsAreUnitOffsets: Neighbors is, per dimension, Offset -1
+// then +1, without open edges, r itself, or a ring of two's repeat.
+func TestNeighborsAreUnitOffsets(t *testing.T) {
+	for _, m := range gridShapes {
+		for r := 0; r < m.Size(); r++ {
+			var want []int
+			for i := range m.Dims {
+				for _, dir := range []int{-1, 1} {
+					delta := make([]int, len(m.Dims))
+					delta[i] = dir
+					if n := m.Offset(r, delta...); n >= 0 && n != r && !slices.Contains(want, n) {
+						want = append(want, n)
+					}
+				}
+			}
+			if got := m.Neighbors(r); !slices.Equal(got, want) {
+				t.Errorf("%v wrap %v: Neighbors(%d) = %v, want %v", m.Dims, m.Wrap, r, got, want)
+			}
+		}
+	}
+	// 4×2, periodic in x only: two neighbours along the ring, one across.
+	for r := 0; r < 8; r++ {
+		if n := len(gridShapes[1].Neighbors(r)); n != 3 {
+			t.Errorf("4x2 periodic-x rank %d has %d neighbors, want 3", r, n)
+		}
+	}
+}
+
+// TestNeighborsOrder pins the order, which the halo flows of the netsim
+// benchmark are generated in.
+func TestNeighborsOrder(t *testing.T) {
+	thin, _ := New([]int{2, 4}, true)
+	square, _ := New([]int{4, 4}, true)
+	for _, tc := range []struct {
+		m    Mesh
+		r    int
+		want []int
+	}{
+		{thin, 0, []int{1, 6, 2}},
+		{thin, 5, []int{4, 3, 7}},
+		{square, 0, []int{3, 1, 12, 4}},
+		{square, 5, []int{4, 6, 1, 9}},
+		{square, 15, []int{14, 12, 11, 3}},
+	} {
+		if got := tc.m.Neighbors(tc.r); !slices.Equal(got, tc.want) {
+			t.Errorf("%v torus: Neighbors(%d) = %v, want %v", tc.m.Dims, tc.r, got, tc.want)
+		}
+	}
+}
+
+// TestOffsetAllocatesNothing: lbmhd and amr ask for a partner per
+// direction per step.
+func TestOffsetAllocatesNothing(t *testing.T) {
+	m := Mesh{Dims: []int{5, 5, 4}, Wrap: []bool{false, true, true}}
+	var sum int
+	if n := testing.AllocsPerRun(100, func() { sum += m.Offset(37, 1, -1, 2) }); n != 0 {
+		t.Errorf("Offset allocates %.0f times per call, want 0", n)
 	}
 }
 
 func TestNeighborsMeshVsTorus(t *testing.T) {
 	mesh, _ := New([]int{4, 4}, false)
-	corner := mesh.Rank([]int{0, 0})
+	corner := 0
 	if n := len(mesh.Neighbors(corner)); n != 2 {
 		t.Errorf("mesh corner has %d neighbors, want 2", n)
 	}
@@ -154,8 +263,7 @@ func TestEdgesCount(t *testing.T) {
 
 func TestDistance(t *testing.T) {
 	torus, _ := New([]int{8, 8}, true)
-	a := torus.Rank([]int{0, 0})
-	b := torus.Rank([]int{7, 7})
+	a, b := 0, 63 // (0, 0) and (7, 7)
 	if d := torus.Distance(a, b); d != 2 {
 		t.Errorf("torus wrap distance %d, want 2", d)
 	}

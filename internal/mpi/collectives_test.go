@@ -386,14 +386,17 @@ func TestSplitIsolatedContexts(t *testing.T) {
 	})
 }
 
-func TestDup(t *testing.T) {
+// TestSplitOneColor: a split in which every rank names one color and its
+// own rank as key keeps the group and the ranks under a fresh id, what
+// MPI_Comm_dup gives.
+func TestSplitOneColor(t *testing.T) {
 	run(t, 4, func(c *Comm) {
-		d := c.Dup()
+		d := c.Split(0, c.Rank())
 		if d.Size() != c.Size() || d.Rank() != c.Rank() {
-			panic("dup changed group or rank")
+			panic("split changed group or rank")
 		}
 		if d.ID() == c.ID() {
-			panic("dup did not get a fresh id")
+			panic("split did not get a fresh id")
 		}
 		d.Barrier()
 	})

@@ -96,6 +96,12 @@ func (c *Comm) startSend(dst int, tag Tag, b Buf) *Request {
 	return req
 }
 
+// isNull reports whether a peer designates the null process.
+func isNull(peer int) bool { return peer == ProcNull }
+
+// nullStatus is returned by operations on ProcNull.
+func nullStatus() Status { return Status{Source: ProcNull, Tag: AnyTag} }
+
 // completed returns an already complete request, for operations on ProcNull.
 func (c *Comm) completed() *Request {
 	req := c.newRequest(opSend, ProcNull, AnyTag) // not a receive: the null status passes through Wait unchanged
@@ -327,10 +333,4 @@ func (c *Comm) Split(color, key int) *Comm {
 		region: c.region,
 		rs:     c.rs,
 	}
-}
-
-// Dup returns a communicator with the same group but a fresh id and
-// matching context.
-func (c *Comm) Dup() *Comm {
-	return c.Split(0, c.rank)
 }

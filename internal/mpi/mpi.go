@@ -6,10 +6,11 @@
 //
 // The surface is what those skeletons call, and no more: Send, Recv,
 // Sendrecv, Isend and Irecv with Wait, Waitall and Waitany; Barrier,
-// Bcast, Allreduce and Gather; Split, Dup and CartCreate. A call none of
-// them makes (Test, Probe, Scan, Alltoall, …) comes back with its first
-// caller. The Call enum still names every MPI function an IPM profile may
-// record, since uploaded profiles use that vocabulary.
+// Bcast, Allreduce and Gather; Split. A call none of them makes (Test,
+// Probe, Scan, Alltoall, Comm_dup, Cart_create, …) comes back with its
+// first caller; a Cartesian grid is a meshtorus.Mesh. The Call enum still
+// names every MPI function an IPM profile may record, since uploaded
+// profiles use that vocabulary.
 //
 // The runtime exists so that the IPM-style profiling layer (internal/ipm)
 // can observe the exact sequence of communication calls an application
@@ -70,6 +71,12 @@ const (
 	// AnySource matches a message from any source rank.
 	AnySource = -1
 )
+
+// ProcNull is the null process: sends to it vanish and receives from it
+// return immediately with an empty status, following MPI_PROC_NULL. It
+// lets a shift off a grid's open edge (meshtorus.Mesh.Offset's -1) feed
+// straight into Sendrecv without special-casing.
+const ProcNull = -3
 
 // Buf describes a message buffer: N is its logical size in bytes.
 type Buf struct {

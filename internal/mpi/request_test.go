@@ -191,7 +191,7 @@ func TestRendezvousRequestsRecycle(t *testing.T) {
 	w := NewWorld(2, WithTimeout(testTimeout), WithEagerLimit(4))
 	err := w.Run(func(c *Comm) {
 		peer := 1 - c.Rank()
-		sub := c.Dup() // the free list belongs to the rank, not the comm
+		sub := c.Split(0, c.Rank()) // the free list belongs to the rank, not the comm
 		for s := 0; s < steps; s++ {
 			rr := c.Irecv(peer, 1)
 			sr := sub.Isend(peer, 2, Size(8+2*s+c.Rank()))
