@@ -100,7 +100,7 @@ func syntheticProfile(t *testing.T) *ipm.Profile {
 		next := (c.Rank() + 1) % 4
 		prev := (c.Rank() + 3) % 4
 		c.Sendrecv(next, 2, mpi.Size(64<<10), prev, 2)
-		c.Allreduce([]float64{1}, mpi.OpSum)
+		c.Allreduce(mpi.Size(8))
 		c.RegionEnd()
 	})
 	if err != nil {

@@ -13,21 +13,21 @@ import (
 // allocate, in KB: the mpi runtime's own bytes (handles, envelopes,
 // mailboxes, coroutines, communicators) with no collector installed. Each
 // ceiling is 1.1× the bytes measured when it was set (Go 1.24, linux/amd64),
-// when messages stopped carrying payloads and Gather its result.
+// when Allreduce stopped folding vectors and returning a result.
 var runBudgetKB = []struct {
 	app   string
 	procs int
 	kb    uint64
 }{
-	{"cactus", 64, 208},
-	{"lbmhd", 64, 109},
-	{"gtc", 64, 288},
+	{"cactus", 64, 194},
+	{"lbmhd", 64, 106},
+	{"gtc", 64, 182},
 	{"superlu", 64, 84},
-	{"pmemd", 64, 2393},
-	{"paratec", 64, 4076},
-	{"cactus", 256, 846},
-	{"lbmhd", 256, 438},
-	{"gtc", 256, 1286},
+	{"pmemd", 64, 1495},
+	{"paratec", 64, 4065},
+	{"cactus", 256, 783},
+	{"lbmhd", 256, 424},
+	{"gtc", 256, 704},
 }
 
 // TestRunAllocBudget holds each untraced world of provision_cold's nine

@@ -87,7 +87,7 @@ func RunAMR(c *mpi.Comm, cfg Config) {
 		// Regridding decision at phase end: a tiny Allreduce, like the
 		// skeletons' stability checks.
 		if (s+1)%stepsPerPhase == 0 {
-			c.Allreduce([]float64{1}, mpi.OpSum)
+			c.Allreduce(mpi.Size(8))
 		}
 		c.RegionEnd()
 	}

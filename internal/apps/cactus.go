@@ -71,7 +71,7 @@ func RunCactus(c *mpi.Comm, cfg Config) {
 		// Periodic global convergence check (8-byte Allreduce): Cactus'
 		// only collective, <1% of calls.
 		if s%8 == 7 {
-			c.Allreduce([]float64{float64(me)}, mpi.OpMax)
+			c.Allreduce(mpi.Size(8))
 		}
 		c.RegionEnd()
 	}

@@ -146,7 +146,7 @@ func RunGTC(c *mpi.Comm, cfg Config) {
 
 		// Field solve residual checks on the partition.
 		for a := 0; a < 3; a++ {
-			part.Allreduce(make([]float64, 4), mpi.OpSum)
+			part.Allreduce(mpi.Size(32))
 		}
 		c.RegionEnd()
 	}

@@ -66,7 +66,7 @@ func RunLBMHD(c *mpi.Comm, cfg Config) {
 		// Occasional stability check; LBMHD's collectives are ~0.2% of
 		// calls with 8-byte payloads.
 		if s%8 == 7 {
-			c.Allreduce([]float64{1}, mpi.OpSum)
+			c.Allreduce(mpi.Size(8))
 		}
 		c.RegionEnd()
 	}

@@ -117,7 +117,7 @@ func RunPARATEC(c *mpi.Comm, cfg Config) {
 		}
 
 		// Total-energy reduction once per iteration (8-byte payload).
-		c.Allreduce([]float64{1}, mpi.OpSum)
+		c.Allreduce(mpi.Size(8))
 		c.RegionEnd()
 	}
 }

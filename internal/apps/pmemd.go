@@ -133,7 +133,7 @@ func RunPMEMD(c *mpi.Comm, cfg Config) {
 		}
 
 		// Energy reduction once per step.
-		c.Allreduce(make([]float64, 96), mpi.OpSum)
+		c.Allreduce(mpi.Size(8 * 96))
 		c.RegionEnd()
 	}
 }

@@ -87,7 +87,10 @@ func ScalingSweep(degreeOf func(p int) int, sizes []int, params hfast.Params) ([
 		for i := range degrees {
 			degrees[i] = deg
 		}
-		a := hfast.AssignDegrees(degrees, params.BlockSize)
+		a, err := hfast.AssignDegrees(degrees, params.BlockSize)
+		if err != nil {
+			return nil, err
+		}
 		cmp, err := hfast.Compare(a, params)
 		if err != nil {
 			return nil, err

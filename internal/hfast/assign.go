@@ -97,9 +97,10 @@ func newAssignment(partners [][]int, cutoff, blockSize int) *Assignment {
 
 // AssignDegrees provisions directly from a degree list (used by the cost
 // sweeps, which scale analytic degree models past the sizes we simulate).
-func AssignDegrees(degrees []int, blockSize int) *Assignment {
-	if blockSize == 0 {
-		blockSize = DefaultBlockSize
+func AssignDegrees(degrees []int, blockSize int) (*Assignment, error) {
+	blockSize, err := BlockSize(blockSize)
+	if err != nil {
+		return nil, err
 	}
 	a := &Assignment{
 		P:         len(degrees),
@@ -111,7 +112,7 @@ func AssignDegrees(degrees []int, blockSize int) *Assignment {
 		a.Blocks[i] = BlocksForDegree(d, blockSize)
 		a.TotalBlocks += a.Blocks[i]
 	}
-	return a
+	return a, nil
 }
 
 // partnerIndex locates dst in node src's partner list, -1 if absent.

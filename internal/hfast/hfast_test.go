@@ -2,6 +2,7 @@ package hfast
 
 import (
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -31,8 +32,6 @@ func TestBlocksForDegree(t *testing.T) {
 	}
 }
 
-// TestBlocksForDegreePortAccounting property-checks that the assigned
-// blocks always expose enough partner ports: n·B ≥ 1 + 2(n−1) + deg.
 // TestBlockSize pins the one block-size rule: zero selects the default,
 // sizes of 4 and up pass through, and anything else is refused.
 func TestBlockSize(t *testing.T) {
@@ -59,6 +58,21 @@ func TestBlockSize(t *testing.T) {
 	}
 }
 
+// TestAssignDegreesRefusesSmallBlocks: a degree model resolves its block
+// size by the one rule too. A 2-port block nets no ports per extra block
+// (BlocksForDegree divides by blockSize−2), and 3 or a negative size
+// builds an assignment Validate refuses.
+func TestAssignDegreesRefusesSmallBlocks(t *testing.T) {
+	for _, bs := range []int{2, 3, -1} {
+		a, err := AssignDegrees([]int{6, 6}, bs)
+		if err == nil || !strings.Contains(err.Error(), "hfast: block size must be ≥ 4") {
+			t.Errorf("AssignDegrees at block size %d = %+v, %v, want the block-size error", bs, a, err)
+		}
+	}
+}
+
+// TestBlocksForDegreePortAccounting property-checks that the assigned
+// blocks always expose enough partner ports: n·B ≥ 1 + 2(n−1) + deg.
 func TestBlocksForDegreePortAccounting(t *testing.T) {
 	f := func(degRaw uint16, bsRaw uint8) bool {
 		deg := int(degRaw) % 1024

@@ -143,7 +143,10 @@ func TestMaxRouteMatchesRoutes(t *testing.T) {
 	checkRoutes(t, "hinted all-to-all", a)
 	// A degree model has block counts but no partner lists: nothing is
 	// routed, whatever the degrees.
-	a = AssignDegrees([]int{0, 3, 40, 400}, 16)
+	a, err = AssignDegrees([]int{0, 3, 40, 400}, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < a.P; i++ {
 		for j := 0; j < a.P; j++ {
 			if r, ok := a.Route(i, j); ok || r != (Route{}) {

@@ -416,7 +416,7 @@ func TestSizeHistogramSorted(t *testing.T) {
 
 func TestCollectiveSizes(t *testing.T) {
 	p := profileRun(t, 4, 0, func(c *mpi.Comm) {
-		c.Allreduce(make([]float64, 2), mpi.OpSum) // 16 bytes
+		c.Allreduce(mpi.Size(16))
 		b := mpi.Buf{}
 		if c.Rank() == 0 {
 			b = mpi.Size(24)
@@ -447,7 +447,7 @@ func TestCommTimeAttribution(t *testing.T) {
 		} else {
 			c.Recv(0, 1)
 		}
-		c.Allreduce([]float64{1}, mpi.OpSum)
+		c.Allreduce(mpi.Size(8))
 	})
 	if err != nil {
 		t.Fatal(err)

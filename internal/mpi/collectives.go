@@ -6,8 +6,8 @@ import (
 	"slices"
 )
 
-// A collective's ranks meet in memory, not by message, and write their
-// contributions there; a world runs one rank at a time, so a meeting needs
+// A collective's ranks meet in memory, not by message, and leave there
+// what the others need; a world runs one rank at a time, so a meeting needs
 // no lock. Nothing inside a collective is traced or timed (collAdvance
 // charges it in closed form), so a meeting decides only when each member
 // goes on: a member that waits parks until the last arrives (await). The
@@ -34,8 +34,6 @@ type meeting struct {
 	left    int          // members that have left
 	parked  []*rankState // by comm rank: the member parked here, else nil
 	buf     Buf          // Bcast: the root's buffer
-	vals    [][]float64  // Allreduce: the vectors by comm rank
-	acc     []float64    // Allreduce: those vectors end to end, folded into the first
 	members [][3]int     // Split: every member's (color, key, comm rank)
 	next    *meeting     // links the world's free meetings
 }
@@ -81,7 +79,6 @@ func (w *World) leave(m *meeting) {
 		return
 	}
 	delete(w.meetings, m.key)
-	clear(m.vals) // drops the callers' vectors
 	m.arrived, m.left, m.buf = 0, 0, Buf{}
 	m.next, w.freeMeet = w.freeMeet, m
 }
@@ -127,47 +124,16 @@ func (c *Comm) Bcast(root int, b *Buf) {
 	c.trace(CallBcast, c.group[root], b.N)
 }
 
-// Allreduce combines vals element-wise across ranks with op and returns
-// the result on every rank, in a slice of its own. The last member to
-// arrive folds every vector.
-func (c *Comm) Allreduce(vals []float64, op Op) []float64 {
+// Allreduce combines one buffer from every rank and hands the result to
+// every rank. A buffer is a byte count, so there is nothing to combine and
+// nothing comes back, but every member still waits until the last arrives,
+// as every member of a real Allreduce needs every contribution.
+func (c *Comm) Allreduce(b Buf) {
 	m := c.meet(CallAllreduce)
-	n := len(m.parked)
-	if m.arrived == 1 {
-		m.vals = slices.Grow(m.vals[:0], n)[:n]
-	}
-	m.vals[c.rank] = vals
-	if m.arrived == n {
-		m.reduce(op)
-	}
 	c.await(m)
-	res := slices.Clone(m.acc[:len(vals)])
 	c.world.leave(m)
-	c.collAdvance(CallAllreduce, 8*len(vals))
-	c.trace(CallAllreduce, NoPeer, 8*len(vals))
-	return res
-}
-
-// reduce folds the members' vectors in the order a binomial tree rooted at
-// comm rank 0 combines them: at stride s, every rank that is a multiple of
-// 2s takes in the subtree at rank + s. The order fixes the bits of a
-// floating-point sum (TestAllreduceTreeOrder).
-func (m *meeting) reduce(op Op) {
-	n, k := len(m.vals), len(m.vals[0])
-	acc := slices.Grow(m.acc[:0], n*k)
-	for _, v := range m.vals {
-		if len(v) != k {
-			// Asserts a programmer error: ranks reduced vectors of different lengths.
-			panic(fmt.Sprintf("mpi: reduction length mismatch %d != %d", k, len(v)))
-		}
-		acc = append(acc, v...)
-	}
-	for s := 1; s < n; s *= 2 {
-		for r := 0; r+s < n; r += 2 * s {
-			op.apply(acc[r*k:(r+1)*k], acc[(r+s)*k:(r+s+1)*k])
-		}
-	}
-	m.acc = acc
+	c.collAdvance(CallAllreduce, b.N)
+	c.trace(CallAllreduce, NoPeer, b.N)
 }
 
 // Gather collects one buffer from every rank at root. A buffer is a byte

@@ -17,8 +17,8 @@
 // makes — call types, buffer sizes, and partner ranks — which is the data
 // the HFAST paper derives every figure and table from. No message carries
 // a payload: a Buf is its logical byte count, so large transfer patterns
-// replay without materializing gigabytes of data, and Gather returns
-// nothing.
+// replay without materializing gigabytes of data, and Allreduce and Gather
+// return nothing.
 //
 // One scheduler per World (RunContext) resumes one rank at a time, always
 // the runnable rank with the lowest (virtual clock, world rank), and a rank
@@ -103,58 +103,4 @@ type Status struct {
 	// VTime is the modeled arrival time when the world has a CostModel,
 	// else 0.
 	VTime float64
-}
-
-// Op is a reduction operator for Allreduce.
-type Op int
-
-// Reduction operators.
-const (
-	OpSum Op = iota
-	OpMax
-	OpMin
-	OpProd
-)
-
-// apply combines src into dst element by element; the two are as long.
-func (op Op) apply(dst, src []float64) {
-	switch op {
-	case OpSum:
-		for i, v := range src {
-			dst[i] += v
-		}
-	case OpProd:
-		for i, v := range src {
-			dst[i] *= v
-		}
-	case OpMax:
-		for i, v := range src {
-			if v > dst[i] {
-				dst[i] = v
-			}
-		}
-	case OpMin:
-		for i, v := range src {
-			if v < dst[i] {
-				dst[i] = v
-			}
-		}
-	default:
-		panic(fmt.Sprintf("mpi: unknown reduction op %d", op)) // asserts a programmer error: not one of the Op constants
-	}
-}
-
-// String names the operator.
-func (op Op) String() string {
-	switch op {
-	case OpSum:
-		return "sum"
-	case OpMax:
-		return "max"
-	case OpMin:
-		return "min"
-	case OpProd:
-		return "prod"
-	}
-	return fmt.Sprintf("op(%d)", int(op))
 }

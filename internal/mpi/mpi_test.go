@@ -389,7 +389,7 @@ func TestCollectivesNotTracedAsPTP(t *testing.T) {
 			b = Size(5)
 		}
 		c.Bcast(0, &b)
-		c.Allreduce([]float64{1}, OpSum)
+		c.Allreduce(Size(8))
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -83,7 +83,7 @@ func TestVirtualTimeSharedAcrossComms(t *testing.T) {
 	runTimed(t, 4, func(c *Comm) {
 		sub := c.Split(c.Rank()%2, 0)
 		before := c.VirtualTime()
-		sub.Allreduce([]float64{1}, OpSum)
+		sub.Allreduce(Size(8))
 		if c.VirtualTime() <= before {
 			panic("sub-communicator traffic did not advance the rank clock")
 		}
@@ -133,11 +133,11 @@ func TestEventTimestampsMonotone(t *testing.T) {
 		if c.Rank() == 0 {
 			c.Send(1, 1, Size(4096))
 			c.Recv(1, 2)
-			c.Allreduce([]float64{1}, OpSum)
+			c.Allreduce(Size(8))
 		} else {
 			c.Recv(0, 1)
 			c.Send(0, 2, Size(4096))
-			c.Allreduce([]float64{1}, OpSum)
+			c.Allreduce(Size(8))
 		}
 	})
 	if err != nil {
