@@ -13,21 +13,21 @@ import (
 // allocate, in KB: the mpi runtime's own bytes (handles, envelopes,
 // mailboxes, coroutines, communicators) with no collector installed. Each
 // ceiling is 1.1× the bytes measured when it was set (Go 1.24, linux/amd64),
-// when Allreduce stopped folding vectors and returning a result.
+// when a receive stopped returning a status.
 var runBudgetKB = []struct {
 	app   string
 	procs int
 	kb    uint64
 }{
-	{"cactus", 64, 194},
-	{"lbmhd", 64, 106},
-	{"gtc", 64, 182},
-	{"superlu", 64, 84},
-	{"pmemd", 64, 1495},
-	{"paratec", 64, 4065},
-	{"cactus", 256, 783},
-	{"lbmhd", 256, 424},
-	{"gtc", 256, 704},
+	{"cactus", 64, 185},
+	{"lbmhd", 64, 95},
+	{"gtc", 64, 167},
+	{"superlu", 64, 82},
+	{"pmemd", 64, 1370},
+	{"paratec", 64, 4063},
+	{"cactus", 256, 747},
+	{"lbmhd", 256, 380},
+	{"gtc", 256, 643},
 }
 
 // TestRunAllocBudget holds each untraced world of provision_cold's nine

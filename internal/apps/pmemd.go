@@ -107,7 +107,7 @@ func RunPMEMD(c *mpi.Comm, cfg Config) {
 			// PMEMD uses Waitany for this too.
 			sendsSinceDrain++
 			if sendsSinceDrain == 8 && len(sends) > 0 {
-				i, _ := c.Waitany(sends)
+				i := c.Waitany(sends)
 				sends = append(sends[:i], sends[i+1:]...)
 				sendsSinceDrain = 0
 			}
@@ -116,7 +116,7 @@ func RunPMEMD(c *mpi.Comm, cfg Config) {
 		// Reaction-field accumulation: retire each force receive as it
 		// lands (the Waitany-dominated loop of Figure 2).
 		for len(recvs) > 0 {
-			i, _ := c.Waitany(recvs)
+			i := c.Waitany(recvs)
 			recvs = append(recvs[:i], recvs[i+1:]...)
 		}
 		// The remaining sends retire together once the step's force

@@ -10,8 +10,8 @@ import (
 // raceEnabled is set by race_test.go.
 var raceEnabled bool
 
-// TestRequestFitsItsSizeClass pins the handle's layout: the status lives
-// in the request's own fields and carries no payload, so a request is 64
+// TestRequestFitsItsSizeClass pins the handle's layout: what a match
+// carried lives in the request's own fields and no payload does, so a request is 64
 // bytes and takes the 64-byte size class (with a payload slice it was 88
 // bytes in the 96-byte class). PARATEC at P=64 holds 45 056 handles per
 // run.

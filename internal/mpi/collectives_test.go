@@ -349,9 +349,10 @@ func TestSplitGroups(t *testing.T) {
 		// Sub-communicators work for collectives and PTP independently.
 		sub.Allreduce(Size(8))
 		r := sub.Rank()
-		st := sub.Sendrecv((r+1)%4, 1, Size(10+r), (r+3)%4, 1)
-		if st.N != 10+(r+3)%4 {
-			panic("sub sendrecv mismatch")
+		left := (r + 3) % 4
+		sub.Sendrecv((r+1)%4, 1, Size(10+r), left, 1)
+		if m := sub.lastMatch(); m.Source != sub.WorldRank(left) || m.N != 10+left {
+			panic(fmt.Sprintf("sub sendrecv matched %+v, want %d bytes from world rank %d", m, 10+left, sub.WorldRank(left)))
 		}
 	})
 }
@@ -386,10 +387,12 @@ func TestSplitIsolatedContexts(t *testing.T) {
 			sub.Send(1, 9, Size(111))
 			c.Send(1, 9, Size(222))
 		case 1:
-			stParent := c.Recv(0, 9)
-			stSub := sub.Recv(0, 9)
-			if stParent.N != 222 || stSub.N != 111 {
-				panic(fmt.Sprintf("context leak: parent=%d sub=%d", stParent.N, stSub.N))
+			c.Recv(0, 9)
+			nParent := c.lastMatch().N
+			sub.Recv(0, 9)
+			nSub := sub.lastMatch().N
+			if nParent != 222 || nSub != 111 {
+				panic(fmt.Sprintf("context leak: parent=%d sub=%d", nParent, nSub))
 			}
 		}
 	})
@@ -404,7 +407,7 @@ func TestSplitOneColor(t *testing.T) {
 		if d.Size() != c.Size() || d.Rank() != c.Rank() {
 			panic("split changed group or rank")
 		}
-		if d.ID() == c.ID() {
+		if d.id == c.id {
 			panic("split did not get a fresh id")
 		}
 		d.Barrier()

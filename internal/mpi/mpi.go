@@ -17,8 +17,10 @@
 // makes — call types, buffer sizes, and partner ranks — which is the data
 // the HFAST paper derives every figure and table from. No message carries
 // a payload: a Buf is its logical byte count, so large transfer patterns
-// replay without materializing gigabytes of data, and Allreduce and Gather
-// return nothing.
+// replay without materializing gigabytes of data, Allreduce and Gather
+// return nothing, and neither does a receive: Recv, Sendrecv, Wait and
+// Waitall return nothing and Waitany only the index it retired, since no
+// skeleton reads a message's source, tag or size back.
 //
 // One scheduler per World (RunContext) resumes one rank at a time, always
 // the runnable rank with the lowest (virtual clock, world rank), and a rank
@@ -40,8 +42,8 @@
 //     and the request Waitany returns hand the handle back to the rank,
 //     and a later Isend/Irecv reissues it. Touching a handle after that
 //     panics ("mpi: request used after Wait") until it is reissued.
-//     Waitall's statuses belong to the rank until its next Waitall, so a
-//     steady-state exchange loop allocates nothing, under Wait or Waitall.
+//     So a steady-state exchange loop allocates nothing, under Wait or
+//     Waitall.
 //   - Collectives must be called by every rank of a communicator in the
 //     same order. They send no messages, so they never match user traffic:
 //     the ranks of one call meet in memory, and ranks that enter different
@@ -73,7 +75,7 @@ const (
 )
 
 // ProcNull is the null process: sends to it vanish and receives from it
-// return immediately with an empty status, following MPI_PROC_NULL. It
+// return at once having matched nothing, following MPI_PROC_NULL. It
 // lets a shift off a grid's open edge (meshtorus.Mesh.Offset's -1) feed
 // straight into Sendrecv without special-casing.
 const ProcNull = -3
@@ -90,17 +92,4 @@ func Size(n int) Buf {
 		panic(fmt.Sprintf("mpi: negative buffer size %d", n))
 	}
 	return Buf{N: n}
-}
-
-// Status reports the outcome of a completed receive.
-type Status struct {
-	// Source is the communicator rank the message came from.
-	Source int
-	// Tag is the message tag.
-	Tag Tag
-	// N is the message size in bytes.
-	N int
-	// VTime is the modeled arrival time when the world has a CostModel,
-	// else 0.
-	VTime float64
 }

@@ -37,9 +37,9 @@ func TestSendRecvPayload(t *testing.T) {
 		case 0:
 			c.Send(1, 7, Size(5))
 		case 1:
-			st := c.Recv(0, 7)
-			if st.Source != 0 || st.Tag != 7 || st.N != 5 {
-				panic(fmt.Sprintf("bad status %+v", st))
+			c.Recv(0, 7)
+			if m := c.lastMatch(); m.Source != 0 || m.Tag != 7 || m.N != 5 {
+				panic(fmt.Sprintf("bad match %+v", m))
 			}
 		}
 	})
@@ -51,9 +51,9 @@ func TestSendRecvSizeOnly(t *testing.T) {
 		case 0:
 			c.Send(1, 0, Size(300000))
 		case 1:
-			st := c.Recv(0, 0)
-			if st.N != 300000 {
-				panic(fmt.Sprintf("bad status %+v", st))
+			c.Recv(0, 0)
+			if m := c.lastMatch(); m.N != 300000 {
+				panic(fmt.Sprintf("bad match %+v", m))
 			}
 		}
 	})
@@ -69,8 +69,9 @@ func TestRecvAnySourceAnyTag(t *testing.T) {
 		case 2:
 			got := map[int]Tag{}
 			for i := 0; i < 2; i++ {
-				st := c.Recv(AnySource, AnyTag)
-				got[st.Source] = st.Tag
+				c.Recv(AnySource, AnyTag)
+				m := c.lastMatch()
+				got[m.Source] = m.Tag
 			}
 			if got[0] != 11 || got[1] != 22 {
 				panic(fmt.Sprintf("bad sources/tags %v", got))
@@ -87,10 +88,12 @@ func TestTagMatching(t *testing.T) {
 			c.Send(1, 2, Size(200))
 			c.Send(1, 1, Size(100))
 		case 1:
-			st1 := c.Recv(0, 1)
-			st2 := c.Recv(0, 2)
-			if st1.N != 100 || st2.N != 200 {
-				panic(fmt.Sprintf("tag matching broken: %d %d", st1.N, st2.N))
+			c.Recv(0, 1)
+			n1 := c.lastMatch().N
+			c.Recv(0, 2)
+			n2 := c.lastMatch().N
+			if n1 != 100 || n2 != 200 {
+				panic(fmt.Sprintf("tag matching broken: %d %d", n1, n2))
 			}
 		}
 	})
@@ -106,9 +109,9 @@ func TestNonOvertakingOrder(t *testing.T) {
 			}
 		case 1:
 			for i := 0; i < n; i++ {
-				st := c.Recv(0, 5)
-				if st.N != i+1 {
-					panic(fmt.Sprintf("message %d overtaken: got %d", i, st.N))
+				c.Recv(0, 5)
+				if n := c.lastMatch().N; n != i+1 {
+					panic(fmt.Sprintf("message %d overtaken: got %d", i, n))
 				}
 			}
 		}
@@ -123,9 +126,9 @@ func TestIsendIrecvWait(t *testing.T) {
 			c.Wait(req)
 		case 1:
 			req := c.Irecv(0, 3)
-			st := c.Wait(req)
-			if st.Source != 0 || st.N != 3 {
-				panic(fmt.Sprintf("bad status %+v", st))
+			c.Wait(req)
+			if m := req.matched(); m.Source != 0 || m.N != 3 {
+				panic(fmt.Sprintf("bad match %+v", m))
 			}
 		}
 	})
@@ -137,9 +140,9 @@ func TestIrecvPostedBeforeSend(t *testing.T) {
 		case 0:
 			req := c.Irecv(1, 9)
 			c.Send(1, 8, Size(1)) // tell rank 1 the recv is posted
-			st := c.Wait(req)
-			if st.N != 42 {
-				panic(fmt.Sprintf("bad size %d", st.N))
+			c.Wait(req)
+			if n := req.matched().N; n != 42 {
+				panic(fmt.Sprintf("bad size %d", n))
 			}
 		case 1:
 			c.Recv(0, 8)
@@ -165,13 +168,15 @@ func TestWaitall(t *testing.T) {
 			}
 			reqs = append(reqs, c.Isend(p, 1, Size(100+me)))
 		}
-		sts := c.Waitall(reqs)
-		if len(sts) != len(reqs) {
-			panic("waitall status count mismatch")
-		}
+		c.Waitall(reqs)
 		for i := 0; i < n-1; i++ {
-			if sts[i].N < 100 || sts[i].N >= 100+n {
-				panic(fmt.Sprintf("bad waitall status %+v", sts[i]))
+			// Receive i was posted to the i-th peer, which sent 100+itself.
+			peer := i
+			if i >= me {
+				peer++
+			}
+			if m := reqs[i].matched(); m.Source != peer || m.N != 100+peer {
+				panic(fmt.Sprintf("receive %d matched %+v, want the message of rank %d", i, m, peer))
 			}
 		}
 	})
@@ -184,8 +189,8 @@ func TestWaitany(t *testing.T) {
 			reqs := []*Request{c.Irecv(1, 1), c.Irecv(2, 1)}
 			seen := map[int]bool{}
 			for len(reqs) > 0 {
-				i, st := c.Waitany(reqs)
-				seen[st.Source] = true
+				i := c.Waitany(reqs)
+				seen[reqs[i].matched().Source] = true
 				reqs = append(reqs[:i], reqs[i+1:]...)
 			}
 			if !seen[1] || !seen[2] {
@@ -203,9 +208,9 @@ func TestSendrecvRing(t *testing.T) {
 		me := c.Rank()
 		right := (me + 1) % n
 		left := (me - 1 + n) % n
-		st := c.Sendrecv(right, 6, Size(1000+me), left, 6)
-		if st.Source != left || st.N != 1000+left {
-			panic(fmt.Sprintf("ring exchange broken: %+v", st))
+		c.Sendrecv(right, 6, Size(1000+me), left, 6)
+		if m := c.lastMatch(); m.Source != left || m.N != 1000+left {
+			panic(fmt.Sprintf("ring exchange broken: %+v", m))
 		}
 	})
 }
@@ -214,9 +219,9 @@ func TestSelfSend(t *testing.T) {
 	run(t, 1, func(c *Comm) {
 		req := c.Irecv(0, 1)
 		c.Send(0, 1, Size(4))
-		st := c.Wait(req)
-		if st.Source != 0 || st.Tag != 1 || st.N != 4 {
-			panic(fmt.Sprintf("self message lost: %+v", st))
+		c.Wait(req)
+		if m := req.matched(); m.Source != 0 || m.Tag != 1 || m.N != 4 {
+			panic(fmt.Sprintf("self message lost: %+v", m))
 		}
 	})
 }
@@ -449,8 +454,8 @@ func TestRendezvousCompletes(t *testing.T) {
 			c.Send(1, 1, Size(1<<20)) // rendezvous
 			c.Send(1, 2, Size(16))    // eager chaser
 		case 1:
-			st := c.Recv(0, 1)
-			if st.N != 1<<20 {
+			c.Recv(0, 1)
+			if c.lastMatch().N != 1<<20 {
 				panic("wrong rendezvous payload")
 			}
 			c.Recv(0, 2)
@@ -488,8 +493,8 @@ func TestRendezvousSendrecvPairsSafely(t *testing.T) {
 	err := w.Run(func(c *Comm) {
 		n, me := c.Size(), c.Rank()
 		right, left := (me+1)%n, (me+n-1)%n
-		st := c.Sendrecv(right, 1, Size(1<<20), left, 1)
-		if st.N != 1<<20 {
+		c.Sendrecv(right, 1, Size(1<<20), left, 1)
+		if m := c.lastMatch(); m.Source != left || m.N != 1<<20 {
 			panic("sendrecv payload lost under rendezvous")
 		}
 	})
@@ -529,8 +534,9 @@ func TestMatchingFuzz(t *testing.T) {
 				}
 			case 1:
 				for i := 0; i < msgs; i++ {
-					st := c.Recv(0, AnyTag)
-					got[key{tag: st.Tag, size: st.N}]++
+					c.Recv(0, AnyTag)
+					m := c.lastMatch()
+					got[key{tag: m.Tag, size: m.N}]++
 				}
 			}
 		})

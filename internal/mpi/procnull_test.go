@@ -17,13 +17,13 @@ func TestCartHaloExchangeWithProcNull(t *testing.T) {
 		if src < 0 {
 			src = ProcNull
 		}
-		st := c.Sendrecv(dst, 1, Size(100+c.Rank()), src, 1)
+		c.Sendrecv(dst, 1, Size(100+c.Rank()), src, 1)
 		if c.Rank() == 0 {
-			if st.Source != ProcNull {
-				panic("rank 0 should receive the null status")
+			if c.lastRequest().op != opSend {
+				panic("rank 0 posted a receive from ProcNull")
 			}
-		} else if st.N != 100+c.Rank()-1 {
-			panic(fmt.Sprintf("rank %d got %d", c.Rank(), st.N))
+		} else if m := c.lastMatch(); m.Source != src || m.N != 100+src {
+			panic(fmt.Sprintf("rank %d got %+v", c.Rank(), m))
 		}
 	})
 }
@@ -31,14 +31,20 @@ func TestCartHaloExchangeWithProcNull(t *testing.T) {
 func TestProcNullOperations(t *testing.T) {
 	run(t, 2, func(c *Comm) {
 		c.Send(ProcNull, 1, Size(10))
-		if st := c.Recv(ProcNull, 1); st.Source != ProcNull {
-			panic("Recv from ProcNull should return null status")
+		// A message from itself on the same tag: Recv(ProcNull) must match
+		// nothing and leave it queued.
+		c.Send(c.Rank(), 1, Size(20))
+		c.Recv(ProcNull, 1)
+		c.Recv(c.Rank(), 1)
+		if m := c.lastMatch(); m.Source != c.Rank() || m.N != 20 {
+			panic(fmt.Sprintf("Recv from ProcNull took a message: the next Recv matched %+v", m))
 		}
 		req := c.Isend(ProcNull, 1, Size(10))
 		c.Wait(req)
 		req = c.Irecv(ProcNull, 1)
-		if st := c.Wait(req); st.Source != ProcNull {
-			panic("Irecv from ProcNull should complete with null status")
+		c.Wait(req)
+		if m := req.matched(); m.Source != ProcNull || m.Tag != AnyTag {
+			panic(fmt.Sprintf("Irecv from ProcNull matched %+v", m))
 		}
 		c.Barrier()
 	})

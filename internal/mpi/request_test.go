@@ -52,10 +52,8 @@ func haloStep(c *Comm, reqs []*Request, retire func(*Comm, []*Request)) {
 
 // TestHaloLoopAllocatesNoRequests runs 1 000 halo steps on every rank of
 // a ring while rank 0 counts the process's mallocs per step: after the
-// first step every Isend/Irecv is served from the rank's free list.
-// Retiring through Wait or Waitall allocates nothing at all: Waitall's
-// statuses are the rank's own slice, grown by the first step and refilled
-// by every later one.
+// first step every Isend/Irecv is served from the rank's free list, and
+// retiring through Wait or Waitall allocates nothing at all.
 func TestHaloLoopAllocatesNoRequests(t *testing.T) {
 	const ranks, steps = 4, 1000
 	for _, tc := range []struct {
@@ -91,54 +89,41 @@ func TestHaloLoopAllocatesNoRequests(t *testing.T) {
 	}
 }
 
-// TestWaitallStatusesRankOwned checks what Waitall reports and for how
-// long. On a sub-communicator whose ranks run opposite to the world's, comm
-// rank 0 waits on a named receive, an AnySource receive matched by a
-// rendezvous send, and a rendezvous send of its own: each receive's status
-// names its source in comm rank space and carries the tag and a size that
-// says which message it is. A second Waitall of the rank, on another communicator, refills
-// the same backing array — the lifetime the doc comment states — and
-// Waitall(nil) reports nothing.
-func TestWaitallStatusesRankOwned(t *testing.T) {
+// TestWaitallOnSplitMatchesEachMessage retires three requests in one
+// Waitall on a sub-communicator whose ranks run opposite to the world's:
+// a named receive, an AnySource receive matched by a rendezvous send, and
+// a rendezvous send of its own. Each receive matched the message meant for
+// it — sender, tag and a size that says which message it is — and the
+// rendezvous send reached its receiver whole. Waitall(nil) returns at once.
+func TestWaitallOnSplitMatchesEachMessage(t *testing.T) {
 	w := NewWorld(3, WithTimeout(testTimeout), WithEagerLimit(4))
 	err := w.Run(func(world *Comm) {
 		c := world.Split(0, -world.Rank()) // comm rank = 2 - world rank
 		switch c.Rank() {
 		case 0:
-			sts := c.Waitall([]*Request{
+			reqs := []*Request{
 				c.Irecv(1, 5),
 				c.Irecv(AnySource, 6),
 				c.Isend(1, 7, Size(10)),
-			})
-			for i, want := range []Status{
-				{Source: 1, Tag: 5, N: 3},
-				{Source: 2, Tag: 6, N: 5},
+			}
+			c.Waitall(reqs)
+			for i, want := range []matched{
+				{Source: c.WorldRank(1), Tag: 5, N: 3},
+				{Source: c.WorldRank(2), Tag: 6, N: 5},
 			} {
-				if st := sts[i]; st.Source != want.Source || st.Tag != want.Tag || st.N != want.N {
-					panic(fmt.Sprintf("status %d is %+v, want %+v", i, st, want))
+				if m := reqs[i].matched(); m != want {
+					panic(fmt.Sprintf("receive %d matched %+v, want %+v", i, m, want))
 				}
 			}
-			if len(sts) != 3 || sts[2].N != 10 {
-				panic(fmt.Sprintf("send status %+v of %d", sts[len(sts)-1], len(sts)))
-			}
-			again := world.Waitall([]*Request{world.Irecv(AnySource, 9)})
-			if &again[0] != &sts[0] {
-				panic("the second Waitall did not reuse the rank's statuses")
-			}
-			if sts[0].Source != 0 || sts[0].Tag != 9 || sts[0].N != 1 {
-				panic(fmt.Sprintf("the first Waitall's slice reads %+v, want the second's status", sts[0]))
-			}
-			if got := c.Waitall(nil); len(got) != 0 {
-				panic(fmt.Sprintf("Waitall(nil) returned %d statuses", len(got)))
-			}
+			c.Waitall(nil)
 		case 1:
 			c.Send(0, 5, Size(3)) // eager
-			if st := c.Recv(0, 7); st.N != 10 {
-				panic(fmt.Sprintf("rendezvous message of %d bytes, want 10", st.N))
+			c.Recv(0, 7)
+			if m := c.lastMatch(); m.Source != c.WorldRank(0) || m.N != 10 {
+				panic(fmt.Sprintf("rendezvous message %+v, want 10 bytes from world rank %d", m, c.WorldRank(0)))
 			}
 		case 2:
 			c.Send(0, 6, Size(5)) // rendezvous: waits for the AnySource receive
-			world.Send(2, 9, Size(1))
 		}
 	})
 	if err != nil {
@@ -161,7 +146,7 @@ func TestWaitanyAllCompleteAllocatesNothing(t *testing.T) {
 				reqs = append(reqs, c.Irecv(0, Tag(i)))
 			}
 			for len(reqs) > 0 {
-				i, _ := c.Waitany(reqs)
+				i := c.Waitany(reqs)
 				reqs[i] = reqs[len(reqs)-1]
 				reqs = reqs[:len(reqs)-1]
 			}
@@ -184,7 +169,7 @@ func freeListLen(c *Comm) int {
 // TestRendezvousRequestsRecycle sends every message above the eager limit,
 // so each Isend's request is completed by the receiving rank's match — not
 // by the owner — and the handle is reissued right after. A message's size
-// names the step and the sender, so a completion or a status landing on
+// names the step and the sender, so a completion or a match landing on
 // the wrong incarnation of a handle shows up as a wrong size.
 func TestRendezvousRequestsRecycle(t *testing.T) {
 	const steps = 300
@@ -197,9 +182,11 @@ func TestRendezvousRequestsRecycle(t *testing.T) {
 			sr := sub.Isend(peer, 2, Size(8+2*s+c.Rank()))
 			sr2 := c.Isend(peer, 1, Size(8+2*s+c.Rank()))
 			rr2 := sub.Irecv(peer, 2)
-			for _, st := range []Status{c.Wait(rr), sub.Wait(rr2)} {
-				if st.N != 8+2*s+peer {
-					panic(fmt.Sprintf("step %d: a %d-byte message, want %d", s, st.N, 8+2*s+peer))
+			c.Wait(rr)
+			sub.Wait(rr2)
+			for _, r := range []*Request{rr, rr2} {
+				if n := r.matched().N; n != 8+2*s+peer {
+					panic(fmt.Sprintf("step %d: a %d-byte message, want %d", s, n, 8+2*s+peer))
 				}
 			}
 			c.Waitall([]*Request{sr, sr2})

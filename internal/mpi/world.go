@@ -24,11 +24,6 @@ type envelope struct {
 	next    *envelope // links the world's free envelopes
 }
 
-// status is what a receive matching the envelope reports.
-func (e *envelope) status() Status {
-	return Status{Source: e.src, Tag: e.tag, N: e.size, VTime: e.arrival}
-}
-
 // newEnvelope takes an envelope off the free list, or allocates one.
 func (w *World) newEnvelope() *envelope {
 	e := w.freeEnv
@@ -41,11 +36,14 @@ func (w *World) newEnvelope() *envelope {
 
 // match completes the receive an envelope met and, for a rendezvous
 // message, the send that has been waiting for it, and recycles the envelope.
+// The receive keeps what the envelope carried: its sender's world rank, tag
+// and size.
 func (w *World) match(e *envelope, recv *Request) {
 	if e.ack != nil {
-		e.ack.complete(Status{Source: e.src, Tag: e.tag, N: e.size})
+		e.ack.complete(0)
 	}
-	recv.complete(e.status())
+	recv.peer, recv.tag, recv.n = e.src, e.tag, e.size
+	recv.complete(e.arrival)
 	*e = envelope{next: w.freeEnv}
 	w.freeEnv = e
 }
@@ -325,13 +323,12 @@ func (w *World) commID(parent, seq, color int) int {
 }
 
 // rankState is what every Comm of one rank shares: its virtual clock, its
-// free requests, its Waitall statuses and its coroutine.
+// free requests and its coroutine.
 type rankState struct {
 	world *World
 	rank  int      // world rank
 	clock float64  // virtual time in seconds; stays 0 without a cost model
 	free  *Request // released handles, linked through Request.next
-	sts   []Status // what Waitall returns, refilled by the next one
 
 	next  func() (struct{}, bool) // scheduler side: resume the rank until it suspends or returns
 	stop  func()                  // scheduler side: unwind the rank if it has not returned
@@ -382,18 +379,18 @@ func (q *readyQueue) Pop() any {
 // the list) as soon as it completes. There is no nonblocking completion
 // test: a rank that cannot go on blocks, and the scheduler runs another.
 //
-// The status lives in the handle's own fields (64 bytes, the 64-byte size
-// class): peer and tag are what the request matches until it is done and
-// the status' Source and Tag after.
+// A matched receive keeps what its message carried in the handle's own
+// fields: peer and tag are what the request matches until it is done and
+// the sender's world rank and the message's tag after, n its size.
 type Request struct {
 	op       reqOp
 	done     bool
 	released bool    // consumed by the Wait family and not yet reissued
-	peer     int     // world rank of the partner, or AnySource; then Status.Source
-	tag      Tag     // or AnyTag; then Status.Tag
+	peer     int     // world rank of the partner, or AnySource
+	tag      Tag     // or AnyTag
 	comm     int     // communicator id: the matching context
-	n        int     // Status.N, once done
-	vtime    float64 // Status.VTime, once done
+	n        int     // a matched receive's message size
+	arrival  float64 // a matched receive's modeled arrival; 0 without a cost model
 	rs       *rankState
 	next     *Request
 }
@@ -435,49 +432,39 @@ func (c *Comm) release(r *Request) {
 	r.next, c.rs.free = c.rs.free, r
 }
 
-// complete records st in the request, marks it finished and, if its owner
-// is parked on it (or on several requests, this perhaps among them), makes
-// the owner runnable. It runs on whichever rank matched the message.
-func (r *Request) complete(st Status) {
+// complete records the arrival time in the request, marks it finished
+// and, if its owner is parked on it (or on several requests, this perhaps
+// among them), makes the owner runnable. It runs on whichever rank matched
+// the message.
+func (r *Request) complete(arrival float64) {
 	if r.done {
 		panic("mpi: request completed twice") // asserts a runtime bug: one message matched two requests
 	}
-	r.done = true
-	r.peer, r.tag, r.n, r.vtime = st.Source, st.Tag, st.N, st.VTime
+	r.done, r.arrival = true, arrival
 	if rs := r.rs; rs.waiting == r || rs.waiting != nil && rs.nwaiting > 1 {
 		rs.waiting = nil
 		heap.Push(&rs.world.ready, rs)
 	}
 }
 
-// poll reports the status if the request has completed.
-func (r *Request) poll() (Status, bool) {
+// poll reports whether the request has completed.
+func (r *Request) poll() bool {
 	if r.released {
 		panic("mpi: request used after Wait") // asserts a programmer error: completion consumed the handle
 	}
-	if !r.done {
-		return Status{}, false
-	}
-	return Status{Source: r.peer, Tag: r.tag, N: r.n, VTime: r.vtime}, true
+	return r.done
 }
 
-// waitAny blocks until one of reqs completes and returns its index and
-// status: poll each, else park until complete makes the rank runnable.
-func (c *Comm) waitAny(reqs ...*Request) (int, Status) {
+// waitAny blocks until one of reqs completes and returns its index: poll
+// each, else park until complete makes the rank runnable.
+func (c *Comm) waitAny(reqs ...*Request) int {
 	for {
 		for i, r := range reqs {
-			if st, ok := r.poll(); ok {
-				return i, st
+			if r.poll() {
+				return i
 			}
 		}
 		c.rs.waiting, c.rs.nwaiting = reqs[0], len(reqs)
 		c.rs.suspend()
 	}
-}
-
-// waitFree waits on a request and releases it.
-func (c *Comm) waitFree(r *Request) Status {
-	_, st := c.waitAny(r)
-	c.release(r)
-	return st
 }
