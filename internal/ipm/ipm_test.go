@@ -471,6 +471,39 @@ func TestCommTimeAttribution(t *testing.T) {
 	}
 }
 
+// TestWaitanyChargesItsWait: a Waitany that parks until a 1 MB message
+// arrives is charged that wait, as IPM charges blocking time to the call
+// that observed it, and the rank's next call is not.
+func TestWaitanyChargesItsWait(t *testing.T) {
+	set := NewCollectorSet(0)
+	w := mpi.NewWorld(2,
+		mpi.WithCostModel(mpi.DefaultCostModel()),
+		mpi.WithTracerFactory(set.Factory))
+	err := w.Run(func(c *mpi.Comm) {
+		if c.Rank() == 0 {
+			c.Waitany([]*mpi.Request{c.Irecv(1, 1)})
+		} else {
+			c.Send(0, 1, mpi.Size(1<<20))
+		}
+		c.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byCall := make(map[mpi.Call]float64)
+	for _, e := range set.Profile("waitany", 2, nil).Ranks[0].Entries {
+		byCall[e.Key.Call] += e.Stat.Time
+	}
+	m := mpi.DefaultCostModel()
+	transfer := float64(1<<20) / m.Bandwidth
+	if byCall[mpi.CallWaitany] < transfer {
+		t.Errorf("Waitany charged %g s, below the %g s transfer it waited for", byCall[mpi.CallWaitany], transfer)
+	}
+	if byCall[mpi.CallBarrier] >= transfer {
+		t.Errorf("the Barrier after Waitany charged %g s, the wait's %g s transfer among them", byCall[mpi.CallBarrier], transfer)
+	}
+}
+
 // TestRegionTimeStartsAtItsRegion runs three identical regions of ten
 // 1 MB Sendrecvs: each must be charged the same time. Region events carry
 // the rank's clock, so the first call of a region is charged from the
