@@ -462,7 +462,13 @@ func (s *Server) handleProvision(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case req.Profile != nil:
 		// Uploaded profile: content-addressed by its canonical encoding;
-		// no worker slot needed, provisioning is cheap.
+		// no worker slot needed, provisioning is cheap. The graph and
+		// assign stages size themselves by its Procs, so it is held to
+		// the bound a spec is.
+		if p := req.Profile.Procs; p <= 0 || p > s.cfg.MaxProcs {
+			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("profile procs %d outside (0,%d]", p, s.cfg.MaxProcs), 0)
+			return
+		}
 		var err error
 		if ref, err = pipeline.Supplied(req.Profile); err != nil {
 			s.writeError(w, http.StatusBadRequest, err.Error(), 0)

@@ -77,6 +77,49 @@ func TestArtifactChecksRecipe(t *testing.T) {
 	}
 }
 
+// TestProvisionUploadChecksProcs: an uploaded profile is held to MaxProcs
+// as a spec is, since the graph and assign stages size themselves by its
+// Procs. Against a server with MaxProcs 8, a cactus profile of 16 ranks is
+// refused with 400, like the spec request for 16 ranks, and so is one that
+// claims no ranks; the same upload at 8 ranks is provisioned.
+func TestProvisionUploadChecksProcs(t *testing.T) {
+	_, ts := testServer(t, Config{Workers: 1, MaxProcs: 8})
+	upload := func(procs int) *ipm.Profile {
+		prof, err := apps.ProfileRun("cactus", apps.Config{Procs: procs, Steps: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prof
+	}
+	noRanks := upload(8)
+	noRanks.Procs = 0
+	for _, tc := range []struct {
+		name string
+		req  ProvisionRequest
+		code int
+		want string // the error starts with this
+	}{
+		{"upload P=16", ProvisionRequest{Profile: upload(16)}, http.StatusBadRequest, "profile procs 16 outside (0,8]"},
+		{"spec P=16", ProvisionRequest{ProfileRequest: ProfileRequest{App: "cactus", Procs: 16, Steps: 1}}, http.StatusBadRequest, `"procs" 16 exceeds the server limit 8`},
+		{"upload P=0", ProvisionRequest{Profile: noRanks}, http.StatusBadRequest, "profile procs 0 outside (0,8]"},
+		{"upload P=8", ProvisionRequest{Profile: upload(8)}, http.StatusOK, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, body := postJSON(t, ts.URL+"/v1/provision", tc.req)
+			if resp.StatusCode != tc.code {
+				t.Fatalf("status %d: %s, want %d", resp.StatusCode, body, tc.code)
+			}
+			if tc.code == http.StatusOK {
+				return
+			}
+			var e ErrorResponse
+			if err := json.Unmarshal(body, &e); err != nil || !strings.HasPrefix(e.Error, tc.want) {
+				t.Errorf("error %q (%v), want one starting %q", e.Error, err, tc.want)
+			}
+		})
+	}
+}
+
 // TestNegativeCutoff: each endpoint that takes a cutoff answers a
 // negative one with 400 and runs nothing; hfast.Assign would otherwise
 // take it as a threshold every edge clears.
